@@ -4,7 +4,8 @@ construct, period.
 Machine mode (--machine) emits line-oriented `key = value` records under a
 schema header; output is byte-identical across runs with the same inputs,
 flags, and seed.  Exit codes: 0 success (verdict false is still success),
-2 parse error, 3 degree bound exceeded, 4 window exceeded.
+1 any other SyzkitError (printed as `error: ...`), 2 parse error, 3 degree
+bound exceeded, 4 window exceeded.
 """
 
 import argparse
@@ -21,7 +22,7 @@ from .io import (
     write_module_file,
     write_ring_file,
 )
-from .resolutions import complexity_of_module, depth, resolve
+from .resolutions import complexity_of_module, depth
 
 SCHEMA = "syzkit.report.v1"
 

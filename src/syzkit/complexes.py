@@ -18,12 +18,6 @@ F_{j-n}, with one tau for the whole map.
 import numpy as np
 
 from . import freemod
-from .chainsolve import (
-    candidate_solutions,
-    consistent_twist,
-    scalar_block_coordinates,
-    solve_chain_self_maps,
-)
 from .errors import SyzkitError, WindowError
 from .linalg import dtype_for, matmul, rank, zeros
 from .modules import GradedModule
@@ -123,11 +117,6 @@ class FreeComplex:
         if j > self.window - 1:
             raise WindowError("minimal Betti needs the next differential")
         return self.rank(j) - self.scalar_rank(j) - self.scalar_rank(j + 1)
-
-    def minimal_betti_table(self, jmax=None):
-        if jmax is None:
-            jmax = self.window - 1
-        return [self.minimal_betti(j) for j in range(jmax + 1)]
 
     def shift(self, n, twist=0):
         """Sigma^n with differential sign (-1)^n and optional internal twist."""
@@ -347,7 +336,6 @@ def tensor_pair(f, g, product_ring=None):
     p = a.char
     for j in range(1, w + 1):
         cols = []
-        offs_prev = freemod.component_offsets(a, gens[j - 1], 0)  # rebuilt per degree below
         for (aa, ui, bb, vi), total_deg in zip(labels[j], gens[j]):
             du = f.gen_degrees(aa)[ui]
             dv = g.gen_degrees(bb)[vi]

@@ -45,10 +45,6 @@ class PeriodicityCertificate:
     below: dict = field(default_factory=dict)   # shift -> (kind, rigorous)
     degree_bound: int = 0
 
-    @property
-    def rigorous_below(self):
-        return all(rig for _, rig in self.below.values())
-
 
 def _chain_map_from_solution(cx, q, tau, layout, x):
     maps = layout.unpack(x)

@@ -11,6 +11,7 @@ degrees are exact up to the ring's degree bound; reports carry that bound.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -19,29 +20,28 @@ from .errors import SyzkitError, WindowError
 from .linalg import (
     dtype_for,
     extend_basis,
-    hstack,
     kernel_basis,
     matmul,
+    quotient_projection,
     rank,
-    solve,
     solve_many,
     zeros,
 )
 from .modules import (
     GradedModule,
     ModuleMap,
-    lift_presentation,
+    generator_matrix,
+    minimal_generators_in,
     tensor_presentation,
     verify_ses,
 )
 from .resolutions import (
     DEFAULT_MARGIN,
-    _kernel_spaces,
-    _minimal_kernel_generators,
     complexity_of_module,
     depth,
     depth_of_ring,
     detect_resolution_periodicity,
+    kernel_generators,
     resolve,
     syzygy,
 )
@@ -94,6 +94,14 @@ def _tensor_matrix(ring, dmap, n_mod, d):
     return out
 
 
+def _tensor_differential(ring, res, n_mod, i, d):
+    """(F_i tensor N)_d -> (F_{i-1} tensor N)_d; no rows when i <= 0 or F_i = 0."""
+    gens = res.gens[i] if 0 <= i < len(res.gens) else ()
+    if i <= 0 or not gens:
+        return zeros(0, sum(_tensor_component_dims(ring, gens, n_mod, d)), ring.char)
+    return _tensor_matrix(ring, res.diffs[i], n_mod, d)
+
+
 def tor(m, n, window, margin=DEFAULT_MARGIN, res=None):
     """Graded dimensions of Tor_i(M, N) for i <= window."""
     if not m.ring.same_ring(n.ring):
@@ -105,17 +113,12 @@ def tor(m, n, window, margin=DEFAULT_MARGIN, res=None):
         raise WindowError("resolution window too small for the requested Tor range")
     bound = ring.degree_bound
     dims = []
-    mats = {}
+    ranks = {}
 
-    def mat(i, d):
-        if (i, d) not in mats:
-            if i <= 0 or i >= len(res.gens) or not res.gens[i]:
-                src = res.gens[i] if 0 <= i < len(res.gens) else ()
-                sdim = sum(_tensor_component_dims(ring, src, n, d))
-                mats[(i, d)] = zeros(0, sdim, ring.char)
-            else:
-                mats[(i, d)] = _tensor_matrix(ring, res.diffs[i], n, d)
-        return mats[(i, d)]
+    def rank_at(i, d):
+        if (i, d) not in ranks:
+            ranks[(i, d)] = rank(_tensor_differential(ring, res, n, i, d), ring.char)
+        return ranks[(i, d)]
 
     n_lo = n.min_degree()
     for i in range(window + 1):
@@ -126,12 +129,7 @@ def tor(m, n, window, margin=DEFAULT_MARGIN, res=None):
             sdim = sum(_tensor_component_dims(ring, gens_i, n, d))
             if sdim == 0:
                 continue
-            if i == 0:
-                zdim = sdim
-            else:
-                zdim = sdim - rank(mat(i, d), ring.char)
-            bdim = rank(mat(i + 1, d), ring.char)
-            h = zdim - bdim
+            h = sdim - rank_at(i, d) - rank_at(i + 1, d)
             if h:
                 by_degree[d] = h
         dims.append(by_degree)
@@ -165,13 +163,6 @@ class _HomologySpaces:
         self.i = i
         self._data = {}
 
-    def _tensor_mat(self, i, d):
-        gens = self.res.gens[i] if 0 <= i < len(self.res.gens) else ()
-        if i <= 0 or not gens:
-            sdim = sum(_tensor_component_dims(self.ring, gens, self.n, d))
-            return zeros(0, sdim, self.ring.char)
-        return _tensor_matrix(self.ring, self.res.diffs[i], self.n, d)
-
     def space(self, d):
         """(Z basis in tensor coords, H basis indices, H projection in Z coords)."""
         if d not in self._data:
@@ -181,17 +172,15 @@ class _HomologySpaces:
             if sdim == 0:
                 self._data[d] = (zeros(0, 0, p), [], zeros(0, 0, p))
             else:
-                down = self._tensor_mat(self.i, d)
+                down = _tensor_differential(self.ring, self.res, self.n, self.i, d)
                 z = kernel_basis(down, p) if down.shape[0] else np.eye(
                     sdim, dtype=dtype_for(p)
                 )
-                up = self._tensor_mat(self.i + 1, d)
+                up = _tensor_differential(self.ring, self.res, self.n, self.i + 1, d)
                 if up.shape[1] and z.shape[1]:
                     b_in_z = solve_many(z, up, p)
                 else:
                     b_in_z = zeros(z.shape[1], 0, p)
-                from .linalg import quotient_projection
-
                 idx, proj = quotient_projection(b_in_z, z.shape[1], p)
                 self._data[d] = (z, idx, proj)
         return self._data[d]
@@ -245,40 +234,14 @@ def tor_as_module(m, n, i, window=None, margin=DEFAULT_MARGIN, res=None):
     bound = ring.degree_bound
     gens_i = res.gens[i] if i < len(res.gens) else ()
     lo = min(0, (min(gens_i) if gens_i else 0) + n.min_degree())
-    # minimal generators of the homology, degree-ascending
-    gens = []
-    gen_vecs = []
-    for d in range(lo, bound + 1):
-        hd = spaces.dim(d)
-        if hd == 0:
-            continue
-        blocks = [spaces.action_matrix(1, j, d - 1) for j in range(ring.dim(1))]
-        span = hstack(blocks, hd, ring.char)
-        from .linalg import coset_complement
-
-        comp = coset_complement(span, hd, ring.char)
-        for k in range(comp.shape[1]):
-            gens.append(d)
-            gen_vecs.append(comp[:, k])
-    if not gens:
+    mingens = minimal_generators_in(spaces, lo, bound)
+    if not mingens:
         return GradedModule(ring, (), [])
-    gens = tuple(gens)
-
-    def eval_matrix(d):
-        cols_dim = freemod.component_dim(ring, gens, d)
-        mat = zeros(spaces.dim(d), cols_dim, ring.char)
-        offs = freemod.component_offsets(ring, gens, d)
-        for b, (g, w) in enumerate(zip(gens, gen_vecs)):
-            e = d - g
-            for j in range(ring.dim(e)):
-                mat[:, offs[b] + j] = matmul(
-                    spaces.action_matrix(e, j, g), w.reshape(-1, 1), ring.char
-                )[:, 0]
-        return mat
-
-    kspaces, mode, hi = _kernel_spaces(ring, gens, eval_matrix, margin)
-    rel_gens = _minimal_kernel_generators(ring, gens, kspaces, mode, margin, hi)
-    module = GradedModule(ring, gens, [(d, v) for d, v in rel_gens])
+    gens = tuple(d for d, _ in mingens)
+    rel_gens, hi = kernel_generators(
+        ring, gens, partial(generator_matrix, spaces, mingens), margin
+    )
+    module = GradedModule(ring, gens, rel_gens)
     for d in range(0, min(bound, hi) + 1):
         if module.dim(d) != spaces.dim(d):
             raise SyzkitError(
@@ -401,10 +364,6 @@ def ext_basis(m, n, t, window=None, margin=DEFAULT_MARGIN, res=None, max_interna
             values = [vec[offs[b]:offs[b + 1]].copy() for b in range(len(gens_t))]
             out.append(ExtClass(t, w, values, m, n, res))
     return out
-
-
-def ext_dimension(m, n, t, **kw):
-    return len(ext_basis(m, n, t, **kw))
 
 
 # -- pushout and reduction --------------------------------------------------

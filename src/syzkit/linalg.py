@@ -7,8 +7,6 @@ int64.  All routines are deterministic: pivots are chosen leftmost-first,
 free variables are zeroed, complements use standard basis vectors.
 """
 
-from functools import reduce
-
 import numpy as np
 
 _SMALL_PRIME_MAX = 11
@@ -92,6 +90,12 @@ def rank(mat, p):
     return rref(mat, p)[2]
 
 
+def _non_pivots(n, pivots):
+    """Columns 0..n-1 that carry no pivot, ascending."""
+    taken = set(pivots)
+    return [j for j in range(n) if j not in taken]
+
+
 def kernel_basis(mat, p):
     """Columns form a basis of the right null space.
 
@@ -105,7 +109,7 @@ def kernel_basis(mat, p):
     if rows == 0:
         return identity(cols, p)
     r, pivots, rk = rref(a, p)
-    free = [j for j in range(cols) if j not in set(pivots)]
+    free = _non_pivots(cols, pivots)
     basis = zeros(cols, len(free), p)
     for k, j in enumerate(free):
         basis[j, k] = 1
@@ -159,7 +163,7 @@ def coset_complement(sub, ambient_dim, p):
     if sub.size == 0 or sub.shape[1] == 0:
         return identity(ambient_dim, p)
     _, pivots, _ = rref(sub.T, p)
-    free = [j for j in range(ambient_dim) if j not in set(pivots)]
+    free = _non_pivots(ambient_dim, pivots)
     basis = zeros(ambient_dim, len(free), p)
     for k, j in enumerate(free):
         basis[j, k] = 1
@@ -179,7 +183,7 @@ def quotient_projection(span, ambient_dim, p):
     if span.size == 0 or span.shape[1] == 0:
         return list(range(ambient_dim)), identity(ambient_dim, p)
     r, pivots, rk = rref(span.T, p)
-    free = [j for j in range(ambient_dim) if j not in set(pivots)]
+    free = _non_pivots(ambient_dim, pivots)
     proj = zeros(len(free), ambient_dim, p)
     for k, j in enumerate(free):
         proj[k, j] = 1
@@ -213,8 +217,3 @@ def hstack(blocks, rows, p):
     if not mats:
         return zeros(rows, 0, p)
     return np.concatenate(mats, axis=1)
-
-
-def is_invertible(mat, p):
-    m = np.asarray(mat)
-    return m.shape[0] == m.shape[1] and rank(m, p) == m.shape[0]

@@ -17,6 +17,7 @@ from .linalg import (
     coset_complement,
     hstack,
     matmul,
+    matvec,
     quotient_projection,
     rank,
     solve,
@@ -120,25 +121,10 @@ class GradedModule:
         Chosen degree-ascending as the standard-coordinate complement of
         R_1 * M_{d-1} inside M_d.
         """
-        if self._mingens is not None:
-            return self._mingens
-        out = []
-        if self.gen_degrees:
-            lo, hi = min(self.gen_degrees), max(self.gen_degrees)
-            for d in range(lo, hi + 1):
-                n = self.dim(d)
-                if n == 0:
-                    continue
-                blocks = [
-                    self.action_matrix(1, j, d - 1)
-                    for j in range(self.ring.dim(1))
-                ]
-                span = hstack(blocks, n, self.ring.char)
-                comp = coset_complement(span, n, self.ring.char)
-                for k in range(comp.shape[1]):
-                    out.append((d, comp[:, k]))
-        self._mingens = out
-        return out
+        if self._mingens is None:
+            degs = self.gen_degrees
+            self._mingens = minimal_generators_in(self, min(degs), max(degs)) if degs else []
+        return self._mingens
 
     def is_zero(self):
         return not self.minimal_generators()
@@ -174,6 +160,42 @@ class GradedModule:
             return True
         rvec = self.ring.normal_form(f, degree=e)
         return not self.action_by_ring_vector(rvec, e, d).any()
+
+
+def minimal_generators_in(space, lo, hi):
+    """Minimal generators of a graded space in degrees lo..hi, ascending.
+
+    `space` needs `.ring`, `.dim(d)` and `.action_matrix(e, j, a)`.  In each
+    degree the standard-coordinate complement of R_1 * X_{d-1} inside X_d is
+    taken; returns a list of (degree, X_d vector).
+    """
+    ring = space.ring
+    out = []
+    for d in range(lo, hi + 1):
+        n = space.dim(d)
+        if n == 0:
+            continue
+        blocks = [space.action_matrix(1, j, d - 1) for j in range(ring.dim(1))]
+        comp = coset_complement(hstack(blocks, n, ring.char), n, ring.char)
+        out.extend((d, comp[:, k]) for k in range(comp.shape[1]))
+    return out
+
+
+def generator_matrix(space, gens, d):
+    """Degree-d matrix of the free cover on gens = [(degree, vector)].
+
+    Column (b, j) is the j-th basis monomial of R_{d - g_b} acting on the
+    b-th generator; rows are the coordinates of X_d.  `space` needs
+    `.ring`, `.dim(d)` and `.action_matrix(e, j, a)`.
+    """
+    ring = space.ring
+    degs = [g for g, _ in gens]
+    mat = zeros(space.dim(d), freemod.component_dim(ring, degs, d), ring.char)
+    offs = freemod.component_offsets(ring, degs, d)
+    for b, (g, w) in enumerate(gens):
+        for j in range(ring.dim(d - g)):
+            mat[:, offs[b] + j] = matvec(space.action_matrix(d - g, j, g), w, ring.char)
+    return mat
 
 
 def module_from_presentation(ring, gen_degrees, relation_columns):

@@ -38,10 +38,6 @@ def monomials_of_degree(nvars, d):
     return out
 
 
-def poly_zero():
-    return {}
-
-
 def poly_add(f, g, p):
     out = dict(f)
     for m, c in g.items():

@@ -1,12 +1,16 @@
 """Minimal free resolutions, Betti numbers, complexity, and depth.
 
-The engine works degree by degree: each syzygy step computes exact kernels
-of the induced component maps, then picks minimal generators of the kernel
-as the standard-coordinate complement of (irrelevant ideal) * kernel,
-degree-ascending.  By minimality of the previous step the kernel lies in
-m*F, so components with (m*F)_d = 0 are skipped outright.
+The engine works degree by degree, and `kernel_generators` is its one
+primitive: given the degree-d matrices of a map out of a free module, it
+computes exact kernels and picks minimal generators of the kernel as the
+standard-coordinate complement of (irrelevant ideal) * kernel,
+degree-ascending.  `resolve` calls it once per syzygy step (first on the
+free cover of the module, then on each new differential), and
+`homological.tor_as_module` calls it to find the relations of a Tor
+module.  By minimality of the previous step the kernel lies in m*F, so
+components with (m*F)_d = 0 are skipped outright.
 
-Completeness of a syzygy step is certified, not assumed:
+Completeness of a kernel is certified, not assumed:
 
 * over a ring that collapses within the degree bound (R_d = 0 for some
   d <= D) the kernel vanishes above max generator degree + top degree of
@@ -17,11 +21,13 @@ Completeness of a syzygy step is certified, not assumed:
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import freemod
+from .complexes import resolution_complex
 from .errors import DegreeBoundError, SyzkitError, WindowError
-from .linalg import extend_basis, hstack, kernel_basis, identity, matmul, zeros
-from .modules import GradedModule, lift_presentation
+from .linalg import extend_basis, hstack, identity, kernel_basis, matmul, matvec
+from .modules import GradedModule, generator_matrix, lift_presentation
 
 DEFAULT_MARGIN = 2
 
@@ -46,118 +52,66 @@ class FreeResolution:
         return self.terminated_at - 1
 
     def is_minimal(self):
-        return all(d.has_positive_degree_entries_only() for d in self.diffs[1:]
-                   if d is not None and d.source_degrees)
+        return resolution_complex(self).is_minimal()
 
     def verify_complex(self):
-        """d_i o d_{i+1} = 0 exactly, and cover o d_1 = 0."""
-        if len(self.gens) > 1 and self.gens[1]:
+        """cover o d_1 = 0 and d_i o d_{i+1} = 0, exactly."""
+        if len(self.diffs) > 1:
             d1 = self.diffs[1]
-            for b, g in enumerate(d1.source_degrees):
-                img = d1.columns[b]
-                if self._cover_matrix(g) is not None:
-                    val = matmul(
-                        self._cover_matrix(g), img.reshape(-1, 1), self.ring.char
-                    )
-                    if val.any():
-                        return False
-        for i in range(1, len(self.diffs) - 1):
-            a, b = self.diffs[i], self.diffs[i + 1]
-            if a is None or b is None or not b.source_degrees:
-                continue
-            if not a.compose(b).is_zero():
-                return False
-        return True
-
-    def _cover_matrix(self, d):
-        m = self.module
-        dim_src = freemod.component_dim(self.ring, self.gens[0], d)
-        if dim_src == 0:
-            return None
-        mat = zeros(m.dim(d), dim_src, self.ring.char)
-        offs = freemod.component_offsets(self.ring, self.gens[0], d)
-        for b, (g, w) in enumerate(zip(self.gens[0], [v for _, v in self.cover])):
-            e = d - g
-            de = self.ring.dim(e)
-            for j in range(de):
-                col = matmul(
-                    m.action_matrix(e, j, g), w.reshape(-1, 1), self.ring.char
-                )[:, 0]
-                mat[:, offs[b] + j] = col
-        return mat
+            for g, col in zip(d1.source_degrees, d1.columns):
+                cover_at_g = generator_matrix(self.module, self.cover, g)
+                if matvec(cover_at_g, col, self.ring.char).any():
+                    return False
+        return resolution_complex(self).verify()
 
 
-def _kernel_scan_range(ring, src_degs, margin):
-    """Degrees to inspect for kernel generators, plus the certification mode.
+def kernel_generators(ring, src_degs, matrix_at, margin):
+    """Minimal generators of the kernel of a minimal-cover map out of the
+    free module src_degs, degree-ascending.
 
-    Negative generator degrees (twisted complexes) pull the usable ceiling
-    down: the degree-d component reads ring data at d - g.
+    matrix_at(d) must return the induced component matrix.  Returns
+    (list of (degree, vector), top degree scanned).  Negative generator
+    degrees (twisted complexes) pull the usable ceiling down: the degree-d
+    component reads ring data at d - g.
     """
     lo = min(src_degs)
     if ring.is_artinian_within_bound():
         # every ring component above the collapse degree is known to vanish,
         # so the kernel window is complete whatever the degree bound
         hi = max(src_degs) + ring.top_degree()
-        return lo, hi, "artinian"
-    return lo, ring.degree_bound + min(0, lo), "margin"
-
-
-def _kernel_spaces(ring, src_degs, matrix_at, margin):
-    """Kernel bases of a minimal-cover map out of the free module src_degs.
-
-    matrix_at(d) must return the induced component matrix.  Returns
-    (dict degree -> kernel basis matrix, mode, hi).
-    """
-    lo, hi, mode = _kernel_scan_range(ring, src_degs, margin)
-    spaces = {}
+        certified_to = hi
+    else:
+        hi = ring.degree_bound + min(0, lo)
+        certified_to = hi - margin
+    gens = []
+    prev = None  # kernel basis one degree down, when nonzero
     for d in range(lo, hi + 1):
+        kd = None
         src_dim = freemod.component_dim(ring, src_degs, d)
-        if src_dim == 0:
-            continue
         # minimality: kernel sits inside m * F, so skip degrees where that is 0
-        m_nonzero = any(d - g >= 1 and ring.dim(d - g) > 0 for g in src_degs)
-        if not m_nonzero:
+        if src_dim and any(d - g >= 1 and ring.dim(d - g) > 0 for g in src_degs):
+            mat = matrix_at(d)
+            kd = kernel_basis(mat, ring.char) if mat.shape[0] else identity(src_dim, ring.char)
+        if kd is None or not kd.shape[1]:
+            prev = None
             continue
-        mat = matrix_at(d)
-        if mat.shape[0] == 0:
-            spaces[d] = identity(src_dim, ring.char)
-        else:
-            k = kernel_basis(mat, ring.char)
-            if k.shape[1]:
-                spaces[d] = k
-    return spaces, mode, hi
-
-
-def _minimal_kernel_generators(ring, src_degs, spaces, mode, margin, hi):
-    """Pick minimal generators of the kernel, degree-ascending; returns
-    list of (degree, vector)."""
-    out = []
-    if not spaces:
-        return out
-    for d in sorted(spaces):
-        kd = spaces[d]
-        prev = spaces.get(d - 1)
-        if prev is not None and ring.dim(1) > 0:
+        blocks = []
+        if prev is not None:
             blocks = [
-                matmul(
-                    freemod.free_mult_matrix(ring, src_degs, 1, j, d - 1),
-                    prev, ring.char,
-                )
+                matmul(freemod.free_mult_matrix(ring, src_degs, 1, j, d - 1), prev,
+                       ring.char)
                 for j in range(ring.dim(1))
             ]
-            span = hstack(blocks, kd.shape[0], ring.char)
-        else:
-            span = zeros(kd.shape[0], 0, ring.char)
-        chosen = extend_basis(span, kd, ring.char)
-        for idx in chosen:
-            if mode == "margin" and d > hi - margin:
+        for idx in extend_basis(hstack(blocks, src_dim, ring.char), kd, ring.char):
+            if d > certified_to:
                 raise DegreeBoundError(
                     d + margin, ring.degree_bound,
                     "syzygy generator too close to the degree bound to certify "
                     "completeness; raise the bound",
                 )
-            out.append((d, kd[:, idx]))
-    return out
+            gens.append((d, kd[:, idx]))
+        prev = kd
+    return gens, hi
 
 
 def resolve(module, n_max, margin=DEFAULT_MARGIN, verify=True):
@@ -165,50 +119,32 @@ def resolve(module, n_max, margin=DEFAULT_MARGIN, verify=True):
     if n_max < 0:
         raise WindowError("resolution window must be >= 0")
     ring = module.ring
-    mingens = module.minimal_generators()
-    if not mingens:
+    cover = module.minimal_generators()
+    if not cover:
         raise SyzkitError("cannot resolve the zero module")
-    f0 = tuple(d for d, _ in mingens)
-    cover = list(mingens)
-    gens = [f0]
+    src_degs = tuple(d for d, _ in cover)
+    gens = [src_degs]
     diffs = [None]
     terminated_at = None
-
-    def cover_matrix(d):
-        dim_src = freemod.component_dim(ring, f0, d)
-        mat = zeros(module.dim(d), dim_src, ring.char)
-        offs = freemod.component_offsets(ring, f0, d)
-        for b, (g, w) in enumerate(cover):
-            e = d - g
-            for j in range(ring.dim(e)):
-                mat[:, offs[b] + j] = matmul(
-                    module.action_matrix(e, j, g), w.reshape(-1, 1), ring.char
-                )[:, 0]
-        return mat
-
-    src_degs = f0
-    matrix_at = cover_matrix
+    matrix_at = partial(generator_matrix, module, cover)
     for i in range(1, n_max + 1):
-        if terminated_at is not None:
-            gens.append(())
-            diffs.append(freemod.FreeMap.zero(ring, (), gens[i - 1]))
-            continue
-        spaces, mode, hi = _kernel_spaces(ring, src_degs, matrix_at, margin)
-        newgens = _minimal_kernel_generators(ring, src_degs, spaces, mode, margin, hi)
+        newgens = []
+        if terminated_at is None:
+            newgens, _ = kernel_generators(ring, src_degs, matrix_at, margin)
+            if not newgens:
+                terminated_at = i
         if not newgens:
-            terminated_at = i
             gens.append(())
             diffs.append(freemod.FreeMap.zero(ring, (), gens[i - 1]))
             continue
         degs = tuple(d for d, _ in newgens)
-        cols = [v for _, v in newgens]
-        dmap = freemod.FreeMap(ring, degs, src_degs, cols)
+        dmap = freemod.FreeMap(ring, degs, src_degs, [v for _, v in newgens])
         gens.append(degs)
         diffs.append(dmap)
         src_degs = degs
         matrix_at = dmap.induced
 
-    res = FreeResolution(ring, module, gens, diffs, cover, n_max, terminated_at)
+    res = FreeResolution(ring, module, gens, diffs, list(cover), n_max, terminated_at)
     if verify:
         if not res.verify_complex():
             raise SyzkitError("internal error: resolution differentials do not compose to zero")

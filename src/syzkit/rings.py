@@ -229,23 +229,6 @@ class TruncatedQuotientRing:
             self._mult_cache[key] = mat
         return self._mult_cache[key]
 
-    def poly_mult_map(self, f, a):
-        """Matrix of multiplication by a homogeneous polynomial f on R_a."""
-        e = poly.poly_degree(f)
-        if e is None:
-            return zeros(0, self.dim(a), self.char)
-        target = a + e
-        da, dt = self.dim(a), self.dim(target)
-        out = zeros(dt, da, self.char).astype(np.int64)
-        if da == 0 or dt == 0:
-            return out.astype(dtype_for(self.char))
-        idx = self.base.monomial_index(target)
-        nf = self.nf_matrix(target).astype(np.int64)
-        for m, c in f.items():
-            cols = [idx[poly.monomial_mul(m, b)] for b in self.basis_monomials(a)]
-            out = (out + c * nf[:, cols]) % self.char
-        return out.astype(dtype_for(self.char))
-
     def multiply(self, va, a, vb, b):
         """Product of two elements given by coordinate vectors in R_a, R_b."""
         dt = self.dim(a + b)

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+import syzkit
 from syzkit.construction import (
     corollary_module,
     detect_complex_periodicity,
@@ -37,8 +38,11 @@ def fx(name):
 
 
 def run_cli(*args):
+    # the child imports the same syzkit as this test process
+    path = [os.path.dirname(os.path.dirname(syzkit.__file__)), os.environ.get("PYTHONPATH")]
     return subprocess.run(
-        [sys.executable, "-m", "syzkit", *args], capture_output=True, text=True
+        [sys.executable, "-m", "syzkit", *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
     )
 
 

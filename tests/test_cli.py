@@ -1,15 +1,34 @@
+import json
 import os
 import subprocess
 import sys
 
+import syzkit
+from syzkit import cli
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# the worked examples of README.md, in order; their --machine output is
+# pinned byte for byte by the goldens readme-0 .. readme-5
+README_EXAMPLES = [
+    "resolve fixtures/ci2_k.module --window 10",
+    "depth-formula fixtures/hyp_ax.module fixtures/hyp_axy.module --window 8",
+    "reduce fixtures/ci2_k.module --max-degree 2 --window 9",
+    "construct fixtures/period1_x.complex fixtures/period1_y.complex --emit {out}",
+    "construct fixtures/period1_x.complex fixtures/period4.complex",
+    "period fixtures/period2.complex --window 10",
+]
 
 
 def run_cli(*args):
+    # the child imports the same syzkit as this test process
+    path = [os.path.dirname(os.path.dirname(syzkit.__file__)), os.environ.get("PYTHONPATH")]
     proc = subprocess.run(
         [sys.executable, "-m", "syzkit", *args],
         capture_output=True, text=True,
         cwd=os.path.dirname(FIXTURES) or ".",
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
     )
     return proc
 
@@ -137,3 +156,29 @@ def test_machine_mode_determinism():
     d = run_cli("depth-formula", fx("hyp_ax.module"), fx("hyp_axy.module"),
                 "--window", "8", "--machine")
     assert c.stdout == d.stdout
+
+
+def test_exit_code_generic_error(tmp_path):
+    # a module whose only generator is a relation is zero: SyzkitError, exit 1
+    zero = tmp_path / "zero.module"
+    zero.write_text('module { ring = "%s"; generators = [0]; relations = [["1"]] }'
+                    % os.path.abspath(fx("hyp.ring")))
+    out = run_cli("resolve", str(zero), "--window", "6")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ")
+
+
+def test_readme_examples_match_goldens_byte_for_byte(tmp_path, monkeypatch, capsys):
+    with open(os.path.join(ROOT, "bench", "goldens", "cli-mix.json"), encoding="utf-8") as fh:
+        goldens = json.load(fh)
+    monkeypatch.chdir(ROOT)
+    out = str(tmp_path / "readme_out.module")
+    for k, example in enumerate(README_EXAMPLES):
+        assert cli.main(example.format(out=out).split() + ["--machine"]) == 0
+        want = goldens[f"readme-{k}"]
+        if "{out}" in example:
+            want = "".join(
+                f"emitted = {out}\n" if line.startswith("emitted = ") else line
+                for line in want.splitlines(keepends=True)
+            )
+        assert capsys.readouterr().out == want, example

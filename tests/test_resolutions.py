@@ -40,6 +40,31 @@ def test_residue_field_complete_intersection_linear_growth():
     assert res.is_minimal()
 
 
+def test_verify_complex_rejects_a_broken_cover():
+    # M = R/(x) (+) R/(y): the first relation column x*e_1 dies under the
+    # cover, but not once the first cover vector is replaced by e_1 + e_2
+    r = ring_from_strings(5, ["x", "y"], [], degree_bound=8)
+    m = module_from_strings(r, [0, 0], [["x", "0"], ["0", "y"]])
+    res = resolve(m, 3)
+    assert res.verify_complex()
+    (deg, vec), _ = res.cover
+    assert list(vec) == [1, 0]
+    res.cover[0] = (deg, (vec + res.cover[1][1]) % r.char)
+    assert not res.verify_complex()
+
+
+def test_verify_complex_rejects_a_broken_second_differential():
+    # Koszul resolution of k over F_5[x, y]; adding x*e_1 to the d_2 column
+    # gives d_1 d_2 = x^2 != 0
+    r = ring_from_strings(5, ["x", "y"], [], degree_bound=8)
+    res = resolve(residue_field(r), 3)
+    assert res.betti() == [1, 2, 1, 0]
+    assert res.verify_complex()
+    col = res.diffs[2].columns[0]
+    col[0] = (col[0] + 1) % r.char
+    assert not res.verify_complex()
+
+
 def test_residue_field_golod_doubling():
     r = ring_from_strings(2, ["x", "y"], ["x^2", "x*y", "y^2"], degree_bound=10)
     res = resolve(residue_field(r), 8)
