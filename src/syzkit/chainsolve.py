@@ -11,7 +11,7 @@ exact by graded Nakayama).
 import numpy as np
 
 from . import freemod
-from .linalg import dtype_for, kernel_basis, zeros
+from .linalg import dtype_for, kernel_basis, matvec, zeros
 
 
 def consistent_twist(gens, q, j_lo, j_hi):
@@ -84,9 +84,11 @@ def _apply_unknown_blocks(ring, mid_degs, tgt_degs, tau, vec, d, layout, j, rows
             continue
         for i in np.nonzero(piece)[0]:
             mult = freemod.free_mult_matrix(ring, tgt_degs, e, int(i), h + tau)
+            # reduce every term: three products of size (p-1)^2 overflow int64
             out[:rows, coff:coff + cdim] += (
-                sign * int(piece[i]) * mult.astype(np.int64)
+                sign * int(piece[i]) * mult.astype(np.int64) % p
             )
+            out[:rows, coff:coff + cdim] %= p
 
 
 def solve_chain_self_maps(ring, gens, diffs, q, tau, j_lo, j_hi):
@@ -139,7 +141,7 @@ def candidate_solutions(basis, p, seed=0, budget=64):
             coeffs = rng.integers(0, p, size=n)
             if not coeffs.any():
                 continue
-            yield (basis.astype(np.int64) @ coeffs % p).astype(basis.dtype)
+            yield matvec(basis, coeffs, p)
 
 
 def scalar_block_coordinates(layout, j):

@@ -124,44 +124,49 @@ class FreeMap:
         return out
 
     def induced(self, d):
-        """Numeric matrix of the degree-d component map."""
+        """Numeric matrix of the degree-d component map.
+
+        Column (b, j) is the j-th basis monomial of R_{d - g_b} times column
+        b.  Generators of one source degree share these multiplications, so
+        for each pair of source and target generator degrees one exact
+        product of the stacked multiplication maps with the matching column
+        pieces gives all their entries.
+        """
         if d in self._induced:
             return self._induced[d]
-        ring = self.ring
-        src_dim = component_dim(ring, self.source_degrees, d)
-        tgt_dim = component_dim(ring, self.target_degrees, d + self.twist)
-        mat = zeros(tgt_dim, src_dim, ring.char)
-        soffs = component_offsets(ring, self.source_degrees, d)
-        toffs = None
-        toffs_src_by_degree = {}
-        for b, g in enumerate(self.source_degrees):
+        ring, p, tw = self.ring, self.ring.char, self.twist
+        src, tgt = self.source_degrees, self.target_degrees
+        mat = zeros(component_dim(ring, tgt, d + tw), component_dim(ring, src, d), p)
+        soffs = component_offsets(ring, src, d)
+        toffs = component_offsets(ring, tgt, d + tw)
+        by_source_degree, by_target_degree = {}, {}
+        for b, g in enumerate(src):
+            by_source_degree.setdefault(g, []).append(b)
+        for c, h in enumerate(tgt):
+            by_target_degree.setdefault(h, []).append(c)
+        for g, bs in by_source_degree.items():
             e = d - g
             de = ring.dim(e)
-            if de == 0 or tgt_dim == 0:
+            if de == 0 or not mat.shape[0]:
                 continue
-            col = self.columns[b]
             if e == 0:
-                mat[:, soffs[b]] = col
+                for b in bs:
+                    mat[:, soffs[b]] = self.columns[b]
                 continue
-            if g + self.twist not in toffs_src_by_degree:
-                toffs_src_by_degree[g + self.twist] = component_offsets(
-                    ring, self.target_degrees, g + self.twist
-                )
-            toffs_src = toffs_src_by_degree[g + self.twist]
-            if toffs is None:
-                toffs = component_offsets(ring, self.target_degrees, d + self.twist)
-            for j in range(de):
-                acc = np.zeros(tgt_dim, dtype=np.int64)
-                for c, h in enumerate(self.target_degrees):
-                    piece = col[toffs_src[c]:toffs_src[c + 1]]
-                    if not piece.any():
-                        continue
-                    block = ring.mult_map(e, j, g + self.twist - h)
-                    if block.size:
-                        acc[toffs[c]:toffs[c + 1]] += (
-                            block.astype(np.int64) @ piece.astype(np.int64)
-                        )
-                mat[:, soffs[b] + j] = (acc % ring.char).astype(mat.dtype)
+            coffs = component_offsets(ring, tgt, g + tw)
+            for h, cs in by_target_degree.items():
+                a = g + tw - h
+                rows = ring.dim(a + e)
+                pairs = [(b, c) for b in bs for c in cs
+                         if self.columns[b][coffs[c]:coffs[c + 1]].any()]
+                if not rows or not pairs:
+                    continue
+                pieces = np.stack([self.columns[b][coffs[c]:coffs[c + 1]] for b, c in pairs],
+                                  axis=1)
+                mults = np.concatenate([ring.mult_map(e, j, a) for j in range(de)])
+                prod = matmul(mults, pieces, p).reshape(de, rows, len(pairs))
+                for k, (b, c) in enumerate(pairs):
+                    mat[toffs[c]:toffs[c + 1], soffs[b]:soffs[b] + de] = prod[:, :, k].T
         self._induced[d] = mat
         return mat
 

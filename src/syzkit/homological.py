@@ -22,6 +22,7 @@ from .linalg import (
     extend_basis,
     kernel_basis,
     matmul,
+    matvec,
     quotient_projection,
     rank,
     solve_many,
@@ -173,9 +174,7 @@ class _HomologySpaces:
                 self._data[d] = (zeros(0, 0, p), [], zeros(0, 0, p))
             else:
                 down = _tensor_differential(self.ring, self.res, self.n, self.i, d)
-                z = kernel_basis(down, p) if down.shape[0] else np.eye(
-                    sdim, dtype=dtype_for(p)
-                )
+                z = kernel_basis(down, p)
                 up = _tensor_differential(self.ring, self.res, self.n, self.i + 1, d)
                 if up.shape[1] and z.shape[1]:
                     b_in_z = solve_many(z, up, p)
@@ -547,12 +546,11 @@ def reduction_search(
                     coeffs = rng.integers(0, m.ring.char, size=len(group))
                     if not coeffs.any():
                         continue
-                    vals = []
-                    for b in range(len(group[0].values)):
-                        acc = np.zeros(len(group[0].values[b]), dtype=np.int64)
-                        for cf, cls in zip(coeffs, group):
-                            acc += int(cf) * cls.values[b].astype(np.int64)
-                        vals.append((acc % m.ring.char).astype(group[0].values[b].dtype))
+                    vals = [
+                        matvec(np.stack([cls.values[b] for cls in group], axis=1), coeffs,
+                               m.ring.char)
+                        for b in range(len(group[0].values))
+                    ]
                     candidates.append(
                         ExtClass(t, w, vals, current, current, res)
                     )

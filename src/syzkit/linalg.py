@@ -1,15 +1,27 @@
-"""Exact dense linear algebra over prime fields F_p.
+"""Exact dense linear algebra over prime fields F_p, for every prime p < 2^31.
 
 Matrices are 2-D numpy integer arrays with entries reduced mod p.  For
 p <= 11 arrays use int8 (row operations stay within int8 range since all
 intermediate products are at most (p-1)^2 <= 100); larger primes use
-int64.  All routines are deterministic: pivots are chosen leftmost-first,
-free variables are zeroed, complements use standard basis vectors.
+int64, where a row operation's products stay below (p-1)^2 < 2^62.
+
+Products run through float64 BLAS with delayed reduction (Dumas, Giorgi &
+Pernet, FFLAS/FFPACK): a float64 sum of k products of residues is exact
+while k (p-1)^2 < 2^53, so one `@` and one reduction mod p in int64
+suffice.  For larger p or k both operands are split into 16-bit limbs,
+whose products stay below 2^32; the inner dimension is summed in chunks
+short enough to stay exact, and the four limb products are recombined
+mod p in int64.  Operands must be reduced (0 <= entry < p).
+
+All routines are deterministic: pivots are chosen leftmost-first, free
+variables are zeroed, complements use standard basis vectors.
 """
 
 import numpy as np
 
 _SMALL_PRIME_MAX = 11
+_FLOAT_EXACT = 2 ** 53  # float64 integers are exact below this
+_LIMB_MASK = 2 ** 16 - 1
 
 
 def dtype_for(p):
@@ -41,12 +53,34 @@ def as_matrix(data, p):
     return a.astype(dtype_for(p))
 
 
+def _product_mod(a, b, p, bound):
+    """a @ b mod p in int64, for float64 operands with entries <= bound: the
+    inner dimension is summed in chunks whose float64 sums stay exact."""
+    step = max(1, (_FLOAT_EXACT - 1) // (bound * bound))
+    out = (a[:, :step] @ b[:step]).astype(np.int64)
+    out %= p
+    for s in range(step, a.shape[1], step):
+        out += (a[:, s:s + step] @ b[s:s + step]).astype(np.int64) % p
+        out %= p
+    return out
+
+
 def matmul(a, b, p):
-    """Exact mod-p product; accumulates in int64 to avoid overflow."""
-    if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
+    """Exact mod-p product of reduced matrices, through float64 BLAS."""
+    k = a.shape[1]
+    if a.shape[0] == 0 or b.shape[1] == 0 or k == 0:
         return zeros(a.shape[0], b.shape[1], p)
-    prod = (a.astype(np.int64) @ b.astype(np.int64)) % p
-    return prod.astype(a.dtype)
+    if k * (p - 1) ** 2 < _FLOAT_EXACT:
+        out = _product_mod(a.astype(np.float64), b.astype(np.float64), p, p - 1)
+        return out.astype(a.dtype)
+    # 16-bit limbs x = hi * 2^16 + lo, so every limb product is < 2^32
+    a_hi, a_lo = (a >> 16).astype(np.float64), (a & _LIMB_MASK).astype(np.float64)
+    b_hi, b_lo = (b >> 16).astype(np.float64), (b & _LIMB_MASK).astype(np.float64)
+    hh = _product_mod(a_hi, b_hi, p, _LIMB_MASK)
+    mid = _product_mod(a_hi, b_lo, p, _LIMB_MASK) + _product_mod(a_lo, b_hi, p, _LIMB_MASK)
+    ll = _product_mod(a_lo, b_lo, p, _LIMB_MASK)
+    out = hh * (2 ** 32 % p) % p + mid * 2 ** 16 % p + ll
+    return (out % p).astype(a.dtype)
 
 
 def matvec(a, v, p):
@@ -96,26 +130,28 @@ def _non_pivots(n, pivots):
     return [j for j in range(n) if j not in taken]
 
 
+def _null_space(mat, p):
+    """(basis, free): the columns of basis span the right null space of mat,
+    and basis[free] is the identity.
+
+    free lists the non-pivot columns of rref(mat); the column for free
+    column j has 1 at j and -R[i, j] at the i-th pivot column.
+    """
+    r, pivots, rk = rref(mat, p)
+    free = _non_pivots(r.shape[1], pivots)
+    basis = zeros(r.shape[1], len(free), p)
+    basis[free, range(len(free))] = 1
+    basis[pivots] = -r[:rk, free] % p
+    return basis, free
+
+
 def kernel_basis(mat, p):
     """Columns form a basis of the right null space.
 
     Deterministic standard-basis completion: each non-pivot column j
     yields the vector with 1 at j and -R[i, j] at pivot column i.
     """
-    a = np.asarray(mat)
-    rows, cols = a.shape
-    if cols == 0:
-        return zeros(0, 0, p)
-    if rows == 0:
-        return identity(cols, p)
-    r, pivots, rk = rref(a, p)
-    free = _non_pivots(cols, pivots)
-    basis = zeros(cols, len(free), p)
-    for k, j in enumerate(free):
-        basis[j, k] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = (-int(r[i, j])) % p
-    return basis
+    return _null_space(mat, p)[0]
 
 
 def solve(mat, b, p):
@@ -163,11 +199,7 @@ def coset_complement(sub, ambient_dim, p):
     if sub.size == 0 or sub.shape[1] == 0:
         return identity(ambient_dim, p)
     _, pivots, _ = rref(sub.T, p)
-    free = _non_pivots(ambient_dim, pivots)
-    basis = zeros(ambient_dim, len(free), p)
-    for k, j in enumerate(free):
-        basis[j, k] = 1
-    return basis
+    return identity(ambient_dim, p)[:, _non_pivots(ambient_dim, pivots)]
 
 
 def quotient_projection(span, ambient_dim, p):
@@ -177,20 +209,14 @@ def quotient_projection(span, ambient_dim, p):
     coordinates (non-pivots of rref(span^T)) whose classes form a basis of
     the quotient, and proj is the (len(basis_indices) x ambient) matrix of
     the projection in those coordinates.  proj is the identity on the
-    chosen basis coordinates and vanishes exactly on the span.
+    chosen basis coordinates and vanishes exactly on the span: its rows
+    are the null space of span^T.
     """
     span = np.asarray(span)
     if span.size == 0 or span.shape[1] == 0:
         return list(range(ambient_dim)), identity(ambient_dim, p)
-    r, pivots, rk = rref(span.T, p)
-    free = _non_pivots(ambient_dim, pivots)
-    proj = zeros(len(free), ambient_dim, p)
-    for k, j in enumerate(free):
-        proj[k, j] = 1
-        # class of pivot coordinate pc: e_pc = -(free part of rref row i)
-        for i, pc in enumerate(pivots):
-            proj[k, pc] = (-int(r[i, j])) % p
-    return free, proj
+    basis, free = _null_space(span.T, p)
+    return free, np.ascontiguousarray(basis.T)
 
 
 def extend_basis(span, candidates, p):

@@ -44,19 +44,12 @@ class GradedModule:
     # -- degreewise structure --------------------------------------------
 
     def _relation_span(self, d):
-        ring = self.ring
-        cols = []
-        for e, v in self.relations:
-            if e > d:
-                continue
-            de = ring.dim(d - e)
-            for j in range(de):
-                mult = freemod.free_mult_matrix(ring, self.gen_degrees, d - e, j, e)
-                cols.append(matmul(mult, v.reshape(-1, 1), ring.char)[:, 0])
-        amb = freemod.component_dim(ring, self.gen_degrees, d)
-        if not cols:
-            return zeros(amb, 0, ring.char)
-        return np.stack(cols, axis=1)
+        """Columns: every ring multiple of every relation landing in degree d."""
+        rels = freemod.FreeMap(
+            self.ring, [e for e, _ in self.relations], self.gen_degrees,
+            [v for _, v in self.relations],
+        )
+        return rels.induced(d)
 
     def _space(self, d):
         if d not in self._spaces:
@@ -84,24 +77,13 @@ class GradedModule:
         """Projection from free component coordinates onto M_d coordinates."""
         return self._space(d)[1]
 
-    def include(self, d):
-        """Representatives: M_d coordinates back into the free component."""
-        idx, _ = self._space(d)
-        amb = freemod.component_dim(self.ring, self.gen_degrees, d)
-        inc = zeros(amb, len(idx), self.ring.char)
-        for k, i in enumerate(idx):
-            inc[i, k] = 1
-        return inc
-
     def action_matrix(self, e, j, a):
         """Multiplication by the j-th basis monomial of R_e: M_a -> M_{a+e}."""
         key = (e, j, a)
         if key not in self._action:
             mult = freemod.free_mult_matrix(self.ring, self.gen_degrees, e, j, a)
-            mat = matmul(
-                self.proj(a + e), matmul(mult, self.include(a), self.ring.char),
-                self.ring.char,
-            )
+            # representatives of M_a are the standard coordinates _space(a)[0]
+            mat = matmul(self.proj(a + e), mult[:, self._space(a)[0]], self.ring.char)
             self._action[key] = mat
         return self._action[key]
 
@@ -190,11 +172,16 @@ def generator_matrix(space, gens, d):
     """
     ring = space.ring
     degs = [g for g, _ in gens]
-    mat = zeros(space.dim(d), freemod.component_dim(ring, degs, d), ring.char)
+    rows = space.dim(d)
+    mat = zeros(rows, freemod.component_dim(ring, degs, d), ring.char)
     offs = freemod.component_offsets(ring, degs, d)
     for b, (g, w) in enumerate(gens):
-        for j in range(ring.dim(d - g)):
-            mat[:, offs[b] + j] = matvec(space.action_matrix(d - g, j, g), w, ring.char)
+        de = ring.dim(d - g)
+        if not de:
+            continue
+        # all monomials of R_{d-g} at once: one product with the stacked actions
+        stacked = np.concatenate([space.action_matrix(d - g, j, g) for j in range(de)])
+        mat[:, offs[b]:offs[b + 1]] = matvec(stacked, w, ring.char).reshape(de, rows).T
     return mat
 
 
@@ -341,12 +328,8 @@ class ModuleMap:
     def induced(self, d):
         """Numeric matrix M_d -> N_{d+twist}."""
         t = self.target
-        mat = matmul(
-            t.proj(d + self.twist),
-            matmul(self._free.induced(d), self.source.include(d), t.ring.char),
-            t.ring.char,
-        )
-        return mat
+        reps = self._free.induced(d)[:, self.source._space(d)[0]]
+        return matmul(t.proj(d + self.twist), reps, t.ring.char)
 
     def verify(self):
         """Check the map kills every relation of the source (well-defined)."""

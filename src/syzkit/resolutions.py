@@ -10,6 +10,15 @@ free cover of the module, then on each new differential), and
 module.  By minimality of the previous step the kernel lies in m*F, so
 components with (m*F)_d = 0 are skipped outright.
 
+The step works in free coordinates.  The kernel basis ker_d has the
+identity on its free (non-pivot) rows, so v -> v[free] is injective on
+ker_d and keeps every linear dependency among kernel vectors.  The span of
+m * ker_{d-1} is therefore built on the free rows only, one product per
+generator block of `ring.mult_map` (multiplication by a variable acts
+blockwise on a free module), and the generators are the columns of the
+identity that extend it; they are the same columns that extending inside
+the whole component would pick.
+
 Completeness of a kernel is certified, not assumed:
 
 * over a ring that collapses within the degree bound (R_d = 0 for some
@@ -23,10 +32,12 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 
+import numpy as np
+
 from . import freemod
 from .complexes import resolution_complex
 from .errors import DegreeBoundError, SyzkitError, WindowError
-from .linalg import extend_basis, hstack, identity, kernel_basis, matmul, matvec
+from .linalg import _null_space, extend_basis, identity, matmul, matvec, zeros
 from .modules import GradedModule, generator_matrix, lift_presentation
 
 DEFAULT_MARGIN = 2
@@ -65,6 +76,31 @@ class FreeResolution:
         return resolution_complex(self).verify()
 
 
+def _mult_span_rows(ring, src_degs, d, prev, rows):
+    """Rows `rows` (ascending) of the span of R_1 * prev in the degree-d
+    component of the free module src_degs; prev lives in degree d - 1.
+
+    A variable acts on each generator's block by ring.mult_map, so each
+    generator needs one product: its variable multiplications, stacked and
+    cut to the wanted rows, times its block of prev.  Columns are ordered
+    variable-major.
+    """
+    p, nvars, r = ring.char, ring.dim(1), prev.shape[1]
+    rows = np.asarray(rows, dtype=np.int64)
+    out = zeros(len(rows), nvars * r, p)
+    to = freemod.component_offsets(ring, src_degs, d)
+    so = freemod.component_offsets(ring, src_degs, d - 1)
+    for b, g in enumerate(src_degs):
+        lo, hi = np.searchsorted(rows, (to[b], to[b + 1]))
+        if lo == hi or so[b] == so[b + 1]:
+            continue
+        local = rows[lo:hi] - to[b]
+        stacked = np.concatenate([ring.mult_map(1, j, d - 1 - g)[local] for j in range(nvars)])
+        prod = matmul(stacked, prev[so[b]:so[b + 1]], p)
+        out[lo:hi] = prod.reshape(nvars, hi - lo, r).transpose(1, 0, 2).reshape(hi - lo, -1)
+    return out
+
+
 def kernel_generators(ring, src_degs, matrix_at, margin):
     """Minimal generators of the kernel of a minimal-cover map out of the
     free module src_degs, degree-ascending.
@@ -90,19 +126,18 @@ def kernel_generators(ring, src_degs, matrix_at, margin):
         src_dim = freemod.component_dim(ring, src_degs, d)
         # minimality: kernel sits inside m * F, so skip degrees where that is 0
         if src_dim and any(d - g >= 1 and ring.dim(d - g) > 0 for g in src_degs):
-            mat = matrix_at(d)
-            kd = kernel_basis(mat, ring.char) if mat.shape[0] else identity(src_dim, ring.char)
+            kd, free = _null_space(matrix_at(d), ring.char)
         if kd is None or not kd.shape[1]:
             prev = None
             continue
-        blocks = []
-        if prev is not None:
-            blocks = [
-                matmul(freemod.free_mult_matrix(ring, src_degs, 1, j, d - 1), prev,
-                       ring.char)
-                for j in range(ring.dim(1))
-            ]
-        for idx in extend_basis(hstack(blocks, src_dim, ring.char), kd, ring.char):
+        # v -> v[free] is injective on ker_d (kd[free] = I), so choosing the
+        # complement of m * ker_{d-1} on the free rows picks the same columns
+        if prev is None:  # nothing below to extend: every kernel vector is new
+            chosen = range(len(free))
+        else:
+            span = _mult_span_rows(ring, src_degs, d, prev, free)
+            chosen = extend_basis(span, identity(len(free), ring.char), ring.char)
+        for idx in chosen:
             if d > certified_to:
                 raise DegreeBoundError(
                     d + margin, ring.degree_bound,

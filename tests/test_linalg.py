@@ -158,3 +158,111 @@ def test_complement_dimension(mp):
     m, p = mp
     c = linalg.coset_complement(m, m.shape[0], p)
     assert c.shape[1] == m.shape[0] - linalg.rank(m, p)
+
+
+# -- exact products and vectorised null spaces --------------------------------
+
+P31 = 2**31 - 1
+# k (p-1)^2 < 2^53 holds for inner dimension k <= 8 only, so k in 1..20
+# crosses from one float64 product to the 16-bit limb split
+P25 = 33554393
+
+
+def test_matmul_exact_at_largest_prime():
+    a = linalg.as_matrix([[P31 - 1] * 3], P31)
+    b = linalg.as_matrix([[P31 - 1]] * 3, P31)
+    assert linalg.matmul(a, b, P31).tolist() == [[3]]
+
+
+def _reference_product(a, b, p):
+    return [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in zip(*b)]
+            for row in a]
+
+
+@st.composite
+def product_operands(draw):
+    p = draw(st.sampled_from([2, 11, 13, 32003, P25, P31]))
+    m, k, n = draw(st.integers(1, 3)), draw(st.integers(1, 20)), draw(st.integers(1, 3))
+    entry = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    return a, b, p
+
+
+@settings(deadline=None, max_examples=150)
+@given(product_operands())
+def test_matmul_matches_python_integers(operands):
+    a, b, p = operands
+    out = linalg.matmul(linalg.as_matrix(a, p), linalg.as_matrix(b, p), p)
+    assert out.dtype == linalg.dtype_for(p)
+    assert out.tolist() == _reference_product(a, b, p)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 20), st.integers(0, 10**6))
+def test_chunked_float_products_stay_exact(k, seed):
+    # entries up to 2^25 give chunks of 7 inner terms, so k in 1..20 covers
+    # one chunk and several
+    bound = 2**25
+    rng = np.random.default_rng(seed)
+    a = rng.integers(bound - 4, bound + 1, size=(2, k))
+    b = rng.integers(bound - 4, bound + 1, size=(k, 3))
+    out = linalg._product_mod(a.astype(np.float64), b.astype(np.float64), P31, bound)
+    assert out.tolist() == _reference_product(a.tolist(), b.tolist(), P31)
+
+
+def _loop_null_space(mat, p):
+    r, pivots, _ = linalg.rref(mat, p)
+    cols = r.shape[1]
+    free = [j for j in range(cols) if j not in pivots]
+    basis = np.zeros((cols, len(free)), dtype=np.int64)
+    for k, j in enumerate(free):
+        basis[j, k] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc, k] = (-int(r[i, j])) % p
+    return basis, free
+
+
+@st.composite
+def matrix_any_prime(draw):
+    p = draw(st.sampled_from([2, 3, 7, 13, 32003, P31]))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    # low rank on purpose: a product of two thin random factors
+    inner = draw(st.integers(0, 3))
+    seed = draw(st.integers(0, 10**6))
+    rng = np.random.default_rng(seed)
+    left = linalg.as_matrix(rng.integers(0, p, size=(rows, inner)), p)
+    right = linalg.as_matrix(rng.integers(0, p, size=(inner, cols)), p)
+    return linalg.matmul(left, right, p) if inner else linalg.zeros(rows, cols, p), p
+
+
+@settings(deadline=None, max_examples=80)
+@given(matrix_any_prime())
+def test_vectorised_kernel_basis_matches_loop_reference(mp):
+    m, p = mp
+    want, want_free = _loop_null_space(m, p)
+    basis, free = linalg._null_space(m, p)
+    assert free == want_free
+    assert np.array_equal(basis, want)
+    assert np.array_equal(linalg.kernel_basis(m, p), want)
+    assert np.array_equal(basis[free], np.eye(len(free), dtype=basis.dtype))
+    if m.shape[0] and basis.shape[1]:
+        assert not linalg.matmul(m, basis, p).any()
+
+
+@settings(deadline=None, max_examples=80)
+@given(matrix_any_prime())
+def test_vectorised_quotient_projection_matches_loop_reference(mp):
+    span, p = mp
+    ambient = span.shape[0]
+    idx, proj = linalg.quotient_projection(span, ambient, p)
+    if span.shape[1] == 0:
+        assert idx == list(range(ambient))
+        assert np.array_equal(proj, linalg.identity(ambient, p))
+        return
+    want, want_free = _loop_null_space(span.T, p)
+    assert idx == want_free
+    assert np.array_equal(proj, want.T)
+    assert np.array_equal(proj[:, idx], np.eye(len(idx), dtype=proj.dtype))
+    if proj.shape[0]:
+        assert not linalg.matmul(proj, span, p).any()

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from syzkit.errors import DegreeBoundError, SyzkitError, WindowError
@@ -273,3 +274,111 @@ def test_socle_quotient_over_complete_intersection():
     m = module_from_strings(r, [0], [["x*y"]])
     res = resolve(m, 8)
     assert res.betti() == [1] + [i for i in range(1, 9)]
+
+
+# -- exact arithmetic at p = 2^31 - 1 and the free-coordinate syzygy step -----
+
+P31 = 2**31 - 1
+
+
+def _dense_quadrics(p, names, count, seed):
+    import random
+
+    rng = random.Random(seed)
+    mons = [f"{a}*{b}" for i, a in enumerate(names) for b in names[i:]]
+    return [" + ".join(f"{rng.randrange(1, p)}*{m}" for m in mons) for _ in range(count)]
+
+
+def test_residue_field_of_two_dense_quadrics_at_largest_prime():
+    # a complete intersection of two quadrics in 3 variables: Tate's
+    # (1+t)^3 / (1-t^2)^2 gives Betti numbers 1, 3, 5, 7, ...
+    names = ["x", "y", "z"]
+    r = ring_from_strings(P31, names, _dense_quadrics(P31, names, 2, 1), degree_bound=14)
+    res = resolve(residue_field(r), 6)
+    assert res.betti() == [1, 3, 5, 7, 9, 11, 13]
+    assert res.verify_complex()
+
+
+def _dense_kernel_generators(ring, src_degs, matrix_at, hi):
+    """The syzygy step on the whole source component: minimal generators
+    are the columns of ker_d extending the span of R_1 * ker_{d-1}, picked
+    by rref([span | ker_d])."""
+    from syzkit.freemod import component_dim, free_mult_matrix
+    from syzkit.linalg import extend_basis, hstack, kernel_basis, matmul
+
+    p = ring.char
+    gens, prev = [], None
+    for d in range(min(src_degs), hi + 1):
+        kd = None
+        src_dim = component_dim(ring, src_degs, d)
+        if src_dim and any(d - g >= 1 and ring.dim(d - g) > 0 for g in src_degs):
+            kd = kernel_basis(matrix_at(d), p)
+        if kd is None or not kd.shape[1]:
+            prev = None
+            continue
+        blocks = []
+        if prev is not None:
+            blocks = [matmul(free_mult_matrix(ring, src_degs, 1, j, d - 1), prev, p)
+                      for j in range(ring.dim(1))]
+        gens += [(d, kd[:, i]) for i in extend_basis(hstack(blocks, src_dim, p), kd, p)]
+        prev = kd
+    return gens
+
+
+@pytest.mark.parametrize("case", ["ci", "golod", "cyclic"])
+def test_kernel_generators_match_the_dense_step(case):
+    from functools import partial
+
+    from syzkit.modules import generator_matrix
+    from syzkit.resolutions import DEFAULT_MARGIN, kernel_generators
+
+    if case == "ci":
+        r = ring_from_strings(32003, ["x", "y", "z"], ["x^2", "y^2", "z^2"], degree_bound=10)
+        m, steps = residue_field(r), 5
+    elif case == "golod":
+        r = ring_from_strings(2, ["x", "y"], ["x^2", "x*y", "y^2"], degree_bound=10)
+        m, steps = residue_field(r), 7
+    else:
+        names = ["x", "y", "z"]
+        r = ring_from_strings(P31, names, _dense_quadrics(P31, names, 1, 3), degree_bound=9)
+        m, steps = module_from_strings(r, [0], [["x"]]), 4
+    res = resolve(m, steps)
+    for i in range(1, steps + 1):
+        if not res.gens[i - 1]:
+            break
+        if i == 1:
+            matrix_at = partial(generator_matrix, m, res.cover)
+        else:
+            matrix_at = res.diffs[i - 1].induced
+        got, hi = kernel_generators(r, res.gens[i - 1], matrix_at, DEFAULT_MARGIN)
+        want = _dense_kernel_generators(r, res.gens[i - 1], matrix_at, hi)
+        assert [d for d, _ in got] == [d for d, _ in want]
+        assert all(np.array_equal(u, v) for (_, u), (_, v) in zip(got, want))
+        assert len(got) == res.betti()[i]
+
+
+def test_induced_matrix_exact_at_largest_prime():
+    # over two dense quadrics the multiplication tables carry several large
+    # entries per row, so block products sum three or more terms of size
+    # about p^2, more than int64 holds
+    from syzkit.freemod import FreeMap, component_dim, component_offsets
+
+    names = ["x", "y", "z"]
+    r = ring_from_strings(P31, names, _dense_quadrics(P31, names, 2, 5), degree_bound=8)
+    rng = np.random.default_rng(11)
+    src, tgt = (1, 2, 2), (0, 0, 1)
+    cols = [rng.integers(P31 - 2**20, P31, size=component_dim(r, tgt, g)) for g in src]
+    fmap = FreeMap(r, src, tgt, cols)
+    for d in range(2, 6):
+        want = np.zeros((component_dim(r, tgt, d), component_dim(r, src, d)), dtype=object)
+        soffs, toffs = component_offsets(r, src, d), component_offsets(r, tgt, d)
+        for b, g in enumerate(src):
+            coffs = component_offsets(r, tgt, g)
+            for j in range(r.dim(d - g)):
+                for c, h in enumerate(tgt):
+                    block = r.mult_map(d - g, j, g - h).tolist()
+                    piece = [int(v) for v in cols[b][coffs[c]:coffs[c + 1]]]
+                    for row, entries in enumerate(block):
+                        want[toffs[c] + row, soffs[b] + j] = (
+                            sum(x * y for x, y in zip(entries, piece)) % P31)
+        assert fmap.induced(d).tolist() == want.tolist()
