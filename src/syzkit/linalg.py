@@ -13,6 +13,13 @@ whose products stay below 2^32; the inner dimension is summed in chunks
 short enough to stay exact, and the four limb products are recombined
 mod p in int64.  Operands must be reduced (0 <= entry < p).
 
+Elimination is one loop, `_eliminate`.  Rows at and below the current
+pivot row are zero left of the pivot column, so each step scales and
+updates only the columns from the pivot onward.  `rref` clears above and
+below every pivot; the callers that read only the pivots (`rank`,
+`coset_complement`, `extend_basis`) clear below it only, which gives the
+same pivots with less work.
+
 All routines are deterministic: pivots are chosen leftmost-first, free
 variables are zeroed, complements use standard basis vectors.
 """
@@ -22,20 +29,27 @@ import numpy as np
 _SMALL_PRIME_MAX = 11
 _FLOAT_EXACT = 2 ** 53  # float64 integers are exact below this
 _LIMB_MASK = 2 ** 16 - 1
+_MR_BASES = (2, 3, 5, 7)
 
 
 def dtype_for(p):
     return np.int8 if p <= _SMALL_PRIME_MAX else np.int64
 
 
-def is_prime(p):
-    if p < 2:
+def is_prime(n):
+    """Deterministic Miller-Rabin with bases 2, 3, 5, 7: exact for
+    n < 3,215,031,751, which covers every supported prime (< 2^31)."""
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for q in _MR_BASES:
+        x = pow(q, d, n)
+        if x != 1 and all(pow(x, 2 ** i, n) != n - 1 for i in range(s)):
             return False
-        d += 1
     return True
 
 
@@ -87,12 +101,15 @@ def matvec(a, v, p):
     return matmul(a, v.reshape(-1, 1), p)[:, 0]
 
 
-def rref(mat, p):
-    """Reduced row echelon form.
+def _eliminate(mat, p, reduced):
+    """Gaussian elimination mod p; returns (a, pivot_columns).
 
-    Returns (R, pivot_columns, rank) with pivot columns strictly
-    increasing.  Elimination clears above and below each pivot in one
-    sweep; pivot rows are scaled to 1.
+    Each pivot row is scaled to 1 and its column cleared below the pivot,
+    and also above it when `reduced` (then a is the RREF).  Rows at and
+    below the pivot row are zero left of the pivot column, so every step
+    touches only the columns from the pivot onward.  Pivot-only callers
+    pass reduced=False: the pivots are the same, and the work of clearing
+    above each pivot is skipped.
     """
     a = np.array(mat, dtype=dtype_for(p), copy=True) % p
     rows, cols = a.shape
@@ -106,22 +123,37 @@ def rref(mat, p):
             continue
         pr = r + int(nz[0])
         if pr != r:
-            a[[r, pr]] = a[[pr, r]]
+            a[[r, pr], c:] = a[[pr, r], c:]
         inv = pow(int(a[r, c]), -1, p)
         if inv != 1:
-            a[r] = (a[r] * inv) % p
+            a[r, c:] = (a[r, c:] * inv) % p
         col = a[:, c].copy()
-        col[r] = 0
+        if reduced:
+            col[r] = 0
+        else:
+            col[:r + 1] = 0
         touched = np.nonzero(col)[0]
         if touched.size:
-            a[touched] = (a[touched] - np.outer(col[touched], a[r])) % p
+            a[touched, c:] = (a[touched, c:] - np.outer(col[touched], a[r, c:])) % p
         pivots.append(c)
         r += 1
+    return a, pivots
+
+
+def rref(mat, p):
+    """Reduced row echelon form.
+
+    Returns (R, pivot_columns, rank) with pivot columns strictly
+    increasing.  Elimination clears above and below each pivot in one
+    sweep, over the columns from the pivot onward; pivot rows are scaled
+    to 1.
+    """
+    a, pivots = _eliminate(mat, p, True)
     return a, pivots, len(pivots)
 
 
 def rank(mat, p):
-    return rref(mat, p)[2]
+    return len(_eliminate(mat, p, False)[1])
 
 
 def _non_pivots(n, pivots):
@@ -198,7 +230,7 @@ def coset_complement(sub, ambient_dim, p):
     sub = np.asarray(sub)
     if sub.size == 0 or sub.shape[1] == 0:
         return identity(ambient_dim, p)
-    _, pivots, _ = rref(sub.T, p)
+    pivots = _eliminate(sub.T, p, False)[1]
     return identity(ambient_dim, p)[:, _non_pivots(ambient_dim, pivots)]
 
 
@@ -234,7 +266,7 @@ def extend_basis(span, candidates, p):
         stacked = candidates
     else:
         stacked = np.concatenate([span, candidates], axis=1)
-    _, pivots, _ = rref(stacked, p)
+    pivots = _eliminate(stacked, p, False)[1]
     return [c - n0 for c in pivots if c >= n0]
 
 

@@ -81,10 +81,19 @@ class GradedModule:
         """Multiplication by the j-th basis monomial of R_e: M_a -> M_{a+e}."""
         key = (e, j, a)
         if key not in self._action:
-            mult = freemod.free_mult_matrix(self.ring, self.gen_degrees, e, j, a)
+            ring = self.ring
             # representatives of M_a are the standard coordinates _space(a)[0]
-            mat = matmul(self.proj(a + e), mult[:, self._space(a)[0]], self.ring.char)
-            self._action[key] = mat
+            # (ascending); multiply only those, one ring.mult_map block per generator
+            reps = np.asarray(self._space(a)[0], dtype=np.intp)
+            so = freemod.component_offsets(ring, self.gen_degrees, a)
+            to = freemod.component_offsets(ring, self.gen_degrees, a + e)
+            mult = zeros(to[-1], len(reps), ring.char)
+            for b, g in enumerate(self.gen_degrees):
+                lo, hi = np.searchsorted(reps, (so[b], so[b + 1]))
+                if lo < hi and to[b] < to[b + 1]:
+                    block = ring.mult_map(e, j, a - g)
+                    mult[to[b]:to[b + 1], lo:hi] = block[:, reps[lo:hi] - so[b]]
+            self._action[key] = matmul(self.proj(a + e), mult, ring.char)
         return self._action[key]
 
     def action_by_ring_vector(self, rvec, e, a):

@@ -30,7 +30,7 @@ class PolyRing:
     def __init__(self, char, var_names, degree_bound=DEFAULT_DEGREE_BOUND):
         from .linalg import is_prime
 
-        if not is_prime(char) or not (2 <= char < 2**31):
+        if not (2 <= char < 2**31) or not is_prime(char):
             raise SyzkitError(f"characteristic must be a prime in [2, 2^31), got {char}")
         if degree_bound < 1:
             raise SyzkitError("degree bound must be >= 1")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import syzkit
 from syzkit import cli
@@ -134,6 +135,19 @@ def test_exit_code_parse_error(tmp_path):
     bad.write_text("module { generators = [0]  oops }")
     out = run_cli("resolve", str(bad))
     assert out.returncode == 2
+
+
+def test_exit_code_huge_characteristic(tmp_path, capsys):
+    # the range is checked before primality, so a characteristic far above
+    # 2^31 is refused at once
+    (tmp_path / "big.ring").write_text(
+        'ring { char = 1000000000000000003; vars = [x]; relations = ["x^2"] }')
+    module = tmp_path / "big_k.module"
+    module.write_text('module { ring = "big.ring"; generators = [0]; relations = [["x"]] }')
+    start = time.perf_counter()
+    assert cli.main(["resolve", str(module)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "characteristic must be a prime in [2, 2^31)" in capsys.readouterr().err
 
 
 def test_exit_code_degree_bound():

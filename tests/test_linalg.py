@@ -266,3 +266,126 @@ def test_vectorised_quotient_projection_matches_loop_reference(mp):
     assert np.array_equal(proj[:, idx], np.eye(len(idx), dtype=proj.dtype))
     if proj.shape[0]:
         assert not linalg.matmul(proj, span, p).any()
+
+
+# -- elimination against a Python-integer Gauss-Jordan oracle -----------------
+
+ORACLE_PRIMES = [2, 3, 11, 13, 32003, P31]
+
+
+def _gauss_jordan(rows, cols, p):
+    """RREF and pivot columns of a list-of-rows matrix, in Python integers."""
+    a = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def _oracle_rank(rows, cols, p):
+    return len(_gauss_jordan(rows, cols, p)[1])
+
+
+@st.composite
+def elimination_case(draw):
+    """(matrix, p): 0-12 x 0-12, dense, sparse, or of forced low rank."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["dense", "sparse", "deficient"]))
+    if kind == "sparse":
+        entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(1, p - 1))
+    else:
+        entry = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+    if kind == "deficient":
+        # every row a combination of fewer than min(rows, cols) base rows
+        k = draw(st.integers(0, max(0, min(rows, cols) - 1)))
+        base = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=k, max_size=k))
+        coeffs = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                               min_size=rows, max_size=rows))
+        data = [[sum(c * b[j] for c, b in zip(cs, base)) % p for j in range(cols)]
+                for cs in coeffs]
+    else:
+        data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+    return linalg.as_matrix(np.array(data, dtype=np.int64).reshape(rows, cols), p), p
+
+
+@settings(deadline=None, max_examples=200)
+@given(elimination_case())
+def test_rref_and_rank_match_gauss_jordan_oracle(case):
+    m, p = case
+    want, want_pivots = _gauss_jordan(m.tolist(), m.shape[1], p)
+    r, pivots, rk = linalg.rref(m, p)
+    assert r.dtype == linalg.dtype_for(p)
+    assert r.tolist() == want
+    assert pivots == want_pivots
+    assert rk == len(want_pivots)
+    assert linalg.rank(m, p) == len(want_pivots)
+
+
+@settings(deadline=None, max_examples=150)
+@given(elimination_case(), st.integers(0, 12))
+def test_extend_basis_matches_independence_oracle(case, split):
+    # candidate j is chosen iff it is independent of the span and of the
+    # candidates before it
+    m, p = case
+    split = min(split, m.shape[1])
+    span, cand = m[:, :split], m[:, split:]
+    cols_of = m.T.tolist()
+    want = [j for j in range(cand.shape[1])
+            if _oracle_rank(cols_of[:split + j + 1], m.shape[0], p)
+            > _oracle_rank(cols_of[:split + j], m.shape[0], p)]
+    assert linalg.extend_basis(span, cand, p) == want
+
+
+@settings(deadline=None, max_examples=150)
+@given(elimination_case())
+def test_coset_complement_matches_dependent_rows_oracle(case):
+    # coordinate i is chosen iff row i of sub depends on the rows above it;
+    # those unit vectors complete the column span of sub to the whole space
+    sub, p = case
+    n, rows_of = sub.shape[0], sub.tolist()
+    want = [i for i in range(n)
+            if _oracle_rank(rows_of[:i + 1], sub.shape[1], p)
+            == _oracle_rank(rows_of[:i], sub.shape[1], p)]
+    comp = linalg.coset_complement(sub, n, p)
+    assert comp.shape == (n, len(want))
+    assert comp.tolist() == np.eye(n, dtype=np.int64)[:, want].tolist()
+    both = np.concatenate([sub, comp], axis=1).T.tolist()
+    assert _oracle_rank(both, n, p) == n
+
+
+# -- primality ---------------------------------------------------------------
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division_below_20000():
+    assert [n for n in range(20000) if linalg.is_prime(n)] == \
+        [n for n in range(20000) if _trial_division(n)]
+
+
+def test_is_prime_on_pseudoprimes_and_large_cases():
+    assert linalg.is_prime(P31)
+    # strong pseudoprimes to base 2, and Carmichael numbers
+    for n in (2047, 3277, 4033, 561, 1105):
+        assert not linalg.is_prime(n)
+    # squares of the primes around sqrt(2^31) ~ 46341
+    for q in (46327, 46337, 46349, 46351):
+        assert _trial_division(q)
+        assert linalg.is_prime(q)
+        assert not linalg.is_prime(q * q)

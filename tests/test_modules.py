@@ -122,3 +122,32 @@ def test_annihilated_by():
     m = module_from_strings(r, [0], [["x"]])
     assert m.annihilated_by(r.base.parse("x"), 1)  # x kills y^1 in A/(x)? x*y = 0
     assert not m.annihilated_by(r.base.parse("y"), 1)
+
+
+@pytest.mark.parametrize("case", ["ci", "golod", "two-generator"])
+def test_action_matrix_equals_projected_free_multiplication(case):
+    # reference: the dense block-diagonal multiplication on the free cover,
+    # restricted to the representative columns of M_a and projected to M_{a+e}
+    import numpy as np
+
+    from syzkit.freemod import free_mult_matrix
+    from syzkit.linalg import matmul
+
+    if case == "ci":
+        r = ring_from_strings(32003, ["x", "y", "z"], ["x^2", "y^2", "z^2"])
+        m = module_from_strings(r, [0], [["x*y"]])
+    elif case == "golod":
+        r = ring_from_strings(2, ["x", "y"], ["x^2", "x*y", "y^2"])
+        m = free_module(r)
+    else:
+        r = ring_from_strings(32003, ["x", "y", "z"], ["x^2 - y*z"])
+        m = module_from_strings(r, [0, 1], [["x*y", "y"], ["0", "x + z"]])
+    p = r.char
+    for a in range(m.min_degree() - 1, 5):
+        for e in range(3):
+            for j in range(r.dim(e)):
+                dense = free_mult_matrix(r, m.gen_degrees, e, j, a)
+                want = matmul(m.proj(a + e), dense[:, m._space(a)[0]], p)
+                got = m.action_matrix(e, j, a)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (a, e, j)
