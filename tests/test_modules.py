@@ -138,7 +138,7 @@ def test_action_matrix_equals_projected_free_multiplication(case):
         m = module_from_strings(r, [0], [["x*y"]])
     elif case == "golod":
         r = ring_from_strings(2, ["x", "y"], ["x^2", "x*y", "y^2"])
-        m = free_module(r)
+        m = module_from_strings(r, [0], [["x + y"]])
     else:
         r = ring_from_strings(32003, ["x", "y", "z"], ["x^2 - y*z"])
         m = module_from_strings(r, [0, 1], [["x*y", "y"], ["0", "x + z"]])
