@@ -11,7 +11,7 @@ exact by graded Nakayama).
 import numpy as np
 
 from . import freemod
-from .linalg import dtype_for, kernel_basis, matvec, zeros
+from .linalg import identity, kernel_basis, matvec, zeros
 
 
 def consistent_twist(gens, q, j_lo, j_hi):
@@ -85,9 +85,7 @@ def _apply_unknown_blocks(ring, mid_degs, tgt_degs, tau, vec, d, layout, j, rows
         for i in np.nonzero(piece)[0]:
             mult = freemod.free_mult_matrix(ring, tgt_degs, e, int(i), h + tau)
             # reduce every term: three products of size (p-1)^2 overflow int64
-            out[:rows, coff:coff + cdim] += (
-                sign * int(piece[i]) * mult.astype(np.int64) % p
-            )
+            out[:rows, coff:coff + cdim] += sign * int(piece[i]) * mult % p
             out[:rows, coff:coff + cdim] %= p
 
 
@@ -105,11 +103,12 @@ def solve_chain_self_maps(ring, gens, diffs, q, tau, j_lo, j_hi):
         tgt_low = gens[j - 1 - q] if 0 <= j - 1 - q < len(gens) else ()
         dj = diffs[j] if j < len(diffs) else None
         dlow = diffs[j - q] if 0 < j - q < len(diffs) else None
+        dlow_by_degree = {}  # generators of one degree share d_{j-q}'s matrix
         for b, g in enumerate(gens[j]):
             nrows = freemod.component_dim(ring, tgt_low, g + tau)
             if nrows == 0:
                 continue
-            block = np.zeros((nrows, layout.total), dtype=np.int64)
+            block = zeros(nrows, layout.total, p)
             # phi_{j-1} applied to d_j(e_b)
             if dj is not None and mid:
                 _apply_unknown_blocks(
@@ -119,15 +118,15 @@ def solve_chain_self_maps(ring, gens, diffs, q, tau, j_lo, j_hi):
             # minus (-1)^q d_{j-q} applied to phi_j(e_b)
             off, dim = layout.col_offset[(j, b)]
             if dim and dlow is not None and dlow.source_degrees:
-                dmat = dlow.induced(g + tau).astype(np.int64)
-                block[:, off:off + dim] -= sign * dmat
+                if g not in dlow_by_degree:
+                    dlow_by_degree[g] = dlow.induced(g + tau)
+                block[:, off:off + dim] -= sign * dlow_by_degree[g]
             rows_blocks.append(block % p)
     if layout.total == 0:
         return layout, zeros(0, 0, p)
     if not rows_blocks:
-        return layout, np.eye(layout.total, dtype=dtype_for(p))
-    system = (np.concatenate(rows_blocks, axis=0) % p).astype(dtype_for(p))
-    return layout, kernel_basis(system, p)
+        return layout, identity(layout.total, p)
+    return layout, kernel_basis(np.concatenate(rows_blocks, axis=0), p)
 
 
 def candidate_solutions(basis, p, seed=0, budget=64):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import freemod
 from .errors import SyzkitError, WindowError
-from .linalg import dtype_for, matmul, rank, zeros
+from .linalg import matmul, rank, zeros
 from .modules import GradedModule
 from .polynomials import poly_add, poly_mul, poly_scale
 
@@ -133,10 +133,7 @@ class FreeComplex:
                     freemod.FreeMap.zero(self.ring, gens[j], gens[j - 1])
                 )
             else:
-                cols = [
-                    ((c.astype(np.int64) * sign) % self.ring.char).astype(c.dtype)
-                    for c in d.columns
-                ]
+                cols = [(c * sign) % self.ring.char for c in d.columns]
                 diffs.append(freemod.FreeMap(self.ring, gens[j], gens[j - 1], cols))
         return FreeComplex(self.ring, gens, diffs)
 
@@ -361,9 +358,8 @@ def tensor_pair(f, g, product_ring=None):
                     target = pos[j - 1][(aa, ui, c)]
                     emb = emb_g.embed(piece, dv - hc)
                     vec[offs[target]:offs[target + 1]] = (
-                        (vec[offs[target]:offs[target + 1]].astype(np.int64)
-                         + sign * emb.astype(np.int64)) % p
-                    ).astype(vec.dtype)
+                        vec[offs[target]:offs[target + 1]] + sign * emb
+                    ) % p
             cols.append(vec)
         diffs.append(freemod.FreeMap(a, gens[j], gens[j - 1], cols))
     out = FreeComplex(a, gens, diffs, labels)
@@ -448,9 +444,7 @@ def induced_chain_map(product, factor_index, eta):
                         raise SyzkitError("induced map hit a missing product generator")
                     t = pos[j - n][new_lab]
                     embedded = emb.embed(piece, du + tau - hc)
-                    vec[offs[t]:offs[t + 1]] = (
-                        (sign * embedded.astype(np.int64)) % p
-                    ).astype(vec.dtype)
+                    vec[offs[t]:offs[t + 1]] = (sign * embedded) % p
             cols.append(vec)
         column_lists.append(cols)
     out = ChainMap.from_columns(product, product, n, tau, column_lists)
@@ -483,7 +477,7 @@ def cone(phi):
         for b, g in enumerate(x.gen_degrees(j - 1)):
             dx = x.diff(j - 1)
             if dx is not None and dx.source_degrees:
-                x_piece = ((-dx.columns[b].astype(np.int64)) % p).astype(dtype_for(p))
+                x_piece = (-dx.columns[b]) % p
             else:
                 x_piece = zeros(
                     freemod.component_dim(ring, xs_prev, g + tau), 1, p
@@ -495,7 +489,7 @@ def cone(phi):
             dz = z.diff(j - n)
             x_zero = zeros(freemod.component_dim(ring, xs_prev, h), 1, p)[:, 0]
             if dz is not None and dz.source_degrees:
-                z_piece = ((sign * dz.columns[b].astype(np.int64)) % p).astype(dtype_for(p))
+                z_piece = (sign * dz.columns[b]) % p
             else:
                 z_piece = zeros(freemod.component_dim(ring, zs_prev, h), 1, p)[:, 0]
             cols.append(np.concatenate([x_zero, z_piece]))
@@ -530,7 +524,7 @@ def induced_on_cone(cone_cx, psi):
                 for b, g in enumerate(x.gen_degrees(j - 1)):
                     comp = psi.component(j - 1)
                     piece = comp.columns[b]
-                    x_part = ((int(s1) * piece.astype(np.int64)) % p).astype(dtype_for(p))
+                    x_part = (int(s1) * piece) % p
                     z_dim = freemod.component_dim(
                         ring, phi.target.gen_degrees(j - m - n), g + tau + upsilon
                     )
@@ -538,7 +532,7 @@ def induced_on_cone(cone_cx, psi):
                 for b, h in enumerate(phi.target.gen_degrees(j - n)):
                     comp = psi.component(j - n)
                     piece = comp.columns[b]
-                    z_part = ((int(s2) * piece.astype(np.int64)) % p).astype(dtype_for(p))
+                    z_part = (int(s2) * piece) % p
                     x_dim = freemod.component_dim(ring, x_tgt, h + upsilon)
                     cols.append(np.concatenate([zeros(x_dim, 1, p)[:, 0], z_part]))
                 column_lists.append(cols)

@@ -10,7 +10,7 @@ components are assembled from the ring's multiplication tables on demand.
 
 import numpy as np
 
-from .linalg import dtype_for, matmul, zeros
+from .linalg import matmul, zeros
 
 
 def component_dims(ring, gen_degrees, d):
@@ -62,7 +62,6 @@ class FreeMap:
                 raise ValueError(
                     f"column {b} has length {columns[b].shape[0]}, expected {want}"
                 )
-        self._induced = {}
 
     @classmethod
     def zero(cls, ring, source_degrees, target_degrees, twist=0):
@@ -132,8 +131,6 @@ class FreeMap:
         product of the stacked multiplication maps with the matching column
         pieces gives all their entries.
         """
-        if d in self._induced:
-            return self._induced[d]
         ring, p, tw = self.ring, self.ring.char, self.twist
         src, tgt = self.source_degrees, self.target_degrees
         mat = zeros(component_dim(ring, tgt, d + tw), component_dim(ring, src, d), p)
@@ -167,19 +164,27 @@ class FreeMap:
                 prod = matmul(mults, pieces, p).reshape(de, rows, len(pairs))
                 for k, (b, c) in enumerate(pairs):
                     mat[toffs[c]:toffs[c + 1], soffs[b]:soffs[b] + de] = prod[:, :, k].T
-        self._induced[d] = mat
         return mat
 
     def apply(self, d, vec):
         return matmul(self.induced(d), np.asarray(vec).reshape(-1, 1), self.ring.char)[:, 0]
 
     def compose(self, other):
-        """self after other (source of self = target of other)."""
+        """self after other (source of self = target of other).
+
+        other's columns of one degree d all go through self's degree-d
+        matrix, so each degree takes one induced matrix and one product.
+        """
         assert self.source_degrees == other.target_degrees
-        cols = [
-            self.apply(g + other.twist, other.columns[b])
-            for b, g in enumerate(other.source_degrees)
-        ]
+        by_degree = {}
+        for b, g in enumerate(other.source_degrees):
+            by_degree.setdefault(g + other.twist, []).append(b)
+        cols = [None] * len(other.source_degrees)
+        for d, bs in by_degree.items():
+            images = matmul(self.induced(d), np.stack([other.columns[b] for b in bs], axis=1),
+                            self.ring.char)
+            for k, b in enumerate(bs):
+                cols[b] = images[:, k]
         return FreeMap(
             self.ring, other.source_degrees, self.target_degrees, cols,
             other.twist + self.twist,
@@ -190,15 +195,12 @@ class FreeMap:
         assert self.target_degrees == other.target_degrees
         assert self.twist == other.twist
         p = self.ring.char
-        cols = [
-            ((a.astype(np.int64) + sign * b.astype(np.int64)) % p).astype(dtype_for(p))
-            for a, b in zip(self.columns, other.columns)
-        ]
+        cols = [(a + sign * b) % p for a, b in zip(self.columns, other.columns)]
         return FreeMap(self.ring, self.source_degrees, self.target_degrees, cols, self.twist)
 
     def scale(self, c):
         p = self.ring.char
-        cols = [((a.astype(np.int64) * c) % p).astype(dtype_for(p)) for a in self.columns]
+        cols = [(a * c) % p for a in self.columns]
         return FreeMap(self.ring, self.source_degrees, self.target_degrees, cols, self.twist)
 
     def is_zero(self):

@@ -18,8 +18,8 @@ import numpy as np
 from . import freemod
 from .errors import SyzkitError, WindowError
 from .linalg import (
-    dtype_for,
     extend_basis,
+    identity,
     kernel_basis,
     matmul,
     matvec,
@@ -105,6 +105,8 @@ def _tensor_differential(ring, res, n_mod, i, d):
 
 def tor(m, n, window, margin=DEFAULT_MARGIN, res=None):
     """Graded dimensions of Tor_i(M, N) for i <= window."""
+    if window < 0:
+        raise WindowError(f"Tor needs a window >= 0, got {window}")
     if not m.ring.same_ring(n.ring):
         raise SyzkitError("Tor needs modules over a common ring")
     ring = m.ring
@@ -310,7 +312,7 @@ def ext_basis(m, n, t, window=None, margin=DEFAULT_MARGIN, res=None, max_interna
                 nrows = n.dim(g2 + w)
                 if nrows == 0:
                     continue
-                block = np.zeros((nrows, total), dtype=np.int64)
+                block = zeros(nrows, total, p)
                 col = dmap.columns[b2]
                 coffs = freemod.component_offsets(ring, gens_t, g2)
                 for c, g in enumerate(gens_t):
@@ -318,15 +320,14 @@ def ext_basis(m, n, t, window=None, margin=DEFAULT_MARGIN, res=None, max_interna
                     if dims[c] == 0 or not piece.any():
                         continue
                     act = n.action_by_ring_vector(piece, g2 - g, g + w)
-                    block[:, offs[c]:offs[c + 1]] += act.astype(np.int64)
+                    block[:, offs[c]:offs[c + 1]] += act
                 rows.append(block % p)
             if rows:
-                constraint = (np.concatenate(rows, axis=0)).astype(dtype_for(p))
-                cocycles = kernel_basis(constraint, p)
+                cocycles = kernel_basis(np.concatenate(rows, axis=0), p)
             else:
-                cocycles = np.eye(total, dtype=dtype_for(p))
+                cocycles = identity(total, p)
         else:
-            cocycles = np.eye(total, dtype=dtype_for(p))
+            cocycles = identity(total, p)
         if cocycles.shape[1] == 0:
             continue
         # coboundaries: precompositions g o d_t for g in Hom(F_{t-1}, N)_w
@@ -337,7 +338,7 @@ def ext_basis(m, n, t, window=None, margin=DEFAULT_MARGIN, res=None, max_interna
             dn_offs = np.cumsum([0] + dn_dims)
             for c2 in range(len(gens_dn)):
                 for v_idx in range(dn_dims[c2]):
-                    vec = np.zeros(total, dtype=np.int64)
+                    vec = zeros(total, 1, p)[:, 0]
                     for b, g in enumerate(gens_t):
                         if dims[b] == 0:
                             continue
@@ -349,12 +350,9 @@ def ext_basis(m, n, t, window=None, margin=DEFAULT_MARGIN, res=None, max_interna
                         act = n.action_by_ring_vector(
                             piece, g - gens_dn[c2], gens_dn[c2] + w
                         )
-                        vec[offs[b]:offs[b + 1]] += act[:, v_idx].astype(np.int64)
+                        vec[offs[b]:offs[b + 1]] += act[:, v_idx]
                     cob_cols.append(vec % p)
-            cob = (
-                np.stack(cob_cols, axis=1).astype(dtype_for(p))
-                if cob_cols else zeros(total, 0, p)
-            )
+            cob = np.stack(cob_cols, axis=1) if cob_cols else zeros(total, 0, p)
         else:
             cob = zeros(total, 0, p)
         chosen = extend_basis(cob, cocycles, p)
@@ -406,7 +404,7 @@ def pushout_extension(eta, verify_depth=True, margin=DEFAULT_MARGIN):
     if t + 1 < len(res.diffs) and res.gens[t + 1]:
         dmap = res.diffs[t + 1]
         for b2, g2 in enumerate(res.gens[t + 1]):
-            acc = zeros(m.dim(g2 + w), 1, ring.char)[:, 0].astype(np.int64)
+            acc = zeros(m.dim(g2 + w), 1, ring.char)[:, 0]
             col = dmap.columns[b2]
             coffs = freemod.component_offsets(ring, res.gens[t], g2)
             for c, g in enumerate(res.gens[t]):
@@ -415,7 +413,7 @@ def pushout_extension(eta, verify_depth=True, margin=DEFAULT_MARGIN):
                     acc += matmul(
                         m.action_by_ring_vector(piece, g2 - g, g + w),
                         eta.values[c].reshape(-1, 1), ring.char,
-                    )[:, 0].astype(np.int64)
+                    )[:, 0]
             if (acc % ring.char).any():
                 raise SyzkitError("cocycle check failed; malformed extension class")
 
@@ -624,8 +622,12 @@ def check_depth_formula(
 
     depth A stands in for dim A: the Cohen-Macaulay hypothesis is assumed
     and recorded, never checked.  When q >= 1 the check refuses to run on a
-    non-rigorous q unless allow_nonrigorous is set.
+    non-rigorous q unless allow_nonrigorous is set.  A window below 1
+    computes no Tor_i with i >= 1, so it cannot tell q = 0 from q >= 1 and
+    is refused.
     """
+    if window < 1:
+        raise WindowError(f"the depth formula needs a window >= 1, got {window}")
     if m.is_zero() or n.is_zero():
         raise SyzkitError("depth formula needs nonzero modules")
     profile = tor(m, n, window, margin)

@@ -1,9 +1,7 @@
 """Exact dense linear algebra over prime fields F_p, for every prime p < 2^31.
 
-Matrices are 2-D numpy integer arrays with entries reduced mod p.  For
-p <= 11 arrays use int8 (row operations stay within int8 range since all
-intermediate products are at most (p-1)^2 <= 100); larger primes use
-int64, where a row operation's products stay below (p-1)^2 < 2^62.
+Matrices are 2-D int64 numpy arrays with entries reduced mod p, for every
+p: a row operation's products stay below (p-1)^2 < 2^62.
 
 Products run through float64 BLAS with delayed reduction (Dumas, Giorgi &
 Pernet, FFLAS/FFPACK): a float64 sum of k products of residues is exact
@@ -26,14 +24,9 @@ variables are zeroed, complements use standard basis vectors.
 
 import numpy as np
 
-_SMALL_PRIME_MAX = 11
 _FLOAT_EXACT = 2 ** 53  # float64 integers are exact below this
 _LIMB_MASK = 2 ** 16 - 1
 _MR_BASES = (2, 3, 5, 7)
-
-
-def dtype_for(p):
-    return np.int8 if p <= _SMALL_PRIME_MAX else np.int64
 
 
 def is_prime(n):
@@ -54,17 +47,16 @@ def is_prime(n):
 
 
 def zeros(rows, cols, p):
-    return np.zeros((rows, cols), dtype=dtype_for(p))
+    return np.zeros((rows, cols), dtype=np.int64)
 
 
 def identity(n, p):
-    return np.eye(n, dtype=dtype_for(p))
+    return np.eye(n, dtype=np.int64)
 
 
 def as_matrix(data, p):
     """Coerce nested lists / arrays to a reduced mod-p matrix."""
-    a = np.asarray(data, dtype=np.int64) % p
-    return a.astype(dtype_for(p))
+    return np.asarray(data, dtype=np.int64) % p
 
 
 def _product_mod(a, b, p, bound):
@@ -85,8 +77,7 @@ def matmul(a, b, p):
     if a.shape[0] == 0 or b.shape[1] == 0 or k == 0:
         return zeros(a.shape[0], b.shape[1], p)
     if k * (p - 1) ** 2 < _FLOAT_EXACT:
-        out = _product_mod(a.astype(np.float64), b.astype(np.float64), p, p - 1)
-        return out.astype(a.dtype)
+        return _product_mod(a.astype(np.float64), b.astype(np.float64), p, p - 1)
     # 16-bit limbs x = hi * 2^16 + lo, so every limb product is < 2^32
     a_hi, a_lo = (a >> 16).astype(np.float64), (a & _LIMB_MASK).astype(np.float64)
     b_hi, b_lo = (b >> 16).astype(np.float64), (b & _LIMB_MASK).astype(np.float64)
@@ -94,7 +85,7 @@ def matmul(a, b, p):
     mid = _product_mod(a_hi, b_lo, p, _LIMB_MASK) + _product_mod(a_lo, b_hi, p, _LIMB_MASK)
     ll = _product_mod(a_lo, b_lo, p, _LIMB_MASK)
     out = hh * (2 ** 32 % p) % p + mid * 2 ** 16 % p + ll
-    return (out % p).astype(a.dtype)
+    return out % p
 
 
 def matvec(a, v, p):
@@ -111,7 +102,7 @@ def _eliminate(mat, p, reduced):
     pass reduced=False: the pivots are the same, and the work of clearing
     above each pivot is skipped.
     """
-    a = np.array(mat, dtype=dtype_for(p), copy=True) % p
+    a = np.asarray(mat, dtype=np.int64) % p
     rows, cols = a.shape
     pivots = []
     r = 0
@@ -196,16 +187,11 @@ def solve(mat, b, p):
     b = np.asarray(b).reshape(-1)
     if b.shape[0] != rows:
         raise ValueError(f"dimension mismatch: {rows} rows, got b of length {b.shape[0]}")
-    aug = zeros(rows, cols + 1, p)
-    if cols:
-        aug[:, :cols] = np.asarray(a, dtype=aug.dtype) % p
-    aug[:, cols] = np.asarray(b, dtype=np.int64) % p
-    r, pivots, rk = rref(aug, p)
+    r, pivots, rk = rref(np.concatenate([a, b.reshape(-1, 1)], axis=1), p)
     if cols in pivots:
         return None
     v = zeros(cols, 1, p)[:, 0]
-    for i, pc in enumerate(pivots):
-        v[pc] = r[i, cols]
+    v[pivots] = r[:rk, cols]
     return v
 
 

@@ -13,7 +13,6 @@ import numpy as np
 from . import freemod
 from .errors import DegreeBoundError, HomogeneityError, SyzkitError
 from .linalg import (
-    dtype_for,
     coset_complement,
     hstack,
     matmul,
@@ -99,10 +98,10 @@ class GradedModule:
     def action_by_ring_vector(self, rvec, e, a):
         """Multiplication by an element of R_e given in coordinates."""
         p = self.ring.char
-        out = np.zeros((self.dim(a + e), self.dim(a)), dtype=np.int64)
+        out = zeros(self.dim(a + e), self.dim(a), p)
         for j in np.nonzero(rvec)[0]:
-            out = (out + int(rvec[j]) * self.action_matrix(e, int(j), a).astype(np.int64)) % p
-        return out.astype(dtype_for(p))
+            out = (out + int(rvec[j]) * self.action_matrix(e, int(j), a)) % p
+        return out
 
     # -- generators --------------------------------------------------------
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import polynomials as poly
 from .errors import DegreeBoundError, HomogeneityError, SyzkitError
-from .linalg import dtype_for, matmul, quotient_projection, zeros
+from .linalg import matmul, quotient_projection, zeros
 
 DEFAULT_DEGREE_BOUND = 12
 
@@ -232,12 +232,12 @@ class TruncatedQuotientRing:
     def multiply(self, va, a, vb, b):
         """Product of two elements given by coordinate vectors in R_a, R_b."""
         dt = self.dim(a + b)
-        out = zeros(dt, 1, self.char)[:, 0].astype(np.int64)
+        out = zeros(dt, 1, self.char)[:, 0]
         for j in np.nonzero(vb)[0]:
             out = (out + int(vb[j]) * matmul(
                 self.mult_map(b, int(j), a), np.asarray(va).reshape(-1, 1), self.char
-            )[:, 0].astype(np.int64)) % self.char
-        return out.astype(dtype_for(self.char))
+            )[:, 0]) % self.char
+        return out
 
     def vector_to_poly(self, vec, d):
         f = {}

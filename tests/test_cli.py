@@ -161,6 +161,24 @@ def test_exit_code_window():
     assert out.returncode == 4
 
 
+def test_exit_code_depth_formula_window_zero():
+    # window 0 computes no Tor_i with i >= 1; Tor_1(k, k) != 0, so a verdict
+    # of Tor-independence there would be wrong
+    out = run_cli("depth-formula", fx("ci2_k.module"), fx("ci2_k.module"),
+                  "--window", "0", "--machine")
+    assert out.returncode == 4
+    assert out.stdout == ""
+    assert "window >= 1" in out.stderr
+
+
+def test_exit_code_tor_negative_window():
+    out = run_cli("tor", fx("ci2_k.module"), fx("ci2_k.module"),
+                  "--window", "-1", "--machine")
+    assert out.returncode == 4
+    assert out.stdout == ""
+    assert "window >= 0" in out.stderr
+
+
 def test_machine_mode_determinism():
     a = run_cli("resolve", fx("ci2_k.module"), "--window", "8", "--machine")
     b = run_cli("resolve", fx("ci2_k.module"), "--window", "8", "--machine")
@@ -196,3 +214,19 @@ def test_readme_examples_match_goldens_byte_for_byte(tmp_path, monkeypatch, caps
                 for line in want.splitlines(keepends=True)
             )
         assert capsys.readouterr().out == want, example
+
+
+def test_construct_memory_peak(monkeypatch, capsys):
+    # the README period1_x (x) period4 construction; its peak was about
+    # 1.1 MB, and dense induced matrices kept for reuse tripled it
+    import tracemalloc
+
+    monkeypatch.chdir(ROOT)
+    tracemalloc.start()
+    try:
+        assert cli.main(README_EXAMPLES[4].split() + ["--machine"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 2.0 * 2**20

@@ -13,6 +13,7 @@ from syzkit.homological import (
     tor,
     tor_as_module,
 )
+from syzkit.linalg import zeros
 from syzkit.modules import (
     ModuleMap,
     free_module,
@@ -148,7 +149,7 @@ def test_pushout_of_zero_class_splits():
     k = residue_field(r)
     res = resolve(k, 3)
     zero_eta = ExtClass(
-        1, 0, [np.zeros(k.dim(g), dtype=np.int8) for g in res.gens[1]], k, k, res
+        1, 0, [zeros(k.dim(g), 1, r.char)[:, 0] for g in res.gens[1]], k, k, res
     )
     out = pushout_extension(zero_eta)
     assert out.ses_ok

@@ -382,3 +382,38 @@ def test_induced_matrix_exact_at_largest_prime():
                         want[toffs[c] + row, soffs[b] + j] = (
                             sum(x * y for x, y in zip(entries, piece)) % P31)
         assert fmap.induced(d).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("p", [2, 32003, P31])
+def test_compose_matches_per_column_apply(p):
+    # compose makes one induced matrix and one product per degree of the
+    # inner map's columns; the reference applies the outer map to each
+    # column on its own, in Python integers
+    from syzkit.freemod import FreeMap, component_dim
+
+    names = ["x", "y", "z"]
+    r = ring_from_strings(p, names, _dense_quadrics(p, names, 1, 7), degree_bound=7)
+    rng = np.random.default_rng(p % 1000)
+
+    def random_map(src, tgt, twist, zero_columns=()):
+        cols = [rng.integers(0, p, size=component_dim(r, tgt, g + twist)) for g in src]
+        for b in zero_columns:
+            cols[b][:] = 0
+        return FreeMap(r, src, tgt, cols, twist)
+
+    # several source generators of degree 1; a generator at -3 whose column
+    # is empty; a target generator at 9, above the degree bound, whose
+    # blocks are empty in every degree; a zero column
+    inner = random_map((1, 1, 1, 2, -3, 1, 4), (0, 0, 1, 5), 1, zero_columns=(5,))
+    outer = random_map((0, 0, 1, 5), (0, 0, 2, 9), 2)
+    got = outer.compose(inner)
+    assert got.source_degrees == inner.source_degrees
+    assert got.target_degrees == outer.target_degrees
+    assert got.twist == 3
+    assert inner.columns[4].shape == (0,)
+    assert got.columns[4].tolist() == [0, 0]
+    for b, g in enumerate(inner.source_degrees):
+        mat = outer.induced(g + inner.twist).tolist()
+        col = [int(v) for v in inner.columns[b]]
+        want = [sum(x * y for x, y in zip(row, col)) % p for row in mat]
+        assert got.columns[b].tolist() == want
