@@ -28,7 +28,6 @@ from .modules import (
     lift_presentation,
     module_from_presentation,
     module_from_strings,
-    quotient_by_elements,
     residue_field,
     tensor_presentation,
     verify_ses,
@@ -71,9 +70,9 @@ from .complexes import (
     tensor_many,
     tensor_pair,
 )
+from .chainsolve import PeriodicityCertificate
 from .construction import (
     ConstructionResult,
-    PeriodicityCertificate,
     build_e_sequence,
     corollary_module,
     detect_complex_periodicity,

@@ -200,10 +200,11 @@ class ChainMap:
             return self.components[j]
         return None
 
-    def verify(self):
-        """phi_{j-1} d_j = (-1)^shift d_{j-shift} phi_j, exactly."""
+    def verify(self, j_lo=0):
+        """phi_{j-1} d_j = (-1)^shift d_{j-shift} phi_j for j_lo < j <= window,
+        exactly."""
         sign = (-1) ** self.shift
-        for j in range(1, self.source.window + 1):
+        for j in range(j_lo + 1, self.source.window + 1):
             dS = self.source.diff(j)
             if dS is None or not dS.source_degrees:
                 continue

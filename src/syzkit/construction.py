@@ -1,24 +1,21 @@
-"""Periodicity certificates and the periodic-factor tensor/cone pipeline.
+"""Periodicity certificates of complexes and the periodic-factor tensor/cone
+pipeline.
 
-A complex is periodic of period n when it carries a surjective chain
-self-map of shift n whose components are isomorphisms from degree n on,
-and no such map of smaller shift exists.  Certificates are self-verifying:
-the witness map is checked exactly, and every smaller shift comes with the
-reason it is infeasible (degree obstruction, empty solution space, or a
-forced-zero scalar block; a failed bounded search is recorded as
-non-rigorous).
+A complex is periodic of period n when it carries a chain self-map of
+shift n whose components are isomorphisms from degree n on, and no such
+map of smaller shift exists.  `detect_complex_periodicity` asks the one
+certificate engine, `chainsolve.certify_periodicity`, with the onset fixed
+at 0.  Certificates are self-verifying: the witness map is checked
+exactly, and every smaller shift comes with the reason it is infeasible
+(degree obstruction, empty solution space, or a forced-zero scalar block;
+a failed bounded search is recorded as non-rigorous).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import freemod
-from .chainsolve import (
-    candidate_solutions,
-    consistent_twist,
-    scalar_block_coordinates,
-    solve_chain_self_maps,
-)
+from .chainsolve import PeriodicityCertificate, certify_periodicity
 from .complexes import (
     ChainMap,
     FreeComplex,
@@ -36,74 +33,16 @@ from .resolutions import estimate_complexity
 from .rings import PolyRing, build_quotient
 
 
-@dataclass
-class PeriodicityCertificate:
-    period: int
-    twist: int
-    window: int
-    witness: ChainMap = field(repr=False)
-    below: dict = field(default_factory=dict)   # shift -> (kind, rigorous)
-    degree_bound: int = 0
-
-
-def _chain_map_from_solution(cx, q, tau, layout, x):
-    maps = layout.unpack(x)
-    comps = []
-    for j in range(cx.window + 1):
-        if j in maps:
-            comps.append(maps[j])
-        else:
-            comps.append(
-                freemod.FreeMap.zero(cx.ring, cx.gen_degrees(j), cx.gen_degrees(j - q), tau)
-            )
-    return ChainMap(cx, cx, q, tau, comps)
-
-
-def detect_complex_periodicity(cx, window=None, max_period=None, seed=0, budget=64):
-    """Least period with a verified witness, plus infeasibility records below.
+def detect_complex_periodicity(cx, window=None, seed=0, budget=64):
+    """Least period n whose tail [n, window] carries a verified witness
+    (onset 0), with the infeasibility records of every smaller shift.
 
     Returns None when no period exists within the window.
     """
     w = cx.window if window is None else min(window, cx.window)
     if w < 2:
         raise WindowError("periodicity detection needs window >= 2")
-    cx = cx.slice_window(w)
-    if max_period is None:
-        max_period = w // 2
-    below = {}
-    for q in range(1, max_period + 1):
-        tau = consistent_twist(cx.gens[: w + 1], q, q, w)
-        if tau is None:
-            below[q] = ("degree-obstruction", True)
-            continue
-        layout, basis = solve_chain_self_maps(cx.ring, cx.gens, cx.diffs, q, tau, 0, w)
-        if basis.shape[1] == 0:
-            below[q] = ("only-zero-map", True)
-            continue
-        # a rigorous obstruction: every chain map has zero scalar block somewhere
-        obstructed = False
-        for j in range(q, w + 1):
-            if not cx.gen_degrees(j - q):
-                continue
-            coords = scalar_block_coordinates(layout, j)
-            if coords and not basis[coords, :].any():
-                below[q] = ("zero-scalar-block", True)
-                obstructed = True
-                break
-        if obstructed:
-            continue
-        found = None
-        for x in candidate_solutions(basis, cx.ring.char, seed, budget):
-            cand = _chain_map_from_solution(cx, q, tau, layout, x)
-            if cand.iso_range_ok(q) and cand.is_surjective() and cand.verify():
-                found = cand
-                break
-        if found is not None:
-            return PeriodicityCertificate(
-                q, tau, w, found, below, cx.ring.degree_bound
-            )
-        below[q] = ("no-invertible-combination", False)
-    return None
+    return certify_periodicity(cx.slice_window(w), False, seed, budget)
 
 
 def periodic_variable_complex(char, period, window, degree_bound=None, prefix="x"):

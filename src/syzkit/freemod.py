@@ -190,14 +190,6 @@ class FreeMap:
             other.twist + self.twist,
         )
 
-    def add(self, other, sign=1):
-        assert self.source_degrees == other.source_degrees
-        assert self.target_degrees == other.target_degrees
-        assert self.twist == other.twist
-        p = self.ring.char
-        cols = [(a + sign * b) % p for a, b in zip(self.columns, other.columns)]
-        return FreeMap(self.ring, self.source_degrees, self.target_degrees, cols, self.twist)
-
     def scale(self, c):
         p = self.ring.char
         cols = [(a * c) % p for a in self.columns]

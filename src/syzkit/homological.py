@@ -3,10 +3,11 @@ depth-formula verifier.
 
 Tor_i(M, N) is the degreewise homology of (minimal free resolution of M)
 tensored with N.  The largest nonvanishing index q carries a rigor flag:
-the tail is certified either by finite projective dimension or by a
-detected periodic tail of the resolution (the tensored complex then
-repeats, so one vanishing period forces all later ones).  Internal
-degrees are exact up to the ring's degree bound; reports carry that bound.
+the tail is certified either by finite projective dimension or by the
+resolution's periodicity certificate (`detect_resolution_periodicity`):
+from onset + period on, the tensored complex repeats, so one vanishing
+period forces all later ones.  Internal degrees are exact up to the ring's
+degree bound; reports carry that bound.
 """
 
 import math
@@ -142,9 +143,9 @@ def tor(m, n, window, margin=DEFAULT_MARGIN, res=None):
         rigor = "finite-pd"
     else:
         rigor = "window-only"
-        info = detect_resolution_periodicity(res)
-        if info is not None:
-            period, onset = info.period, info.onset
+        cert = detect_resolution_periodicity(res)
+        if cert is not None:
+            period, onset = cert.period, cert.onset
             if q <= onset + period and window >= onset + 2 * period + 1:
                 rigor = "periodic-tail"
     return TorProfile(dims, window, bound, q, rigor, bound)
@@ -263,9 +264,6 @@ class ExtClass:
     source: GradedModule = field(repr=False)
     target: GradedModule = field(repr=False)
     resolution: object = field(repr=False)
-
-    def label(self):
-        return f"Ext^{self.t} class of internal degree {self.internal_degree}"
 
 
 def _hom_space_dims(n_mod, gen_degrees, w):
@@ -516,7 +514,8 @@ def reduction_search(
 
     Basis classes first (cohomological degree ascending, then internal
     degree), then seeded random combinations within one internal degree.
-    Absence of a result is not a proof of irreducibility.
+    Absence of a result is not a proof of irreducibility.  The accepted
+    module's depth is carried to the next step.
     """
     est0, _ = complexity_of_module(m, window, margin)
     if est0.value == 0:
@@ -525,6 +524,7 @@ def reduction_search(
         return None  # no finite estimate to reduce from
     rng = np.random.default_rng(seed)
     current, current_est = m, est0
+    current_depth = None
     steps = []
     for _ in range(max_steps):
         if current_est.value == 0:
@@ -570,11 +570,14 @@ def reduction_search(
         push, est_k, t = found
         # candidates are screened without the depth check; the accepted step
         # gets the full verification
-        preserved = depth(push.module, margin).depth == depth(current, margin).depth
+        if current_depth is None:
+            current_depth = depth(current, margin).depth
+        k_depth = depth(push.module, margin).depth
+        preserved = k_depth == current_depth
         steps.append(
             ReductionStep(push.module, push.eta, t, est_k, push.ses_ok, preserved)
         )
-        current, current_est = push.module, est_k
+        current, current_est, current_depth = push.module, est_k, k_depth
     if current_est.value != 0:
         return None
     return ReductionSequence(m, est0, steps, min(s.degree for s in steps))
@@ -624,13 +627,15 @@ def check_depth_formula(
     and recorded, never checked.  When q >= 1 the check refuses to run on a
     non-rigorous q unless allow_nonrigorous is set.  A window below 1
     computes no Tor_i with i >= 1, so it cannot tell q = 0 from q >= 1 and
-    is refused.
+    is refused.  M is resolved once, to window + 1, for both Tor and the
+    module structure of Tor_q.
     """
     if window < 1:
         raise WindowError(f"the depth formula needs a window >= 1, got {window}")
     if m.is_zero() or n.is_zero():
         raise SyzkitError("depth formula needs nonzero modules")
-    profile = tor(m, n, window, margin)
+    res = resolve(m, window + 1, margin)
+    profile = tor(m, n, window, margin, res=res)
     q = profile.q
     if q >= 1 and not profile.rigorous and not allow_nonrigorous:
         raise SyzkitError(
@@ -640,7 +645,7 @@ def check_depth_formula(
     dm = depth(m, margin).depth
     dn = depth(n, margin).depth
     da = depth_of_ring(m.ring, margin).depth
-    tq = tor_as_module(m, n, q, margin=margin)
+    tq = tor_as_module(m, n, q, margin=margin, res=res)
     dtq = depth(tq, margin).depth
     lhs = dm + dn
     rhs = da + dtq - q

@@ -246,11 +246,6 @@ def residue_field(ring):
     return module_from_presentation(ring, (0,), cols)
 
 
-def quotient_by_elements(ring, polys):
-    """R / (f_1, ..., f_r) for homogeneous f_i."""
-    return module_from_presentation(ring, (0,), [[f] for f in polys])
-
-
 def ambient_ring(r):
     """The quotient's polynomial ring viewed as a trivial quotient (cached)."""
     if getattr(r, "_ambient", None) is None:

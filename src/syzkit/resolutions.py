@@ -26,15 +26,21 @@ Completeness of a kernel is certified, not assumed:
   R, so everything is visible if that bound is <= D;
 * otherwise new generators appearing within `margin` of the bound raise
   DegreeBoundError instead of silently truncating Betti numbers.
+
+A periodic tail is certified, not guessed: `detect_resolution_periodicity`
+hands the resolution to `chainsolve.certify_periodicity` with the onset
+free, and `complexity_of_module` reports `exact-periodic` only with that
+certificate.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import freemod
+from .chainsolve import certify_periodicity
 from .complexes import resolution_complex
 from .errors import DegreeBoundError, SyzkitError, WindowError
 from .linalg import _null_space, extend_basis, identity, matmul, matvec, zeros
@@ -249,45 +255,23 @@ def estimate_complexity(betti, periodicity_hint=None, window=None):
     return ComplexityEstimate(math.inf, "estimated", window)
 
 
-@dataclass
-class PeriodicityInfo:
-    period: int
-    onset: int
-    twist: int
-    maps: list = field(default_factory=list, repr=False)
-
-
-def detect_resolution_periodicity(res, max_period=None):
-    """Least q >= 1 with a twisted isomorphism of the resolution tail onto
-    itself compatible with the differentials; None if none within window."""
-    from .chainsolve import find_tail_isomorphism
-
+def detect_resolution_periodicity(res):
+    """Least period q >= 1, and least onset for it, with a twisted chain
+    isomorphism of the resolution tail [onset+q, window] onto itself; a
+    PeriodicityCertificate, or None if none within the window."""
     if res.terminated_at is not None:
         return None
-    w = res.window
-    if max_period is None:
-        max_period = w // 2
-    for q in range(1, max_period + 1):
-        for onset in range(0, w - 2 * q + 1):
-            info = find_tail_isomorphism(res.ring, res.gens, res.diffs, q, onset, w)
-            if info is not None:
-                return PeriodicityInfo(q, onset, info[0], info[1])
-    return None
+    return certify_periodicity(resolution_complex(res), True)
 
 
 def complexity_of_module(module, window=10, margin=DEFAULT_MARGIN, res=None):
     """Resolve and estimate complexity; returns (estimate, resolution)."""
     if res is None or res.window < window:
         res = resolve(module, window, margin)
-    betti = res.betti()
-    period = None
-    if res.terminated_at is None:
-        counts = betti[window // 2:]
-        if max(counts) <= 4 * max(1, min(counts)):
-            info = detect_resolution_periodicity(res)
-            if info is not None:
-                period = info.period
-    est = estimate_complexity(betti, periodicity_hint=period, window=window)
+    cert = detect_resolution_periodicity(res)
+    est = estimate_complexity(
+        res.betti(), periodicity_hint=cert.period if cert else None, window=window
+    )
     return est, res
 
 

@@ -216,6 +216,30 @@ def test_readme_examples_match_goldens_byte_for_byte(tmp_path, monkeypatch, caps
         assert capsys.readouterr().out == want, example
 
 
+def test_reduce_example_computes_each_depth_once(monkeypatch, capsys):
+    # M and the first pushout are resolved for their complexity estimate
+    # and again for the class degree, the second pushout for its estimate;
+    # each of the three lifts once for its depth, which the next step reuses
+    import syzkit.homological as homological
+    import syzkit.resolutions as resolutions
+
+    with open(os.path.join(ROOT, "bench", "goldens", "cli-mix.json"), encoding="utf-8") as fh:
+        want = json.load(fh)["readme-2"]
+    calls = []
+    real = resolutions.resolve
+
+    def counted(module, n_max, *args, **kwargs):
+        calls.append(n_max)
+        return real(module, n_max, *args, **kwargs)
+
+    monkeypatch.setattr(resolutions, "resolve", counted)
+    monkeypatch.setattr(homological, "resolve", counted)
+    monkeypatch.chdir(ROOT)
+    assert cli.main(README_EXAMPLES[2].split() + ["--machine"]) == 0
+    assert capsys.readouterr().out == want
+    assert len(calls) == 8
+
+
 def test_construct_memory_peak(monkeypatch, capsys):
     # the README period1_x (x) period4 construction; its peak was about
     # 1.1 MB, and dense induced matrices kept for reuse tripled it

@@ -347,3 +347,33 @@ def test_ext_dimensions_match_betti_over_ci():
     res = _resolve(k, 4)
     for t in range(4):
         assert len(ext_basis(k, k, t, res=res)) == res.betti()[t]
+
+
+def _count_resolves(monkeypatch):
+    import syzkit.homological as homological
+    import syzkit.resolutions as resolutions
+
+    calls = []
+    real = resolutions.resolve
+
+    def counted(module, n_max, *args, **kwargs):
+        calls.append(n_max)
+        return real(module, n_max, *args, **kwargs)
+
+    monkeypatch.setattr(resolutions, "resolve", counted)
+    monkeypatch.setattr(homological, "resolve", counted)
+    return calls
+
+
+def test_depth_formula_resolves_m_once_for_tor_and_tor_q(monkeypatch):
+    r = xy_ring()
+    m = module_from_strings(r, [0], [["x + y"]])
+    calls = _count_resolves(monkeypatch)
+    report = check_depth_formula(m, residue_field(r), window=4)
+    # M to window + 1, then the ambient lifts of M, N, R and Tor_1
+    assert calls == [5, 3, 3, 3, 3]
+    assert report.lines() == [
+        ("depth_m", 0), ("depth_n", 0), ("depth_ring", 1), ("q", 1),
+        ("rigor", "finite-pd"), ("depth_tor_q", 0), ("lhs", 0), ("rhs", 0),
+        ("verdict", "true"), ("windows", "homological=4,internal=12"),
+    ]

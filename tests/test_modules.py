@@ -6,7 +6,6 @@ from syzkit.modules import (
     free_module,
     lift_presentation,
     module_from_strings,
-    quotient_by_elements,
     residue_field,
     tensor_presentation,
     verify_ses,

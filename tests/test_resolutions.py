@@ -417,3 +417,103 @@ def test_compose_matches_per_column_apply(p):
         col = [int(v) for v in inner.columns[b]]
         want = [sum(x * y for x, y in zip(row, col)) % p for row in mat]
         assert got.columns[b].tolist() == want
+
+
+# -- the periodicity certificate of a resolution tail ---------------------------
+
+# (char, variables, relations, linear forms of M = R/(forms); none means k).
+# Their (period, onset) pairs include onsets 1 and 2, and R/(x) over k[x,y]/(xy)
+# has period 2 with shift 1 ruled out on its shortest tail.
+PERIODIC_CASES = [
+    (3, ["x", "y"], ["x*y"], []),
+    (3, ["x", "y"], ["x*y"], ["x"]),
+    (2, ["x"], ["x^2"], []),
+    (5, ["x", "y"], ["3*x^2 + 2*x*y"], ["2*x + 3*y"]),
+    (32003, ["x", "y", "z"], ["x*y"], []),
+    (32003, ["x", "y", "z"], ["17162*x*y + 26637*y^2", "29256*x^2 + 1371*y*z + 11819*z^2"],
+     ["20570*y + 17414*z", "108*y + 2297*z"]),
+    (2, ["x", "y", "z"], ["y^2 + z^2", "y^2 + y*z"], []),
+    (2, ["x", "y"], ["x^2", "y^2"], []),
+]
+
+
+def _periodic_case_resolution(case, window=8):
+    p, names, rels, forms = case
+    r = ring_from_strings(p, names, rels, degree_bound=12)
+    m = module_from_strings(r, [0], [[f] for f in forms]) if forms else residue_field(r)
+    return resolve(m, window)
+
+
+def _reference_periodicity(res):
+    """The onset loop: least period, then least onset, whose tail carries a
+    solution that is a degreewise isomorphism on every tail term."""
+    from syzkit.chainsolve import candidate_solutions, consistent_twist, solve_chain_self_maps
+    from syzkit.complexes import resolution_complex
+
+    cx = resolution_complex(res)
+    w = res.window
+    for q in range(1, w // 2 + 1):
+        for onset in range(w - 2 * q + 1):
+            tau = consistent_twist(cx, q, onset + q)
+            if tau is None:
+                continue
+            layout, basis = solve_chain_self_maps(cx, q, tau, onset + q)
+            for x in candidate_solutions(basis, res.ring.char):
+                phi = layout.chain_map(x)
+                if all(phi.component(j).degreewise_isomorphism() for j in range(onset + q, w + 1)):
+                    return q, onset, tau
+    return None
+
+
+def test_certificate_matches_the_reference_onset_loop():
+    found = []
+    for case in PERIODIC_CASES:
+        res = _periodic_case_resolution(case)
+        cert = detect_resolution_periodicity(res)
+        got = None if cert is None else (cert.period, cert.onset, cert.twist)
+        assert got == _reference_periodicity(res), case
+        found.append(got)
+    assert found[:6] == [(1, 1, -1), (2, 0, -2), (1, 0, -1), (2, 0, -2), (1, 2, -1), (2, 1, -2)]
+    assert found[6] is None
+
+
+def test_certificate_witness_passes_the_tail_check_and_an_altered_one_fails():
+    from syzkit.complexes import ChainMap
+
+    res = _periodic_case_resolution(PERIODIC_CASES[0])  # k over k[x,y]/(xy), p = 3
+    cert = detect_resolution_periodicity(res)
+    assert res.betti() == [1] + [2] * 8
+    lo = cert.onset + cert.period
+    w = cert.witness
+    assert (w.shift, w.twist, cert.window) == (cert.period, cert.twist, res.window)
+    assert w.iso_range_ok(lo) and w.verify(lo)
+    # the tail starts at onset 1: the zero component below it breaks the
+    # chain condition at the tail's first term, which the tail check skips
+    assert not w.verify()
+    comps = list(w.components)
+    comps[lo + 1] = comps[lo + 1].scale(2)
+    altered = ChainMap(w.source, w.target, w.shift, w.twist, comps)
+    assert altered.iso_range_ok(lo)
+    assert not altered.verify(lo)
+
+
+def test_certificate_records_shift_one_rigorously_infeasible(monkeypatch):
+    import syzkit.chainsolve as chainsolve
+
+    tails = []
+    real = chainsolve.find_tail_isomorphism
+
+    def counted(cx, q, onset, *args, **kwargs):
+        tails.append((q, onset))
+        return real(cx, q, onset, *args, **kwargs)
+
+    monkeypatch.setattr(chainsolve, "find_tail_isomorphism", counted)
+    res = _periodic_case_resolution(PERIODIC_CASES[1])  # R/(x) over k[x,y]/(xy)
+    cert = detect_resolution_periodicity(res)
+    assert (cert.period, cert.onset) == (2, 0)
+    # x and y alternate in the differentials, so a shift-1 map c_{j-1} x = -c_j y
+    # forces every scalar c_j to zero
+    assert cert.below == {1: ("only-zero-map", True)}
+    # that rules out every onset of shift 1 at its shortest tail; shift 2
+    # passes there and is then found at onset 0
+    assert tails == [(1, 6), (2, 4), (2, 0)]
