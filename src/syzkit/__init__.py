@@ -66,7 +66,6 @@ from .complexes import (
     identity_chain_map,
     induced_chain_map,
     minimize_complex,
-    resolution_complex,
     tensor_many,
     tensor_pair,
 )

@@ -1,5 +1,6 @@
 """Bounded-below complexes of graded free modules and the periodic-factor
-tensor/cone constructions.
+tensor/cone constructions.  A minimal free resolution
+(`resolutions.FreeResolution`) is a `FreeComplex` with an augmentation.
 
 Sign conventions, fixed once and asserted by the verification checks:
 
@@ -167,10 +168,6 @@ class FreeComplex:
         return FreeComplex(self.ring, gens, diffs, labels if self.labels is not None else None)
 
 
-def resolution_complex(res):
-    return FreeComplex(res.ring, res.gens, res.diffs)
-
-
 # -- chain maps ---------------------------------------------------------------
 
 
@@ -305,13 +302,13 @@ class _Embedding:
         return matmul(self.matrix(e), np.asarray(vec).reshape(-1, 1), self.product.char)[:, 0]
 
 
-def tensor_pair(f, g, product_ring=None):
+def tensor_pair(f, g):
     """Tensor product of two complexes over the tensor product of their rings."""
     from .rings import algebra_tensor
 
     if f.ring.char != g.ring.char:
         raise SyzkitError("characteristic mismatch in tensor product")
-    a = product_ring if product_ring is not None else algebra_tensor(f.ring, g.ring)
+    a = algebra_tensor(f.ring, g.ring)
     emb_f, emb_g = _Embedding(f.ring, a), _Embedding(g.ring, a)
     w = min(f.window, g.window)
     gens, labels = [], []
@@ -364,15 +361,12 @@ def tensor_pair(f, g, product_ring=None):
             cols.append(vec)
         diffs.append(freemod.FreeMap(a, gens[j], gens[j - 1], cols))
     out = FreeComplex(a, gens, diffs, labels)
-    out._tensor_pos = pos
-    out._tensor_factors = (f, g)
-    out._tensor_embeds = (emb_f, emb_g)
     if not out.verify():
         raise SyzkitError("tensor complex differential does not square to zero")
     return out
 
 
-def tensor_many(factors, product_ring=None):
+def tensor_many(factors):
     """Left-fold tensor product; labels keep per-factor (degree, index) pairs."""
     if not factors:
         raise SyzkitError("tensor product needs at least one factor")
@@ -388,17 +382,15 @@ def tensor_many(factors, product_ring=None):
         ]
         return out
     current = tensor_many(factors[:-1])
-    pair = tensor_pair(current, factors[-1],
-                       product_ring if len(factors) == len(getattr(current, "_flat_factors", [])) + 1 and product_ring is not None else None)
+    pair = tensor_pair(current, factors[-1])
     flat_labels = []
     for j in range(pair.window + 1):
         row = []
         for (aa, ui, bb, vi) in pair.labels[j]:
-            left_label = current.labels[aa][ui] if current.labels else ((aa, ui),)
-            row.append(left_label + ((bb, vi),))
+            row.append(current.labels[aa][ui] + ((bb, vi),))
         flat_labels.append(row)
     pair.labels = flat_labels
-    pair._flat_factors = getattr(current, "_flat_factors", [current]) + [factors[-1]]
+    pair._flat_factors = current._flat_factors + [factors[-1]]
     pair._label_pos = [
         {lab: i for i, lab in enumerate(flat_labels[j])} for j in range(pair.window + 1)
     ]

@@ -8,6 +8,11 @@ resolution's periodicity certificate (`detect_resolution_periodicity`):
 from onset + period on, the tensored complex repeats, so one vanishing
 period forces all later ones.  Internal degrees are exact up to the ring's
 degree bound; reports carry that bound.
+
+The resolution is read only through `gen_degrees`, `diff` and `window`, and
+Tor_i and Ext^i refuse one that does not know F_{i+1}.  Ext cocycles and
+coboundaries and the pushout's cocycle check share one precomposition
+matrix, `_hom_matrix`.
 """
 
 import math
@@ -68,15 +73,15 @@ class TorProfile:
         return sum(self.dims[i].values())
 
 
-def _tensor_component_dims(ring, gens, n_mod, d):
+def _tensor_component_dims(gens, n_mod, d):
     return [n_mod.dim(d - g) for g in gens]
 
 
 def _tensor_matrix(ring, dmap, n_mod, d):
     """Induced map (F_i tensor N)_d -> (F_{i-1} tensor N)_d from a differential."""
     src_gens, tgt_gens = dmap.source_degrees, dmap.target_degrees
-    sdims = _tensor_component_dims(ring, src_gens, n_mod, d)
-    tdims = _tensor_component_dims(ring, tgt_gens, n_mod, d)
+    sdims = _tensor_component_dims(src_gens, n_mod, d)
+    tdims = _tensor_component_dims(tgt_gens, n_mod, d)
     soffs = np.cumsum([0] + sdims)
     toffs = np.cumsum([0] + tdims)
     out = zeros(int(toffs[-1]), int(soffs[-1]), ring.char)
@@ -98,10 +103,10 @@ def _tensor_matrix(ring, dmap, n_mod, d):
 
 def _tensor_differential(ring, res, n_mod, i, d):
     """(F_i tensor N)_d -> (F_{i-1} tensor N)_d; no rows when i <= 0 or F_i = 0."""
-    gens = res.gens[i] if 0 <= i < len(res.gens) else ()
+    gens = res.gen_degrees(i)
     if i <= 0 or not gens:
-        return zeros(0, sum(_tensor_component_dims(ring, gens, n_mod, d)), ring.char)
-    return _tensor_matrix(ring, res.diffs[i], n_mod, d)
+        return zeros(0, sum(_tensor_component_dims(gens, n_mod, d)), ring.char)
+    return _tensor_matrix(ring, res.diff(i), n_mod, d)
 
 
 def tor(m, n, window, margin=DEFAULT_MARGIN, res=None):
@@ -113,8 +118,7 @@ def tor(m, n, window, margin=DEFAULT_MARGIN, res=None):
     ring = m.ring
     if res is None:
         res = resolve(m, window + 1, margin)
-    if res.window < window + 1:
-        raise WindowError("resolution window too small for the requested Tor range")
+    res.require(window + 1, f"Tor up to degree {window}")
     bound = ring.degree_bound
     dims = []
     ranks = {}
@@ -126,11 +130,11 @@ def tor(m, n, window, margin=DEFAULT_MARGIN, res=None):
 
     n_lo = n.min_degree()
     for i in range(window + 1):
-        gens_i = res.gens[i] if i < len(res.gens) else ()
+        gens_i = res.gen_degrees(i)
         by_degree = {}
         lo = min(gens_i) + n_lo if gens_i else 0
         for d in range(min(0, lo), bound + 1):
-            sdim = sum(_tensor_component_dims(ring, gens_i, n, d))
+            sdim = sum(_tensor_component_dims(gens_i, n, d))
             if sdim == 0:
                 continue
             h = sdim - rank_at(i, d) - rank_at(i + 1, d)
@@ -171,8 +175,7 @@ class _HomologySpaces:
         """(Z basis in tensor coords, H basis indices, H projection in Z coords)."""
         if d not in self._data:
             p = self.ring.char
-            gens = self.res.gens[self.i] if self.i < len(self.res.gens) else ()
-            sdim = sum(_tensor_component_dims(self.ring, gens, self.n, d))
+            sdim = sum(_tensor_component_dims(self.res.gen_degrees(self.i), self.n, d))
             if sdim == 0:
                 self._data[d] = (zeros(0, 0, p), [], zeros(0, 0, p))
             else:
@@ -193,9 +196,9 @@ class _HomologySpaces:
         return len(self.space(d)[1])
 
     def tensor_action(self, e, j, a):
-        gens = self.res.gens[self.i] if self.i < len(self.res.gens) else ()
-        sdims = _tensor_component_dims(self.ring, gens, self.n, a)
-        tdims = _tensor_component_dims(self.ring, gens, self.n, a + e)
+        gens = self.res.gen_degrees(self.i)
+        sdims = _tensor_component_dims(gens, self.n, a)
+        tdims = _tensor_component_dims(gens, self.n, a + e)
         soffs = np.cumsum([0] + sdims)
         toffs = np.cumsum([0] + tdims)
         out = zeros(int(toffs[-1]), int(soffs[-1]), self.ring.char)
@@ -220,7 +223,7 @@ class _HomologySpaces:
         return matmul(proj_t, in_z, p)
 
 
-def tor_as_module(m, n, i, window=None, margin=DEFAULT_MARGIN, res=None):
+def tor_as_module(m, n, i, margin=DEFAULT_MARGIN, res=None):
     """Tor_i(M, N) with its module structure.
 
     i = 0 returns the presented tensor product; i >= 1 reconstructs a
@@ -232,9 +235,10 @@ def tor_as_module(m, n, i, window=None, margin=DEFAULT_MARGIN, res=None):
     ring = m.ring
     if res is None:
         res = resolve(m, i + 1, margin)
+    res.require(i + 1, f"Tor_{i} as a module")
     spaces = _HomologySpaces(ring, res, n, i)
     bound = ring.degree_bound
-    gens_i = res.gens[i] if i < len(res.gens) else ()
+    gens_i = res.gen_degrees(i)
     lo = min(0, (min(gens_i) if gens_i else 0) + n.min_degree())
     mingens = minimal_generators_in(spaces, lo, bound)
     if not mingens:
@@ -270,7 +274,34 @@ def _hom_space_dims(n_mod, gen_degrees, w):
     return [n_mod.dim(g + w) for g in gen_degrees]
 
 
-def ext_basis(m, n, t, window=None, margin=DEFAULT_MARGIN, res=None, max_internal=None):
+def _hom_matrix(dmap, n_mod, w):
+    """Precomposition with dmap : F' -> F, as the matrix of
+    Hom(F, N)_w -> Hom(F', N)_w.
+
+    A map is given by its values on generators, block by generator; the
+    (source generator b, target generator c) block is multiplication by the
+    (c, b) entry of dmap.
+    """
+    ring = n_mod.ring
+    src, tgt = dmap.source_degrees, dmap.target_degrees
+    roffs = np.cumsum([0] + _hom_space_dims(n_mod, src, w))
+    coffs = np.cumsum([0] + _hom_space_dims(n_mod, tgt, w))
+    out = zeros(int(roffs[-1]), int(coffs[-1]), ring.char)
+    for b, g in enumerate(src):
+        if roffs[b] == roffs[b + 1]:
+            continue
+        col = dmap.columns[b]
+        offs = freemod.component_offsets(ring, tgt, g)
+        for c, h in enumerate(tgt):
+            piece = col[offs[c]:offs[c + 1]]
+            if coffs[c] == coffs[c + 1] or not piece.any():
+                continue
+            block = n_mod.action_by_ring_vector(piece, g - h, h + w)
+            out[roffs[b]:roffs[b + 1], coffs[c]:coffs[c + 1]] = block
+    return out
+
+
+def ext_basis(m, n, t, margin=DEFAULT_MARGIN, res=None):
     """Deterministic k-basis of Ext^t(M, N) by internal degree.
 
     Representative cocycles in Hom(F_t, N), modulo precompositions with the
@@ -282,79 +313,28 @@ def ext_basis(m, n, t, window=None, margin=DEFAULT_MARGIN, res=None, max_interna
     ring = m.ring
     if res is None:
         res = resolve(m, t + 1, margin)
-    if t >= len(res.gens):
-        raise WindowError("resolution window too small for Ext degree")
-    gens_t = res.gens[t]
+    res.require(t + 1, f"Ext^{t}")
+    gens_t = res.gen_degrees(t)
     if not gens_t:
         return []
-    gens_up = res.gens[t + 1] if t + 1 < len(res.gens) else ()
-    gens_dn = res.gens[t - 1] if t >= 1 else ()
-    relevant = list(gens_t) + list(gens_up) + list(gens_dn)
-    lo = -max(relevant)
-    hi = ring.degree_bound - max(relevant)
-    if max_internal is not None:
-        hi = min(hi, max_internal)
+    top = max(gens_t + res.gen_degrees(t + 1) + res.gen_degrees(t - 1))
     out = []
     p = ring.char
-    for w in range(lo, hi + 1):
+    for w in range(-top, ring.degree_bound - top + 1):
         dims = _hom_space_dims(n, gens_t, w)
         total = sum(dims)
         if total == 0:
             continue
-        offs = np.cumsum([0] + dims)
         # cocycle condition: precomposition with d_{t+1} vanishes
-        if gens_up:
-            dmap = res.diffs[t + 1]
-            rows = []
-            for b2, g2 in enumerate(gens_up):
-                nrows = n.dim(g2 + w)
-                if nrows == 0:
-                    continue
-                block = zeros(nrows, total, p)
-                col = dmap.columns[b2]
-                coffs = freemod.component_offsets(ring, gens_t, g2)
-                for c, g in enumerate(gens_t):
-                    piece = col[coffs[c]:coffs[c + 1]]
-                    if dims[c] == 0 or not piece.any():
-                        continue
-                    act = n.action_by_ring_vector(piece, g2 - g, g + w)
-                    block[:, offs[c]:offs[c + 1]] += act
-                rows.append(block % p)
-            if rows:
-                cocycles = kernel_basis(np.concatenate(rows, axis=0), p)
-            else:
-                cocycles = identity(total, p)
-        else:
-            cocycles = identity(total, p)
+        cocycles = identity(total, p)
+        if res.gen_degrees(t + 1):
+            cocycles = kernel_basis(_hom_matrix(res.diff(t + 1), n, w), p)
         if cocycles.shape[1] == 0:
             continue
         # coboundaries: precompositions g o d_t for g in Hom(F_{t-1}, N)_w
-        if t >= 1 and gens_dn:
-            dmap = res.diffs[t]
-            dn_dims = _hom_space_dims(n, gens_dn, w)
-            cob_cols = []
-            dn_offs = np.cumsum([0] + dn_dims)
-            for c2 in range(len(gens_dn)):
-                for v_idx in range(dn_dims[c2]):
-                    vec = zeros(total, 1, p)[:, 0]
-                    for b, g in enumerate(gens_t):
-                        if dims[b] == 0:
-                            continue
-                        col = dmap.columns[b]
-                        coffs = freemod.component_offsets(ring, gens_dn, g)
-                        piece = col[coffs[c2]:coffs[c2 + 1]]
-                        if not piece.any():
-                            continue
-                        act = n.action_by_ring_vector(
-                            piece, g - gens_dn[c2], gens_dn[c2] + w
-                        )
-                        vec[offs[b]:offs[b + 1]] += act[:, v_idx]
-                    cob_cols.append(vec % p)
-            cob = np.stack(cob_cols, axis=1) if cob_cols else zeros(total, 0, p)
-        else:
-            cob = zeros(total, 0, p)
-        chosen = extend_basis(cob, cocycles, p)
-        for idx in chosen:
+        cob = _hom_matrix(res.diff(t), n, w) if t >= 1 else zeros(total, 0, p)
+        offs = np.cumsum([0] + dims)
+        for idx in extend_basis(cob, cocycles, p):
             vec = cocycles[:, idx]
             values = [vec[offs[b]:offs[b + 1]].copy() for b in range(len(gens_t))]
             out.append(ExtClass(t, w, values, m, n, res))
@@ -398,25 +378,14 @@ def pushout_extension(eta, verify_depth=True, margin=DEFAULT_MARGIN):
         raise SyzkitError("pushout needs cohomological degree >= 1")
     res = eta.resolution
     ring = m.ring
-    # cocycle sanity when the next differential is available
-    if t + 1 < len(res.diffs) and res.gens[t + 1]:
-        dmap = res.diffs[t + 1]
-        for b2, g2 in enumerate(res.gens[t + 1]):
-            acc = zeros(m.dim(g2 + w), 1, ring.char)[:, 0]
-            col = dmap.columns[b2]
-            coffs = freemod.component_offsets(ring, res.gens[t], g2)
-            for c, g in enumerate(res.gens[t]):
-                piece = col[coffs[c]:coffs[c + 1]]
-                if piece.any() and len(eta.values[c]):
-                    acc += matmul(
-                        m.action_by_ring_vector(piece, g2 - g, g + w),
-                        eta.values[c].reshape(-1, 1), ring.char,
-                    )[:, 0]
-            if (acc % ring.char).any():
-                raise SyzkitError("cocycle check failed; malformed extension class")
+    res.require(t + 1, f"the pushout of a degree-{t} class")
+    if res.gen_degrees(t + 1):  # eta must vanish on d_{t+1}
+        d_up = _hom_matrix(res.diff(t + 1), m, w)
+        if matvec(d_up, np.concatenate(eta.values), ring.char).any():
+            raise SyzkitError("cocycle check failed; malformed extension class")
 
     m_gens = tuple(g - w for g in m.gen_degrees)
-    f_gens = tuple(res.gens[t - 1])
+    f_gens = res.gen_degrees(t - 1)
     gens = m_gens + f_gens
     nm = len(m_gens)
     rels = []
@@ -426,8 +395,8 @@ def pushout_extension(eta, verify_depth=True, margin=DEFAULT_MARGIN):
         for s in range(nm):
             pieces[s] = v[offs[s]:offs[s + 1]]
         rels.append((e - w, _combined_vector(ring, gens, pieces, e - w)))
-    dmap = res.diffs[t]
-    for b, g in enumerate(res.gens[t]):
+    dmap = res.diff(t)
+    for b, g in enumerate(res.gen_degrees(t)):
         pieces = [None] * len(gens)
         if m.dim(g + w) > 0 and eta.values[b].any():
             lift = m.lift_element(g + w, eta.values[b])

@@ -1,5 +1,11 @@
 """Minimal free resolutions, Betti numbers, complexity, and depth.
 
+A `FreeResolution` is a `complexes.FreeComplex` plus its augmentation onto
+the module (`cover`) and the step where it terminated, so d o d,
+minimality and the periodicity certificate run on the resolution itself.
+F_i is known when i is within the window or the resolution terminated;
+readers that need F_i call `require`, which raises WindowError otherwise.
+
 The engine works degree by degree, and `kernel_generators` is its one
 primitive: given the degree-d matrices of a map out of a free module, it
 computes exact kernels and picks minimal generators of the kernel as the
@@ -41,26 +47,25 @@ import numpy as np
 
 from . import freemod
 from .chainsolve import certify_periodicity
-from .complexes import resolution_complex
+from .complexes import FreeComplex, coker_module
 from .errors import DegreeBoundError, SyzkitError, WindowError
 from .linalg import _null_space, extend_basis, identity, matmul, matvec, zeros
-from .modules import GradedModule, generator_matrix, lift_presentation
+from .modules import generator_matrix, lift_presentation
 
 DEFAULT_MARGIN = 2
 
 
-class FreeResolution:
-    def __init__(self, ring, module, gens, diffs, cover, window, terminated_at):
-        self.ring = ring
+class FreeResolution(FreeComplex):
+    """A minimal free resolution of `module`, with its augmentation `cover`."""
+
+    def __init__(self, ring, module, gens, diffs, cover, terminated_at):
+        super().__init__(ring, gens, diffs)
         self.module = module
-        self.gens = gens          # gens[i]: tuple of generator degrees of F_i
-        self.diffs = diffs        # diffs[i]: FreeMap F_i -> F_{i-1}, for i >= 1
         self.cover = cover        # list of (degree, vector in M coords) for F_0
-        self.window = window
         self.terminated_at = terminated_at  # first i with F_i = 0, or None
 
     def betti(self):
-        return [len(g) for g in self.gens]
+        return self.ranks()
 
     def proj_dim(self):
         """Projective dimension when the resolution terminated, else None."""
@@ -68,18 +73,24 @@ class FreeResolution:
             return None
         return self.terminated_at - 1
 
+    def require(self, i, what):
+        """Raise WindowError unless F_i is known (within the window, or terminated)."""
+        if i > self.window and self.terminated_at is None:
+            raise WindowError(f"{what} needs the resolution out to step {i}")
+
     def is_minimal(self):
-        return resolution_complex(self).is_minimal()
+        """Its own entry point, so `bench/tracer.py` counts it under `verify`."""
+        return FreeComplex.is_minimal(self)
 
     def verify_complex(self):
         """cover o d_1 = 0 and d_i o d_{i+1} = 0, exactly."""
-        if len(self.diffs) > 1:
-            d1 = self.diffs[1]
+        d1 = self.diff(1)
+        if d1 is not None:
             for g, col in zip(d1.source_degrees, d1.columns):
                 cover_at_g = generator_matrix(self.module, self.cover, g)
                 if matvec(cover_at_g, col, self.ring.char).any():
                     return False
-        return resolution_complex(self).verify()
+        return self.verify()
 
 
 def _mult_span_rows(ring, src_degs, d, prev, rows):
@@ -155,7 +166,7 @@ def kernel_generators(ring, src_degs, matrix_at, margin):
     return gens, hi
 
 
-def resolve(module, n_max, margin=DEFAULT_MARGIN, verify=True):
+def resolve(module, n_max, margin=DEFAULT_MARGIN):
     """Minimal free resolution of a nonzero module out to step n_max."""
     if n_max < 0:
         raise WindowError("resolution window must be >= 0")
@@ -185,12 +196,11 @@ def resolve(module, n_max, margin=DEFAULT_MARGIN, verify=True):
         src_degs = degs
         matrix_at = dmap.induced
 
-    res = FreeResolution(ring, module, gens, diffs, list(cover), n_max, terminated_at)
-    if verify:
-        if not res.verify_complex():
-            raise SyzkitError("internal error: resolution differentials do not compose to zero")
-        if not res.is_minimal():
-            raise SyzkitError("internal error: resolution is not minimal")
+    res = FreeResolution(ring, module, gens, diffs, list(cover), terminated_at)
+    if not res.verify_complex():
+        raise SyzkitError("internal error: resolution differentials do not compose to zero")
+    if not res.is_minimal():
+        raise SyzkitError("internal error: resolution is not minimal")
     return res
 
 
@@ -198,15 +208,8 @@ def syzygy(res, t):
     """The t-th syzygy module presented by the resolution (t=0 gives the module)."""
     if t == 0:
         return res.module
-    if t + 1 > res.window and res.terminated_at is None:
-        raise WindowError(f"syzygy {t} needs the resolution out to step {t + 1}")
-    if t >= len(res.gens) or not res.gens[t]:
-        return GradedModule(res.ring, (), [])
-    rels = []
-    if t + 1 < len(res.diffs) and res.diffs[t + 1] is not None:
-        d = res.diffs[t + 1]
-        rels = [(g + d.twist, col.copy()) for g, col in zip(d.source_degrees, d.columns)]
-    return GradedModule(res.ring, res.gens[t], rels)
+    res.require(t + 1, f"syzygy {t}")
+    return coker_module(res, t)
 
 
 # -- complexity ---------------------------------------------------------------
@@ -261,13 +264,12 @@ def detect_resolution_periodicity(res):
     PeriodicityCertificate, or None if none within the window."""
     if res.terminated_at is not None:
         return None
-    return certify_periodicity(resolution_complex(res), True)
+    return certify_periodicity(res, True)
 
 
-def complexity_of_module(module, window=10, margin=DEFAULT_MARGIN, res=None):
+def complexity_of_module(module, window=10, margin=DEFAULT_MARGIN):
     """Resolve and estimate complexity; returns (estimate, resolution)."""
-    if res is None or res.window < window:
-        res = resolve(module, window, margin)
+    res = resolve(module, window, margin)
     cert = detect_resolution_periodicity(res)
     est = estimate_complexity(
         res.betti(), periodicity_hint=cert.period if cert else None, window=window

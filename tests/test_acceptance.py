@@ -19,7 +19,7 @@ from syzkit.construction import (
     periodic_variable_complex,
     run_construction,
 )
-from syzkit.complexes import resolution_complex, FreeComplex
+from syzkit.complexes import FreeComplex
 from syzkit.homological import check_depth_formula, reduction_search, tor
 from syzkit.modules import (
     free_module,
@@ -197,7 +197,7 @@ def test_criterion_08_periodicity_detector():
 
     hyp = ring_from_strings(3, ["x", "y"], ["x*y"], degree_bound=16)
     res = resolve(module_from_strings(hyp, [0], [["x"]]), 12)
-    cert2 = detect_complex_periodicity(resolution_complex(res))
+    cert2 = detect_complex_periodicity(res)
     assert cert2 is not None and cert2.period == 2
     kind, rigorous = cert2.below[1]
     assert rigorous

@@ -1,7 +1,9 @@
 import math
 
 import numpy as np
+import pytest
 
+from syzkit.errors import SyzkitError, WindowError
 from syzkit.homological import (
     ExtClass,
     check_depth_formula,
@@ -13,7 +15,7 @@ from syzkit.homological import (
     tor,
     tor_as_module,
 )
-from syzkit.linalg import zeros
+from syzkit.linalg import rank, zeros
 from syzkit.modules import (
     ModuleMap,
     free_module,
@@ -243,7 +245,7 @@ def test_depth_lemma_on_ideal_sequence():
     b = free_module(r)
     c = module_from_strings(r, [0], [["y"]])
     import syzkit.freemod as fm
-    from syzkit.linalg import zeros
+    from syzkit.linalg import rank, zeros
 
     inc_col = zeros(fm.component_dim(r, b.gen_degrees, 1), 1, 3)[:, 0]
     inc_col[:] = r.normal_form(r.base.parse("y"))
@@ -319,7 +321,7 @@ def test_depth_lemma_on_split_sequence():
     f = free_module(r)
     middle = module_from_strings(r, [0, 0], [["x", "0"], ["y", "0"]])
     import syzkit.freemod as fm
-    from syzkit.linalg import zeros
+    from syzkit.linalg import rank, zeros
 
     inc_col = zeros(fm.component_dim(r, middle.gen_degrees, 0), 1, 2)[:, 0]
     inc_col[0] = 1
@@ -377,3 +379,64 @@ def test_depth_formula_resolves_m_once_for_tor_and_tor_q(monkeypatch):
         ("rigor", "finite-pd"), ("depth_tor_q", 0), ("lhs", 0), ("rhs", 0),
         ("verdict", "true"), ("windows", "homological=4,internal=12"),
     ]
+
+
+def test_a_resolution_one_step_short_is_refused():
+    # R = F_5[x]/(x^2) is free and self-injective, so Tor_1(k, R) and
+    # Ext^1(k, R) vanish; a resolution out to F_1 does not know F_2 and
+    # must not read it as zero
+    r = ring_from_strings(5, ["x"], ["x^2"], degree_bound=8)
+    k, free = residue_field(r), free_module(r)
+    short = resolve(k, 1)
+    with pytest.raises(WindowError):
+        tor_as_module(k, free, 1, res=short)
+    with pytest.raises(WindowError):
+        ext_basis(k, free, 1, res=short)
+    full = resolve(k, 2)
+    assert tor_as_module(k, free, 1, res=full).is_zero()
+    assert ext_basis(k, free, 1, res=full) == []
+    # a terminated resolution knows every F_i past its window
+    ended = resolve(free, 1)
+    assert ended.terminated_at == 1
+    assert tor_as_module(free, k, 1, res=ended).is_zero()
+    assert ext_basis(free, k, 1, res=ended) == []
+
+
+def _dim_x_times_ring(r):
+    """dim_k xR, counted from the ring's multiplication tables."""
+    x = r.basis_monomials(1).index((1,) + (0,) * (len(r.vars) - 1))
+    return sum(rank(r.mult_map(1, x, a), r.char) for a in range(r.top_degree() + 1))
+
+
+@pytest.mark.parametrize("p, names", [
+    (5, ["x", "y"]), (32003, ["x", "y"]), (3, ["x", "y", "z"]),
+])
+def test_ext_into_a_self_injective_ring(p, names):
+    # an Artinian complete intersection is Gorenstein, so R is injective over
+    # itself: Ext^t(M, R) = 0 for t >= 1, and Hom(M, R) is dual to M
+    r = ring_from_strings(p, names, [f"{v}^2" for v in names], degree_bound=8)
+    free = free_module(r)
+    k = residue_field(r)
+    cyclic = module_from_strings(r, [0], [["x"]])
+    for m in (k, cyclic):
+        res = resolve(m, 4)
+        assert [len(ext_basis(m, free, t, res=res)) for t in (1, 2, 3)] == [0, 0, 0]
+    assert len(ext_basis(k, free, 0)) == 1
+    assert len(ext_basis(cyclic, free, 0)) == _dim_x_times_ring(r)
+
+
+def test_pushout_refuses_a_class_that_is_no_cocycle():
+    # over F_5[x]/(x^3), M = R/(x^2) has d_1 = x^2 and d_2 = x; the class
+    # sending the generator of F_1 to 1 in M_0 does not vanish on x * F_2
+    r = ring_from_strings(5, ["x"], ["x^3"], degree_bound=10)
+    m = module_from_strings(r, [0], [["x^2"]])
+    res = resolve(m, 3)
+    unit = zeros(m.dim(0), 1, 5)[:, 0]
+    unit[0] = 1
+    eta = ExtClass(1, -2, [unit], m, m, res)
+    with pytest.raises(SyzkitError, match="cocycle check failed"):
+        pushout_extension(eta, verify_depth=False)
+    # without F_2 the check cannot run, and the pushout is refused
+    short = ExtClass(1, -2, [unit], m, m, resolve(m, 1))
+    with pytest.raises(WindowError):
+        pushout_extension(short, verify_depth=False)

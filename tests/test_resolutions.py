@@ -448,16 +448,14 @@ def _reference_periodicity(res):
     """The onset loop: least period, then least onset, whose tail carries a
     solution that is a degreewise isomorphism on every tail term."""
     from syzkit.chainsolve import candidate_solutions, consistent_twist, solve_chain_self_maps
-    from syzkit.complexes import resolution_complex
 
-    cx = resolution_complex(res)
     w = res.window
     for q in range(1, w // 2 + 1):
         for onset in range(w - 2 * q + 1):
-            tau = consistent_twist(cx, q, onset + q)
+            tau = consistent_twist(res, q, onset + q)
             if tau is None:
                 continue
-            layout, basis = solve_chain_self_maps(cx, q, tau, onset + q)
+            layout, basis = solve_chain_self_maps(res, q, tau, onset + q)
             for x in candidate_solutions(basis, res.ring.char):
                 phi = layout.chain_map(x)
                 if all(phi.component(j).degreewise_isomorphism() for j in range(onset + q, w + 1)):
