@@ -90,24 +90,21 @@ class _Layout:
         return ChainMap.from_columns(self.cx, self.cx, self.q, self.tau, column_lists)
 
 
-def _apply_unknown_blocks(ring, mid_degs, tgt_degs, tau, vec, d, layout, j, rows, out, sign):
-    """Accumulate into `out` the contribution of phi_j applied to the fixed
-    vector `vec` (living in the degree-d component over mid_degs)."""
-    offs = freemod.component_offsets(ring, mid_degs, d)
-    p = ring.char
-    for c, h in enumerate(mid_degs):
-        piece = vec[offs[c]:offs[c + 1]]
-        if not piece.any():
-            continue
-        e = d - h
+def _apply_unknown_blocks(dmap, b, tgt_degs, tau, layout, j, out):
+    """Accumulate into `out` the contribution of phi_j applied to column b
+    of the fixed map dmap, whose target is F_j."""
+    ring, p = dmap.ring, dmap.ring.char
+    d = dmap.source_degrees[b] + dmap.twist
+    for c, piece in dmap.blocks(b):
         coff, cdim = layout.col_offset[(j, c)]
         if cdim == 0:
             continue
+        h = dmap.target_degrees[c]
         for i in np.nonzero(piece)[0]:
-            mult = freemod.free_mult_matrix(ring, tgt_degs, e, int(i), h + tau)
+            mult = freemod.free_mult_matrix(ring, tgt_degs, d - h, int(i), h + tau)
             # reduce every term: three products of size (p-1)^2 overflow int64
-            out[:rows, coff:coff + cdim] += sign * int(piece[i]) * mult % p
-            out[:rows, coff:coff + cdim] %= p
+            out[:, coff:coff + cdim] += int(piece[i]) * mult % p
+            out[:, coff:coff + cdim] %= p
 
 
 def solve_chain_self_maps(cx, q, tau, j_lo):
@@ -119,7 +116,6 @@ def solve_chain_self_maps(cx, q, tau, j_lo):
     sign = (-1) ** q
     rows_blocks = []
     for j in range(j_lo + 1, cx.window + 1):
-        mid = cx.gen_degrees(j - 1)
         tgt_low = cx.gen_degrees(j - 1 - q)
         dj = cx.diff(j)
         dlow = cx.diff(j - q)
@@ -130,11 +126,8 @@ def solve_chain_self_maps(cx, q, tau, j_lo):
                 continue
             block = zeros(nrows, layout.total, p)
             # phi_{j-1} applied to d_j(e_b)
-            if dj is not None and mid:
-                _apply_unknown_blocks(
-                    ring, mid, tgt_low, tau, dj.columns[b], g, layout, j - 1,
-                    nrows, block, 1,
-                )
+            if dj is not None:
+                _apply_unknown_blocks(dj, b, tgt_low, tau, layout, j - 1, block)
             # minus (-1)^q d_{j-q} applied to phi_j(e_b)
             off, dim = layout.col_offset[(j, b)]
             if dim and dlow is not None and dlow.source_degrees:

@@ -336,25 +336,18 @@ def tensor_pair(f, g):
             dv = g.gen_degrees(bb)[vi]
             vec = zeros(freemod.component_dim(a, gens[j - 1], total_deg), 1, p)[:, 0]
             offs = freemod.component_offsets(a, gens[j - 1], total_deg)
-            if aa >= 1 and f.diff(aa) is not None and f.diff(aa).source_degrees:
-                col = f.diff(aa).columns[ui]
-                coffs = freemod.component_offsets(f.ring, f.gen_degrees(aa - 1), du)
-                for c, hc in enumerate(f.gen_degrees(aa - 1)):
-                    piece = col[coffs[c]:coffs[c + 1]]
-                    if not piece.any():
-                        continue
+            fd = f.diff(aa) if aa >= 1 else None
+            if fd is not None:
+                for c, piece in fd.blocks(ui):
                     target = pos[j - 1][(aa - 1, c, vi)]
-                    vec[offs[target]:offs[target + 1]] = emb_f.embed(piece, du - hc)
-            if bb >= 1 and g.diff(bb) is not None and g.diff(bb).source_degrees:
+                    emb = emb_f.embed(piece, du - fd.target_degrees[c])
+                    vec[offs[target]:offs[target + 1]] = emb
+            gd = g.diff(bb) if bb >= 1 else None
+            if gd is not None:
                 sign = (-1) ** aa
-                col = g.diff(bb).columns[vi]
-                coffs = freemod.component_offsets(g.ring, g.gen_degrees(bb - 1), dv)
-                for c, hc in enumerate(g.gen_degrees(bb - 1)):
-                    piece = col[coffs[c]:coffs[c + 1]]
-                    if not piece.any():
-                        continue
+                for c, piece in gd.blocks(vi):
                     target = pos[j - 1][(aa, ui, c)]
-                    emb = emb_g.embed(piece, dv - hc)
+                    emb = emb_g.embed(piece, dv - gd.target_degrees[c])
                     vec[offs[target]:offs[target + 1]] = (
                         vec[offs[target]:offs[target + 1]] + sign * emb
                     ) % p
@@ -421,22 +414,15 @@ def induced_chain_map(product, factor_index, eta):
             tgt_gens = product.gen_degrees(j - n)
             vec = zeros(freemod.component_dim(ring, tgt_gens, total_deg + tau), 1, p)[:, 0]
             comp = eta.component(aa)
-            if comp is not None and comp.target_degrees and aa < len(fac.gens):
-                col = comp.columns[ui]
+            if comp is not None and aa < len(fac.gens):
                 du = fac.gen_degrees(aa)[ui]
                 offs = freemod.component_offsets(ring, tgt_gens, total_deg + tau)
-                coffs = freemod.component_offsets(
-                    fac.ring, fac.gen_degrees(aa - n), du + tau
-                )
-                for c, hc in enumerate(fac.gen_degrees(aa - n)):
-                    piece = col[coffs[c]:coffs[c + 1]]
-                    if not piece.any():
-                        continue
+                for c, piece in comp.blocks(ui):
                     new_lab = lab[:factor_index] + ((aa - n, c),) + lab[factor_index + 1:]
                     if j - n < 0 or new_lab not in pos[j - n]:
                         raise SyzkitError("induced map hit a missing product generator")
                     t = pos[j - n][new_lab]
-                    embedded = emb.embed(piece, du + tau - hc)
+                    embedded = emb.embed(piece, du + tau - comp.target_degrees[c])
                     vec[offs[t]:offs[t + 1]] = (sign * embedded) % p
             cols.append(vec)
         column_lists.append(cols)

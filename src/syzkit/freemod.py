@@ -6,35 +6,45 @@ block-by-generator.  A ``FreeMap`` of twist t sends the generator b to a
 homogeneous element of the target component in degree g_b + t, stored as a
 coordinate vector.  Columns determine the map; induced matrices on degree
 components are assembled from the ring's multiplication tables on demand.
+
+Most columns are zero on most target generators (the maps of the tensor
+and cone construction are sparse in blocks), so each map keeps a block
+index: per column, the target generators on which it is nonzero, with the
+offsets of their pieces.  It is built once, on first use, with one
+vectorised pass over the columns of each source degree, and `induced`,
+`blocks` and their callers read only the nonzero pieces from it.  The
+columns are read-only, so the index cannot go stale.
 """
 
 import numpy as np
 
-from .linalg import matmul, zeros
-
-
-def component_dims(ring, gen_degrees, d):
-    return [ring.dim(d - g) for g in gen_degrees]
-
-
-def component_dim(ring, gen_degrees, d):
-    return sum(component_dims(ring, gen_degrees, d))
+from .errors import HomogeneityError, SyzkitError
+from .linalg import matmul, rank, zeros
+from .polynomials import poly_degree
 
 
 def component_offsets(ring, gen_degrees, d):
-    offs = [0]
-    for g in gen_degrees:
-        offs.append(offs[-1] + ring.dim(d - g))
+    """Start of each generator's block in the degree-d component, then the
+    component's dimension; memoised in the ring."""
+    key = (tuple(gen_degrees), d)
+    offs = ring.offsets_memo.get(key)
+    if offs is None:
+        offs = [0]
+        for g in key[0]:
+            offs.append(offs[-1] + ring.dim(d - g))
+        offs = ring.offsets_memo[key] = tuple(offs)
     return offs
+
+
+def component_dim(ring, gen_degrees, d):
+    return component_offsets(ring, gen_degrees, d)[-1]
 
 
 def free_mult_matrix(ring, gen_degrees, e, j, d):
     """Multiplication by the j-th basis monomial of R_e on the degree-d component."""
-    src = component_dim(ring, gen_degrees, d)
-    tgt = component_dim(ring, gen_degrees, d + e)
-    out = zeros(tgt, src, ring.char)
     so = component_offsets(ring, gen_degrees, d)
     to = component_offsets(ring, gen_degrees, d + e)
+    out = zeros(to[-1], so[-1], ring.char)
     for b, g in enumerate(gen_degrees):
         block = ring.mult_map(e, j, d - g)
         if block.size:
@@ -50,18 +60,19 @@ class FreeMap:
         self.source_degrees = tuple(source_degrees)
         self.target_degrees = tuple(target_degrees)
         self.twist = twist
-        self.columns = columns  # columns[b]: vector over target component at g_b + twist
+        # columns[b]: read-only vector over the target component at g_b + twist
+        self.columns = list(columns)
+        self._blocks = None
         want_by_degree = {}
         for b, g in enumerate(self.source_degrees):
-            d = g + twist
-            want = want_by_degree.get(d)
-            if want is None:
-                want = component_dim(ring, self.target_degrees, d)
-                want_by_degree[d] = want
+            if g not in want_by_degree:
+                want_by_degree[g] = component_dim(ring, self.target_degrees, g + twist)
+            want = want_by_degree[g]
             if columns[b].shape[0] != want:
                 raise ValueError(
                     f"column {b} has length {columns[b].shape[0]}, expected {want}"
                 )
+            columns[b].flags.writeable = False
 
     @classmethod
     def zero(cls, ring, source_degrees, target_degrees, twist=0):
@@ -76,8 +87,8 @@ class FreeMap:
         cols = []
         degs = tuple(gen_degrees)
         for b, g in enumerate(degs):
-            v = zeros(component_dim(ring, degs, g), 1, ring.char)[:, 0]
             offs = component_offsets(ring, degs, g)
+            v = zeros(offs[-1], 1, ring.char)[:, 0]
             # the unit of R_0 sits at the first coordinate of block b
             v[offs[b]] = 1
             cols.append(v)
@@ -86,15 +97,12 @@ class FreeMap:
     @classmethod
     def from_poly_matrix(cls, ring, target_degrees, source_degrees, entries, twist=0):
         """Build from a matrix of polynomial dicts (rows: target gens)."""
-        from .errors import HomogeneityError
-        from .polynomials import poly_degree
-
         tdegs, sdegs = tuple(target_degrees), tuple(source_degrees)
         cols = []
         for b, g in enumerate(sdegs):
             d = g + twist
-            vec = zeros(component_dim(ring, tdegs, d), 1, ring.char)[:, 0]
             offs = component_offsets(ring, tdegs, d)
+            vec = zeros(offs[-1], 1, ring.char)[:, 0]
             for c, h in enumerate(tdegs):
                 f = entries[c][b]
                 if not f:
@@ -104,8 +112,7 @@ class FreeMap:
                     raise HomogeneityError(
                         f"entry ({c},{b}) has degree {fd}, expected {d - h}"
                     )
-                block = ring.normal_form(f, degree=fd)
-                vec[offs[c]:offs[c + 1]] = block
+                vec[offs[c]:offs[c + 1]] = ring.normal_form(f, degree=fd)
             cols.append(vec)
         return cls(ring, sdegs, tdegs, cols, twist)
 
@@ -122,6 +129,39 @@ class FreeMap:
             out.append(row)
         return out
 
+    def _block_index(self):
+        """(groups, per_column).  groups maps each source degree g to its
+        generators and, per target degree h, the (b, c, lo, hi) with
+        columns[b][lo:hi] the nonzero piece of column b on target generator
+        c; per_column[b] lists column b's (c, lo, hi).  One pass over the
+        stacked columns of each source degree finds all its nonzero blocks."""
+        if self._blocks is None:
+            groups, per_column = {}, [[] for _ in self.source_degrees]
+            for b, g in enumerate(self.source_degrees):
+                groups.setdefault(g, ([], {}))[0].append(b)
+            for g, (bs, by_target_degree) in groups.items():
+                offs = component_offsets(self.ring, self.target_degrees, g + self.twist)
+                starts = np.array(offs[:-1])
+                cs = np.flatnonzero(starts < offs[1:])  # blocks of positive length
+                if not cs.size:
+                    continue
+                nonzero = np.stack([self.columns[b] for b in bs]) != 0
+                hit = np.logical_or.reduceat(nonzero, starts[cs], axis=1)
+                for k, i in zip(*np.nonzero(hit)):
+                    b, c = bs[k], int(cs[i])
+                    per_column[b].append((c, offs[c], offs[c + 1]))
+                    by_target_degree.setdefault(self.target_degrees[c], []).append(
+                        (b, c, offs[c], offs[c + 1])
+                    )
+            self._blocks = groups, per_column
+        return self._blocks
+
+    def blocks(self, b):
+        """(c, piece) for each target generator c on which column b is
+        nonzero, in order of c; piece is the column's block on c."""
+        col = self.columns[b]
+        return [(c, col[lo:hi]) for c, lo, hi in self._block_index()[1][b]]
+
     def induced(self, d):
         """Numeric matrix of the degree-d component map.
 
@@ -132,37 +172,29 @@ class FreeMap:
         pieces gives all their entries.
         """
         ring, p, tw = self.ring, self.ring.char, self.twist
-        src, tgt = self.source_degrees, self.target_degrees
-        mat = zeros(component_dim(ring, tgt, d + tw), component_dim(ring, src, d), p)
-        soffs = component_offsets(ring, src, d)
-        toffs = component_offsets(ring, tgt, d + tw)
-        by_source_degree, by_target_degree = {}, {}
-        for b, g in enumerate(src):
-            by_source_degree.setdefault(g, []).append(b)
-        for c, h in enumerate(tgt):
-            by_target_degree.setdefault(h, []).append(c)
-        for g, bs in by_source_degree.items():
+        soffs = component_offsets(ring, self.source_degrees, d)
+        toffs = component_offsets(ring, self.target_degrees, d + tw)
+        mat = zeros(toffs[-1], soffs[-1], p)
+        if not mat.shape[0]:
+            return mat
+        for g, (bs, by_target_degree) in self._block_index()[0].items():
             e = d - g
-            de = ring.dim(e)
-            if de == 0 or not mat.shape[0]:
+            de = soffs[bs[0] + 1] - soffs[bs[0]]
+            if de == 0:
                 continue
             if e == 0:
                 for b in bs:
                     mat[:, soffs[b]] = self.columns[b]
                 continue
-            coffs = component_offsets(ring, tgt, g + tw)
-            for h, cs in by_target_degree.items():
-                a = g + tw - h
-                rows = ring.dim(a + e)
-                pairs = [(b, c) for b in bs for c in cs
-                         if self.columns[b][coffs[c]:coffs[c + 1]].any()]
-                if not rows or not pairs:
+            for h, pairs in by_target_degree.items():
+                c0 = pairs[0][1]
+                rows = toffs[c0 + 1] - toffs[c0]
+                if not rows:
                     continue
-                pieces = np.stack([self.columns[b][coffs[c]:coffs[c + 1]] for b, c in pairs],
-                                  axis=1)
-                mults = np.concatenate([ring.mult_map(e, j, a) for j in range(de)])
+                pieces = np.stack([self.columns[b][lo:hi] for b, _, lo, hi in pairs], axis=1)
+                mults = np.concatenate([ring.mult_map(e, j, g + tw - h) for j in range(de)])
                 prod = matmul(mults, pieces, p).reshape(de, rows, len(pairs))
-                for k, (b, c) in enumerate(pairs):
+                for k, (b, c, _, _) in enumerate(pairs):
                     mat[toffs[c]:toffs[c + 1], soffs[b]:soffs[b] + de] = prod[:, :, k].T
         return mat
 
@@ -175,7 +207,11 @@ class FreeMap:
         other's columns of one degree d all go through self's degree-d
         matrix, so each degree takes one induced matrix and one product.
         """
-        assert self.source_degrees == other.target_degrees
+        if self.source_degrees != other.target_degrees:
+            raise SyzkitError(
+                f"cannot compose: source {self.source_degrees} is not the target "
+                f"{other.target_degrees}"
+            )
         by_degree = {}
         for b, g in enumerate(other.source_degrees):
             by_degree.setdefault(g + other.twist, []).append(b)
@@ -209,23 +245,11 @@ class FreeMap:
     def scalar_block(self):
         """Constant parts: matrix over (target gen, source gen) pairs of equal
         twisted degree.  Entries elsewhere are forced to higher degree."""
-        p = self.ring.char
-        rows, cols = len(self.target_degrees), len(self.source_degrees)
-        out = zeros(rows, cols, p)
-        if self.ring.dim(0) == 0:
-            return out
-        offs_by_degree = {}
-        matches_by_degree = {}
+        out = zeros(len(self.target_degrees), len(self.source_degrees), self.ring.char)
         for b, g in enumerate(self.source_degrees):
-            d = g + self.twist
-            if d not in offs_by_degree:
-                offs_by_degree[d] = component_offsets(self.ring, self.target_degrees, d)
-                matches_by_degree[d] = [
-                    c for c, h in enumerate(self.target_degrees) if h == d
-                ]
-            offs = offs_by_degree[d]
-            for c in matches_by_degree[d]:
-                out[c, b] = self.columns[b][offs[c]]
+            for c, piece in self.blocks(b):
+                if self.target_degrees[c] == g + self.twist:
+                    out[c, b] = piece[0]
         return out
 
     def has_positive_degree_entries_only(self):
@@ -235,14 +259,10 @@ class FreeMap:
         """Exact surjectivity test via graded Nakayama: a map of finitely
         generated graded free modules is onto iff it is onto mod the
         irrelevant ideal, i.e. iff the scalar block has full row rank."""
-        from .linalg import rank
-
         sb = self.scalar_block()
         return rank(sb, self.ring.char) == len(self.target_degrees)
 
     def degreewise_isomorphism(self):
-        from .linalg import rank
-
         if sorted(g + self.twist for g in self.source_degrees) != sorted(self.target_degrees):
             return False
         sb = self.scalar_block()

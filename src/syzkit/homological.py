@@ -88,15 +88,10 @@ def _tensor_matrix(ring, dmap, n_mod, d):
     for b, g in enumerate(src_gens):
         if sdims[b] == 0:
             continue
-        col = dmap.columns[b]
-        offs = freemod.component_offsets(ring, tgt_gens, g)
-        for c, h in enumerate(tgt_gens):
+        for c, piece in dmap.blocks(b):
             if tdims[c] == 0:
                 continue
-            piece = col[offs[c]:offs[c + 1]]
-            if not piece.any():
-                continue
-            block = n_mod.action_by_ring_vector(piece, g - h, d - g)
+            block = n_mod.action_by_ring_vector(piece, g - tgt_gens[c], d - g)
             out[toffs[c]:toffs[c + 1], soffs[b]:soffs[b + 1]] = block
     return out
 
@@ -290,13 +285,10 @@ def _hom_matrix(dmap, n_mod, w):
     for b, g in enumerate(src):
         if roffs[b] == roffs[b + 1]:
             continue
-        col = dmap.columns[b]
-        offs = freemod.component_offsets(ring, tgt, g)
-        for c, h in enumerate(tgt):
-            piece = col[offs[c]:offs[c + 1]]
-            if coffs[c] == coffs[c + 1] or not piece.any():
+        for c, piece in dmap.blocks(b):
+            if coffs[c] == coffs[c + 1]:
                 continue
-            block = n_mod.action_by_ring_vector(piece, g - h, h + w)
+            block = n_mod.action_by_ring_vector(piece, g - tgt[c], tgt[c] + w)
             out[roffs[b]:roffs[b + 1], coffs[c]:coffs[c + 1]] = block
     return out
 

@@ -9,7 +9,7 @@ for exponent 1, e.g. ``x^2 + 2*x*y``.
 import re
 from math import comb
 
-from .errors import HomogeneityError, ParseError
+from .errors import HomogeneityError, ParseError, SyzkitError
 
 
 def monomial_degree(exps):
@@ -34,7 +34,8 @@ def monomials_of_degree(nvars, d):
             rec(prefix + (e,), remaining - e, pos + 1)
 
     rec((), d, 0)
-    assert len(out) == comb(nvars + d - 1, d)
+    if len(out) != comb(nvars + d - 1, d):
+        raise SyzkitError(f"{len(out)} monomials of degree {d} in {nvars} variables")
     return out
 
 

@@ -102,6 +102,7 @@ class TruncatedQuotientRing:
         self._first_zero = None
         self._mult_cache = {}
         self._dim_cache = {}
+        self.offsets_memo = {}  # freemod.component_offsets, on (gen_degrees, d)
 
     # -- per-degree structure ------------------------------------------------
 

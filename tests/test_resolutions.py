@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from syzkit.errors import DegreeBoundError, SyzkitError, WindowError
+from syzkit.freemod import FreeMap
 from syzkit.modules import free_module, module_from_strings, residue_field
 from syzkit.resolutions import (
     complexity_of_module,
@@ -41,6 +42,31 @@ def test_residue_field_complete_intersection_linear_growth():
     assert res.is_minimal()
 
 
+# complete intersections of c <= 2 quadrics in n <= 3 variables
+TATE_CASES = [
+    (["x"], ["x^2"]),
+    (["x", "y"], ["x*y"]),
+    (["x", "y"], ["x^2", "y^2"]),
+    (["x", "y", "z"], ["x^2 + y*z"]),
+    (["x", "y", "z"], ["x^2 + y*z", "y^2"]),
+    (["x", "y", "z"], ["x*y", "z^2"]),
+]
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+@pytest.mark.parametrize("variables, quadrics", TATE_CASES)
+def test_residue_field_betti_numbers_follow_tate(p, variables, quadrics):
+    # Tate: over a complete intersection of c quadrics in n variables the
+    # Poincare series of k is (1 + t)^n / (1 - t^2)^c
+    n, c, window = len(variables), len(quadrics), 6
+    want = [
+        sum(math.comb(n, i - 2 * k) * math.comb(k + c - 1, c - 1) for k in range(i // 2 + 1))
+        for i in range(window + 1)
+    ]
+    r = ring_from_strings(p, variables, quadrics, degree_bound=window + 2)
+    assert resolve(residue_field(r), window).betti() == want
+
+
 def test_verify_complex_rejects_a_broken_cover():
     # M = R/(x) (+) R/(y): the first relation column x*e_1 dies under the
     # cover, but not once the first cover vector is replaced by e_1 + e_2
@@ -61,8 +87,11 @@ def test_verify_complex_rejects_a_broken_second_differential():
     res = resolve(residue_field(r), 3)
     assert res.betti() == [1, 2, 1, 0]
     assert res.verify_complex()
-    col = res.diffs[2].columns[0]
+    # columns are read-only, so the broken differential is a new map
+    d2 = res.diffs[2]
+    col = d2.columns[0].copy()
     col[0] = (col[0] + 1) % r.char
+    res.diffs[2] = FreeMap(r, d2.source_degrees, d2.target_degrees, [col], d2.twist)
     assert not res.verify_complex()
 
 

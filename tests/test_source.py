@@ -36,3 +36,14 @@ def test_every_parameter_is_read():
     for path in sorted(Path(syzkit.__file__).parent.glob("*.py")):
         found |= unread_parameters(path)
     assert found == ALLOWED_UNREAD
+
+
+def test_no_assert_statements():
+    # `python -O` strips asserts, so checks in the package raise typed errors
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(syzkit.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
