@@ -116,15 +116,6 @@ def columns_of(fmaps):
     return [c for f in fmaps if f is not None for c in f.columns]
 
 
-def solve_digests(name, cx):
-    out = {}
-    for q in range(1, cx.window // 2 + 1):
-        tau = consistent_twist(cx, q, q)
-        if tau is not None:
-            out[f"solve {name} {q}"] = digest(solve_chain_self_maps(cx, q, tau, q)[1])
-    return out
-
-
 # Digests of the columns that tensor_pair, induced_chain_map and
 # solve_chain_self_maps produced on the README construct and period fixtures
 # before the block index existed; the index must not change a single entry.
@@ -163,5 +154,8 @@ def test_fixture_columns_are_unchanged():
             found[f"induced {a} {b} {i}"] = digest(*columns_of(phi.components))
     for name in ("period2", "period4"):
         cx, _ = read_complex_file(os.path.join(FIXTURES, name + ".complex"))
-        found.update(solve_digests(name, cx))
+        for q in range(1, cx.window // 2 + 1):
+            tau = consistent_twist(cx, q, q)
+            if tau is not None:
+                found[f"solve {name} {q}"] = digest(solve_chain_self_maps(cx, q, tau, q)[1])
     assert found == PINNED
