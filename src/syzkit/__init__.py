@@ -1,7 +1,7 @@
 """Graded homological algebra over quotients of polynomial rings.
 
 Minimal free resolutions, Betti numbers and complexity, Tor and Ext,
-depth via the ambient polynomial ring, self-extension pushouts and
+depth from Koszul homology, self-extension pushouts and
 complexity-reduction witnesses, and tensor/cone constructions of periodic
 complexes, all over prime fields with exact arithmetic.
 """

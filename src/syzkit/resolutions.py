@@ -33,6 +33,12 @@ Completeness of a kernel is certified, not assumed:
 * otherwise new generators appearing within `margin` of the bound raise
   DegreeBoundError instead of silently truncating Betti numbers.
 
+Depth is n - pd_S(M) over S = F_p[x_1..x_n] (Auslander-Buchsbaum), and
+`depth` reads pd_S from the Koszul homology of M on the variables acting
+through R: beta^S_{i,d}(M) = dim H_i(x; M)_d = dim K_{i,d} - rank d_{i,d} -
+rank d_{i+1,d}, with K_{i,d} = wedge^i F_p^n (x) M_{d-i} (Bruns & Herzog
+1.6).  It needs only the M_d and their action matrices, no tables of S.
+
 A periodic tail is certified, not guessed: `detect_resolution_periodicity`
 hands the resolution to `chainsolve.certify_periodicity` with the onset
 free, and `complexity_of_module` reports `exact-periodic` only with that
@@ -42,6 +48,7 @@ certificate.
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 
@@ -49,10 +56,12 @@ from . import freemod
 from .chainsolve import certify_periodicity
 from .complexes import FreeComplex, coker_module
 from .errors import DegreeBoundError, SyzkitError, WindowError
-from .linalg import _null_space, extend_basis, identity, matmul, matvec, zeros
-from .modules import generator_matrix, lift_presentation
+from .linalg import _null_space, extend_basis, identity, matmul, matvec, rank, zeros
+from .modules import generator_matrix
 
 DEFAULT_MARGIN = 2
+TOO_CLOSE = ("syzygy generator too close to the degree bound to certify "
+             "completeness; raise the bound")
 
 
 class FreeResolution(FreeComplex):
@@ -156,11 +165,7 @@ def kernel_generators(ring, src_degs, matrix_at, margin):
             chosen = extend_basis(span, identity(len(free), ring.char), ring.char)
         for idx in chosen:
             if d > certified_to:
-                raise DegreeBoundError(
-                    d + margin, ring.degree_bound,
-                    "syzygy generator too close to the degree bound to certify "
-                    "completeness; raise the bound",
-                )
+                raise DegreeBoundError(d + margin, ring.degree_bound, TOO_CLOSE)
             gens.append((d, kd[:, idx]))
         prev = kd
     return gens, hi
@@ -286,27 +291,66 @@ class DepthReport:
     pd_ambient: int
     nvars: int
     degree_bound: int
-    method: str = "depth = #vars - projective dimension over the ambient polynomial ring"
 
     def __str__(self):
         return f"depth {self.depth} (pd_S = {self.pd_ambient}, n = {self.nvars})"
 
 
+def _koszul_diff(module, xs, i, d):
+    """(d_{i,d}, its rank): the Koszul differential on the variables, whose
+    classes in R_1 are xs, from wedge^i F_p^n (x) M_{d-i} to wedge^(i-1) F_p^n
+    (x) M_{d-i+1}: m e_J -> sum_t (-1)^t x_{J_t} m e_{J - J_t}, J-major."""
+    p, a = module.ring.char, d - i
+    rows, cols = module.dim(a + 1), module.dim(a)
+    target = {J: r for r, J in enumerate(combinations(range(len(xs)), i - 1))}
+    source = list(combinations(range(len(xs)), i))
+    mat = zeros(len(target) * rows, len(source) * cols, p)
+    if rows and cols:
+        acts = [module.action_by_ring_vector(x, 1, a) for x in xs]
+        for c, J in enumerate(source):
+            for t, j in enumerate(J):
+                r = target[J[:t] + J[t + 1:]]
+                block = acts[j] if t % 2 == 0 else -acts[j] % p
+                mat[r * rows:(r + 1) * rows, c * cols:(c + 1) * cols] = block
+    return mat, rank(mat, p)
+
+
 def depth(module, margin=DEFAULT_MARGIN):
-    """Depth via the Auslander-Buchsbaum identity over the ambient ring."""
+    """Depth n - pd_S(M), with pd_S read from the Koszul homology of M.
+
+    Step i reads beta_{i,d} for d from lo, the least degree of an (i-1)-st
+    syzygy, to D + min(0, lo), as the resolution over S would, and raises
+    DegreeBoundError on a syzygy within `margin` of the top.  Each d_{i,d}
+    is built and ranked once, and kept until d_{i-1} o d_i = 0 is checked.
+    """
     if module.is_zero():
         raise SyzkitError("depth of the zero module is undefined")
-    lifted = lift_presentation(module)
-    n = len(module.ring.vars)
-    res = resolve(lifted, n + 1, margin)
-    if res.terminated_at is None:
-        raise DegreeBoundError(
-            module.ring.degree_bound + 1, module.ring.degree_bound,
-            "resolution over the polynomial ring did not terminate within "
-            "the expected number of steps; raise the degree bound",
-        )
-    pd = res.proj_dim()
-    return DepthReport(n - pd, pd, n, module.ring.degree_bound)
+    ring, p = module.ring, module.ring.char
+    n, bound = len(ring.vars), ring.degree_bound
+    xs = [ring.normal_form({tuple(int(k == j) for k in range(n)): 1}, degree=1)
+          for j in range(n)]
+    lo = min(d for d, _ in module.minimal_generators())
+    pd, below = 0, {}  # below: d -> (d_{i,d}, its rank), built by step i - 1
+    for i in range(1, n + 1):
+        hi = bound + min(0, lo)
+        built, found = {}, []
+        for d in range(lo, hi + 1):
+            size = math.comb(n, i) * module.dim(d - i)
+            if not size:
+                continue
+            low, low_rank = below.get(d) or _koszul_diff(module, xs, i, d)
+            high, high_rank = built[d] = _koszul_diff(module, xs, i + 1, d)
+            if matmul(low, high, p).any():
+                raise SyzkitError("internal error: Koszul differentials do not compose to zero")
+            if size == low_rank + high_rank:
+                continue
+            if d > hi - margin:
+                raise DegreeBoundError(d + margin, bound, TOO_CLOSE)
+            found.append(d)
+        if not found:
+            break
+        pd, lo, below = i, found[0], built
+    return DepthReport(n - pd, pd, n, bound)
 
 
 def depth_of_ring(ring, margin=DEFAULT_MARGIN):

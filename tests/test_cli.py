@@ -219,25 +219,27 @@ def test_readme_examples_match_goldens_byte_for_byte(tmp_path, monkeypatch, caps
 def test_reduce_example_computes_each_depth_once(monkeypatch, capsys):
     # M and the first pushout are resolved for their complexity estimate
     # and again for the class degree, the second pushout for its estimate;
-    # each of the three lifts once for its depth, which the next step reuses
+    # each of the three has its depth computed once, which the next step reuses
     import syzkit.homological as homological
     import syzkit.resolutions as resolutions
 
     with open(os.path.join(ROOT, "bench", "goldens", "cli-mix.json"), encoding="utf-8") as fh:
         want = json.load(fh)["readme-2"]
-    calls = []
-    real = resolutions.resolve
+    calls = {"resolve": [], "depth": []}
+    for name in calls:
+        real = getattr(resolutions, name)
 
-    def counted(module, n_max, *args, **kwargs):
-        calls.append(n_max)
-        return real(module, n_max, *args, **kwargs)
+        def counted(module, *args, _real=real, _seen=calls[name], **kwargs):
+            _seen.append(module)
+            return _real(module, *args, **kwargs)
 
-    monkeypatch.setattr(resolutions, "resolve", counted)
-    monkeypatch.setattr(homological, "resolve", counted)
+        monkeypatch.setattr(resolutions, name, counted)
+        monkeypatch.setattr(homological, name, counted)
     monkeypatch.chdir(ROOT)
     assert cli.main(README_EXAMPLES[2].split() + ["--machine"]) == 0
     assert capsys.readouterr().out == want
-    assert len(calls) == 8
+    assert len(calls["resolve"]) == 5
+    assert len(calls["depth"]) == 3
 
 
 def test_construct_memory_peak(monkeypatch, capsys):

@@ -351,29 +351,35 @@ def test_ext_dimensions_match_betti_over_ci():
         assert len(ext_basis(k, k, t, res=res)) == res.betti()[t]
 
 
-def _count_resolves(monkeypatch):
+def _count_calls(monkeypatch):
+    """Record resolve's n_max and depth's module on every call."""
     import syzkit.homological as homological
     import syzkit.resolutions as resolutions
 
-    calls = []
-    real = resolutions.resolve
+    calls = {"resolve": [], "depth": []}
+    for name in calls:
+        real = getattr(resolutions, name)
 
-    def counted(module, n_max, *args, **kwargs):
-        calls.append(n_max)
-        return real(module, n_max, *args, **kwargs)
+        def counted(module, *args, _real=real, _name=name, **kwargs):
+            calls[_name].append(args[0] if _name == "resolve" else module)
+            return _real(module, *args, **kwargs)
 
-    monkeypatch.setattr(resolutions, "resolve", counted)
-    monkeypatch.setattr(homological, "resolve", counted)
+        monkeypatch.setattr(resolutions, name, counted)
+        monkeypatch.setattr(homological, name, counted)
     return calls
 
 
 def test_depth_formula_resolves_m_once_for_tor_and_tor_q(monkeypatch):
     r = xy_ring()
     m = module_from_strings(r, [0], [["x + y"]])
-    calls = _count_resolves(monkeypatch)
-    report = check_depth_formula(m, residue_field(r), window=4)
-    # M to window + 1, then the ambient lifts of M, N, R and Tor_1
-    assert calls == [5, 3, 3, 3, 3]
+    k = residue_field(r)
+    calls = _count_calls(monkeypatch)
+    report = check_depth_formula(m, k, window=4)
+    # M to window + 1 only: depth reads Koszul homology, not a resolution
+    assert calls["resolve"] == [5]
+    # one depth each for M, N, R and Tor_1
+    assert len(calls["depth"]) == 4
+    assert calls["depth"][:2] == [m, k]
     assert report.lines() == [
         ("depth_m", 0), ("depth_n", 0), ("depth_ring", 1), ("q", 1),
         ("rigor", "finite-pd"), ("depth_tor_q", 0), ("lhs", 0), ("rhs", 0),
