@@ -239,7 +239,7 @@ def tor_as_module(m, n, i, margin=DEFAULT_MARGIN, res=None):
     if not mingens:
         return GradedModule(ring, (), [])
     gens = tuple(d for d, _ in mingens)
-    rel_gens, hi = kernel_generators(
+    rel_gens, hi, _ = kernel_generators(
         ring, gens, partial(generator_matrix, spaces, mingens), margin
     )
     module = GradedModule(ring, gens, rel_gens)

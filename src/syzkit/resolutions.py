@@ -18,12 +18,16 @@ components with (m*F)_d = 0 are skipped outright.
 
 The step works in free coordinates.  The kernel basis ker_d has the
 identity on its free (non-pivot) rows, so v -> v[free] is injective on
-ker_d and keeps every linear dependency among kernel vectors.  The span of
-m * ker_{d-1} is therefore built on the free rows only, one product per
-generator block of `ring.mult_map` (multiplication by a variable acts
-blockwise on a free module), and the generators are the columns of the
-identity that extend it; they are the same columns that extending inside
-the whole component would pick.
+ker_d and keeps every linear dependency among kernel vectors.  Since
+d o d = 0 the next differential maps into ker_d, so `resolve` hands each
+step's free rows to the next, whose null space in degree d is taken on
+those rows only; by exactness they have full rank there, which is checked
+(degrees the previous step did not scan use the whole matrix).  The span
+of m * ker_{d-1} is built on the free rows too, one product per generator
+block of `ring.mult_map` (multiplication by a variable acts blockwise on a
+free module).  When its rank is the number of free rows nothing is new;
+otherwise the generators are the columns of the identity that extend it,
+the same columns that extending inside the whole component would pick.
 
 Completeness of a kernel is certified, not assumed:
 
@@ -127,14 +131,16 @@ def _mult_span_rows(ring, src_degs, d, prev, rows):
     return out
 
 
-def kernel_generators(ring, src_degs, matrix_at, margin):
+def kernel_generators(ring, src_degs, matrix_at, margin, rows=None):
     """Minimal generators of the kernel of a minimal-cover map out of the
     free module src_degs, degree-ascending.
 
-    matrix_at(d) must return the induced component matrix.  Returns
-    (list of (degree, vector), top degree scanned).  Negative generator
-    degrees (twisted complexes) pull the usable ceiling down: the degree-d
-    component reads ring data at d - g.
+    matrix_at(d) must return the induced component matrix; rows, when
+    given, maps d to the free rows of the previous step's kernel basis,
+    which this map's image fills.  Returns (list of (degree, vector), top
+    degree scanned, free rows of this step's kernel bases by degree).
+    Negative generator degrees (twisted complexes) pull the usable ceiling
+    down: the degree-d component reads ring data at d - g.
     """
     lo = min(src_degs)
     if ring.is_artinian_within_bound():
@@ -145,14 +151,21 @@ def kernel_generators(ring, src_degs, matrix_at, margin):
     else:
         hi = ring.degree_bound + min(0, lo)
         certified_to = hi - margin
-    gens = []
+    rows = rows or {}
+    gens, free_rows = [], {}
     prev = None  # kernel basis one degree down, when nonzero
     for d in range(lo, hi + 1):
         kd = None
         src_dim = freemod.component_dim(ring, src_degs, d)
         # minimality: kernel sits inside m * F, so skip degrees where that is 0
         if src_dim and any(d - g >= 1 and ring.dim(d - g) > 0 for g in src_degs):
-            kd, free = _null_space(matrix_at(d), ring.char)
+            mat = matrix_at(d)
+            if d in rows:
+                mat = mat[rows[d]]
+            kd, free = _null_space(mat, ring.char)
+            if d in rows and src_dim - len(free) != len(rows[d]):
+                raise SyzkitError(f"internal error: syzygy step is not exact in degree {d}")
+            free_rows[d] = free
         if kd is None or not kd.shape[1]:
             prev = None
             continue
@@ -162,13 +175,15 @@ def kernel_generators(ring, src_degs, matrix_at, margin):
             chosen = range(len(free))
         else:
             span = _mult_span_rows(ring, src_degs, d, prev, free)
-            chosen = extend_basis(span, identity(len(free), ring.char), ring.char)
+            chosen = []
+            if rank(span, ring.char) < len(free):
+                chosen = extend_basis(span, identity(len(free), ring.char), ring.char)
         for idx in chosen:
             if d > certified_to:
                 raise DegreeBoundError(d + margin, ring.degree_bound, TOO_CLOSE)
             gens.append((d, kd[:, idx]))
         prev = kd
-    return gens, hi
+    return gens, hi, free_rows
 
 
 def resolve(module, n_max, margin=DEFAULT_MARGIN):
@@ -184,10 +199,11 @@ def resolve(module, n_max, margin=DEFAULT_MARGIN):
     diffs = [None]
     terminated_at = None
     matrix_at = partial(generator_matrix, module, cover)
+    rows = None  # free rows of the previous step's kernel bases, by degree
     for i in range(1, n_max + 1):
         newgens = []
         if terminated_at is None:
-            newgens, _ = kernel_generators(ring, src_degs, matrix_at, margin)
+            newgens, _, rows = kernel_generators(ring, src_degs, matrix_at, margin, rows)
             if not newgens:
                 terminated_at = i
         if not newgens:

@@ -64,6 +64,18 @@ class PolyRing:
             return 0
         return comb(self.nvars + d - 1, d)
 
+    def monomial_positions(self, exps, d):
+        """Indices in monomial_basis(d) of degree-d exponent vectors (last
+        axis of exps): lex order puts C(n-k-2+s, s-1) monomials before e that
+        agree with it before x_k and exceed it at x_k, s = degree after x_k."""
+        n = self.nvars
+        table = np.zeros((n - 1, d + 1), dtype=np.int64)
+        for k in range(n - 1):
+            for s in range(1, d + 1):
+                table[k, s] = comb(n - k - 2 + s, s - 1)
+        left = d - np.cumsum(exps, axis=-1)[..., :-1]
+        return table[np.arange(n - 1), left].sum(axis=-1)
+
     def poly_vector(self, f, d):
         """Coordinate vector of a homogeneous polynomial in the degree-d basis."""
         vec = zeros(self.dim(d), 1, self.char)[:, 0]
@@ -130,21 +142,23 @@ class TruncatedQuotientRing:
         return d in self._degree_data
 
     def ideal_component(self, d):
-        """Matrix whose columns span I_d inside the monomial basis of S_d."""
+        """Matrix whose columns m * g span I_d inside the monomial basis of
+        S_d: generator-major, the monomials m of degree d - deg g in order."""
         if d > self.degree_bound:
             raise DegreeBoundError(d, self.degree_bound, "ideal component")
-        cols = []
-        sdim = self.base.dim(d)
+        blocks = [zeros(self.base.dim(d), 0, self.char)]
         for g in self.ideal_gens:
             e = poly.poly_degree(g)
             if e > d:
                 continue
-            for m in self.base.monomial_basis(d - e):
-                prod = poly.poly_mul({m: 1}, g, self.char)
-                cols.append(self.base.poly_vector(prod, d))
-        if not cols:
-            return zeros(sdim, 0, self.char)
-        return np.stack(cols, axis=1)
+            terms = np.array(list(g), dtype=np.int64)
+            coeffs = np.array(list(g.values()), dtype=np.int64) % self.char
+            shifts = np.array(self.base.monomial_basis(d - e), dtype=np.int64)
+            at = self.base.monomial_positions(terms[:, None] + shifts, d)  # term x shift
+            block = zeros(self.base.dim(d), len(shifts), self.char)
+            block[at, np.arange(len(shifts))] = coeffs[:, None]
+            blocks.append(block)
+        return np.concatenate(blocks, axis=1)
 
     def dim(self, d):
         cached = self._dim_cache.get(d)

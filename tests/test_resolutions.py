@@ -354,7 +354,7 @@ def _dense_kernel_generators(ring, src_degs, matrix_at, hi):
     return gens
 
 
-@pytest.mark.parametrize("case", ["ci", "golod", "cyclic"])
+@pytest.mark.parametrize("case", ["ci", "golod", "cyclic", "mixed"])
 def test_kernel_generators_match_the_dense_step(case):
     from functools import partial
 
@@ -367,11 +367,15 @@ def test_kernel_generators_match_the_dense_step(case):
     elif case == "golod":
         r = ring_from_strings(2, ["x", "y"], ["x^2", "x*y", "y^2"], degree_bound=10)
         m, steps = residue_field(r), 7
-    else:
+    elif case == "cyclic":
         names = ["x", "y", "z"]
         r = ring_from_strings(P31, names, _dense_quadrics(P31, names, 1, 3), degree_bound=9)
         m, steps = module_from_strings(r, [0], [["x"]]), 4
+    else:  # relations of two degrees: steps find generators above their least degree
+        r = ring_from_strings(3, ["x", "y", "z"], ["x^2", "y^3", "x*z^2 + y^2*z"], degree_bound=12)
+        m, steps = residue_field(r), 6
     res = resolve(m, steps)
+    rows = None  # free rows of the previous step's kernel bases
     for i in range(1, steps + 1):
         if not res.gens[i - 1]:
             break
@@ -379,11 +383,32 @@ def test_kernel_generators_match_the_dense_step(case):
             matrix_at = partial(generator_matrix, m, res.cover)
         else:
             matrix_at = res.diffs[i - 1].induced
-        got, hi = kernel_generators(r, res.gens[i - 1], matrix_at, DEFAULT_MARGIN)
+        got, hi, free_rows = kernel_generators(r, res.gens[i - 1], matrix_at, DEFAULT_MARGIN)
         want = _dense_kernel_generators(r, res.gens[i - 1], matrix_at, hi)
-        assert [d for d, _ in got] == [d for d, _ in want]
-        assert all(np.array_equal(u, v) for (_, u), (_, v) in zip(got, want))
-        assert len(got) == res.betti()[i]
+        runs = [got]
+        if rows is not None:
+            runs.append(kernel_generators(r, res.gens[i - 1], matrix_at, DEFAULT_MARGIN, rows)[0])
+        for run in runs:
+            assert [d for d, _ in run] == [d for d, _ in want]
+            assert all(np.array_equal(u, v) for (_, u), (_, v) in zip(run, want))
+            assert len(run) == res.betti()[i]
+        rows = free_rows
+
+
+def test_kernel_generators_check_that_the_previous_rows_are_filled():
+    # one extra row outside the previous kernel's free rows: the image of
+    # d_3 fills only the free rows, so the restricted rank falls short
+    from syzkit.freemod import component_dim
+    from syzkit.resolutions import DEFAULT_MARGIN, kernel_generators
+
+    r = ring_from_strings(32003, ["x", "y", "z"], ["x^2", "y^2", "z^2"], degree_bound=10)
+    res = resolve(residue_field(r), 3)
+    _, _, rows = kernel_generators(r, res.gens[1], res.diffs[2].induced, DEFAULT_MARGIN)
+    d = 3
+    extra = min(set(range(component_dim(r, res.gens[1], d))) - set(rows[d]))
+    rows[d] = sorted(rows[d] + [extra])
+    with pytest.raises(SyzkitError, match=f"internal error: .* degree {d}$"):
+        kernel_generators(r, res.gens[2], res.diffs[3].induced, DEFAULT_MARGIN, rows)
 
 
 def test_induced_matrix_exact_at_largest_prime():

@@ -53,6 +53,39 @@ def test_ideal_component_examples():
     assert rank(comp3, 3) == 2
 
 
+def _loop_ideal_component(r, d):
+    """I_d column by column: one poly_mul and one coordinate vector per
+    shifting monomial, generator-major."""
+    cols = []
+    for g in r.ideal_gens:
+        e = poly.poly_degree(g)
+        if e <= d:
+            cols += [r.base.poly_vector(poly.poly_mul({m: 1}, g, r.char), d)
+                     for m in r.base.monomial_basis(d - e)]
+    return np.stack(cols, axis=1) if cols else np.zeros((r.base.dim(d), 0), dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+@pytest.mark.parametrize("seed", range(3))
+def test_ideal_component_matches_poly_mul(p, seed):
+    import random
+
+    rng = random.Random(1000 * seed + p % 1000)
+    n = rng.randint(1, 5)
+    bound = {1: 12, 2: 12, 3: 12, 4: 10, 5: 8}[n]
+    mons = {e: poly.monomials_of_degree(n, e) for e in (1, 2, 3)}
+    # a linear form, a pure monomial, and a dense relation of degree 2 or 3
+    gens = [{m: rng.randrange(1, p) for m in mons[1]},
+            {rng.choice(mons[rng.randint(1, 3)]): 1}]
+    e = rng.randint(2, 3)
+    gens.append({m: rng.randrange(1, p) for m in rng.sample(mons[e], min(4, len(mons[e])))})
+    r = build_quotient(PolyRing(p, [f"x{i}" for i in range(n)], bound), gens)
+    for d in range(bound + 1):
+        got = r.ideal_component(d)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _loop_ideal_component(r, d))
+
+
 def test_hilbert_complete_intersection():
     r = ring_from_strings(2, ["x", "y"], ["x^2", "y^2"])
     assert r.hilbert_function(5) == [1, 2, 1, 0, 0, 0]
