@@ -124,7 +124,7 @@ def solve_chain_self_maps(cx, q, tau, j_lo):
             nrows = freemod.component_dim(ring, tgt_low, g + tau)
             if nrows == 0:
                 continue
-            block = zeros(nrows, layout.total, p)
+            block = zeros(nrows, layout.total)
             # phi_{j-1} applied to d_j(e_b)
             if dj is not None:
                 _apply_unknown_blocks(dj, b, tgt_low, tau, layout, j - 1, block)
@@ -136,9 +136,9 @@ def solve_chain_self_maps(cx, q, tau, j_lo):
                 block[:, off:off + dim] -= sign * dlow_by_degree[g]
             rows_blocks.append(block % p)
     if layout.total == 0:
-        return layout, zeros(0, 0, p)
+        return layout, zeros(0, 0)
     if not rows_blocks:
-        return layout, identity(layout.total, p)
+        return layout, identity(layout.total)
     return layout, kernel_basis(np.concatenate(rows_blocks, axis=0), p)
 
 

@@ -295,7 +295,7 @@ class _Embedding:
             if cols:
                 self._cache[e] = np.stack(cols, axis=1)
             else:
-                self._cache[e] = zeros(self.product.dim(e), 0, self.product.char)
+                self._cache[e] = zeros(self.product.dim(e), 0)
         return self._cache[e]
 
     def embed(self, vec, e):
@@ -334,7 +334,7 @@ def tensor_pair(f, g):
         for (aa, ui, bb, vi), total_deg in zip(labels[j], gens[j]):
             du = f.gen_degrees(aa)[ui]
             dv = g.gen_degrees(bb)[vi]
-            vec = zeros(freemod.component_dim(a, gens[j - 1], total_deg), 1, p)[:, 0]
+            vec = zeros(freemod.component_dim(a, gens[j - 1], total_deg), 1)[:, 0]
             offs = freemod.component_offsets(a, gens[j - 1], total_deg)
             fd = f.diff(aa) if aa >= 1 else None
             if fd is not None:
@@ -412,7 +412,7 @@ def induced_chain_map(product, factor_index, eta):
             left_degree = sum(h for h, _ in lab[:factor_index])
             sign = (-1) ** (n * left_degree)
             tgt_gens = product.gen_degrees(j - n)
-            vec = zeros(freemod.component_dim(ring, tgt_gens, total_deg + tau), 1, p)[:, 0]
+            vec = zeros(freemod.component_dim(ring, tgt_gens, total_deg + tau), 1)[:, 0]
             comp = eta.component(aa)
             if comp is not None and aa < len(fac.gens):
                 du = fac.gen_degrees(aa)[ui]
@@ -458,19 +458,17 @@ def cone(phi):
             if dx is not None and dx.source_degrees:
                 x_piece = (-dx.columns[b]) % p
             else:
-                x_piece = zeros(
-                    freemod.component_dim(ring, xs_prev, g + tau), 1, p
-                )[:, 0]
+                x_piece = zeros(freemod.component_dim(ring, xs_prev, g + tau), 1)[:, 0]
             comp = phi.component(j - 1)
             z_piece = comp.columns[b]
             cols.append(np.concatenate([x_piece, z_piece]))
         for b, h in enumerate(z.gen_degrees(j - n)):
             dz = z.diff(j - n)
-            x_zero = zeros(freemod.component_dim(ring, xs_prev, h), 1, p)[:, 0]
+            x_zero = zeros(freemod.component_dim(ring, xs_prev, h), 1)[:, 0]
             if dz is not None and dz.source_degrees:
                 z_piece = (sign * dz.columns[b]) % p
             else:
-                z_piece = zeros(freemod.component_dim(ring, zs_prev, h), 1, p)[:, 0]
+                z_piece = zeros(freemod.component_dim(ring, zs_prev, h), 1)[:, 0]
             cols.append(np.concatenate([x_zero, z_piece]))
         diffs.append(freemod.FreeMap(ring, gens[j], gens[j - 1], cols))
     out = FreeComplex(ring, gens, diffs)
@@ -507,13 +505,13 @@ def induced_on_cone(cone_cx, psi):
                     z_dim = freemod.component_dim(
                         ring, phi.target.gen_degrees(j - m - n), g + tau + upsilon
                     )
-                    cols.append(np.concatenate([x_part, zeros(z_dim, 1, p)[:, 0]]))
+                    cols.append(np.concatenate([x_part, zeros(z_dim, 1)[:, 0]]))
                 for b, h in enumerate(phi.target.gen_degrees(j - n)):
                     comp = psi.component(j - n)
                     piece = comp.columns[b]
                     z_part = (int(s2) * piece) % p
                     x_dim = freemod.component_dim(ring, x_tgt, h + upsilon)
-                    cols.append(np.concatenate([zeros(x_dim, 1, p)[:, 0], z_part]))
+                    cols.append(np.concatenate([zeros(x_dim, 1)[:, 0], z_part]))
                 column_lists.append(cols)
             cand = ChainMap.from_columns(cone_cx, cone_cx, m, upsilon, column_lists)
             if cand.verify():

@@ -84,7 +84,7 @@ def periodic_variable_complex(char, period, window, degree_bound=None, prefix="x
         if not tgt:
             comps.append(freemod.FreeMap.zero(ring, src, tgt, -period))
             continue
-        col = zeros(freemod.component_dim(ring, tgt, j - period), 1, ring.char)[:, 0]
+        col = zeros(freemod.component_dim(ring, tgt, j - period), 1)[:, 0]
         # c_{j-1} = (-1)^period c_j forces the alternating scalar below
         col[0] = ((-1) ** (period * j)) % ring.char
         comps.append(freemod.FreeMap(ring, src, tgt, [col], -period))
@@ -114,7 +114,7 @@ def _inclusion_chain_map(sub, amb):
     for j in range(sub.window + 1):
         cols = []
         for lab, g in zip(sub.labels[j], sub.gens[j]):
-            vec = zeros(freemod.component_dim(ring, amb.gen_degrees(j), g), 1, ring.char)[:, 0]
+            vec = zeros(freemod.component_dim(ring, amb.gen_degrees(j), g), 1)[:, 0]
             if lab not in pos[j]:
                 raise SyzkitError("truncated product label missing from ambient product")
             t = pos[j][lab]
@@ -333,7 +333,7 @@ class CorollaryResult:
     reddeg_lower_bound: float
 
 
-def corollary_module(result, window=8, margin=2):
+def corollary_module(result, window=8):
     """Cokernel of the product's first differential, with reduction data
     transported from the cone triangles when the relevant levels are exact.
 
@@ -373,7 +373,7 @@ def corollary_module(result, window=8, margin=2):
         if k_mod.is_zero():
             est_k = estimate_complexity([0] * (window + 1), window=window)
         else:
-            est_k, _ = complexity_of_module(k_mod, window, margin)
+            est_k, _ = complexity_of_module(k_mod, window)
         ring = cn.ring
         # cone generators at this level: X-part (previous cone, twisted) then
         # the second summand carrying the previous cokernel's generators
@@ -383,9 +383,7 @@ def corollary_module(result, window=8, margin=2):
         try:
             inc_cols = []
             for b, g in enumerate(prev_complex.gen_degrees(level - shifts[i])):
-                vec = zeros(
-                    freemod.component_dim(ring, cn.gen_degrees(level), g), 1, ring.char
-                )[:, 0]
+                vec = zeros(freemod.component_dim(ring, cn.gen_degrees(level), g), 1)[:, 0]
                 offs = freemod.component_offsets(ring, cn.gen_degrees(level), g)
                 vec[offs[len(x_gens) + b]] = 1
                 inc_cols.append(vec)
@@ -393,9 +391,7 @@ def corollary_module(result, window=8, margin=2):
             omega = coker_module(prev_complex, level - 1).shifted(twists[i])
             proj_cols = []
             for b, g in enumerate(cn.gen_degrees(level)):
-                vec = zeros(
-                    freemod.component_dim(ring, omega.gen_degrees, g), 1, ring.char
-                )[:, 0]
+                vec = zeros(freemod.component_dim(ring, omega.gen_degrees, g), 1)[:, 0]
                 if b < len(x_gens):
                     offs = freemod.component_offsets(ring, omega.gen_degrees, g)
                     vec[offs[b]] = 1
@@ -404,10 +400,7 @@ def corollary_module(result, window=8, margin=2):
             if not (inc.verify() and proj.verify()):
                 ok, detail = False, "transported maps not well defined"
             else:
-                dmax = ring.degree_bound
-                if not ring.is_artinian_within_bound():
-                    dmax -= margin
-                ok, detail = verify_ses(inc, proj, dmax)
+                ok, detail = verify_ses(inc, proj)
         except SyzkitError as exc:
             ok, detail = False, str(exc)
         steps.append(TransportedStep(k_mod, shifts[i], ok, detail, est_k))

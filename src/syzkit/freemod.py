@@ -44,7 +44,7 @@ def free_mult_matrix(ring, gen_degrees, e, j, d):
     """Multiplication by the j-th basis monomial of R_e on the degree-d component."""
     so = component_offsets(ring, gen_degrees, d)
     to = component_offsets(ring, gen_degrees, d + e)
-    out = zeros(to[-1], so[-1], ring.char)
+    out = zeros(to[-1], so[-1])
     for b, g in enumerate(gen_degrees):
         block = ring.mult_map(e, j, d - g)
         if block.size:
@@ -77,7 +77,7 @@ class FreeMap:
     @classmethod
     def zero(cls, ring, source_degrees, target_degrees, twist=0):
         cols = [
-            zeros(component_dim(ring, target_degrees, g + twist), 1, ring.char)[:, 0]
+            zeros(component_dim(ring, target_degrees, g + twist), 1)[:, 0]
             for g in source_degrees
         ]
         return cls(ring, source_degrees, target_degrees, cols, twist)
@@ -88,7 +88,7 @@ class FreeMap:
         degs = tuple(gen_degrees)
         for b, g in enumerate(degs):
             offs = component_offsets(ring, degs, g)
-            v = zeros(offs[-1], 1, ring.char)[:, 0]
+            v = zeros(offs[-1], 1)[:, 0]
             # the unit of R_0 sits at the first coordinate of block b
             v[offs[b]] = 1
             cols.append(v)
@@ -102,7 +102,7 @@ class FreeMap:
         for b, g in enumerate(sdegs):
             d = g + twist
             offs = component_offsets(ring, tdegs, d)
-            vec = zeros(offs[-1], 1, ring.char)[:, 0]
+            vec = zeros(offs[-1], 1)[:, 0]
             for c, h in enumerate(tdegs):
                 f = entries[c][b]
                 if not f:
@@ -174,7 +174,7 @@ class FreeMap:
         ring, p, tw = self.ring, self.ring.char, self.twist
         soffs = component_offsets(ring, self.source_degrees, d)
         toffs = component_offsets(ring, self.target_degrees, d + tw)
-        mat = zeros(toffs[-1], soffs[-1], p)
+        mat = zeros(toffs[-1], soffs[-1])
         if not mat.shape[0]:
             return mat
         for g, (bs, by_target_degree) in self._block_index()[0].items():
@@ -245,7 +245,7 @@ class FreeMap:
     def scalar_block(self):
         """Constant parts: matrix over (target gen, source gen) pairs of equal
         twisted degree.  Entries elsewhere are forced to higher degree."""
-        out = zeros(len(self.target_degrees), len(self.source_degrees), self.ring.char)
+        out = zeros(len(self.target_degrees), len(self.source_degrees))
         for b, g in enumerate(self.source_degrees):
             for c, piece in self.blocks(b):
                 if self.target_degrees[c] == g + self.twist:

@@ -6,8 +6,10 @@ tensored with N.  The largest nonvanishing index q carries a rigor flag:
 the tail is certified either by finite projective dimension or by the
 resolution's periodicity certificate (`detect_resolution_periodicity`):
 from onset + period on, the tensored complex repeats, so one vanishing
-period forces all later ones.  Internal degrees are exact up to the ring's
-degree bound; reports carry that bound.
+period forces all later ones.  Internal degrees are read in the ring's
+degree window over the least generator degree of F_0 (x) N
+(`rings.TruncatedQuotientRing.degree_window`), so a shift of M or N moves
+every dimension by the shift; reports carry the top of that window.
 
 The resolution is read only through `gen_degrees`, `diff` and `window`, and
 Tor_i and Ext^i refuse one that does not know F_{i+1}.  Ext cocycles and
@@ -43,7 +45,6 @@ from .modules import (
     verify_ses,
 )
 from .resolutions import (
-    DEFAULT_MARGIN,
     complexity_of_module,
     depth,
     depth_of_ring,
@@ -77,14 +78,14 @@ def _tensor_component_dims(gens, n_mod, d):
     return [n_mod.dim(d - g) for g in gens]
 
 
-def _tensor_matrix(ring, dmap, n_mod, d):
+def _tensor_matrix(dmap, n_mod, d):
     """Induced map (F_i tensor N)_d -> (F_{i-1} tensor N)_d from a differential."""
     src_gens, tgt_gens = dmap.source_degrees, dmap.target_degrees
     sdims = _tensor_component_dims(src_gens, n_mod, d)
     tdims = _tensor_component_dims(tgt_gens, n_mod, d)
     soffs = np.cumsum([0] + sdims)
     toffs = np.cumsum([0] + tdims)
-    out = zeros(int(toffs[-1]), int(soffs[-1]), ring.char)
+    out = zeros(int(toffs[-1]), int(soffs[-1]))
     for b, g in enumerate(src_gens):
         if sdims[b] == 0:
             continue
@@ -96,15 +97,23 @@ def _tensor_matrix(ring, dmap, n_mod, d):
     return out
 
 
-def _tensor_differential(ring, res, n_mod, i, d):
+def _tensor_differential(res, n_mod, i, d):
     """(F_i tensor N)_d -> (F_{i-1} tensor N)_d; no rows when i <= 0 or F_i = 0."""
     gens = res.gen_degrees(i)
     if i <= 0 or not gens:
-        return zeros(0, sum(_tensor_component_dims(gens, n_mod, d)), ring.char)
-    return _tensor_matrix(ring, res.diff(i), n_mod, d)
+        return zeros(0, sum(_tensor_component_dims(gens, n_mod, d)))
+    return _tensor_matrix(res.diff(i), n_mod, d)
 
 
-def tor(m, n, window, margin=DEFAULT_MARGIN, res=None):
+def _tensor_window(res, n, i_max):
+    """The degree window of F_i (x) N for i <= i_max: from the least
+    generator degree of F_0 (x) N, collapsing above the largest of F_i."""
+    low = min(res.gen_degrees(0)) + n.min_degree()
+    high = max(g for i in range(i_max + 1) for g in res.gen_degrees(i))
+    return res.ring.degree_window(low, high + max(n.gen_degrees, default=0))
+
+
+def tor(m, n, window, res=None):
     """Graded dimensions of Tor_i(M, N) for i <= window."""
     if window < 0:
         raise WindowError(f"Tor needs a window >= 0, got {window}")
@@ -112,23 +121,21 @@ def tor(m, n, window, margin=DEFAULT_MARGIN, res=None):
         raise SyzkitError("Tor needs modules over a common ring")
     ring = m.ring
     if res is None:
-        res = resolve(m, window + 1, margin)
+        res = resolve(m, window + 1)
     res.require(window + 1, f"Tor up to degree {window}")
-    bound = ring.degree_bound
+    degrees = _tensor_window(res, n, window)
     dims = []
     ranks = {}
 
     def rank_at(i, d):
         if (i, d) not in ranks:
-            ranks[(i, d)] = rank(_tensor_differential(ring, res, n, i, d), ring.char)
+            ranks[(i, d)] = rank(_tensor_differential(res, n, i, d), ring.char)
         return ranks[(i, d)]
 
-    n_lo = n.min_degree()
     for i in range(window + 1):
         gens_i = res.gen_degrees(i)
         by_degree = {}
-        lo = min(gens_i) + n_lo if gens_i else 0
-        for d in range(min(0, lo), bound + 1):
+        for d in range(degrees.low, degrees.top + 1):
             sdim = sum(_tensor_component_dims(gens_i, n, d))
             if sdim == 0:
                 continue
@@ -147,12 +154,12 @@ def tor(m, n, window, margin=DEFAULT_MARGIN, res=None):
             period, onset = cert.period, cert.onset
             if q <= onset + period and window >= onset + 2 * period + 1:
                 rigor = "periodic-tail"
-    return TorProfile(dims, window, bound, q, rigor, bound)
+    return TorProfile(dims, window, degrees.top, q, rigor, ring.degree_bound)
 
 
-def max_nonvanishing_tor(m, n, window, margin=DEFAULT_MARGIN):
+def max_nonvanishing_tor(m, n, window):
     """Largest i <= window with Tor_i != 0, with its rigor flag."""
-    profile = tor(m, n, window, margin)
+    profile = tor(m, n, window)
     return profile.q, profile.q_rigor
 
 
@@ -172,15 +179,15 @@ class _HomologySpaces:
             p = self.ring.char
             sdim = sum(_tensor_component_dims(self.res.gen_degrees(self.i), self.n, d))
             if sdim == 0:
-                self._data[d] = (zeros(0, 0, p), [], zeros(0, 0, p))
+                self._data[d] = (zeros(0, 0), [], zeros(0, 0))
             else:
-                down = _tensor_differential(self.ring, self.res, self.n, self.i, d)
+                down = _tensor_differential(self.res, self.n, self.i, d)
                 z = kernel_basis(down, p)
-                up = _tensor_differential(self.ring, self.res, self.n, self.i + 1, d)
+                up = _tensor_differential(self.res, self.n, self.i + 1, d)
                 if up.shape[1] and z.shape[1]:
                     b_in_z = solve_many(z, up, p)
                 else:
-                    b_in_z = zeros(z.shape[1], 0, p)
+                    b_in_z = zeros(z.shape[1], 0)
                 idx, proj = quotient_projection(b_in_z, z.shape[1], p)
                 self._data[d] = (z, idx, proj)
         return self._data[d]
@@ -196,7 +203,7 @@ class _HomologySpaces:
         tdims = _tensor_component_dims(gens, self.n, a + e)
         soffs = np.cumsum([0] + sdims)
         toffs = np.cumsum([0] + tdims)
-        out = zeros(int(toffs[-1]), int(soffs[-1]), self.ring.char)
+        out = zeros(int(toffs[-1]), int(soffs[-1]))
         for b, g in enumerate(gens):
             if sdims[b] == 0 or tdims[b] == 0:
                 continue
@@ -211,14 +218,14 @@ class _HomologySpaces:
         z_a, idx_a, _ = self.space(a)
         z_t, _, proj_t = self.space(a + e)
         if not idx_a or proj_t.shape[0] == 0:
-            return zeros(self.dim(a + e), self.dim(a), p)
+            return zeros(self.dim(a + e), self.dim(a))
         reps = z_a[:, idx_a]
         acted = matmul(self.tensor_action(e, j, a), reps, p)
         in_z = solve_many(z_t, acted, p)
         return matmul(proj_t, in_z, p)
 
 
-def tor_as_module(m, n, i, margin=DEFAULT_MARGIN, res=None):
+def tor_as_module(m, n, i, res=None):
     """Tor_i(M, N) with its module structure.
 
     i = 0 returns the presented tensor product; i >= 1 reconstructs a
@@ -229,21 +236,19 @@ def tor_as_module(m, n, i, margin=DEFAULT_MARGIN, res=None):
         return tensor_presentation(m, n)
     ring = m.ring
     if res is None:
-        res = resolve(m, i + 1, margin)
+        res = resolve(m, i + 1)
     res.require(i + 1, f"Tor_{i} as a module")
     spaces = _HomologySpaces(ring, res, n, i)
-    bound = ring.degree_bound
-    gens_i = res.gen_degrees(i)
-    lo = min(0, (min(gens_i) if gens_i else 0) + n.min_degree())
-    mingens = minimal_generators_in(spaces, lo, bound)
+    degrees = _tensor_window(res, n, i)
+    mingens = minimal_generators_in(spaces, degrees.low, degrees.top)
     if not mingens:
         return GradedModule(ring, (), [])
     gens = tuple(d for d, _ in mingens)
     rel_gens, hi, _ = kernel_generators(
-        ring, gens, partial(generator_matrix, spaces, mingens), margin
+        ring, gens, partial(generator_matrix, spaces, mingens), degrees.low
     )
     module = GradedModule(ring, gens, rel_gens)
-    for d in range(0, min(bound, hi) + 1):
+    for d in range(degrees.low, hi + 1):
         if module.dim(d) != spaces.dim(d):
             raise SyzkitError(
                 "homology presentation mismatch in degree "
@@ -277,11 +282,10 @@ def _hom_matrix(dmap, n_mod, w):
     (source generator b, target generator c) block is multiplication by the
     (c, b) entry of dmap.
     """
-    ring = n_mod.ring
     src, tgt = dmap.source_degrees, dmap.target_degrees
     roffs = np.cumsum([0] + _hom_space_dims(n_mod, src, w))
     coffs = np.cumsum([0] + _hom_space_dims(n_mod, tgt, w))
-    out = zeros(int(roffs[-1]), int(coffs[-1]), ring.char)
+    out = zeros(int(roffs[-1]), int(coffs[-1]))
     for b, g in enumerate(src):
         if roffs[b] == roffs[b + 1]:
             continue
@@ -293,7 +297,7 @@ def _hom_matrix(dmap, n_mod, w):
     return out
 
 
-def ext_basis(m, n, t, margin=DEFAULT_MARGIN, res=None):
+def ext_basis(m, n, t, res=None):
     """Deterministic k-basis of Ext^t(M, N) by internal degree.
 
     Representative cocycles in Hom(F_t, N), modulo precompositions with the
@@ -304,7 +308,7 @@ def ext_basis(m, n, t, margin=DEFAULT_MARGIN, res=None):
         raise SyzkitError("Ext degree must be >= 0")
     ring = m.ring
     if res is None:
-        res = resolve(m, t + 1, margin)
+        res = resolve(m, t + 1)
     res.require(t + 1, f"Ext^{t}")
     gens_t = res.gen_degrees(t)
     if not gens_t:
@@ -318,13 +322,13 @@ def ext_basis(m, n, t, margin=DEFAULT_MARGIN, res=None):
         if total == 0:
             continue
         # cocycle condition: precomposition with d_{t+1} vanishes
-        cocycles = identity(total, p)
+        cocycles = identity(total)
         if res.gen_degrees(t + 1):
             cocycles = kernel_basis(_hom_matrix(res.diff(t + 1), n, w), p)
         if cocycles.shape[1] == 0:
             continue
         # coboundaries: precompositions g o d_t for g in Hom(F_{t-1}, N)_w
-        cob = _hom_matrix(res.diff(t), n, w) if t >= 1 else zeros(total, 0, p)
+        cob = _hom_matrix(res.diff(t), n, w) if t >= 1 else zeros(total, 0)
         offs = np.cumsum([0] + dims)
         for idx in extend_basis(cob, cocycles, p):
             vec = cocycles[:, idx]
@@ -349,7 +353,7 @@ class PushoutResult:
 
 def _combined_vector(ring, gens, block_vectors, degree):
     """Assemble a component vector from per-block pieces (None = zero)."""
-    vec = zeros(freemod.component_dim(ring, gens, degree), 1, ring.char)[:, 0]
+    vec = zeros(freemod.component_dim(ring, gens, degree), 1)[:, 0]
     offs = freemod.component_offsets(ring, gens, degree)
     for b, piece in enumerate(block_vectors):
         if piece is not None and len(piece):
@@ -357,7 +361,7 @@ def _combined_vector(ring, gens, block_vectors, degree):
     return vec
 
 
-def pushout_extension(eta, verify_depth=True, margin=DEFAULT_MARGIN):
+def pushout_extension(eta, verify_depth=True):
     """The middle module of the extension 0 -> N -> K -> Omega^{t-1}(M) -> 0
     built from a self-extension class (N = M), with the sequence verified
     degreewise.
@@ -407,9 +411,7 @@ def pushout_extension(eta, verify_depth=True, margin=DEFAULT_MARGIN):
     inc_cols = []
     for s, g in enumerate(m_gens):
         pieces = [None] * len(gens)
-        unit = zeros(ring.dim(0), 1, ring.char)[:, 0]
-        unit[0] = 1
-        pieces[s] = unit
+        pieces[s] = identity(1)[0]  # R_0 = F_p
         inc_cols.append(_combined_vector(ring, gens, pieces, g))
     inc = ModuleMap(m_shift, k_mod, inc_cols)
 
@@ -417,9 +419,7 @@ def pushout_extension(eta, verify_depth=True, margin=DEFAULT_MARGIN):
     proj_cols = []
     for b, g in enumerate(gens):
         if b < nm:
-            proj_cols.append(
-                zeros(freemod.component_dim(ring, omega.gen_degrees, g), 1, ring.char)[:, 0]
-            )
+            proj_cols.append(zeros(freemod.component_dim(ring, omega.gen_degrees, g), 1)[:, 0])
         else:
             c = b - nm
             if t == 1:
@@ -427,19 +427,14 @@ def pushout_extension(eta, verify_depth=True, margin=DEFAULT_MARGIN):
                 proj_cols.append(omega.lift_element(deg, vec))
             else:
                 pieces = [None] * len(omega.gen_degrees)
-                unit = zeros(ring.dim(0), 1, ring.char)[:, 0]
-                unit[0] = 1
-                pieces[c] = unit
+                pieces[c] = identity(1)[0]
                 proj_cols.append(
                     _combined_vector(ring, omega.gen_degrees, pieces, g)
                 )
     proj = ModuleMap(k_mod, omega, proj_cols)
     if not (inc.verify() and proj.verify()):
         raise SyzkitError("pushout maps are not well defined; internal error")
-    dmax = ring.degree_bound
-    if not ring.is_artinian_within_bound():
-        dmax = ring.degree_bound - margin
-    ok, detail = verify_ses(inc, proj, dmax)
+    ok, detail = verify_ses(inc, proj)
     depth_match = None
     if verify_depth:
         depth_match = depth(k_mod).depth == depth(m).depth
@@ -468,8 +463,7 @@ class ReductionSequence:
 
 
 def reduction_search(
-    m, max_degree=3, window=10, seed=0, combo_budget=64, margin=DEFAULT_MARGIN,
-    max_steps=10,
+    m, max_degree=3, window=10, seed=0, combo_budget=64, max_steps=10,
 ):
     """Greedy search for self-extension classes that strictly drop complexity.
 
@@ -478,7 +472,7 @@ def reduction_search(
     Absence of a result is not a proof of irreducibility.  The accepted
     module's depth is carried to the next step.
     """
-    est0, _ = complexity_of_module(m, window, margin)
+    est0, _ = complexity_of_module(m, window)
     if est0.value == 0:
         return ReductionSequence(m, est0, [], math.inf)
     if est0.value == math.inf:
@@ -492,7 +486,7 @@ def reduction_search(
             break
         found = None
         for t in range(1, max_degree + 1):
-            res = resolve(current, t + 1, margin)
+            res = resolve(current, t + 1)
             classes = ext_basis(current, current, t, res=res)
             by_degree = {}
             for c in classes:
@@ -515,12 +509,12 @@ def reduction_search(
                     )
             for cand in candidates:
                 try:
-                    push = pushout_extension(cand, verify_depth=False, margin=margin)
+                    push = pushout_extension(cand, verify_depth=False)
                 except SyzkitError:
                     continue
                 if not push.ses_ok or push.module.is_zero():
                     continue
-                est_k, _ = complexity_of_module(push.module, window, margin)
+                est_k, _ = complexity_of_module(push.module, window)
                 if est_k.value < current_est.value:
                     found = (push, est_k, t)
                     break
@@ -532,8 +526,8 @@ def reduction_search(
         # candidates are screened without the depth check; the accepted step
         # gets the full verification
         if current_depth is None:
-            current_depth = depth(current, margin).depth
-        k_depth = depth(push.module, margin).depth
+            current_depth = depth(current).depth
+        k_depth = depth(push.module).depth
         preserved = k_depth == current_depth
         steps.append(
             ReductionStep(push.module, push.eta, t, est_k, push.ses_ok, preserved)
@@ -579,8 +573,7 @@ class DepthFormulaReport:
 
 
 def check_depth_formula(
-    m, n, window=8, margin=DEFAULT_MARGIN, allow_nonrigorous=False,
-    search_reduction=False, seed=0,
+    m, n, window=8, allow_nonrigorous=False, search_reduction=False, seed=0,
 ):
     """Verify depth M + depth N = depth A + depth Tor_q(M, N) - q.
 
@@ -595,19 +588,19 @@ def check_depth_formula(
         raise WindowError(f"the depth formula needs a window >= 1, got {window}")
     if m.is_zero() or n.is_zero():
         raise SyzkitError("depth formula needs nonzero modules")
-    res = resolve(m, window + 1, margin)
-    profile = tor(m, n, window, margin, res=res)
+    res = resolve(m, window + 1)
+    profile = tor(m, n, window, res=res)
     q = profile.q
     if q >= 1 and not profile.rigorous and not allow_nonrigorous:
         raise SyzkitError(
             "largest nonvanishing Tor index is not rigorous within the window; "
             "raise the window or pass allow_nonrigorous"
         )
-    dm = depth(m, margin).depth
-    dn = depth(n, margin).depth
-    da = depth_of_ring(m.ring, margin).depth
-    tq = tor_as_module(m, n, q, margin=margin, res=res)
-    dtq = depth(tq, margin).depth
+    dm = depth(m).depth
+    dn = depth(n).depth
+    da = depth_of_ring(m.ring).depth
+    tq = tor_as_module(m, n, q, res=res)
+    dtq = depth(tq).depth
     lhs = dm + dn
     rhs = da + dtq - q
     annotations = ["dim A = depth A assumed (Cohen-Macaulay hypothesis, not verified)"]
@@ -626,7 +619,7 @@ def check_depth_formula(
     if dm == da:
         annotations.append("M is maximal Cohen-Macaulay (depth M = depth A)")
     if search_reduction:
-        witness = reduction_search(m, seed=seed, window=max(window, 8), margin=margin)
+        witness = reduction_search(m, seed=seed, window=max(window, 8))
         if witness is None:
             annotations.append("no complexity-reduction witness found within budget")
         else:
@@ -655,22 +648,18 @@ class DepthLemmaReport:
         return self.middle_ok and self.left_ok and self.right_ok
 
 
-def depth_lemma_check(inc, proj, dmax=None, margin=DEFAULT_MARGIN):
+def depth_lemma_check(inc, proj, dmax=None):
     """Standard depth inequalities on a verified short exact sequence.
 
     A failure here indicates an engine bug, not a mathematical discovery.
     """
     a, b, c = inc.source, inc.target, proj.target
-    if dmax is None:
-        dmax = a.ring.degree_bound
-        if not a.ring.is_artinian_within_bound():
-            dmax -= margin
     ok, why = verify_ses(inc, proj, dmax)
     if not ok:
         raise SyzkitError(f"sequence is not degreewise exact: {why}")
-    da = depth(a, margin).depth
-    db = depth(b, margin).depth
-    dc = depth(c, margin).depth
+    da = depth(a).depth
+    db = depth(b).depth
+    dc = depth(c).depth
     return DepthLemmaReport(
         da, db, dc,
         middle_ok=db >= min(da, dc),

@@ -46,11 +46,11 @@ def is_prime(n):
     return True
 
 
-def zeros(rows, cols, p):
+def zeros(rows, cols):
     return np.zeros((rows, cols), dtype=np.int64)
 
 
-def identity(n, p):
+def identity(n):
     return np.eye(n, dtype=np.int64)
 
 
@@ -75,7 +75,7 @@ def matmul(a, b, p):
     """Exact mod-p product of reduced matrices, through float64 BLAS."""
     k = a.shape[1]
     if a.shape[0] == 0 or b.shape[1] == 0 or k == 0:
-        return zeros(a.shape[0], b.shape[1], p)
+        return zeros(a.shape[0], b.shape[1])
     if k * (p - 1) ** 2 < _FLOAT_EXACT:
         return _product_mod(a.astype(np.float64), b.astype(np.float64), p, p - 1)
     # 16-bit limbs x = hi * 2^16 + lo, so every limb product is < 2^32
@@ -162,7 +162,7 @@ def _null_space(mat, p):
     """
     r, pivots, rk = rref(mat, p)
     free = _non_pivots(r.shape[1], pivots)
-    basis = zeros(r.shape[1], len(free), p)
+    basis = zeros(r.shape[1], len(free))
     basis[free, range(len(free))] = 1
     basis[pivots] = -r[:rk, free] % p
     return basis, free
@@ -190,7 +190,7 @@ def solve(mat, b, p):
     r, pivots, rk = rref(np.concatenate([a, b.reshape(-1, 1)], axis=1), p)
     if cols in pivots:
         return None
-    v = zeros(cols, 1, p)[:, 0]
+    v = zeros(cols, 1)[:, 0]
     v[pivots] = r[:rk, cols]
     return v
 
@@ -204,7 +204,7 @@ def solve_many(mat, bs, p):
             raise ValueError("inconsistent system in solve_many")
         cols.append(v)
     if not cols:
-        return zeros(mat.shape[1], 0, p)
+        return zeros(mat.shape[1], 0)
     return np.stack(cols, axis=1)
 
 
@@ -215,9 +215,9 @@ def coset_complement(sub, ambient_dim, p):
     """
     sub = np.asarray(sub)
     if sub.size == 0 or sub.shape[1] == 0:
-        return identity(ambient_dim, p)
+        return identity(ambient_dim)
     pivots = _eliminate(sub.T, p, False)[1]
-    return identity(ambient_dim, p)[:, _non_pivots(ambient_dim, pivots)]
+    return identity(ambient_dim)[:, _non_pivots(ambient_dim, pivots)]
 
 
 def quotient_projection(span, ambient_dim, p):
@@ -232,7 +232,7 @@ def quotient_projection(span, ambient_dim, p):
     """
     span = np.asarray(span)
     if span.size == 0 or span.shape[1] == 0:
-        return list(range(ambient_dim)), identity(ambient_dim, p)
+        return list(range(ambient_dim)), identity(ambient_dim)
     basis, free = _null_space(span.T, p)
     return free, np.ascontiguousarray(basis.T)
 
@@ -254,10 +254,3 @@ def extend_basis(span, candidates, p):
         stacked = np.concatenate([span, candidates], axis=1)
     pivots = _eliminate(stacked, p, False)[1]
     return [c - n0 for c in pivots if c >= n0]
-
-
-def hstack(blocks, rows, p):
-    mats = [b for b in blocks if b.shape[1] > 0]
-    if not mats:
-        return zeros(rows, 0, p)
-    return np.concatenate(mats, axis=1)

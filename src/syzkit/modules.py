@@ -14,7 +14,6 @@ from . import freemod
 from .errors import DegreeBoundError, HomogeneityError, SyzkitError
 from .linalg import (
     coset_complement,
-    hstack,
     matmul,
     matvec,
     quotient_projection,
@@ -54,7 +53,7 @@ class GradedModule:
         if d not in self._spaces:
             amb = freemod.component_dim(self.ring, self.gen_degrees, d)
             if amb == 0:
-                self._spaces[d] = ([], zeros(0, 0, self.ring.char))
+                self._spaces[d] = ([], zeros(0, 0))
             else:
                 span = self._relation_span(d)
                 self._spaces[d] = quotient_projection(span, amb, self.ring.char)
@@ -86,7 +85,7 @@ class GradedModule:
             reps = np.asarray(self._space(a)[0], dtype=np.intp)
             so = freemod.component_offsets(ring, self.gen_degrees, a)
             to = freemod.component_offsets(ring, self.gen_degrees, a + e)
-            mult = zeros(to[-1], len(reps), ring.char)
+            mult = zeros(to[-1], len(reps))
             for b, g in enumerate(self.gen_degrees):
                 lo, hi = np.searchsorted(reps, (so[b], so[b + 1]))
                 if lo < hi and to[b] < to[b + 1]:
@@ -98,7 +97,7 @@ class GradedModule:
     def action_by_ring_vector(self, rvec, e, a):
         """Multiplication by an element of R_e given in coordinates."""
         p = self.ring.char
-        out = zeros(self.dim(a + e), self.dim(a), p)
+        out = zeros(self.dim(a + e), self.dim(a))
         for j in np.nonzero(rvec)[0]:
             out = (out + int(rvec[j]) * self.action_matrix(e, int(j), a)) % p
         return out
@@ -166,7 +165,7 @@ def minimal_generators_in(space, lo, hi):
         if n == 0:
             continue
         blocks = [space.action_matrix(1, j, d - 1) for j in range(ring.dim(1))]
-        comp = coset_complement(hstack(blocks, n, ring.char), n, ring.char)
+        comp = coset_complement(np.concatenate([zeros(n, 0)] + blocks, axis=1), n, ring.char)
         out.extend((d, comp[:, k]) for k in range(comp.shape[1]))
     return out
 
@@ -181,7 +180,7 @@ def generator_matrix(space, gens, d):
     ring = space.ring
     degs = [g for g, _ in gens]
     rows = space.dim(d)
-    mat = zeros(rows, freemod.component_dim(ring, degs, d), ring.char)
+    mat = zeros(rows, freemod.component_dim(ring, degs, d))
     offs = freemod.component_offsets(ring, degs, d)
     for b, (g, w) in enumerate(gens):
         de = ring.dim(d - g)
@@ -221,7 +220,7 @@ def module_from_presentation(ring, gen_degrees, relation_columns):
             continue  # zero column
         if rdeg > ring.degree_bound:
             raise DegreeBoundError(rdeg, ring.degree_bound, "relation degree")
-        vec = zeros(freemod.component_dim(ring, gens, rdeg), 1, ring.char)[:, 0]
+        vec = zeros(freemod.component_dim(ring, gens, rdeg), 1)[:, 0]
         offs = freemod.component_offsets(ring, gens, rdeg)
         for s, f in enumerate(col):
             if f:
@@ -293,7 +292,7 @@ def tensor_presentation(m, n):
         offs = freemod.component_offsets(ring, m.gen_degrees, e)
         for t, h in enumerate(n.gen_degrees):
             d = e + h
-            vec = zeros(freemod.component_dim(ring, gens, d), 1, ring.char)[:, 0]
+            vec = zeros(freemod.component_dim(ring, gens, d), 1)[:, 0]
             poffs = freemod.component_offsets(ring, gens, d)
             for s, g in enumerate(m.gen_degrees):
                 pair = s * nn + t
@@ -303,7 +302,7 @@ def tensor_presentation(m, n):
         offs = freemod.component_offsets(ring, n.gen_degrees, e)
         for s, g in enumerate(m.gen_degrees):
             d = e + g
-            vec = zeros(freemod.component_dim(ring, gens, d), 1, ring.char)[:, 0]
+            vec = zeros(freemod.component_dim(ring, gens, d), 1)[:, 0]
             poffs = freemod.component_offsets(ring, gens, d)
             for t, h in enumerate(n.gen_degrees):
                 pair = s * nn + t
@@ -344,16 +343,20 @@ class ModuleMap:
         return True
 
 
-def verify_ses(f, g, dmax):
-    """Degreewise exactness of 0 -> A -f-> B -g-> C -> 0 up to degree dmax.
+def verify_ses(f, g, dmax=None):
+    """Degreewise exactness of 0 -> A -f-> B -g-> C -> 0 up to degree dmax,
+    by default the certified top of the ring's degree window over A, B, C.
 
     Returns (ok, first_failure_description)."""
     a, b, c = f.source, f.target, g.target
     p = a.ring.char
     if g.source is not b:
         return False, "maps are not composable"
-    d_lo = min([0, a.min_degree(), b.min_degree(), c.min_degree()])
-    for d in range(d_lo, dmax + 1):
+    degs = (a.gen_degrees + tuple(x - f.twist for x in b.gen_degrees)
+            + tuple(x - f.twist - g.twist for x in c.gen_degrees))
+    if dmax is None:
+        dmax = a.ring.degree_window(min(degs, default=0), max(degs, default=0)).certified
+    for d in range(min((0,) + degs), dmax + 1):
         fd = f.induced(d)
         gd = g.induced(d + f.twist)
         if matmul(gd, fd, p).any():

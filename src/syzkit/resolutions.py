@@ -29,19 +29,23 @@ free module).  When its rank is the number of free rows nothing is new;
 otherwise the generators are the columns of the identity that extend it,
 the same columns that extending inside the whole component would pick.
 
-Completeness of a kernel is certified, not assumed:
+Completeness of a kernel is certified, not assumed, by the ring's degree
+window (`rings.TruncatedQuotientRing.degree_window`), counted in ring
+degrees above the module's lowest generator, so a module and its shifts
+get the same Betti numbers, shifted, or the same refusal:
 
 * over a ring that collapses within the degree bound (R_d = 0 for some
   d <= D) the kernel vanishes above max generator degree + top degree of
-  R, so everything is visible if that bound is <= D;
-* otherwise new generators appearing within `margin` of the bound raise
+  R, and all of that is known, so there is no margin;
+* otherwise a new generator within 2 ring degrees of the bound raises
   DegreeBoundError instead of silently truncating Betti numbers.
 
 Depth is n - pd_S(M) over S = F_p[x_1..x_n] (Auslander-Buchsbaum), and
 `depth` reads pd_S from the Koszul homology of M on the variables acting
 through R: beta^S_{i,d}(M) = dim H_i(x; M)_d = dim K_{i,d} - rank d_{i,d} -
 rank d_{i+1,d}, with K_{i,d} = wedge^i F_p^n (x) M_{d-i} (Bruns & Herzog
-1.6).  It needs only the M_d and their action matrices, no tables of S.
+1.6).  It needs only the M_d and their action matrices, no tables of S,
+and reads them in the same degree window as `resolve`.
 
 A periodic tail is certified, not guessed: `detect_resolution_periodicity`
 hands the resolution to `chainsolve.certify_periodicity` with the onset
@@ -59,13 +63,9 @@ import numpy as np
 from . import freemod
 from .chainsolve import certify_periodicity
 from .complexes import FreeComplex, coker_module
-from .errors import DegreeBoundError, SyzkitError, WindowError
+from .errors import SyzkitError, WindowError
 from .linalg import _null_space, extend_basis, identity, matmul, matvec, rank, zeros
 from .modules import generator_matrix
-
-DEFAULT_MARGIN = 2
-TOO_CLOSE = ("syzygy generator too close to the degree bound to certify "
-             "completeness; raise the bound")
 
 
 class FreeResolution(FreeComplex):
@@ -117,7 +117,7 @@ def _mult_span_rows(ring, src_degs, d, prev, rows):
     """
     p, nvars, r = ring.char, ring.dim(1), prev.shape[1]
     rows = np.asarray(rows, dtype=np.int64)
-    out = zeros(len(rows), nvars * r, p)
+    out = zeros(len(rows), nvars * r)
     to = freemod.component_offsets(ring, src_degs, d)
     so = freemod.component_offsets(ring, src_degs, d - 1)
     for b, g in enumerate(src_degs):
@@ -131,30 +131,22 @@ def _mult_span_rows(ring, src_degs, d, prev, rows):
     return out
 
 
-def kernel_generators(ring, src_degs, matrix_at, margin, rows=None):
+def kernel_generators(ring, src_degs, matrix_at, low, rows=None):
     """Minimal generators of the kernel of a minimal-cover map out of the
     free module src_degs, degree-ascending.
 
-    matrix_at(d) must return the induced component matrix; rows, when
-    given, maps d to the free rows of the previous step's kernel basis,
-    which this map's image fills.  Returns (list of (degree, vector), top
-    degree scanned, free rows of this step's kernel bases by degree).
-    Negative generator degrees (twisted complexes) pull the usable ceiling
-    down: the degree-d component reads ring data at d - g.
+    matrix_at(d) must return the induced component matrix; low is the
+    least generator degree its components are built from (the module's,
+    for a resolution), which anchors the degree window.  rows, when given,
+    maps d to the free rows of the previous step's kernel basis, which
+    this map's image fills.  Returns (list of (degree, vector), top degree
+    scanned, free rows of this step's kernel bases by degree).
     """
-    lo = min(src_degs)
-    if ring.is_artinian_within_bound():
-        # every ring component above the collapse degree is known to vanish,
-        # so the kernel window is complete whatever the degree bound
-        hi = max(src_degs) + ring.top_degree()
-        certified_to = hi
-    else:
-        hi = ring.degree_bound + min(0, lo)
-        certified_to = hi - margin
+    window = ring.degree_window(low, max(src_degs))
     rows = rows or {}
     gens, free_rows = [], {}
     prev = None  # kernel basis one degree down, when nonzero
-    for d in range(lo, hi + 1):
+    for d in range(min(src_degs), window.top + 1):
         kd = None
         src_dim = freemod.component_dim(ring, src_degs, d)
         # minimality: kernel sits inside m * F, so skip degrees where that is 0
@@ -177,16 +169,15 @@ def kernel_generators(ring, src_degs, matrix_at, margin, rows=None):
             span = _mult_span_rows(ring, src_degs, d, prev, free)
             chosen = []
             if rank(span, ring.char) < len(free):
-                chosen = extend_basis(span, identity(len(free), ring.char), ring.char)
+                chosen = extend_basis(span, identity(len(free)), ring.char)
         for idx in chosen:
-            if d > certified_to:
-                raise DegreeBoundError(d + margin, ring.degree_bound, TOO_CLOSE)
+            window.certify(d)
             gens.append((d, kd[:, idx]))
         prev = kd
-    return gens, hi, free_rows
+    return gens, window.top, free_rows
 
 
-def resolve(module, n_max, margin=DEFAULT_MARGIN):
+def resolve(module, n_max):
     """Minimal free resolution of a nonzero module out to step n_max."""
     if n_max < 0:
         raise WindowError("resolution window must be >= 0")
@@ -199,11 +190,12 @@ def resolve(module, n_max, margin=DEFAULT_MARGIN):
     diffs = [None]
     terminated_at = None
     matrix_at = partial(generator_matrix, module, cover)
+    low = module.min_degree()  # the degree window counts ring degrees from here
     rows = None  # free rows of the previous step's kernel bases, by degree
     for i in range(1, n_max + 1):
         newgens = []
         if terminated_at is None:
-            newgens, _, rows = kernel_generators(ring, src_degs, matrix_at, margin, rows)
+            newgens, _, rows = kernel_generators(ring, src_degs, matrix_at, low, rows)
             if not newgens:
                 terminated_at = i
         if not newgens:
@@ -288,9 +280,9 @@ def detect_resolution_periodicity(res):
     return certify_periodicity(res, True)
 
 
-def complexity_of_module(module, window=10, margin=DEFAULT_MARGIN):
+def complexity_of_module(module, window=10):
     """Resolve and estimate complexity; returns (estimate, resolution)."""
-    res = resolve(module, window, margin)
+    res = resolve(module, window)
     cert = detect_resolution_periodicity(res)
     est = estimate_complexity(
         res.betti(), periodicity_hint=cert.period if cert else None, window=window
@@ -320,7 +312,7 @@ def _koszul_diff(module, xs, i, d):
     rows, cols = module.dim(a + 1), module.dim(a)
     target = {J: r for r, J in enumerate(combinations(range(len(xs)), i - 1))}
     source = list(combinations(range(len(xs)), i))
-    mat = zeros(len(target) * rows, len(source) * cols, p)
+    mat = zeros(len(target) * rows, len(source) * cols)
     if rows and cols:
         acts = [module.action_by_ring_vector(x, 1, a) for x in xs]
         for c, J in enumerate(source):
@@ -331,13 +323,16 @@ def _koszul_diff(module, xs, i, d):
     return mat, rank(mat, p)
 
 
-def depth(module, margin=DEFAULT_MARGIN):
+def depth(module):
     """Depth n - pd_S(M), with pd_S read from the Koszul homology of M.
 
     Step i reads beta_{i,d} for d from lo, the least degree of an (i-1)-st
-    syzygy, to D + min(0, lo), as the resolution over S would, and raises
-    DegreeBoundError on a syzygy within `margin` of the top.  Each d_{i,d}
-    is built and ranked once, and kept until d_{i-1} o d_i = 0 is checked.
+    syzygy, to the top of the ring's degree window, and raises
+    DegreeBoundError on a syzygy above its certified part.  The window is
+    counted in ring degrees above M's lowest generator, with a margin of 2
+    unless the ring collapses within the bound, so M and its shifts get the
+    same answer or the same refusal.  Each d_{i,d} is built and ranked
+    once, and kept until d_{i-1} o d_i = 0 is checked.
     """
     if module.is_zero():
         raise SyzkitError("depth of the zero module is undefined")
@@ -346,11 +341,12 @@ def depth(module, margin=DEFAULT_MARGIN):
     xs = [ring.normal_form({tuple(int(k == j) for k in range(n)): 1}, degree=1)
           for j in range(n)]
     lo = min(d for d, _ in module.minimal_generators())
+    # K_{i,d} vanishes above max generator degree + top degree of R + i
+    window = ring.degree_window(module.min_degree(), max(module.gen_degrees) + n)
     pd, below = 0, {}  # below: d -> (d_{i,d}, its rank), built by step i - 1
     for i in range(1, n + 1):
-        hi = bound + min(0, lo)
         built, found = {}, []
-        for d in range(lo, hi + 1):
+        for d in range(lo, window.top + 1):
             size = math.comb(n, i) * module.dim(d - i)
             if not size:
                 continue
@@ -360,8 +356,7 @@ def depth(module, margin=DEFAULT_MARGIN):
                 raise SyzkitError("internal error: Koszul differentials do not compose to zero")
             if size == low_rank + high_rank:
                 continue
-            if d > hi - margin:
-                raise DegreeBoundError(d + margin, bound, TOO_CLOSE)
+            window.certify(d)
             found.append(d)
         if not found:
             break
@@ -369,7 +364,7 @@ def depth(module, margin=DEFAULT_MARGIN):
     return DepthReport(n - pd, pd, n, bound)
 
 
-def depth_of_ring(ring, margin=DEFAULT_MARGIN):
+def depth_of_ring(ring):
     """Depth of R as a module over its polynomial ring.
 
     Reports stand in for dim A under the Cohen-Macaulay assumption, which
@@ -377,4 +372,4 @@ def depth_of_ring(ring, margin=DEFAULT_MARGIN):
     """
     from .modules import free_module
 
-    return depth(free_module(ring), margin)
+    return depth(free_module(ring))

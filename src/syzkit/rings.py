@@ -14,6 +14,7 @@ zero without further work; this also licenses degree queries above D.
 """
 
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,25 @@ from .errors import DegreeBoundError, HomogeneityError, SyzkitError
 from .linalg import matmul, quotient_projection, zeros
 
 DEFAULT_DEGREE_BOUND = 12
+MARGIN = 2  # ring degrees below the bound in which nothing new may appear
+TOO_CLOSE = ("syzygy generator too close to the degree bound to certify "
+             "completeness; raise the bound")
+
+
+class DegreeWindow(NamedTuple):
+    """Components on generators in degree `low` and up: read up to degree
+    `top`, and a new generator in them certified up to `certified`."""
+
+    low: int
+    top: int
+    certified: int
+    bound: int
+
+    def certify(self, d):
+        """Raise DegreeBoundError, naming the bound that would certify it,
+        on a new generator in degree d above the certified part."""
+        if d > self.certified:
+            raise DegreeBoundError(d - self.low + MARGIN, self.bound, TOO_CLOSE)
 
 
 class PolyRing:
@@ -78,7 +98,7 @@ class PolyRing:
 
     def poly_vector(self, f, d):
         """Coordinate vector of a homogeneous polynomial in the degree-d basis."""
-        vec = zeros(self.dim(d), 1, self.char)[:, 0]
+        vec = zeros(self.dim(d), 1)[:, 0]
         idx = self.monomial_index(d)
         for m, c in f.items():
             if poly.monomial_degree(m) != d:
@@ -146,7 +166,7 @@ class TruncatedQuotientRing:
         S_d: generator-major, the monomials m of degree d - deg g in order."""
         if d > self.degree_bound:
             raise DegreeBoundError(d, self.degree_bound, "ideal component")
-        blocks = [zeros(self.base.dim(d), 0, self.char)]
+        blocks = [zeros(self.base.dim(d), 0)]
         for g in self.ideal_gens:
             e = poly.poly_degree(g)
             if e > d:
@@ -155,7 +175,7 @@ class TruncatedQuotientRing:
             coeffs = np.array(list(g.values()), dtype=np.int64) % self.char
             shifts = np.array(self.base.monomial_basis(d - e), dtype=np.int64)
             at = self.base.monomial_positions(terms[:, None] + shifts, d)  # term x shift
-            block = zeros(self.base.dim(d), len(shifts), self.char)
+            block = zeros(self.base.dim(d), len(shifts))
             block[at, np.arange(len(shifts))] = coeffs[:, None]
             blocks.append(block)
         return np.concatenate(blocks, axis=1)
@@ -189,7 +209,7 @@ class TruncatedQuotientRing:
     def nf_matrix(self, d):
         """Normal form S_d -> R_d in coordinates (dim R_d x dim S_d)."""
         if self.dim(d) == 0:
-            return zeros(0, self.base.dim(d) if d <= self.degree_bound else 0, self.char)
+            return zeros(0, self.base.dim(d) if d <= self.degree_bound else 0)
         return self._degree_data[d][1]
 
     def normal_form(self, f, degree=None):
@@ -202,7 +222,7 @@ class TruncatedQuotientRing:
         if d is None:
             d = degree
         if d is None:
-            return zeros(0, 1, self.char)[:, 0]
+            return zeros(0, 1)[:, 0]
         if d > self.degree_bound:
             raise DegreeBoundError(d, self.degree_bound, "normal form")
         return matmul(
@@ -220,11 +240,19 @@ class TruncatedQuotientRing:
                     break
         return self._first_zero is not None
 
-    def top_degree(self):
-        """Largest d with R_d != 0, or None if not certified within the bound."""
+    def degree_window(self, low, high):
+        """The one rule for how far components built on generators in
+        degrees low..high are read and where a new generator is certified,
+        counted in ring degrees e = d - low so that a module and its shifts
+        read the same ring components: d is read while e <= D, and a new
+        generator is certified while e <= D - MARGIN.  A ring that collapses
+        within D (R_c = 0) is known in every degree, and such components
+        vanish above high + c - 1: that is the window, with no margin."""
+        top = self.degree_bound + low
         if not self.is_artinian_within_bound():
-            return None
-        return self._first_zero - 1
+            return DegreeWindow(low, top, top - MARGIN, self.degree_bound)
+        top = high + self._first_zero - 1
+        return DegreeWindow(low, top, top, self.degree_bound)
 
     # -- multiplication -------------------------------------------------------
 
@@ -235,7 +263,7 @@ class TruncatedQuotientRing:
             target = a + e
             da, dt = self.dim(a), self.dim(target)
             if da == 0 or dt == 0:
-                mat = zeros(dt, da, self.char)
+                mat = zeros(dt, da)
             else:
                 mj = self.basis_monomials(e)[j]
                 idx = self.base.monomial_index(target)
@@ -247,7 +275,7 @@ class TruncatedQuotientRing:
     def multiply(self, va, a, vb, b):
         """Product of two elements given by coordinate vectors in R_a, R_b."""
         dt = self.dim(a + b)
-        out = zeros(dt, 1, self.char)[:, 0]
+        out = zeros(dt, 1)[:, 0]
         for j in np.nonzero(vb)[0]:
             out = (out + int(vb[j]) * matmul(
                 self.mult_map(b, int(j), a), np.asarray(va).reshape(-1, 1), self.char

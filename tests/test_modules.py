@@ -101,12 +101,12 @@ def test_module_map_and_split_ses():
     import syzkit.freemod as fm
     from syzkit.linalg import zeros
 
-    inc_cols = [zeros(fm.component_dim(r, middle.gen_degrees, 0), 1, 2)[:, 0]]
+    inc_cols = [zeros(fm.component_dim(r, middle.gen_degrees, 0), 1)[:, 0]]
     inc_cols[0][0] = 1
     inc = ModuleMap(k, middle, inc_cols)
     proj_cols = []
     for b, g in enumerate(middle.gen_degrees):
-        v = zeros(fm.component_dim(r, f.gen_degrees, g), 1, 2)[:, 0]
+        v = zeros(fm.component_dim(r, f.gen_degrees, g), 1)[:, 0]
         if b == 1:
             v[0] = 1
         proj_cols.append(v)

@@ -333,7 +333,7 @@ def _dense_kernel_generators(ring, src_degs, matrix_at, hi):
     are the columns of ker_d extending the span of R_1 * ker_{d-1}, picked
     by rref([span | ker_d])."""
     from syzkit.freemod import component_dim, free_mult_matrix
-    from syzkit.linalg import extend_basis, hstack, kernel_basis, matmul
+    from syzkit.linalg import extend_basis, kernel_basis, matmul, zeros
 
     p = ring.char
     gens, prev = [], None
@@ -349,7 +349,8 @@ def _dense_kernel_generators(ring, src_degs, matrix_at, hi):
         if prev is not None:
             blocks = [matmul(free_mult_matrix(ring, src_degs, 1, j, d - 1), prev, p)
                       for j in range(ring.dim(1))]
-        gens += [(d, kd[:, i]) for i in extend_basis(hstack(blocks, src_dim, p), kd, p)]
+        span = np.concatenate([zeros(src_dim, 0)] + blocks, axis=1)
+        gens += [(d, kd[:, i]) for i in extend_basis(span, kd, p)]
         prev = kd
     return gens
 
@@ -359,7 +360,7 @@ def test_kernel_generators_match_the_dense_step(case):
     from functools import partial
 
     from syzkit.modules import generator_matrix
-    from syzkit.resolutions import DEFAULT_MARGIN, kernel_generators
+    from syzkit.resolutions import kernel_generators
 
     if case == "ci":
         r = ring_from_strings(32003, ["x", "y", "z"], ["x^2", "y^2", "z^2"], degree_bound=10)
@@ -383,11 +384,11 @@ def test_kernel_generators_match_the_dense_step(case):
             matrix_at = partial(generator_matrix, m, res.cover)
         else:
             matrix_at = res.diffs[i - 1].induced
-        got, hi, free_rows = kernel_generators(r, res.gens[i - 1], matrix_at, DEFAULT_MARGIN)
+        got, hi, free_rows = kernel_generators(r, res.gens[i - 1], matrix_at, m.min_degree())
         want = _dense_kernel_generators(r, res.gens[i - 1], matrix_at, hi)
         runs = [got]
         if rows is not None:
-            runs.append(kernel_generators(r, res.gens[i - 1], matrix_at, DEFAULT_MARGIN, rows)[0])
+            runs.append(kernel_generators(r, res.gens[i - 1], matrix_at, m.min_degree(), rows)[0])
         for run in runs:
             assert [d for d, _ in run] == [d for d, _ in want]
             assert all(np.array_equal(u, v) for (_, u), (_, v) in zip(run, want))
@@ -399,16 +400,16 @@ def test_kernel_generators_check_that_the_previous_rows_are_filled():
     # one extra row outside the previous kernel's free rows: the image of
     # d_3 fills only the free rows, so the restricted rank falls short
     from syzkit.freemod import component_dim
-    from syzkit.resolutions import DEFAULT_MARGIN, kernel_generators
+    from syzkit.resolutions import kernel_generators
 
     r = ring_from_strings(32003, ["x", "y", "z"], ["x^2", "y^2", "z^2"], degree_bound=10)
     res = resolve(residue_field(r), 3)
-    _, _, rows = kernel_generators(r, res.gens[1], res.diffs[2].induced, DEFAULT_MARGIN)
+    _, _, rows = kernel_generators(r, res.gens[1], res.diffs[2].induced, 0)
     d = 3
     extra = min(set(range(component_dim(r, res.gens[1], d))) - set(rows[d]))
     rows[d] = sorted(rows[d] + [extra])
     with pytest.raises(SyzkitError, match=f"internal error: .* degree {d}$"):
-        kernel_generators(r, res.gens[2], res.diffs[3].induced, DEFAULT_MARGIN, rows)
+        kernel_generators(r, res.gens[2], res.diffs[3].induced, 0, rows)
 
 
 def test_induced_matrix_exact_at_largest_prime():

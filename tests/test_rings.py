@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from syzkit import polynomials as poly
 from syzkit.errors import DegreeBoundError, HomogeneityError, SyzkitError
 from syzkit.rings import (
+    DegreeWindow,
     PolyRing,
     algebra_tensor,
     build_quotient,
@@ -90,14 +91,16 @@ def test_hilbert_complete_intersection():
     r = ring_from_strings(2, ["x", "y"], ["x^2", "y^2"])
     assert r.hilbert_function(5) == [1, 2, 1, 0, 0, 0]
     assert r.is_artinian_within_bound()
-    assert r.top_degree() == 2
+    # collapsed at R_3 = 0: read to top degree 2 above the highest generator, no margin
+    assert r.degree_window(-1, 1) == DegreeWindow(-1, 3, 3, 12)
 
 
 def test_hilbert_hypersurface():
     r = ring_from_strings(3, ["x", "y"], ["x*y"])
     assert r.hilbert_function(5) == [1, 2, 2, 2, 2, 2]
     assert not r.is_artinian_within_bound()
-    assert r.top_degree() is None
+    # ring degrees counted from the lowest generator, margin 2
+    assert r.degree_window(-1, 1) == DegreeWindow(-1, 11, 9, 12)
 
 
 def test_trivial_quotient_matches_polynomial_ring():

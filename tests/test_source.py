@@ -5,11 +5,6 @@ from pathlib import Path
 
 import syzkit
 
-# linalg.zeros(rows, cols, p) and linalg.identity(n, p) take a `p` they never
-# read; dropping it touches about 90 call sites, a change of its own
-# (ROADMAP item 6).
-ALLOWED_UNREAD = {("linalg", "zeros", "p"), ("linalg", "identity", "p")}
-
 
 def unread_parameters(path):
     """(module, function, parameter) for every parameter its body never reads."""
@@ -35,15 +30,37 @@ def test_every_parameter_is_read():
     found = set()
     for path in sorted(Path(syzkit.__file__).parent.glob("*.py")):
         found |= unread_parameters(path)
-    assert found == ALLOWED_UNREAD
+    assert found == set()
+
+
+def _package_trees():
+    for path in sorted(Path(syzkit.__file__).parent.glob("*.py")):
+        yield path, ast.parse(path.read_text())
+
+
+def test_one_module_decides_the_degree_window():
+    # rings.TruncatedQuotientRing.degree_window holds the margin and the
+    # collapse rule; no function takes a margin, and no other module asks
+    # whether the ring has collapsed
+    margins, calls = [], []
+    for path, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                margins += [f"{path.name}:{node.lineno}" for x in names if x == "margin"]
+            if (path.stem != "rings" and isinstance(node, ast.Attribute)
+                    and node.attr in ("is_artinian_within_bound", "top_degree")):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert margins == [] and calls == []
 
 
 def test_no_assert_statements():
     # `python -O` strips asserts, so checks in the package raise typed errors
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(Path(syzkit.__file__).parent.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
+        for path, tree in _package_trees()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert found == []
