@@ -111,8 +111,9 @@ def cmd_tor(args):
     report.add("q", profile.q)
     report.add("q_rigor", profile.q_rigor)
     report.add("internal_bound", profile.internal_bound)
-    report.say(f"Tor profile up to homological degree {args.window} "
-               f"(internal degrees exact up to {profile.internal_bound})")
+    exact = ("every internal degree exact" if profile.internal_bound == math.inf
+             else f"internal degrees exact up to {profile.internal_bound}")
+    report.say(f"Tor profile up to homological degree {args.window} ({exact})")
     for i in range(args.window + 1):
         total = profile.total(i)
         if total:

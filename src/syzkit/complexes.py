@@ -95,15 +95,13 @@ class FreeComplex:
             up_rank = rank(up.induced(d), self.ring.char)
         return sdim - down_rank - up_rank
 
-    def homology_total(self, j, dmax=None):
-        if dmax is None:
-            dmax = self.ring.degree_bound
-        return sum(self.homology_dim(j, d) for d in range(dmax + 1))
+    def homology_total(self, j):
+        return sum(self.homology_dim(j, d) for d in range(self.ring.degree_bound + 1))
 
-    def sup_within_window(self, dmax=None):
+    def sup_within_window(self):
         """Largest j (within the window) with nonzero homology; None if all zero."""
         for j in range(self.window - 1, -1, -1):
-            if self.homology_total(j, dmax):
+            if self.homology_total(j):
                 return j
         return None
 

@@ -125,7 +125,7 @@ def _inclusion_chain_map(sub, amb):
     return ChainMap.from_columns(sub, amb, 0, 0, column_lists)
 
 
-def _check_e_sequence(incl, proj, dmax):
+def _check_e_sequence(incl, proj):
     """Degreewise exactness of 0 -> E^i -> E^{i-1} -> shifted E^{i-1} -> 0."""
     p = incl.source.ring.char
     n, tau = proj.shift, proj.twist
@@ -140,8 +140,6 @@ def _check_e_sequence(incl, proj, dmax):
             for d in range(g, incl.target.ring.degree_bound + 1):
                 degs.add(d)
         for d in sorted(degs):
-            if d > dmax:
-                continue
             mid = incl.target.component_dim(j, d)
             sub = incl.source.component_dim(j, d) if j <= incl.source.window else 0
             quot = incl.target.component_dim(j - n, d + tau)
@@ -156,7 +154,7 @@ def _check_e_sequence(incl, proj, dmax):
     return True, ""
 
 
-def build_e_sequence(factors, etas, dmax=None):
+def build_e_sequence(factors, etas):
     """The truncated products E^0 .. E^c and the verified sequences linking them.
 
     E^i truncates the first i factors below their periods; the i-th sequence
@@ -171,8 +169,6 @@ def build_e_sequence(factors, etas, dmax=None):
             for k in range(c)
         ]
         complexes.append(tensor_many(parts))
-    if dmax is None:
-        dmax = complexes[0].ring.degree_bound
     reports = []
     for i in range(1, c + 1):
         amb = complexes[i - 1]
@@ -181,7 +177,7 @@ def build_e_sequence(factors, etas, dmax=None):
         if not incl.verify():
             raise SyzkitError("truncation inclusion is not a chain map")
         proj = induced_chain_map(amb, i - 1, etas[i - 1])
-        ok, detail = _check_e_sequence(incl, proj, dmax)
+        ok, detail = _check_e_sequence(incl, proj)
         reports.append(SesReport(i, etas[i - 1].shift, etas[i - 1].twist, ok, detail))
     return complexes, reports
 

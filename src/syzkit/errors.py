@@ -16,13 +16,15 @@ class HomogeneityError(SyzkitError):
 class DegreeBoundError(SyzkitError):
     """A computation needs internal degrees above the ring's degree bound.
 
-    Carries the first offending degree so the caller can raise the bound.
+    `needed` is the first internal degree read above the bound or, with
+    certify, the bound that would certify a generator found too close to it.
     """
 
-    def __init__(self, needed, bound, context=""):
+    def __init__(self, needed, bound, context="", certify=False):
         self.needed = needed
         self.bound = bound
-        msg = f"internal degree {needed} exceeds degree bound {bound}"
+        msg = (f"needs degree bound {needed}, have {bound}" if certify
+               else f"internal degree {needed} exceeds degree bound {bound}")
         if context:
             msg += f" ({context})"
         super().__init__(msg)

@@ -61,7 +61,7 @@ from .resolutions import (
 class TorProfile:
     dims: list                    # dims[i]: dict internal degree -> k-dimension
     window: int
-    internal_bound: int
+    internal_bound: object        # int, or inf over a ring collapsing within the bound
     q: int
     q_rigor: str                  # finite-pd | periodic-tail | window-only
     degree_bound: int
@@ -106,9 +106,9 @@ def _tensor_differential(res, n_mod, i, d):
 
 
 def _tensor_window(res, n, i_max):
-    """The degree window of F_i (x) N for i <= i_max: from the least
-    generator degree of F_0 (x) N, collapsing above the largest of F_i."""
-    low = min(res.gen_degrees(0)) + n.min_degree()
+    """The degree window of F_i (x) N for i <= i_max: from the start of the
+    resolution's window plus N's, collapsing above the largest of F_i (x) N."""
+    low = res.low + n.min_degree()
     high = max(g for i in range(i_max + 1) for g in res.gen_degrees(i))
     return res.ring.degree_window(low, high + max(n.gen_degrees, default=0))
 
@@ -154,7 +154,8 @@ def tor(m, n, window, res=None):
             period, onset = cert.period, cert.onset
             if q <= onset + period and window >= onset + 2 * period + 1:
                 rigor = "periodic-tail"
-    return TorProfile(dims, window, degrees.top, q, rigor, ring.degree_bound)
+    internal_bound = math.inf if degrees.certified == degrees.top else degrees.top
+    return TorProfile(dims, window, internal_bound, q, rigor, ring.degree_bound)
 
 
 def max_nonvanishing_tor(m, n, window):
@@ -648,13 +649,13 @@ class DepthLemmaReport:
         return self.middle_ok and self.left_ok and self.right_ok
 
 
-def depth_lemma_check(inc, proj, dmax=None):
+def depth_lemma_check(inc, proj):
     """Standard depth inequalities on a verified short exact sequence.
 
     A failure here indicates an engine bug, not a mathematical discovery.
     """
     a, b, c = inc.source, inc.target, proj.target
-    ok, why = verify_ses(inc, proj, dmax)
+    ok, why = verify_ses(inc, proj)
     if not ok:
         raise SyzkitError(f"sequence is not degreewise exact: {why}")
     da = depth(a).depth

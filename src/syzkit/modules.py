@@ -343,9 +343,9 @@ class ModuleMap:
         return True
 
 
-def verify_ses(f, g, dmax=None):
-    """Degreewise exactness of 0 -> A -f-> B -g-> C -> 0 up to degree dmax,
-    by default the certified top of the ring's degree window over A, B, C.
+def verify_ses(f, g):
+    """Degreewise exactness of 0 -> A -f-> B -g-> C -> 0 up to the certified
+    top of the ring's degree window over A, B and C.
 
     Returns (ok, first_failure_description)."""
     a, b, c = f.source, f.target, g.target
@@ -354,9 +354,8 @@ def verify_ses(f, g, dmax=None):
         return False, "maps are not composable"
     degs = (a.gen_degrees + tuple(x - f.twist for x in b.gen_degrees)
             + tuple(x - f.twist - g.twist for x in c.gen_degrees))
-    if dmax is None:
-        dmax = a.ring.degree_window(min(degs, default=0), max(degs, default=0)).certified
-    for d in range(min((0,) + degs), dmax + 1):
+    window = a.ring.degree_window(min(degs, default=0), max(degs, default=0))
+    for d in range(min((0,) + degs), window.certified + 1):
         fd = f.induced(d)
         gd = g.induced(d + f.twist)
         if matmul(gd, fd, p).any():

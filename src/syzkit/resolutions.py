@@ -71,9 +71,10 @@ from .modules import generator_matrix
 class FreeResolution(FreeComplex):
     """A minimal free resolution of `module`, with its augmentation `cover`."""
 
-    def __init__(self, ring, module, gens, diffs, cover, terminated_at):
+    def __init__(self, ring, module, gens, diffs, cover, terminated_at, low):
         super().__init__(ring, gens, diffs)
         self.module = module
+        self.low = low            # the degree window counts ring degrees from here
         self.cover = cover        # list of (degree, vector in M coords) for F_0
         self.terminated_at = terminated_at  # first i with F_i = 0, or None
 
@@ -190,7 +191,7 @@ def resolve(module, n_max):
     diffs = [None]
     terminated_at = None
     matrix_at = partial(generator_matrix, module, cover)
-    low = module.min_degree()  # the degree window counts ring degrees from here
+    low = module.min_degree()  # M_d is read through every presented generator
     rows = None  # free rows of the previous step's kernel bases, by degree
     for i in range(1, n_max + 1):
         newgens = []
@@ -209,7 +210,7 @@ def resolve(module, n_max):
         src_degs = degs
         matrix_at = dmap.induced
 
-    res = FreeResolution(ring, module, gens, diffs, list(cover), terminated_at)
+    res = FreeResolution(ring, module, gens, diffs, list(cover), terminated_at, low)
     if not res.verify_complex():
         raise SyzkitError("internal error: resolution differentials do not compose to zero")
     if not res.is_minimal():
@@ -326,8 +327,8 @@ def _koszul_diff(module, xs, i, d):
 def depth(module):
     """Depth n - pd_S(M), with pd_S read from the Koszul homology of M.
 
-    Step i reads beta_{i,d} for d from lo, the least degree of an (i-1)-st
-    syzygy, to the top of the ring's degree window, and raises
+    Step i reads beta_{i,d} for d from lo, the window's low and then the
+    least degree of an (i-1)-st syzygy, to the top of the window; it raises
     DegreeBoundError on a syzygy above its certified part.  The window is
     counted in ring degrees above M's lowest generator, with a margin of 2
     unless the ring collapses within the bound, so M and its shifts get the
@@ -340,10 +341,9 @@ def depth(module):
     n, bound = len(ring.vars), ring.degree_bound
     xs = [ring.normal_form({tuple(int(k == j) for k in range(n)): 1}, degree=1)
           for j in range(n)]
-    lo = min(d for d, _ in module.minimal_generators())
     # K_{i,d} vanishes above max generator degree + top degree of R + i
     window = ring.degree_window(module.min_degree(), max(module.gen_degrees) + n)
-    pd, below = 0, {}  # below: d -> (d_{i,d}, its rank), built by step i - 1
+    pd, lo, below = 0, window.low, {}  # below: d -> (d_{i,d}, its rank) from step i - 1
     for i in range(1, n + 1):
         built, found = {}, []
         for d in range(lo, window.top + 1):

@@ -30,7 +30,9 @@ TOO_CLOSE = ("syzygy generator too close to the degree bound to certify "
 
 class DegreeWindow(NamedTuple):
     """Components on generators in degree `low` and up: read up to degree
-    `top`, and a new generator in them certified up to `certified`."""
+    `top`, and a new generator in them certified up to `certified`.  The
+    two are equal only over a ring that collapses within the bound, where
+    every component above `top` is zero."""
 
     low: int
     top: int
@@ -41,7 +43,7 @@ class DegreeWindow(NamedTuple):
         """Raise DegreeBoundError, naming the bound that would certify it,
         on a new generator in degree d above the certified part."""
         if d > self.certified:
-            raise DegreeBoundError(d - self.low + MARGIN, self.bound, TOO_CLOSE)
+            raise DegreeBoundError(d - self.low + MARGIN, self.bound, TOO_CLOSE, certify=True)
 
 
 class PolyRing:

@@ -72,6 +72,16 @@ def test_tor_command():
     assert "q = 1" in out.stdout
     assert "q_rigor = finite-pd" in out.stdout
     assert "tor_1 = 2:1" in out.stdout
+    assert "internal_bound = 14" in out.stdout
+
+
+def test_tor_command_over_a_collapsed_ring_claims_no_truncation():
+    # R = F_2[x]/(x^2) collapses at degree 2, within the bound 16
+    out = run_cli("tor", fx("x1_k.module"), fx("x1_k.module"), "--window", "3", "--machine")
+    assert out.returncode == 0
+    assert "tor_3 = 3:1" in out.stdout and "internal_bound = inf" in out.stdout
+    out = run_cli("tor", fx("x1_k.module"), fx("x1_k.module"), "--window", "3")
+    assert "(every internal degree exact)" in out.stdout
 
 
 def test_depth_formula_q0():

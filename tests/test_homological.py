@@ -94,6 +94,39 @@ def test_max_nonvanishing_tor_examples():
     assert (q2, rigor2) == (1, "finite-pd")
 
 
+def test_tor_reads_a_collapsed_ring_in_every_degree():
+    # R_2 = 0 within the bound, so every component of F_i (x) N is known:
+    # Tor_i(k, k) = k in degree i for every i, read past D = 3
+    r = ring_from_strings(2, ["x"], ["x^2"], degree_bound=3)
+    k = residue_field(r)
+    profile = tor(k, k, 6)
+    assert profile.dims == [{i: 1} for i in range(7)]
+    assert (profile.q, profile.internal_bound) == (6, math.inf)
+    k = residue_field(ci_ring())
+    profile = tor(k, k, 2)
+    assert profile.dims == [{0: 1}, {1: 2}, {2: 3}]
+    assert profile.internal_bound == math.inf
+
+
+def test_tor_window_starts_where_the_resolution_starts():
+    # over a ring that does not collapse Tor is exact up to D ring degrees
+    # above the least presented generators of M and N, so the bound moves
+    # with a shift; a redundant generator below the minimal ones lowers it,
+    # as it lowers the window the resolution certified
+    r = xy_ring(8)
+    m = module_from_strings(r, [0], [["x"]])
+    n = module_from_strings(r, [0], [["x + y"]])
+    for s in (-2, -1, 0, 1, 2):
+        profile = tor(m.shifted(s), n, 3)
+        assert profile.internal_bound == 8 + s
+        assert profile.dims == [{s: 1}, {}, {}, {}]
+    padded = module_from_strings(r, [-1, 0], [["1", "0"], ["0", "x"]])
+    assert padded.min_degree() == -1
+    assert resolve(padded, 3).gen_degrees(0) == (0,)
+    assert tor(padded, n, 3).internal_bound == 7
+    assert tor(n, padded, 3).internal_bound == 7
+
+
 def test_tor_as_module_examples():
     r = xy_ring(14)
     m = module_from_strings(r, [0], [["x + y"]])

@@ -112,7 +112,7 @@ def test_module_map_and_split_ses():
         proj_cols.append(v)
     proj = ModuleMap(middle, f, proj_cols)
     assert inc.verify() and proj.verify()
-    ok, why = verify_ses(inc, proj, 4)
+    ok, why = verify_ses(inc, proj)
     assert ok, why
 
 

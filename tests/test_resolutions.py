@@ -141,6 +141,19 @@ def test_degree_bound_error_over_hypersurface_margin():
         resolve(module_from_strings(r, [0], [["x"]]), 8)
 
 
+def test_degree_bound_error_names_the_bound_that_would_certify():
+    # the generator of F_5 sits 5 ring degrees above the module's lowest
+    # generator, within the margin of D = 6: bound 7 would certify it,
+    # whatever the shift, and no internal degree is named
+    r = ring_from_strings(3, ["x", "y"], ["x*y"], degree_bound=6)
+    m = module_from_strings(r, [0], [["x"]])
+    for s in (-1, 0, 2):
+        with pytest.raises(DegreeBoundError) as info:
+            resolve(m.shifted(s), 8)
+        assert (info.value.needed, info.value.bound) == (7, 6)
+        assert str(info.value).startswith("needs degree bound 7, have 6 (")
+
+
 def test_zero_module_rejected():
     r = ring_from_strings(2, ["x", "y"], [])
     with pytest.raises(SyzkitError):
