@@ -96,7 +96,11 @@ class FreeComplex:
         return sdim - down_rank - up_rank
 
     def homology_total(self, j):
-        return sum(self.homology_dim(j, d) for d in range(self.ring.degree_bound + 1))
+        """dim_k H_j(C), over the ring's degree window on every term's
+        generators, so a twist of the complex moves no total."""
+        degs = [g for gens in self.gens for g in gens]
+        window = self.ring.degree_window(min(degs, default=0), max(degs, default=0))
+        return sum(self.homology_dim(j, d) for d in range(window.low, window.top + 1))
 
     def sup_within_window(self):
         """Largest j (within the window) with nonzero homology; None if all zero."""
@@ -332,24 +336,20 @@ def tensor_pair(f, g):
         for (aa, ui, bb, vi), total_deg in zip(labels[j], gens[j]):
             du = f.gen_degrees(aa)[ui]
             dv = g.gen_degrees(bb)[vi]
-            vec = zeros(freemod.component_dim(a, gens[j - 1], total_deg), 1)[:, 0]
-            offs = freemod.component_offsets(a, gens[j - 1], total_deg)
+            blocks = {}
             fd = f.diff(aa) if aa >= 1 else None
             if fd is not None:
                 for c, piece in fd.blocks(ui):
                     target = pos[j - 1][(aa - 1, c, vi)]
-                    emb = emb_f.embed(piece, du - fd.target_degrees[c])
-                    vec[offs[target]:offs[target + 1]] = emb
+                    blocks[target] = emb_f.embed(piece, du - fd.target_degrees[c])
             gd = g.diff(bb) if bb >= 1 else None
             if gd is not None:
                 sign = (-1) ** aa
                 for c, piece in gd.blocks(vi):
                     target = pos[j - 1][(aa, ui, c)]
                     emb = emb_g.embed(piece, dv - gd.target_degrees[c])
-                    vec[offs[target]:offs[target + 1]] = (
-                        vec[offs[target]:offs[target + 1]] + sign * emb
-                    ) % p
-            cols.append(vec)
+                    blocks[target] = (sign * emb) % p
+            cols.append(freemod.vector(a, gens[j - 1], total_deg, blocks))
         diffs.append(freemod.FreeMap(a, gens[j], gens[j - 1], cols))
     out = FreeComplex(a, gens, diffs, labels)
     if not out.verify():
@@ -409,20 +409,18 @@ def induced_chain_map(product, factor_index, eta):
             aa, ui = lab[factor_index]
             left_degree = sum(h for h, _ in lab[:factor_index])
             sign = (-1) ** (n * left_degree)
-            tgt_gens = product.gen_degrees(j - n)
-            vec = zeros(freemod.component_dim(ring, tgt_gens, total_deg + tau), 1)[:, 0]
+            blocks = {}
             comp = eta.component(aa)
             if comp is not None and aa < len(fac.gens):
                 du = fac.gen_degrees(aa)[ui]
-                offs = freemod.component_offsets(ring, tgt_gens, total_deg + tau)
                 for c, piece in comp.blocks(ui):
                     new_lab = lab[:factor_index] + ((aa - n, c),) + lab[factor_index + 1:]
                     if j - n < 0 or new_lab not in pos[j - n]:
                         raise SyzkitError("induced map hit a missing product generator")
                     t = pos[j - n][new_lab]
                     embedded = emb.embed(piece, du + tau - comp.target_degrees[c])
-                    vec[offs[t]:offs[t + 1]] = (sign * embedded) % p
-            cols.append(vec)
+                    blocks[t] = (sign * embedded) % p
+            cols.append(freemod.vector(ring, product.gen_degrees(j - n), total_deg + tau, blocks))
         column_lists.append(cols)
     out = ChainMap.from_columns(product, product, n, tau, column_lists)
     if not out.verify():
@@ -448,26 +446,19 @@ def cone(phi):
         gens.append(xs + zs)
     diffs = [None]
     for j in range(1, w + 1):
+        nx = x.rank(j - 2)  # C_{j-1} = X_{j-2}(tau) (+) Z_{j-1-n}
+        dx, comp, dz = x.diff(j - 1), phi.component(j - 1), z.diff(j - n)
         cols = []
-        xs_prev = tuple(g + tau for g in x.gen_degrees(j - 2))
-        zs_prev = z.gen_degrees(j - 1 - n)
         for b, g in enumerate(x.gen_degrees(j - 1)):
-            dx = x.diff(j - 1)
-            if dx is not None and dx.source_degrees:
-                x_piece = (-dx.columns[b]) % p
-            else:
-                x_piece = zeros(freemod.component_dim(ring, xs_prev, g + tau), 1)[:, 0]
-            comp = phi.component(j - 1)
-            z_piece = comp.columns[b]
-            cols.append(np.concatenate([x_piece, z_piece]))
+            blocks = {nx + c: piece for c, piece in comp.blocks(b)}
+            if dx is not None:
+                blocks.update((c, (-piece) % p) for c, piece in dx.blocks(b))
+            cols.append(freemod.vector(ring, gens[j - 1], g + tau, blocks))
         for b, h in enumerate(z.gen_degrees(j - n)):
-            dz = z.diff(j - n)
-            x_zero = zeros(freemod.component_dim(ring, xs_prev, h), 1)[:, 0]
-            if dz is not None and dz.source_degrees:
-                z_piece = (sign * dz.columns[b]) % p
-            else:
-                z_piece = zeros(freemod.component_dim(ring, zs_prev, h), 1)[:, 0]
-            cols.append(np.concatenate([x_zero, z_piece]))
+            blocks = {}
+            if dz is not None:
+                blocks = {nx + c: (sign * piece) % p for c, piece in dz.blocks(b)}
+            cols.append(freemod.vector(ring, gens[j - 1], h, blocks))
         diffs.append(freemod.FreeMap(ring, gens[j], gens[j - 1], cols))
     out = FreeComplex(ring, gens, diffs)
     out._cone_of = phi
@@ -479,9 +470,11 @@ def cone(phi):
 def induced_on_cone(cone_cx, psi):
     """Self-map of the cone induced by psi commuting with the cone's map.
 
-    Components are (s1 psi_{j-1}, s2 psi_{j-n}) on the two blocks; the signs
-    are found by trying the four combinations and keeping the first that
-    satisfies the chain condition (deterministic order).
+    Components are (psi_{j-1}, (-1)^m psi_{j-n}) on the two blocks, m the
+    shift of psi.  With d(x, z) = (-dx, phi x + (-1)^n dz), signs (s1, s2)
+    give a chain map iff s2 psi phi = (-1)^m s1 phi psi, so psi phi = phi psi
+    makes them (1, (-1)^m).  The map is verified once; a failure means that
+    psi does not commute with phi.
     """
     phi = cone_cx._cone_of
     x = phi.source
@@ -489,32 +482,26 @@ def induced_on_cone(cone_cx, psi):
     n, tau = phi.shift, phi.twist
     m, upsilon = psi.shift, psi.twist
     p = ring.char
-    for s1 in (1, p - 1):
-        for s2 in (1, p - 1):
-            column_lists = []
-            for j in range(cone_cx.window + 1):
-                cols = []
-                tgt = cone_cx.gen_degrees(j - m)
-                x_tgt = tuple(g + tau for g in x.gen_degrees(j - m - 1))
-                for b, g in enumerate(x.gen_degrees(j - 1)):
-                    comp = psi.component(j - 1)
-                    piece = comp.columns[b]
-                    x_part = (int(s1) * piece) % p
-                    z_dim = freemod.component_dim(
-                        ring, phi.target.gen_degrees(j - m - n), g + tau + upsilon
-                    )
-                    cols.append(np.concatenate([x_part, zeros(z_dim, 1)[:, 0]]))
-                for b, h in enumerate(phi.target.gen_degrees(j - n)):
-                    comp = psi.component(j - n)
-                    piece = comp.columns[b]
-                    z_part = (int(s2) * piece) % p
-                    x_dim = freemod.component_dim(ring, x_tgt, h + upsilon)
-                    cols.append(np.concatenate([zeros(x_dim, 1)[:, 0], z_part]))
-                column_lists.append(cols)
-            cand = ChainMap.from_columns(cone_cx, cone_cx, m, upsilon, column_lists)
-            if cand.verify():
-                return cand
-    raise SyzkitError("no sign choice makes the induced cone map a chain map")
+    s2 = (-1) ** m
+    column_lists = []
+    for j in range(cone_cx.window + 1):
+        tgt = cone_cx.gen_degrees(j - m)
+        nx = x.rank(j - m - 1)  # C_{j-m} = X_{j-m-1}(tau) (+) Z_{j-m-n}
+        cols = []
+        for b, g in enumerate(x.gen_degrees(j - 1)):
+            blocks = dict(psi.component(j - 1).blocks(b))
+            cols.append(freemod.vector(ring, tgt, g + tau + upsilon, blocks))
+        for b, h in enumerate(phi.target.gen_degrees(j - n)):
+            blocks = {nx + c: (s2 * piece) % p for c, piece in psi.component(j - n).blocks(b)}
+            cols.append(freemod.vector(ring, tgt, h + upsilon, blocks))
+        column_lists.append(cols)
+    out = ChainMap.from_columns(cone_cx, cone_cx, m, upsilon, column_lists)
+    if not out.verify():
+        raise SyzkitError(
+            "the map does not commute with the cone's map, so it induces no "
+            "chain map on the cone"
+        )
+    return out
 
 
 # -- minimization -----------------------------------------------------------

@@ -27,7 +27,7 @@ from .complexes import (
     tensor_many,
 )
 from .errors import SyzkitError, WindowError
-from .linalg import rank, zeros
+from .linalg import rank
 from .modules import GradedModule, ModuleMap, verify_ses
 from .resolutions import estimate_complexity
 from .rings import PolyRing, build_quotient
@@ -81,13 +81,9 @@ def periodic_variable_complex(char, period, window, degree_bound=None, prefix="x
     for j in range(window + 1):
         src = cx.gen_degrees(j)
         tgt = cx.gen_degrees(j - period)
-        if not tgt:
-            comps.append(freemod.FreeMap.zero(ring, src, tgt, -period))
-            continue
-        col = zeros(freemod.component_dim(ring, tgt, j - period), 1)[:, 0]
-        # c_{j-1} = (-1)^period c_j forces the alternating scalar below
-        col[0] = ((-1) ** (period * j)) % ring.char
-        comps.append(freemod.FreeMap(ring, src, tgt, [col], -period))
+        comp = freemod.FreeMap.selection(ring, src, tgt, [0 if tgt else None], -period)
+        # c_{j-1} = (-1)^period c_j forces the alternating scalar
+        comps.append(comp.scale((-1) ** (period * j)))
     eta = ChainMap(cx, cx, period, -period, comps)
     if not eta.verify():
         raise SyzkitError("periodic fixture witness fails the chain condition")
@@ -108,41 +104,37 @@ class SesReport:
 
 def _inclusion_chain_map(sub, amb):
     """Label-preserving inclusion of one tensor product into another."""
-    ring = amb.ring
     pos = amb._label_pos
-    column_lists = []
+    comps = []
     for j in range(sub.window + 1):
-        cols = []
-        for lab, g in zip(sub.labels[j], sub.gens[j]):
-            vec = zeros(freemod.component_dim(ring, amb.gen_degrees(j), g), 1)[:, 0]
-            if lab not in pos[j]:
-                raise SyzkitError("truncated product label missing from ambient product")
-            t = pos[j][lab]
-            offs = freemod.component_offsets(ring, amb.gen_degrees(j), g)
-            vec[offs[t]] = 1
-            cols.append(vec)
-        column_lists.append(cols)
-    return ChainMap.from_columns(sub, amb, 0, 0, column_lists)
+        if any(lab not in pos[j] for lab in sub.labels[j]):
+            raise SyzkitError("truncated product label missing from ambient product")
+        targets = [pos[j][lab] for lab in sub.labels[j]]
+        comps.append(freemod.FreeMap.selection(
+            amb.ring, sub.gen_degrees(j), amb.gen_degrees(j), targets
+        ))
+    return ChainMap(sub, amb, 0, 0, comps)
 
 
 def _check_e_sequence(incl, proj):
-    """Degreewise exactness of 0 -> E^i -> E^{i-1} -> shifted E^{i-1} -> 0."""
-    p = incl.source.ring.char
+    """Degreewise exactness of 0 -> E^i -> E^{i-1} -> shifted E^{i-1} -> 0,
+    over the ring's degree window on E^{i-1} and on its shifted copy."""
+    amb = incl.target
+    p = amb.ring.char
     n, tau = proj.shift, proj.twist
-    for j in range(incl.target.window + 1):
+    degs = [g for j in range(amb.window + 1) for g in amb.gen_degrees(j)]
+    degs += [g - tau for g in degs]  # the quotient is read in degree d + tau
+    window = amb.ring.degree_window(min(degs, default=0), max(degs, default=0))
+    for j in range(amb.window + 1):
         inc_j = incl.component(j)
         proj_j = proj.component(j)
         composite = proj_j.compose(inc_j) if j <= incl.source.window else None
         if composite is not None and not composite.is_zero():
             return False, f"composite nonzero at homological degree {j}"
-        degs = set()
-        for g in incl.target.gen_degrees(j):
-            for d in range(g, incl.target.ring.degree_bound + 1):
-                degs.add(d)
-        for d in sorted(degs):
-            mid = incl.target.component_dim(j, d)
+        for d in range(window.low, window.top + 1):
+            mid = amb.component_dim(j, d)
             sub = incl.source.component_dim(j, d) if j <= incl.source.window else 0
-            quot = incl.target.component_dim(j - n, d + tau)
+            quot = amb.component_dim(j - n, d + tau)
             if mid != sub + quot:
                 return False, (
                     f"rank identity fails at (j={j}, d={d}): {mid} != {sub}+{quot}"
@@ -371,27 +363,23 @@ def corollary_module(result, window=8):
         else:
             est_k, _ = complexity_of_module(k_mod, window)
         ring = cn.ring
-        # cone generators at this level: X-part (previous cone, twisted) then
-        # the second summand carrying the previous cokernel's generators
-        x_gens = tuple(g + twists[i] for g in prev_complex.gen_degrees(level - 1))
+        # cone generators at this level: the nx of the X-part (previous
+        # cone, twisted) then the second summand carrying the previous
+        # cokernel's generators
+        gens = cn.gen_degrees(level)
+        nx = len(prev_complex.gen_degrees(level - 1))
         ok = True
         detail = ""
         try:
-            inc_cols = []
-            for b, g in enumerate(prev_complex.gen_degrees(level - shifts[i])):
-                vec = zeros(freemod.component_dim(ring, cn.gen_degrees(level), g), 1)[:, 0]
-                offs = freemod.component_offsets(ring, cn.gen_degrees(level), g)
-                vec[offs[len(x_gens) + b]] = 1
-                inc_cols.append(vec)
+            z_gens = prev_complex.gen_degrees(level - shifts[i])
+            inc_cols = freemod.FreeMap.selection(
+                ring, z_gens, gens, [nx + b for b in range(len(z_gens))]
+            ).columns
             inc = ModuleMap(prev_module, k_mod, inc_cols)
             omega = coker_module(prev_complex, level - 1).shifted(twists[i])
-            proj_cols = []
-            for b, g in enumerate(cn.gen_degrees(level)):
-                vec = zeros(freemod.component_dim(ring, omega.gen_degrees, g), 1)[:, 0]
-                if b < len(x_gens):
-                    offs = freemod.component_offsets(ring, omega.gen_degrees, g)
-                    vec[offs[b]] = 1
-                proj_cols.append(vec)
+            proj_cols = freemod.FreeMap.selection(
+                ring, gens, omega.gen_degrees, [b if b < nx else None for b in range(len(gens))]
+            ).columns
             proj = ModuleMap(k_mod, omega, proj_cols)
             if not (inc.verify() and proj.verify()):
                 ok, detail = False, "transported maps not well defined"

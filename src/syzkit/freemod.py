@@ -14,6 +14,11 @@ offsets of their pieces.  It is built once, on first use, with one
 vectorised pass over the columns of each source degree, and `induced`,
 `blocks` and their callers read only the nonzero pieces from it.  The
 columns are read-only, so the index cannot go stale.
+
+This module owns the block layout of a component: `vector` writes a
+component vector, `pieces` splits one, and `FreeMap.selection` builds the
+maps that send generators to generators, so no other module writes at
+`component_offsets`.
 """
 
 import numpy as np
@@ -38,6 +43,23 @@ def component_offsets(ring, gen_degrees, d):
 
 def component_dim(ring, gen_degrees, d):
     return component_offsets(ring, gen_degrees, d)[-1]
+
+
+def vector(ring, gen_degrees, d, blocks):
+    """The degree-d component vector whose block on generator c is
+    blocks[c], a coordinate vector over R_{d - g_c} (a scalar when
+    g_c = d), and zero on every generator that blocks does not name."""
+    offs = component_offsets(ring, gen_degrees, d)
+    vec = zeros(offs[-1], 1)[:, 0]
+    for c, block in blocks.items():
+        vec[offs[c]:offs[c + 1]] = block
+    return vec
+
+
+def pieces(ring, gen_degrees, d, vec):
+    """The blocks of a degree-d component vector, one per generator."""
+    offs = component_offsets(ring, gen_degrees, d)
+    return [vec[lo:hi] for lo, hi in zip(offs, offs[1:])]
 
 
 def free_mult_matrix(ring, gen_degrees, e, j, d):
@@ -69,30 +91,33 @@ class FreeMap:
                 want_by_degree[g] = component_dim(ring, self.target_degrees, g + twist)
             want = want_by_degree[g]
             if columns[b].shape[0] != want:
-                raise ValueError(
+                raise SyzkitError(
                     f"column {b} has length {columns[b].shape[0]}, expected {want}"
                 )
             columns[b].flags.writeable = False
 
     @classmethod
-    def zero(cls, ring, source_degrees, target_degrees, twist=0):
-        cols = [
-            zeros(component_dim(ring, target_degrees, g + twist), 1)[:, 0]
-            for g in source_degrees
-        ]
+    def selection(cls, ring, source_degrees, target_degrees, targets, twist=0):
+        """The map sending generator b to generator targets[b], or to 0 when
+        targets[b] is None; the two must sit in degrees g_b + twist and
+        g_{targets[b]}."""
+        cols = []
+        for b, g in enumerate(source_degrees):
+            c = targets[b]
+            if c is not None and target_degrees[c] != g + twist:
+                raise SyzkitError(f"generator {b} in degree {g + twist} cannot go to "
+                                  f"generator {c} in degree {target_degrees[c]}")
+            cols.append(vector(ring, target_degrees, g + twist, {} if c is None else {c: 1}))
         return cls(ring, source_degrees, target_degrees, cols, twist)
 
     @classmethod
+    def zero(cls, ring, source_degrees, target_degrees, twist=0):
+        return cls.selection(ring, source_degrees, target_degrees,
+                             [None] * len(source_degrees), twist)
+
+    @classmethod
     def identity(cls, ring, gen_degrees):
-        cols = []
-        degs = tuple(gen_degrees)
-        for b, g in enumerate(degs):
-            offs = component_offsets(ring, degs, g)
-            v = zeros(offs[-1], 1)[:, 0]
-            # the unit of R_0 sits at the first coordinate of block b
-            v[offs[b]] = 1
-            cols.append(v)
-        return cls(ring, degs, degs, cols)
+        return cls.selection(ring, gen_degrees, gen_degrees, range(len(gen_degrees)))
 
     @classmethod
     def from_poly_matrix(cls, ring, target_degrees, source_degrees, entries, twist=0):
@@ -101,8 +126,7 @@ class FreeMap:
         cols = []
         for b, g in enumerate(sdegs):
             d = g + twist
-            offs = component_offsets(ring, tdegs, d)
-            vec = zeros(offs[-1], 1)[:, 0]
+            blocks = {}
             for c, h in enumerate(tdegs):
                 f = entries[c][b]
                 if not f:
@@ -112,21 +136,16 @@ class FreeMap:
                     raise HomogeneityError(
                         f"entry ({c},{b}) has degree {fd}, expected {d - h}"
                     )
-                vec[offs[c]:offs[c + 1]] = ring.normal_form(f, degree=fd)
-            cols.append(vec)
+                blocks[c] = ring.normal_form(f, degree=fd)
+            cols.append(vector(ring, tdegs, d, blocks))
         return cls(ring, sdegs, tdegs, cols, twist)
 
     def to_poly_matrix(self):
-        out = []
-        for c, h in enumerate(self.target_degrees):
-            row = []
-            for b, g in enumerate(self.source_degrees):
-                d = g + self.twist
-                offs = component_offsets(self.ring, self.target_degrees, d)
-                row.append(self.ring.vector_to_poly(
-                    self.columns[b][offs[c]:offs[c + 1]], d - h
-                ))
-            out.append(row)
+        out = [[] for _ in self.target_degrees]
+        for g, col in zip(self.source_degrees, self.columns):
+            d = g + self.twist
+            for c, piece in enumerate(pieces(self.ring, self.target_degrees, d, col)):
+                out[c].append(self.ring.vector_to_poly(piece, d - self.target_degrees[c]))
         return out
 
     def _block_index(self):

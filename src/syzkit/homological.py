@@ -302,8 +302,9 @@ def ext_basis(m, n, t, res=None):
     """Deterministic k-basis of Ext^t(M, N) by internal degree.
 
     Representative cocycles in Hom(F_t, N), modulo precompositions with the
-    differential; internal degrees are enumerated as far as the degree
-    bound allows exact answers.
+    differential.  Hom(F_t, N)_w is N in degrees g + w: w runs while N is
+    read in ring degrees e <= D above its lowest generator, as N's degree
+    window counts them, so a shift of M or N moves every class by the shift.
     """
     if t < 0:
         raise SyzkitError("Ext degree must be >= 0")
@@ -315,9 +316,12 @@ def ext_basis(m, n, t, res=None):
     if not gens_t:
         return []
     top = max(gens_t + res.gen_degrees(t + 1) + res.gen_degrees(t - 1))
+    window = ring.degree_window(n.min_degree(), max(n.gen_degrees, default=0))
     out = []
     p = ring.char
-    for w in range(-top, ring.degree_bound - top + 1):
+    # not window.top: over a ring that collapses within D it stops below
+    # classes that the reads up to e = D find
+    for w in range(window.low - top, window.low + window.bound - top + 1):
         dims = _hom_space_dims(n, gens_t, w)
         total = sum(dims)
         if total == 0:
@@ -352,16 +356,6 @@ class PushoutResult:
     projection: ModuleMap = field(default=None, repr=False)
 
 
-def _combined_vector(ring, gens, block_vectors, degree):
-    """Assemble a component vector from per-block pieces (None = zero)."""
-    vec = zeros(freemod.component_dim(ring, gens, degree), 1)[:, 0]
-    offs = freemod.component_offsets(ring, gens, degree)
-    for b, piece in enumerate(block_vectors):
-        if piece is not None and len(piece):
-            vec[offs[b]:offs[b + 1]] = piece
-    return vec
-
-
 def pushout_extension(eta, verify_depth=True):
     """The middle module of the extension 0 -> N -> K -> Omega^{t-1}(M) -> 0
     built from a self-extension class (N = M), with the sequence verified
@@ -381,57 +375,37 @@ def pushout_extension(eta, verify_depth=True):
         if matvec(d_up, np.concatenate(eta.values), ring.char).any():
             raise SyzkitError("cocycle check failed; malformed extension class")
 
+    # K is generated by M(-w) (the first nm generators) and F_{t-1}
     m_gens = tuple(g - w for g in m.gen_degrees)
     f_gens = res.gen_degrees(t - 1)
     gens = m_gens + f_gens
     nm = len(m_gens)
     rels = []
     for e, v in m.relations:
-        pieces = [None] * len(gens)
-        offs = freemod.component_offsets(ring, m.gen_degrees, e)
-        for s in range(nm):
-            pieces[s] = v[offs[s]:offs[s + 1]]
-        rels.append((e - w, _combined_vector(ring, gens, pieces, e - w)))
+        blocks = dict(enumerate(freemod.pieces(ring, m.gen_degrees, e, v)))
+        rels.append((e - w, freemod.vector(ring, gens, e - w, blocks)))
     dmap = res.diff(t)
     for b, g in enumerate(res.gen_degrees(t)):
-        pieces = [None] * len(gens)
+        blocks = {nm + c: (-piece) % ring.char for c, piece in dmap.blocks(b)}
         if m.dim(g + w) > 0 and eta.values[b].any():
             lift = m.lift_element(g + w, eta.values[b])
-            offs = freemod.component_offsets(ring, m.gen_degrees, g + w)
-            for s in range(nm):
-                pieces[s] = lift[offs[s]:offs[s + 1]]
-        col = dmap.columns[b]
-        offs_f = freemod.component_offsets(ring, f_gens, g)
-        for c in range(len(f_gens)):
-            pieces[nm + c] = (-col[offs_f[c]:offs_f[c + 1]]) % ring.char
-        rels.append((g, _combined_vector(ring, gens, pieces, g)))
+            blocks.update(enumerate(freemod.pieces(ring, m.gen_degrees, g + w, lift)))
+        rels.append((g, freemod.vector(ring, gens, g, blocks)))
     k_mod = GradedModule(ring, gens, rels)
 
     # the two maps of the extension
     m_shift = m.shifted(-w)
-    inc_cols = []
-    for s, g in enumerate(m_gens):
-        pieces = [None] * len(gens)
-        pieces[s] = identity(1)[0]  # R_0 = F_p
-        inc_cols.append(_combined_vector(ring, gens, pieces, g))
+    inc_cols = freemod.FreeMap.selection(ring, m_gens, gens, range(nm)).columns
     inc = ModuleMap(m_shift, k_mod, inc_cols)
 
     omega = syzygy(res, t - 1)
-    proj_cols = []
-    for b, g in enumerate(gens):
-        if b < nm:
-            proj_cols.append(zeros(freemod.component_dim(ring, omega.gen_degrees, g), 1)[:, 0])
-        else:
-            c = b - nm
-            if t == 1:
-                deg, vec = res.cover[c]
-                proj_cols.append(omega.lift_element(deg, vec))
-            else:
-                pieces = [None] * len(omega.gen_degrees)
-                pieces[c] = identity(1)[0]
-                proj_cols.append(
-                    _combined_vector(ring, omega.gen_degrees, pieces, g)
-                )
+    if t == 1:  # F_0 goes onto M = Omega^0 through the resolution's cover
+        proj_cols = freemod.FreeMap.zero(ring, m_gens, omega.gen_degrees).columns
+        proj_cols += [omega.lift_element(deg, vec) for deg, vec in res.cover]
+    else:
+        proj_cols = freemod.FreeMap.selection(
+            ring, gens, omega.gen_degrees, [None] * nm + list(range(len(f_gens)))
+        ).columns
     proj = ModuleMap(k_mod, omega, proj_cols)
     if not (inc.verify() and proj.verify()):
         raise SyzkitError("pushout maps are not well defined; internal error")

@@ -284,15 +284,8 @@ def write_ring_file(path, ring):
 
 
 def module_relation_strings(module):
-    ring = module.ring
-    cols = []
-    for d, v in module.relations:
-        offs = freemod.component_offsets(ring, module.gen_degrees, d)
-        col = []
-        for s, g in enumerate(module.gen_degrees):
-            col.append(ring.format_vector(v[offs[s]:offs[s + 1]], d - g))
-        cols.append(col)
-    return cols
+    fmt = module.ring.base.format
+    return [[fmt(f) for f in col] for col in module.relation_polys()]
 
 
 def write_module_file(path, module, ring_ref):

@@ -6,6 +6,10 @@ realized as a quotient of the free component by the span of all ring
 multiples of the relations, with a deterministic coordinate basis
 (non-pivot coordinates) and a projection matrix.  The ring action is
 recovered degreewise through representatives.
+
+Relation vectors are built with `freemod.vector`, and the relations form
+one `freemod.FreeMap`, which checks their lengths once and serves every
+degree's span of ring multiples.
 """
 
 import numpy as np
@@ -31,23 +35,20 @@ class GradedModule:
         self.ring = ring
         self.gen_degrees = tuple(gen_degrees)
         self.relations = list(relations)
-        for d, v in self.relations:
-            want = freemod.component_dim(ring, self.gen_degrees, d)
-            if v.shape[0] != want:
-                raise SyzkitError("relation vector has wrong length")
+        self._relation_map = freemod.FreeMap(
+            ring, [e for e, _ in self.relations], self.gen_degrees,
+            [v for _, v in self.relations],
+        )
         self._spaces = {}
         self._action = {}
         self._mingens = None
 
-    # -- degreewise structure --------------------------------------------
+    def relation_polys(self):
+        """Each relation as one polynomial per generator."""
+        rows = self._relation_map.to_poly_matrix()
+        return [[row[r] for row in rows] for r in range(len(self.relations))]
 
-    def _relation_span(self, d):
-        """Columns: every ring multiple of every relation landing in degree d."""
-        rels = freemod.FreeMap(
-            self.ring, [e for e, _ in self.relations], self.gen_degrees,
-            [v for _, v in self.relations],
-        )
-        return rels.induced(d)
+    # -- degreewise structure --------------------------------------------
 
     def _space(self, d):
         if d not in self._spaces:
@@ -55,7 +56,8 @@ class GradedModule:
             if amb == 0:
                 self._spaces[d] = ([], zeros(0, 0))
             else:
-                span = self._relation_span(d)
+                # columns: every ring multiple of every relation in degree d
+                span = self._relation_map.induced(d)
                 self._spaces[d] = quotient_projection(span, amb, self.ring.char)
         return self._spaces[d]
 
@@ -220,12 +222,8 @@ def module_from_presentation(ring, gen_degrees, relation_columns):
             continue  # zero column
         if rdeg > ring.degree_bound:
             raise DegreeBoundError(rdeg, ring.degree_bound, "relation degree")
-        vec = zeros(freemod.component_dim(ring, gens, rdeg), 1)[:, 0]
-        offs = freemod.component_offsets(ring, gens, rdeg)
-        for s, f in enumerate(col):
-            if f:
-                vec[offs[s]:offs[s + 1]] = ring.normal_form(f, degree=rdeg - gens[s])
-        rels.append((rdeg, vec))
+        blocks = {s: ring.normal_form(f, degree=rdeg - gens[s]) for s, f in enumerate(col) if f}
+        rels.append((rdeg, freemod.vector(ring, gens, rdeg, blocks)))
     return GradedModule(ring, gens, rels)
 
 
@@ -264,13 +262,7 @@ def lift_presentation(m):
     r = m.ring
     s_ring = ambient_ring(r)
     gens = m.gen_degrees
-    rels = []
-    for d, v in m.relations:
-        col = []
-        offs = freemod.component_offsets(r, gens, d)
-        for idx, g in enumerate(gens):
-            col.append(r.vector_to_poly(v[offs[idx]:offs[idx + 1]], d - g))
-        rels.append(col)
+    rels = m.relation_polys()
     nz = len(gens)
     for ideal_gen in r.ideal_gens:
         for s in range(nz):
@@ -288,26 +280,17 @@ def tensor_presentation(m, n):
     gens = tuple(g + h for g in m.gen_degrees for h in n.gen_degrees)
     nn = len(n.gen_degrees)
     rels = []
+    # the pair (s, t) of generators of M and N is generator s * nn + t
     for e, v in m.relations:
-        offs = freemod.component_offsets(ring, m.gen_degrees, e)
+        m_pieces = freemod.pieces(ring, m.gen_degrees, e, v)
         for t, h in enumerate(n.gen_degrees):
-            d = e + h
-            vec = zeros(freemod.component_dim(ring, gens, d), 1)[:, 0]
-            poffs = freemod.component_offsets(ring, gens, d)
-            for s, g in enumerate(m.gen_degrees):
-                pair = s * nn + t
-                vec[poffs[pair]:poffs[pair + 1]] = v[offs[s]:offs[s + 1]]
-            rels.append((d, vec))
+            blocks = {s * nn + t: piece for s, piece in enumerate(m_pieces)}
+            rels.append((e + h, freemod.vector(ring, gens, e + h, blocks)))
     for e, v in n.relations:
-        offs = freemod.component_offsets(ring, n.gen_degrees, e)
+        n_pieces = freemod.pieces(ring, n.gen_degrees, e, v)
         for s, g in enumerate(m.gen_degrees):
-            d = e + g
-            vec = zeros(freemod.component_dim(ring, gens, d), 1)[:, 0]
-            poffs = freemod.component_offsets(ring, gens, d)
-            for t, h in enumerate(n.gen_degrees):
-                pair = s * nn + t
-                vec[poffs[pair]:poffs[pair + 1]] = v[offs[t]:offs[t + 1]]
-            rels.append((d, vec))
+            blocks = {s * nn + t: piece for t, piece in enumerate(n_pieces)}
+            rels.append((e + g, freemod.vector(ring, gens, e + g, blocks)))
     return GradedModule(ring, gens, rels)
 
 
@@ -318,11 +301,6 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.twist = twist
-        self.columns = columns  # per source gen: vector over target free component
-        for b, g in enumerate(source.gen_degrees):
-            want = freemod.component_dim(target.ring, target.gen_degrees, g + twist)
-            if columns[b].shape[0] != want:
-                raise SyzkitError("module map column has wrong length")
         self._free = freemod.FreeMap(
             source.ring, source.gen_degrees, target.gen_degrees, columns, twist
         )

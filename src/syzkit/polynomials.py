@@ -123,13 +123,11 @@ def parse_polynomial(text, var_names, p):
         coeff_s, rest = m.group(1), m.group(2) or ""
         coeff = int(coeff_s) if coeff_s else 1
         exps = [0] * n
-        consumed = 0
         for vm in _VARPOW_RE.finditer(rest):
             name, power = vm.group(1), vm.group(2)
             if name not in var_index:
                 raise ParseError(f"unknown variable {name!r} in {text!r}")
             exps[var_index[name]] += int(power) if power else 1
-            consumed += 1
         leftover = _VARPOW_RE.sub("", rest).replace("*", "").strip()
         if leftover:
             raise ParseError(f"cannot parse term {term!r} in {text!r}")

@@ -1,11 +1,14 @@
 import numpy as np
+import pytest
 
 from syzkit.complexes import (
+    ChainMap,
     FreeComplex,
     coker_module,
     cone,
     identity_chain_map,
     induced_chain_map,
+    induced_on_cone,
     minimize_complex,
     tensor_many,
     tensor_pair,
@@ -18,6 +21,7 @@ from syzkit.construction import (
     run_construction,
 )
 from syzkit.errors import SyzkitError
+from syzkit.freemod import FreeMap, pieces
 from syzkit.modules import module_from_strings, residue_field
 from syzkit.resolutions import resolve
 from syzkit.rings import ring_from_strings
@@ -335,3 +339,35 @@ def test_run_construction_rejects_wrong_period_claim():
     assert doubled.verify() and doubled.is_surjective()
     with _pytest.raises(SyzkitError):
         run_construction([f], [doubled])
+
+
+def test_homology_reads_generators_below_degree_zero():
+    # one generator in degree -2 over F_2[x]/(x^2): H_0 = R(2) has
+    # dimension 2, in degrees -2 and -1, and so has its twist by 2
+    r = ring_from_strings(2, ["x"], ["x^2"], degree_bound=6)
+    zero = FreeMap.zero(r, (), ())
+    cx = FreeComplex(r, [(-2,), (), ()], [None, FreeMap.zero(r, (), (-2,)), zero])
+    for c in (cx, cx.shift(0, 2)):
+        assert c.homology_total(0) == 2
+        assert c.sup_within_window() == 0
+
+
+def test_induced_on_cone_takes_its_signs_from_the_shift():
+    # at p = 3, where -1 != 1: the z-block of the map induced by psi is
+    # (-1)^m psi, and a psi that does not commute with the coned map is refused
+    cx, eta = periodic_variable_complex(3, 1, 6, prefix="x")
+    r = cx.ring
+    cn = cone(eta)
+    ind = induced_on_cone(cn, eta)
+    for j in range(2, cn.window + 1):
+        col = ind.component(j).columns[-1]  # the generator of Z_{j-1}
+        z_block = pieces(r, cn.gen_degrees(j - 1), cn.gen_degrees(j)[-1] - 1, col)[-1]
+        assert z_block.tolist() == ((-eta.component(j - 1).columns[0]) % 3).tolist()
+    # psi_j = a_j x (shift 0, twist 1) is a chain map for any a_j, as x^2 = 0;
+    # with a_j alternating it does not commute with eta
+    comps = [FreeMap.from_poly_matrix(r, (j,), (j,), [[{(1,): 1} if j % 2 else {}]], 1)
+             for j in range(cx.window + 1)]
+    psi = ChainMap(cx, cx, 0, 1, comps)
+    assert psi.verify()
+    with pytest.raises(SyzkitError, match="does not commute"):
+        induced_on_cone(cn, psi)

@@ -3,7 +3,7 @@
 * the old algorithm: the minimal free resolution of the lifted presentation
   over the polynomial ring S = F_p[x_1..x_n], out to step n + 1;
 * theorems: the depth of a complete intersection, invariance of Betti
-  numbers, depth and Tor under a shift of the grading, and the depth
+  numbers, depth, Tor and Ext under a shift of the grading, and the depth
   formula for Tor-independent modules over a complete intersection
   (Huneke-Wiegand).
 """
@@ -14,7 +14,7 @@ from collections import Counter
 import pytest
 
 from syzkit.errors import SyzkitError
-from syzkit.homological import check_depth_formula, tor
+from syzkit.homological import check_depth_formula, ext_basis, tor
 from syzkit.modules import (
     lift_presentation,
     module_from_presentation,
@@ -138,9 +138,9 @@ def test_depth_of_a_complete_intersection_is_n_minus_c(p):
 
 
 def _moved_back(m, n, windows, s):
-    """Minimal generator degrees of the resolution, depth, and Tor with N on
-    either side, of M(-s) = m.shifted(s), with every degree moved back by s;
-    a refusal as the tuple (type, message)."""
+    """Minimal generator degrees of the resolution, depth, and Tor and Ext^1,
+    Ext^2 with N on either side, of M(-s) = m.shifted(s), with every degree
+    moved back by s; a refusal as the tuple (type, message)."""
     ms = m.shifted(s)
     res_window, tor_window = windows
 
@@ -153,14 +153,22 @@ def _moved_back(m, n, windows, s):
         dims = [{d - s: h for d, h in by_degree.items()} for by_degree in profile.dims]
         return [dims, profile.q, profile.q_rigor]
 
+    def ext_classes(a, b, back):
+        # Hom(F, N)_w reads N in degrees g + w: a shift of M lowers w by s,
+        # a shift of N raises it by s
+        return [[(c.internal_degree + back, [v.tolist() for v in c.values])
+                 for c in ext_basis(a, b, t)] for t in (1, 2)]
+
     return [_outcome(degrees), _outcome(depth, ms), _outcome(tor_dims, ms, n),
-            _outcome(tor_dims, n, ms)]
+            _outcome(tor_dims, n, ms), _outcome(ext_classes, ms, n, s),
+            _outcome(ext_classes, n, ms, -s)]
 
 
 def test_depth_is_invariant_under_a_shift():
-    # beta_{i,d}(M(-s)) = beta_{i,d-s}(M), depth M(-s) = depth M and
-    # Tor(M(-s), N)_d = Tor(M, N)_{d-s} with the same q: the same answer up
-    # to the shift, or the same refusal
+    # beta_{i,d}(M(-s)) = beta_{i,d-s}(M), depth M(-s) = depth M,
+    # Tor(M(-s), N)_d = Tor(M, N)_{d-s} with the same q, and
+    # Ext(M(-s), N)_w = Ext(M, N)_{w+s}, Ext(N, M(-s))_w = Ext(N, M)_{w-s}:
+    # the same answer up to the shift, or the same refusal
     r = ring_from_strings(5, ["x", "y", "z"], ["x^2 + y*z", "y^2"], degree_bound=10)
     hyp = ring_from_strings(3, ["x", "y"], ["x*y"], degree_bound=10)
     modules = [
@@ -197,7 +205,7 @@ def test_depth_is_invariant_under_a_shift():
         for s in (-2, -1, 1, 2):
             assert _moved_back(m, n, windows, s) == want, (m.ring.signature(), s)
     assert _moved_back(*cases[5], 0)[0] == [[i] for i in range(7)]
-    assert all(answered[i] >= 8 for i in range(4)), answered
+    assert all(answered[i] >= 8 for i in range(6)), answered
 
 
 def test_tor_independent_pairs_satisfy_the_depth_formula():

@@ -7,7 +7,7 @@ import pytest
 from syzkit.chainsolve import consistent_twist, solve_chain_self_maps
 from syzkit.complexes import induced_chain_map, tensor_many
 from syzkit.errors import SyzkitError
-from syzkit.freemod import FreeMap
+from syzkit.freemod import FreeMap, pieces, vector
 from syzkit.io import read_complex_file
 from syzkit.rings import ring_from_strings
 
@@ -102,6 +102,19 @@ def test_compose_refuses_mismatched_degrees():
     outer = FreeMap.identity(ring, (0, 2))
     with pytest.raises(SyzkitError):
         outer.compose(inner)
+
+
+def test_vector_and_pieces_invert_each_other_and_selection_keeps_degrees():
+    ring = ring_from_strings(5, ["x", "y"], ["x*y"], degree_bound=6)
+    # in degree 2 over generators in degrees 0, 2, 1: blocks R_2, R_0, R_1
+    gens = (0, 2, 1)
+    vec = vector(ring, gens, 2, {0: [3, 4], 1: 1})
+    assert vec.tolist() == [3, 4, 1, 0, 0]
+    assert [p.tolist() for p in pieces(ring, gens, 2, vec)] == [[3, 4], [1], [0, 0]]
+    sel = FreeMap.selection(ring, (1, 2, 1), gens, [2, 1, None])
+    assert sel.to_poly_matrix() == [[{}, {}, {}], [{}, {(0, 0): 1}, {}], [{(0, 0): 1}, {}, {}]]
+    with pytest.raises(SyzkitError, match="cannot go to generator 0"):
+        FreeMap.selection(ring, (1,), gens, [0])
 
 
 def digest(*arrays):

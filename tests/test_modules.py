@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
-from syzkit.errors import HomogeneityError
+from syzkit.errors import HomogeneityError, SyzkitError
+from syzkit.freemod import FreeMap
 from syzkit.modules import (
+    GradedModule,
     ModuleMap,
     free_module,
     lift_presentation,
@@ -43,6 +46,20 @@ def test_inhomogeneous_relation_rejected():
     r = ci_ring()
     with pytest.raises(HomogeneityError):
         module_from_strings(r, [0, 1], [["x", "x"]])
+
+
+def test_a_vector_of_the_wrong_length_is_refused():
+    # R_1 of F_3[x,y]/(xy) has dimension 2: a degree-1 relation, or the
+    # image of a degree-1 generator, on one generator in degree 0 has two
+    # coordinates
+    r = xy_ring()
+    three = np.array([1, 0, 0], dtype=np.int64)
+    with pytest.raises(SyzkitError, match="length 3, expected 2"):
+        GradedModule(r, (0,), [(1, three)])
+    with pytest.raises(SyzkitError, match="length 3, expected 2"):
+        ModuleMap(free_module(r, (1,)), free_module(r), [three])
+    with pytest.raises(SyzkitError, match="length 3, expected 2"):
+        FreeMap(r, (1,), (0,), [three])
 
 
 def test_minimal_generators_of_socle_heavy_module():

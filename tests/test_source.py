@@ -33,6 +33,29 @@ def test_every_parameter_is_read():
     assert found == set()
 
 
+def unread_locals(path):
+    """(module, function, name) for every local a function assigns and
+    never reads, nested functions included; `_` names are exempt."""
+    out = set()
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read = set(), set()
+        for stmt in fn.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    (stored if isinstance(node.ctx, ast.Store) else read).add(node.id)
+        out |= {(path.stem, fn.name, x) for x in stored - read if not x.startswith("_")}
+    return out
+
+
+def test_every_local_is_read():
+    found = set()
+    for path in sorted(Path(syzkit.__file__).parent.glob("*.py")):
+        found |= unread_locals(path)
+    assert found == set()
+
+
 def _package_trees():
     for path in sorted(Path(syzkit.__file__).parent.glob("*.py")):
         yield path, ast.parse(path.read_text())
@@ -63,4 +86,22 @@ def test_no_assert_statements():
         for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_only_freemod_builds_component_vectors():
+    # freemod owns the block layout of a free-module component, so a
+    # zeros(n, 1) column elsewhere is a component vector built by hand;
+    # linalg and rings build vectors over F_p^n and R_d, not components
+    found = []
+    for path, tree in _package_trees():
+        if path.stem in ("linalg", "rings", "freemod"):
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or len(node.args) != 2:
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            cols = node.args[1]
+            if name == "zeros" and isinstance(cols, ast.Constant) and cols.value == 1:
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
