@@ -14,7 +14,15 @@ Sign conventions, fixed once and asserted by the verification checks:
 Internal twists track the grading: a shift-n periodicity map sends the
 degree-d part of F_j isomorphically onto the degree-(d+tau) part of
 F_{j-n}, with one tau for the whole map.
+
+`tensor_many` builds the product of c factors in one pass, over one ring
+(the tensor product of the factor rings), and checks d o d = 0 once.  Each
+product generator keeps the label ((a_1, u_1), .., (a_c, u_c)) of the factor
+generators it is made of; the induced maps and the inclusions of truncated
+products find their targets through these labels.
 """
+
+from functools import reduce
 
 import numpy as np
 
@@ -23,6 +31,7 @@ from .errors import SyzkitError, WindowError
 from .linalg import matmul, rank, zeros
 from .modules import GradedModule
 from .polynomials import poly_add, poly_mul, poly_scale
+from .rings import algebra_tensor, embed_monomial
 
 # -- complexes ----------------------------------------------------------------
 
@@ -144,8 +153,7 @@ class FreeComplex:
         """The same complex viewed only out to homological degree w."""
         if w >= self.window:
             return self
-        labels = self.labels[: w + 1] if self.labels is not None else None
-        return FreeComplex(self.ring, self.gens[: w + 1], self.diffs[: w + 1], labels)
+        return FreeComplex(self.ring, self.gens[: w + 1], self.diffs[: w + 1])
 
     def truncate_below(self, n):
         """Hard truncation keeping homological degrees 0..n-1.
@@ -155,7 +163,7 @@ class FreeComplex:
         """
         if n < 1:
             raise SyzkitError("truncation index must be >= 1")
-        gens, diffs, labels = [], [], []
+        gens, diffs = [], []
         for j in range(self.window + 1):
             keep = j < n
             gens.append(self.gen_degrees(j) if keep else ())
@@ -165,9 +173,7 @@ class FreeComplex:
                 diffs.append(self.diff(j))
             else:
                 diffs.append(freemod.FreeMap.zero(self.ring, gens[j], gens[j - 1]))
-            if self.labels is not None:
-                labels.append(self.labels[j] if keep else [])
-        return FreeComplex(self.ring, gens, diffs, labels if self.labels is not None else None)
+        return FreeComplex(self.ring, gens, diffs)
 
 
 # -- chain maps ---------------------------------------------------------------
@@ -288,8 +294,6 @@ class _Embedding:
 
     def matrix(self, e):
         if e not in self._cache:
-            from .rings import embed_monomial
-
             cols = []
             for mono in self.factor.basis_monomials(e):
                 big = embed_monomial(mono, self.factor.vars, self.product.vars)
@@ -306,102 +310,79 @@ class _Embedding:
 
 def tensor_pair(f, g):
     """Tensor product of two complexes over the tensor product of their rings."""
-    from .rings import algebra_tensor
+    return tensor_many([f, g])
 
-    if f.ring.char != g.ring.char:
+
+def tensor_many(factors):
+    """Tensor product of the factors over the tensor product of their rings,
+    built in one pass.
+
+    The generators of degree j are labelled ((a_1, u_1), .., (a_c, u_c)):
+    generator u_k of the k-th factor's term a_k, with a_1 + .. + a_c = j.
+    They come in the order a left fold of pairwise products gives: by the
+    degree of the first c - 1 factors, then their labels in that order,
+    then the last factor's generator.  The k-th factor's differential
+    carries the sign (-1)^(a_1 + .. + a_{k-1}).
+    """
+    if not factors:
+        raise SyzkitError("tensor product needs at least one factor")
+    if len({f.ring.char for f in factors}) > 1:
         raise SyzkitError("characteristic mismatch in tensor product")
-    a = algebra_tensor(f.ring, g.ring)
-    emb_f, emb_g = _Embedding(f.ring, a), _Embedding(g.ring, a)
-    w = min(f.window, g.window)
-    gens, labels = [], []
-    pos = []
-    for j in range(w + 1):
-        row_gens, row_labels = [], []
-        lookup = {}
-        for aa in range(j + 1):
-            bb = j - aa
-            for ui, du in enumerate(f.gen_degrees(aa)):
-                for vi, dv in enumerate(g.gen_degrees(bb)):
-                    lookup[(aa, ui, vi)] = len(row_gens)
-                    row_gens.append(du + dv)
-                    row_labels.append((aa, ui, bb, vi))
-        gens.append(tuple(row_gens))
-        labels.append(row_labels)
-        pos.append(lookup)
+    ring = reduce(algebra_tensor, [f.ring for f in factors])
+    embeddings = [_Embedding(f.ring, ring) for f in factors]
+    w = min(f.window for f in factors)
+    # start from the empty product, k in degree 0; in degree j, the product
+    # so far in degree a = 0..j pairs with the next factor's term j - a
+    labels = [[()]] + [[] for _ in range(w)]
+    for f in factors:
+        labels = [
+            [lab + ((j - a, u),) for a in range(j + 1) for lab in labels[a]
+             for u in range(f.rank(j - a))]
+            for j in range(w + 1)
+        ]
 
+    def degree(lab):
+        return sum(f.gen_degrees(a)[u] for f, (a, u) in zip(factors, lab))
+
+    gens = [tuple(degree(lab) for lab in row) for row in labels]
+    pos = [{lab: i for i, lab in enumerate(row)} for row in labels]
     diffs = [None]
-    p = a.char
     for j in range(1, w + 1):
         cols = []
-        for (aa, ui, bb, vi), total_deg in zip(labels[j], gens[j]):
-            du = f.gen_degrees(aa)[ui]
-            dv = g.gen_degrees(bb)[vi]
+        for lab, total_deg in zip(labels[j], gens[j]):
             blocks = {}
-            fd = f.diff(aa) if aa >= 1 else None
-            if fd is not None:
-                for c, piece in fd.blocks(ui):
-                    target = pos[j - 1][(aa - 1, c, vi)]
-                    blocks[target] = emb_f.embed(piece, du - fd.target_degrees[c])
-            gd = g.diff(bb) if bb >= 1 else None
-            if gd is not None:
-                sign = (-1) ** aa
-                for c, piece in gd.blocks(vi):
-                    target = pos[j - 1][(aa, ui, c)]
-                    emb = emb_g.embed(piece, dv - gd.target_degrees[c])
-                    blocks[target] = (sign * emb) % p
-            cols.append(freemod.vector(a, gens[j - 1], total_deg, blocks))
-        diffs.append(freemod.FreeMap(a, gens[j], gens[j - 1], cols))
-    out = FreeComplex(a, gens, diffs, labels)
+            left_degree = 0
+            for k, (f, emb, (a, u)) in enumerate(zip(factors, embeddings, lab)):
+                fd = f.diff(a)
+                if fd is not None:
+                    sign = (-1) ** left_degree
+                    for c, piece in fd.blocks(u):
+                        target = pos[j - 1][lab[:k] + ((a - 1, c),) + lab[k + 1:]]
+                        embedded = emb.embed(piece, f.gen_degrees(a)[u] - fd.target_degrees[c])
+                        blocks[target] = (sign * embedded) % ring.char
+                left_degree += a
+            cols.append(freemod.vector(ring, gens[j - 1], total_deg, blocks))
+        diffs.append(freemod.FreeMap(ring, gens[j], gens[j - 1], cols))
+    out = FreeComplex(ring, gens, diffs, labels)
     if not out.verify():
         raise SyzkitError("tensor complex differential does not square to zero")
     return out
 
 
-def tensor_many(factors):
-    """Left-fold tensor product; labels keep per-factor (degree, index) pairs."""
-    if not factors:
-        raise SyzkitError("tensor product needs at least one factor")
-    if len(factors) == 1:
-        f = factors[0]
-        labels = [
-            [((j, ui),) for ui in range(f.rank(j))] for j in range(f.window + 1)
-        ]
-        out = FreeComplex(f.ring, f.gens, f.diffs, labels)
-        out._flat_factors = [f]
-        out._label_pos = [
-            {lab: i for i, lab in enumerate(labels[j])} for j in range(f.window + 1)
-        ]
-        return out
-    current = tensor_many(factors[:-1])
-    pair = tensor_pair(current, factors[-1])
-    flat_labels = []
-    for j in range(pair.window + 1):
-        row = []
-        for (aa, ui, bb, vi) in pair.labels[j]:
-            row.append(current.labels[aa][ui] + ((bb, vi),))
-        flat_labels.append(row)
-    pair.labels = flat_labels
-    pair._flat_factors = current._flat_factors + [factors[-1]]
-    pair._label_pos = [
-        {lab: i for i, lab in enumerate(flat_labels[j])} for j in range(pair.window + 1)
-    ]
-    return pair
-
-
 def induced_chain_map(product, factor_index, eta):
-    """id (x) ... (x) eta (x) ... (x) id on a tensor_many product.
+    """id (x) ... (x) eta (x) ... (x) id on a tensor_many product, eta a
+    self-map of the factor at factor_index.
 
     Koszul sign (-1)^{shift * (total homological degree left of the factor)}.
     """
-    factors = product._flat_factors
-    if factor_index < 0 or factor_index >= len(factors):
+    nfactors = max((len(row[0]) for row in product.labels if row), default=0)
+    if not 0 <= factor_index < nfactors:
         raise SyzkitError("factor index out of range")
-    fac = factors[factor_index]
     ring = product.ring
-    emb = _Embedding(fac.ring, ring)
+    emb = _Embedding(eta.source.ring, ring)
     n, tau = eta.shift, eta.twist
     p = ring.char
-    pos = product._label_pos
+    pos = [{lab: i for i, lab in enumerate(row)} for row in product.labels]
     column_lists = []
     for j in range(product.window + 1):
         cols = []
@@ -411,15 +392,13 @@ def induced_chain_map(product, factor_index, eta):
             sign = (-1) ** (n * left_degree)
             blocks = {}
             comp = eta.component(aa)
-            if comp is not None and aa < len(fac.gens):
-                du = fac.gen_degrees(aa)[ui]
-                for c, piece in comp.blocks(ui):
-                    new_lab = lab[:factor_index] + ((aa - n, c),) + lab[factor_index + 1:]
-                    if j - n < 0 or new_lab not in pos[j - n]:
-                        raise SyzkitError("induced map hit a missing product generator")
-                    t = pos[j - n][new_lab]
-                    embedded = emb.embed(piece, du + tau - comp.target_degrees[c])
-                    blocks[t] = (sign * embedded) % p
+            for c, piece in comp.blocks(ui):
+                new_lab = lab[:factor_index] + ((aa - n, c),) + lab[factor_index + 1:]
+                if j - n < 0 or new_lab not in pos[j - n]:
+                    raise SyzkitError("induced map hit a missing product generator")
+                t = pos[j - n][new_lab]
+                embedded = emb.embed(piece, comp.source_degrees[ui] + tau - comp.target_degrees[c])
+                blocks[t] = (sign * embedded) % p
             cols.append(freemod.vector(ring, product.gen_degrees(j - n), total_deg + tau, blocks))
         column_lists.append(cols)
     out = ChainMap.from_columns(product, product, n, tau, column_lists)

@@ -104,7 +104,7 @@ class SesReport:
 
 def _inclusion_chain_map(sub, amb):
     """Label-preserving inclusion of one tensor product into another."""
-    pos = amb._label_pos
+    pos = [{lab: i for i, lab in enumerate(row)} for row in amb.labels]
     comps = []
     for j in range(sub.window + 1):
         if any(lab not in pos[j] for lab in sub.labels[j]):
@@ -222,7 +222,8 @@ def run_construction(factors, etas, window=None, seed=0):
             )
         shifts.append(eta.shift)
 
-    product = tensor_many(factors)
+    e_complexes, ses_reports = build_e_sequence(factors, etas)
+    product = e_complexes[0]
     w = product.window if window is None else min(window, product.window)
     induced = [induced_chain_map(product, i, etas[i]) for i in range(c)]
     for m in induced:
@@ -264,7 +265,6 @@ def run_construction(factors, etas, window=None, seed=0):
     values = [e.value for e in chain]
     strictly_decreasing = all(values[i] > values[i + 1] for i in range(len(values) - 1))
 
-    e_complexes, ses_reports = build_e_sequence(factors, etas)
     last_e = e_complexes[c - 1]
     last_cert = detect_complex_periodicity(last_e, seed=seed)
     last_est = estimate_complexity(
@@ -372,15 +372,13 @@ def corollary_module(result, window=8):
         detail = ""
         try:
             z_gens = prev_complex.gen_degrees(level - shifts[i])
-            inc_cols = freemod.FreeMap.selection(
+            inc = ModuleMap(prev_module, k_mod, freemod.FreeMap.selection(
                 ring, z_gens, gens, [nx + b for b in range(len(z_gens))]
-            ).columns
-            inc = ModuleMap(prev_module, k_mod, inc_cols)
+            ))
             omega = coker_module(prev_complex, level - 1).shifted(twists[i])
-            proj_cols = freemod.FreeMap.selection(
+            proj = ModuleMap(k_mod, omega, freemod.FreeMap.selection(
                 ring, gens, omega.gen_degrees, [b if b < nx else None for b in range(len(gens))]
-            ).columns
-            proj = ModuleMap(k_mod, omega, proj_cols)
+            ))
             if not (inc.verify() and proj.verify()):
                 ok, detail = False, "transported maps not well defined"
             else:

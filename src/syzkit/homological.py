@@ -194,8 +194,6 @@ class _HomologySpaces:
         return self._data[d]
 
     def dim(self, d):
-        if d < 0:
-            return 0
         return len(self.space(d)[1])
 
     def tensor_action(self, e, j, a):
@@ -395,18 +393,18 @@ def pushout_extension(eta, verify_depth=True):
 
     # the two maps of the extension
     m_shift = m.shifted(-w)
-    inc_cols = freemod.FreeMap.selection(ring, m_gens, gens, range(nm)).columns
-    inc = ModuleMap(m_shift, k_mod, inc_cols)
+    inc = ModuleMap(m_shift, k_mod, freemod.FreeMap.selection(ring, m_gens, gens, range(nm)))
 
     omega = syzygy(res, t - 1)
     if t == 1:  # F_0 goes onto M = Omega^0 through the resolution's cover
-        proj_cols = freemod.FreeMap.zero(ring, m_gens, omega.gen_degrees).columns
-        proj_cols += [omega.lift_element(deg, vec) for deg, vec in res.cover]
+        cols = freemod.FreeMap.zero(ring, m_gens, omega.gen_degrees).columns
+        cols += [omega.lift_element(deg, vec) for deg, vec in res.cover]
+        free = freemod.FreeMap(ring, gens, omega.gen_degrees, cols)
     else:
-        proj_cols = freemod.FreeMap.selection(
+        free = freemod.FreeMap.selection(
             ring, gens, omega.gen_degrees, [None] * nm + list(range(len(f_gens)))
-        ).columns
-    proj = ModuleMap(k_mod, omega, proj_cols)
+        )
+    proj = ModuleMap(k_mod, omega, free)
     if not (inc.verify() and proj.verify()):
         raise SyzkitError("pushout maps are not well defined; internal error")
     ok, detail = verify_ses(inc, proj)

@@ -295,15 +295,16 @@ def tensor_presentation(m, n):
 
 
 class ModuleMap:
-    """Map of modules given by free-cover coordinates of generator images."""
+    """Map of modules induced by a `freemod.FreeMap` between their free
+    covers, which gives the images of the generators and the twist."""
 
-    def __init__(self, source, target, columns, twist=0):
+    def __init__(self, source, target, free):
+        if (free.source_degrees, free.target_degrees) != (source.gen_degrees, target.gen_degrees):
+            raise SyzkitError("the free map does not run between the modules' generators")
         self.source = source
         self.target = target
-        self.twist = twist
-        self._free = freemod.FreeMap(
-            source.ring, source.gen_degrees, target.gen_degrees, columns, twist
-        )
+        self.twist = free.twist
+        self._free = free
 
     def induced(self, d):
         """Numeric matrix M_d -> N_{d+twist}."""

@@ -292,9 +292,6 @@ class TruncatedQuotientRing:
                 f[m] = c
         return f
 
-    def format_vector(self, vec, d):
-        return self.base.format(self.vector_to_poly(vec, d))
-
     def signature(self):
         gens = tuple(sorted(tuple(sorted(g.items())) for g in self.ideal_gens))
         return ("quot", self.char, self.vars, self.degree_bound, gens)

@@ -14,7 +14,7 @@ from collections import Counter
 import pytest
 
 from syzkit.errors import SyzkitError
-from syzkit.homological import check_depth_formula, ext_basis, tor
+from syzkit.homological import check_depth_formula, ext_basis, tor, tor_as_module
 from syzkit.modules import (
     lift_presentation,
     module_from_presentation,
@@ -138,9 +138,10 @@ def test_depth_of_a_complete_intersection_is_n_minus_c(p):
 
 
 def _moved_back(m, n, windows, s):
-    """Minimal generator degrees of the resolution, depth, and Tor and Ext^1,
-    Ext^2 with N on either side, of M(-s) = m.shifted(s), with every degree
-    moved back by s; a refusal as the tuple (type, message)."""
+    """Minimal generator degrees of the resolution, depth, and Tor, Tor as a
+    module and Ext^1, Ext^2 with N on either side, of M(-s) = m.shifted(s),
+    with every degree moved back by s; a refusal as the tuple (type,
+    message)."""
     ms = m.shifted(s)
     res_window, tor_window = windows
 
@@ -153,6 +154,17 @@ def _moved_back(m, n, windows, s):
         dims = [{d - s: h for d, h in by_degree.items()} for by_degree in profile.dims]
         return [dims, profile.q, profile.q_rigor]
 
+    def tor_modules(a, b):
+        # generator degrees of each Tor_i module, and its dimensions in the
+        # three degrees from its lowest generator up
+        res = resolve(a, tor_window + 1)
+        out = []
+        for i in range(1, tor_window + 1):
+            tq = tor_as_module(a, b, i, res=res)
+            low = tq.min_degree()
+            out.append(([g - s for g in tq.gen_degrees], [tq.dim(low + e) for e in range(3)]))
+        return out
+
     def ext_classes(a, b, back):
         # Hom(F, N)_w reads N in degrees g + w: a shift of M lowers w by s,
         # a shift of N raises it by s
@@ -161,12 +173,13 @@ def _moved_back(m, n, windows, s):
 
     return [_outcome(degrees), _outcome(depth, ms), _outcome(tor_dims, ms, n),
             _outcome(tor_dims, n, ms), _outcome(ext_classes, ms, n, s),
-            _outcome(ext_classes, n, ms, -s)]
+            _outcome(ext_classes, n, ms, -s), _outcome(tor_modules, ms, n),
+            _outcome(tor_modules, n, ms)]
 
 
 def test_depth_is_invariant_under_a_shift():
     # beta_{i,d}(M(-s)) = beta_{i,d-s}(M), depth M(-s) = depth M,
-    # Tor(M(-s), N)_d = Tor(M, N)_{d-s} with the same q, and
+    # Tor(M(-s), N)_d = Tor(M, N)_{d-s} with the same q, as modules too, and
     # Ext(M(-s), N)_w = Ext(M, N)_{w+s}, Ext(N, M(-s))_w = Ext(N, M)_{w-s}:
     # the same answer up to the shift, or the same refusal
     r = ring_from_strings(5, ["x", "y", "z"], ["x^2 + y*z", "y^2"], degree_bound=10)
@@ -205,7 +218,7 @@ def test_depth_is_invariant_under_a_shift():
         for s in (-2, -1, 1, 2):
             assert _moved_back(m, n, windows, s) == want, (m.ring.signature(), s)
     assert _moved_back(*cases[5], 0)[0] == [[i] for i in range(7)]
-    assert all(answered[i] >= 8 for i in range(6)), answered
+    assert all(answered[i] >= 8 for i in range(8)), answered
 
 
 def test_tor_independent_pairs_satisfy_the_depth_formula():

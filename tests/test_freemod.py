@@ -132,6 +132,8 @@ def columns_of(fmaps):
 # Digests of the columns that tensor_pair, induced_chain_map and
 # solve_chain_self_maps produced on the README construct and period fixtures
 # before the block index existed; the index must not change a single entry.
+# The three-factor digests come from the left fold of pairwise products that
+# tensor_many was before it built the product in one pass.
 PINNED = {
     "tensor period1_x period1_y": "c67b83e30b3515dc",
     "induced period1_x period1_y 0": "ed3c089758c6b407",
@@ -139,6 +141,10 @@ PINNED = {
     "tensor period1_x period4": "9ee0db0ea9af23d3",
     "induced period1_x period4 0": "ed3c089758c6b407",
     "induced period1_x period4 1": "4e7647ed4956de25",
+    "tensor period1_x period1_y period4": "46375c873e9f8ccc",
+    "induced period1_x period1_y period4 0": "0fd8f676907fd9ed",
+    "induced period1_x period1_y period4 1": "39fa9c308bc655a9",
+    "induced period1_x period1_y period4 2": "e2a2752039e6f34f",
     "solve period2 1": "d2700cc75b92ab5a",
     "solve period2 2": "aa90f2c97aba1155",
     "solve period2 3": "6bf1e4d26ece7793",
@@ -156,15 +162,24 @@ PINNED = {
 
 def test_fixture_columns_are_unchanged():
     found = {}
-    for a, b in [("period1_x", "period1_y"), ("period1_x", "period4")]:
+    for names in [("period1_x", "period1_y"), ("period1_x", "period4"),
+                  ("period1_x", "period1_y", "period4")]:
         cache = {}
         pairs = [read_complex_file(os.path.join(FIXTURES, n + ".complex"), None, cache)
-                 for n in (a, b)]
+                 for n in names]
         product = tensor_many([cx for cx, _ in pairs])
-        found[f"tensor {a} {b}"] = digest(*columns_of(product.diffs))
+        key = " ".join(names)
+        found[f"tensor {key}"] = digest(*columns_of(product.diffs))
         for i, (_, eta) in enumerate(pairs):
             phi = induced_chain_map(product, i, eta)
-            found[f"induced {a} {b} {i}"] = digest(*columns_of(phi.components))
+            found[f"induced {key} {i}"] = digest(*columns_of(phi.components))
+        if len(names) == 3:
+            # degree 2 in the order of the fold: by the degree of the first
+            # two factors, then their labels in their own order
+            assert product.labels[2] == [
+                ((0, 0), (0, 0), (2, 0)), ((0, 0), (1, 0), (1, 0)), ((1, 0), (0, 0), (1, 0)),
+                ((0, 0), (2, 0), (0, 0)), ((1, 0), (1, 0), (0, 0)), ((2, 0), (0, 0), (0, 0)),
+            ]
     for name in ("period2", "period4"):
         cx, _ = read_complex_file(os.path.join(FIXTURES, name + ".complex"))
         for q in range(1, cx.window // 2 + 1):

@@ -124,7 +124,7 @@ def test_normal_form_examples():
     assert list(v) == [1, 0]
     # x^2 + x*y reduces to x*y
     v2 = r.normal_form(r.base.parse("x^2 + x*y"))
-    assert r.format_vector(v2, 2) == "x*y"
+    assert r.base.format(r.vector_to_poly(v2, 2)) == "x*y"
 
 
 def test_build_quotient_rejects_bad_generators():
