@@ -18,8 +18,10 @@ F_{j-n}, with one tau for the whole map.
 `tensor_many` builds the product of c factors in one pass, over one ring
 (the tensor product of the factor rings), and checks d o d = 0 once.  Each
 product generator keeps the label ((a_1, u_1), .., (a_c, u_c)) of the factor
-generators it is made of; the induced maps and the inclusions of truncated
-products find their targets through these labels.
+generators it is made of; the induced maps find their targets through these
+labels.  A truncation of some factors below their periods is the label
+subcomplex (`FreeComplex.subcomplex`) of the one product, so every
+truncated product lives over the product's one ring.
 """
 
 from functools import reduce
@@ -130,50 +132,24 @@ class FreeComplex:
             raise WindowError("minimal Betti needs the next differential")
         return self.rank(j) - self.scalar_rank(j) - self.scalar_rank(j + 1)
 
-    def shift(self, n, twist=0):
-        """Sigma^n with differential sign (-1)^n and optional internal twist."""
-        gens = []
-        diffs = [None]
-        sign = (-1) ** n
-        for j in range(self.window + 1):
-            src = self.gen_degrees(j - n)
-            gens.append(tuple(g + twist for g in src))
-        for j in range(1, self.window + 1):
-            d = self.diff(j - n)
-            if d is None or not d.source_degrees or j - n - 1 < 0:
-                diffs.append(
-                    freemod.FreeMap.zero(self.ring, gens[j], gens[j - 1])
-                )
-            else:
-                cols = [(c * sign) % self.ring.char for c in d.columns]
-                diffs.append(freemod.FreeMap(self.ring, gens[j], gens[j - 1], cols))
-        return FreeComplex(self.ring, gens, diffs)
-
     def slice_window(self, w):
         """The same complex viewed only out to homological degree w."""
         if w >= self.window:
             return self
         return FreeComplex(self.ring, self.gens[: w + 1], self.diffs[: w + 1])
 
-    def truncate_below(self, n):
-        """Hard truncation keeping homological degrees 0..n-1.
-
-        The window is preserved (explicit zero terms above) so truncated
-        factors still tensor against full-window partners.
-        """
-        if n < 1:
-            raise SyzkitError("truncation index must be >= 1")
-        gens, diffs = [], []
-        for j in range(self.window + 1):
-            keep = j < n
-            gens.append(self.gen_degrees(j) if keep else ())
-            if j == 0:
-                diffs.append(None)
-            elif keep and self.diff(j) is not None:
-                diffs.append(self.diff(j))
-            else:
-                diffs.append(freemod.FreeMap.zero(self.ring, gens[j], gens[j - 1]))
-        return FreeComplex(self.ring, gens, diffs)
+    def subcomplex(self, keep):
+        """The subcomplex of a labelled complex (a tensor product) on the
+        generators keep[j] of each term F_j (lists of indices, in order),
+        with their labels; the differential must map it into itself."""
+        gens = [[row[b] for b in kept] for row, kept in zip(self.gens, keep)]
+        diffs = [None] + [self.diff(j).restrict(keep[j], keep[j - 1])
+                          for j in range(1, self.window + 1)]
+        labels = [[row[b] for b in kept] for row, kept in zip(self.labels, keep)]
+        out = FreeComplex(self.ring, gens, diffs, labels)
+        if not out.verify():
+            raise SyzkitError("subcomplex differential does not square to zero")
+        return out
 
 
 # -- chain maps ---------------------------------------------------------------
@@ -269,8 +245,16 @@ class ChainMap:
             a.equals(b) for a, b in zip(self.components, other.components)
         )
 
-    def is_zero(self):
-        return all(f.is_zero() for f in self.components)
+    def restrict(self, sub, keep):
+        """This self-map on the subcomplex sub, whose term j is on the
+        generators keep[j] of the source's; the map must preserve it."""
+        n = self.shift
+        comps = [self.component(j).restrict(keep[j], keep[j - n] if j >= n else [])
+                 for j in range(sub.window + 1)]
+        out = ChainMap(sub, sub, self.shift, self.twist, comps)
+        if not out.verify():
+            raise SyzkitError("restricted chain map fails the chain condition")
+        return out
 
 
 def identity_chain_map(cx):

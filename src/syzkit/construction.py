@@ -102,20 +102,6 @@ class SesReport:
     detail: str
 
 
-def _inclusion_chain_map(sub, amb):
-    """Label-preserving inclusion of one tensor product into another."""
-    pos = [{lab: i for i, lab in enumerate(row)} for row in amb.labels]
-    comps = []
-    for j in range(sub.window + 1):
-        if any(lab not in pos[j] for lab in sub.labels[j]):
-            raise SyzkitError("truncated product label missing from ambient product")
-        targets = [pos[j][lab] for lab in sub.labels[j]]
-        comps.append(freemod.FreeMap.selection(
-            amb.ring, sub.gen_degrees(j), amb.gen_degrees(j), targets
-        ))
-    return ChainMap(sub, amb, 0, 0, comps)
-
-
 def _check_e_sequence(incl, proj):
     """Degreewise exactness of 0 -> E^i -> E^{i-1} -> shifted E^{i-1} -> 0,
     over the ring's degree window on E^{i-1} and on its shifted copy."""
@@ -128,12 +114,11 @@ def _check_e_sequence(incl, proj):
     for j in range(amb.window + 1):
         inc_j = incl.component(j)
         proj_j = proj.component(j)
-        composite = proj_j.compose(inc_j) if j <= incl.source.window else None
-        if composite is not None and not composite.is_zero():
+        if not proj_j.compose(inc_j).is_zero():
             return False, f"composite nonzero at homological degree {j}"
         for d in range(window.low, window.top + 1):
             mid = amb.component_dim(j, d)
-            sub = incl.source.component_dim(j, d) if j <= incl.source.window else 0
+            sub = incl.source.component_dim(j, d)
             quot = amb.component_dim(j - n, d + tau)
             if mid != sub + quot:
                 return False, (
@@ -146,31 +131,34 @@ def _check_e_sequence(incl, proj):
     return True, ""
 
 
-def build_e_sequence(factors, etas):
+def build_e_sequence(product, induced):
     """The truncated products E^0 .. E^c and the verified sequences linking them.
 
-    E^i truncates the first i factors below their periods; the i-th sequence
-    is 0 -> E^i -> E^{i-1} -> Sigma^{n_i} E^{i-1} -> 0.
+    E^0 is the tensor product of the factors, and induced lists the maps
+    that the factors' periodicity maps, of shifts n_1 .. n_c, induce on it.
+    E^i is the subcomplex of E^{i-1} on the labels with a_i < n_i, so it
+    truncates the first i factors below their periods, over the product's
+    ring and window.  The i-th sequence is
+    0 -> E^i -> E^{i-1} -> Sigma^{n_i} E^{i-1} -> 0, with the i-th induced
+    map, restricted to E^{i-1}, as its projection.
     """
-    c = len(factors)
-    shifts = [eta.shift for eta in etas]
-    complexes = []
-    for i in range(c + 1):
-        parts = [
-            factors[k].truncate_below(shifts[k]) if k < i else factors[k]
-            for k in range(c)
-        ]
-        complexes.append(tensor_many(parts))
-    reports = []
-    for i in range(1, c + 1):
-        amb = complexes[i - 1]
-        sub = complexes[i]
-        incl = _inclusion_chain_map(sub, amb)
+    complexes, reports = [product], []
+    maps = induced
+    for i in range(1, len(induced) + 1):
+        amb, proj = complexes[-1], maps[0]
+        keep = [[b for b, lab in enumerate(row) if lab[i - 1][0] < proj.shift]
+                for row in amb.labels]
+        sub = amb.subcomplex(keep)
+        incl = ChainMap(sub, amb, 0, 0, [
+            freemod.FreeMap.selection(amb.ring, sub.gen_degrees(j), amb.gen_degrees(j), keep[j])
+            for j in range(amb.window + 1)
+        ])
         if not incl.verify():
             raise SyzkitError("truncation inclusion is not a chain map")
-        proj = induced_chain_map(amb, i - 1, etas[i - 1])
         ok, detail = _check_e_sequence(incl, proj)
-        reports.append(SesReport(i, etas[i - 1].shift, etas[i - 1].twist, ok, detail))
+        reports.append(SesReport(i, proj.shift, proj.twist, ok, detail))
+        complexes.append(sub)
+        maps = [m.restrict(sub, keep) for m in maps[1:]]
     return complexes, reports
 
 
@@ -198,8 +186,11 @@ class ConstructionResult:
         return [m.shift for m in self.induced_maps]
 
 
-def run_construction(factors, etas, window=None, seed=0):
+def run_construction(factors, etas, seed=0):
     """Tensor the periodic factors, iterate cones, and certify the witnesses.
+
+    The product and the maps the factors' periodicity maps induce on it are
+    built once; the truncated products E^i are cut out of that product.
 
     Verifies: factor periodicity (detector, not trust), chain conditions,
     surjectivity, pairwise commutation, cone complexity drops, exactness of
@@ -222,10 +213,10 @@ def run_construction(factors, etas, window=None, seed=0):
             )
         shifts.append(eta.shift)
 
-    e_complexes, ses_reports = build_e_sequence(factors, etas)
-    product = e_complexes[0]
-    w = product.window if window is None else min(window, product.window)
+    product = tensor_many(factors)
+    w = product.window
     induced = [induced_chain_map(product, i, etas[i]) for i in range(c)]
+    e_complexes, ses_reports = build_e_sequence(product, induced)
     for m in induced:
         if not m.is_surjective():
             raise SyzkitError("induced map on the product is not surjective")
@@ -254,25 +245,21 @@ def run_construction(factors, etas, window=None, seed=0):
                 ):
                     raise SyzkitError("cone-induced maps stopped commuting")
         cones.append(cn)
-        cone_bettis.append([cn.minimal_betti(j) for j in range(min(w, cn.window))])
+        cone_bettis.append([cn.minimal_betti(j) for j in range(w)])
         maps_on_current = [None] * (i + 1) + remaining
 
-    est_window = min(w - 1, len(cone_bettis[0]) - 1)
-    chain = [
-        estimate_complexity(bt[: est_window + 1], window=est_window)
-        for bt in cone_bettis
-    ]
+    chain = [estimate_complexity(bt, window=w - 1) for bt in cone_bettis]
     values = [e.value for e in chain]
     strictly_decreasing = all(values[i] > values[i + 1] for i in range(len(values) - 1))
 
     last_e = e_complexes[c - 1]
     last_cert = detect_complex_periodicity(last_e, seed=seed)
     last_est = estimate_complexity(
-        [last_e.minimal_betti(j) for j in range(min(w, last_e.window))],
+        [last_e.minimal_betti(j) for j in range(w)],
         periodicity_hint=last_cert.period if last_cert else None,
-        window=min(w, last_e.window) - 1,
+        window=w - 1,
     )
-    config_ok = all(s == 1 for s in shifts[:-1]) and shifts[-1] > 2 and c >= 1
+    config_ok = all(s == 1 for s in shifts[:-1]) and shifts[-1] > 2
     witness = False
     if last_cert is None:
         reason = "no periodicity certificate for the last truncated product"

@@ -181,6 +181,23 @@ class FreeMap:
         col = self.columns[b]
         return [(c, col[lo:hi]) for c, lo, hi in self._block_index()[1][b]]
 
+    def restrict(self, sources, targets):
+        """The map from source generators `sources` to target generators
+        `targets`, both lists of indices; every kept column must vanish on
+        the target generators that are dropped."""
+        tdegs = [self.target_degrees[c] for c in targets]
+        new_index = {c: k for k, c in enumerate(targets)}
+        cols = []
+        for b in sources:
+            blocks = {}
+            for c, piece in self.blocks(b):
+                if c not in new_index:
+                    raise SyzkitError(f"generator {b} maps onto dropped generator {c}")
+                blocks[new_index[c]] = piece
+            cols.append(vector(self.ring, tdegs, self.source_degrees[b] + self.twist, blocks))
+        return FreeMap(self.ring, [self.source_degrees[b] for b in sources], tdegs, cols,
+                       self.twist)
+
     def induced(self, d):
         """Numeric matrix of the degree-d component map.
 

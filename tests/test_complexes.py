@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,13 @@ def period_two_hypersurface_complex(window=W):
     r = ring_from_strings(3, ["x", "y"], ["x*y"], degree_bound=window + 4)
     res = resolve(module_from_strings(r, [0], [["x"]]), window)
     return res
+
+
+def e_sequence(factors, etas):
+    """The E-sequence of the factors' product, through their induced maps."""
+    product = tensor_many(factors)
+    return build_e_sequence(product, [induced_chain_map(product, i, eta)
+                                      for i, eta in enumerate(etas)])
 
 
 def test_periodic_variable_complex_shapes():
@@ -124,17 +133,58 @@ def test_cone_minimal_betti_constant_for_flagship():
     assert len(set(betti)) == 1
 
 
-def test_truncate_below():
-    cx, _ = period_one_factor()
-    t = cx.truncate_below(1)
-    assert t.ranks() == [1] + [0] * W
-    bounded = cx.truncate_below(cx.window + 5)
-    assert bounded.ranks() == cx.ranks()
-    two = period_two_hypersurface_complex()
-    t2 = two.truncate_below(2)
-    assert t2.ranks() == [1, 1] + [0] * (W - 1)
-    pm = t2.diff(1).to_poly_matrix()
-    assert pm in ([[{(1, 0): 1}]], [[{(0, 1): 1}]])
+def test_truncated_products_are_the_tensor_products_of_hard_truncations():
+    # E^i cut out of the product by label is, generator for generator and
+    # column for column, the product of the factors with the first i of them
+    # truncated below their periods, built over a ring of its own
+    factors = [period_one_factor(), periodic_variable_complex(2, 2, W, prefix="y"),
+               periodic_variable_complex(2, 3, W, prefix="z")]
+
+    def truncated(cx, n):
+        gens = [cx.gen_degrees(j) if j < n else () for j in range(cx.window + 1)]
+        diffs = [None] + [cx.diff(j) if j < n else FreeMap.zero(cx.ring, gens[j], gens[j - 1])
+                          for j in range(1, cx.window + 1)]
+        return FreeComplex(cx.ring, gens, diffs)
+
+    complexes, reports = e_sequence(*zip(*factors))
+    assert all(r.ok for r in reports), [r.detail for r in reports]
+    assert [cx.ranks()[:5] for cx in complexes] == [[1, 3, 6, 10, 15], [1, 2, 3, 4, 5],
+                                                    [1, 2, 2, 2, 2], [1, 2, 2, 1, 0]]
+    for i, cx in enumerate(complexes):
+        want = tensor_many([truncated(f, eta.shift) if k < i else f
+                            for k, (f, eta) in enumerate(factors)])
+        assert cx.gens == want.gens and cx.labels == want.labels
+        for j in range(1, W + 1):
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(cx.diff(j).columns, want.diff(j).columns, strict=True)), (i, j)
+
+
+def test_subcomplex_refuses_generators_whose_boundary_it_drops():
+    cx = tensor_many([period_one_factor()[0]])
+    keep = [[]] + [[0]] * W  # F_1's generator maps onto x times the dropped F_0's
+    with pytest.raises(SyzkitError, match="dropped"):
+        cx.subcomplex(keep)
+
+
+def test_a_construction_builds_one_product_ring(monkeypatch):
+    import syzkit.construction as construction
+
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("tensor_many", "induced_chain_map"):
+        monkeypatch.setattr(construction, name, counted(getattr(construction, name)))
+    factors = [period_one_factor(window=7), periodic_variable_complex(2, 1, 7, prefix="y"),
+               periodic_variable_complex(2, 3, 7, prefix="z")]
+    result = run_construction(*zip(*factors))
+    assert calls == {"tensor_many": 1, "induced_chain_map": 3}
+    assert len(result.e_complexes) == 4
+    assert all(e.ring is result.product.ring for e in result.e_complexes)
 
 
 def test_detect_periodicity_period_one_and_two():
@@ -173,7 +223,7 @@ def test_detect_periodicity_period_four():
 def test_e_sequence_exactness_flagship():
     f, ef = period_one_factor()
     g, eg = periodic_variable_complex(2, 1, W, prefix="y")
-    complexes, reports = build_e_sequence([f, g], [ef, eg])
+    complexes, reports = e_sequence([f, g], [ef, eg])
     assert all(r.ok for r in reports), [r.detail for r in reports]
     # rank identity E^{i-1}_j = E^i_j + E^{i-1}_{j-n}
     for i in (1, 2):
@@ -186,7 +236,7 @@ def test_e_sequence_exactness_flagship():
 def test_e_sequence_shifted_factor():
     f, ef = period_one_factor(window=12)
     g, eg = periodic_variable_complex(2, 2, 12, prefix="y")
-    complexes, reports = build_e_sequence([f, g], [ef, eg])
+    complexes, reports = e_sequence([f, g], [ef, eg])
     assert all(r.ok for r in reports)
     for j in range(complexes[0].window + 1):
         assert complexes[1].rank(j) == complexes[2].rank(j) + complexes[1].rank(j - 2)
@@ -290,7 +340,7 @@ def test_induced_map_on_single_factor_is_the_map_itself():
 
 def test_e_sequence_single_period_one_factor():
     f, ef = period_one_factor()
-    complexes, reports = build_e_sequence([f], [ef])
+    complexes, reports = e_sequence([f], [ef])
     assert reports[0].ok
     # 0 -> F_{<1} -> F -> shifted F -> 0: ranks 1 = [j = 0] + 1
     for j in range(f.window + 1):
@@ -326,7 +376,7 @@ def test_cone_minimal_model_matches_kernel_complex():
     prod = tensor_many([f, g])
     m1 = induced_chain_map(prod, 0, ef)
     c1 = cone(m1)
-    kernel_like, _ = build_e_sequence([f, g], [ef, eg])[0][1], None
+    kernel_like = e_sequence([f, g], [ef, eg])[0][1]
     for j in range(1, c1.window):
         assert c1.minimal_betti(j) == kernel_like.rank(j - 1)
 
@@ -343,13 +393,14 @@ def test_run_construction_rejects_wrong_period_claim():
 
 def test_homology_reads_generators_below_degree_zero():
     # one generator in degree -2 over F_2[x]/(x^2): H_0 = R(2) has
-    # dimension 2, in degrees -2 and -1, and so has its twist by 2
+    # dimension 2, in degrees -2 and -1, and so has its twist by 2, the
+    # complex on one generator in degree 0
     r = ring_from_strings(2, ["x"], ["x^2"], degree_bound=6)
     zero = FreeMap.zero(r, (), ())
-    cx = FreeComplex(r, [(-2,), (), ()], [None, FreeMap.zero(r, (), (-2,)), zero])
-    for c in (cx, cx.shift(0, 2)):
-        assert c.homology_total(0) == 2
-        assert c.sup_within_window() == 0
+    for g in (-2, 0):
+        cx = FreeComplex(r, [(g,), (), ()], [None, FreeMap.zero(r, (), (g,)), zero])
+        assert cx.homology_total(0) == 2
+        assert cx.sup_within_window() == 0
 
 
 def test_induced_on_cone_takes_its_signs_from_the_shift():

@@ -3,9 +3,9 @@
 * the old algorithm: the minimal free resolution of the lifted presentation
   over the polynomial ring S = F_p[x_1..x_n], out to step n + 1;
 * theorems: the depth of a complete intersection, invariance of Betti
-  numbers, depth, Tor and Ext under a shift of the grading, and the depth
-  formula for Tor-independent modules over a complete intersection
-  (Huneke-Wiegand).
+  numbers, depth, Tor, Ext and the reduction search under a shift of the
+  grading, and the depth formula for Tor-independent modules over a
+  complete intersection (Huneke-Wiegand).
 """
 
 import random
@@ -14,7 +14,13 @@ from collections import Counter
 import pytest
 
 from syzkit.errors import SyzkitError
-from syzkit.homological import check_depth_formula, ext_basis, tor, tor_as_module
+from syzkit.homological import (
+    check_depth_formula,
+    ext_basis,
+    reduction_search,
+    tor,
+    tor_as_module,
+)
 from syzkit.modules import (
     lift_presentation,
     module_from_presentation,
@@ -219,6 +225,40 @@ def test_depth_is_invariant_under_a_shift():
             assert _moved_back(m, n, windows, s) == want, (m.ring.signature(), s)
     assert _moved_back(*cases[5], 0)[0] == [[i] for i in range(7)]
     assert all(answered[i] >= 8 for i in range(8)), answered
+
+
+def test_reduction_search_is_invariant_under_a_shift():
+    # Ext(M(-s), M(-s)) = Ext(M, M), so a reduction of M(-s) is one of M
+    # moved by s: the same complexity chain, classes of the same degrees,
+    # step modules shifted by s and the same checks; or the same refusal
+    xx = ring_from_strings(2, ["x", "y"], ["x^2", "y^2"], degree_bound=12)
+    xy = ring_from_strings(3, ["x", "y"], ["x*y"], degree_bound=12)
+    ci = ring_from_strings(5, ["x", "y", "z"], ["x^2 + y*z", "y^2"], degree_bound=10)
+
+    def moved_back(m, s):
+        seq = reduction_search(m.shifted(s), max_degree=2, window=9)
+        steps = [(step.degree, step.eta.internal_degree, [g - s for g in step.module.gen_degrees],
+                  step.ses_ok, step.depth_preserved) for step in seq.steps]
+        return seq.chain_values(), steps
+
+    refusal = "needs degree bound 11, have 10"
+    cases = [  # with the chain and the class degrees, or the refusal, at s = 0
+        (residue_field(xx), ([2, 1, 0], [1, 1])),
+        (residue_field(xy), ([1, 0], [1])),
+        (module_from_strings(xy, [0], [["x"]]), ([1, 0], [2])),
+        (residue_field(ci), refusal),
+        (module_from_strings(ci, [0], [["x"]]), refusal),
+    ]
+    for m, expected in cases:
+        want = _outcome(moved_back, m, 0)
+        if expected == refusal:
+            assert want[0] == "DegreeBoundError" and refusal in want[1], want
+        else:
+            chain, steps = want
+            assert (chain, [step[0] for step in steps]) == expected
+            assert all(ses_ok and kept for *_, ses_ok, kept in steps)
+        for s in (-2, -1, 1, 2):
+            assert _outcome(moved_back, m, s) == want, (m.ring.signature(), s)
 
 
 def test_tor_independent_pairs_satisfy_the_depth_formula():
