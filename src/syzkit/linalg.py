@@ -11,12 +11,27 @@ whose products stay below 2^32; the inner dimension is summed in chunks
 short enough to stay exact, and the four limb products are recombined
 mod p in int64.  Operands must be reduced (0 <= entry < p).
 
-Elimination is one loop, `_eliminate`.  Rows at and below the current
-pivot row are zero left of the pivot column, so each step scales and
-updates only the columns from the pivot onward.  `rref` clears above and
-below every pivot; the callers that read only the pivots (`rank`,
-`coset_complement`, `extend_basis`) clear below it only, which gives the
-same pivots with less work.
+Elimination runs in `_eliminate`.  Rows at and below the current pivot
+row are zero left of the pivot column, so each step scales and updates
+only the columns from the pivot onward.  `rref` clears above and below
+every pivot; `coset_complement` and `extend_basis` read only the pivots
+and clear below each one only, which gives the same pivots with less work.
+
+`rank` first peels structural pivots off the nonzero pattern, as in
+structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO 1990;
+Bouillaguet & Delaplace, CASC 2016).  If column c has its one nonzero in
+row r, then rank = 1 + the rank without row r and column c: column
+operations with c clear row r and touch nothing else.  So each round drops
+every single-nonzero column together with the rows of those nonzeros, and
+adds the number of distinct rows (columns that share a row count once);
+when single-nonzero rows outnumber such columns, it does the same with
+rows and columns swapped.  Only the boolean pattern and its live row and
+column counts change, never an entry, so the count needs no arithmetic
+and is exact for every p.  The core left over is cut out once and goes
+through `_eliminate`.  Up to `_PEEL_MIN_CELLS` cells the pattern work
+costs as much as it saves or more (44 against 13 us a call at 16 cells),
+so small matrices go straight to `_eliminate`.  The rows hit are deduped
+with a boolean mask, not `np.unique`, which costs more peak memory.
 
 All routines are deterministic: pivots are chosen leftmost-first, free
 variables are zeroed, complements use standard basis vectors.
@@ -27,6 +42,7 @@ import numpy as np
 _FLOAT_EXACT = 2 ** 53  # float64 integers are exact below this
 _LIMB_MASK = 2 ** 16 - 1
 _MR_BASES = (2, 3, 5, 7)
+_PEEL_MIN_CELLS = 100  # rank below this size runs `_eliminate` directly
 
 
 def is_prime(n):
@@ -143,8 +159,45 @@ def rref(mat, p):
     return a, pivots, len(pivots)
 
 
+def _peel(nz, row_count, col_count, cols):
+    """Remove the singleton columns `cols` of the pattern nz, and the rows
+    that hold their nonzeros; returns the number of distinct rows removed.
+    Updates nz and the live counts in place."""
+    # a boolean mask, not np.unique, dedupes the rows hit: less peak memory
+    singles = nz[:, cols]
+    hit = np.zeros(nz.shape[0], dtype=bool)
+    hit[singles.argmax(axis=0)] = True
+    row_count -= singles.sum(axis=1)
+    col_count[cols] = 0
+    nz[:, cols] = False
+    col_count -= nz[hit].sum(axis=0)
+    row_count[hit] = 0
+    nz[hit] = False
+    return int(np.count_nonzero(hit))
+
+
 def rank(mat, p):
-    return len(_eliminate(mat, p, False)[1])
+    """Rank mod p: structural pivots peeled off the nonzero pattern, then
+    `_eliminate` on the core that is left (see the module docstring)."""
+    if np.size(mat) <= _PEEL_MIN_CELLS:
+        return len(_eliminate(mat, p, False)[1])
+    a = np.asarray(mat, dtype=np.int64) % p
+    nz = a != 0
+    row_count, col_count = nz.sum(axis=1), nz.sum(axis=0)
+    rk = 0
+    while True:
+        cols = np.flatnonzero(col_count == 1)
+        rows = np.flatnonzero(row_count == 1)
+        if rows.size > cols.size:
+            rk += _peel(nz.T, col_count, row_count, rows)
+        elif cols.size:
+            rk += _peel(nz, row_count, col_count, cols)
+        else:
+            break
+    core_rows, core_cols = np.flatnonzero(row_count), np.flatnonzero(col_count)
+    if not core_rows.size:
+        return rk
+    return rk + len(_eliminate(a[np.ix_(core_rows, core_cols)], p, False)[1])
 
 
 def _non_pivots(n, pivots):

@@ -367,6 +367,65 @@ def test_coset_complement_matches_dependent_rows_oracle(case):
     assert _oracle_rank(both, n, p) == n
 
 
+def _structured(kind, rows, cols, p, rng):
+    """A rows x cols matrix mod p whose pattern has many single-nonzero
+    rows or columns, so that `rank` peels most of its pivots."""
+    m = np.zeros((rows, cols), dtype=np.int64)
+    n = min(rows, cols)
+    if kind == "monomial":
+        k = rng.integers(0, n + 1)
+        m[np.arange(k), np.arange(k)] = rng.integers(1, p, size=k)
+    elif kind == "triangular":
+        # upper triangular with a nonzero diagonal and some fill above it,
+        # then a few rows that combine the others
+        k = rng.integers(0, n + 1)
+        fill = rng.random((k, k)) < 0.3
+        m[:k, :k] = np.triu(np.where(fill, rng.integers(0, p, size=(k, k)), 0), 1)
+        m[np.arange(k), np.arange(k)] = rng.integers(1, p, size=k)
+        extra = min(rows, k + rng.integers(0, 4)) - k
+        m[k:k + extra] = linalg.matmul(rng.integers(0, p, size=(extra, k)), m[:k], p)
+    elif kind == "shared_row":
+        # several single-nonzero columns sharing row 0, next to a sparse block
+        k = min(cols, rng.integers(2, 8))
+        m[:, k:] = np.where(rng.random((rows, cols - k)) < 0.2,
+                            rng.integers(0, p, size=(rows, cols - k)), 0)
+        m[0, :k] = rng.integers(1, p, size=k)
+    elif kind == "zero_lines":
+        m = rng.integers(0, p, size=(rows, cols))
+        m[rng.random(rows) < 0.4] = 0
+        m[:, rng.random(cols) < 0.4] = 0
+    else:  # "bordered": a dense core, of low rank at times, and singletons
+        cr, cc = rng.integers(1, rows + 1), rng.integers(1, cols + 1)
+        inner = rng.integers(1, min(cr, cc) + 1)
+        m[:cr, :cc] = linalg.matmul(rng.integers(0, p, size=(cr, inner)),
+                                    rng.integers(0, p, size=(inner, cc)), p)
+        for j in range(cc, cols):
+            m[rng.integers(0, rows), j] = rng.integers(1, p)
+        for i in range(cr, rows):
+            m[i, rng.integers(0, cols)] = rng.integers(1, p)
+    return m[rng.permutation(rows)][:, rng.permutation(cols)]
+
+
+@st.composite
+def structured_case(draw):
+    kind = draw(st.sampled_from(["monomial", "triangular", "shared_row", "zero_lines",
+                                 "bordered"]))
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 60))
+    return kind, rows, cols, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@settings(deadline=None, max_examples=40)
+@given(structured_case())
+def test_peeled_rank_matches_gauss_jordan_oracle(p, case):
+    # shapes up to 40 x 60 are above the peel cut-off, unlike elimination_case
+    kind, rows, cols, seed = case
+    m = _structured(kind, rows, cols, p, np.random.default_rng(seed))
+    want = _oracle_rank(m.tolist(), cols, p)
+    assert linalg.rank(m, p) == want, kind
+    assert linalg.rank(m.T, p) == want, kind
+
+
 # -- primality ---------------------------------------------------------------
 
 

@@ -341,6 +341,45 @@ def test_residue_field_of_two_dense_quadrics_at_largest_prime():
     assert res.verify_complex()
 
 
+HILBERT_CASES = [  # (p, variables, dense quadrics, degree bound, window, seed)
+    (3, 3, 1, 10, 8, 1),
+    (3, 4, 2, 9, 6, 2),
+    (32003, 4, 1, 9, 6, 3),
+    (32003, 3, 2, 10, 8, 4),
+    (P31, 3, 2, 10, 8, 5),
+    (P31, 4, 2, 9, 6, 6),
+]
+
+
+@pytest.mark.parametrize("p, nvars, quadrics, bound, window, seed", HILBERT_CASES)
+def test_graded_betti_numbers_recover_the_hilbert_function(p, nvars, quadrics, bound,
+                                                           window, seed):
+    # independent oracle on infinite resolutions: in every degree d that the
+    # window and the bound certify, sum_i (-1)^i sum_{g in gens(F_i)}
+    # dim R_{d-g} = dim M_d.  The rank check decides which kernel vectors
+    # become generators, so a wrong rank breaks this identity.
+    import random
+
+    from syzkit.freemod import component_dim
+
+    names = ["x", "y", "z", "w"][:nvars]
+    rng = random.Random(seed)
+    ring = ring_from_strings(p, names, _dense_quadrics(p, names, quadrics, seed),
+                             degree_bound=bound)
+    # more linear forms than dim R (and maybe a quadric): M has finite
+    # length and, as R is not regular, an infinite resolution
+    forms = [" + ".join(f"{rng.randrange(1, p)}*{v}" for v in names)
+             for _ in range(rng.randint(nvars - quadrics + 1, nvars))]
+    forms += _dense_quadrics(p, names, rng.randint(0, 1), seed + 1)
+    m = module_from_strings(ring, [0], [[f] for f in forms])
+    res = resolve(m, window)
+    assert res.terminated_at is None
+    for d in range(min(res.low + res.window, bound) + 1):
+        graded = sum((-1) ** i * component_dim(ring, res.gens[i], d)
+                     for i in range(len(res.gens)))
+        assert graded == m.dim(d), (p, nvars, quadrics, d)
+
+
 def _dense_kernel_generators(ring, src_degs, matrix_at, hi):
     """The syzygy step on the whole source component: minimal generators
     are the columns of ker_d extending the span of R_1 * ker_{d-1}, picked
