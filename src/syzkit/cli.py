@@ -96,12 +96,17 @@ def cmd_depth(args):
     return 0
 
 
-def cmd_tor(args):
+def _read_module_pair(args):
     cache = {}
     m = read_module_file(args.module, args.degree_bound, cache)
     n = read_module_file(args.other, args.degree_bound, cache)
     if not m.ring.same_ring(n.ring):
         raise ParseError("modules live over different rings")
+    return m, n
+
+
+def cmd_tor(args):
+    m, n = _read_module_pair(args)
     report = Report("tor", args.machine)
     _context(report, m.ring, args)
     profile = tor(m, n, args.window)
@@ -125,9 +130,7 @@ def cmd_tor(args):
 
 
 def cmd_depth_formula(args):
-    cache = {}
-    m = read_module_file(args.module, args.degree_bound, cache)
-    n = read_module_file(args.other, args.degree_bound, cache)
+    m, n = _read_module_pair(args)
     report = Report("depth-formula", args.machine)
     _context(report, m.ring, args)
     out = check_depth_formula(

@@ -16,10 +16,13 @@ vectorised pass over the columns of each source degree, and `induced`,
 columns are read-only, so the index cannot go stale.
 
 This module owns the block layout of a component: `vector` writes a
-component vector, `pieces` splits one, and `FreeMap.selection` builds the
-maps that send generators to generators, so no other module writes at
-`component_offsets`.
+component vector, `pieces` splits one, `block_matrix` writes a component
+matrix block by block, over R, F (x) N or Hom(F, N), and
+`FreeMap.selection` builds the maps that send generators to generators,
+so no other module writes at `component_offsets` or into a block.
 """
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -62,16 +65,22 @@ def pieces(ring, gen_degrees, d, vec):
     return [vec[lo:hi] for lo, hi in zip(offs, offs[1:])]
 
 
+def block_matrix(row_sizes, col_sizes, blocks):
+    """The matrix with row blocks of sizes row_sizes and column blocks of
+    sizes col_sizes whose block (r, c) is blocks[(r, c)], and zero on every
+    block that blocks does not name: the matrix twin of `vector`."""
+    ro, co = [0, *accumulate(row_sizes)], [0, *accumulate(col_sizes)]
+    out = zeros(ro[-1], co[-1])
+    for (r, c), block in blocks.items():
+        out[ro[r]:ro[r + 1], co[c]:co[c + 1]] = block
+    return out
+
+
 def free_mult_matrix(ring, gen_degrees, e, j, d):
     """Multiplication by the j-th basis monomial of R_e on the degree-d component."""
-    so = component_offsets(ring, gen_degrees, d)
-    to = component_offsets(ring, gen_degrees, d + e)
-    out = zeros(to[-1], so[-1])
-    for b, g in enumerate(gen_degrees):
-        block = ring.mult_map(e, j, d - g)
-        if block.size:
-            out[to[b]:to[b + 1], so[b]:so[b + 1]] = block
-    return out
+    blocks = {(b, b): ring.mult_map(e, j, d - g) for b, g in enumerate(gen_degrees)}
+    return block_matrix([ring.dim(d + e - g) for g in gen_degrees],
+                        [ring.dim(d - g) for g in gen_degrees], blocks)
 
 
 class FreeMap:

@@ -14,7 +14,7 @@ every dimension by the shift; reports carry the top of that window.
 The resolution is read only through `gen_degrees`, `diff` and `window`, and
 Tor_i and Ext^i refuse one that does not know F_{i+1}.  Ext cocycles and
 coboundaries and the pushout's cocycle check share one precomposition
-matrix, `_hom_matrix`.
+matrix, `_hom_matrix`, placed block by block by `freemod.block_matrix`.
 """
 
 import math
@@ -78,31 +78,23 @@ def _tensor_component_dims(gens, n_mod, d):
     return [n_mod.dim(d - g) for g in gens]
 
 
-def _tensor_matrix(dmap, n_mod, d):
-    """Induced map (F_i tensor N)_d -> (F_{i-1} tensor N)_d from a differential."""
-    src_gens, tgt_gens = dmap.source_degrees, dmap.target_degrees
+def _tensor_differential(res, n_mod, i, d):
+    """(F_i tensor N)_d -> (F_{i-1} tensor N)_d; no rows when i <= 0 or F_i = 0."""
+    src_gens = res.gen_degrees(i)
     sdims = _tensor_component_dims(src_gens, n_mod, d)
+    if i <= 0 or not src_gens:
+        return zeros(0, sum(sdims))
+    dmap = res.diff(i)
+    tgt_gens = dmap.target_degrees
     tdims = _tensor_component_dims(tgt_gens, n_mod, d)
-    soffs = np.cumsum([0] + sdims)
-    toffs = np.cumsum([0] + tdims)
-    out = zeros(int(toffs[-1]), int(soffs[-1]))
+    blocks = {}
     for b, g in enumerate(src_gens):
         if sdims[b] == 0:
             continue
         for c, piece in dmap.blocks(b):
-            if tdims[c] == 0:
-                continue
-            block = n_mod.action_by_ring_vector(piece, g - tgt_gens[c], d - g)
-            out[toffs[c]:toffs[c + 1], soffs[b]:soffs[b + 1]] = block
-    return out
-
-
-def _tensor_differential(res, n_mod, i, d):
-    """(F_i tensor N)_d -> (F_{i-1} tensor N)_d; no rows when i <= 0 or F_i = 0."""
-    gens = res.gen_degrees(i)
-    if i <= 0 or not gens:
-        return zeros(0, sum(_tensor_component_dims(gens, n_mod, d)))
-    return _tensor_matrix(res.diff(i), n_mod, d)
+            if tdims[c]:
+                blocks[(c, b)] = n_mod.action_by_ring_vector(piece, g - tgt_gens[c], d - g)
+    return freemod.block_matrix(tdims, sdims, blocks)
 
 
 def _tensor_window(res, n, i_max):
@@ -200,16 +192,9 @@ class _HomologySpaces:
         gens = self.res.gen_degrees(self.i)
         sdims = _tensor_component_dims(gens, self.n, a)
         tdims = _tensor_component_dims(gens, self.n, a + e)
-        soffs = np.cumsum([0] + sdims)
-        toffs = np.cumsum([0] + tdims)
-        out = zeros(int(toffs[-1]), int(soffs[-1]))
-        for b, g in enumerate(gens):
-            if sdims[b] == 0 or tdims[b] == 0:
-                continue
-            out[toffs[b]:toffs[b + 1], soffs[b]:soffs[b + 1]] = self.n.action_matrix(
-                e, j, a - g
-            )
-        return out
+        blocks = {(b, b): self.n.action_matrix(e, j, a - g)
+                  for b, g in enumerate(gens) if sdims[b] and tdims[b]}
+        return freemod.block_matrix(tdims, sdims, blocks)
 
     def action_matrix(self, e, j, a):
         """Multiplication H_a -> H_{a+e} through representatives."""
@@ -269,10 +254,6 @@ class ExtClass:
     resolution: object = field(repr=False)
 
 
-def _hom_space_dims(n_mod, gen_degrees, w):
-    return [n_mod.dim(g + w) for g in gen_degrees]
-
-
 def _hom_matrix(dmap, n_mod, w):
     """Precomposition with dmap : F' -> F, as the matrix of
     Hom(F, N)_w -> Hom(F', N)_w.
@@ -282,18 +263,16 @@ def _hom_matrix(dmap, n_mod, w):
     (c, b) entry of dmap.
     """
     src, tgt = dmap.source_degrees, dmap.target_degrees
-    roffs = np.cumsum([0] + _hom_space_dims(n_mod, src, w))
-    coffs = np.cumsum([0] + _hom_space_dims(n_mod, tgt, w))
-    out = zeros(int(roffs[-1]), int(coffs[-1]))
+    rdims = [n_mod.dim(g + w) for g in src]
+    cdims = [n_mod.dim(h + w) for h in tgt]
+    blocks = {}
     for b, g in enumerate(src):
-        if roffs[b] == roffs[b + 1]:
+        if rdims[b] == 0:
             continue
         for c, piece in dmap.blocks(b):
-            if coffs[c] == coffs[c + 1]:
-                continue
-            block = n_mod.action_by_ring_vector(piece, g - tgt[c], tgt[c] + w)
-            out[roffs[b]:roffs[b + 1], coffs[c]:coffs[c + 1]] = block
-    return out
+            if cdims[c]:
+                blocks[(b, c)] = n_mod.action_by_ring_vector(piece, g - tgt[c], tgt[c] + w)
+    return freemod.block_matrix(rdims, cdims, blocks)
 
 
 def ext_basis(m, n, t, res=None):
@@ -320,7 +299,7 @@ def ext_basis(m, n, t, res=None):
     # not window.top: over a ring that collapses within D it stops below
     # classes that the reads up to e = D find
     for w in range(window.low - top, window.low + window.bound - top + 1):
-        dims = _hom_space_dims(n, gens_t, w)
+        dims = [n.dim(g + w) for g in gens_t]
         total = sum(dims)
         if total == 0:
             continue
@@ -332,10 +311,9 @@ def ext_basis(m, n, t, res=None):
             continue
         # coboundaries: precompositions g o d_t for g in Hom(F_{t-1}, N)_w
         cob = _hom_matrix(res.diff(t), n, w) if t >= 1 else zeros(total, 0)
-        offs = np.cumsum([0] + dims)
         for idx in extend_basis(cob, cocycles, p):
-            vec = cocycles[:, idx]
-            values = [vec[offs[b]:offs[b + 1]].copy() for b in range(len(gens_t))]
+            # the values on the generators of F_t, split by the Hom sizes
+            values = np.split(cocycles[:, idx].copy(), np.cumsum(dims[:-1]))
             out.append(ExtClass(t, w, values, m, n, res))
     return out
 
@@ -559,6 +537,8 @@ def check_depth_formula(
     """
     if window < 1:
         raise WindowError(f"the depth formula needs a window >= 1, got {window}")
+    if not m.ring.same_ring(n.ring):
+        raise SyzkitError("the depth formula needs modules over a common ring")
     if m.is_zero() or n.is_zero():
         raise SyzkitError("depth formula needs nonzero modules")
     res = resolve(m, window + 1)

@@ -249,16 +249,17 @@ def solve(mat, b, p):
 
 
 def solve_many(mat, bs, p):
-    """Solve mat @ X = bs column-by-column; every column must be consistent."""
-    cols = []
-    for j in range(bs.shape[1]):
-        v = solve(mat, bs[:, j], p)
-        if v is None:
-            raise ValueError("inconsistent system in solve_many")
-        cols.append(v)
-    if not cols:
-        return zeros(mat.shape[1], 0)
-    return np.stack(cols, axis=1)
+    """Some X with mat @ X = bs, every column consistent, from one rref of
+    [mat | bs]: the RREF is unique, so column j is `solve(mat, bs[:, j], p)`."""
+    cols = np.shape(mat)[1]
+    x = zeros(cols, bs.shape[1])
+    if not bs.shape[1]:
+        return x
+    r, pivots, rk = rref(np.concatenate([mat, bs], axis=1), p)
+    if rk and pivots[-1] >= cols:
+        raise ValueError("inconsistent system in solve_many")
+    x[pivots] = r[:rk, cols:]
+    return x
 
 
 def coset_complement(sub, ambient_dim, p):

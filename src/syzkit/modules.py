@@ -86,13 +86,12 @@ class GradedModule:
             # (ascending); multiply only those, one ring.mult_map block per generator
             reps = np.asarray(self._space(a)[0], dtype=np.intp)
             so = freemod.component_offsets(ring, self.gen_degrees, a)
-            to = freemod.component_offsets(ring, self.gen_degrees, a + e)
-            mult = zeros(to[-1], len(reps))
-            for b, g in enumerate(self.gen_degrees):
-                lo, hi = np.searchsorted(reps, (so[b], so[b + 1]))
-                if lo < hi and to[b] < to[b + 1]:
-                    block = ring.mult_map(e, j, a - g)
-                    mult[to[b]:to[b + 1], lo:hi] = block[:, reps[lo:hi] - so[b]]
+            cuts = np.searchsorted(reps, so).tolist()  # reps[cuts[b]:cuts[b + 1]] are on b
+            rows = [ring.dim(a + e - g) for g in self.gen_degrees]
+            cols = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+            blocks = {(b, b): ring.mult_map(e, j, a - g)[:, reps[cuts[b]:cuts[b + 1]] - so[b]]
+                      for b, g in enumerate(self.gen_degrees) if cols[b] and rows[b]}
+            mult = freemod.block_matrix(rows, cols, blocks)
             self._action[key] = matmul(self.proj(a + e), mult, ring.char)
         return self._action[key]
 
@@ -180,18 +179,15 @@ def generator_matrix(space, gens, d):
     `.ring`, `.dim(d)` and `.action_matrix(e, j, a)`.
     """
     ring = space.ring
-    degs = [g for g, _ in gens]
     rows = space.dim(d)
-    mat = zeros(rows, freemod.component_dim(ring, degs, d))
-    offs = freemod.component_offsets(ring, degs, d)
+    cols = [ring.dim(d - g) for g, _ in gens]
+    blocks = {}
     for b, (g, w) in enumerate(gens):
-        de = ring.dim(d - g)
-        if not de:
-            continue
-        # all monomials of R_{d-g} at once: one product with the stacked actions
-        stacked = np.concatenate([space.action_matrix(d - g, j, g) for j in range(de)])
-        mat[:, offs[b]:offs[b + 1]] = matvec(stacked, w, ring.char).reshape(de, rows).T
-    return mat
+        if cols[b]:
+            # all monomials of R_{d-g} at once: one product with the stacked actions
+            stacked = np.concatenate([space.action_matrix(d - g, j, g) for j in range(cols[b])])
+            blocks[(0, b)] = matvec(stacked, w, ring.char).reshape(cols[b], rows).T
+    return freemod.block_matrix([rows], cols, blocks)
 
 
 def module_from_presentation(ring, gen_degrees, relation_columns):

@@ -64,7 +64,7 @@ from . import freemod
 from .chainsolve import certify_periodicity
 from .complexes import FreeComplex, coker_module
 from .errors import SyzkitError, WindowError
-from .linalg import _null_space, extend_basis, identity, matmul, matvec, rank, zeros
+from .linalg import _null_space, extend_basis, identity, matmul, matvec, rank
 from .modules import generator_matrix
 
 
@@ -118,18 +118,18 @@ def _mult_span_rows(ring, src_degs, d, prev, rows):
     """
     p, nvars, r = ring.char, ring.dim(1), prev.shape[1]
     rows = np.asarray(rows, dtype=np.int64)
-    out = zeros(len(rows), nvars * r)
     to = freemod.component_offsets(ring, src_degs, d)
-    so = freemod.component_offsets(ring, src_degs, d - 1)
-    for b, g in enumerate(src_degs):
-        lo, hi = np.searchsorted(rows, (to[b], to[b + 1]))
-        if lo == hi or so[b] == so[b + 1]:
+    cuts = np.searchsorted(rows, to).tolist()  # rows[cuts[b]:cuts[b + 1]] are on b
+    blocks = {}
+    for b, (g, piece) in enumerate(zip(src_degs, freemod.pieces(ring, src_degs, d - 1, prev))):
+        lo, hi = cuts[b], cuts[b + 1]
+        if lo == hi or not piece.shape[0]:
             continue
         local = rows[lo:hi] - to[b]
         stacked = np.concatenate([ring.mult_map(1, j, d - 1 - g)[local] for j in range(nvars)])
-        prod = matmul(stacked, prev[so[b]:so[b + 1]], p)
-        out[lo:hi] = prod.reshape(nvars, hi - lo, r).transpose(1, 0, 2).reshape(hi - lo, -1)
-    return out
+        prod = matmul(stacked, piece, p)
+        blocks[(b, 0)] = prod.reshape(nvars, hi - lo, r).transpose(1, 0, 2).reshape(hi - lo, -1)
+    return freemod.block_matrix([hi - lo for lo, hi in zip(cuts, cuts[1:])], [nvars * r], blocks)
 
 
 def kernel_generators(ring, src_degs, matrix_at, low, rows=None):
@@ -153,6 +153,9 @@ def kernel_generators(ring, src_degs, matrix_at, low, rows=None):
         # minimality: kernel sits inside m * F, so skip degrees where that is 0
         if src_dim and any(d - g >= 1 and ring.dim(d - g) > 0 for g in src_degs):
             mat = matrix_at(d)
+            if mat.shape[1] != src_dim:
+                raise SyzkitError(f"internal error: {mat.shape[1]} columns in degree {d}, "
+                                  f"not {src_dim}")
             if d in rows:
                 mat = mat[rows[d]]
             kd, free = _null_space(mat, ring.char)
@@ -244,6 +247,11 @@ class ComplexityEstimate:
 MAX_POLYNOMIAL_DEGREE_FIT = 6
 
 
+def _require_complexity_window(window):
+    if window < 6:
+        raise WindowError("complexity estimation needs a window of at least 6")
+
+
 def estimate_complexity(betti, periodicity_hint=None, window=None):
     """Complexity of a Betti sequence over the computed window.
 
@@ -253,8 +261,7 @@ def estimate_complexity(betti, periodicity_hint=None, window=None):
     """
     if window is None:
         window = len(betti) - 1
-    if window < 6:
-        raise WindowError("complexity estimation needs a window of at least 6")
+    _require_complexity_window(window)
     seq = list(betti[: window + 1])
     # trailing zeros mean the (minimal) tail has died; internal zeros alone do
     # not, since minimal models of complexes may start above degree 0
@@ -283,6 +290,7 @@ def detect_resolution_periodicity(res):
 
 def complexity_of_module(module, window=10):
     """Resolve and estimate complexity; returns (estimate, resolution)."""
+    _require_complexity_window(window)
     res = resolve(module, window)
     cert = detect_resolution_periodicity(res)
     est = estimate_complexity(
@@ -313,14 +321,14 @@ def _koszul_diff(module, xs, i, d):
     rows, cols = module.dim(a + 1), module.dim(a)
     target = {J: r for r, J in enumerate(combinations(range(len(xs)), i - 1))}
     source = list(combinations(range(len(xs)), i))
-    mat = zeros(len(target) * rows, len(source) * cols)
+    blocks = {}
     if rows and cols:
         acts = [module.action_by_ring_vector(x, 1, a) for x in xs]
         for c, J in enumerate(source):
             for t, j in enumerate(J):
                 r = target[J[:t] + J[t + 1:]]
-                block = acts[j] if t % 2 == 0 else -acts[j] % p
-                mat[r * rows:(r + 1) * rows, c * cols:(c + 1) * cols] = block
+                blocks[(r, c)] = acts[j] if t % 2 == 0 else -acts[j] % p
+    mat = freemod.block_matrix([rows] * len(target), [cols] * len(source), blocks)
     return mat, rank(mat, p)
 
 

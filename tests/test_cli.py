@@ -100,6 +100,15 @@ def test_depth_formula_q1():
     assert "verdict = true" in out.stdout
 
 
+def test_two_module_commands_refuse_different_rings_before_computing():
+    # hyp_ax lives over hyp.ring, ci2_k over ci2.ring
+    for command in ("tor", "depth-formula"):
+        out = run_cli(command, fx("hyp_ax.module"), fx("ci2_k.module"), "--machine")
+        assert out.returncode == 2
+        assert out.stderr == "parse error: modules live over different rings\n"
+        assert out.stdout == ""
+
+
 def test_reduce_command():
     out = run_cli("reduce", fx("ci2_k.module"), "--max-degree", "2",
                   "--window", "9", "--machine")

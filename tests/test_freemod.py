@@ -7,7 +7,7 @@ import pytest
 from syzkit.chainsolve import consistent_twist, solve_chain_self_maps
 from syzkit.complexes import induced_chain_map, tensor_many
 from syzkit.errors import SyzkitError
-from syzkit.freemod import FreeMap, pieces, vector
+from syzkit.freemod import FreeMap, block_matrix, pieces, vector
 from syzkit.io import read_complex_file
 from syzkit.rings import ring_from_strings
 
@@ -115,6 +115,13 @@ def test_vector_and_pieces_invert_each_other_and_selection_keeps_degrees():
     assert sel.to_poly_matrix() == [[{}, {}, {}], [{}, {(0, 0): 1}, {}], [{(0, 0): 1}, {}, {}]]
     with pytest.raises(SyzkitError, match="cannot go to generator 0"):
         FreeMap.selection(ring, (1,), gens, [0])
+
+
+def test_block_matrix_places_named_blocks_and_zeros_the_rest():
+    out = block_matrix([1, 0, 2], [2, 1], {(0, 1): [[7]], (2, 0): [[1, 2], [3, 4]]})
+    assert out.dtype == np.int64
+    assert out.tolist() == [[0, 0, 7], [1, 2, 0], [3, 4, 0]]
+    assert block_matrix([0, 0], [3], {}).shape == (0, 3)
 
 
 def digest(*arrays):

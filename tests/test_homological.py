@@ -420,6 +420,19 @@ def test_depth_formula_resolves_m_once_for_tor_and_tor_q(monkeypatch):
     ]
 
 
+def test_depth_formula_checks_the_common_ring_before_resolving(monkeypatch):
+    from syzkit import homological
+
+    def fail(*_):
+        raise AssertionError("resolve ran before the rings were compared")
+
+    m = residue_field(ring_from_strings(5, ["x"], ["x^2"], degree_bound=8))
+    n = residue_field(ring_from_strings(5, ["y"], ["y^2"], degree_bound=8))
+    monkeypatch.setattr(homological, "resolve", fail)
+    with pytest.raises(SyzkitError, match="depth formula needs modules over a common ring"):
+        check_depth_formula(m, n)
+
+
 def test_a_resolution_one_step_short_is_refused():
     # R = F_5[x]/(x^2) is free and self-injective, so Tor_1(k, R) and
     # Ext^1(k, R) vanish; a resolution out to F_1 does not know F_2 and

@@ -448,3 +448,24 @@ def test_is_prime_on_pseudoprimes_and_large_cases():
         assert _trial_division(q)
         assert linalg.is_prime(q)
         assert not linalg.is_prime(q * q)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, P31])
+def test_solve_many_matches_column_by_column_solve(p):
+    rng = np.random.default_rng(p % 1000)
+    shapes = [(7, 9, 5, 4), (9, 6, 4, 6), (5, 5, 3, 0), (6, 8, 1, 6), (0, 4, 2, 0)]
+    for rows, cols, k, rk in shapes:
+        # a rank-rk matrix and right-hand sides in its column span
+        a = linalg.matmul(rng.integers(0, p, size=(rows, rk)),
+                          rng.integers(0, p, size=(rk, cols)), p)
+        bs = linalg.matmul(a, rng.integers(0, p, size=(cols, k)), p)
+        want = np.stack([linalg.solve(a, bs[:, j], p) for j in range(k)], axis=1)
+        got = linalg.solve_many(a, bs, p)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+        assert linalg.solve_many(a, bs[:, :0], p).shape == (cols, 0)
+        # one column outside the span makes the whole system inconsistent
+        outside = next((linalg.identity(rows)[:, [i]] for i in range(rows)
+                        if linalg.solve(a, linalg.identity(rows)[:, i], p) is None), None)
+        if outside is not None:
+            with pytest.raises(ValueError, match="inconsistent"):
+                linalg.solve_many(a, np.concatenate([bs, outside], axis=1), p)

@@ -456,12 +456,38 @@ def test_kernel_generators_check_that_the_previous_rows_are_filled():
 
     r = ring_from_strings(32003, ["x", "y", "z"], ["x^2", "y^2", "z^2"], degree_bound=10)
     res = resolve(residue_field(r), 3)
-    _, _, rows = kernel_generators(r, res.gens[1], res.diffs[2].induced, 0)
-    d = 3
-    extra = min(set(range(component_dim(r, res.gens[1], d))) - set(rows[d]))
+    gens, _, rows = kernel_generators(r, res.gens[2], res.diffs[2].induced, 0)
+    assert len(gens) == res.betti()[3] == 10
+    # F_3 sits in degree 3, so degree 4 is the first that step 3 scans
+    d = 4
+    extra = min(set(range(component_dim(r, res.gens[2], d))) - set(rows[d]))
     rows[d] = sorted(rows[d] + [extra])
-    with pytest.raises(SyzkitError, match=f"internal error: .* degree {d}$"):
-        kernel_generators(r, res.gens[2], res.diffs[3].induced, 0, rows)
+    with pytest.raises(SyzkitError, match=f"internal error: .* not exact in degree {d}$"):
+        kernel_generators(r, res.gens[3], res.diffs[3].induced, 0, rows)
+
+
+def test_kernel_generators_refuse_a_matrix_of_the_wrong_width():
+    # a differential paired with the degrees of another free module
+    from syzkit.resolutions import kernel_generators
+
+    r = ring_from_strings(32003, ["x", "y", "z"], ["x^2", "y^2", "z^2"], degree_bound=10)
+    res = resolve(residue_field(r), 3)
+    with pytest.raises(SyzkitError, match="internal error: 6 columns in degree 2, not 9$"):
+        kernel_generators(r, res.gens[1], res.diffs[2].induced, 0)
+
+
+def test_complexity_refuses_a_small_window_before_resolving(monkeypatch):
+    from syzkit import resolutions
+
+    def fail(*_):
+        raise AssertionError("resolve ran before the window was refused")
+
+    r = ring_from_strings(3, ["x", "y"], ["x^2", "y^2"], degree_bound=10)
+    monkeypatch.setattr(resolutions, "resolve", fail)
+    with pytest.raises(WindowError, match="needs a window of at least 6$"):
+        complexity_of_module(residue_field(r), 5)
+    with pytest.raises(WindowError, match="needs a window of at least 6$"):
+        estimate_complexity([1, 2, 3, 4, 5, 6])
 
 
 def test_induced_matrix_exact_at_largest_prime():

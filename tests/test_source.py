@@ -105,3 +105,27 @@ def test_only_freemod_builds_component_vectors():
             if name == "zeros" and isinstance(cols, ast.Constant) and cols.value == 1:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_freemod_and_linalg_assign_into_slices():
+    # freemod.block_matrix places every block of a component matrix, so an
+    # assignment to a sliced subscript elsewhere lays out blocks by hand;
+    # linalg slices inside its eliminations.  chainsolve's `+=` and `-=`
+    # into the columns of its unknowns are not caught (they are ast.AugAssign):
+    # they accumulate several terms into one block of the unknown layout,
+    # which a one-pass placement of blocks cannot express
+    found = []
+    for path, tree in _package_trees():
+        if path.stem in ("freemod", "linalg"):
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Assign):
+                continue
+            for target in node.targets:
+                if not isinstance(target, ast.Subscript):
+                    continue
+                index = target.slice
+                if any(isinstance(x, ast.Slice)
+                       for x in (index.elts if isinstance(index, ast.Tuple) else [index])):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
