@@ -6,16 +6,21 @@ p: a row operation's products stay below (p-1)^2 < 2^62.
 Products run through float64 BLAS with delayed reduction (Dumas, Giorgi &
 Pernet, FFLAS/FFPACK): a float64 sum of k products of residues is exact
 while k (p-1)^2 < 2^53, so one `@` and one reduction mod p in int64
-suffice.  For larger p or k both operands are split into 16-bit limbs,
-whose products stay below 2^32; the inner dimension is summed in chunks
-short enough to stay exact, and the four limb products are recombined
-mod p in int64.  Operands must be reduced (0 <= entry < p).
+suffice.  Otherwise the operand with fewer entries is split into 16-bit
+limbs x = hi * 2^16 + lo; a limb times a residue is below 2^47, so the
+inner dimension is summed in chunks of 64, and two products (not four)
+are recombined mod p in int64.  Operands must be reduced (0 <= entry < p).
 
 Elimination runs in `_eliminate`.  Rows at and below the current pivot
 row are zero left of the pivot column, so each step scales and updates
-only the columns from the pivot onward.  `rref` clears above and below
-every pivot; `coset_complement` and `extend_basis` read only the pivots
-and clear below each one only, which gives the same pivots with less work.
+only the columns from the pivot onward; and when at most half of those
+are nonzero in the pivot row (resolution matrices are 1-4% dense), only
+those, since subtracting a multiple of zero changes nothing.  The touched
+rows are gathered and scattered there through flat indices, with the same
+result.  Matrices of at most `_SPARSE_MIN_CELLS` cells skip that pattern
+work.  `rref` clears above and below every pivot; `coset_complement` and
+`extend_basis` read only the pivots and clear below each one only, which
+gives the same pivots with less work.
 
 `rank` first peels structural pivots off the nonzero pattern, as in
 structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO 1990;
@@ -43,6 +48,7 @@ _FLOAT_EXACT = 2 ** 53  # float64 integers are exact below this
 _LIMB_MASK = 2 ** 16 - 1
 _MR_BASES = (2, 3, 5, 7)
 _PEEL_MIN_CELLS = 100  # rank below this size runs `_eliminate` directly
+_SPARSE_MIN_CELLS = 2000  # `_eliminate` below this size updates dense rows only
 
 
 def is_prime(n):
@@ -76,9 +82,9 @@ def as_matrix(data, p):
 
 
 def _product_mod(a, b, p, bound):
-    """a @ b mod p in int64, for float64 operands with entries <= bound: the
-    inner dimension is summed in chunks whose float64 sums stay exact."""
-    step = max(1, (_FLOAT_EXACT - 1) // (bound * bound))
+    """a @ b mod p in int64, for float64 operands whose entry products are at
+    most bound: the inner dimension is summed in chunks that stay exact."""
+    step = max(1, (_FLOAT_EXACT - 1) // bound)
     out = (a[:, :step] @ b[:step]).astype(np.int64)
     out %= p
     for s in range(step, a.shape[1], step):
@@ -93,15 +99,16 @@ def matmul(a, b, p):
     if a.shape[0] == 0 or b.shape[1] == 0 or k == 0:
         return zeros(a.shape[0], b.shape[1])
     if k * (p - 1) ** 2 < _FLOAT_EXACT:
-        return _product_mod(a.astype(np.float64), b.astype(np.float64), p, p - 1)
-    # 16-bit limbs x = hi * 2^16 + lo, so every limb product is < 2^32
-    a_hi, a_lo = (a >> 16).astype(np.float64), (a & _LIMB_MASK).astype(np.float64)
-    b_hi, b_lo = (b >> 16).astype(np.float64), (b & _LIMB_MASK).astype(np.float64)
-    hh = _product_mod(a_hi, b_hi, p, _LIMB_MASK)
-    mid = _product_mod(a_hi, b_lo, p, _LIMB_MASK) + _product_mod(a_lo, b_hi, p, _LIMB_MASK)
-    ll = _product_mod(a_lo, b_lo, p, _LIMB_MASK)
-    out = hh * (2 ** 32 % p) % p + mid * 2 ** 16 % p + ll
-    return out % p
+        return _product_mod(a.astype(np.float64), b.astype(np.float64), p, (p - 1) ** 2)
+    # split the operand with fewer entries (a @ b = (b.T @ a.T).T) into
+    # 16-bit limbs x = hi * 2^16 + lo: a limb times a residue is < 2^47
+    flip = a.size > b.size
+    small, whole = (b.T, a.T) if flip else (a, b)
+    whole, bound = whole.astype(np.float64), _LIMB_MASK * (p - 1)
+    out = _product_mod((small >> 16).astype(np.float64), whole, p, bound) << 16
+    out += _product_mod((small & _LIMB_MASK).astype(np.float64), whole, p, bound)
+    out %= p
+    return out.T.copy() if flip else out
 
 
 def matvec(a, v, p):
@@ -118,30 +125,44 @@ def _eliminate(mat, p, reduced):
     pass reduced=False: the pivots are the same, and the work of clearing
     above each pivot is skipped.
     """
-    a = np.asarray(mat, dtype=np.int64) % p
+    a = np.mod(mat, p, dtype=np.int64, order="C")
+    flat = a.reshape(-1)  # a view: a is C-contiguous
     rows, cols = a.shape
+    big = a.size > _SPARSE_MIN_CELLS
     pivots = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        nz = a[r:, c].nonzero()[0]
+        if not nz.size:
             continue
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr], c:] = a[[pr, r], c:]
-        inv = pow(int(a[r, c]), -1, p)
+        row = a[r, c:]
+        # on a sparse pivot row, scale and update its nonzero columns only
+        live = row.nonzero()[0] if big else None
+        sparse = live is not None and 2 * live.size <= row.size
+        inv = pow(int(row[0]), -1, p)
         if inv != 1:
-            a[r, c:] = (a[r, c:] * inv) % p
+            if sparse:
+                row[live] = row[live] * inv % p
+            else:
+                row[:] = row * inv % p
         col = a[:, c].copy()
         if reduced:
             col[r] = 0
         else:
             col[:r + 1] = 0
-        touched = np.nonzero(col)[0]
+        touched = col.nonzero()[0]
         if touched.size:
-            a[touched, c:] = (a[touched, c:] - np.outer(col[touched], a[r, c:])) % p
+            f = col[touched, None]
+            if sparse:
+                at = (touched * cols)[:, None] + (live + c)
+                flat[at] = (flat[at] - f * row[live]) % p
+            else:
+                a[touched, c:] = (a[touched, c:] - f * row) % p
         pivots.append(c)
         r += 1
     return a, pivots

@@ -55,7 +55,7 @@ certificate.
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -147,6 +147,7 @@ def kernel_generators(ring, src_degs, matrix_at, low, rows=None):
     rows = rows or {}
     gens, free_rows = [], {}
     prev = None  # kernel basis one degree down, when nonzero
+    last = None  # (matrix, kd, free) of the last null space taken
     for d in range(min(src_degs), window.top + 1):
         kd = None
         src_dim = freemod.component_dim(ring, src_degs, d)
@@ -158,7 +159,10 @@ def kernel_generators(ring, src_degs, matrix_at, low, rows=None):
                                   f"not {src_dim}")
             if d in rows:
                 mat = mat[rows[d]]
-            kd, free = _null_space(mat, ring.char)
+            # degree tables repeat over 1-dimensional rings: reuse a null space
+            if last is None or not np.array_equal(mat, last[0]):
+                last = (mat, *_null_space(mat, ring.char))
+            kd, free = last[1:]
             if d in rows and src_dim - len(free) != len(rows[d]):
                 raise SyzkitError(f"internal error: syzygy step is not exact in degree {d}")
             free_rows[d] = free
@@ -313,17 +317,18 @@ class DepthReport:
         return f"depth {self.depth} (pd_S = {self.pd_ambient}, n = {self.nvars})"
 
 
-def _koszul_diff(module, xs, i, d):
-    """(d_{i,d}, its rank): the Koszul differential on the variables, whose
-    classes in R_1 are xs, from wedge^i F_p^n (x) M_{d-i} to wedge^(i-1) F_p^n
-    (x) M_{d-i+1}: m e_J -> sum_t (-1)^t x_{J_t} m e_{J - J_t}, J-major."""
+def _koszul_diff(module, acts_at, n, i, d):
+    """(d_{i,d}, its rank): the Koszul differential on the n variables,
+    from wedge^i F_p^n (x) M_{d-i} to wedge^(i-1) F_p^n (x) M_{d-i+1}:
+    m e_J -> sum_t (-1)^t x_{J_t} m e_{J - J_t}, J-major.  acts_at(a) lists
+    the matrices of the variables from M_a to M_{a+1}."""
     p, a = module.ring.char, d - i
     rows, cols = module.dim(a + 1), module.dim(a)
-    target = {J: r for r, J in enumerate(combinations(range(len(xs)), i - 1))}
-    source = list(combinations(range(len(xs)), i))
+    target = {J: r for r, J in enumerate(combinations(range(n), i - 1))}
+    source = list(combinations(range(n), i))
     blocks = {}
     if rows and cols:
-        acts = [module.action_by_ring_vector(x, 1, a) for x in xs]
+        acts = acts_at(a)
         for c, J in enumerate(source):
             for t, j in enumerate(J):
                 r = target[J[:t] + J[t + 1:]]
@@ -341,7 +346,8 @@ def depth(module):
     counted in ring degrees above M's lowest generator, with a margin of 2
     unless the ring collapses within the bound, so M and its shifts get the
     same answer or the same refusal.  Each d_{i,d} is built and ranked
-    once, and kept until d_{i-1} o d_i = 0 is checked.
+    once, from action matrices built once per degree, and kept until
+    d_{i-1} o d_i = 0 is checked.
     """
     if module.is_zero():
         raise SyzkitError("depth of the zero module is undefined")
@@ -349,6 +355,7 @@ def depth(module):
     n, bound = len(ring.vars), ring.degree_bound
     xs = [ring.normal_form({tuple(int(k == j) for k in range(n)): 1}, degree=1)
           for j in range(n)]
+    acts_at = cache(lambda a: [module.action_by_ring_vector(x, 1, a) for x in xs])
     # K_{i,d} vanishes above max generator degree + top degree of R + i
     window = ring.degree_window(module.min_degree(), max(module.gen_degrees) + n)
     pd, lo, below = 0, window.low, {}  # below: d -> (d_{i,d}, its rank) from step i - 1
@@ -358,8 +365,8 @@ def depth(module):
             size = math.comb(n, i) * module.dim(d - i)
             if not size:
                 continue
-            low, low_rank = below.get(d) or _koszul_diff(module, xs, i, d)
-            high, high_rank = built[d] = _koszul_diff(module, xs, i + 1, d)
+            low, low_rank = below.get(d) or _koszul_diff(module, acts_at, n, i, d)
+            high, high_rank = built[d] = _koszul_diff(module, acts_at, n, i + 1, d)
             if matmul(low, high, p).any():
                 raise SyzkitError("internal error: Koszul differentials do not compose to zero")
             if size == low_rank + high_rank:

@@ -201,13 +201,14 @@ def test_matmul_matches_python_integers(operands):
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 20), st.integers(0, 10**6))
 def test_chunked_float_products_stay_exact(k, seed):
-    # entries up to 2^25 give chunks of 7 inner terms, so k in 1..20 covers
+    # the bound caps each product of two entries: entries up to 2^25 give
+    # products up to 2^50 and chunks of 7 inner terms, so k in 1..20 covers
     # one chunk and several
     bound = 2**25
     rng = np.random.default_rng(seed)
     a = rng.integers(bound - 4, bound + 1, size=(2, k))
     b = rng.integers(bound - 4, bound + 1, size=(k, 3))
-    out = linalg._product_mod(a.astype(np.float64), b.astype(np.float64), P31, bound)
+    out = linalg._product_mod(a.astype(np.float64), b.astype(np.float64), P31, bound * bound)
     assert out.tolist() == _reference_product(a.tolist(), b.tolist(), P31)
 
 
@@ -273,8 +274,9 @@ def test_vectorised_quotient_projection_matches_loop_reference(mp):
 ORACLE_PRIMES = [2, 3, 11, 13, 32003, P31]
 
 
-def _gauss_jordan(rows, cols, p):
-    """RREF and pivot columns of a list-of-rows matrix, in Python integers."""
+def _gauss_jordan(rows, cols, p, reduced=True):
+    """RREF and pivot columns of a list-of-rows matrix, in Python integers;
+    with reduced=False, each pivot's column is cleared below it only."""
     a = [[x % p for x in row] for row in rows]
     pivots = []
     for c in range(cols):
@@ -285,7 +287,7 @@ def _gauss_jordan(rows, cols, p):
         a[r], a[pr] = a[pr], a[r]
         inv = pow(a[r][c], -1, p)
         a[r] = [x * inv % p for x in a[r]]
-        for i in range(len(a)):
+        for i in range(0 if reduced else r + 1, len(a)):
             if i != r and a[i][c]:
                 f = a[i][c]
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
@@ -424,6 +426,76 @@ def test_peeled_rank_matches_gauss_jordan_oracle(p, case):
     want = _oracle_rank(m.tolist(), cols, p)
     assert linalg.rank(m, p) == want, kind
     assert linalg.rank(m.T, p) == want, kind
+
+
+def _sparse_with_core(rows, cols, p, rng):
+    """A rows x cols matrix mod p with 2-8 nonzeros a row, a filled dense
+    core, and rows that combine two others, so that elimination meets sparse
+    and dense pivot rows, fill-in and dependent rows."""
+    m = np.zeros((rows, cols), dtype=np.int64)
+    for i in range(rows):
+        at = rng.choice(cols, rng.integers(2, 9), replace=False)
+        m[i, at] = rng.integers(1, p, size=at.size)
+    core_rows = rng.choice(rows, rng.integers(0, rows // 3 + 1), replace=False)
+    core_cols = rng.choice(cols, rng.integers(1, cols // 2 + 1), replace=False)
+    m[np.ix_(core_rows, core_cols)] = rng.integers(0, p, size=(core_rows.size, core_cols.size))
+    for i in rng.choice(rows, rng.integers(0, rows // 4 + 1), replace=False):
+        j, k = rng.choice(rows, 2, replace=False)
+        m[i] = (rng.integers(1, p) * m[j] % p + rng.integers(0, p) * m[k] % p) % p
+    return m
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@settings(deadline=None, max_examples=15)
+@given(st.integers(16, 40), st.integers(130, 160), st.integers(0, 2**32 - 1),
+       st.integers(0, 160))
+def test_sparse_row_updates_match_gauss_jordan_oracle(p, rows, cols, seed, split):
+    # above _SPARSE_MIN_CELLS, pivot rows with few nonzeros are updated
+    # through flat indices; every result must equal the dense oracle's
+    m = _sparse_with_core(rows, cols, p, np.random.default_rng(seed))
+    assert m.size > linalg._SPARSE_MIN_CELLS
+    want, pivots = _gauss_jordan(m.tolist(), cols, p)
+    r, got_pivots, rk = linalg.rref(m, p)
+    assert r.tolist() == want and got_pivots == pivots and rk == len(pivots)
+    assert linalg.rank(m, p) == rk
+    echelon, echelon_pivots = linalg._eliminate(m, p, False)
+    assert echelon.tolist() == _gauss_jordan(m.tolist(), cols, p, reduced=False)[0]
+    assert echelon_pivots == pivots
+    # the kernel vector of free column j: 1 at j, -R[i, j] at the i-th pivot
+    free = [j for j in range(cols) if j not in pivots]
+    kernel = np.zeros((cols, len(free)), dtype=np.int64)
+    kernel[free, range(len(free))] = 1
+    for i, c in enumerate(pivots):
+        kernel[c] = [-want[i][j] % p for j in free]
+    assert linalg.kernel_basis(m, p).tolist() == kernel.tolist()
+    split = min(split, cols)
+    assert linalg.extend_basis(m[:, :split], m[:, split:], p) == \
+        [c - split for c in pivots if c >= split]
+    # a complement is the non-pivot coordinates of the transpose's rref; the
+    # second call hands `_eliminate` the Fortran-ordered view m.T
+    assert linalg.coset_complement(m.T, cols, p).tolist() == \
+        np.eye(cols, dtype=np.int64)[:, free].tolist()
+    t_pivots = _gauss_jordan(m.T.tolist(), rows, p)[1]
+    assert linalg.coset_complement(m, rows, p).tolist() == \
+        np.eye(rows, dtype=np.int64)[:, [i for i in range(rows) if i not in t_pivots]].tolist()
+
+
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 200, 600])
+def test_limb_split_products_match_python_integers_at_the_largest_prime(k):
+    # at p = 2^31 - 1 every k takes the 16-bit limb split of the operand with
+    # fewer entries; a limb times a residue is < 2^47, so a chunk sums 64 of
+    # them and k = 63..65 meets the chunk edge
+    for m, n in ((2, 5), (5, 2)):  # split a, then b
+        a = np.full((m, k), P31 - 1, dtype=np.int64)
+        b = np.full((k, n), P31 - 1, dtype=np.int64)
+        # (p - 1)^2 = 1 mod p, so every entry is k
+        assert linalg.matmul(a, b, P31).tolist() == [[k % P31] * n] * m
+        rng = np.random.default_rng(k * m)
+        a = rng.integers(P31 - 2**17, P31, size=(m, k))
+        b = rng.integers(0, P31, size=(k, n))
+        out = linalg.matmul(a, b, P31)
+        assert out.dtype == np.int64
+        assert out.tolist() == _reference_product(a.tolist(), b.tolist(), P31)
 
 
 # -- primality ---------------------------------------------------------------

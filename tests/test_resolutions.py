@@ -448,6 +448,42 @@ def test_kernel_generators_match_the_dense_step(case):
         rows = free_rows
 
 
+def test_kernel_generators_reuse_a_null_space_that_repeats(monkeypatch):
+    # k over a 1-dimensional complete intersection: the degree tables of R
+    # repeat, so a syzygy step meets the matrix it just solved again, and
+    # takes its null space once
+    from syzkit import resolutions
+
+    class NothingEqual:  # numpy, except that no two matrices compare equal
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def array_equal(*_):
+            return False
+
+    calls = []
+    null_space = resolutions._null_space
+
+    def counted(mat, p):
+        calls.append(mat.shape)
+        return null_space(mat, p)
+
+    names = ["x", "y", "z"]
+    r = ring_from_strings(7, names, _dense_quadrics(7, names, 2, 2), degree_bound=14)
+    monkeypatch.setattr(resolutions, "_null_space", counted)
+    with monkeypatch.context() as without_reuse:
+        without_reuse.setattr(resolutions, "np", NothingEqual())
+        want = resolve(residue_field(r), 6)
+    scanned = len(calls)  # one null space per step and degree scanned
+    calls.clear()
+    res = resolve(residue_field(r), 6)
+    assert len(calls) < scanned
+    assert res.betti() == want.betti() == [1, 3, 5, 7, 9, 11, 13]
+    assert res.gens == want.gens
+    assert all(a.equals(b) for a, b in zip(res.diffs[1:], want.diffs[1:]))
+
+
 def test_kernel_generators_check_that_the_previous_rows_are_filled():
     # one extra row outside the previous kernel's free rows: the image of
     # d_3 fills only the free rows, so the restricted rank falls short
