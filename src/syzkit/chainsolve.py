@@ -7,6 +7,14 @@ tail [onset+q, window] is periodic when some solution is an isomorphism on
 every tail term, which is checked on scalar blocks (exact by graded
 Nakayama).
 
+`solve_chain_self_maps` writes the system on the tail [j_lo, window] with
+one `freemod.block_matrix`.  Column block (j, b), j >= j_lo, is the unknown
+phi_j(e_b), in the degree g_b + tau component of F_{j-q}; row block (j, b),
+j > j_lo, is the chain condition on e_b in F_j, in the degree g_b + tau
+component of F_{j-1-q}.  That row's block in column (j-1, c) is
+multiplication by the entry (c, b) of d_j, its block in column (j, b) is
+-(-1)^q d_{j-q}, and every other block is zero.
+
 `find_tail_isomorphism` is the one search step on a tail: it finds tau,
 solves the chain system, rules out solution spaces whose scalar block is
 forced to vanish somewhere, tries the seeded candidates, and re-checks the
@@ -16,12 +24,15 @@ get the same `PeriodicityCertificate`.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from . import freemod
 from .complexes import ChainMap
-from .linalg import identity, kernel_basis, matvec, zeros
+from .linalg import kernel_basis, matvec
+
+COMBINATIONS = 64  # seeded combinations of a solution basis tried after its vectors
 
 
 @dataclass
@@ -63,116 +74,97 @@ def consistent_twist(cx, q, j_lo):
     return tau
 
 
-class _Layout:
-    """Offsets of the unknown coordinates of each phi_j column, j >= j_lo."""
+class Unknowns:
+    """The column blocks of the chain system on the tail [j_lo, window]: block
+    index[(j, b)] holds phi_j(e_b) and has size sizes[index[(j, b)]]."""
 
     def __init__(self, cx, q, tau, j_lo):
         self.cx = cx
         self.q = q
         self.tau = tau
         self.j_lo = j_lo
-        self.col_offset = {}
-        total = 0
+        self.index = {}
+        self.sizes = []
         for j in range(j_lo, cx.window + 1):
             tgt = cx.gen_degrees(j - q)
             for b, g in enumerate(cx.gen_degrees(j)):
-                dim = freemod.component_dim(cx.ring, tgt, g + tau)
-                self.col_offset[(j, b)] = (total, dim)
-                total += dim
-        self.total = total
+                self.index[(j, b)] = len(self.sizes)
+                self.sizes.append(freemod.component_dim(cx.ring, tgt, g + tau))
+        self.starts = [0, *accumulate(self.sizes)]
+        self.total = self.starts[-1]
 
     def chain_map(self, x):
         """Solution vector -> ChainMap of the complex, zero below j_lo."""
+        blocks = np.split(x, self.starts[1:-1])
         column_lists = [None] * self.j_lo
         for j in range(self.j_lo, self.cx.window + 1):
-            spans = [self.col_offset[(j, b)] for b in range(self.cx.rank(j))]
-            column_lists.append([x[off:off + dim].copy() for off, dim in spans])
+            column_lists.append([blocks[self.index[(j, b)]].copy()
+                                 for b in range(self.cx.rank(j))])
         return ChainMap.from_columns(self.cx, self.cx, self.q, self.tau, column_lists)
-
-
-def _apply_unknown_blocks(dmap, b, tgt_degs, tau, layout, j, out):
-    """Accumulate into `out` the contribution of phi_j applied to column b
-    of the fixed map dmap, whose target is F_j."""
-    ring, p = dmap.ring, dmap.ring.char
-    d = dmap.source_degrees[b] + dmap.twist
-    for c, piece in dmap.blocks(b):
-        coff, cdim = layout.col_offset[(j, c)]
-        if cdim == 0:
-            continue
-        h = dmap.target_degrees[c]
-        for i in np.nonzero(piece)[0]:
-            mult = freemod.free_mult_matrix(ring, tgt_degs, d - h, int(i), h + tau)
-            # reduce every term: three products of size (p-1)^2 overflow int64
-            out[:, coff:coff + cdim] += int(piece[i]) * mult % p
-            out[:, coff:coff + cdim] %= p
 
 
 def solve_chain_self_maps(cx, q, tau, j_lo):
     """Basis of the space of twist-tau chain self-maps of shift q on the
-    tail [j_lo, window] of cx.  Returns (layout, basis)."""
-    layout = _Layout(cx, q, tau, j_lo)
+    tail [j_lo, window] of cx.  Returns (unknowns, basis)."""
+    unknowns = Unknowns(cx, q, tau, j_lo)
     ring = cx.ring
     p = ring.char
     sign = (-1) ** q
-    rows_blocks = []
+    row_sizes, blocks = [], {}
     for j in range(j_lo + 1, cx.window + 1):
         tgt_low = cx.gen_degrees(j - 1 - q)
         dj = cx.diff(j)
         dlow = cx.diff(j - q)
         dlow_by_degree = {}  # generators of one degree share d_{j-q}'s matrix
         for b, g in enumerate(cx.gen_degrees(j)):
-            nrows = freemod.component_dim(ring, tgt_low, g + tau)
-            if nrows == 0:
+            row = len(row_sizes)
+            row_sizes.append(freemod.component_dim(ring, tgt_low, g + tau))
+            if row_sizes[row] == 0:
                 continue
-            block = zeros(nrows, layout.total)
-            # phi_{j-1} applied to d_j(e_b)
-            if dj is not None:
-                _apply_unknown_blocks(dj, b, tgt_low, tau, layout, j - 1, block)
+            # phi_{j-1} applied to d_j(e_b): entry (c, b) of d_j times phi_{j-1}(e_c)
+            for c, piece in dj.blocks(b):
+                h = dj.target_degrees[c]
+                # reduce every term: three products of size (p-1)^2 overflow int64
+                terms = [int(piece[i]) * freemod.free_mult_matrix(
+                    ring, tgt_low, g - h, int(i), h + tau) % p for i in np.flatnonzero(piece)]
+                blocks[row, unknowns.index[(j - 1, c)]] = sum(terms) % p
             # minus (-1)^q d_{j-q} applied to phi_j(e_b)
-            off, dim = layout.col_offset[(j, b)]
-            if dim and dlow is not None and dlow.source_degrees:
-                if g not in dlow_by_degree:
-                    dlow_by_degree[g] = dlow.induced(g + tau)
-                block[:, off:off + dim] -= sign * dlow_by_degree[g]
-            rows_blocks.append(block % p)
-    if layout.total == 0:
-        return layout, zeros(0, 0)
-    if not rows_blocks:
-        return layout, identity(layout.total)
-    return layout, kernel_basis(np.concatenate(rows_blocks, axis=0), p)
+            if g not in dlow_by_degree:
+                dlow_by_degree[g] = -sign * dlow.induced(g + tau) % p
+            blocks[row, unknowns.index[(j, b)]] = dlow_by_degree[g]
+    system = freemod.block_matrix(row_sizes, unknowns.sizes, blocks)
+    return unknowns, kernel_basis(system, p)
 
 
-def candidate_solutions(basis, p, seed=0, budget=64):
-    """Basis vectors first, then seeded random combinations (deterministic)."""
+def candidate_solutions(basis, p, seed=0):
+    """Basis vectors first, then COMBINATIONS seeded random combinations."""
     n = basis.shape[1]
     for i in range(n):
         yield basis[:, i]
     if n >= 2:
         rng = np.random.default_rng(seed)
-        for _ in range(budget):
+        for _ in range(COMBINATIONS):
             coeffs = rng.integers(0, p, size=n)
             if not coeffs.any():
                 continue
             yield matvec(basis, coeffs, p)
 
 
-def scalar_block_coordinates(layout, j):
+def scalar_block_coordinates(unknowns, j):
     """Unknown coordinates holding the constant terms of phi_j's scalar block."""
-    ring, tau = layout.cx.ring, layout.tau
-    tgt = layout.cx.gen_degrees(j - layout.q)
+    ring, tau = unknowns.cx.ring, unknowns.tau
+    tgt = unknowns.cx.gen_degrees(j - unknowns.q)
     coords = []
-    for b, g in enumerate(layout.cx.gen_degrees(j)):
-        off, dim = layout.col_offset[(j, b)]
-        if dim == 0:
-            continue
+    for b, g in enumerate(unknowns.cx.gen_degrees(j)):
+        start = unknowns.starts[unknowns.index[(j, b)]]
         offs = freemod.component_offsets(ring, tgt, g + tau)
         for c, h in enumerate(tgt):
             if h == g + tau and ring.dim(0) > 0:
-                coords.append(off + offs[c])
+                coords.append(start + offs[c])
     return coords
 
 
-def find_tail_isomorphism(cx, q, onset, why, seed=0, budget=64):
+def find_tail_isomorphism(cx, q, onset, why, seed=0):
     """Shift-q chain self-map of cx that is an isomorphism on every term of
     the tail [onset+q, window] and passes the exact chain-condition check
     there.
@@ -186,24 +178,24 @@ def find_tail_isomorphism(cx, q, onset, why, seed=0, budget=64):
     if tau is None:
         why[q] = ("degree-obstruction", True)
         return None
-    layout, basis = solve_chain_self_maps(cx, q, tau, j_lo)
+    unknowns, basis = solve_chain_self_maps(cx, q, tau, j_lo)
     if basis.shape[1] == 0:
         why[q] = ("only-zero-map", True)
         return None
     for j in range(j_lo, cx.window + 1):
-        coords = scalar_block_coordinates(layout, j)
+        coords = scalar_block_coordinates(unknowns, j)
         if coords and not basis[coords, :].any():
             why[q] = ("zero-scalar-block", True)
             return None
-    for x in candidate_solutions(basis, cx.ring.char, seed, budget):
-        phi = layout.chain_map(x)
+    for x in candidate_solutions(basis, cx.ring.char, seed):
+        phi = unknowns.chain_map(x)
         if phi.iso_range_ok(j_lo) and phi.verify(j_lo):
             return phi
     why[q] = ("no-invertible-combination", False)
     return None
 
 
-def certify_periodicity(cx, free_onset, seed=0, budget=64):
+def certify_periodicity(cx, free_onset, seed=0):
     """Least period q <= window/2 with a tail isomorphism, at its least
     onset (always 0 unless free_onset); None when no period fits the window.
 
@@ -216,11 +208,11 @@ def certify_periodicity(cx, free_onset, seed=0, budget=64):
     below = {}
     for q in range(1, w // 2 + 1):
         last = w - 2 * q if free_onset else 0
-        witness = find_tail_isomorphism(cx, q, last, below, seed, budget)
+        witness = find_tail_isomorphism(cx, q, last, below, seed)
         if witness is None and below[q][1]:
             continue
         for onset in range(last):
-            earlier = find_tail_isomorphism(cx, q, onset, {}, seed, budget)
+            earlier = find_tail_isomorphism(cx, q, onset, {}, seed)
             if earlier is not None:
                 witness, last = earlier, onset
                 break

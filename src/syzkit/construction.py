@@ -33,7 +33,7 @@ from .resolutions import estimate_complexity
 from .rings import PolyRing, build_quotient
 
 
-def detect_complex_periodicity(cx, window=None, seed=0, budget=64):
+def detect_complex_periodicity(cx, window=None, seed=0):
     """Least period n whose tail [n, window] carries a verified witness
     (onset 0), with the infeasibility records of every smaller shift.
 
@@ -42,7 +42,7 @@ def detect_complex_periodicity(cx, window=None, seed=0, budget=64):
     w = cx.window if window is None else min(window, cx.window)
     if w < 2:
         raise WindowError("periodicity detection needs window >= 2")
-    return certify_periodicity(cx.slice_window(w), False, seed, budget)
+    return certify_periodicity(cx.slice_window(w), False, seed)
 
 
 def periodic_variable_complex(char, period, window, degree_bound=None, prefix="x"):

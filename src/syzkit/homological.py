@@ -413,16 +413,20 @@ class ReductionSequence:
         return [self.start_complexity.value] + [s.complexity.value for s in self.steps]
 
 
-def reduction_search(
-    m, max_degree=3, window=10, seed=0, combo_budget=64, max_steps=10,
-):
+REDUCTION_COMBINATIONS = 64  # seeded combinations of Ext classes per degree
+REDUCTION_STEPS = 10  # most reduction steps searched from one module
+
+
+def reduction_search(m, max_degree=3, window=10, seed=0):
     """Greedy search for self-extension classes that strictly drop complexity.
 
-    Basis classes first (cohomological degree ascending, then internal
-    degree), then seeded random combinations within one internal degree.
-    Absence of a result is not a proof of irreducibility.  The accepted
-    module's depth is carried to the next step.
+    Basis classes first (cohomological degree 1..max_degree ascending, then
+    internal degree), then seeded random combinations within one internal
+    degree.  Absence of a result is not a proof of irreducibility.  The
+    accepted module's depth is carried to the next step.
     """
+    if max_degree < 1:
+        raise SyzkitError(f"reduction search needs max_degree >= 1, got {max_degree}")
     est0, _ = complexity_of_module(m, window)
     if est0.value == 0:
         return ReductionSequence(m, est0, [], math.inf)
@@ -432,7 +436,7 @@ def reduction_search(
     current, current_est = m, est0
     current_depth = None
     steps = []
-    for _ in range(max_steps):
+    for _ in range(REDUCTION_STEPS):
         if current_est.value == 0:
             break
         found = None
@@ -446,7 +450,7 @@ def reduction_search(
             for w, group in sorted(by_degree.items()):
                 if len(group) < 2:
                     continue
-                for _ in range(combo_budget // max(1, len(by_degree))):
+                for _ in range(REDUCTION_COMBINATIONS // max(1, len(by_degree))):
                     coeffs = rng.integers(0, m.ring.char, size=len(group))
                     if not coeffs.any():
                         continue

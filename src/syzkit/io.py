@@ -14,7 +14,8 @@ All three use one brace-block syntax, UTF-8, `#` comments:
     }
 
 Lists accept `name = value` entries whose names are ignored (the `d1 =`
-style).  Paths are resolved relative to the referencing file.
+style).  A field written as a list must be one, and a key may appear once
+in a block.  Paths are resolved relative to the referencing file.
 """
 
 import os
@@ -46,16 +47,13 @@ def _tokenize(text):
                 break
             raise ParseError(f"unexpected character {text[pos]!r} at offset {pos}")
         pos = m.end()
-        if m.lastgroup == "comment":
-            continue
-        if m.lastgroup == "string":
-            out.append(("string", m.group("string")[1:-1]))
-        elif m.lastgroup == "number":
-            out.append(("number", int(m.group("number"))))
-        elif m.lastgroup == "ident":
-            out.append(("ident", m.group("ident")))
-        else:
-            out.append(("punct", m.group("punct")))
+        kind, token = m.lastgroup, m.group(m.lastgroup)
+        if kind == "string":
+            out.append((kind, token[1:-1]))
+        elif kind == "number":
+            out.append((kind, int(token)))
+        elif kind != "comment":
+            out.append((kind, token))
     return out
 
 
@@ -84,10 +82,7 @@ class _Parser:
             return self.block()
         if tk == "punct" and tv == "[":
             return self.list()
-        if tk in ("string", "number"):
-            self.next()
-            return tv
-        if tk == "ident":
+        if tk in ("string", "number", "ident"):
             self.next()
             return tv
         raise ParseError(f"unexpected token {tv!r}")
@@ -124,6 +119,8 @@ class _Parser:
             if tk is None:
                 raise ParseError("unterminated block")
             key = self.expect("ident")
+            if key in out:
+                raise ParseError(f"duplicate key {key!r}")
             self.expect("punct", "=")
             out[key] = self.value()
             tk, tv = self.peek()
@@ -131,31 +128,58 @@ class _Parser:
                 self.next()
 
 
-def parse_document(text):
-    p = _Parser(_tokenize(text))
-    kind = p.expect("ident")
-    body = p.block()
-    if p.peek()[0] is not None:
-        raise ParseError("trailing content after top-level block")
-    return kind, body
+def _list(value, path, field):
+    """value, which must be a list: a scalar would be read item by item."""
+    if not isinstance(value, list):
+        raise ParseError(f"{path}: {field} must be a list, got {value!r}")
+    return value
 
 
-def _read(path):
+def _rows(value, path, field):
+    """value, which must be a list of lists."""
+    return [_list(row, path, f"entry {k} of {field}")
+            for k, row in enumerate(_list(value, path, field))]
+
+
+def _document(path, kind):
+    """The body of the file at path, which must be one `kind` block."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            p = _Parser(_tokenize(fh.read()))
+        found = p.expect("ident")
+        body = p.block()
+        if p.peek()[0] is not None:
+            raise ParseError("trailing content after top-level block")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if found != kind:
+        raise ParseError(f"{path}: expected a {kind} block, found {found!r}")
+    return body
+
+
+def _poly_map(ring, rows, src, tgt, twist, path, field):
+    """The map src -> tgt whose matrix over tgt x src is rows, a list of
+    lists of polynomials; the zero map when src or tgt is zero."""
+    rows = _rows(rows, path, field)
+    if not src or not tgt:
+        return freemod.FreeMap.zero(ring, src, tgt, twist)
+    if len(rows) != len(tgt) or any(len(r) != len(src) for r in rows):
+        raise ParseError(f"{path}: {field} must be {len(tgt)} x {len(src)}")
+    try:
+        entries = [[ring.base.parse(str(e)) for e in row] for row in rows]
+        return freemod.FreeMap.from_poly_matrix(ring, tgt, src, entries, twist)
+    except SyzkitError as exc:
+        raise ParseError(f"{path}: {field}: {exc}") from exc
 
 
 def read_ring_file(path, degree_bound_override=None):
-    kind, body = parse_document(_read(path))
-    if kind != "ring":
-        raise ParseError(f"{path}: expected a ring block, found {kind!r}")
+    body = _document(path, "ring")
     try:
         char = int(body["char"])
-        var_names = [str(v) for v in body.get("vars", [])]
-        relations = [str(r) for r in body.get("relations", [])]
+        var_names = [str(v) for v in _list(body.get("vars", []), path, "vars")]
+        relations = [str(r) for r in _list(body.get("relations", []), path, "relations")]
         bound = int(body.get("degree_bound", 12))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed ring block ({exc})") from exc
@@ -182,13 +206,12 @@ def _resolve_ring(body, path, degree_bound_override, ring_cache):
 
 
 def read_module_file(path, degree_bound_override=None, ring_cache=None):
-    kind, body = parse_document(_read(path))
-    if kind != "module":
-        raise ParseError(f"{path}: expected a module block, found {kind!r}")
+    body = _document(path, "module")
     ring = _resolve_ring(body, path, degree_bound_override, ring_cache)
     try:
-        gens = [int(g) for g in body.get("generators", [])]
-        rel_cols = [[str(e) for e in col] for col in body.get("relations", [])]
+        gens = [int(g) for g in _list(body.get("generators", []), path, "generators")]
+        rel_cols = [[str(e) for e in col]
+                    for col in _rows(body.get("relations", []), path, "relations")]
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed module block ({exc})") from exc
     try:
@@ -199,13 +222,12 @@ def read_module_file(path, degree_bound_override=None, ring_cache=None):
 
 def read_complex_file(path, degree_bound_override=None, ring_cache=None):
     """Returns (FreeComplex, ChainMap or None)."""
-    kind, body = parse_document(_read(path))
-    if kind != "complex":
-        raise ParseError(f"{path}: expected a complex block, found {kind!r}")
+    body = _document(path, "complex")
     ring = _resolve_ring(body, path, degree_bound_override, ring_cache)
     try:
-        gens = [tuple(int(g) for g in row) for row in body.get("modules", [])]
-        diff_blocks = body.get("differentials", [])
+        gens = [tuple(int(g) for g in row)
+                for row in _rows(body.get("modules", []), path, "modules")]
+        diff_blocks = _list(body.get("differentials", []), path, "differentials")
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed complex block ({exc})") from exc
     if len(diff_blocks) != max(0, len(gens) - 1):
@@ -215,21 +237,8 @@ def read_complex_file(path, degree_bound_override=None, ring_cache=None):
         )
     diffs = [None]
     for j in range(1, len(gens)):
-        rows = diff_blocks[j - 1]
-        if not gens[j] or not gens[j - 1]:
-            diffs.append(freemod.FreeMap.zero(ring, gens[j], gens[j - 1]))
-            continue
-        if len(rows) != len(gens[j - 1]) or any(len(r) != len(gens[j]) for r in rows):
-            raise ParseError(
-                f"{path}: differential {j} must be {len(gens[j - 1])} x {len(gens[j])}"
-            )
-        try:
-            entries = [[ring.base.parse(str(e)) for e in row] for row in rows]
-            diffs.append(
-                freemod.FreeMap.from_poly_matrix(ring, gens[j - 1], gens[j], entries)
-            )
-        except SyzkitError as exc:
-            raise ParseError(f"{path}: differential {j}: {exc}") from exc
+        diffs.append(_poly_map(ring, diff_blocks[j - 1], gens[j], gens[j - 1], 0, path,
+                               f"differential {j}"))
     cx = FreeComplex(ring, gens, diffs)
     if not cx.verify():
         raise ParseError(f"{path}: differentials do not compose to zero")
@@ -240,7 +249,7 @@ def read_complex_file(path, degree_bound_override=None, ring_cache=None):
         try:
             shift = int(eta_block["shift"])
             twist = int(eta_block.get("twist", -shift))
-            comp_blocks = eta_block.get("components", [])
+            comp_blocks = _list(eta_block.get("components", []), path, "eta components")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: malformed eta map ({exc})") from exc
         comps = []
@@ -248,20 +257,10 @@ def read_complex_file(path, degree_bound_override=None, ring_cache=None):
             src = cx.gen_degrees(j)
             tgt = cx.gen_degrees(j - shift)
             rows = comp_blocks[j] if j < len(comp_blocks) else []
-            if not src or not tgt or not rows:
+            if rows == []:  # a component left out is zero
                 comps.append(freemod.FreeMap.zero(ring, src, tgt, twist))
-                continue
-            if len(rows) != len(tgt) or any(len(r) != len(src) for r in rows):
-                raise ParseError(
-                    f"{path}: eta component {j} must be {len(tgt)} x {len(src)}"
-                )
-            try:
-                entries = [[ring.base.parse(str(e)) for e in row] for row in rows]
-                comps.append(
-                    freemod.FreeMap.from_poly_matrix(ring, tgt, src, entries, twist)
-                )
-            except SyzkitError as exc:
-                raise ParseError(f"{path}: eta component {j}: {exc}") from exc
+            else:
+                comps.append(_poly_map(ring, rows, src, tgt, twist, path, f"eta component {j}"))
         eta = ChainMap(cx, cx, shift, twist, comps)
         if not eta.verify():
             raise ParseError(f"{path}: eta is not a chain map")

@@ -4,6 +4,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import syzkit
 from syzkit import cli
 
@@ -154,6 +156,57 @@ def test_exit_code_parse_error(tmp_path):
     bad.write_text("module { generators = [0]  oops }")
     out = run_cli("resolve", str(bad))
     assert out.returncode == 2
+
+
+GOOD_RING = 'ring { char = 2; vars = [x, y]; relations = ["x^2", "y^2"] }'
+GOOD_MODULE = 'module { ring = "r.ring"; generators = [0]; relations = [["x"], ["y"]] }'
+
+
+@pytest.mark.parametrize("ring, module, error", [
+    # read as the variables x and y
+    ('ring { char = 2; vars = xy; relations = ["x^2", "y^2"] }', GOOD_MODULE,
+     "r.ring: vars must be a list, got 'xy'"),
+    # read as the generators [0, 1]
+    (GOOD_RING, 'module { ring = "r.ring"; generators = "01"; relations = [] }',
+     "m.module: generators must be a list, got '01'"),
+    # read as the relation column (x, y) on two generators
+    (GOOD_RING, 'module { ring = "r.ring"; generators = [0, 0]; relations = ["xy"] }',
+     "m.module: entry 0 of relations must be a list, got 'xy'"),
+    # read as char = 3
+    ('ring { char = 2; vars = [x, y]; relations = ["x^2", "y^2"]; char = 3 }', GOOD_MODULE,
+     "r.ring: duplicate key 'char'"),
+])
+def test_exit_code_scalar_for_a_list_or_a_repeated_key(tmp_path, capsys, ring, module, error):
+    (tmp_path / "r.ring").write_text(ring)
+    (tmp_path / "m.module").write_text(module)
+    assert cli.main(["resolve", str(tmp_path / "m.module"), "--machine"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"parse error: {tmp_path}{os.sep}{error}\n"
+
+
+def test_exit_code_complex_rows_must_be_lists(tmp_path, capsys):
+    (tmp_path / "r.ring").write_text(GOOD_RING)
+    for text, error in [
+        ('modules = [0, 1]; differentials = [[["x"]]]', "entry 0 of modules must be a list"),
+        ('modules = [[0], [1]]; differentials = [["x"]]',
+         "entry 0 of differential 1 must be a list"),
+        ('modules = [[0], [1], [2]]; differentials = [[["x"]], [["x"]]]; '
+         'maps = { eta = { shift = 2; components = [[], [], "1"] } }',
+         "eta component 2 must be a list"),
+    ]:
+        (tmp_path / "c.complex").write_text(f'complex {{ ring = "r.ring"; {text} }}')
+        assert cli.main(["period", str(tmp_path / "c.complex")]) == 2
+        assert f"c.complex: {error}, got " in capsys.readouterr().err
+
+
+def test_exit_code_reduce_max_degree_below_one(capsys):
+    # no Ext degree to search: refused before M is resolved
+    for bad in ("0", "-1"):
+        assert cli.main(["reduce", fx("ci2_k.module"), "--max-degree", bad, "--machine"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: reduction search needs max_degree >= 1, got {bad}\n"
 
 
 def test_exit_code_huge_characteristic(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from syzkit.chainsolve import consistent_twist, solve_chain_self_maps
 from syzkit.complexes import induced_chain_map, tensor_many
 from syzkit.errors import SyzkitError
-from syzkit.freemod import FreeMap, block_matrix, pieces, vector
+from syzkit.freemod import FreeMap, block_matrix, component_dim, pieces, vector
 from syzkit.io import read_complex_file
 from syzkit.rings import ring_from_strings
 
@@ -194,3 +194,84 @@ def test_fixture_columns_are_unchanged():
             if tau is not None:
                 found[f"solve {name} {q}"] = digest(solve_chain_self_maps(cx, q, tau, q)[1])
     assert found == PINNED
+
+
+def _reference_chain_system(cx, q, tau, j_lo):
+    """The chain system written term by term: a full-width row block per
+    generator e_b of F_j, to which each monomial of each entry of d_j(e_b)
+    adds its multiplication map, reduced, at the offset of the unknown it
+    multiplies, and from which d_{j-q} is subtracted at that of phi_j(e_b)."""
+    from syzkit.freemod import free_mult_matrix
+
+    ring, p = cx.ring, cx.ring.char
+    offset, total = {}, 0
+    for j in range(j_lo, cx.window + 1):
+        for b, g in enumerate(cx.gen_degrees(j)):
+            offset[j, b] = total
+            total += component_dim(ring, cx.gen_degrees(j - q), g + tau)
+    rows = [np.zeros((0, total), dtype=np.int64)]
+    for j in range(j_lo + 1, cx.window + 1):
+        low, dj = cx.gen_degrees(j - 1 - q), cx.diff(j)
+        for b, g in enumerate(cx.gen_degrees(j)):
+            block = np.zeros((component_dim(ring, low, g + tau), total), dtype=np.int64)
+            for c, piece in enumerate(pieces(ring, dj.target_degrees, g, dj.columns[b])):
+                h = dj.target_degrees[c]
+                for i in np.flatnonzero(piece):
+                    mult = free_mult_matrix(ring, low, g - h, int(i), h + tau)
+                    cols = slice(offset[j - 1, c], offset[j - 1, c] + mult.shape[1])
+                    block[:, cols] = (block[:, cols] + int(piece[i]) * mult % p) % p
+            lower = cx.diff(j - q).induced(g + tau)
+            cols = slice(offset[j, b], offset[j, b] + lower.shape[1])
+            block[:, cols] = (block[:, cols] - (-1) ** q * lower) % p
+            rows.append(block)
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 32003])
+def test_chain_system_matches_the_term_by_term_reference(p, monkeypatch):
+    # the pinned digests above are all char 2.  Over a dense quadric the
+    # differentials' entries are sums of several monomials.  Reducing x^2
+    # gives the coefficients -2, -3, .., close to p, so in the second
+    # complex, whose entries have degree 3 and coefficients close to p, a
+    # block sums three products of about p^2 at one position: more than
+    # int64 holds at p = 2^31 - 1 unless every term is reduced
+    import syzkit.chainsolve as chainsolve
+    from syzkit.complexes import FreeComplex
+    from syzkit.linalg import kernel_basis
+    from syzkit.modules import residue_field
+    from syzkit.resolutions import resolve
+
+    systems = []
+
+    def kept(mat, p):
+        systems.append(mat)
+        return kernel_basis(mat, p)
+
+    monkeypatch.setattr(chainsolve, "kernel_basis", kept)
+    quadric = "x^2 + 2*x*y + 3*y^2 + 5*x*z + 7*y*z + 11*z^2"
+    r = ring_from_strings(p, ["x", "y", "z"], [quadric], degree_bound=16)
+    res = resolve(residue_field(r), 8)  # Betti numbers 1, 3, 4, 4, ...
+    assert any(np.count_nonzero(piece) > 1 for f in res.diffs[1:]
+               for b in range(len(f.source_degrees)) for _, piece in f.blocks(b))
+    # not a complex: the chain system is linear in any maps F_j -> F_{j-1}
+    gens = [(3 * j, 3 * j + 3) for j in range(5)]
+    rng = np.random.default_rng(0)
+    maps = [None]
+    for j in range(1, 5):
+        cols = [rng.integers(p - 1000, p, size=component_dim(r, gens[j - 1], g)) for g in gens[j]]
+        maps.append(FreeMap(r, gens[j], gens[j - 1], cols))
+    cubic = FreeComplex(r, gens, maps)
+    solved = 0
+    for cx in (res, cubic):
+        for q in (1, 2, 3):
+            for onset in range(cx.window - 2 * q + 1):
+                tau = consistent_twist(cx, q, onset + q)
+                if tau is None:
+                    continue
+                unknowns, basis = solve_chain_self_maps(cx, q, tau, onset + q)
+                ref = _reference_chain_system(cx, q, tau, onset + q)
+                assert np.array_equal(systems[-1], ref), (q, onset)
+                assert np.array_equal(basis, kernel_basis(ref, p))
+                assert basis.shape[0] == unknowns.total
+                solved += 1
+    assert solved == 9 + 4

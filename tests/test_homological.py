@@ -213,6 +213,20 @@ def test_reduction_search_finite_pd_is_empty():
     assert seq is not None and seq.steps == [] and seq.reddeg_lower_bound == math.inf
 
 
+def test_reduction_search_refuses_max_degree_below_one_before_resolving(monkeypatch):
+    from syzkit import homological, resolutions
+
+    def fail(*_):
+        raise AssertionError("resolve ran before max_degree was refused")
+
+    r = ring_from_strings(3, ["x", "y"], ["x^2", "y^2"], degree_bound=10)
+    monkeypatch.setattr(resolutions, "resolve", fail)
+    monkeypatch.setattr(homological, "resolve", fail)
+    for bad in (0, -1):
+        with pytest.raises(SyzkitError, match=f"needs max_degree >= 1, got {bad}$"):
+            reduction_search(residue_field(r), max_degree=bad)
+
+
 def test_reduction_search_one_variable():
     r = ring_from_strings(2, ["x"], ["x^2"], degree_bound=16)
     seq = reduction_search(residue_field(r), window=8)

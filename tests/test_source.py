@@ -110,18 +110,21 @@ def test_only_freemod_builds_component_vectors():
 def test_only_freemod_and_linalg_assign_into_slices():
     # freemod.block_matrix places every block of a component matrix, so an
     # assignment to a sliced subscript elsewhere lays out blocks by hand;
-    # linalg slices inside its eliminations.  chainsolve's `+=` and `-=`
-    # into the columns of its unknowns are not caught (they are ast.AugAssign):
-    # they accumulate several terms into one block of the unknown layout,
-    # which a one-pass placement of blocks cannot express
+    # linalg slices inside its eliminations.  An augmented assignment (`+=`,
+    # `-=`, `%=`) into a slice accumulates terms into a block by hand: a
+    # block that is a sum of terms is summed first and placed once
     found = []
     for path, tree in _package_trees():
         if path.stem in ("freemod", "linalg"):
             continue
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Assign):
+            if isinstance(node, ast.AugAssign):
+                targets = [node.target]
+            elif isinstance(node, ast.Assign):
+                targets = node.targets
+            else:
                 continue
-            for target in node.targets:
+            for target in targets:
                 if not isinstance(target, ast.Subscript):
                     continue
                 index = target.slice
