@@ -237,8 +237,9 @@ class FreeMap:
                 if not rows:
                     continue
                 pieces = np.stack([self.columns[b][lo:hi] for b, _, lo, hi in pairs], axis=1)
-                mults = np.concatenate([ring.mult_map(e, j, g + tw - h) for j in range(de)])
-                prod = matmul(mults, pieces, p).reshape(de, rows, len(pairs))
+                mults = ring.mult_maps(e, g + tw - h)
+                prod = matmul(mults.reshape(de * rows, mults.shape[2]), pieces, p)
+                prod = prod.reshape(de, rows, len(pairs))
                 for k, (b, c, _, _) in enumerate(pairs):
                     mat[toffs[c]:toffs[c + 1], soffs[b]:soffs[b] + de] = prod[:, :, k].T
         return mat

@@ -188,25 +188,31 @@ class _HomologySpaces:
     def dim(self, d):
         return len(self.space(d)[1])
 
-    def tensor_action(self, e, j, a):
-        gens = self.res.gen_degrees(self.i)
-        sdims = _tensor_component_dims(gens, self.n, a)
-        tdims = _tensor_component_dims(gens, self.n, a + e)
-        blocks = {(b, b): self.n.action_matrix(e, j, a - g)
-                  for b, g in enumerate(gens) if sdims[b] and tdims[b]}
-        return freemod.block_matrix(tdims, sdims, blocks)
-
-    def action_matrix(self, e, j, a):
-        """Multiplication H_a -> H_{a+e} through representatives."""
+    def action_matrix(self, e, a):
+        """Multiplication by every basis monomial of R_e, H_a -> H_{a+e},
+        through representatives: the (dim R_e, dim H_{a+e}, dim H_a) stack.
+        R_e acts on F_i (x) N blockwise by N's stacked actions, so each
+        generator of F_i takes one product, and one solve in Z_{a+e} serves
+        every monomial."""
         p = self.ring.char
         z_a, idx_a, _ = self.space(a)
         z_t, _, proj_t = self.space(a + e)
-        if not idx_a or proj_t.shape[0] == 0:
-            return zeros(self.dim(a + e), self.dim(a))
-        reps = z_a[:, idx_a]
-        acted = matmul(self.tensor_action(e, j, a), reps, p)
-        in_z = solve_many(z_t, acted, p)
-        return matmul(proj_t, in_z, p)
+        de, r = self.ring.dim(e), len(idx_a)
+        if not (de and r and proj_t.shape[0]):
+            return np.zeros((de, self.dim(a + e), r), dtype=np.int64)
+        gens = self.res.gen_degrees(self.i)
+        sdims = _tensor_component_dims(gens, self.n, a)
+        tdims = _tensor_component_dims(gens, self.n, a + e)
+        reps = np.split(z_a[:, idx_a], np.cumsum(sdims)[:-1])  # one row block per generator
+        blocks = {}
+        for b, g in enumerate(gens):
+            if sdims[b] and tdims[b]:
+                acts = self.n.action_matrix(e, a - g).transpose(1, 0, 2)  # t, j, s
+                prod = matmul(acts.reshape(tdims[b] * de, sdims[b]), reps[b], p)
+                blocks[(b, 0)] = prod.reshape(tdims[b], de * r)
+        acted = freemod.block_matrix(tdims, [de * r], blocks)  # columns (j, rep)
+        in_h = matmul(proj_t, solve_many(z_t, acted, p), p)
+        return np.ascontiguousarray(in_h.reshape(-1, de, r).transpose(1, 0, 2))
 
 
 def tor_as_module(m, n, i, res=None):

@@ -15,7 +15,10 @@ All three use one brace-block syntax, UTF-8, `#` comments:
 
 Lists accept `name = value` entries whose names are ignored (the `d1 =`
 style).  A field written as a list must be one, and a key may appear once
-in a block.  Paths are resolved relative to the referencing file.
+in a block.  Every block takes only the keys shown above (`maps` only
+`eta`, and `eta` only `shift`, `twist` and `components`): a misspelt key
+would otherwise fall back to its default and give a wrong answer, so it is
+refused.  Paths are resolved relative to the referencing file.
 """
 
 import os
@@ -128,6 +131,26 @@ class _Parser:
                 self.next()
 
 
+_KEYS = {
+    "ring": ("char", "vars", "relations", "degree_bound"),
+    "module": ("ring", "generators", "relations"),
+    "complex": ("ring", "modules", "differentials", "maps"),
+    "maps": ("eta",),
+    "eta": ("shift", "twist", "components"),
+}
+
+
+def _block(value, path, field):
+    """value, which must be a block whose keys are all _KEYS[field]."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{path}: {field} must be a block, got {value!r}")
+    for key in value:
+        if key not in _KEYS[field]:
+            raise ParseError(f"{path}: unknown key {key!r} in {field} block "
+                             f"(expected {', '.join(_KEYS[field])})")
+    return value
+
+
 def _list(value, path, field):
     """value, which must be a list: a scalar would be read item by item."""
     if not isinstance(value, list):
@@ -156,7 +179,7 @@ def _document(path, kind):
         raise ParseError(f"{path}: {exc}") from exc
     if found != kind:
         raise ParseError(f"{path}: expected a {kind} block, found {found!r}")
-    return body
+    return _block(body, path, kind)
 
 
 def _poly_map(ring, rows, src, tgt, twist, path, field):
@@ -243,9 +266,9 @@ def read_complex_file(path, degree_bound_override=None, ring_cache=None):
     if not cx.verify():
         raise ParseError(f"{path}: differentials do not compose to zero")
     eta = None
-    maps = body.get("maps", {})
-    if isinstance(maps, dict) and "eta" in maps:
-        eta_block = maps["eta"]
+    maps = _block(body.get("maps", {}), path, "maps")
+    if "eta" in maps:
+        eta_block = _block(maps["eta"], path, "eta")
         try:
             shift = int(eta_block["shift"])
             twist = int(eta_block.get("twist", -shift))

@@ -5,7 +5,16 @@ degrees plus homogeneous relation columns.  Every degree component M_d is
 realized as a quotient of the free component by the span of all ring
 multiples of the relations, with a deterministic coordinate basis
 (non-pivot coordinates) and a projection matrix.  The ring action is
-recovered degreewise through representatives.
+recovered degreewise through representatives, for all of R_e at once:
+`action_matrix(e, a)` is the (dim R_e, dim M_{a+e}, dim M_a) stack whose
+j-th slice is the j-th basis monomial of R_e, one exact product per
+generator block, and an element of R_e acts by one product of its
+coordinate row with the flattened stack.
+
+Components that must vanish are not eliminated: M is generated in
+degrees <= max(gen_degrees) and R in degree 1, so above the top generator
+M_d = R_1 M_{d-1}, and M_{d-1} = 0 gives M_d = 0 (the rule the ring uses
+for its own first zero component).
 
 Relation vectors are built with `freemod.vector`, and the relations form
 one `freemod.FreeMap`, which checks their lengths once and serves every
@@ -55,6 +64,9 @@ class GradedModule:
             amb = freemod.component_dim(self.ring, self.gen_degrees, d)
             if amb == 0:
                 self._spaces[d] = ([], zeros(0, 0))
+            elif d > max(self.gen_degrees) and self.dim(d - 1) == 0:
+                # M_d = R_1 * M_{d-1} above the generators
+                self._spaces[d] = ([], zeros(0, amb))
             else:
                 # columns: every ring multiple of every relation in degree d
                 span = self._relation_map.induced(d)
@@ -77,31 +89,44 @@ class GradedModule:
         """Projection from free component coordinates onto M_d coordinates."""
         return self._space(d)[1]
 
-    def action_matrix(self, e, j, a):
-        """Multiplication by the j-th basis monomial of R_e: M_a -> M_{a+e}."""
-        key = (e, j, a)
+    def action_matrix(self, e, a):
+        """Multiplication by every basis monomial of R_e, M_a -> M_{a+e}:
+        the (dim R_e, dim M_{a+e}, dim M_a) stack whose j-th slice is the
+        j-th monomial's matrix."""
+        key = (e, a)
         if key not in self._action:
             ring = self.ring
+            de, dt = ring.dim(e), self.dim(a + e)
             # representatives of M_a are the standard coordinates _space(a)[0]
-            # (ascending); multiply only those, one ring.mult_map block per generator
+            # (ascending); multiply only those.  The representatives on one
+            # generator fill one row block of the flat result, whose columns
+            # are (j, t), with one product
             reps = np.asarray(self._space(a)[0], dtype=np.intp)
             so = freemod.component_offsets(ring, self.gen_degrees, a)
+            to = freemod.component_offsets(ring, self.gen_degrees, a + e)
             cuts = np.searchsorted(reps, so).tolist()  # reps[cuts[b]:cuts[b + 1]] are on b
-            rows = [ring.dim(a + e - g) for g in self.gen_degrees]
-            cols = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
-            blocks = {(b, b): ring.mult_map(e, j, a - g)[:, reps[cuts[b]:cuts[b + 1]] - so[b]]
-                      for b, g in enumerate(self.gen_degrees) if cols[b] and rows[b]}
-            mult = freemod.block_matrix(rows, cols, blocks)
-            self._action[key] = matmul(self.proj(a + e), mult, ring.char)
+            blocks = {}
+            for b, g in enumerate(self.gen_degrees):
+                lo, hi = cuts[b], cuts[b + 1]
+                if not de * dt or lo == hi or to[b] == to[b + 1]:
+                    continue
+                mults = ring.mult_maps(e, a - g).transpose(2, 0, 1)[reps[lo:hi] - so[b]]
+                prod = matmul(mults.reshape((hi - lo) * de, mults.shape[2]),
+                              self.proj(a + e)[:, to[b]:to[b + 1]].T, ring.char)
+                blocks[(b, 0)] = prod.reshape(hi - lo, de * dt)
+            flat = freemod.block_matrix([hi - lo for lo, hi in zip(cuts, cuts[1:])],
+                                        [de * dt], blocks)
+            self._action[key] = np.ascontiguousarray(
+                flat.reshape(len(reps), de, dt).transpose(1, 2, 0))
         return self._action[key]
 
     def action_by_ring_vector(self, rvec, e, a):
-        """Multiplication by an element of R_e given in coordinates."""
-        p = self.ring.char
-        out = zeros(self.dim(a + e), self.dim(a))
-        for j in np.nonzero(rvec)[0]:
-            out = (out + int(rvec[j]) * self.action_matrix(e, int(j), a)) % p
-        return out
+        """Multiplication by an element of R_e given in coordinates: one
+        exact product of the coordinate row with the flattened stack."""
+        stack = self.action_matrix(e, a)
+        de, dt, da = stack.shape
+        row = np.asarray(rvec).reshape(1, de)
+        return matmul(row, stack.reshape(de, dt * da), self.ring.char).reshape(dt, da)
 
     # -- generators --------------------------------------------------------
 
@@ -137,11 +162,7 @@ class GradedModule:
         n = self.dim(d)
         if n == 0:
             return 0
-        blocks = [self.action_matrix(1, j, d) for j in range(self.ring.dim(1))]
-        if not blocks:
-            return n
-        stacked = np.concatenate(blocks, axis=0)
-        return n - rank(stacked, self.ring.char)
+        return n - rank(self.action_matrix(1, d).reshape(-1, n), self.ring.char)
 
     def annihilated_by(self, f, d):
         """True when multiplication by the polynomial f kills all of M_d."""
@@ -155,7 +176,8 @@ class GradedModule:
 def minimal_generators_in(space, lo, hi):
     """Minimal generators of a graded space in degrees lo..hi, ascending.
 
-    `space` needs `.ring`, `.dim(d)` and `.action_matrix(e, j, a)`.  In each
+    `space` needs `.ring`, `.dim(d)` and `.action_matrix(e, a)`, the
+    (dim R_e, dim X_{a+e}, dim X_a) stack of monomial actions.  In each
     degree the standard-coordinate complement of R_1 * X_{d-1} inside X_d is
     taken; returns a list of (degree, X_d vector).
     """
@@ -165,8 +187,9 @@ def minimal_generators_in(space, lo, hi):
         n = space.dim(d)
         if n == 0:
             continue
-        blocks = [space.action_matrix(1, j, d - 1) for j in range(ring.dim(1))]
-        comp = coset_complement(np.concatenate([zeros(n, 0)] + blocks, axis=1), n, ring.char)
+        acts = space.action_matrix(1, d - 1)  # columns variable-major
+        span = acts.transpose(1, 0, 2).reshape(n, acts.shape[0] * acts.shape[2])
+        comp = coset_complement(span, n, ring.char)
         out.extend((d, comp[:, k]) for k in range(comp.shape[1]))
     return out
 
@@ -176,7 +199,7 @@ def generator_matrix(space, gens, d):
 
     Column (b, j) is the j-th basis monomial of R_{d - g_b} acting on the
     b-th generator; rows are the coordinates of X_d.  `space` needs
-    `.ring`, `.dim(d)` and `.action_matrix(e, j, a)`.
+    `.ring`, `.dim(d)` and `.action_matrix(e, a)`.
     """
     ring = space.ring
     rows = space.dim(d)
@@ -185,8 +208,9 @@ def generator_matrix(space, gens, d):
     for b, (g, w) in enumerate(gens):
         if cols[b]:
             # all monomials of R_{d-g} at once: one product with the stacked actions
-            stacked = np.concatenate([space.action_matrix(d - g, j, g) for j in range(cols[b])])
-            blocks[(0, b)] = matvec(stacked, w, ring.char).reshape(cols[b], rows).T
+            stacked = space.action_matrix(d - g, g)
+            flat = stacked.reshape(cols[b] * rows, stacked.shape[2])
+            blocks[(0, b)] = matvec(flat, w, ring.char).reshape(cols[b], rows).T
     return freemod.block_matrix([rows], cols, blocks)
 
 

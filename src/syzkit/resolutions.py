@@ -24,10 +24,11 @@ step's free rows to the next, whose null space in degree d is taken on
 those rows only; by exactness they have full rank there, which is checked
 (degrees the previous step did not scan use the whole matrix).  The span
 of m * ker_{d-1} is built on the free rows too, one product per generator
-block of `ring.mult_map` (multiplication by a variable acts blockwise on a
-free module).  When its rank is the number of free rows nothing is new;
-otherwise the generators are the columns of the identity that extend it,
-the same columns that extending inside the whole component would pick.
+block of the stacked `ring.mult_maps(1, .)` (multiplication by a variable
+acts blockwise on a free module).  When its rank is the number of free
+rows nothing is new; otherwise the generators are the columns of the
+identity that extend it, the same columns that extending inside the whole
+component would pick.
 
 Completeness of a kernel is certified, not assumed, by the ring's degree
 window (`rings.TruncatedQuotientRing.degree_window`), counted in ring
@@ -111,10 +112,10 @@ def _mult_span_rows(ring, src_degs, d, prev, rows):
     """Rows `rows` (ascending) of the span of R_1 * prev in the degree-d
     component of the free module src_degs; prev lives in degree d - 1.
 
-    A variable acts on each generator's block by ring.mult_map, so each
-    generator needs one product: its variable multiplications, stacked and
-    cut to the wanted rows, times its block of prev.  Columns are ordered
-    variable-major.
+    A variable acts on each generator's block by ring.mult_maps(1, .), so
+    each generator needs one product: its stack of variable
+    multiplications, cut to the wanted rows, times its block of prev.
+    Columns are ordered variable-major.
     """
     p, nvars, r = ring.char, ring.dim(1), prev.shape[1]
     rows = np.asarray(rows, dtype=np.int64)
@@ -126,9 +127,9 @@ def _mult_span_rows(ring, src_degs, d, prev, rows):
         if lo == hi or not piece.shape[0]:
             continue
         local = rows[lo:hi] - to[b]
-        stacked = np.concatenate([ring.mult_map(1, j, d - 1 - g)[local] for j in range(nvars)])
-        prod = matmul(stacked, piece, p)
-        blocks[(b, 0)] = prod.reshape(nvars, hi - lo, r).transpose(1, 0, 2).reshape(hi - lo, -1)
+        stacked = ring.mult_maps(1, d - 1 - g).transpose(1, 0, 2)[local]  # row, variable, col
+        prod = matmul(stacked.reshape((hi - lo) * nvars, piece.shape[0]), piece, p)
+        blocks[(b, 0)] = prod.reshape(hi - lo, nvars * r)
     return freemod.block_matrix([hi - lo for lo, hi in zip(cuts, cuts[1:])], [nvars * r], blocks)
 
 

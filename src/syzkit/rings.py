@@ -8,6 +8,13 @@ multiplication of basis elements reduces to normal forms of products of
 monomials.  Normal forms come from degreewise row reduction of I_d, not
 Groebner bases, so arbitrary homogeneous ideals are supported.
 
+Multiplication tables are stacked: `mult_maps(e, a)` is the
+(dim R_e, dim R_{a+e}, dim R_a) array whose j-th slice is multiplication
+by the j-th basis monomial of R_e, gathered from the normal forms of
+R_{a+e} in one step and cached per (e, a).  `mult_map(e, j, a)` is its
+j-th slice.  Callers that act by all of R_e reshape the stack into one
+product instead of stacking per-monomial matrices.
+
 Once some R_d is observed to vanish the ring is artinian from there on
 (R is generated in degree 1), and all higher components are known to be
 zero without further work; this also licenses degree queries above D.
@@ -20,7 +27,7 @@ import numpy as np
 
 from . import polynomials as poly
 from .errors import DegreeBoundError, HomogeneityError, SyzkitError
-from .linalg import matmul, quotient_projection, zeros
+from .linalg import matmul, matvec, quotient_projection, zeros
 
 DEFAULT_DEGREE_BOUND = 12
 MARGIN = 2  # ring degrees below the bound in which nothing new may appear
@@ -258,31 +265,38 @@ class TruncatedQuotientRing:
 
     # -- multiplication -------------------------------------------------------
 
+    def mult_maps(self, e, a):
+        """Multiplication by every basis monomial of R_e on R_a, stacked:
+        the (dim R_e, dim R_{a+e}, dim R_a) array whose j-th slice is the
+        matrix of the j-th monomial.  One gather from the normal forms of
+        R_{a+e} at the positions of all products of monomials."""
+        key = (e, a)
+        stack = self._mult_cache.get(key)
+        if stack is None:
+            de, dt, da = self.dim(e), self.dim(a + e), self.dim(a)
+            if not (de and dt and da):
+                stack = np.zeros((de, dt, da), dtype=np.int64)
+            else:
+                mono_e = np.array(self.basis_monomials(e), dtype=np.int64)
+                mono_a = np.array(self.basis_monomials(a), dtype=np.int64)
+                at = self.base.monomial_positions(mono_e[:, None] + mono_a[None], a + e)
+                # entry (j, t, i) is nf[t, at[j, i]]: one gather, in stack order
+                stack = self.nf_matrix(a + e)[np.arange(dt)[:, None], at[:, None]]
+            self._mult_cache[key] = stack
+        return stack
+
     def mult_map(self, e, j, a):
         """Matrix of multiplication by the j-th basis monomial of R_e on R_a."""
-        key = (e, j, a)
-        if key not in self._mult_cache:
-            target = a + e
-            da, dt = self.dim(a), self.dim(target)
-            if da == 0 or dt == 0:
-                mat = zeros(dt, da)
-            else:
-                mj = self.basis_monomials(e)[j]
-                idx = self.base.monomial_index(target)
-                cols = [idx[poly.monomial_mul(mj, m)] for m in self.basis_monomials(a)]
-                mat = self.nf_matrix(target)[:, cols]
-            self._mult_cache[key] = mat
-        return self._mult_cache[key]
+        return self.mult_maps(e, a)[j]
 
     def multiply(self, va, a, vb, b):
-        """Product of two elements given by coordinate vectors in R_a, R_b."""
-        dt = self.dim(a + b)
-        out = zeros(dt, 1)[:, 0]
-        for j in np.nonzero(vb)[0]:
-            out = (out + int(vb[j]) * matmul(
-                self.mult_map(b, int(j), a), np.asarray(va).reshape(-1, 1), self.char
-            )[:, 0]) % self.char
-        return out
+        """Product of two elements given by coordinate vectors in R_a, R_b:
+        the stacked maps of R_b on R_a against the products vb[j] * va[i]."""
+        stack = self.mult_maps(b, a)
+        db, dt, da = stack.shape
+        coeffs = np.outer(np.asarray(vb), np.asarray(va)) % self.char
+        by_target = stack.transpose(1, 0, 2).reshape(dt, db * da)
+        return matvec(by_target, coeffs.reshape(-1), self.char)
 
     def vector_to_poly(self, vec, d):
         f = {}

@@ -200,6 +200,42 @@ def test_exit_code_complex_rows_must_be_lists(tmp_path, capsys):
         assert f"c.complex: {error}, got " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ring, module, error", [
+    # read as degree_bound = 12, the default
+    ('ring { char = 2; vars = [x, y]; relations = ["x^2", "y^2"]; degre_bound = 4 }',
+     GOOD_MODULE, "r.ring: unknown key 'degre_bound' in ring block "
+                  "(expected char, vars, relations, degree_bound)"),
+    # read as a module with no relations: betti = 1,0,0,... over F_2[x,y]/(x^2,y^2)
+    (GOOD_RING, 'module { ring = "r.ring"; generators = [0]; relation = [["x"], ["y"]] }',
+     "m.module: unknown key 'relation' in module block (expected ring, generators, relations)"),
+])
+def test_exit_code_unknown_key(tmp_path, capsys, ring, module, error):
+    (tmp_path / "r.ring").write_text(ring)
+    (tmp_path / "m.module").write_text(module)
+    assert cli.main(["resolve", str(tmp_path / "m.module"), "--machine"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"parse error: {tmp_path}{os.sep}{error}\n"
+
+
+def test_exit_code_maps_must_be_a_block_of_known_keys(tmp_path, capsys):
+    # a list of maps, or a misspelt eta key, used to be dropped and the period searched for
+    (tmp_path / "r.ring").write_text(GOOD_RING)
+    cx = 'modules = [[0], [1], [2]]; differentials = [[["x"]], [["x"]]]; '
+    for maps, error in [
+        ('maps = [ eta = { shift = 2; components = [[], [], [["1"]]] } ]',
+         "maps must be a block, got "),
+        ('maps = { etta = { shift = 2 } }', "unknown key 'etta' in maps block (expected eta)"),
+        ('maps = { eta = { shift = 2; component = [] } }',
+         "unknown key 'component' in eta block (expected shift, twist, components)"),
+    ]:
+        (tmp_path / "c.complex").write_text(f'complex {{ ring = "r.ring"; {cx}{maps} }}')
+        assert cli.main(["period", str(tmp_path / "c.complex"), "--machine"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"parse error: {tmp_path}{os.sep}c.complex: {error}")
+
+
 def test_exit_code_reduce_max_degree_below_one(capsys):
     # no Ext degree to search: refused before M is resolved
     for bad in ("0", "-1"):

@@ -170,6 +170,147 @@ def test_action_matrix_equals_projected_free_multiplication(case):
             for j in range(r.dim(e)):
                 dense = free_mult_matrix(r, m.gen_degrees, e, j, a)
                 want = matmul(m.proj(a + e), dense[:, m._space(a)[0]], p)
-                got = m.action_matrix(e, j, a)
+                got = m.action_matrix(e, a)[j]
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want), (a, e, j)
+
+
+P31 = 2**31 - 1
+
+
+def _dense_ring(p, n, quadrics, seed):
+    """F_p[x_0..x_{n-1}] over `quadrics` quadrics with every coefficient
+    nonzero and drawn from a seeded generator, degree bound 6."""
+    import random
+
+    from syzkit import polynomials as poly
+    from syzkit.rings import PolyRing, build_quotient
+
+    rng = random.Random(seed)
+    mons = poly.monomials_of_degree(n, 2)
+    gens = [{m: rng.randrange(1, p) for m in mons} for _ in range(quadrics)]
+    return build_quotient(PolyRing(p, [f"x{i}" for i in range(n)], 6), gens)
+
+
+def _monomial_action(m, e, j, a):
+    """The j-th basis monomial of R_e on M_a: the block-diagonal free
+    multiplication on the representatives of M_a, projected to M_{a+e}."""
+    from syzkit.freemod import free_mult_matrix
+    from syzkit.linalg import matmul
+
+    dense = free_mult_matrix(m.ring, m.gen_degrees, e, j, a)
+    return matmul(m.proj(a + e), dense[:, m._space(a)[0]], m.ring.char)
+
+
+def test_action_by_ring_vector_matches_the_sequential_sum_near_p():
+    # every coefficient p - 1 against entries near p: a product without
+    # reduction overflows int64 once four terms are summed
+    r = _dense_ring(P31, 3, 1, 7)
+    m = module_from_strings(r, [0, 1], [["x0*x1", "x1"], ["0", "x0 + x2"]])
+    for e in (2, 3):
+        assert r.dim(e) >= 4
+        rvec = np.full(r.dim(e), P31 - 1, dtype=np.int64)
+        for a in range(0, 4):
+            stack = m.action_matrix(e, a)
+            want = np.zeros(stack.shape[1:], dtype=np.int64)
+            for j in range(r.dim(e)):
+                want = (want + int(rvec[j]) * stack[j]) % P31
+            got = m.action_by_ring_vector(rvec, e, a)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (e, a)
+
+
+def test_generator_matrix_of_a_module_matches_the_per_monomial_reference():
+    from syzkit.modules import generator_matrix
+
+    r = _dense_ring(32003, 3, 1, 3)
+    m = module_from_strings(r, [0, 1], [["x0*x1", "x1"], ["0", "x0 + x2"]])
+    rng = np.random.default_rng(5)
+    gens = m.minimal_generators() + [(1, rng.integers(0, r.char, m.dim(1)))]
+    for d in range(0, 5):
+        cols = [_monomial_action(m, d - g, j, g) @ w % r.char
+                for g, w in gens for j in range(r.dim(d - g))]
+        want = np.stack(cols, axis=1) if cols else np.zeros((m.dim(d), 0), dtype=np.int64)
+        assert np.array_equal(generator_matrix(m, gens, d), want), d
+
+
+def test_homology_actions_match_the_per_monomial_reference():
+    # Tor_1(R/(x), R/(x)) = R/(x)(-1) over a hypersurface, 2-dimensional
+    # from degree 2 on: the stacked action on the homology of F_1 (x) N,
+    # and the cover built from it, against one monomial at a time through
+    # N's free multiplications
+    from syzkit.freemod import block_matrix
+    from syzkit.homological import _HomologySpaces
+    from syzkit.linalg import matmul, solve_many
+    from syzkit.modules import generator_matrix, minimal_generators_in
+    from syzkit.resolutions import resolve
+
+    r = ring_from_strings(32003, ["x", "y", "z"], ["x^2 - y*z"], degree_bound=8)
+    p = r.char
+    m = module_from_strings(r, [0], [["x"]])
+    n = module_from_strings(r, [0], [["x"]])
+    res = resolve(m, 2)
+    spaces = _HomologySpaces(r, res, n, 1)
+    gens = res.gen_degrees(1)
+
+    def monomial_action(e, j, a):
+        z_a, idx_a, _ = spaces.space(a)
+        z_t, _, proj_t = spaces.space(a + e)
+        if not idx_a or not proj_t.shape[0]:
+            return np.zeros((spaces.dim(a + e), spaces.dim(a)), dtype=np.int64)
+        sdims = [n.dim(a - g) for g in gens]
+        tdims = [n.dim(a + e - g) for g in gens]
+        blocks = {(b, b): _monomial_action(n, e, j, a - g)
+                  for b, g in enumerate(gens) if sdims[b] and tdims[b]}
+        acted = matmul(block_matrix(tdims, sdims, blocks), z_a[:, idx_a], p)
+        return matmul(proj_t, solve_many(z_t, acted, p), p)
+
+    for a in range(0, 5):
+        for e in range(0, 3):
+            stack = spaces.action_matrix(e, a)
+            assert stack.shape == (r.dim(e), spaces.dim(a + e), spaces.dim(a))
+            assert a + e < 2 or spaces.dim(a + e) == 2
+            for j in range(r.dim(e)):
+                assert np.array_equal(stack[j], monomial_action(e, j, a)), (e, j, a)
+    mingens = minimal_generators_in(spaces, 0, 5)
+    assert mingens
+    for d in range(0, 6):
+        cols = [monomial_action(d - g, j, g) @ w % p
+                for g, w in mingens for j in range(r.dim(d - g))]
+        want = np.stack(cols, axis=1) if cols else np.zeros((spaces.dim(d), 0), dtype=np.int64)
+        assert np.array_equal(generator_matrix(spaces, mingens, d), want), d
+
+
+_XS = ["x0", "x1", "x2", "x3"]
+_VANISHING_CASES = {  # generator degrees, relation columns
+    "k": ([0], [[x] for x in _XS]),
+    "cyc3": ([0], [[x] for x in _XS[:3]]),  # M_2 = 0: every quadric has an x3^2 term
+    "cyc3-twisted": ([-3], [[x] for x in _XS[:3]]),
+    "k(2)+cyc3": ([-2, 0], [[x, "0"] for x in _XS] + [["0", x] for x in _XS[:3]]),
+    "cyc3+R(-3)": ([0, 3], [[x, "0"] for x in _XS[:3]]),  # M_2 = 0, M_3 != 0
+    "k+R(-3)": ([0, 3], [[x, "0"] for x in _XS]),  # M_1 = M_2 = 0, M_3 != 0
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VANISHING_CASES))
+def test_vanishing_components_match_the_relation_span(case):
+    # above its generators M_d = R_1 M_{d-1}, so M_{d-1} = 0 gives M_d = 0
+    # without elimination; at or below the top generator it must not
+    from syzkit.freemod import component_dim
+    from syzkit.linalg import quotient_projection
+
+    r = _dense_ring(32003, 4, 2, 11)
+    m = module_from_strings(r, *_VANISHING_CASES[case])
+    if case.endswith("+R(-3)"):
+        assert [m.dim(d) for d in range(4)] == [1, int(case[0] == "c"), 0, 1]
+    window = r.degree_window(m.min_degree(), max(m.gen_degrees))
+    for d in range(m.min_degree(), window.top + 1):
+        amb = component_dim(r, m.gen_degrees, d)
+        idx, proj = m._space(d)
+        if amb == 0:
+            assert (idx, proj.shape) == ([], (0, 0))
+            continue
+        want_idx, want_proj = quotient_projection(m._relation_map.induced(d), amb, r.char)
+        assert idx == want_idx, d
+        assert proj.dtype == want_proj.dtype
+        assert np.array_equal(proj, want_proj), d

@@ -14,6 +14,7 @@ from syzkit.rings import (
     polynomial_extension,
     ring_from_strings,
 )
+from test_linalg import ORACLE_PRIMES
 
 
 def test_monomial_basis_degree_zero():
@@ -238,3 +239,45 @@ def test_parse_negative_coefficients():
     s = PolyRing(5, ["x", "y"])
     f = s.parse("x - y")
     assert f[(0, 1)] == 4
+
+
+def _gathered_mult_map(r, e, j, a):
+    """Multiplication by the j-th basis monomial of R_e on R_a, one column
+    per basis monomial of R_a, through the monomial index of S_{a+e}."""
+    da, dt = r.dim(a), r.dim(a + e)
+    if da == 0 or dt == 0:
+        return np.zeros((dt, da), dtype=np.int64)
+    mj = r.basis_monomials(e)[j]
+    idx = r.base.monomial_index(a + e)
+    cols = [idx[poly.monomial_mul(mj, m)] for m in r.basis_monomials(a)]
+    return r.nf_matrix(a + e)[:, cols]
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@pytest.mark.parametrize("kind", ["dense", "artinian"])
+def test_mult_maps_match_the_per_monomial_gather(p, kind):
+    import random
+
+    rng = random.Random(p % 10007 + len(kind))
+    n = rng.randint(1, 4) if kind == "dense" else 3
+    bound = {1: 8, 2: 8, 3: 7, 4: 6}[n]
+    mons = {e: poly.monomials_of_degree(n, e) for e in (2, 3)}
+    if kind == "dense":  # one dense quadric and a sparse cubic
+        gens = [{m: rng.randrange(1, p) for m in mons[2]},
+                {m: rng.randrange(1, p) for m in rng.sample(mons[3], 2)}]
+    else:  # squares of the variables: R_4 = 0, so R_e is known for every e
+        gens = [{m: 1} for m in mons[2] if max(m) == 2]
+    r = build_quotient(PolyRing(p, [f"x{i}" for i in range(n)], bound), gens)
+    top = bound
+    if kind == "artinian":
+        assert r.is_artinian_within_bound()
+        top = bound + 3
+    for e in range(top + 1):
+        for a in range(-2, top - e + 1):  # a < 0, e = 0 and a + e = top included
+            stack = r.mult_maps(e, a)
+            assert stack.dtype == np.int64
+            assert stack.shape == (r.dim(e), r.dim(a + e), r.dim(a))
+            for j in range(r.dim(e)):
+                assert np.array_equal(stack[j], _gathered_mult_map(r, e, j, a)), (e, j, a)
+                # a view of the stack, not a copy
+                assert not stack.size or np.shares_memory(r.mult_map(e, j, a), stack)

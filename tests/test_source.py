@@ -132,3 +132,21 @@ def test_only_freemod_and_linalg_assign_into_slices():
                        for x in (index.elts if isinstance(index, ast.Tuple) else [index])):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_free_mult_matrix_reads_one_monomial_table():
+    # a caller that acts by all of R_e reshapes the stacked
+    # ring.mult_maps(e, a) into one product; only rings and
+    # freemod.free_mult_matrix (one monomial at a time, for the chain
+    # system) read the table of a single monomial
+    found = []
+    for path, tree in _package_trees():
+        if path.stem == "rings":
+            continue
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and path.stem == "freemod"
+                   and fn.name == "free_mult_matrix" for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in allowed
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) == "mult_map"]
+    assert found == []
