@@ -25,7 +25,6 @@ from .modules import (
     GradedModule,
     ModuleMap,
     free_module,
-    lift_presentation,
     module_from_presentation,
     module_from_strings,
     residue_field,

@@ -22,6 +22,12 @@ generators it is made of; the induced maps find their targets through these
 labels.  A truncation of some factors below their periods is the label
 subcomplex (`FreeComplex.subcomplex`) of the one product, so every
 truncated product lives over the product's one ring.
+
+`minimize_complex` splits off the first unit u of a scalar block: smallest
+j, then row r, then column c of d_j.  Each column b of d_j becomes
+col_b - u^-1 (entry (r, b)) col_c, which vanishes on row r, and source c
+and target r are dropped; d_{j+1} loses row c and d_{j-1} column r.  Losing
+a row or a column makes no unit, so the scan goes on at j.
 """
 
 from functools import reduce
@@ -32,7 +38,6 @@ from . import freemod
 from .errors import SyzkitError, WindowError
 from .linalg import matmul, rank, zeros
 from .modules import GradedModule
-from .polynomials import poly_add, poly_mul, poly_scale
 from .rings import algebra_tensor, embed_monomial
 
 # -- complexes ----------------------------------------------------------------
@@ -471,84 +476,48 @@ def induced_on_cone(cone_cx, psi):
 
 
 def minimize_complex(cx):
-    """Split off acyclic rank-one summands at unit differential entries.
-
-    Deterministic: always eliminates the first unit entry (smallest
-    homological degree, then row, then column).  Returns a new complex.
-    """
+    """The complex with every acyclic rank-one summand at a unit
+    differential entry split off, by the rule in the module docstring."""
     ring = cx.ring
-    p = ring.char
     gens = [list(g) for g in cx.gens]
-    mats = [None] + [
-        cx.diff(j).to_poly_matrix() if cx.diff(j) is not None and cx.diff(j).source_degrees
-        else [] for j in range(1, cx.window + 1)
-    ]
-
-    def unit_entry(j):
-        mat = mats[j]
-        if not mat:
-            return None
-        zero_exp = tuple([0] * len(ring.vars))
-        for r in range(len(mat)):
-            for c in range(len(mat[0]) if mat else 0):
-                u = mat[r][c].get(zero_exp, 0) % p
-                if u:
-                    return r, c, u
-        return None
-
-    changed = True
-    while changed:
-        changed = False
-        for j in range(1, len(mats)):
-            hit = unit_entry(j)
-            if hit is None:
-                continue
-            r, c, u = hit
-            uinv = pow(u, -1, p)
-            mat = mats[j]
-            nrows, ncols = len(mat), len(mat[0])
-            new = []
-            for a in range(nrows):
-                if a == r:
-                    continue
-                row = []
-                for b in range(ncols):
-                    if b == c:
-                        continue
-                    corr = poly_scale(poly_mul(mat[a][c], mat[r][b], p), -uinv, p)
-                    row.append(poly_add(mat[a][b], corr, p))
-                new.append(row)
-            mats[j] = new
-            if j + 1 < len(mats) and mats[j + 1]:
-                mats[j + 1] = [row for a, row in enumerate(mats[j + 1]) if a != c]
-                if mats[j + 1] and not mats[j + 1][0]:
-                    mats[j + 1] = []
-            if j - 1 >= 1 and mats[j - 1]:
-                mats[j - 1] = [
-                    [e for b, e in enumerate(row) if b != r] for row in mats[j - 1]
-                ]
-                if mats[j - 1] and not mats[j - 1][0]:
-                    mats[j - 1] = []
+    diffs = list(cx.diffs)
+    for j in range(1, cx.window + 1):
+        scalars = diffs[j].scalar_block()
+        while scalars.any():
+            r, c = map(int, np.argwhere(scalars)[0])
+            diffs[j] = _split_unit(diffs[j], r, c, scalars[r, c])
+            if j < cx.window:
+                drop_c = [None if b == c else b - (b > c) for b in range(len(gens[j]))]
+                gens_c = gens[j][:c] + gens[j][c + 1:]
+                diffs[j + 1] = freemod.FreeMap.selection(ring, gens[j], gens_c, drop_c).compose(
+                    diffs[j + 1])
+            if j > 1:
+                diffs[j - 1] = diffs[j - 1].restrict(
+                    [b for b in range(len(gens[j - 1])) if b != r], range(len(gens[j - 2])))
             del gens[j][c]
             del gens[j - 1][r]
-            changed = True
-            break
-
-    new_gens = [tuple(g) for g in gens]
-    diffs = [None]
-    for j in range(1, len(mats)):
-        if not new_gens[j] or not mats[j] or not new_gens[j - 1]:
-            diffs.append(freemod.FreeMap.zero(ring, new_gens[j], new_gens[j - 1]))
-        else:
-            diffs.append(
-                freemod.FreeMap.from_poly_matrix(
-                    ring, new_gens[j - 1], new_gens[j], mats[j]
-                )
-            )
-    out = FreeComplex(ring, new_gens, diffs)
+            scalars = diffs[j].scalar_block()
+    out = FreeComplex(ring, gens, diffs)
     if not out.verify():
         raise SyzkitError("minimization broke the differential")
     return out
+
+
+def _split_unit(d, r, c, u):
+    """d with its unit entry u at (r, c) split off; `restrict` refuses a
+    column left nonzero on target r."""
+    p = d.ring.char
+    uinv = pow(int(u), -1, p)
+    times_col_c = freemod.FreeMap(d.ring, d.source_degrees[c:c + 1], d.target_degrees,
+                                  d.columns[c:c + 1])
+    cols = list(d.columns)
+    for b, g in enumerate(d.source_degrees):
+        piece = dict(d.blocks(b)).get(r)
+        if piece is not None:
+            cols[b] = (cols[b] - uinv * times_col_c.apply(g, piece)) % p
+    return freemod.FreeMap(d.ring, d.source_degrees, d.target_degrees, cols).restrict(
+        [b for b in range(len(cols)) if b != c],
+        [a for a in range(len(d.target_degrees)) if a != r])
 
 
 def coker_module(cx, level=0):

@@ -533,17 +533,14 @@ class DepthFormulaReport:
         return out
 
 
-def check_depth_formula(
-    m, n, window=8, allow_nonrigorous=False, search_reduction=False, seed=0,
-):
+def check_depth_formula(m, n, window=8, search_reduction=False, seed=0):
     """Verify depth M + depth N = depth A + depth Tor_q(M, N) - q.
 
     depth A stands in for dim A: the Cohen-Macaulay hypothesis is assumed
     and recorded, never checked.  When q >= 1 the check refuses to run on a
-    non-rigorous q unless allow_nonrigorous is set.  A window below 1
-    computes no Tor_i with i >= 1, so it cannot tell q = 0 from q >= 1 and
-    is refused.  M is resolved once, to window + 1, for both Tor and the
-    module structure of Tor_q.
+    non-rigorous q.  A window below 1 computes no Tor_i with i >= 1, so it
+    cannot tell q = 0 from q >= 1 and is refused.  M is resolved once, to
+    window + 1, for both Tor and the module structure of Tor_q.
     """
     if window < 1:
         raise WindowError(f"the depth formula needs a window >= 1, got {window}")
@@ -554,10 +551,10 @@ def check_depth_formula(
     res = resolve(m, window + 1)
     profile = tor(m, n, window, res=res)
     q = profile.q
-    if q >= 1 and not profile.rigorous and not allow_nonrigorous:
+    if q >= 1 and not profile.rigorous:
         raise SyzkitError(
             "largest nonvanishing Tor index is not rigorous within the window; "
-            "raise the window or pass allow_nonrigorous"
+            "raise the window"
         )
     dm = depth(m).depth
     dn = depth(n).depth

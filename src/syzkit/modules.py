@@ -263,35 +263,6 @@ def residue_field(ring):
     return module_from_presentation(ring, (0,), cols)
 
 
-def ambient_ring(r):
-    """The quotient's polynomial ring viewed as a trivial quotient (cached)."""
-    if getattr(r, "_ambient", None) is None:
-        from .rings import build_quotient
-
-        r._ambient = build_quotient(r.base, [])
-    return r._ambient
-
-
-def lift_presentation(m):
-    """View a module over R = S/I as a module over S.
-
-    Same generators; relations are the original columns (with entries read
-    as polynomials through the chosen monomial representatives) plus
-    I * e_s for every generator and every ideal generator.
-    """
-    r = m.ring
-    s_ring = ambient_ring(r)
-    gens = m.gen_degrees
-    rels = m.relation_polys()
-    nz = len(gens)
-    for ideal_gen in r.ideal_gens:
-        for s in range(nz):
-            col = [{} for _ in range(nz)]
-            col[s] = ideal_gen
-            rels.append(col)
-    return module_from_presentation(s_ring, gens, rels)
-
-
 def tensor_presentation(m, n):
     """Presentation of M tensor N over their common ring."""
     if not m.ring.same_ring(n.ring):

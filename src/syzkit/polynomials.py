@@ -39,24 +39,6 @@ def monomials_of_degree(nvars, d):
     return out
 
 
-def poly_add(f, g, p):
-    out = dict(f)
-    for m, c in g.items():
-        v = (out.get(m, 0) + c) % p
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-    return out
-
-
-def poly_scale(f, c, p):
-    c %= p
-    if c == 0:
-        return {}
-    return {m: (a * c) % p for m, a in f.items()}
-
-
 def poly_mul(f, g, p):
     out = {}
     for m1, c1 in f.items():

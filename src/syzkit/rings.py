@@ -64,6 +64,8 @@ class PolyRing:
         if degree_bound < 1:
             raise SyzkitError("degree bound must be >= 1")
         names = tuple(var_names)
+        if not names:
+            raise SyzkitError("a polynomial ring needs at least one variable")
         if len(set(names)) != len(names):
             raise SyzkitError(f"duplicate variable names in {names}")
         self.char = char
@@ -96,14 +98,17 @@ class PolyRing:
     def monomial_positions(self, exps, d):
         """Indices in monomial_basis(d) of degree-d exponent vectors (last
         axis of exps): lex order puts C(n-k-2+s, s-1) monomials before e that
-        agree with it before x_k and exceed it at x_k, s = degree after x_k."""
+        agree with it before x_k and exceed it at x_k, s = degree after x_k.
+        The table of these counts is built once per degree asked for: one
+        up to the degree bound overflows int64 over many variables."""
         n = self.nvars
-        table = np.zeros((n - 1, d + 1), dtype=np.int64)
-        for k in range(n - 1):
-            for s in range(1, d + 1):
-                table[k, s] = comb(n - k - 2 + s, s - 1)
+        key = ("lex", d)
+        if key not in self._bases:
+            self._bases[key] = np.array(
+                [[comb(n - k - 2 + s, s - 1) if s else 0 for s in range(d + 1)]
+                 for k in range(n - 1)], dtype=np.int64).reshape(n - 1, d + 1)
         left = d - np.cumsum(exps, axis=-1)[..., :-1]
-        return table[np.arange(n - 1), left].sum(axis=-1)
+        return self._bases[key][np.arange(n - 1), left].sum(axis=-1)
 
     def poly_vector(self, f, d):
         """Coordinate vector of a homogeneous polynomial in the degree-d basis."""

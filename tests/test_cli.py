@@ -279,6 +279,32 @@ def test_exit_code_depth_formula_window_zero():
     assert "window >= 1" in out.stderr
 
 
+def test_exit_code_depth_formula_q_beyond_the_window(tmp_path, capsys):
+    # Tor_i(R/(x), R/(x)) over F_3[x]/(x^2) is nonzero for every i
+    (tmp_path / "r.ring").write_text('ring { char = 3; vars = [x]; relations = ["x^2"] }')
+    (tmp_path / "m.module").write_text(
+        'module { ring = "r.ring"; generators = [0]; relations = [["x"]] }')
+    m = str(tmp_path / "m.module")
+    assert cli.main(["depth-formula", m, m, "--window", "6", "--machine"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: largest nonvanishing Tor index is not rigorous within the "
+                       "window; raise the window\n")
+
+
+def test_exit_code_ring_without_variables(tmp_path, capsys):
+    (tmp_path / "r.ring").write_text("ring { char = 2; vars = []; relations = [] }")
+    (tmp_path / "m.module").write_text(
+        'module { ring = "r.ring"; generators = [0]; relations = [] }')
+    m = str(tmp_path / "m.module")
+    for command in (["resolve", m], ["depth", m], ["tor", m, m]):
+        assert cli.main([*command, "--machine"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"parse error: {tmp_path}{os.sep}r.ring: "
+                           "a polynomial ring needs at least one variable\n")
+
+
 def test_exit_code_tor_negative_window():
     out = run_cli("tor", fx("ci2_k.module"), fx("ci2_k.module"),
                   "--window", "-1", "--machine")

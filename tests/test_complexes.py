@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import numpy as np
@@ -25,6 +26,7 @@ from syzkit.construction import (
 from syzkit.errors import SyzkitError
 from syzkit.freemod import FreeMap, pieces
 from syzkit.modules import module_from_strings, residue_field
+from syzkit.polynomials import poly_mul
 from syzkit.resolutions import resolve
 from syzkit.rings import ring_from_strings
 
@@ -58,7 +60,7 @@ def test_periodic_variable_complex_shapes():
 
 def test_tensor_with_unit_complex():
     cx, _ = period_one_factor()
-    k_ring = ring_from_strings(2, [], [])
+    k_ring = ring_from_strings(2, ["t"], ["t"])  # k = F_2[t]/(t)
     unit = FreeComplex(k_ring, [(0,)] + [()] * W, [None] * (W + 1))
     prod = tensor_pair(cx, unit)
     assert prod.ranks() == cx.ranks()
@@ -304,6 +306,101 @@ def test_minimize_cone_recovers_kernel_ranks():
     assert small.verify()
     for j in range(1, c1.window):
         assert small.rank(j) == c1.minimal_betti(j)
+
+
+def _plus_multiple(f, c, g, p):
+    """f + c g for polynomial dicts, dropping zero coefficients."""
+    out = dict(f)
+    for m, a in g.items():
+        v = (out.get(m, 0) + c * a) % p
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _minimize_by_polynomials(cx):
+    """The reference for minimize_complex: Schur complements of the
+    differentials as matrices of polynomial dicts, at the first unit entry
+    (smallest j, then row, then column), rescanning from j = 1 after each."""
+    ring = cx.ring
+    p = ring.char
+    gens = [list(g) for g in cx.gens]
+    mats = [None] + [cx.diff(j).to_poly_matrix() if cx.diff(j).source_degrees else []
+                     for j in range(1, cx.window + 1)]
+    zero_exp = (0,) * len(ring.vars)
+
+    def unit_entry(j):
+        for r, row in enumerate(mats[j]):
+            for c, f in enumerate(row):
+                if f.get(zero_exp, 0) % p:
+                    return r, c, f[zero_exp]
+        return None
+
+    changed = True
+    while changed:
+        changed = False
+        for j in range(1, len(mats)):
+            hit = unit_entry(j)
+            if hit is None:
+                continue
+            r, c, u = hit
+            uinv = pow(u, -1, p)
+            mat = mats[j]
+            mats[j] = [[_plus_multiple(mat[a][b], -uinv, poly_mul(mat[a][c], mat[r][b], p), p)
+                        for b in range(len(mat[0])) if b != c]
+                       for a in range(len(mat)) if a != r]
+            if j + 1 < len(mats) and mats[j + 1]:
+                mats[j + 1] = [row for a, row in enumerate(mats[j + 1]) if a != c]
+                if mats[j + 1] and not mats[j + 1][0]:
+                    mats[j + 1] = []
+            if j - 1 >= 1 and mats[j - 1]:
+                mats[j - 1] = [[e for b, e in enumerate(row) if b != r] for row in mats[j - 1]]
+                if mats[j - 1] and not mats[j - 1][0]:
+                    mats[j - 1] = []
+            del gens[j][c]
+            del gens[j - 1][r]
+            changed = True
+            break
+    diffs = [None]
+    for j in range(1, len(mats)):
+        if not gens[j] or not mats[j] or not gens[j - 1]:
+            diffs.append(FreeMap.zero(ring, gens[j], gens[j - 1]))
+        else:
+            diffs.append(FreeMap.from_poly_matrix(ring, gens[j - 1], gens[j], mats[j]))
+    return FreeComplex(ring, gens, diffs)
+
+
+def _nonminimal_complex(kind, p):
+    """A seeded non-minimal complex at p: the cone of the identity or of a
+    scaled identity on a resolution over a ring of dense quadrics, or the
+    cone of an induced map on a tensor product of periodic factors."""
+    rng = random.Random(p + len(kind))
+    if kind == "tensor":
+        f, _ = periodic_variable_complex(p, 1, 6, prefix="x")
+        g, eg = periodic_variable_complex(p, 2, 6, prefix="y")
+        return cone(induced_chain_map(tensor_many([f, g]), 1, eg))
+    names = ["x", "y", "z"]
+    mons = [a + "*" + b for i, a in enumerate(names) for b in names[i:]]
+    quadrics = [" + ".join(f"{rng.randrange(1, p)}*{m}" for m in mons) for _ in range(2)]
+    r = ring_from_strings(p, names, quadrics, degree_bound=8)
+    if kind == "identity":
+        return cone(identity_chain_map(resolve(residue_field(r), 4)))
+    c = rng.randrange(1, p)
+    m = module_from_strings(r, [0, 1], [["x", "0"], ["y", "0"], ["0", "x"], ["z^2", f"{c}*y"]])
+    return cone(identity_chain_map(resolve(m, 4)).scale(rng.randrange(1, p)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+@pytest.mark.parametrize("kind", ["identity", "scaled", "tensor"])
+def test_minimize_matches_the_polynomial_reference(kind, p):
+    cx = _nonminimal_complex(kind, p)
+    got, want = minimize_complex(cx), _minimize_by_polynomials(cx)
+    assert sum(got.ranks()) < sum(cx.ranks())
+    assert got.gens == want.gens
+    assert all(a.equals(b) for a, b in zip(got.diffs[1:], want.diffs[1:]))
+    assert got.is_minimal()
 
 
 def test_coker_module_of_resolution_complex():

@@ -22,7 +22,6 @@ from syzkit.homological import (
     tor_as_module,
 )
 from syzkit.modules import (
-    lift_presentation,
     module_from_presentation,
     module_from_strings,
     residue_field,
@@ -62,6 +61,33 @@ def _random_case(rng):
         return tensor_presentation(*mods) if kind == "tensor" else mods[0]
 
     return build, bound, rng.random() < 0.3
+
+
+def ambient_ring(r):
+    """The quotient's polynomial ring viewed as a trivial quotient (cached)."""
+    if getattr(r, "_ambient", None) is None:
+        r._ambient = build_quotient(r.base, [])
+    return r._ambient
+
+
+def lift_presentation(m):
+    """View a module over R = S/I as a module over S.
+
+    Same generators; relations are the original columns (with entries read
+    as polynomials through the chosen monomial representatives) plus
+    I * e_s for every generator and every ideal generator.
+    """
+    r = m.ring
+    s_ring = ambient_ring(r)
+    gens = m.gen_degrees
+    rels = m.relation_polys()
+    nz = len(gens)
+    for ideal_gen in r.ideal_gens:
+        for s in range(nz):
+            col = [{} for _ in range(nz)]
+            col[s] = ideal_gen
+            rels.append(col)
+    return module_from_presentation(s_ring, gens, rels)
 
 
 def _lifted_depth(m):

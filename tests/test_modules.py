@@ -7,13 +7,13 @@ from syzkit.modules import (
     GradedModule,
     ModuleMap,
     free_module,
-    lift_presentation,
     module_from_strings,
     residue_field,
     tensor_presentation,
     verify_ses,
 )
 from syzkit.rings import ring_from_strings
+from test_depth import lift_presentation
 
 
 def ci_ring(p=2):

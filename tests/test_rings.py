@@ -34,6 +34,22 @@ def test_monomial_basis_counts():
         assert len(s.monomial_basis(d)) == comb(3 + d - 1, d)
 
 
+@pytest.mark.parametrize("n, bound, top", [(1, 6, 6), (2, 6, 6), (3, 6, 6), (4, 6, 6),
+                                            (30, 42, 2)])
+def test_monomial_positions_match_the_index(n, bound, top):
+    # 30 variables: counts for every degree up to 42 overflow int64
+    s = PolyRing(5, [f"x{i}" for i in range(n)], degree_bound=bound)
+    for d in range(top + 1):
+        index = s.monomial_index(d)
+        exps = np.array(list(index), dtype=np.int64).reshape(-1, n)
+        assert s.monomial_positions(exps, d).tolist() == list(index.values())
+
+
+def test_a_ring_needs_a_variable():
+    with pytest.raises(SyzkitError, match="at least one variable"):
+        ring_from_strings(5, [], [])
+
+
 def test_monomial_basis_beyond_bound():
     s = PolyRing(2, ["x", "y"], degree_bound=3)
     with pytest.raises(DegreeBoundError):
@@ -152,7 +168,7 @@ def test_algebra_tensor_hilbert_convolutions():
 
 def test_algebra_tensor_with_field():
     r = ring_from_strings(2, ["x"], ["x^2"])
-    k = ring_from_strings(2, [], [])
+    k = ring_from_strings(2, ["t"], ["t"])  # k = F_2[t]/(t)
     t = algebra_tensor(r, k)
     assert t.hilbert_function(3) == r.hilbert_function(3)
 

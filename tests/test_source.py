@@ -150,3 +150,22 @@ def test_only_free_mult_matrix_reads_one_monomial_table():
                   if isinstance(node, ast.Call) and id(node) not in allowed
                   and getattr(node.func, "attr", getattr(node.func, "id", None)) == "mult_map"]
     assert found == []
+
+
+def test_only_polynomials_does_polynomial_arithmetic():
+    # freemod owns the coordinates of free modules, so arithmetic on
+    # polynomial dicts outside polynomials leaves them for a round trip
+    names = {"poly_mul", "poly_add", "poly_scale", "monomial_mul"}
+    found = []
+    for path, tree in _package_trees():
+        if path.stem == "polynomials":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                used = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Call):
+                used = [getattr(node.func, "id", getattr(node.func, "attr", None))]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in used if name in names]
+    assert found == []
