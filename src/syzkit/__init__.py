@@ -51,7 +51,6 @@ from .homological import (
     check_depth_formula,
     depth_lemma_check,
     ext_basis,
-    max_nonvanishing_tor,
     pushout_extension,
     reduction_search,
     tor,

@@ -37,7 +37,7 @@ import numpy as np
 from . import freemod
 from .errors import SyzkitError, WindowError
 from .linalg import matmul, rank, zeros
-from .modules import GradedModule
+from .modules import GradedModule, Homology
 from .rings import algebra_tensor, embed_monomial
 
 # -- complexes ----------------------------------------------------------------
@@ -98,18 +98,11 @@ class FreeComplex:
         """dim_k H_j(C)_d; needs j+1 within the window."""
         if j < 0 or j > self.window - 1:
             raise WindowError("homology needs one more differential than the window")
-        sdim = self.component_dim(j, d)
-        if sdim == 0:
-            return 0
+        return Homology(self.ring, self._induced).dim(j, d)
+
+    def _induced(self, j, d):
         dj = self.diff(j)
-        down_rank = 0
-        if j >= 1 and dj is not None and dj.source_degrees:
-            down_rank = rank(dj.induced(d), self.ring.char)
-        up = self.diff(j + 1)
-        up_rank = 0
-        if up is not None and up.source_degrees:
-            up_rank = rank(up.induced(d), self.ring.char)
-        return sdim - down_rank - up_rank
+        return zeros(0, self.component_dim(j, d)) if dj is None else dj.induced(d)
 
     def homology_total(self, j):
         """dim_k H_j(C), over the ring's degree window on every term's

@@ -11,10 +11,12 @@ degree window over the least generator degree of F_0 (x) N
 (`rings.TruncatedQuotientRing.degree_window`), so a shift of M or N moves
 every dimension by the shift; reports carry the top of that window.
 
-The resolution is read only through `gen_degrees`, `diff` and `window`, and
-Tor_i and Ext^i refuse one that does not know F_{i+1}.  Ext cocycles and
-coboundaries and the pushout's cocycle check share one precomposition
-matrix, `_hom_matrix`, placed block by block by `freemod.block_matrix`.
+Tor and Ext are the homology (`modules.Homology`) of F (x) N and of
+C_k = Hom(F_{-k}, N), for F the minimal free resolution of M; both complexes
+take their differentials from one builder, `_with_n`, which also serves the
+pushout's cocycle check.  They refuse modules over different rings, and a
+resolution that is not of M or does not know F_{i+1}; the resolution is
+read only through `module`, `gen_degrees`, `diff` and `window`.
 """
 
 import math
@@ -25,19 +27,10 @@ import numpy as np
 
 from . import freemod
 from .errors import SyzkitError, WindowError
-from .linalg import (
-    extend_basis,
-    identity,
-    kernel_basis,
-    matmul,
-    matvec,
-    quotient_projection,
-    rank,
-    solve_many,
-    zeros,
-)
+from .linalg import matmul, matvec
 from .modules import (
     GradedModule,
+    Homology,
     ModuleMap,
     generator_matrix,
     minimal_generators_in,
@@ -74,27 +67,43 @@ class TorProfile:
         return sum(self.dims[i].values())
 
 
-def _tensor_component_dims(gens, n_mod, d):
-    return [n_mod.dim(d - g) for g in gens]
+def _with_n(res, i, n_mod, d, hom):
+    """d_i of the resolution applied to N in internal degree d: the matrix
+    of d_i (x) N, or of precomposition Hom(d_i, N) when hom.
 
-
-def _tensor_differential(res, n_mod, i, d):
-    """(F_i tensor N)_d -> (F_{i-1} tensor N)_d; no rows when i <= 0 or F_i = 0."""
-    src_gens = res.gen_degrees(i)
-    sdims = _tensor_component_dims(src_gens, n_mod, d)
-    if i <= 0 or not src_gens:
-        return zeros(0, sum(sdims))
-    dmap = res.diff(i)
-    tgt_gens = dmap.target_degrees
-    tdims = _tensor_component_dims(tgt_gens, n_mod, d)
+    Generator g carries N in degree d - g on F (x) N and d + g on Hom(F, N);
+    entry (c, b) of d_i lies in R_{g_b - h_c} and multiplies N up from the
+    lower of its generators' two degrees, as block (c, b) of F (x) N or
+    block (b, c) of Hom(F, N).  Where the resolution stores no d_i (i <= 0,
+    or past a terminated window) it is the zero map."""
+    sources, targets, dmap = res.gen_degrees(i), res.gen_degrees(i - 1), res.diff(i)
+    sign = 1 if hom else -1
+    src = [n_mod.dim(d + sign * g) for g in sources]
+    tgt = [n_mod.dim(d + sign * h) for h in targets]
     blocks = {}
-    for b, g in enumerate(src_gens):
-        if sdims[b] == 0:
-            continue
-        for c, piece in dmap.blocks(b):
-            if tdims[c]:
-                blocks[(c, b)] = n_mod.action_by_ring_vector(piece, g - tgt_gens[c], d - g)
-    return freemod.block_matrix(tdims, sdims, blocks)
+    for b, g in enumerate(sources):
+        for c, piece in dmap.blocks(b) if src[b] and dmap is not None else ():
+            if tgt[c]:
+                low = d + targets[c] if hom else d - g
+                blocks[(b, c) if hom else (c, b)] = n_mod.action_by_ring_vector(
+                    piece, g - targets[c], low)
+    rows, cols = (src, tgt) if hom else (tgt, src)
+    return freemod.block_matrix(rows, cols, blocks)
+
+
+def _homology(m, n, res, steps, what, hom):
+    """(res, the homology of F (x) N, or of C_k = Hom(F_{-k}, N) when hom),
+    F the resolution res of M, made out to `steps` when res is None."""
+    if not m.ring.same_ring(n.ring):
+        raise SyzkitError(f"{what} needs modules over a common ring")
+    if res is None:
+        res = resolve(m, steps)
+    elif res.module is not m:
+        raise SyzkitError(f"{what} needs a resolution of its first module")
+    res.require(steps, what)
+    if hom:
+        return res, Homology(m.ring, lambda k, w: _with_n(res, 1 - k, n, w, True))
+    return res, Homology(m.ring, lambda k, d: _with_n(res, k, n, d, False))
 
 
 def _tensor_window(res, n, i_max):
@@ -109,33 +118,10 @@ def tor(m, n, window, res=None):
     """Graded dimensions of Tor_i(M, N) for i <= window."""
     if window < 0:
         raise WindowError(f"Tor needs a window >= 0, got {window}")
-    if not m.ring.same_ring(n.ring):
-        raise SyzkitError("Tor needs modules over a common ring")
-    ring = m.ring
-    if res is None:
-        res = resolve(m, window + 1)
-    res.require(window + 1, f"Tor up to degree {window}")
+    res, homology = _homology(m, n, res, window + 1, f"Tor up to degree {window}", False)
     degrees = _tensor_window(res, n, window)
-    dims = []
-    ranks = {}
-
-    def rank_at(i, d):
-        if (i, d) not in ranks:
-            ranks[(i, d)] = rank(_tensor_differential(res, n, i, d), ring.char)
-        return ranks[(i, d)]
-
-    for i in range(window + 1):
-        gens_i = res.gen_degrees(i)
-        by_degree = {}
-        for d in range(degrees.low, degrees.top + 1):
-            sdim = sum(_tensor_component_dims(gens_i, n, d))
-            if sdim == 0:
-                continue
-            h = sdim - rank_at(i, d) - rank_at(i + 1, d)
-            if h:
-                by_degree[d] = h
-        dims.append(by_degree)
-
+    dims = [{d: h for d in range(degrees.low, degrees.top + 1) if (h := homology.dim(i, d))}
+            for i in range(window + 1)]
     q = max((i for i in range(window + 1) if dims[i]), default=0)
     if res.terminated_at is not None:
         rigor = "finite-pd"
@@ -147,72 +133,26 @@ def tor(m, n, window, res=None):
             if q <= onset + period and window >= onset + 2 * period + 1:
                 rigor = "periodic-tail"
     internal_bound = math.inf if degrees.certified == degrees.top else degrees.top
-    return TorProfile(dims, window, internal_bound, q, rigor, ring.degree_bound)
+    return TorProfile(dims, window, internal_bound, q, rigor, m.ring.degree_bound)
 
 
-def max_nonvanishing_tor(m, n, window):
-    """Largest i <= window with Tor_i != 0, with its rigor flag."""
-    profile = tor(m, n, window)
-    return profile.q, profile.q_rigor
-
-
-class _HomologySpaces:
-    """Degreewise homology of F_i tensor N as coordinate subquotients."""
-
-    def __init__(self, ring, res, n_mod, i):
-        self.ring = ring
-        self.res = res
-        self.n = n_mod
-        self.i = i
-        self._data = {}
-
-    def space(self, d):
-        """(Z basis in tensor coords, H basis indices, H projection in Z coords)."""
-        if d not in self._data:
-            p = self.ring.char
-            sdim = sum(_tensor_component_dims(self.res.gen_degrees(self.i), self.n, d))
-            if sdim == 0:
-                self._data[d] = (zeros(0, 0), [], zeros(0, 0))
-            else:
-                down = _tensor_differential(self.res, self.n, self.i, d)
-                z = kernel_basis(down, p)
-                up = _tensor_differential(self.res, self.n, self.i + 1, d)
-                if up.shape[1] and z.shape[1]:
-                    b_in_z = solve_many(z, up, p)
-                else:
-                    b_in_z = zeros(z.shape[1], 0)
-                idx, proj = quotient_projection(b_in_z, z.shape[1], p)
-                self._data[d] = (z, idx, proj)
-        return self._data[d]
-
-    def dim(self, d):
-        return len(self.space(d)[1])
-
-    def action_matrix(self, e, a):
-        """Multiplication by every basis monomial of R_e, H_a -> H_{a+e},
-        through representatives: the (dim R_e, dim H_{a+e}, dim H_a) stack.
-        R_e acts on F_i (x) N blockwise by N's stacked actions, so each
-        generator of F_i takes one product, and one solve in Z_{a+e} serves
-        every monomial."""
-        p = self.ring.char
-        z_a, idx_a, _ = self.space(a)
-        z_t, _, proj_t = self.space(a + e)
-        de, r = self.ring.dim(e), len(idx_a)
-        if not (de and r and proj_t.shape[0]):
-            return np.zeros((de, self.dim(a + e), r), dtype=np.int64)
-        gens = self.res.gen_degrees(self.i)
-        sdims = _tensor_component_dims(gens, self.n, a)
-        tdims = _tensor_component_dims(gens, self.n, a + e)
-        reps = np.split(z_a[:, idx_a], np.cumsum(sdims)[:-1])  # one row block per generator
-        blocks = {}
-        for b, g in enumerate(gens):
-            if sdims[b] and tdims[b]:
-                acts = self.n.action_matrix(e, a - g).transpose(1, 0, 2)  # t, j, s
-                prod = matmul(acts.reshape(tdims[b] * de, sdims[b]), reps[b], p)
-                blocks[(b, 0)] = prod.reshape(tdims[b], de * r)
-        acted = freemod.block_matrix(tdims, [de * r], blocks)  # columns (j, rep)
-        in_h = matmul(proj_t, solve_many(z_t, acted, p), p)
-        return np.ascontiguousarray(in_h.reshape(-1, de, r).transpose(1, 0, 2))
+def _act_on_tensor(res, n_mod, i, e, a, x):
+    """Every basis monomial of R_e times the chains x in (F_i (x) N)_a, as
+    the columns (j, x): R acts on F_i (x) N blockwise by N's stacked
+    actions, so each generator of F_i takes one product."""
+    p = n_mod.ring.char
+    gens = res.gen_degrees(i)
+    sdims = [n_mod.dim(a - g) for g in gens]
+    tdims = [n_mod.dim(a + e - g) for g in gens]
+    de, r = n_mod.ring.dim(e), x.shape[1]
+    reps = np.split(x, np.cumsum(sdims)[:-1])  # one row block per generator
+    blocks = {}
+    for b, g in enumerate(gens):
+        if sdims[b] and tdims[b]:
+            acts = n_mod.action_matrix(e, a - g).transpose(1, 0, 2)  # t, j, s
+            prod = matmul(acts.reshape(tdims[b] * de, sdims[b]), reps[b], p)
+            blocks[(b, 0)] = prod.reshape(tdims[b], de * r)
+    return freemod.block_matrix(tdims, [de * r], blocks)
 
 
 def tor_as_module(m, n, i, res=None):
@@ -225,10 +165,8 @@ def tor_as_module(m, n, i, res=None):
     if i == 0:
         return tensor_presentation(m, n)
     ring = m.ring
-    if res is None:
-        res = resolve(m, i + 1)
-    res.require(i + 1, f"Tor_{i} as a module")
-    spaces = _HomologySpaces(ring, res, n, i)
+    res, homology = _homology(m, n, res, i + 1, f"Tor_{i} as a module", False)
+    spaces = homology.module(i, partial(_act_on_tensor, res, n, i))
     degrees = _tensor_window(res, n, i)
     mingens = minimal_generators_in(spaces, degrees.low, degrees.top)
     if not mingens:
@@ -260,27 +198,6 @@ class ExtClass:
     resolution: object = field(repr=False)
 
 
-def _hom_matrix(dmap, n_mod, w):
-    """Precomposition with dmap : F' -> F, as the matrix of
-    Hom(F, N)_w -> Hom(F', N)_w.
-
-    A map is given by its values on generators, block by generator; the
-    (source generator b, target generator c) block is multiplication by the
-    (c, b) entry of dmap.
-    """
-    src, tgt = dmap.source_degrees, dmap.target_degrees
-    rdims = [n_mod.dim(g + w) for g in src]
-    cdims = [n_mod.dim(h + w) for h in tgt]
-    blocks = {}
-    for b, g in enumerate(src):
-        if rdims[b] == 0:
-            continue
-        for c, piece in dmap.blocks(b):
-            if cdims[c]:
-                blocks[(b, c)] = n_mod.action_by_ring_vector(piece, g - tgt[c], tgt[c] + w)
-    return freemod.block_matrix(rdims, cdims, blocks)
-
-
 def ext_basis(m, n, t, res=None):
     """Deterministic k-basis of Ext^t(M, N) by internal degree.
 
@@ -291,36 +208,20 @@ def ext_basis(m, n, t, res=None):
     """
     if t < 0:
         raise SyzkitError("Ext degree must be >= 0")
-    ring = m.ring
-    if res is None:
-        res = resolve(m, t + 1)
-    res.require(t + 1, f"Ext^{t}")
+    res, homology = _homology(m, n, res, t + 1, f"Ext^{t}", True)
     gens_t = res.gen_degrees(t)
     if not gens_t:
         return []
     top = max(gens_t + res.gen_degrees(t + 1) + res.gen_degrees(t - 1))
-    window = ring.degree_window(n.min_degree(), max(n.gen_degrees, default=0))
+    window = m.ring.degree_window(n.min_degree(), max(n.gen_degrees, default=0))
     out = []
-    p = ring.char
     # not window.top: over a ring that collapses within D it stops below
     # classes that the reads up to e = D find
     for w in range(window.low - top, window.low + window.bound - top + 1):
-        dims = [n.dim(g + w) for g in gens_t]
-        total = sum(dims)
-        if total == 0:
-            continue
-        # cocycle condition: precomposition with d_{t+1} vanishes
-        cocycles = identity(total)
-        if res.gen_degrees(t + 1):
-            cocycles = kernel_basis(_hom_matrix(res.diff(t + 1), n, w), p)
-        if cocycles.shape[1] == 0:
-            continue
-        # coboundaries: precompositions g o d_t for g in Hom(F_{t-1}, N)_w
-        cob = _hom_matrix(res.diff(t), n, w) if t >= 1 else zeros(total, 0)
-        for idx in extend_basis(cob, cocycles, p):
+        for rep in homology.classes(-t, w).T:
             # the values on the generators of F_t, split by the Hom sizes
-            values = np.split(cocycles[:, idx].copy(), np.cumsum(dims[:-1]))
-            out.append(ExtClass(t, w, values, m, n, res))
+            cuts = np.cumsum([n.dim(g + w) for g in gens_t[:-1]])
+            out.append(ExtClass(t, w, np.split(rep.copy(), cuts), m, n, res))
     return out
 
 
@@ -353,7 +254,7 @@ def pushout_extension(eta, verify_depth=True):
     ring = m.ring
     res.require(t + 1, f"the pushout of a degree-{t} class")
     if res.gen_degrees(t + 1):  # eta must vanish on d_{t+1}
-        d_up = _hom_matrix(res.diff(t + 1), m, w)
+        d_up = _with_n(res, t + 1, m, w, True)
         if matvec(d_up, np.concatenate(eta.values), ring.char).any():
             raise SyzkitError("cocycle check failed; malformed extension class")
 

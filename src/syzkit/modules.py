@@ -19,7 +19,18 @@ for its own first zero component).
 Relation vectors are built with `freemod.vector`, and the relations form
 one `freemod.FreeMap`, which checks their lengths once and serves every
 degree's span of ring multiples.
+
+`Homology` is the one homology computation of the package: Tor, Ext,
+Koszul homology (depth) and the homology of a `FreeComplex` all read
+H_k = ker d_k / im d_{k+1} from it, degree by degree, and it checks
+d_k d_{k+1} = 0 on every adjacent pair of matrices it builds.  Its
+`module(k, act)` view serves the same `ring`/`dim`/`action_matrix`
+protocol as `GradedModule`, so `minimal_generators_in` and
+`generator_matrix` read a homology module (Tor_i) as they read M.
 """
+
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,11 +38,15 @@ from . import freemod
 from .errors import DegreeBoundError, HomogeneityError, SyzkitError
 from .linalg import (
     coset_complement,
+    extend_basis,
+    identity,
+    kernel_basis,
     matmul,
     matvec,
     quotient_projection,
     rank,
     solve,
+    solve_many,
     zeros,
 )
 from .polynomials import poly_degree
@@ -212,6 +227,78 @@ def generator_matrix(space, gens, d):
             flat = stacked.reshape(cols[b] * rows, stacked.shape[2])
             blocks[(0, b)] = matvec(flat, w, ring.char).reshape(cols[b], rows).T
     return freemod.block_matrix([rows], cols, blocks)
+
+
+class Homology:
+    """H_k = ker d_k / im d_{k+1} of a complex given degree by degree.
+
+    diff(k, d) is the matrix of d_k : C_{k,d} -> C_{k-1,d}, with one column
+    per coordinate of C_{k,d} even where it has no rows.  Each matrix is
+    built once and ranked at most once, and d_{k-1} d_k = 0 is checked on
+    every adjacent pair built, whichever is built second.  A basis of
+    H_{k,d} is represented by the columns of kernel_basis(d_k) that
+    extend_basis picks past the image of d_{k+1}.
+    """
+
+    def __init__(self, ring, diff):
+        self.ring = ring
+        self._diff = diff
+        self._built = {}    # (k, d) -> d_k in degree d
+        self._ranks = {}
+        self._classes = {}  # (k, d) -> representative cycles, as columns
+
+    def _matrix(self, k, d):
+        if (k, d) not in self._built:
+            mat = self._built[(k, d)] = self._diff(k, d)
+            for j in (k, k + 1) if mat.size else ():
+                left, right = self._built.get((j - 1, d)), self._built.get((j, d))
+                if (left is not None and right is not None
+                        and matmul(left, right, self.ring.char).any()):
+                    raise SyzkitError(f"not a complex: d_{j - 1} d_{j} is not zero "
+                                      f"in degree {d}")
+        return self._built[(k, d)]
+
+    def _rank(self, k, d):
+        if (k, d) not in self._ranks:
+            self._ranks[(k, d)] = rank(self._matrix(k, d), self.ring.char)
+        return self._ranks[(k, d)]
+
+    def dim(self, k, d):
+        """dim_k H_{k,d}, from the ranks of d_k and d_{k+1}."""
+        size = self._matrix(k, d).shape[1]
+        return size - self._rank(k, d) - self._rank(k + 1, d) if size else 0
+
+    def classes(self, k, d):
+        """Cycles in C_{k,d} whose classes form a basis of H_{k,d}, as columns."""
+        if (k, d) not in self._classes:
+            p, mat = self.ring.char, self._matrix(k, d)
+            z = kernel_basis(mat, p) if mat.size else identity(mat.shape[1])
+            idx = extend_basis(self._matrix(k + 1, d), z, p) if z.shape[1] else []
+            self._classes[(k, d)] = z[:, idx]
+        return self._classes[(k, d)]
+
+    def module(self, k, act):
+        """H_k as the graded space that `minimal_generators_in` and
+        `generator_matrix` read: `ring`, `dim(d)` and `action_matrix(e, a)`.
+        R acts through chains: act(e, a, x) multiplies the chains x in
+        C_{k,a} by every basis monomial of R_e, as the
+        (dim C_{k,a+e}, dim R_e * x.shape[1]) matrix with columns (j, x)."""
+        return SimpleNamespace(ring=self.ring, dim=partial(self.dim, k),
+                               action_matrix=partial(self._action_matrix, k, act))
+
+    def _action_matrix(self, k, act, e, a):
+        """The (dim R_e, dim H_{k,a+e}, dim H_{k,a}) stack of monomial
+        actions: every class representative is acted on at once, and one
+        solve against [representatives | d_{k+1}] in degree a + e reads
+        the classes of the products."""
+        reps = self.classes(k, a)
+        de, r, rt = self.ring.dim(e), reps.shape[1], self.dim(k, a + e)
+        if not (de and r and rt):
+            return np.zeros((de, rt, r), dtype=np.int64)
+        p = self.ring.char
+        basis = np.concatenate([self.classes(k, a + e), self._matrix(k + 1, a + e)], axis=1)
+        in_h = solve_many(basis, act(e, a, reps), p)[:rt]
+        return np.ascontiguousarray(in_h.reshape(rt, de, r).transpose(1, 0, 2))
 
 
 def module_from_presentation(ring, gen_degrees, relation_columns):

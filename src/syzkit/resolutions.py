@@ -43,10 +43,11 @@ get the same Betti numbers, shifted, or the same refusal:
 
 Depth is n - pd_S(M) over S = F_p[x_1..x_n] (Auslander-Buchsbaum), and
 `depth` reads pd_S from the Koszul homology of M on the variables acting
-through R: beta^S_{i,d}(M) = dim H_i(x; M)_d = dim K_{i,d} - rank d_{i,d} -
-rank d_{i+1,d}, with K_{i,d} = wedge^i F_p^n (x) M_{d-i} (Bruns & Herzog
-1.6).  It needs only the M_d and their action matrices, no tables of S,
-and reads them in the same degree window as `resolve`.
+through R: beta^S_{i,d}(M) = dim H_i(x; M)_d, with
+K_{i,d} = wedge^i F_p^n (x) M_{d-i} (Bruns & Herzog 1.6), as
+`modules.Homology` computes it from the ranks of the Koszul differentials.
+It needs only the M_d and their action matrices, no tables of S, and
+reads them in the same degree window as `resolve`.
 
 A periodic tail is certified, not guessed: `detect_resolution_periodicity`
 hands the resolution to `chainsolve.certify_periodicity` with the onset
@@ -66,7 +67,7 @@ from .chainsolve import certify_periodicity
 from .complexes import FreeComplex, coker_module
 from .errors import SyzkitError, WindowError
 from .linalg import _null_space, extend_basis, identity, matmul, matvec, rank
-from .modules import generator_matrix
+from .modules import Homology, generator_matrix
 
 
 class FreeResolution(FreeComplex):
@@ -319,7 +320,7 @@ class DepthReport:
 
 
 def _koszul_diff(module, acts_at, n, i, d):
-    """(d_{i,d}, its rank): the Koszul differential on the n variables,
+    """d_{i,d}: the Koszul differential on the n variables,
     from wedge^i F_p^n (x) M_{d-i} to wedge^(i-1) F_p^n (x) M_{d-i+1}:
     m e_J -> sum_t (-1)^t x_{J_t} m e_{J - J_t}, J-major.  acts_at(a) lists
     the matrices of the variables from M_a to M_{a+1}."""
@@ -334,8 +335,7 @@ def _koszul_diff(module, acts_at, n, i, d):
             for t, j in enumerate(J):
                 r = target[J[:t] + J[t + 1:]]
                 blocks[(r, c)] = acts[j] if t % 2 == 0 else -acts[j] % p
-    mat = freemod.block_matrix([rows] * len(target), [cols] * len(source), blocks)
-    return mat, rank(mat, p)
+    return freemod.block_matrix([rows] * len(target), [cols] * len(source), blocks)
 
 
 def depth(module):
@@ -346,37 +346,29 @@ def depth(module):
     DegreeBoundError on a syzygy above its certified part.  The window is
     counted in ring degrees above M's lowest generator, with a margin of 2
     unless the ring collapses within the bound, so M and its shifts get the
-    same answer or the same refusal.  Each d_{i,d} is built and ranked
-    once, from action matrices built once per degree, and kept until
-    d_{i-1} o d_i = 0 is checked.
+    same answer or the same refusal.  The Koszul differentials are built
+    from action matrices built once per degree.
     """
     if module.is_zero():
         raise SyzkitError("depth of the zero module is undefined")
-    ring, p = module.ring, module.ring.char
+    ring = module.ring
     n, bound = len(ring.vars), ring.degree_bound
     xs = [ring.normal_form({tuple(int(k == j) for k in range(n)): 1}, degree=1)
           for j in range(n)]
     acts_at = cache(lambda a: [module.action_by_ring_vector(x, 1, a) for x in xs])
     # K_{i,d} vanishes above max generator degree + top degree of R + i
     window = ring.degree_window(module.min_degree(), max(module.gen_degrees) + n)
-    pd, lo, below = 0, window.low, {}  # below: d -> (d_{i,d}, its rank) from step i - 1
+    koszul = Homology(ring, partial(_koszul_diff, module, acts_at, n))
+    pd, lo = 0, window.low
     for i in range(1, n + 1):
-        built, found = {}, []
+        found = []
         for d in range(lo, window.top + 1):
-            size = math.comb(n, i) * module.dim(d - i)
-            if not size:
-                continue
-            low, low_rank = below.get(d) or _koszul_diff(module, acts_at, n, i, d)
-            high, high_rank = built[d] = _koszul_diff(module, acts_at, n, i + 1, d)
-            if matmul(low, high, p).any():
-                raise SyzkitError("internal error: Koszul differentials do not compose to zero")
-            if size == low_rank + high_rank:
-                continue
-            window.certify(d)
-            found.append(d)
+            if koszul.dim(i, d):
+                window.certify(d)
+                found.append(d)
         if not found:
             break
-        pd, lo, below = i, found[0], built
+        pd, lo = i, found[0]
     return DepthReport(n - pd, pd, n, bound)
 
 

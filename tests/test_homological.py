@@ -9,7 +9,6 @@ from syzkit.homological import (
     check_depth_formula,
     depth_lemma_check,
     ext_basis,
-    max_nonvanishing_tor,
     pushout_extension,
     reduction_search,
     tor,
@@ -82,16 +81,16 @@ def test_tor_symmetry_on_sample_pairs():
 
 def test_max_nonvanishing_tor_examples():
     r = xy_ring(14)
-    assert max_nonvanishing_tor(free_module(r), residue_field(r), 6)[0] == 0
+    assert tor(free_module(r), residue_field(r), 6).q == 0
     m = module_from_strings(r, [0], [["x"]])
     n = module_from_strings(r, [0], [["x + y"]])
-    q, rigor = max_nonvanishing_tor(m, n, 8)
-    assert (q, rigor) == (0, "periodic-tail")
-    q2, rigor2 = max_nonvanishing_tor(
+    profile = tor(m, n, 8)
+    assert (profile.q, profile.q_rigor) == (0, "periodic-tail")
+    profile = tor(
         module_from_strings(r, [0], [["x + y"]]),
         module_from_strings(r, [0], [["x^2"]]), 8,
     )
-    assert (q2, rigor2) == (1, "finite-pd")
+    assert (profile.q, profile.q_rigor) == (1, "finite-pd")
 
 
 def test_tor_reads_a_collapsed_ring_in_every_degree():
@@ -506,3 +505,61 @@ def test_pushout_refuses_a_class_that_is_no_cocycle():
     short = ExtClass(1, -2, [unit], m, m, resolve(m, 1))
     with pytest.raises(WindowError):
         pushout_extension(short, verify_depth=False)
+
+
+def test_tor_and_ext_refuse_modules_over_different_rings():
+    # without the ring check both reach numpy with the other ring's tables
+    # ("cannot reshape array of size 2 into shape (1,3)")
+    m = module_from_strings(xy_ring(), [0], [["x"]])
+    other = ring_from_strings(5, ["x", "y", "z"], ["x*y", "z^2"], degree_bound=12)
+    n = module_from_strings(other, [0], [["x"]])
+    for read in (lambda: tor(m, n, 3), lambda: tor_as_module(m, n, 1),
+                 lambda: tor_as_module(m, n, 2), lambda: ext_basis(m, n, 1),
+                 lambda: ext_basis(m, n, 0)):
+        with pytest.raises(SyzkitError, match="needs modules over a common ring"):
+            read()
+
+
+def test_a_resolution_of_another_module_is_refused():
+    # k's resolution read as R/(x)'s would give Tor(k, k) = {0:1}, {1:2},
+    # {2:2} for Tor(R/(x), k) = {0:1}, {1:1}, {2:1}
+    r = xy_ring()
+    m, k = module_from_strings(r, [0], [["x"]]), residue_field(r)
+    assert tor(m, k, 2, res=resolve(m, 3)).dims == [{0: 1}, {1: 1}, {2: 1}]
+    other = resolve(k, 4)
+    for read in (lambda: tor(m, k, 3, res=other), lambda: tor_as_module(m, k, 1, res=other),
+                 lambda: ext_basis(m, k, 1, res=other)):
+        with pytest.raises(SyzkitError, match="needs a resolution of its first module"):
+            read()
+
+
+def _with_d2_replaced(p):
+    """R/(x) over F_p[x,y]/(xy) with its resolution ... -x-> R -y-> R -x-> R,
+    but d_2 = x in place of y, so d_1 d_2 = x^2 and d_2 d_3 = x^2 are not 0."""
+    from syzkit.freemod import FreeMap
+    from syzkit.resolutions import FreeResolution
+
+    r = ring_from_strings(p, ["x", "y"], ["x*y"], degree_bound=8)
+    m = module_from_strings(r, [0], [["x"]])
+    res = resolve(m, 4)
+    d1 = res.diff(1)
+    assert res.gens[:4] == [(0,), (1,), (2,), (3,)]
+    diffs = list(res.diffs)
+    diffs[2] = FreeMap(r, (2,), (1,), d1.columns)  # x times the generator of F_1
+    bad = FreeResolution(r, m, res.gens, diffs, res.cover, res.terminated_at, res.low)
+    return r, m, bad
+
+
+@pytest.mark.parametrize("p", [3, 32003])
+def test_tor_ext_and_complex_homology_check_d_squared(p):
+    # N = R: over k, x^2 acts as 0 and the tensored complex would be one
+    from syzkit.complexes import FreeComplex
+
+    r, m, bad = _with_d2_replaced(p)
+    free = free_module(r)
+    with pytest.raises(SyzkitError, match="not a complex"):
+        tor(m, free, 3, res=bad)
+    with pytest.raises(SyzkitError, match="not a complex"):
+        ext_basis(m, free, 1, res=bad)
+    with pytest.raises(SyzkitError, match="not a complex"):
+        FreeComplex(r, bad.gens, bad.diffs).homology_dim(1, 2)

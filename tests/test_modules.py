@@ -5,6 +5,7 @@ from syzkit.errors import HomogeneityError, SyzkitError
 from syzkit.freemod import FreeMap
 from syzkit.modules import (
     GradedModule,
+    Homology,
     ModuleMap,
     free_module,
     module_from_strings,
@@ -239,8 +240,10 @@ def test_homology_actions_match_the_per_monomial_reference():
     # from degree 2 on: the stacked action on the homology of F_1 (x) N,
     # and the cover built from it, against one monomial at a time through
     # N's free multiplications
+    from functools import partial
+
     from syzkit.freemod import block_matrix
-    from syzkit.homological import _HomologySpaces
+    from syzkit.homological import _act_on_tensor, _homology, _with_n
     from syzkit.linalg import matmul, solve_many
     from syzkit.modules import generator_matrix, minimal_generators_in
     from syzkit.resolutions import resolve
@@ -249,21 +252,23 @@ def test_homology_actions_match_the_per_monomial_reference():
     p = r.char
     m = module_from_strings(r, [0], [["x"]])
     n = module_from_strings(r, [0], [["x"]])
-    res = resolve(m, 2)
-    spaces = _HomologySpaces(r, res, n, 1)
+    res, homology = _homology(m, n, resolve(m, 2), 2, "Tor_1", False)
+    spaces = homology.module(1, partial(_act_on_tensor, res, n, 1))
     gens = res.gen_degrees(1)
 
     def monomial_action(e, j, a):
-        z_a, idx_a, _ = spaces.space(a)
-        z_t, _, proj_t = spaces.space(a + e)
-        if not idx_a or not proj_t.shape[0]:
+        reps_a, reps_t = homology.classes(1, a), homology.classes(1, a + e)
+        if not reps_a.shape[1] or not reps_t.shape[1]:
             return np.zeros((spaces.dim(a + e), spaces.dim(a)), dtype=np.int64)
         sdims = [n.dim(a - g) for g in gens]
         tdims = [n.dim(a + e - g) for g in gens]
         blocks = {(b, b): _monomial_action(n, e, j, a - g)
                   for b, g in enumerate(gens) if sdims[b] and tdims[b]}
-        acted = matmul(block_matrix(tdims, sdims, blocks), z_a[:, idx_a], p)
-        return matmul(proj_t, solve_many(z_t, acted, p), p)
+        acted = matmul(block_matrix(tdims, sdims, blocks), reps_a, p)
+        # classes of the products: coordinates on the representatives,
+        # modulo the boundaries
+        basis = np.concatenate([reps_t, _with_n(res, 2, n, a + e, False)], axis=1)
+        return solve_many(basis, acted, p)[:reps_t.shape[1]]
 
     for a in range(0, 5):
         for e in range(0, 3):
@@ -314,3 +319,35 @@ def test_vanishing_components_match_the_relation_span(case):
         assert idx == want_idx, d
         assert proj.dtype == want_proj.dtype
         assert np.array_equal(proj, want_proj), d
+
+
+def _two_term(d2):
+    """The complex F_5^2 -d2-> F_5^2 -d1-> F_5^2, d1 = diag(0, 1), in every
+    degree, as the callable `Homology` reads."""
+    mats = {1: [[0, 0], [0, 1]], 2: d2}
+    shapes = {0: (0, 2), 3: (2, 0)}
+    return lambda k, d: (np.array(mats[k], dtype=np.int64) if k in mats
+                         else np.zeros(shapes[k], dtype=np.int64))
+
+
+def test_homology_of_a_small_complex():
+    # d2 = diag(1, 0): H_2 = <e2>, H_1 = 0, H_0 = <e1>
+    h = Homology(ci_ring(5), _two_term([[1, 0], [0, 0]]))
+    assert [h.dim(k, 0) for k in (0, 1, 2)] == [1, 0, 1]
+    assert h.classes(0, 0).T.tolist() == [[1, 0]]
+    assert h.classes(1, 0).shape == (2, 0)
+    assert h.classes(2, 0).T.tolist() == [[0, 1]]
+
+
+def test_homology_refuses_an_adjacent_pair_that_is_not_zero():
+    # d1 d2 = e2 e1^T: whichever of d_1, d_2 is built second, the pair is
+    # checked then; d_2 with d_3 alone is a complex
+    bad = _two_term([[0, 0], [1, 0]])
+    with pytest.raises(SyzkitError, match="not a complex: d_1 d_2 is not zero in degree 4"):
+        Homology(ci_ring(5), bad).dim(1, 4)
+    h = Homology(ci_ring(5), bad)
+    assert h.dim(2, 4) == 1
+    with pytest.raises(SyzkitError, match="not a complex: d_1 d_2"):
+        h.dim(0, 4)
+    with pytest.raises(SyzkitError, match="not a complex: d_1 d_2"):
+        Homology(ci_ring(5), bad).classes(1, 4)

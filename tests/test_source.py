@@ -169,3 +169,20 @@ def test_only_polynomials_does_polynomial_arithmetic():
                 continue
             found += [f"{path.name}:{node.lineno}" for name in used if name in names]
     assert found == []
+
+
+def test_homological_leaves_homology_to_the_one_primitive():
+    # Tor and Ext read their dimensions and classes from modules.Homology,
+    # which checks d o d = 0 on every pair it builds; ranks or kernels taken
+    # in homological would compute homology beside it, unchecked
+    names = {"rank", "rref", "kernel_basis", "extend_basis", "quotient_projection",
+             "solve_many"}
+    path = Path(syzkit.__file__).parent / "homological.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            found += [f"{path.name}:{node.lineno}" for a in node.names if a.name in names]
+        elif (isinstance(node, ast.Attribute) and node.attr in names
+              and getattr(node.value, "id", None) == "linalg"):
+            found.append(f"{path.name}:{node.lineno}")
+    assert found == []
