@@ -14,9 +14,12 @@ every dimension by the shift; reports carry the top of that window.
 Tor and Ext are the homology (`modules.Homology`) of F (x) N and of
 C_k = Hom(F_{-k}, N), for F the minimal free resolution of M; both complexes
 take their differentials from one builder, `_with_n`, which also serves the
-pushout's cocycle check.  They refuse modules over different rings, and a
-resolution that is not of M or does not know F_{i+1}; the resolution is
-read only through `module`, `gen_degrees`, `diff` and `window`.
+pushout's cocycle check.  Tor_i as a module reads the same homology, R
+acting on F_i (x) N, a free sum of copies of N, through `freemod.act`, so
+`check_depth_formula` builds one homology for Tor and for Tor_q.  They
+refuse modules over different rings, and a resolution that is not of M or
+does not know F_{i+1}; the resolution is read only through `module`,
+`gen_degrees`, `diff` and `window`.
 """
 
 import math
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import freemod
 from .errors import SyzkitError, WindowError
-from .linalg import matmul, matvec
+from .linalg import matvec
 from .modules import (
     GradedModule,
     Homology,
@@ -119,6 +122,11 @@ def tor(m, n, window, res=None):
     if window < 0:
         raise WindowError(f"Tor needs a window >= 0, got {window}")
     res, homology = _homology(m, n, res, window + 1, f"Tor up to degree {window}", False)
+    return _tor_profile(res, homology, n, window)
+
+
+def _tor_profile(res, homology, n, window):
+    """`tor` read from the homology of F (x) N."""
     degrees = _tensor_window(res, n, window)
     dims = [{d: h for d in range(degrees.low, degrees.top + 1) if (h := homology.dim(i, d))}
             for i in range(window + 1)]
@@ -133,26 +141,7 @@ def tor(m, n, window, res=None):
             if q <= onset + period and window >= onset + 2 * period + 1:
                 rigor = "periodic-tail"
     internal_bound = math.inf if degrees.certified == degrees.top else degrees.top
-    return TorProfile(dims, window, internal_bound, q, rigor, m.ring.degree_bound)
-
-
-def _act_on_tensor(res, n_mod, i, e, a, x):
-    """Every basis monomial of R_e times the chains x in (F_i (x) N)_a, as
-    the columns (j, x): R acts on F_i (x) N blockwise by N's stacked
-    actions, so each generator of F_i takes one product."""
-    p = n_mod.ring.char
-    gens = res.gen_degrees(i)
-    sdims = [n_mod.dim(a - g) for g in gens]
-    tdims = [n_mod.dim(a + e - g) for g in gens]
-    de, r = n_mod.ring.dim(e), x.shape[1]
-    reps = np.split(x, np.cumsum(sdims)[:-1])  # one row block per generator
-    blocks = {}
-    for b, g in enumerate(gens):
-        if sdims[b] and tdims[b]:
-            acts = n_mod.action_matrix(e, a - g).transpose(1, 0, 2)  # t, j, s
-            prod = matmul(acts.reshape(tdims[b] * de, sdims[b]), reps[b], p)
-            blocks[(b, 0)] = prod.reshape(tdims[b], de * r)
-    return freemod.block_matrix(tdims, [de * r], blocks)
+    return TorProfile(dims, window, internal_bound, q, rigor, res.ring.degree_bound)
 
 
 def tor_as_module(m, n, i, res=None):
@@ -162,11 +151,20 @@ def tor_as_module(m, n, i, res=None):
     presentation from the homology subquotient (generators degree-ascending,
     relations through the same certified kernel machinery as resolutions).
     """
+    if i < 0:
+        raise SyzkitError(f"Tor_{i} as a module needs an index >= 0")
     if i == 0:
         return tensor_presentation(m, n)
-    ring = m.ring
     res, homology = _homology(m, n, res, i + 1, f"Tor_{i} as a module", False)
-    spaces = homology.module(i, partial(_act_on_tensor, res, n, i))
+    return _tor_module(res, homology, n, i)
+
+
+def _tor_module(res, homology, n, i):
+    """`tor_as_module` for i >= 1, read from the homology of F (x) N: R acts
+    on F_i (x) N, the free sum of N(-g), through `freemod.act`."""
+    ring = res.ring
+    spaces = homology.module(i, partial(freemod.act, ring, n.dim, n.action_matrix,
+                                        res.gen_degrees(i)))
     degrees = _tensor_window(res, n, i)
     mingens = minimal_generators_in(spaces, degrees.low, degrees.top)
     if not mingens:
@@ -441,7 +439,8 @@ def check_depth_formula(m, n, window=8, search_reduction=False, seed=0):
     and recorded, never checked.  When q >= 1 the check refuses to run on a
     non-rigorous q.  A window below 1 computes no Tor_i with i >= 1, so it
     cannot tell q = 0 from q >= 1 and is refused.  M is resolved once, to
-    window + 1, for both Tor and the module structure of Tor_q.
+    window + 1, and one homology of F (x) N serves both Tor and the module
+    structure of Tor_q.
     """
     if window < 1:
         raise WindowError(f"the depth formula needs a window >= 1, got {window}")
@@ -449,8 +448,8 @@ def check_depth_formula(m, n, window=8, search_reduction=False, seed=0):
         raise SyzkitError("the depth formula needs modules over a common ring")
     if m.is_zero() or n.is_zero():
         raise SyzkitError("depth formula needs nonzero modules")
-    res = resolve(m, window + 1)
-    profile = tor(m, n, window, res=res)
+    res, homology = _homology(m, n, None, window + 1, f"Tor up to degree {window}", False)
+    profile = _tor_profile(res, homology, n, window)
     q = profile.q
     if q >= 1 and not profile.rigorous:
         raise SyzkitError(
@@ -460,7 +459,7 @@ def check_depth_formula(m, n, window=8, search_reduction=False, seed=0):
     dm = depth(m).depth
     dn = depth(n).depth
     da = depth_of_ring(m.ring).depth
-    tq = tor_as_module(m, n, q, res=res)
+    tq = _tor_module(res, homology, n, q) if q else tensor_presentation(m, n)
     dtq = depth(tq).depth
     lhs = dm + dn
     rhs = da + dtq - q

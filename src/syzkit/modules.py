@@ -7,9 +7,9 @@ multiples of the relations, with a deterministic coordinate basis
 (non-pivot coordinates) and a projection matrix.  The ring action is
 recovered degreewise through representatives, for all of R_e at once:
 `action_matrix(e, a)` is the (dim R_e, dim M_{a+e}, dim M_a) stack whose
-j-th slice is the j-th basis monomial of R_e, one exact product per
-generator block, and an element of R_e acts by one product of its
-coordinate row with the flattened stack.
+j-th slice is the j-th basis monomial of R_e, `freemod.act` on the
+representatives projected onto M_{a+e}, and an element of R_e acts by one
+product of its coordinate row with the flattened stack.
 
 Components that must vanish are not eliminated: M is generated in
 degrees <= max(gen_degrees) and R in degree 1, so above the top generator
@@ -42,7 +42,6 @@ from .linalg import (
     identity,
     kernel_basis,
     matmul,
-    matvec,
     quotient_projection,
     rank,
     solve,
@@ -107,32 +106,18 @@ class GradedModule:
     def action_matrix(self, e, a):
         """Multiplication by every basis monomial of R_e, M_a -> M_{a+e}:
         the (dim R_e, dim M_{a+e}, dim M_a) stack whose j-th slice is the
-        j-th monomial's matrix."""
+        j-th monomial's matrix, read through `freemod.act` on the
+        representatives of M_a (the identity columns at its standard
+        coordinates) and projected onto M_{a+e}."""
         key = (e, a)
         if key not in self._action:
-            ring = self.ring
-            de, dt = ring.dim(e), self.dim(a + e)
-            # representatives of M_a are the standard coordinates _space(a)[0]
-            # (ascending); multiply only those.  The representatives on one
-            # generator fill one row block of the flat result, whose columns
-            # are (j, t), with one product
-            reps = np.asarray(self._space(a)[0], dtype=np.intp)
-            so = freemod.component_offsets(ring, self.gen_degrees, a)
-            to = freemod.component_offsets(ring, self.gen_degrees, a + e)
-            cuts = np.searchsorted(reps, so).tolist()  # reps[cuts[b]:cuts[b + 1]] are on b
-            blocks = {}
-            for b, g in enumerate(self.gen_degrees):
-                lo, hi = cuts[b], cuts[b + 1]
-                if not de * dt or lo == hi or to[b] == to[b + 1]:
-                    continue
-                mults = ring.mult_maps(e, a - g).transpose(2, 0, 1)[reps[lo:hi] - so[b]]
-                prod = matmul(mults.reshape((hi - lo) * de, mults.shape[2]),
-                              self.proj(a + e)[:, to[b]:to[b + 1]].T, ring.char)
-                blocks[(b, 0)] = prod.reshape(hi - lo, de * dt)
-            flat = freemod.block_matrix([hi - lo for lo, hi in zip(cuts, cuts[1:])],
-                                        [de * dt], blocks)
+            ring, reps = self.ring, self._space(a)[0]
+            amb = freemod.component_dim(ring, self.gen_degrees, a)
+            x = (np.arange(amb)[:, None] == np.asarray(reps, dtype=np.intp)).astype(np.int64)
+            free = freemod.act(ring, ring.dim, ring.mult_maps, self.gen_degrees, e, a, x)
+            flat = matmul(self.proj(a + e), free, ring.char)
             self._action[key] = np.ascontiguousarray(
-                flat.reshape(len(reps), de, dt).transpose(1, 2, 0))
+                flat.reshape(self.dim(a + e), ring.dim(e), len(reps)).transpose(1, 0, 2))
         return self._action[key]
 
     def action_by_ring_vector(self, rvec, e, a):
@@ -213,20 +198,14 @@ def generator_matrix(space, gens, d):
     """Degree-d matrix of the free cover on gens = [(degree, vector)].
 
     Column (b, j) is the j-th basis monomial of R_{d - g_b} acting on the
-    b-th generator; rows are the coordinates of X_d.  `space` needs
-    `.ring`, `.dim(d)` and `.action_matrix(e, a)`.
+    b-th generator, `freemod.act` on the one-generator sum X(0); rows are
+    the coordinates of X_d.  `space` needs `.ring`, `.dim(d)` and
+    `.action_matrix(e, a)`.
     """
     ring = space.ring
-    rows = space.dim(d)
-    cols = [ring.dim(d - g) for g, _ in gens]
-    blocks = {}
-    for b, (g, w) in enumerate(gens):
-        if cols[b]:
-            # all monomials of R_{d-g} at once: one product with the stacked actions
-            stacked = space.action_matrix(d - g, g)
-            flat = stacked.reshape(cols[b] * rows, stacked.shape[2])
-            blocks[(0, b)] = matvec(flat, w, ring.char).reshape(cols[b], rows).T
-    return freemod.block_matrix([rows], cols, blocks)
+    cols = [freemod.act(ring, space.dim, space.action_matrix, (0,), d - g, g, w.reshape(-1, 1))
+            for g, w in gens]
+    return np.concatenate([zeros(space.dim(d), 0), *cols], axis=1)
 
 
 class Homology:

@@ -23,12 +23,10 @@ d o d = 0 the next differential maps into ker_d, so `resolve` hands each
 step's free rows to the next, whose null space in degree d is taken on
 those rows only; by exactness they have full rank there, which is checked
 (degrees the previous step did not scan use the whole matrix).  The span
-of m * ker_{d-1} is built on the free rows too, one product per generator
-block of the stacked `ring.mult_maps(1, .)` (multiplication by a variable
-acts blockwise on a free module).  When its rank is the number of free
-rows nothing is new; otherwise the generators are the columns of the
-identity that extend it, the same columns that extending inside the whole
-component would pick.
+of m * ker_{d-1} is built on the free rows too, by `freemod.act`.  When
+its rank is the number of free rows nothing is new; otherwise the
+generators are the columns of the identity that extend it, the same
+columns that extending inside the whole component would pick.
 
 Completeness of a kernel is certified, not assumed, by the ring's degree
 window (`rings.TruncatedQuotientRing.degree_window`), counted in ring
@@ -66,7 +64,7 @@ from . import freemod
 from .chainsolve import certify_periodicity
 from .complexes import FreeComplex, coker_module
 from .errors import SyzkitError, WindowError
-from .linalg import _null_space, extend_basis, identity, matmul, matvec, rank
+from .linalg import _null_space, extend_basis, identity, matvec, rank
 from .modules import Homology, generator_matrix
 
 
@@ -107,31 +105,6 @@ class FreeResolution(FreeComplex):
                 if matvec(cover_at_g, col, self.ring.char).any():
                     return False
         return self.verify()
-
-
-def _mult_span_rows(ring, src_degs, d, prev, rows):
-    """Rows `rows` (ascending) of the span of R_1 * prev in the degree-d
-    component of the free module src_degs; prev lives in degree d - 1.
-
-    A variable acts on each generator's block by ring.mult_maps(1, .), so
-    each generator needs one product: its stack of variable
-    multiplications, cut to the wanted rows, times its block of prev.
-    Columns are ordered variable-major.
-    """
-    p, nvars, r = ring.char, ring.dim(1), prev.shape[1]
-    rows = np.asarray(rows, dtype=np.int64)
-    to = freemod.component_offsets(ring, src_degs, d)
-    cuts = np.searchsorted(rows, to).tolist()  # rows[cuts[b]:cuts[b + 1]] are on b
-    blocks = {}
-    for b, (g, piece) in enumerate(zip(src_degs, freemod.pieces(ring, src_degs, d - 1, prev))):
-        lo, hi = cuts[b], cuts[b + 1]
-        if lo == hi or not piece.shape[0]:
-            continue
-        local = rows[lo:hi] - to[b]
-        stacked = ring.mult_maps(1, d - 1 - g).transpose(1, 0, 2)[local]  # row, variable, col
-        prod = matmul(stacked.reshape((hi - lo) * nvars, piece.shape[0]), piece, p)
-        blocks[(b, 0)] = prod.reshape(hi - lo, nvars * r)
-    return freemod.block_matrix([hi - lo for lo, hi in zip(cuts, cuts[1:])], [nvars * r], blocks)
 
 
 def kernel_generators(ring, src_degs, matrix_at, low, rows=None):
@@ -176,7 +149,7 @@ def kernel_generators(ring, src_degs, matrix_at, low, rows=None):
         if prev is None:  # nothing below to extend: every kernel vector is new
             chosen = range(len(free))
         else:
-            span = _mult_span_rows(ring, src_degs, d, prev, free)
+            span = freemod.act(ring, ring.dim, ring.mult_maps, src_degs, 1, d - 1, prev, free)
             chosen = []
             if rank(span, ring.char) < len(free):
                 chosen = extend_basis(span, identity(len(free)), ring.char)
@@ -229,6 +202,8 @@ def resolve(module, n_max):
 
 def syzygy(res, t):
     """The t-th syzygy module presented by the resolution (t=0 gives the module)."""
+    if t < 0:
+        raise SyzkitError(f"syzygy {t} needs an index >= 0")
     if t == 0:
         return res.module
     res.require(t + 1, f"syzygy {t}")

@@ -275,3 +275,63 @@ def test_chain_system_matches_the_term_by_term_reference(p, monkeypatch):
                 assert basis.shape[0] == unknowns.total
                 solved += 1
     assert solved == 9 + 4
+
+
+def reference_act(ring, dim, monomial, gen_degrees, e, a, x, rows):
+    """freemod.act in Python integers, one monomial at a time: column
+    (j, k) on generator b is monomial(e, j, a - g_b), the matrix of the
+    j-th basis monomial of R_e on X_{a - g_b}, times the piece of column k
+    of x on b."""
+    p, de, r = ring.char, ring.dim(e), x.shape[1]
+    so = [0]
+    to = [0]
+    for g in gen_degrees:
+        so.append(so[-1] + dim(a - g))
+        to.append(to[-1] + dim(a + e - g))
+    out = [[0] * (de * r) for _ in range(to[-1])]
+    for b, g in enumerate(gen_degrees):
+        if so[b] == so[b + 1] or to[b] == to[b + 1]:
+            continue
+        for j in range(de):
+            mat = monomial(e, j, a - g).tolist()
+            for k in range(r):
+                piece = [int(v) for v in x[so[b]:so[b + 1], k]]
+                for t, row in enumerate(mat):
+                    out[to[b] + t][j * r + k] = sum(int(m) * v for m, v in zip(row, piece)) % p
+    return out if rows is None else [out[i] for i in rows]
+
+
+@pytest.mark.parametrize("p", [2, 32003, 2**31 - 1])
+def test_act_matches_a_python_integer_reference(p):
+    from syzkit.freemod import act
+    from syzkit.modules import module_from_strings
+
+    # dims 1, 2, 2, 1, 0, ...: R_e = 0 from e = 4 on
+    ring = ring_from_strings(p, ["x", "y"], ["x^2 + 3*x*y", "y^3"], degree_bound=8)
+    assert ring.hilbert_function(5) == [1, 2, 2, 1, 0, 0]
+    module = module_from_strings(ring, [0, 1], [["x*y", "y"]])
+    spaces = {
+        "R": (ring.dim, ring.mult_maps, ring.mult_map),
+        "M": (module.dim, module.action_matrix,
+              lambda e, j, a: module.action_matrix(e, a)[j]),
+    }
+    # two equal degrees, a negative one, and one whose block is empty
+    # below degree 3
+    gen_degrees = (1, 1, -1, 3)
+    gen = np.random.default_rng(p % 1009)
+    checked = 0
+    for name, (dim, stacks, monomial) in spaces.items():
+        for a in range(-1, 4):
+            for e in (0, 1, 2, 4):
+                src = sum(dim(a - g) for g in gen_degrees)
+                tgt = sum(dim(a + e - g) for g in gen_degrees)
+                x = gen.integers(0, p, size=(src, 3))
+                subset = [i for i in range(tgt) if gen.integers(2)][: max(tgt - 1, 0)]
+                for rows in (None, subset, []):
+                    got = act(ring, dim, stacks, gen_degrees, e, a, x, rows)
+                    want = reference_act(ring, dim, monomial, gen_degrees, e, a, x, rows)
+                    assert got.dtype == np.int64
+                    assert got.shape == (tgt if rows is None else len(rows), ring.dim(e) * 3)
+                    assert got.tolist() == want, (name, a, e, rows)
+                    checked += bool(got.any())
+    assert checked > 20

@@ -433,6 +433,58 @@ def test_depth_formula_resolves_m_once_for_tor_and_tor_q(monkeypatch):
     ]
 
 
+def test_depth_formula_builds_each_tor_matrix_once(monkeypatch):
+    # Tor and the module structure of Tor_q read one homology of F (x) N,
+    # so no matrix of it is built twice; over F_3[x,y]/(xy) with
+    # M = R/(x+y), N = R/(x^2) and q = 1, a second homology for Tor_q
+    # built 25 of the 117 matrices again
+    from collections import Counter
+
+    from syzkit import homological
+
+    r = xy_ring()
+    m = module_from_strings(r, [0], [["x + y"]])
+    n = module_from_strings(r, [0], [["x^2"]])
+    built = Counter()
+    real = homological._with_n
+
+    def counted(res, i, n_mod, d, hom):
+        built[(i, d, hom)] += 1
+        return real(res, i, n_mod, d, hom)
+
+    monkeypatch.setattr(homological, "_with_n", counted)
+    report = check_depth_formula(m, n, window=8)
+    assert len(built) == 117
+    assert set(built.values()) == {1}
+    assert report.lines() == [
+        ("depth_m", 0), ("depth_n", 0), ("depth_ring", 1), ("q", 1),
+        ("rigor", "finite-pd"), ("depth_tor_q", 0), ("lhs", 0), ("rhs", 0),
+        ("verdict", "true"), ("windows", "homological=8,internal=12"),
+    ]
+    assert report.annotations[1:] == [
+        "q = 1 >= 1 with depth Tor_q = 0",
+        "depth Tor_q <= 1 case",
+        "M has finite projective dimension, so its upper reducing degree is "
+        "infinite (>= 2 in particular)",
+    ]
+
+
+def test_a_negative_tor_index_is_refused():
+    r = xy_ring()
+    m = module_from_strings(r, [0], [["x"]])
+    with pytest.raises(SyzkitError, match="Tor_-1 as a module needs an index >= 0"):
+        tor_as_module(m, residue_field(r), -1)
+
+
+def test_a_negative_syzygy_index_is_refused():
+    # before, syzygy(res, -1) returned the zero module
+    from syzkit.resolutions import syzygy
+
+    m = module_from_strings(xy_ring(), [0], [["x"]])
+    with pytest.raises(SyzkitError, match="syzygy -1 needs an index >= 0"):
+        syzygy(resolve(m, 3), -1)
+
+
 def test_depth_formula_checks_the_common_ring_before_resolving(monkeypatch):
     from syzkit import homological
 

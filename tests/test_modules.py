@@ -242,8 +242,8 @@ def test_homology_actions_match_the_per_monomial_reference():
     # N's free multiplications
     from functools import partial
 
-    from syzkit.freemod import block_matrix
-    from syzkit.homological import _act_on_tensor, _homology, _with_n
+    from syzkit.freemod import act, block_matrix
+    from syzkit.homological import _homology, _with_n
     from syzkit.linalg import matmul, solve_many
     from syzkit.modules import generator_matrix, minimal_generators_in
     from syzkit.resolutions import resolve
@@ -253,7 +253,7 @@ def test_homology_actions_match_the_per_monomial_reference():
     m = module_from_strings(r, [0], [["x"]])
     n = module_from_strings(r, [0], [["x"]])
     res, homology = _homology(m, n, resolve(m, 2), 2, "Tor_1", False)
-    spaces = homology.module(1, partial(_act_on_tensor, res, n, 1))
+    spaces = homology.module(1, partial(act, r, n.dim, n.action_matrix, res.gen_degrees(1)))
     gens = res.gen_degrees(1)
 
     def monomial_action(e, j, a):

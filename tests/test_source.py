@@ -186,3 +186,19 @@ def test_homological_leaves_homology_to_the_one_primitive():
               and getattr(node.value, "id", None) == "linalg"):
             found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_freemod_acts_on_free_sums():
+    # freemod.act multiplies a free sum of copies of R or of a module by
+    # R_e, one product per generator block; a call to the stacked tables
+    # anywhere else acts blockwise by hand.  rings builds ring.mult_maps and
+    # modules builds action_matrix, so each may call its own
+    owners = {"mult_maps": {"rings", "freemod"}, "action_matrix": {"modules", "freemod"}}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and path.stem not in owners.get(getattr(node.func, "attr", None), {path.stem})
+    ]
+    assert found == []
