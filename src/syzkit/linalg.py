@@ -20,7 +20,9 @@ rows are gathered and scattered there through flat indices, with the same
 result.  Matrices of at most `_SPARSE_MIN_CELLS` cells skip that pattern
 work.  `rref` clears above and below every pivot; `coset_complement` and
 `extend_basis` read only the pivots and clear below each one only, which
-gives the same pivots with less work.
+gives the same pivots with less work.  `rref_stack` gives the RREF of
+rows stacked under rows that already have unit leads in distinct columns,
+and eliminates only what those rows leave over.
 
 `rank` first peels structural pivots off the nonzero pattern, as in
 structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO 1990;
@@ -74,11 +76,6 @@ def zeros(rows, cols):
 
 def identity(n):
     return np.eye(n, dtype=np.int64)
-
-
-def as_matrix(data, p):
-    """Coerce nested lists / arrays to a reduced mod-p matrix."""
-    return np.asarray(data, dtype=np.int64) % p
 
 
 def _product_mod(a, b, p, bound):
@@ -180,6 +177,52 @@ def rref(mat, p):
     return a, pivots, len(pivots)
 
 
+def _back_solve(top, leads, free, p):
+    """The free columns of top's rows, each row reduced at every lead but
+    its own.  Row i depends on row j when it is nonzero at j's lead; the
+    rows whose dependencies are all reduced are reduced together, one
+    `matmul` per level."""
+    t = top[:, leads]
+    x = top[:, free]
+    waiting = t != 0
+    np.fill_diagonal(waiting, False)
+    done = ~waiting.any(axis=1)
+    while not done.all():
+        level = np.flatnonzero(~done & ~(waiting & ~done).any(axis=1))
+        below = np.flatnonzero(done)
+        x[level] = (x[level] - matmul(t[level][:, below], x[below], p)) % p
+        done[level] = True
+    return x
+
+
+def rref_stack(top, mat, p):
+    """`rref` of the stack [top; mat] of reduced matrices, for a `top` whose
+    rows have unit leading entries in distinct columns.  As in the A/B/C/D
+    split of Faugere & Lachartre (PASCO 2010), only the free columns (no
+    lead of top) are computed on: top is back-solved, mat is reduced against
+    it in one `matmul`, the nonzero rows left over are eliminated, and their
+    pivots are cleared from top's rows.  An empty top is `rref(mat, p)`."""
+    if not len(top):
+        return rref(mat, p)
+    cols = mat.shape[1]
+    leads = (top != 0).argmax(axis=1)
+    is_lead = np.zeros(cols, dtype=bool)
+    is_lead[leads] = True
+    free = np.flatnonzero(~is_lead)
+    x = _back_solve(top, leads, free, p)
+    left = (mat[:, free] - matmul(mat[:, leads], x, p)) % p
+    new, new_pivots = _eliminate(left[left.any(axis=1)], p, True)
+    new = new[:len(new_pivots)]
+    x = (x - matmul(x[:, new_pivots], new, p)) % p
+    pivots = np.concatenate([leads, free[new_pivots]])
+    order = np.argsort(pivots)
+    pivots, rk = pivots[order], len(pivots)
+    r = zeros(len(top) + len(mat), cols)
+    r[:rk, free] = np.concatenate([x, new])[order]
+    r[np.arange(rk), pivots] = 1
+    return r, pivots.tolist(), rk
+
+
 def _peel(nz, row_count, col_count, cols):
     """Remove the singleton columns `cols` of the pattern nz, and the rows
     that hold their nonzeros; returns the number of distinct rows removed.
@@ -229,12 +272,17 @@ def _non_pivots(n, pivots):
 
 def _null_space(mat, p):
     """(basis, free): the columns of basis span the right null space of mat,
-    and basis[free] is the identity.
+    and basis[free] is the identity (`rref_null_space` of rref(mat))."""
+    return rref_null_space(*rref(mat, p), p)
 
-    free lists the non-pivot columns of rref(mat); the column for free
-    column j has 1 at j and -R[i, j] at the i-th pivot column.
+
+def rref_null_space(r, pivots, rk, p):
+    """(basis, free) from an RREF (R, pivot_columns, rank): the columns of
+    basis span the right null space of R, and basis[free] is the identity.
+
+    free lists the non-pivot columns; the column for free column j has 1
+    at j and -R[i, j] at the i-th pivot column.
     """
-    r, pivots, rk = rref(mat, p)
     free = _non_pivots(r.shape[1], pivots)
     basis = zeros(r.shape[1], len(free))
     basis[free, range(len(free))] = 1

@@ -5,8 +5,15 @@ explicit degree bound D.  A ``TruncatedQuotientRing`` R = S/I carries, for
 each degree d <= D, a chosen monomial basis of R_d (the non-pivot
 coordinates of the ideal component inside S_d) and normal-form matrices;
 multiplication of basis elements reduces to normal forms of products of
-monomials.  Normal forms come from degreewise row reduction of I_d, not
+monomials.  Normal forms come from the RREF of I_d in each degree, not
 Groebner bases, so arbitrary homogeneous ideals are supported.
+
+Each degree starts from the one below, as in the symbolic preprocessing of
+Faugere's F4 (J. Pure Appl. Algebra 1999): lex is multiplicative, so x_k
+times a row of RREF(I_{d-1}) leads at x_k times its lead.  One such row per
+lead, stacked over the whole Macaulay matrix of I_d, goes to
+`linalg.rref_stack`; what the rows leave over holds the new pivots, so no
+pivot can be missed, and the RREF (hence every table) is unchanged.
 
 Multiplication tables are stacked: `mult_maps(e, a)` is the
 (dim R_e, dim R_{a+e}, dim R_a) array whose j-th slice is multiplication
@@ -27,7 +34,7 @@ import numpy as np
 
 from . import polynomials as poly
 from .errors import DegreeBoundError, HomogeneityError, SyzkitError
-from .linalg import matmul, matvec, quotient_projection, zeros
+from .linalg import matmul, matvec, rref_null_space, rref_stack, zeros
 
 DEFAULT_DEGREE_BOUND = 12
 MARGIN = 2  # ring degrees below the bound in which nothing new may appear
@@ -84,6 +91,14 @@ class PolyRing:
             self._bases[d] = poly.monomials_of_degree(self.nvars, d)
         return self._bases[d]
 
+    def exponents(self, d):
+        """`monomial_basis(d)` as an int64 array, one row per monomial."""
+        key = ("exps", d)
+        if key not in self._bases:
+            mons = self.monomial_basis(d)
+            self._bases[key] = np.array(mons, dtype=np.int64).reshape(-1, self.nvars)
+        return self._bases[key]
+
     def monomial_index(self, d):
         key = ("idx", d)
         if key not in self._bases:
@@ -139,10 +154,11 @@ class TruncatedQuotientRing:
         self.vars = base.vars
         self.degree_bound = base.degree_bound
         self.ideal_gens = list(ideal_gens)
-        for g in self.ideal_gens:
-            dg = poly.poly_degree(g)
-            if dg is None or dg == 0:
-                raise SyzkitError("ideal generators must be homogeneous of positive degree")
+        for k, g in enumerate(self.ideal_gens, 1):
+            if not any(c % self.char for c in g.values()):
+                raise SyzkitError(f"relation {k} is zero mod {self.char}")
+            if poly.poly_degree(g) == 0:
+                raise SyzkitError(f"relation {k} is a nonzero constant: a unit")
         self._degree_data = {}
         self._max_computed = -1
         self._first_zero = None
@@ -153,11 +169,30 @@ class TruncatedQuotientRing:
     # -- per-degree structure ------------------------------------------------
 
     def _compute_degree(self, d):
-        span = self.ideal_component(d)
-        basis_idx, nf = quotient_projection(span, self.base.dim(d), self.char)
-        self._degree_data[d] = (basis_idx, nf)
-        if not basis_idx and self._first_zero is None:
+        echelon = rref_stack(self._shifted_rows(d), self.ideal_component(d).T, self.char)
+        basis, free = rref_null_space(*echelon, self.char)
+        self._degree_data[d] = (free, np.ascontiguousarray(basis.T))
+        if not free and self._first_zero is None:
             self._first_zero = d
+
+    def _shifted_rows(self, d):
+        """One row x_k * b of I_d for each distinct lead x_k * lead(b), b
+        running over the rows of RREF(I_{d-1}): b is 1 at its lead, the
+        negated normal form of that lead on the basis of R_{d-1}, and 0
+        elsewhere.  Lex is multiplicative, so x_k * b leads at x_k * lead(b)."""
+        if d == 0 or self.dim(d - 1) == self.base.dim(d - 1):  # I_{d-1} = 0
+            return zeros(0, self.base.dim(d))
+        free, nf = self._degree_data[d - 1]
+        pivots = np.setdiff1d(np.arange(nf.shape[1]), free, assume_unique=True)
+        shift = np.eye(self.base.nvars, dtype=np.int64)[:, None]
+        at = self.base.monomial_positions(self.base.exponents(d - 1) + shift, d)  # x_k m
+        leads, first = np.unique(at[:, pivots], return_index=True)
+        k, i = np.divmod(first, len(pivots))  # x_k times the row of the i-th pivot
+        rows = zeros(len(leads), self.base.dim(d))
+        each = np.arange(len(leads))
+        rows[each[:, None], at[k[:, None], free]] = -nf[:, pivots[i]].T % self.char
+        rows[each, leads] = 1
+        return rows
 
     def _ensure(self, d):
         if d in self._degree_data:
@@ -187,7 +222,7 @@ class TruncatedQuotientRing:
                 continue
             terms = np.array(list(g), dtype=np.int64)
             coeffs = np.array(list(g.values()), dtype=np.int64) % self.char
-            shifts = np.array(self.base.monomial_basis(d - e), dtype=np.int64)
+            shifts = self.base.exponents(d - e)
             at = self.base.monomial_positions(terms[:, None] + shifts, d)  # term x shift
             block = zeros(self.base.dim(d), len(shifts))
             block[at, np.arange(len(shifts))] = coeffs[:, None]

@@ -305,6 +305,23 @@ def test_exit_code_ring_without_variables(tmp_path, capsys):
                            "a polynomial ring needs at least one variable\n")
 
 
+@pytest.mark.parametrize("char, relation, error", [
+    (3, "3*x^2", "relation 2 is zero mod 3"),
+    (5, "x^2 - x^2", "relation 2 is zero mod 5"),
+    (5, "2", "relation 2 is a nonzero constant: a unit"),
+])
+def test_exit_code_zero_or_constant_relation(tmp_path, capsys, char, relation, error):
+    # the refusal names the relation and its fault, not homogeneity
+    (tmp_path / "r.ring").write_text(
+        f'ring {{ char = {char}; vars = [x, y]; relations = ["y^2", "{relation}"] }}')
+    (tmp_path / "m.module").write_text(
+        'module { ring = "r.ring"; generators = [0]; relations = [["x"]] }')
+    assert cli.main(["resolve", str(tmp_path / "m.module"), "--machine"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"parse error: {tmp_path}{os.sep}r.ring: {error}\n"
+
+
 def test_exit_code_tor_negative_window():
     out = run_cli("tor", fx("ci2_k.module"), fx("ci2_k.module"),
                   "--window", "-1", "--machine")

@@ -5,6 +5,11 @@ from hypothesis import given, settings, strategies as st
 from syzkit import linalg
 
 
+def _mat(rows, p):
+    """A reduced mod-p matrix from nested lists."""
+    return np.array(rows, dtype=np.int64) % p
+
+
 def test_rref_identity_f5():
     ident = linalg.identity(2)
     r, pivots, rk = linalg.rref(ident, 5)
@@ -23,9 +28,9 @@ def test_rref_zero_matrix():
 
 def test_rref_rank_one_f5():
     # hand row reduction: R2 -= 2*R1
-    m = linalg.as_matrix([[1, 2], [2, 4]], 5)
+    m = _mat([[1, 2], [2, 4]], 5)
     r, pivots, rk = linalg.rref(m, 5)
-    assert np.array_equal(r, linalg.as_matrix([[1, 2], [0, 0]], 5))
+    assert np.array_equal(r, _mat([[1, 2], [0, 0]], 5))
     assert pivots == [0]
     assert rk == 1
 
@@ -42,7 +47,7 @@ def test_kernel_zero_map():
 
 def test_kernel_sum_f2():
     # solve x + y = 0 over F_2
-    k = linalg.kernel_basis(linalg.as_matrix([[1, 1]], 2), 2)
+    k = linalg.kernel_basis(_mat([[1, 1]], 2), 2)
     assert k.shape == (2, 1)
     assert np.array_equal(k[:, 0], np.array([1, 1]))
 
@@ -59,7 +64,7 @@ def test_solve_zero_matrix_inconsistent():
 
 def test_solve_scalar_f5():
     # 2 * 4 = 8 = 3 mod 5
-    v = linalg.solve(linalg.as_matrix([[2]], 5), np.array([3]), 5)
+    v = linalg.solve(_mat([[2]], 5), np.array([3]), 5)
     assert v is not None and v[0] == 4
 
 
@@ -80,14 +85,14 @@ def test_complement_of_zero():
 
 def test_complement_of_diagonal_line_f2():
     # rref pivot on coordinate 0, complement is e_1
-    sub = linalg.as_matrix([[1], [1]], 2)
+    sub = _mat([[1], [1]], 2)
     c = linalg.coset_complement(sub, 2, 2)
     assert c.shape == (2, 1)
     assert np.array_equal(c[:, 0], np.array([0, 1]))
 
 
 def test_quotient_projection_kills_span():
-    span = linalg.as_matrix([[1, 0], [1, 1], [0, 1]], 3)
+    span = _mat([[1, 0], [1, 1], [0, 1]], 3)
     idx, proj = linalg.quotient_projection(span, 3, 3)
     assert len(idx) == 1
     assert np.array_equal(linalg.matmul(proj, span, 3), linalg.zeros(1, 2))
@@ -98,8 +103,8 @@ def test_quotient_projection_kills_span():
 
 
 def test_extend_basis_picks_new_directions():
-    span = linalg.as_matrix([[1], [0], [0]], 5)
-    cand = linalg.as_matrix([[2, 0, 1], [0, 0, 1], [0, 0, 0]], 5)
+    span = _mat([[1], [0], [0]], 5)
+    cand = _mat([[2, 0, 1], [0, 0, 1], [0, 0, 0]], 5)
     chosen = linalg.extend_basis(span, cand, 5)
     assert chosen == [2]
 
@@ -169,8 +174,8 @@ P25 = 33554393
 
 
 def test_matmul_exact_at_largest_prime():
-    a = linalg.as_matrix([[P31 - 1] * 3], P31)
-    b = linalg.as_matrix([[P31 - 1]] * 3, P31)
+    a = _mat([[P31 - 1] * 3], P31)
+    b = _mat([[P31 - 1]] * 3, P31)
     assert linalg.matmul(a, b, P31).tolist() == [[3]]
 
 
@@ -193,7 +198,7 @@ def product_operands(draw):
 @given(product_operands())
 def test_matmul_matches_python_integers(operands):
     a, b, p = operands
-    out = linalg.matmul(linalg.as_matrix(a, p), linalg.as_matrix(b, p), p)
+    out = linalg.matmul(_mat(a, p), _mat(b, p), p)
     assert out.dtype == np.int64
     assert out.tolist() == _reference_product(a, b, p)
 
@@ -232,8 +237,8 @@ def matrix_any_prime(draw):
     inner = draw(st.integers(0, 3))
     seed = draw(st.integers(0, 10**6))
     rng = np.random.default_rng(seed)
-    left = linalg.as_matrix(rng.integers(0, p, size=(rows, inner)), p)
-    right = linalg.as_matrix(rng.integers(0, p, size=(inner, cols)), p)
+    left = _mat(rng.integers(0, p, size=(rows, inner)), p)
+    right = _mat(rng.integers(0, p, size=(inner, cols)), p)
     return linalg.matmul(left, right, p) if inner else linalg.zeros(rows, cols), p
 
 
@@ -321,7 +326,7 @@ def elimination_case(draw):
     else:
         data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
                              min_size=rows, max_size=rows))
-    return linalg.as_matrix(np.array(data, dtype=np.int64).reshape(rows, cols), p), p
+    return _mat(np.array(data, dtype=np.int64).reshape(rows, cols), p), p
 
 
 @settings(deadline=None, max_examples=200)
@@ -541,3 +546,55 @@ def test_solve_many_matches_column_by_column_solve(p):
         if outside is not None:
             with pytest.raises(ValueError, match="inconsistent"):
                 linalg.solve_many(a, np.concatenate([bs, outside], axis=1), p)
+
+
+# -- rref of echelon rows stacked on a matrix ---------------------------------
+
+def _unit_rows(leads, cols, p, rng, chain):
+    """Rows with a unit at each lead and zeros left of it, in shuffled order.
+    Right of the lead the entries are random and half of them zero; with
+    chain, a row is nonzero at no other lead than the next row's, so the
+    back-solve needs one level per lead."""
+    rows = np.zeros((len(leads), cols), dtype=np.int64)
+    for i, c in enumerate(leads):
+        rows[i, c] = 1
+        rows[i, c + 1:] = rng.integers(0, p, cols - c - 1) * (rng.random(cols - c - 1) < 0.5)
+        if chain:
+            rows[i, [c2 for c2 in leads if c2 > c]] = 0
+            if i + 1 < len(leads):
+                rows[i, leads[i + 1]] = rng.integers(1, p)
+    return rows[rng.permutation(len(leads))]
+
+
+# (columns, leads of E, leads of the residual, chain, M zero)
+STACK_CASES = {
+    "residual left of the leads": (12, [4, 7, 9], [1], False, False),
+    "residual between the leads": (12, [2, 8, 10], [5], False, False),
+    "residual right of the leads": (12, [0, 3, 5], [11], False, False),
+    "residual on every side": (12, [3, 6], [1, 4, 10], False, False),
+    "nothing new": (12, [1, 2, 6, 7], [], False, False),
+    "M zero": (12, [1, 2, 6], [], False, True),
+    "E empty": (12, [], [0, 5, 7], False, False),
+    "chain of depth 5": (14, [1, 3, 5, 7, 9, 11], [2, 13], True, False),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, P31])
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_rref_stack_is_the_rref_of_the_stack(p, case):
+    cols, leads, new, chain, zero = STACK_CASES[case]
+    rng = np.random.default_rng([p % 1000, len(case)])
+    top = _unit_rows(leads, cols, p, rng, chain)
+    residual = _unit_rows(new, cols, p, rng, False)
+    # M: combinations of E's rows and the residual's, then the residual itself
+    mixed = np.concatenate([top, residual])
+    mat = np.concatenate([linalg.matmul(rng.integers(0, p, (7, len(mixed))), mixed, p),
+                          residual])[rng.permutation(7 + len(new))]
+    if zero:
+        mat = linalg.zeros(5, cols)
+    r, pivots, rk = linalg.rref_stack(top, mat, p)
+    want, want_pivots, want_rk = linalg.rref(np.concatenate([top, mat]), p)
+    assert r.dtype == np.int64 and r.shape == want.shape
+    assert r.tolist() == want.tolist()
+    assert pivots == want_pivots == sorted(leads + new)
+    assert rk == want_rk

@@ -148,8 +148,12 @@ def test_build_quotient_rejects_bad_generators():
     s = PolyRing(2, ["x", "y"])
     with pytest.raises(HomogeneityError):
         ring_from_strings(2, ["x", "y"], ["x^2 + y"])
-    with pytest.raises(SyzkitError):
+    with pytest.raises(SyzkitError, match="relation 1 is a nonzero constant: a unit"):
         build_quotient(s, [{(0, 0): 1}])
+    # a zero relation, also one whose coefficients vanish mod p
+    for zero in ({}, {(1, 1): 2}):
+        with pytest.raises(SyzkitError, match="relation 2 is zero mod 2"):
+            build_quotient(s, [{(2, 0): 1}, zero])
 
 
 def test_algebra_tensor_hilbert_convolutions():
@@ -350,3 +354,90 @@ def test_hilbert_function_matches_a_groebner_basis(p):
         assert ring.hilbert_function(bound) == want, relations
         collapsed += want[-1] == 0
     assert collapsed >= 1
+
+
+# -- ring tables from the previous degree, against the from-scratch RREF -----
+
+def _form(gen, p, n, d, terms=None):
+    """A homogeneous form of degree d in n variables with coefficients in
+    1..p-1: every monomial, or `terms` random ones."""
+    mons = poly.monomials_of_degree(n, d)
+    if terms is not None:
+        mons = [mons[i] for i in gen.choice(len(mons), min(terms, len(mons)), replace=False)]
+    return {m: int(c) for m, c in zip(mons, gen.integers(1, p, len(mons)))}
+
+
+def _table_rings(p, gen):
+    """name -> (variables, generators, degree bound) of seeded rings."""
+    def x(n, *exps):
+        return {tuple(exps) + (0,) * (n - len(exps)): 1}
+
+    f = _form(gen, p, 3, 2)
+    return {
+        "one dense quadric": (3, [_form(gen, p, 3, 2)], 8),
+        "two dense quadrics": (4, [_form(gen, p, 4, 2), _form(gen, p, 4, 2)], 7),
+        "three dense quadrics": (4, [_form(gen, p, 4, 2) for _ in range(3)], 7),
+        "quadric and cubic": (3, [_form(gen, p, 3, 2, terms=3), _form(gen, p, 3, 3)], 9),
+        "monomial ideal": (3, [x(3, 2), x(3, 1, 1), x(3, 0, 0, 3), x(3, 0, 2, 2)], 8),
+        "linear relations": (4, [_form(gen, p, 4, 1), _form(gen, p, 4, 1),
+                                 _form(gen, p, 4, 2)], 8),
+        "collapses within D": (3, [x(3, 3), x(3, 0, 3), x(3, 0, 0, 3), _form(gen, p, 3, 2)], 8),
+        "relation above D": (2, [_form(gen, p, 2, 2, terms=2), _form(gen, p, 2, 7)], 6),
+        "repeated and proportional": (3, [f, f, {m: (p - 1) * c % p for m, c in f.items()},
+                                          _form(gen, p, 3, 3)], 8),
+    }
+
+
+def _new_pivot_degrees(r):
+    """Degrees d in which RREF(I_d) has a pivot outside x_k * (pivots of
+    I_{d-1})."""
+    out = []
+    for d in range(1, r.degree_bound + 1):
+        if r.dim(d) == 0 and r.dim(d - 1) == 0:
+            break
+        mons, below = r.base.monomial_basis(d), set(r.basis_monomials(d - 1))
+        shifted = {poly.monomial_mul(m, v) for m in r.base.monomial_basis(d - 1)
+                   if m not in below for v in r.base.monomial_basis(1)}
+        if set(mons) - set(r.basis_monomials(d)) - shifted:
+            out.append(d)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_ring_tables_match_the_from_scratch_rref(p):
+    from syzkit.linalg import quotient_projection
+
+    rings = _table_rings(p, np.random.default_rng(p % 1009))
+    for name, (n, gens, bound) in rings.items():
+        r = build_quotient(PolyRing(p, [f"x{i}" for i in range(n)], bound), gens)
+        for d in range(bound + 1):
+            want_idx, want_nf = quotient_projection(r.ideal_component(d), r.base.dim(d), p)
+            mons = r.base.monomial_basis(d)
+            assert r.basis_monomials(d) == [mons[i] for i in want_idx], (name, d)
+            assert r.nf_matrix(d).tolist() == want_nf.tolist(), (name, d)
+        if name == "quadric and cubic":
+            assert len(_new_pivot_degrees(r)) >= 3, _new_pivot_degrees(r)
+        if name == "collapses within D":
+            assert r.is_artinian_within_bound()
+
+
+def test_ring_tables_above_degree_four_eliminate_no_full_degree(monkeypatch):
+    # two dense quadrics in four variables get no new pivot from degree 5
+    # on: the rows shifted from below span I_d, and the elimination sees
+    # only the columns that carry no shifted lead
+    from syzkit import linalg
+
+    gen = np.random.default_rng(5)
+    r = build_quotient(PolyRing(32003, ["x", "y", "z", "w"], 10),
+                       [_form(gen, 32003, 4, 2), _form(gen, 32003, 4, 2)])
+    widths = []
+    eliminate = linalg._eliminate
+
+    def spy(mat, p, reduced):
+        widths.append(mat.shape[1])
+        return eliminate(mat, p, reduced)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    assert r.hilbert_function(10) == [1, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40]
+    assert widths  # the residual is still eliminated
+    assert not set(widths) & {r.base.dim(d) for d in range(5, 11)}
