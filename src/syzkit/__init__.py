@@ -49,7 +49,6 @@ from .homological import (
     ReductionSequence,
     TorProfile,
     check_depth_formula,
-    depth_lemma_check,
     ext_basis,
     pushout_extension,
     reduction_search,
@@ -61,7 +60,6 @@ from .complexes import (
     FreeComplex,
     coker_module,
     cone,
-    identity_chain_map,
     induced_chain_map,
     minimize_complex,
     tensor_many,

@@ -124,11 +124,13 @@ class FreeComplex:
             return 0
         return rank(d.scalar_block(), self.ring.char)
 
-    def minimal_betti(self, j):
-        """Rank of the j-th term of the minimal model (acyclic summands split)."""
-        if j > self.window - 1:
+    def minimal_bettis(self, w):
+        """Ranks of the terms 0..w-1 of the minimal model (acyclic summands
+        split); each scalar block is ranked once."""
+        if w > self.window:
             raise WindowError("minimal Betti needs the next differential")
-        return self.rank(j) - self.scalar_rank(j) - self.scalar_rank(j + 1)
+        units = [self.scalar_rank(j) for j in range(w + 1)]
+        return [self.rank(j) - units[j] - units[j + 1] for j in range(w)]
 
     def slice_window(self, w):
         """The same complex viewed only out to homological degree w."""
@@ -253,14 +255,6 @@ class ChainMap:
         if not out.verify():
             raise SyzkitError("restricted chain map fails the chain condition")
         return out
-
-
-def identity_chain_map(cx):
-    comps = [
-        freemod.FreeMap.identity(cx.ring, cx.gen_degrees(j))
-        for j in range(cx.window + 1)
-    ]
-    return ChainMap(cx, cx, 0, 0, comps)
 
 
 # -- tensor products ----------------------------------------------------------

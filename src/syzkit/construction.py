@@ -228,7 +228,7 @@ def run_construction(factors, etas, seed=0):
                 )
 
     cones = []
-    cone_bettis = [[product.minimal_betti(j) for j in range(w)]]
+    cone_bettis = [product.minimal_bettis(w)]
     maps_on_current = induced
     for i in range(c):
         cn = cone(maps_on_current[i])
@@ -245,7 +245,7 @@ def run_construction(factors, etas, seed=0):
                 ):
                     raise SyzkitError("cone-induced maps stopped commuting")
         cones.append(cn)
-        cone_bettis.append([cn.minimal_betti(j) for j in range(w)])
+        cone_bettis.append(cn.minimal_bettis(w))
         maps_on_current = [None] * (i + 1) + remaining
 
     chain = [estimate_complexity(bt, window=w - 1) for bt in cone_bettis]
@@ -255,7 +255,7 @@ def run_construction(factors, etas, seed=0):
     last_e = e_complexes[c - 1]
     last_cert = detect_complex_periodicity(last_e, seed=seed)
     last_est = estimate_complexity(
-        [last_e.minimal_betti(j) for j in range(w)],
+        last_e.minimal_bettis(w),
         periodicity_hint=last_cert.period if last_cert else None,
         window=w - 1,
     )

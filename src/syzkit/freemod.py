@@ -22,8 +22,8 @@ matrix block by block, over R, F (x) N or Hom(F, N), and
 so no other module writes at `component_offsets` or into a block.  It
 also owns the ring action on free sums: `act` multiplies chains of a free
 sum of copies of R or of a module N by all of R_e, and serves a module's
-action matrices, the free cover of a module or of Tor_i, the syzygy
-step's span and R's action on F_i (x) N.
+action matrices, the free cover of a module or of Tor_i and R's action on
+F_i (x) N.
 """
 
 from itertools import accumulate
@@ -80,10 +80,10 @@ def block_matrix(row_sizes, col_sizes, blocks):
     return out
 
 
-def act(ring, dim, stacks, gen_degrees, e, a, x, rows=None):
+def act(ring, dim, stacks, gen_degrees, e, a, x):
     """Every basis monomial of R_e times the columns x of the degree-a
     component of the free sum of X(-g_b): the matrix over its degree-(a+e)
-    component, or over its ascending `rows`, with columns (j, x).
+    component, with columns (j, x).
 
     X is R (dim, stacks = ring.dim, ring.mult_maps) or a graded module
     (its dim and action_matrix); R acts on each generator's block by X's
@@ -91,19 +91,16 @@ def act(ring, dim, stacks, gen_degrees, e, a, x, rows=None):
     de, r = ring.dim(e), x.shape[1]
     so = [0, *accumulate(dim(a - g) for g in gen_degrees)]
     to = [0, *accumulate(dim(a + e - g) for g in gen_degrees)]
-    cuts = to if rows is None else np.searchsorted(rows, to).tolist()
     blocks = {}
     for b, g in enumerate(gen_degrees):
-        lo, hi = cuts[b], cuts[b + 1]
-        if not de or lo == hi or so[b] == so[b + 1]:
+        rows = to[b + 1] - to[b]
+        if not de or not rows or so[b] == so[b + 1]:
             continue
         stack = stacks(e, a - g).transpose(1, 0, 2)  # target row, monomial, source
-        if rows is not None:
-            stack = stack[np.asarray(rows[lo:hi]) - to[b]]
-        prod = matmul(stack.reshape((hi - lo) * de, so[b + 1] - so[b]), x[so[b]:so[b + 1]],
+        prod = matmul(stack.reshape(rows * de, so[b + 1] - so[b]), x[so[b]:so[b + 1]],
                       ring.char)
-        blocks[(b, 0)] = prod.reshape(hi - lo, de * r)
-    return block_matrix([hi - lo for lo, hi in zip(cuts, cuts[1:])], [de * r], blocks)
+        blocks[(b, 0)] = prod.reshape(rows, de * r)
+    return block_matrix([hi - lo for lo, hi in zip(to, to[1:])], [de * r], blocks)
 
 
 def free_mult_matrix(ring, gen_degrees, e, j, d):

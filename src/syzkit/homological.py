@@ -492,37 +492,3 @@ def check_depth_formula(m, n, window=8, search_reduction=False, seed=0):
         dm, dn, da, q, profile.q_rigor, dtq, lhs, rhs, lhs == rhs,
         annotations, window, m.ring.degree_bound,
     )
-
-
-@dataclass
-class DepthLemmaReport:
-    depth_left: int
-    depth_middle: int
-    depth_right: int
-    middle_ok: bool
-    left_ok: bool
-    right_ok: bool
-
-    @property
-    def all_ok(self):
-        return self.middle_ok and self.left_ok and self.right_ok
-
-
-def depth_lemma_check(inc, proj):
-    """Standard depth inequalities on a verified short exact sequence.
-
-    A failure here indicates an engine bug, not a mathematical discovery.
-    """
-    a, b, c = inc.source, inc.target, proj.target
-    ok, why = verify_ses(inc, proj)
-    if not ok:
-        raise SyzkitError(f"sequence is not degreewise exact: {why}")
-    da = depth(a).depth
-    db = depth(b).depth
-    dc = depth(c).depth
-    return DepthLemmaReport(
-        da, db, dc,
-        middle_ok=db >= min(da, dc),
-        left_ok=da >= min(db, dc + 1),
-        right_ok=dc >= min(da - 1, db),
-    )

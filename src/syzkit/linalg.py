@@ -78,6 +78,20 @@ def identity(n):
     return np.eye(n, dtype=np.int64)
 
 
+def pack(a):
+    """a by its nonzero entries: (shape, flat indices, values)."""
+    at = np.flatnonzero(a)
+    return a.shape, at, a.reshape(-1)[at]
+
+
+def unpack(packed, pad=0):
+    """The matrix that `pack` stored, with pad zero rows below it."""
+    (rows, cols), at, values = packed
+    out = zeros(rows + pad, cols)
+    out.reshape(-1)[at] = values
+    return out
+
+
 def _product_mod(a, b, p, bound):
     """a @ b mod p in int64, for float64 operands whose entry products are at
     most bound: the inner dimension is summed in chunks that stay exact."""

@@ -19,14 +19,20 @@ components with (m*F)_d = 0 are skipped outright.
 The step works in free coordinates.  The kernel basis ker_d has the
 identity on its free (non-pivot) rows, so v -> v[free] is injective on
 ker_d and keeps every linear dependency among kernel vectors.  Since
-d o d = 0 the next differential maps into ker_d, so `resolve` hands each
-step's free rows to the next, whose null space in degree d is taken on
-those rows only; by exactness they have full rank there, which is checked
-(degrees the previous step did not scan use the whole matrix).  The span
-of m * ker_{d-1} is built on the free rows too, by `freemod.act`.  When
-its rank is the number of free rows nothing is new; otherwise the
-generators are the columns of the identity that extend it, the same
-columns that extending inside the whole component would pick.
+d o d = 0 the next differential maps into ker_d, and on the free rows its
+degree-d matrix is [A | E], as in La Scala & Stillman (J. Symb. Comp.
+1998): A holds the columns of the generators below d, which span
+(m * ker)_d = R_1 * ker_{d-1} because R is generated in degree 1, and E
+the identity columns of the new generators.  So one elimination of A per
+degree serves two steps.  This step reads its generators off A's rank:
+when it is the number of free rows nothing is new; otherwise the
+generators are the columns of the identity that extend A, the same
+columns that extending inside the whole component would pick.  The next
+step receives A's elimination as a `Handover`: E is independent of A, so
+the null space of [A | E] is A's with zero rows below.  It still builds
+its own matrix on those rows and checks that it is [A | E] exactly, and
+then that by exactness it has full rank there (degrees the previous step
+did not scan use the whole matrix).
 
 Completeness of a kernel is certified, not assumed, by the ring's degree
 window (`rings.TruncatedQuotientRing.degree_window`), counted in ring
@@ -64,7 +70,7 @@ from . import freemod
 from .chainsolve import certify_periodicity
 from .complexes import FreeComplex, coker_module
 from .errors import SyzkitError, WindowError
-from .linalg import _null_space, extend_basis, identity, matvec, rank
+from .linalg import _null_space, extend_basis, identity, matvec, pack, unpack, zeros
 from .modules import Homology, generator_matrix
 
 
@@ -107,6 +113,51 @@ class FreeResolution(FreeComplex):
         return self.verify()
 
 
+@dataclass
+class Handover:
+    """What syzygy step i hands step i+1 in degree d.  `rows` are the free
+    rows of ker_d, on which step i+1's matrix is [A | E]: A on the
+    generators below d, E the identity columns of the new ones, with their
+    1 on `new`.  A and its null space are kept by their nonzero entries
+    (`linalg.pack`); `free` are A's free columns."""
+
+    rows: list
+    block: tuple
+    new: list
+    basis: tuple
+    free: list
+
+    def null_space(self, mat, d):
+        """(basis, free) of mat, which must be [A | E] exactly: E is
+        independent of A, so its null space is A's with zero rows below."""
+        e = zeros(self.block[0][0], len(self.new))
+        e[self.new, range(len(self.new))] = 1
+        if not np.array_equal(mat, np.concatenate([unpack(self.block), e], axis=1)):
+            raise SyzkitError(f"internal error: next matrix differs from the handed block "
+                              f"in degree {d}")
+        return unpack(self.basis, len(self.new)), self.free
+
+
+def _same(x, y):
+    """Whether two `linalg.pack` records hold the same matrix."""
+    return x[0] == y[0] and np.array_equal(x[1], y[1]) and np.array_equal(x[2], y[2])
+
+
+def _kernel(mat, handed, src_dim, d, p):
+    """(ker_d, its free rows) of the degree-d matrix mat, on the rows of
+    the previous step's Handover when there is one; a helper, so that mat
+    is dropped before the next map's block is built."""
+    if mat.shape[1] != src_dim:
+        raise SyzkitError(f"internal error: {mat.shape[1]} columns in degree {d}, "
+                          f"not {src_dim}")
+    if handed is None:
+        return _null_space(mat, p)
+    kd, free = handed.null_space(mat[handed.rows], d)
+    if src_dim - len(free) != len(handed.rows):
+        raise SyzkitError(f"internal error: syzygy step is not exact in degree {d}")
+    return kd, free
+
+
 def kernel_generators(ring, src_degs, matrix_at, low, rows=None):
     """Minimal generators of the kernel of a minimal-cover map out of the
     free module src_degs, degree-ascending.
@@ -114,50 +165,43 @@ def kernel_generators(ring, src_degs, matrix_at, low, rows=None):
     matrix_at(d) must return the induced component matrix; low is the
     least generator degree its components are built from (the module's,
     for a resolution), which anchors the degree window.  rows, when given,
-    maps d to the free rows of the previous step's kernel basis, which
-    this map's image fills.  Returns (list of (degree, vector), top degree
-    scanned, free rows of this step's kernel bases by degree).
+    maps d to the previous step's `Handover`.  Returns (list of (degree,
+    vector), top degree scanned, this step's `Handover` by degree).
     """
+    p = ring.char
     window = ring.degree_window(low, max(src_degs))
     rows = rows or {}
-    gens, free_rows = [], {}
-    prev = None  # kernel basis one degree down, when nonzero
-    last = None  # (matrix, kd, free) of the last null space taken
+    gens, handover = [], {}
+    nxt = None  # the next map, on the generators found so far
+    last = None  # the last Handover made
     for d in range(min(src_degs), window.top + 1):
-        kd = None
         src_dim = freemod.component_dim(ring, src_degs, d)
         # minimality: kernel sits inside m * F, so skip degrees where that is 0
-        if src_dim and any(d - g >= 1 and ring.dim(d - g) > 0 for g in src_degs):
-            mat = matrix_at(d)
-            if mat.shape[1] != src_dim:
-                raise SyzkitError(f"internal error: {mat.shape[1]} columns in degree {d}, "
-                                  f"not {src_dim}")
-            if d in rows:
-                mat = mat[rows[d]]
-            # degree tables repeat over 1-dimensional rings: reuse a null space
-            if last is None or not np.array_equal(mat, last[0]):
-                last = (mat, *_null_space(mat, ring.char))
-            kd, free = last[1:]
-            if d in rows and src_dim - len(free) != len(rows[d]):
-                raise SyzkitError(f"internal error: syzygy step is not exact in degree {d}")
-            free_rows[d] = free
-        if kd is None or not kd.shape[1]:
-            prev = None
+        if not src_dim or not any(d - g >= 1 and ring.dim(d - g) > 0 for g in src_degs):
             continue
-        # v -> v[free] is injective on ker_d (kd[free] = I), so choosing the
-        # complement of m * ker_{d-1} on the free rows picks the same columns
-        if prev is None:  # nothing below to extend: every kernel vector is new
-            chosen = range(len(free))
+        kd, free = _kernel(matrix_at(d), rows.get(d), src_dim, d, p)
+        # A spans (m * ker)_d = R_1 * ker_{d-1} on the free rows, where
+        # v -> v[free] is injective on ker_d (kd[free] = I)
+        a = zeros(len(free), 0) if nxt is None else nxt.induced(d)[free]
+        block = pack(a)
+        # degree tables repeat over 1-dimensional rings: reuse a null space
+        if last is not None and _same(block, last.block):
+            basis, a_free = last.basis, last.free
         else:
-            span = freemod.act(ring, ring.dim, ring.mult_maps, src_degs, 1, d - 1, prev, free)
-            chosen = []
-            if rank(span, ring.char) < len(free):
-                chosen = extend_basis(span, identity(len(free)), ring.char)
+            basis, a_free = _null_space(a, p)
+            basis = pack(basis)
+        rk = a.shape[1] - len(a_free)
+        chosen = []
+        if rk < len(free):  # rk = 0: A is zero, so every kernel vector is new
+            chosen = extend_basis(a, identity(len(free)), p) if rk else list(range(len(free)))
         for idx in chosen:
             window.certify(d)
-            gens.append((d, kd[:, idx]))
-        prev = kd
-    return gens, window.top, free_rows
+            gens.append((d, kd[:, idx].copy()))
+        last = handover[d] = Handover(free, block, chosen, basis, a_free)
+        if chosen:
+            nxt = freemod.FreeMap(ring, [g for g, _ in gens], src_degs, [v for _, v in gens])
+        del kd, a  # before the next degree's matrices are built
+    return gens, window.top, handover
 
 
 def resolve(module, n_max):
@@ -174,7 +218,7 @@ def resolve(module, n_max):
     terminated_at = None
     matrix_at = partial(generator_matrix, module, cover)
     low = module.min_degree()  # M_d is read through every presented generator
-    rows = None  # free rows of the previous step's kernel bases, by degree
+    rows = None  # the previous step's Handover, by degree
     for i in range(1, n_max + 1):
         newgens = []
         if terminated_at is None:

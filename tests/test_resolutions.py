@@ -448,19 +448,108 @@ def test_kernel_generators_match_the_dense_step(case):
         rows = free_rows
 
 
+def _dense_forms(p, names, degree, count, seed):
+    import random
+    from itertools import combinations_with_replacement
+
+    rng = random.Random(seed)
+    mons = ["*".join(m) for m in combinations_with_replacement(names, degree)]
+    forms = [[(rng.randrange(p), m) for m in mons] for _ in range(count)]
+    return [" + ".join(f"{c}*{m}" for c, m in form if c) for form in forms]
+
+
+def _handover_ring(p, kind, seed):
+    """A seeded ring over F_p[x, y, z] of the given kind."""
+    import random
+
+    names = ["x", "y", "z"]
+    if kind == "hypersurface":
+        rels = _dense_forms(p, names, 2, 1, seed)
+    elif kind == "two quadrics":
+        rels = _dense_forms(p, names, 2, 2, seed)
+    elif kind == "golod":  # l * (x, y, z): a product of ideals is Golod
+        rng = random.Random(seed)
+        coeffs = [rng.randrange(1, p) for _ in names]
+        rels = [" + ".join(f"{c}*{u}*{v}" for c, u in zip(coeffs, names)) for v in names]
+    else:  # relations of two degrees
+        rels = _dense_forms(p, names, 2, 1, seed) + _dense_forms(p, names, 3, 1, seed + 1)
+    return ring_from_strings(p, names, rels, degree_bound=9)
+
+
+def _steps(r, m, steps):
+    """(src degrees, matrix_at, generators, handover) of each syzygy step
+    of m, run one at a time, each on the previous step's handover."""
+    from functools import partial
+
+    from syzkit.modules import generator_matrix
+    from syzkit.resolutions import kernel_generators
+
+    src = tuple(d for d, _ in m.minimal_generators())
+    matrix_at = partial(generator_matrix, m, m.minimal_generators())
+    out, rows = [], None
+    for _ in range(steps):
+        gens, _, rows = kernel_generators(r, src, matrix_at, m.min_degree(), rows)
+        out.append((src, matrix_at, gens, rows))
+        if not gens:
+            break
+        src = tuple(d for d, _ in gens)
+        matrix_at = FreeMap(r, src, out[-1][0], [v for _, v in gens]).induced
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, P31])
+@pytest.mark.parametrize("kind", ["hypersurface", "two quadrics", "golod", "two degrees"])
+def test_handover_is_the_null_space_of_the_next_matrix(p, kind):
+    # the oracle is the next map's own degree-d matrix on the handed rows,
+    # eliminated from scratch, at every step and handed degree
+    from syzkit.linalg import _null_space
+
+    r = _handover_ring(p, kind, sum(map(ord, kind)) + p % 97)
+    m = residue_field(r)
+    res = resolve(m, 5)
+    steps = _steps(r, m, 5)
+    blocks = 0
+    for i, (src, _, gens, handover) in enumerate(steps):
+        assert [v.tolist() for _, v in gens] == [v.tolist() for v in res.diffs[i + 1].columns]
+        nxt = FreeMap(r, [d for d, _ in gens], src, [v for _, v in gens])
+        for d, h in handover.items():
+            mat = nxt.induced(d)[h.rows]
+            basis, free = h.null_space(mat, d)
+            want, want_free = _null_space(mat, p)
+            assert np.array_equal(basis, want) and free == want_free, (i, d)
+            blocks += bool(h.block[1].size)
+    assert blocks >= 20
+
+
+@pytest.mark.parametrize("where", ["nonzero", "zero"])
+def test_kernel_generators_refuse_a_changed_block(where):
+    # one entry of a handed block A changed: the next matrix is not [A | E]
+    import dataclasses
+
+    from syzkit.resolutions import kernel_generators
+
+    p = 32003
+    r = ring_from_strings(p, ["x", "y", "z"], ["x^2", "y^2", "z^2"], degree_bound=10)
+    res = resolve(residue_field(r), 3)
+    _, _, rows = kernel_generators(r, res.gens[2], res.diffs[2].induced, 0)
+    d = min(d for d, h in rows.items() if h.block[1].size)  # a block with a nonzero entry
+    shape, at, values = rows[d].block
+    if where == "nonzero":
+        values = values.copy()
+        values[0] = (values[0] + 1) % p
+    else:
+        spot = min(set(range(shape[0] * shape[1])) - set(at.tolist()))
+        at, values = np.append(at, spot), np.append(values, 1)
+    rows[d] = dataclasses.replace(rows[d], block=(shape, at, values))
+    with pytest.raises(SyzkitError, match=f"differs from the handed block in degree {d}$"):
+        kernel_generators(r, res.gens[3], res.diffs[3].induced, 0, rows)
+
+
 def test_kernel_generators_reuse_a_null_space_that_repeats(monkeypatch):
     # k over a 1-dimensional complete intersection: the degree tables of R
-    # repeat, so a syzygy step meets the matrix it just solved again, and
-    # takes its null space once
+    # repeat, so a syzygy step meets the block it just eliminated again and
+    # takes its null space once; the generators stay the dense step's
     from syzkit import resolutions
-
-    class NothingEqual:  # numpy, except that no two matrices compare equal
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        @staticmethod
-        def array_equal(*_):
-            return False
 
     calls = []
     null_space = resolutions._null_space
@@ -471,22 +560,25 @@ def test_kernel_generators_reuse_a_null_space_that_repeats(monkeypatch):
 
     names = ["x", "y", "z"]
     r = ring_from_strings(7, names, _dense_quadrics(7, names, 2, 2), degree_bound=14)
+    m = residue_field(r)
     monkeypatch.setattr(resolutions, "_null_space", counted)
-    with monkeypatch.context() as without_reuse:
-        without_reuse.setattr(resolutions, "np", NothingEqual())
-        want = resolve(residue_field(r), 6)
-    scanned = len(calls)  # one null space per step and degree scanned
-    calls.clear()
-    res = resolve(residue_field(r), 6)
-    assert len(calls) < scanned
-    assert res.betti() == want.betti() == [1, 3, 5, 7, 9, 11, 13]
-    assert res.gens == want.gens
-    assert all(a.equals(b) for a, b in zip(res.diffs[1:], want.diffs[1:]))
+    steps = _steps(r, m, 6)
+    scanned = sum(len(h) for *_, h in steps)  # one block per step and degree scanned
+    from_scratch = len(steps[0][3])  # the first step has nothing handed down
+    assert len(calls) < scanned + from_scratch
+    monkeypatch.undo()
+    assert [len(gens) for *_, gens, _ in steps] == [3, 5, 7, 9, 11, 13]
+    for src, matrix_at, gens, handover in steps:
+        want = _dense_kernel_generators(r, src, matrix_at, max(handover))
+        assert [d for d, _ in gens] == [d for d, _ in want]
+        assert all(np.array_equal(u, v) for (_, u), (_, v) in zip(gens, want))
 
 
 def test_kernel_generators_check_that_the_previous_rows_are_filled():
     # one extra row outside the previous kernel's free rows: the image of
-    # d_3 fills only the free rows, so the restricted rank falls short
+    # d_3 fills only the free rows, so the next matrix is not [A | E]
+    import dataclasses
+
     from syzkit.freemod import component_dim
     from syzkit.resolutions import kernel_generators
 
@@ -494,11 +586,11 @@ def test_kernel_generators_check_that_the_previous_rows_are_filled():
     res = resolve(residue_field(r), 3)
     gens, _, rows = kernel_generators(r, res.gens[2], res.diffs[2].induced, 0)
     assert len(gens) == res.betti()[3] == 10
-    # F_3 sits in degree 3, so degree 4 is the first that step 3 scans
+    # F_3 sits in degree 3, so degree 4 is the first that step 4 scans
     d = 4
-    extra = min(set(range(component_dim(r, res.gens[2], d))) - set(rows[d]))
-    rows[d] = sorted(rows[d] + [extra])
-    with pytest.raises(SyzkitError, match=f"internal error: .* not exact in degree {d}$"):
+    extra = min(set(range(component_dim(r, res.gens[2], d))) - set(rows[d].rows))
+    rows[d] = dataclasses.replace(rows[d], rows=sorted(rows[d].rows + [extra]))
+    with pytest.raises(SyzkitError, match=f"differs from the handed block in degree {d}$"):
         kernel_generators(r, res.gens[3], res.diffs[3].induced, 0, rows)
 
 

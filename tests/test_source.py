@@ -202,3 +202,21 @@ def test_only_freemod_acts_on_free_sums():
         and path.stem not in owners.get(getattr(node.func, "attr", None), {path.stem})
     ]
     assert found == []
+
+
+def test_resolutions_takes_no_span_and_no_rank():
+    # a syzygy step reads its generators off the elimination of the next
+    # map's block, and hands that elimination down; a span of m * ker by
+    # freemod.act, or a rank taken beside it, would eliminate a second time
+    names = {("freemod", "act"), ("linalg", "rank")}
+    path = Path(syzkit.__file__).parent / "resolutions.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rsplit(".", 1)[-1]
+            found += [f"{path.name}:{node.lineno}" for a in node.names
+                      if (module, a.name) in names]
+        elif (isinstance(node, ast.Attribute)
+              and (getattr(node.value, "id", None), node.attr) in names):
+            found.append(f"{path.name}:{node.lineno}")
+    assert found == []
