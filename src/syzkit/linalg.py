@@ -18,7 +18,7 @@ are nonzero in the pivot row (resolution matrices are 1-4% dense), only
 those, since subtracting a multiple of zero changes nothing.  The touched
 rows are gathered and scattered there through flat indices, with the same
 result.  Matrices of at most `_SPARSE_MIN_CELLS` cells skip that pattern
-work.  `rref` clears above and below every pivot; `coset_complement` and
+work.  `rref` clears above and below every pivot; `free_columns` and
 `extend_basis` read only the pivots and clear below each one only, which
 gives the same pivots with less work.  `rref_stack` gives the RREF of
 rows stacked under rows that already have unit leads in distinct columns,
@@ -84,10 +84,10 @@ def pack(a):
     return a.shape, at, a.reshape(-1)[at]
 
 
-def unpack(packed, pad=0):
-    """The matrix that `pack` stored, with pad zero rows below it."""
+def unpack(packed):
+    """The matrix that `pack` stored."""
     (rows, cols), at, values = packed
-    out = zeros(rows + pad, cols)
+    out = zeros(rows, cols)
     out.reshape(-1)[at] = values
     return out
 
@@ -284,6 +284,13 @@ def _non_pivots(n, pivots):
     return [j for j in range(n) if j not in taken]
 
 
+def free_columns(mat, p):
+    """The columns of mat that carry no pivot, ascending: the free columns
+    of rref(mat), read off an echelon that clears below its pivots only
+    (leftmost-first pivots, so the column rank profile is the RREF's)."""
+    return _non_pivots(np.shape(mat)[1], _eliminate(mat, p, False)[1])
+
+
 def _null_space(mat, p):
     """(basis, free): the columns of basis span the right null space of mat,
     and basis[free] is the identity (`rref_null_space` of rref(mat))."""
@@ -353,8 +360,7 @@ def coset_complement(sub, ambient_dim, p):
     sub = np.asarray(sub)
     if sub.size == 0 or sub.shape[1] == 0:
         return identity(ambient_dim)
-    pivots = _eliminate(sub.T, p, False)[1]
-    return identity(ambient_dim)[:, _non_pivots(ambient_dim, pivots)]
+    return identity(ambient_dim)[:, free_columns(sub.T, p)]
 
 
 def quotient_projection(span, ambient_dim, p):

@@ -157,21 +157,6 @@ class GradedModule:
         rels = [(d + delta, v.copy()) for d, v in self.relations]
         return GradedModule(self.ring, gens, rels)
 
-    def socle_dim(self, d):
-        """Dimension of the degree-d part killed by every variable."""
-        n = self.dim(d)
-        if n == 0:
-            return 0
-        return n - rank(self.action_matrix(1, d).reshape(-1, n), self.ring.char)
-
-    def annihilated_by(self, f, d):
-        """True when multiplication by the polynomial f kills all of M_d."""
-        e = poly_degree(f)
-        if e is None:
-            return True
-        rvec = self.ring.normal_form(f, degree=e)
-        return not self.action_by_ring_vector(rvec, e, d).any()
-
 
 def minimal_generators_in(space, lo, hi):
     """Minimal generators of a graded space in degrees lo..hi, ascending.

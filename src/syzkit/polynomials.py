@@ -16,10 +16,6 @@ def monomial_degree(exps):
     return sum(exps)
 
 
-def monomial_mul(e1, e2):
-    return tuple(a + b for a, b in zip(e1, e2))
-
-
 def monomials_of_degree(nvars, d):
     """All degree-d exponent tuples in lexicographic order (x1 highest)."""
     if nvars == 0:
@@ -36,19 +32,6 @@ def monomials_of_degree(nvars, d):
     rec((), d, 0)
     if len(out) != comb(nvars + d - 1, d):
         raise SyzkitError(f"{len(out)} monomials of degree {d} in {nvars} variables")
-    return out
-
-
-def poly_mul(f, g, p):
-    out = {}
-    for m1, c1 in f.items():
-        for m2, c2 in g.items():
-            m = monomial_mul(m1, m2)
-            v = (out.get(m, 0) + c1 * c2) % p
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
     return out
 
 

@@ -24,15 +24,19 @@ degree-d matrix is [A | E], as in La Scala & Stillman (J. Symb. Comp.
 1998): A holds the columns of the generators below d, which span
 (m * ker)_d = R_1 * ker_{d-1} because R is generated in degree 1, and E
 the identity columns of the new generators.  So one elimination of A per
-degree serves two steps.  This step reads its generators off A's rank:
-when it is the number of free rows nothing is new; otherwise the
-generators are the columns of the identity that extend A, the same
-columns that extending inside the whole component would pick.  The next
-step receives A's elimination as a `Handover`: E is independent of A, so
-the null space of [A | E] is A's with zero rows below.  It still builds
-its own matrix on those rows and checks that it is [A | E] exactly, and
-then that by exactness it has full rank there (degrees the previous step
-did not scan use the whole matrix).
+degree serves two steps, and it need only find A's pivots.  This step
+reads its generators off A's rank: when it is the number of free rows
+nothing is new; otherwise the generators are the columns of the identity
+that extend A, the same columns that extending inside the whole component
+would pick.  The next step receives A's free columns in a `Handover`: E
+is independent of A, so they are the free columns of [A | E], and its
+null space is A's with zero rows below.  It still builds its own matrix
+on those rows and checks that it is [A | E] exactly, and then that by
+exactness it has full rank there (degrees the previous step did not scan
+use the whole matrix).  It needs kernel vectors only for the generators
+it picks, so only in those degrees is A reduced to its RREF, whose null
+space is unique: the vectors are the ones a whole elimination of [A | E]
+gives.
 
 Completeness of a kernel is certified, not assumed, by the ring's degree
 window (`rings.TruncatedQuotientRing.degree_window`), counted in ring
@@ -70,7 +74,7 @@ from . import freemod
 from .chainsolve import certify_periodicity
 from .complexes import FreeComplex, coker_module
 from .errors import SyzkitError, WindowError
-from .linalg import _null_space, extend_basis, identity, matvec, pack, unpack, zeros
+from .linalg import _null_space, extend_basis, free_columns, identity, matvec, pack, unpack, zeros
 from .modules import Homology, generator_matrix
 
 
@@ -117,25 +121,29 @@ class FreeResolution(FreeComplex):
 class Handover:
     """What syzygy step i hands step i+1 in degree d.  `rows` are the free
     rows of ker_d, on which step i+1's matrix is [A | E]: A on the
-    generators below d, E the identity columns of the new ones, with their
-    1 on `new`.  A and its null space are kept by their nonzero entries
-    (`linalg.pack`); `free` are A's free columns."""
+    generators below d, kept by its nonzero entries (`linalg.pack`), and E
+    the identity columns of the new ones, with their 1 on `new`.  `free`
+    are A's free columns, which are also [A | E]'s."""
 
     rows: list
     block: tuple
     new: list
-    basis: tuple
     free: list
 
-    def null_space(self, mat, d):
-        """(basis, free) of mat, which must be [A | E] exactly: E is
-        independent of A, so its null space is A's with zero rows below."""
+    def check(self, mat, d):
+        """Raise unless mat is [A | E] exactly."""
         e = zeros(self.block[0][0], len(self.new))
         e[self.new, range(len(self.new))] = 1
         if not np.array_equal(mat, np.concatenate([unpack(self.block), e], axis=1)):
             raise SyzkitError(f"internal error: next matrix differs from the handed block "
                               f"in degree {d}")
-        return unpack(self.basis, len(self.new)), self.free
+
+    def null_space(self, p):
+        """The null space of [A | E], with the identity on `free`: E is
+        independent of A, so it is A's RREF null space with zero rows for
+        E.  Step i+1 takes it only where it picks generators."""
+        basis = _null_space(unpack(self.block), p)[0]
+        return np.concatenate([basis, zeros(len(self.new), basis.shape[1])])
 
 
 def _same(x, y):
@@ -144,18 +152,20 @@ def _same(x, y):
 
 
 def _kernel(mat, handed, src_dim, d, p):
-    """(ker_d, its free rows) of the degree-d matrix mat, on the rows of
-    the previous step's Handover when there is one; a helper, so that mat
-    is dropped before the next map's block is built."""
+    """(free rows of ker_d, a function that returns ker_d) for the
+    degree-d matrix mat, on the rows of the previous step's Handover when
+    there is one; a helper, so that mat is dropped before the next map's
+    block is built."""
     if mat.shape[1] != src_dim:
         raise SyzkitError(f"internal error: {mat.shape[1]} columns in degree {d}, "
                           f"not {src_dim}")
     if handed is None:
-        return _null_space(mat, p)
-    kd, free = handed.null_space(mat[handed.rows], d)
-    if src_dim - len(free) != len(handed.rows):
+        kd, free = _null_space(mat, p)
+        return free, lambda: kd
+    handed.check(mat[handed.rows], d)
+    if src_dim - len(handed.free) != len(handed.rows):
         raise SyzkitError(f"internal error: syzygy step is not exact in degree {d}")
-    return kd, free
+    return handed.free, partial(handed.null_space, p)
 
 
 def kernel_generators(ring, src_degs, matrix_at, low, rows=None):
@@ -179,28 +189,27 @@ def kernel_generators(ring, src_degs, matrix_at, low, rows=None):
         # minimality: kernel sits inside m * F, so skip degrees where that is 0
         if not src_dim or not any(d - g >= 1 and ring.dim(d - g) > 0 for g in src_degs):
             continue
-        kd, free = _kernel(matrix_at(d), rows.get(d), src_dim, d, p)
+        free, kernel = _kernel(matrix_at(d), rows.get(d), src_dim, d, p)
         # A spans (m * ker)_d = R_1 * ker_{d-1} on the free rows, where
-        # v -> v[free] is injective on ker_d (kd[free] = I)
+        # v -> v[free] is injective on ker_d (the identity there)
         a = zeros(len(free), 0) if nxt is None else nxt.induced(d)[free]
         block = pack(a)
-        # degree tables repeat over 1-dimensional rings: reuse a null space
+        # degree tables repeat over 1-dimensional rings: reuse the pivots
         if last is not None and _same(block, last.block):
-            basis, a_free = last.basis, last.free
+            a_free = last.free
         else:
-            basis, a_free = _null_space(a, p)
-            basis = pack(basis)
+            a_free = free_columns(a, p)
         rk = a.shape[1] - len(a_free)
         chosen = []
         if rk < len(free):  # rk = 0: A is zero, so every kernel vector is new
             chosen = extend_basis(a, identity(len(free)), p) if rk else list(range(len(free)))
-        for idx in chosen:
-            window.certify(d)
-            gens.append((d, kd[:, idx].copy()))
-        last = handover[d] = Handover(free, block, chosen, basis, a_free)
         if chosen:
+            window.certify(d)
+            kd = kernel()
+            gens += [(d, kd[:, idx].copy()) for idx in chosen]
             nxt = freemod.FreeMap(ring, [g for g, _ in gens], src_degs, [v for _, v in gens])
-        del kd, a  # before the next degree's matrices are built
+        last = handover[d] = Handover(free, block, chosen, a_free)
+        kd = kernel = a = None  # before the next degree's matrices are built
     return gens, window.top, handover
 
 

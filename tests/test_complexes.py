@@ -25,9 +25,9 @@ from syzkit.construction import (
 from syzkit.errors import SyzkitError, WindowError
 from syzkit.freemod import FreeMap, pieces
 from syzkit.modules import module_from_strings, residue_field
-from syzkit.polynomials import poly_mul
 from syzkit.resolutions import resolve
 from syzkit.rings import ring_from_strings
+from test_rings import poly_mul
 
 
 W = 10

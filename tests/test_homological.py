@@ -25,6 +25,7 @@ from syzkit.modules import (
 )
 from syzkit.resolutions import depth, resolve
 from syzkit.rings import ring_from_strings
+from test_modules import annihilated_by
 
 
 @dataclass
@@ -163,8 +164,8 @@ def test_tor_as_module_examples():
     n = module_from_strings(r, [0], [["x^2"]])
     t1 = tor_as_module(m, n, 1)
     assert t1.dims(5) == [0, 0, 1, 0, 0, 0]
-    assert t1.annihilated_by(r.base.parse("x"), 2)
-    assert t1.annihilated_by(r.base.parse("y"), 2)
+    assert annihilated_by(t1, r.base.parse("x"), 2)
+    assert annihilated_by(t1, r.base.parse("y"), 2)
 
     k = residue_field(r)
     t0 = tor_as_module(k, k, 0)

@@ -468,6 +468,7 @@ def test_sparse_row_updates_match_gauss_jordan_oracle(p, rows, cols, seed, split
     assert echelon_pivots == pivots
     # the kernel vector of free column j: 1 at j, -R[i, j] at the i-th pivot
     free = [j for j in range(cols) if j not in pivots]
+    assert linalg.free_columns(m, p) == free
     kernel = np.zeros((cols, len(free)), dtype=np.int64)
     kernel[free, range(len(free))] = 1
     for i, c in enumerate(pivots):

@@ -3,6 +3,7 @@ import pytest
 
 from syzkit.errors import HomogeneityError, SyzkitError
 from syzkit.freemod import FreeMap
+from syzkit.linalg import rank
 from syzkit.modules import (
     GradedModule,
     Homology,
@@ -13,8 +14,26 @@ from syzkit.modules import (
     tensor_presentation,
     verify_ses,
 )
+from syzkit.polynomials import poly_degree
 from syzkit.rings import ring_from_strings
 from test_depth import lift_presentation
+
+
+def socle_dim(m, d):
+    """Dimension of M_d's part killed by every variable."""
+    n = m.dim(d)
+    if n == 0:
+        return 0
+    return n - rank(m.action_matrix(1, d).reshape(-1, n), m.ring.char)
+
+
+def annihilated_by(m, f, d):
+    """True when multiplication by the polynomial f kills all of M_d."""
+    e = poly_degree(f)
+    if e is None:
+        return True
+    rvec = m.ring.normal_form(f, degree=e)
+    return not m.action_by_ring_vector(rvec, e, d).any()
 
 
 def ci_ring(p=2):
@@ -111,9 +130,9 @@ def test_tensor_with_free_is_identity_on_dims():
 def test_socle_dims():
     r = ci_ring()
     f = free_module(r)
-    assert [f.socle_dim(d) for d in range(3)] == [0, 0, 1]  # socle = x*y
+    assert [socle_dim(f, d) for d in range(3)] == [0, 0, 1]  # socle = x*y
     k = residue_field(r)
-    assert k.socle_dim(0) == 1
+    assert socle_dim(k, 0) == 1
 
 
 def test_module_map_and_split_ses():
@@ -143,8 +162,8 @@ def test_module_map_and_split_ses():
 def test_annihilated_by():
     r = xy_ring()
     m = module_from_strings(r, [0], [["x"]])
-    assert m.annihilated_by(r.base.parse("x"), 1)  # x kills y^1 in A/(x)? x*y = 0
-    assert not m.annihilated_by(r.base.parse("y"), 1)
+    assert annihilated_by(m, r.base.parse("x"), 1)  # x kills y^1 in A/(x)? x*y = 0
+    assert not annihilated_by(m, r.base.parse("y"), 1)
 
 
 @pytest.mark.parametrize("case", ["ci", "golod", "two-generator"])

@@ -16,6 +16,7 @@ from syzkit.resolutions import (
     syzygy,
 )
 from syzkit.rings import ring_from_strings
+from test_modules import socle_dim
 
 
 def test_residue_field_over_one_variable_hypersurface():
@@ -242,10 +243,10 @@ def test_depth_zero_iff_visible_socle():
     # in the window forces depth 0
     rxy = ring_from_strings(3, ["x", "y"], ["x*y"], degree_bound=10)
     n = module_from_strings(rxy, [0], [["x^2"]])
-    assert any(n.socle_dim(d) > 0 for d in range(6))
+    assert any(socle_dim(n, d) > 0 for d in range(6))
     assert depth(n).depth == 0
     m = module_from_strings(rxy, [0], [["x"]])  # depth 1, no socle
-    assert all(m.socle_dim(d) == 0 for d in range(6))
+    assert all(socle_dim(m, d) == 0 for d in range(6))
     assert depth(m).depth == 1
 
 
@@ -501,7 +502,10 @@ def _steps(r, m, steps):
 @pytest.mark.parametrize("kind", ["hypersurface", "two quadrics", "golod", "two degrees"])
 def test_handover_is_the_null_space_of_the_next_matrix(p, kind):
     # the oracle is the next map's own degree-d matrix on the handed rows,
-    # eliminated from scratch, at every step and handed degree
+    # eliminated from scratch, at every step and handed degree: the handed
+    # free columns are its free columns, and the vectors built for every
+    # free column, not only those of chosen generators, are its RREF null
+    # space
     from syzkit.linalg import _null_space
 
     r = _handover_ring(p, kind, sum(map(ord, kind)) + p % 97)
@@ -514,11 +518,50 @@ def test_handover_is_the_null_space_of_the_next_matrix(p, kind):
         nxt = FreeMap(r, [d for d, _ in gens], src, [v for _, v in gens])
         for d, h in handover.items():
             mat = nxt.induced(d)[h.rows]
-            basis, free = h.null_space(mat, d)
+            h.check(mat, d)
             want, want_free = _null_space(mat, p)
-            assert np.array_equal(basis, want) and free == want_free, (i, d)
+            assert h.free == want_free, (i, d)
+            assert np.array_equal(h.null_space(p), want), (i, d)
             blocks += bool(h.block[1].size)
     assert blocks >= 20
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, P31])
+@pytest.mark.parametrize("kind", ["hypersurface", "two quadrics", "golod", "two degrees"])
+def test_handed_blocks_are_reduced_only_where_the_next_step_picks(p, kind, monkeypatch):
+    # every null space a step takes, in order: from scratch where nothing
+    # was handed down, and a handed block's RREF exactly in the degrees
+    # where the next step picks generators, so never for the last step's
+    from syzkit import resolutions
+    from syzkit.linalg import unpack
+
+    calls = []
+    null_space = resolutions._null_space
+
+    def counted(mat, prime):
+        calls.append(mat.copy())
+        return null_space(mat, prime)
+
+    r = _handover_ring(p, kind, sum(map(ord, kind)) + p % 97)
+    m = residue_field(r)
+    monkeypatch.setattr(resolutions, "_null_space", counted)
+    steps = _steps(r, m, 5)
+    monkeypatch.undo()
+    want, handed, reduced, skipped = [], {}, 0, 0
+    for src, matrix_at, gens, handover in steps:
+        picked = {d for d, _ in gens}
+        for d in handover:
+            if d not in handed:
+                want.append(matrix_at(d))
+            elif d in picked:
+                want.append(unpack(handed[d].block))
+                reduced += 1
+            else:
+                skipped += 1
+        handed = handover
+    assert len(calls) == len(want)
+    assert all(np.array_equal(u, v) for u, v in zip(calls, want))
+    assert reduced and skipped and handed  # the last step's handover is never reduced
 
 
 @pytest.mark.parametrize("where", ["nonzero", "zero"])
@@ -548,25 +591,26 @@ def test_kernel_generators_refuse_a_changed_block(where):
 def test_kernel_generators_reuse_a_null_space_that_repeats(monkeypatch):
     # k over a 1-dimensional complete intersection: the degree tables of R
     # repeat, so a syzygy step meets the block it just eliminated again and
-    # takes its null space once; the generators stay the dense step's
+    # finds its pivots once; the generators stay the dense step's
     from syzkit import resolutions
 
     calls = []
-    null_space = resolutions._null_space
+    free_columns = resolutions.free_columns
 
     def counted(mat, p):
         calls.append(mat.shape)
-        return null_space(mat, p)
+        return free_columns(mat, p)
 
     names = ["x", "y", "z"]
     r = ring_from_strings(7, names, _dense_quadrics(7, names, 2, 2), degree_bound=14)
     m = residue_field(r)
-    monkeypatch.setattr(resolutions, "_null_space", counted)
+    monkeypatch.setattr(resolutions, "free_columns", counted)
     steps = _steps(r, m, 6)
-    scanned = sum(len(h) for *_, h in steps)  # one block per step and degree scanned
-    from_scratch = len(steps[0][3])  # the first step has nothing handed down
-    assert len(calls) < scanned + from_scratch
     monkeypatch.undo()
+    # one elimination of A per step and degree scanned, none for a repeat
+    handed = [list(h.values()) for *_, h in steps]
+    repeats = sum(resolutions._same(x.block, y.block) for h in handed for x, y in zip(h, h[1:]))
+    assert repeats and len(calls) == sum(map(len, handed)) - repeats
     assert [len(gens) for *_, gens, _ in steps] == [3, 5, 7, 9, 11, 13]
     for src, matrix_at, gens, handover in steps:
         want = _dense_kernel_generators(r, src, matrix_at, max(handover))

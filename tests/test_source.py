@@ -220,3 +220,15 @@ def test_resolutions_takes_no_span_and_no_rank():
               and (getattr(node.value, "id", None), node.attr) in names):
             found.append(f"{path.name}:{node.lineno}")
     assert found == []
+    # A is eliminated to its pivots only; its RREF is taken where the next
+    # step builds the vectors of the generators it picks, and a kernel is
+    # reduced from scratch only where no block was handed down
+    reducers = {"rref", "_null_space", "rref_null_space", "kernel_basis", "solve", "solve_many"}
+    owners = []
+    for top in ast.parse(path.read_text()).body:
+        for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
+            if isinstance(fn, ast.FunctionDef):
+                owners += [fn.name for node in ast.walk(fn) if isinstance(node, ast.Call)
+                           and getattr(node.func, "id", getattr(node.func, "attr", None))
+                           in reducers]
+    assert sorted(owners) == ["_kernel", "null_space"]
