@@ -71,6 +71,5 @@ from .construction import (
     build_e_sequence,
     corollary_module,
     detect_complex_periodicity,
-    periodic_variable_complex,
     run_construction,
 )

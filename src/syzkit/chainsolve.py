@@ -103,13 +103,15 @@ class Unknowns:
         return ChainMap.from_columns(self.cx, self.cx, self.q, self.tau, column_lists)
 
 
-def solve_chain_self_maps(cx, q, tau, j_lo):
+def solve_chain_self_maps(cx, q, tau, j_lo, induced=None):
     """Basis of the space of twist-tau chain self-maps of shift q on the
-    tail [j_lo, window] of cx.  Returns (unknowns, basis)."""
+    tail [j_lo, window] of cx.  Returns (unknowns, basis).  induced, when
+    given, keeps d_i's matrix in degree e by (i, e), for one search."""
     unknowns = Unknowns(cx, q, tau, j_lo)
     ring = cx.ring
     p = ring.char
     sign = (-1) ** q
+    induced = {} if induced is None else induced
     row_sizes, blocks = [], {}
     for j in range(j_lo + 1, cx.window + 1):
         tgt_low = cx.gen_degrees(j - 1 - q)
@@ -130,7 +132,9 @@ def solve_chain_self_maps(cx, q, tau, j_lo):
                 blocks[row, unknowns.index[(j - 1, c)]] = sum(terms) % p
             # minus (-1)^q d_{j-q} applied to phi_j(e_b)
             if g not in dlow_by_degree:
-                dlow_by_degree[g] = -sign * dlow.induced(g + tau) % p
+                if (j - q, g + tau) not in induced:
+                    induced[j - q, g + tau] = dlow.induced(g + tau)
+                dlow_by_degree[g] = -sign * induced[j - q, g + tau] % p
             blocks[row, unknowns.index[(j, b)]] = dlow_by_degree[g]
     system = freemod.block_matrix(row_sizes, unknowns.sizes, blocks)
     return unknowns, kernel_basis(system, p)
@@ -164,21 +168,22 @@ def scalar_block_coordinates(unknowns, j):
     return coords
 
 
-def find_tail_isomorphism(cx, q, onset, why, seed=0):
+def find_tail_isomorphism(cx, q, onset, why, induced, seed=0):
     """Shift-q chain self-map of cx that is an isomorphism on every term of
     the tail [onset+q, window] and passes the exact chain-condition check
     there.
 
     Returns the witness ChainMap, or None after setting why[q] to
     (kind, rigorous).  A rigorous kind holds for every chain map on the
-    tail, so it also rules out every longer tail.
+    tail, so it also rules out every longer tail.  induced is the search's
+    record of degree matrices (see `solve_chain_self_maps`).
     """
     j_lo = onset + q
     tau = consistent_twist(cx, q, j_lo)
     if tau is None:
         why[q] = ("degree-obstruction", True)
         return None
-    unknowns, basis = solve_chain_self_maps(cx, q, tau, j_lo)
+    unknowns, basis = solve_chain_self_maps(cx, q, tau, j_lo, induced)
     if basis.shape[1] == 0:
         why[q] = ("only-zero-map", True)
         return None
@@ -202,17 +207,18 @@ def certify_periodicity(cx, free_onset, seed=0):
     Each period is tried on its shortest tail first (onset window - 2q, or
     0).  An isomorphism on a longer tail restricts to one there, so a
     rigorous failure rules out every onset and is recorded; otherwise the
-    onsets are walked up from 0.
+    onsets are walked up from 0.  The tails share the differentials'
+    degree matrices, kept for this search only.
     """
     w = cx.window
-    below = {}
+    below, induced = {}, {}
     for q in range(1, w // 2 + 1):
         last = w - 2 * q if free_onset else 0
-        witness = find_tail_isomorphism(cx, q, last, below, seed)
+        witness = find_tail_isomorphism(cx, q, last, below, induced, seed)
         if witness is None and below[q][1]:
             continue
         for onset in range(last):
-            earlier = find_tail_isomorphism(cx, q, onset, {}, seed)
+            earlier = find_tail_isomorphism(cx, q, onset, {}, induced, seed)
             if earlier is not None:
                 witness, last = earlier, onset
                 break

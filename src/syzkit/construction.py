@@ -30,7 +30,6 @@ from .errors import SyzkitError, WindowError
 from .linalg import rank
 from .modules import GradedModule, ModuleMap, verify_ses
 from .resolutions import estimate_complexity
-from .rings import PolyRing, build_quotient
 
 
 def detect_complex_periodicity(cx, window=None, seed=0):
@@ -43,51 +42,6 @@ def detect_complex_periodicity(cx, window=None, seed=0):
     if w < 2:
         raise WindowError("periodicity detection needs window >= 2")
     return certify_periodicity(cx.slice_window(w), False, seed)
-
-
-def periodic_variable_complex(char, period, window, degree_bound=None, prefix="x"):
-    """Rank-one complex over F_p[x_1..x_period]/(quadrics) with differentials
-    cycling through the variables; periodic of exactly the given period.
-
-    Returns (complex, eta) with eta the shift-`period` witness map.
-    """
-    if period < 1:
-        raise SyzkitError("period must be >= 1")
-    names = [f"{prefix}{i + 1}" for i in range(period)] if period > 1 else [prefix]
-    bound = degree_bound if degree_bound is not None else window + 2
-    base = PolyRing(char, names, bound)
-    quadrics = []
-    n = len(names)
-    for i in range(n):
-        for j in range(i, n):
-            exps = [0] * n
-            exps[i] += 1
-            exps[j] += 1
-            quadrics.append({tuple(exps): 1})
-    ring = build_quotient(base, quadrics)
-    gens = [(j,) for j in range(window + 1)]
-    diffs = [None]
-    for j in range(1, window + 1):
-        var = (j - 1) % n
-        exps = [0] * n
-        exps[var] = 1
-        diffs.append(
-            freemod.FreeMap.from_poly_matrix(ring, gens[j - 1], gens[j], [[{tuple(exps): 1}]])
-        )
-    cx = FreeComplex(ring, gens, diffs)
-    if not cx.verify():
-        raise SyzkitError("periodic fixture differential does not square to zero")
-    comps = []
-    for j in range(window + 1):
-        src = cx.gen_degrees(j)
-        tgt = cx.gen_degrees(j - period)
-        comp = freemod.FreeMap.selection(ring, src, tgt, [0 if tgt else None], -period)
-        # c_{j-1} = (-1)^period c_j forces the alternating scalar
-        comps.append(comp.scale((-1) ** (period * j)))
-    eta = ChainMap(cx, cx, period, -period, comps)
-    if not eta.verify():
-        raise SyzkitError("periodic fixture witness fails the chain condition")
-    return cx, eta
 
 
 # -- the E-sequence ----------------------------------------------------------

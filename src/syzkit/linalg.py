@@ -11,18 +11,24 @@ limbs x = hi * 2^16 + lo; a limb times a residue is below 2^47, so the
 inner dimension is summed in chunks of 64, and two products (not four)
 are recombined mod p in int64.  Operands must be reduced (0 <= entry < p).
 
-Elimination runs in `_eliminate`.  Rows at and below the current pivot
-row are zero left of the pivot column, so each step scales and updates
-only the columns from the pivot onward; and when at most half of those
-are nonzero in the pivot row (resolution matrices are 1-4% dense), only
-those, since subtracting a multiple of zero changes nothing.  The touched
-rows are gathered and scattered there through flat indices, with the same
-result.  Matrices of at most `_SPARSE_MIN_CELLS` cells skip that pattern
-work.  `rref` clears above and below every pivot; `free_columns` and
-`extend_basis` read only the pivots and clear below each one only, which
-gives the same pivots with less work.  `rref_stack` gives the RREF of
-rows stacked under rows that already have unit leads in distinct columns,
-and eliminates only what those rows leave over.
+Elimination runs in two loops.  `_eliminate` gives the RREF: rows at and
+below the current pivot row are zero left of the pivot column, so each
+step scales and updates only the columns from the pivot onward; and when
+at most half of those are nonzero in the pivot row (resolution matrices
+are 1-4% dense), only those, since subtracting a multiple of zero changes
+nothing.  The touched rows are gathered and scattered there through flat
+indices, with the same result.  Matrices of at most `_SPARSE_MIN_CELLS`
+cells skip that pattern work.  `_pivot_columns` serves the callers that
+read only the pivots (`free_columns`, `extend_basis` and `rank`'s core),
+and neither swaps, scales nor clears above: one `nonzero()` of column c
+gives its nonzero rows, the first is the pivot row, the others are
+cleared with the multipliers a[t, c] / a[r, c], and the pivot row is then
+zeroed.  Every row is zero left of c at step c, so zeroing the pivot row
+only sets it aside, as a swap to the top would: the pivots are an
+echelon's, and the column rank profile, which is unique, is the RREF's.
+`rref_stack` gives the RREF of rows stacked under rows that already have
+unit leads in distinct columns, and eliminates only what those rows
+leave over.
 
 `rank` first peels structural pivots off the nonzero pattern, as in
 structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO 1990;
@@ -35,9 +41,9 @@ when single-nonzero rows outnumber such columns, it does the same with
 rows and columns swapped.  Only the boolean pattern and its live row and
 column counts change, never an entry, so the count needs no arithmetic
 and is exact for every p.  The core left over is cut out once and goes
-through `_eliminate`.  Up to `_PEEL_MIN_CELLS` cells the pattern work
+through `_pivot_columns`.  Up to `_PEEL_MIN_CELLS` cells the pattern work
 costs as much as it saves or more (44 against 13 us a call at 16 cells),
-so small matrices go straight to `_eliminate`.  The rows hit are deduped
+so small matrices go straight to `_pivot_columns`.  The rows hit are deduped
 with a boolean mask, not `np.unique`, which costs more peak memory.
 
 All routines are deterministic: pivots are chosen leftmost-first, free
@@ -49,8 +55,8 @@ import numpy as np
 _FLOAT_EXACT = 2 ** 53  # float64 integers are exact below this
 _LIMB_MASK = 2 ** 16 - 1
 _MR_BASES = (2, 3, 5, 7)
-_PEEL_MIN_CELLS = 100  # rank below this size runs `_eliminate` directly
-_SPARSE_MIN_CELLS = 2000  # `_eliminate` below this size updates dense rows only
+_PEEL_MIN_CELLS = 100  # rank below this size runs `_pivot_columns` directly
+_SPARSE_MIN_CELLS = 2000  # eliminations below this size update dense rows only
 
 
 def is_prime(n):
@@ -126,15 +132,12 @@ def matvec(a, v, p):
     return matmul(a, v.reshape(-1, 1), p)[:, 0]
 
 
-def _eliminate(mat, p, reduced):
-    """Gaussian elimination mod p; returns (a, pivot_columns).
+def _eliminate(mat, p):
+    """Gauss-Jordan elimination mod p; returns (the RREF of mat, pivot_columns).
 
-    Each pivot row is scaled to 1 and its column cleared below the pivot,
-    and also above it when `reduced` (then a is the RREF).  Rows at and
-    below the pivot row are zero left of the pivot column, so every step
-    touches only the columns from the pivot onward.  Pivot-only callers
-    pass reduced=False: the pivots are the same, and the work of clearing
-    above each pivot is skipped.
+    Each pivot row is scaled to 1 and its column cleared above and below
+    the pivot.  Rows at and below the pivot row are zero left of the pivot
+    column, so every step touches only the columns from the pivot onward.
     """
     a = np.mod(mat, p, dtype=np.int64, order="C")
     flat = a.reshape(-1)  # a view: a is C-contiguous
@@ -162,10 +165,7 @@ def _eliminate(mat, p, reduced):
             else:
                 row[:] = row * inv % p
         col = a[:, c].copy()
-        if reduced:
-            col[r] = 0
-        else:
-            col[:r + 1] = 0
+        col[r] = 0
         touched = col.nonzero()[0]
         if touched.size:
             f = col[touched, None]
@@ -179,6 +179,36 @@ def _eliminate(mat, p, reduced):
     return a, pivots
 
 
+def _pivot_columns(mat, p):
+    """The pivot columns of mat mod p, leftmost-first, by an echelon that
+    neither swaps, scales nor clears above (see the module docstring)."""
+    a = np.mod(mat, p, dtype=np.int64, order="C")
+    flat = a.reshape(-1)  # a view: a is C-contiguous
+    rows, cols = a.shape
+    big = a.size > _SPARSE_MIN_CELLS
+    pivots = []
+    for c in range(cols):
+        if len(pivots) == rows:  # every row has been a pivot row: a is zero
+            break
+        nz = a[:, c].nonzero()[0]
+        if not nz.size:
+            continue
+        r, touched = nz[0], nz[1:]
+        if touched.size:
+            row = a[r, c:]
+            f = a[touched, c] * pow(int(row[0]), -1, p) % p
+            # on a sparse pivot row, update its nonzero columns only
+            live = row.nonzero()[0] if big else None
+            if live is not None and 2 * live.size <= row.size:
+                at = (touched * cols)[:, None] + (live + c)
+                flat[at] = (flat[at] - f[:, None] * row[live]) % p
+            else:
+                a[touched, c:] = (a[touched, c:] - f[:, None] * row) % p
+        a[r, c:] = 0
+        pivots.append(c)
+    return pivots
+
+
 def rref(mat, p):
     """Reduced row echelon form.
 
@@ -187,7 +217,7 @@ def rref(mat, p):
     sweep, over the columns from the pivot onward; pivot rows are scaled
     to 1.
     """
-    a, pivots = _eliminate(mat, p, True)
+    a, pivots = _eliminate(mat, p)
     return a, pivots, len(pivots)
 
 
@@ -225,7 +255,7 @@ def rref_stack(top, mat, p):
     free = np.flatnonzero(~is_lead)
     x = _back_solve(top, leads, free, p)
     left = (mat[:, free] - matmul(mat[:, leads], x, p)) % p
-    new, new_pivots = _eliminate(left[left.any(axis=1)], p, True)
+    new, new_pivots = _eliminate(left[left.any(axis=1)], p)
     new = new[:len(new_pivots)]
     x = (x - matmul(x[:, new_pivots], new, p)) % p
     pivots = np.concatenate([leads, free[new_pivots]])
@@ -256,9 +286,9 @@ def _peel(nz, row_count, col_count, cols):
 
 def rank(mat, p):
     """Rank mod p: structural pivots peeled off the nonzero pattern, then
-    `_eliminate` on the core that is left (see the module docstring)."""
+    `_pivot_columns` on the core that is left (see the module docstring)."""
     if np.size(mat) <= _PEEL_MIN_CELLS:
-        return len(_eliminate(mat, p, False)[1])
+        return len(_pivot_columns(mat, p))
     a = np.asarray(mat, dtype=np.int64) % p
     nz = a != 0
     row_count, col_count = nz.sum(axis=1), nz.sum(axis=0)
@@ -275,7 +305,7 @@ def rank(mat, p):
     core_rows, core_cols = np.flatnonzero(row_count), np.flatnonzero(col_count)
     if not core_rows.size:
         return rk
-    return rk + len(_eliminate(a[np.ix_(core_rows, core_cols)], p, False)[1])
+    return rk + len(_pivot_columns(a[np.ix_(core_rows, core_cols)], p))
 
 
 def _non_pivots(n, pivots):
@@ -286,9 +316,9 @@ def _non_pivots(n, pivots):
 
 def free_columns(mat, p):
     """The columns of mat that carry no pivot, ascending: the free columns
-    of rref(mat), read off an echelon that clears below its pivots only
-    (leftmost-first pivots, so the column rank profile is the RREF's)."""
-    return _non_pivots(np.shape(mat)[1], _eliminate(mat, p, False)[1])
+    of rref(mat), read off `_pivot_columns` (the column rank profile is
+    the RREF's)."""
+    return _non_pivots(np.shape(mat)[1], _pivot_columns(mat, p))
 
 
 def _null_space(mat, p):
@@ -395,5 +425,5 @@ def extend_basis(span, candidates, p):
         stacked = candidates
     else:
         stacked = np.concatenate([span, candidates], axis=1)
-    pivots = _eliminate(stacked, p, False)[1]
+    pivots = _pivot_columns(stacked, p)
     return [c - n0 for c in pivots if c >= n0]

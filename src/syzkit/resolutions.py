@@ -24,7 +24,11 @@ degree-d matrix is [A | E], as in La Scala & Stillman (J. Symb. Comp.
 1998): A holds the columns of the generators below d, which span
 (m * ker)_d = R_1 * ker_{d-1} because R is generated in degree 1, and E
 the identity columns of the new generators.  So one elimination of A per
-degree serves two steps, and it need only find A's pivots.  This step
+degree serves two steps, and it need only find A's pivots.  The same A
+comes back, in later degrees where the degree tables of R repeat and in
+later steps once a resolution over a hypersurface turns periodic
+(Eisenbud, Trans. AMS 1980), so `resolve` keeps A's free columns by A's
+exact content and eliminates each distinct block once.  This step
 reads its generators off A's rank: when it is the number of free rows
 nothing is new; otherwise the generators are the columns of the identity
 that extend A, the same columns that extending inside the whole component
@@ -91,12 +95,6 @@ class FreeResolution(FreeComplex):
     def betti(self):
         return self.ranks()
 
-    def proj_dim(self):
-        """Projective dimension when the resolution terminated, else None."""
-        if self.terminated_at is None:
-            return None
-        return self.terminated_at - 1
-
     def require(self, i, what):
         """Raise WindowError unless F_i is known (within the window, or terminated)."""
         if i > self.window and self.terminated_at is None:
@@ -146,11 +144,6 @@ class Handover:
         return np.concatenate([basis, zeros(len(self.new), basis.shape[1])])
 
 
-def _same(x, y):
-    """Whether two `linalg.pack` records hold the same matrix."""
-    return x[0] == y[0] and np.array_equal(x[1], y[1]) and np.array_equal(x[2], y[2])
-
-
 def _kernel(mat, handed, src_dim, d, p):
     """(free rows of ker_d, a function that returns ker_d) for the
     degree-d matrix mat, on the rows of the previous step's Handover when
@@ -168,22 +161,25 @@ def _kernel(mat, handed, src_dim, d, p):
     return handed.free, partial(handed.null_space, p)
 
 
-def kernel_generators(ring, src_degs, matrix_at, low, rows=None):
+def kernel_generators(ring, src_degs, matrix_at, low, rows=None, eliminated=None):
     """Minimal generators of the kernel of a minimal-cover map out of the
     free module src_degs, degree-ascending.
 
     matrix_at(d) must return the induced component matrix; low is the
     least generator degree its components are built from (the module's,
     for a resolution), which anchors the degree window.  rows, when given,
-    maps d to the previous step's `Handover`.  Returns (list of (degree,
+    maps d to the previous step's `Handover`; eliminated, when given, maps
+    the content of a block A (shape and the bytes of its `linalg.pack`
+    indices and values, so a hit is exact) to A's free columns, and is
+    shared by the steps of one resolution.  Returns (list of (degree,
     vector), top degree scanned, this step's `Handover` by degree).
     """
     p = ring.char
     window = ring.degree_window(low, max(src_degs))
     rows = rows or {}
+    eliminated = {} if eliminated is None else eliminated
     gens, handover = [], {}
     nxt = None  # the next map, on the generators found so far
-    last = None  # the last Handover made
     for d in range(min(src_degs), window.top + 1):
         src_dim = freemod.component_dim(ring, src_degs, d)
         # minimality: kernel sits inside m * F, so skip degrees where that is 0
@@ -194,11 +190,11 @@ def kernel_generators(ring, src_degs, matrix_at, low, rows=None):
         # v -> v[free] is injective on ker_d (the identity there)
         a = zeros(len(free), 0) if nxt is None else nxt.induced(d)[free]
         block = pack(a)
-        # degree tables repeat over 1-dimensional rings: reuse the pivots
-        if last is not None and _same(block, last.block):
-            a_free = last.free
-        else:
-            a_free = free_columns(a, p)
+        # blocks repeat, in later degrees and in later steps: one elimination each
+        key = (block[0], block[1].tobytes(), block[2].tobytes())
+        if key not in eliminated:
+            eliminated[key] = free_columns(a, p)
+        a_free = eliminated[key]
         rk = a.shape[1] - len(a_free)
         chosen = []
         if rk < len(free):  # rk = 0: A is zero, so every kernel vector is new
@@ -208,7 +204,7 @@ def kernel_generators(ring, src_degs, matrix_at, low, rows=None):
             kd = kernel()
             gens += [(d, kd[:, idx].copy()) for idx in chosen]
             nxt = freemod.FreeMap(ring, [g for g, _ in gens], src_degs, [v for _, v in gens])
-        last = handover[d] = Handover(free, block, chosen, a_free)
+        handover[d] = Handover(free, block, chosen, a_free)
         kd = kernel = a = None  # before the next degree's matrices are built
     return gens, window.top, handover
 
@@ -228,10 +224,12 @@ def resolve(module, n_max):
     matrix_at = partial(generator_matrix, module, cover)
     low = module.min_degree()  # M_d is read through every presented generator
     rows = None  # the previous step's Handover, by degree
+    eliminated = {}  # A's free columns by A's content, over the whole resolution
     for i in range(1, n_max + 1):
         newgens = []
         if terminated_at is None:
-            newgens, _, rows = kernel_generators(ring, src_degs, matrix_at, low, rows)
+            newgens, _, rows = kernel_generators(ring, src_degs, matrix_at, low, rows,
+                                                 eliminated)
             if not newgens:
                 terminated_at = i
         if not newgens:

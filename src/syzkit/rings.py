@@ -34,7 +34,7 @@ import numpy as np
 
 from . import polynomials as poly
 from .errors import DegreeBoundError, HomogeneityError, SyzkitError
-from .linalg import matmul, matvec, rref_null_space, rref_stack, zeros
+from .linalg import matmul, rref_null_space, rref_stack, zeros
 
 DEFAULT_DEGREE_BOUND = 12
 MARGIN = 2  # ring degrees below the bound in which nothing new may appear
@@ -328,15 +328,6 @@ class TruncatedQuotientRing:
     def mult_map(self, e, j, a):
         """Matrix of multiplication by the j-th basis monomial of R_e on R_a."""
         return self.mult_maps(e, a)[j]
-
-    def multiply(self, va, a, vb, b):
-        """Product of two elements given by coordinate vectors in R_a, R_b:
-        the stacked maps of R_b on R_a against the products vb[j] * va[i]."""
-        stack = self.mult_maps(b, a)
-        db, dt, da = stack.shape
-        coeffs = np.outer(np.asarray(vb), np.asarray(va)) % self.char
-        by_target = stack.transpose(1, 0, 2).reshape(dt, db * da)
-        return matvec(by_target, coeffs.reshape(-1), self.char)
 
     def vector_to_poly(self, vec, d):
         f = {}

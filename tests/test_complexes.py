@@ -19,18 +19,58 @@ from syzkit.construction import (
     build_e_sequence,
     corollary_module,
     detect_complex_periodicity,
-    periodic_variable_complex,
     run_construction,
 )
 from syzkit.errors import SyzkitError, WindowError
 from syzkit.freemod import FreeMap, pieces
 from syzkit.modules import module_from_strings, residue_field
 from syzkit.resolutions import resolve
-from syzkit.rings import ring_from_strings
+from syzkit.rings import PolyRing, build_quotient, ring_from_strings
 from test_rings import poly_mul
 
 
 W = 10
+
+
+def periodic_variable_complex(char, period, window, degree_bound=None, prefix="x"):
+    """Rank-one complex over F_p[x_1..x_period]/(quadrics) with differentials
+    cycling through the variables; periodic of exactly the given period.
+
+    Returns (complex, eta) with eta the shift-`period` witness map.
+    """
+    names = [f"{prefix}{i + 1}" for i in range(period)] if period > 1 else [prefix]
+    bound = degree_bound if degree_bound is not None else window + 2
+    base = PolyRing(char, names, bound)
+    quadrics = []
+    n = len(names)
+    for i in range(n):
+        for j in range(i, n):
+            exps = [0] * n
+            exps[i] += 1
+            exps[j] += 1
+            quadrics.append({tuple(exps): 1})
+    ring = build_quotient(base, quadrics)
+    gens = [(j,) for j in range(window + 1)]
+    diffs = [None]
+    for j in range(1, window + 1):
+        var = (j - 1) % n
+        exps = [0] * n
+        exps[var] = 1
+        diffs.append(
+            FreeMap.from_poly_matrix(ring, gens[j - 1], gens[j], [[{tuple(exps): 1}]])
+        )
+    cx = FreeComplex(ring, gens, diffs)
+    assert cx.verify()
+    comps = []
+    for j in range(window + 1):
+        src = cx.gen_degrees(j)
+        tgt = cx.gen_degrees(j - period)
+        comp = FreeMap.selection(ring, src, tgt, [0 if tgt else None], -period)
+        # c_{j-1} = (-1)^period c_j forces the alternating scalar
+        comps.append(comp.scale((-1) ** (period * j)))
+    eta = ChainMap(cx, cx, period, -period, comps)
+    assert eta.verify()
+    return cx, eta
 
 
 def identity_chain_map(cx):

@@ -90,10 +90,15 @@ def lift_presentation(m):
     return module_from_presentation(s_ring, gens, rels)
 
 
+def proj_dim(res):
+    """Projective dimension of a resolution that terminated, else None."""
+    return None if res.terminated_at is None else res.terminated_at - 1
+
+
 def _lifted_depth(m):
     """The old algorithm: pd over S from the resolution of the lifted module."""
     n = len(m.ring.vars)
-    pd = resolve(lift_presentation(m), n + 1).proj_dim()
+    pd = proj_dim(resolve(lift_presentation(m), n + 1))
     return DepthReport(n - pd, pd, n, m.ring.degree_bound)
 
 

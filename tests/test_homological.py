@@ -25,6 +25,7 @@ from syzkit.modules import (
 )
 from syzkit.resolutions import depth, resolve
 from syzkit.rings import ring_from_strings
+from test_depth import proj_dim
 from test_modules import annihilated_by
 
 
@@ -234,7 +235,7 @@ def test_pushout_gives_free_cover_over_one_variable():
     out = pushout_extension(basis[0])
     assert out.ses_ok and out.depth_preserved
     res = resolve(out.module, 3)
-    assert res.betti()[0] == 1 and res.proj_dim() == 0
+    assert res.betti()[0] == 1 and proj_dim(res) == 0
 
 
 def test_reduction_search_finite_pd_is_empty():
@@ -266,7 +267,7 @@ def test_reduction_search_one_variable():
     from syzkit.resolutions import resolve as _resolve
 
     final = seq.steps[-1].module
-    assert _resolve(final, 2).proj_dim() == 0
+    assert proj_dim(_resolve(final, 2)) == 0
 
 
 def test_reduction_search_complete_intersection_two_steps():

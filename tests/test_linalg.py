@@ -279,9 +279,8 @@ def test_vectorised_quotient_projection_matches_loop_reference(mp):
 ORACLE_PRIMES = [2, 3, 11, 13, 32003, P31]
 
 
-def _gauss_jordan(rows, cols, p, reduced=True):
-    """RREF and pivot columns of a list-of-rows matrix, in Python integers;
-    with reduced=False, each pivot's column is cleared below it only."""
+def _gauss_jordan(rows, cols, p):
+    """RREF and pivot columns of a list-of-rows matrix, in Python integers."""
     a = [[x % p for x in row] for row in rows]
     pivots = []
     for c in range(cols):
@@ -292,7 +291,7 @@ def _gauss_jordan(rows, cols, p, reduced=True):
         a[r], a[pr] = a[pr], a[r]
         inv = pow(a[r][c], -1, p)
         a[r] = [x * inv % p for x in a[r]]
-        for i in range(0 if reduced else r + 1, len(a)):
+        for i in range(len(a)):
             if i != r and a[i][c]:
                 f = a[i][c]
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
@@ -463,9 +462,8 @@ def test_sparse_row_updates_match_gauss_jordan_oracle(p, rows, cols, seed, split
     r, got_pivots, rk = linalg.rref(m, p)
     assert r.tolist() == want and got_pivots == pivots and rk == len(pivots)
     assert linalg.rank(m, p) == rk
-    echelon, echelon_pivots = linalg._eliminate(m, p, False)
-    assert echelon.tolist() == _gauss_jordan(m.tolist(), cols, p, reduced=False)[0]
-    assert echelon_pivots == pivots
+    # the pivot-only kernel leaves no echelon form to compare: its pivots
+    assert linalg._pivot_columns(m, p) == pivots
     # the kernel vector of free column j: 1 at j, -R[i, j] at the i-th pivot
     free = [j for j in range(cols) if j not in pivots]
     assert linalg.free_columns(m, p) == free
@@ -478,12 +476,39 @@ def test_sparse_row_updates_match_gauss_jordan_oracle(p, rows, cols, seed, split
     assert linalg.extend_basis(m[:, :split], m[:, split:], p) == \
         [c - split for c in pivots if c >= split]
     # a complement is the non-pivot coordinates of the transpose's rref; the
-    # second call hands `_eliminate` the Fortran-ordered view m.T
+    # second call hands `_pivot_columns` the Fortran-ordered view m.T
     assert linalg.coset_complement(m.T, cols, p).tolist() == \
         np.eye(cols, dtype=np.int64)[:, free].tolist()
     t_pivots = _gauss_jordan(m.T.tolist(), rows, p)[1]
     assert linalg.coset_complement(m, rows, p).tolist() == \
         np.eye(rows, dtype=np.int64)[:, [i for i in range(rows) if i not in t_pivots]].tolist()
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, P31])
+@pytest.mark.parametrize("kind", ["zero rows", "zero columns", "deficient"])
+def test_pivot_columns_match_gauss_jordan_oracle_on_the_dense_path(p, kind):
+    # up to _SPARSE_MIN_CELLS cells the pivot-only kernel updates whole
+    # rows; shapes with no rows or no columns, lines of zeros and rows that
+    # combine others must all give the oracle's pivots
+    rng = np.random.default_rng(p % 1009 + len(kind))
+    for rows, cols in [(0, 6), (6, 0), (1, 1), (3, 8), (9, 4), (12, 12), (25, 40), (40, 50)]:
+        assert rows * cols <= linalg._SPARSE_MIN_CELLS
+        for density in (0.1, 0.5, 1.0):
+            m = np.where(rng.random((rows, cols)) < density,
+                         rng.integers(0, p, size=(rows, cols)), 0)
+            if kind == "zero rows":
+                m[rng.random(rows) < 0.4] = 0
+            elif kind == "zero columns":
+                m[:, rng.random(cols) < 0.4] = 0
+            elif min(rows, cols) > 1:  # rank below min(rows, cols)
+                k = rng.integers(0, min(rows, cols))
+                m = linalg.matmul(m[:, :k], rng.integers(0, p, size=(k, cols)), p)
+            pivots = _gauss_jordan(m.tolist(), cols, p)[1]
+            assert linalg._pivot_columns(m, p) == pivots, (rows, cols, density)
+            assert linalg.free_columns(m, p) == [j for j in range(cols) if j not in pivots]
+            assert linalg.rank(m, p) == len(pivots)
+            if kind == "deficient" and min(rows, cols) > 1:
+                assert len(pivots) < min(rows, cols)
 
 
 @pytest.mark.parametrize("k", [1, 63, 64, 65, 200, 600])

@@ -16,6 +16,7 @@ from syzkit.resolutions import (
     syzygy,
 )
 from syzkit.rings import ring_from_strings
+from test_depth import proj_dim
 from test_modules import socle_dim
 
 
@@ -33,7 +34,7 @@ def test_free_module_resolution_terminates():
     r = ring_from_strings(2, ["x", "y"], ["x^2", "y^2"])
     res = resolve(free_module(r), 5)
     assert res.betti() == [1, 0, 0, 0, 0, 0]
-    assert res.proj_dim() == 0
+    assert proj_dim(res) == 0
 
 
 def test_residue_field_complete_intersection_linear_growth():
@@ -297,7 +298,7 @@ def test_koszul_numbers_three_variables():
     s3 = ring_from_strings(2, ["x", "y", "z"], [], degree_bound=8)
     res = resolve(residue_field(s3), 4)
     assert res.betti() == [comb(3, i) for i in range(5)]
-    assert res.proj_dim() == 3
+    assert proj_dim(res) == 3
     assert depth(residue_field(s3)).depth == 0
 
 
@@ -588,34 +589,93 @@ def test_kernel_generators_refuse_a_changed_block(where):
         kernel_generators(r, res.gens[3], res.diffs[3].induced, 0, rows)
 
 
-def test_kernel_generators_reuse_a_null_space_that_repeats(monkeypatch):
-    # k over a 1-dimensional complete intersection: the degree tables of R
-    # repeat, so a syzygy step meets the block it just eliminated again and
-    # finds its pivots once; the generators stay the dense step's
+def _resolve_counting_blocks(m, steps, monkeypatch):
+    """resolve(m, steps), with the content of every block A that a syzygy
+    step packs and of every block it eliminates to its pivots, in order."""
     from syzkit import resolutions
 
-    calls = []
-    free_columns = resolutions.free_columns
+    packed, eliminated = [], []
+    pack, free_columns = resolutions.pack, resolutions.free_columns
 
-    def counted(mat, p):
-        calls.append(mat.shape)
-        return free_columns(mat, p)
+    def packs(a):
+        packed.append((a.shape, a.tobytes()))
+        return pack(a)
 
+    def eliminates(a, p):
+        eliminated.append((a.shape, a.tobytes()))
+        return free_columns(a, p)
+
+    monkeypatch.setattr(resolutions, "pack", packs)
+    monkeypatch.setattr(resolutions, "free_columns", eliminates)
+    res = resolve(m, steps)
+    monkeypatch.undo()
+    return res, packed, eliminated
+
+
+def _assert_dense_steps(m, res):
+    """Every step's generators are the dense step's, on the same maps."""
+    from functools import partial
+
+    from syzkit.modules import generator_matrix
+
+    r = m.ring
+    for i in range(1, len(res.gens)):
+        src = res.gens[i - 1]
+        matrix_at = (partial(generator_matrix, m, res.cover) if i == 1
+                     else res.diffs[i - 1].induced)
+        hi = r.degree_window(m.min_degree(), max(src)).top
+        want = _dense_kernel_generators(r, src, matrix_at, hi)
+        assert [d for d, _ in want] == list(res.gens[i]), i
+        assert all(np.array_equal(u, v) for (_, u), v in zip(want, res.diffs[i].columns)), i
+
+
+def test_kernel_generators_reuse_a_null_space_that_repeats(monkeypatch):
+    # k over a 1-dimensional complete intersection: the degree tables of R
+    # repeat, so the steps meet blocks already eliminated; each distinct
+    # block of the resolution has its pivots found once, and the generators
+    # stay the dense step's
     names = ["x", "y", "z"]
     r = ring_from_strings(7, names, _dense_quadrics(7, names, 2, 2), degree_bound=14)
     m = residue_field(r)
-    monkeypatch.setattr(resolutions, "free_columns", counted)
-    steps = _steps(r, m, 6)
-    monkeypatch.undo()
-    # one elimination of A per step and degree scanned, none for a repeat
-    handed = [list(h.values()) for *_, h in steps]
-    repeats = sum(resolutions._same(x.block, y.block) for h in handed for x, y in zip(h, h[1:]))
-    assert repeats and len(calls) == sum(map(len, handed)) - repeats
-    assert [len(gens) for *_, gens, _ in steps] == [3, 5, 7, 9, 11, 13]
-    for src, matrix_at, gens, handover in steps:
-        want = _dense_kernel_generators(r, src, matrix_at, max(handover))
-        assert [d for d, _ in gens] == [d for d, _ in want]
-        assert all(np.array_equal(u, v) for (_, u), (_, v) in zip(gens, want))
+    res, packed, eliminated = _resolve_counting_blocks(m, 6, monkeypatch)
+    assert len(eliminated) == len(set(eliminated)) == len(set(packed)) < len(packed)
+    assert res.betti() == [1, 3, 5, 7, 9, 11, 13]
+    _assert_dense_steps(m, res)
+
+
+def test_kernel_generators_reuse_the_blocks_of_earlier_steps(monkeypatch):
+    # k over a quadric hypersurface: the resolution turns periodic of period
+    # 2, and steps 5 and 6 meet the blocks of steps 3 and 4 again, which
+    # only a record kept over the whole resolution can reuse
+    r = ring_from_strings(32003, ["x", "y", "z", "w"], ["x*y - z*w"], degree_bound=10)
+    m = residue_field(r)
+    res, packed, eliminated = _resolve_counting_blocks(m, 6, monkeypatch)
+    assert res.betti() == [1, 4, 7, 8, 8, 8, 8]
+    assert len(packed) == 45 and len(set(packed)) == 33
+    assert len(eliminated) == len(set(eliminated)) == 33
+    _assert_dense_steps(m, res)
+
+
+def test_kernel_generators_tell_apart_blocks_with_one_nonzero_pattern(monkeypatch):
+    # R/(x, y) over a seeded ring at p = 7 meets blocks A with the same shape
+    # and nonzero positions but other values and other pivots: the record
+    # of eliminated blocks must compare values too, or a step reads another
+    # block's free columns
+    from syzkit.linalg import free_columns
+
+    r = ring_from_strings(7, ["x", "y", "z"], ["2*x*y + 6*z^2 + 6*y*z + x^2",
+                                             "4*x*y + 6*x*z + 6*x^2 + z^2"], degree_bound=8)
+    m = module_from_strings(r, [0], [["x"], ["y"]])
+    res, packed, eliminated = _resolve_counting_blocks(m, 5, monkeypatch)
+    assert res.betti() == [1, 2, 2, 2, 2, 2]
+    assert len(eliminated) == len(set(eliminated)) == len(set(packed))
+    pivots_by_pattern = {}
+    for shape, content in set(packed):
+        a = np.frombuffer(content, dtype=np.int64).reshape(shape)
+        pattern = (shape, np.flatnonzero(a).tobytes())
+        pivots_by_pattern.setdefault(pattern, set()).add(tuple(free_columns(a, 7)))
+    assert max(map(len, pivots_by_pattern.values())) > 1
+    _assert_dense_steps(m, res)
 
 
 def test_kernel_generators_check_that_the_previous_rows_are_filled():
@@ -798,6 +858,38 @@ def test_certificate_witness_passes_the_tail_check_and_an_altered_one_fails():
     altered = ChainMap(w.source, w.target, w.shift, w.twist, comps)
     assert altered.iso_range_ok(lo)
     assert not altered.verify(lo)
+
+
+def test_certificate_search_builds_each_degree_matrix_once(monkeypatch):
+    # the (period, onset) tails of one search share the differentials'
+    # degree matrices: the chain systems build d_i in degree e once per
+    # search, and the next search builds them afresh
+    import syzkit.chainsolve as chainsolve
+
+    built, inside = [], []
+    solve, induced = chainsolve.solve_chain_self_maps, FreeMap.induced
+
+    def solving(*args):
+        inside.append(True)
+        try:
+            return solve(*args)
+        finally:
+            inside.pop()
+
+    def counted(self, d):
+        if inside:
+            built.append((id(self), d))
+        return induced(self, d)
+
+    res = _periodic_case_resolution(PERIODIC_CASES[5])
+    monkeypatch.setattr(chainsolve, "solve_chain_self_maps", solving)
+    monkeypatch.setattr(FreeMap, "induced", counted)
+    cert = detect_resolution_periodicity(res)
+    assert (cert.period, cert.onset) == (2, 1)
+    once = list(built)
+    assert once and len(once) == len(set(once))
+    detect_resolution_periodicity(res)
+    assert built == once + once
 
 
 def test_certificate_records_shift_one_rigorously_infeasible(monkeypatch):

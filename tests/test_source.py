@@ -232,3 +232,13 @@ def test_resolutions_takes_no_span_and_no_rank():
                            and getattr(node.func, "id", getattr(node.func, "attr", None))
                            in reducers]
     assert sorted(owners) == ["_kernel", "null_space"]
+    # A's pivots are found at one call site, behind the record of blocks
+    # already eliminated in the resolution; no helper compares a block with
+    # the last one beside it
+    tree = ast.parse(path.read_text())
+    sites = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "free_columns"]
+    assert len(sites) == 1, sites
+    assert not [node for node in ast.walk(tree)
+                if getattr(node, "name", getattr(node, "id", None)) == "_same"]
