@@ -24,6 +24,12 @@ also owns the ring action on free sums: `act` multiplies chains of a free
 sum of copies of R or of a module N by all of R_e, and serves a module's
 action matrices, the free cover of a module or of Tor_i and R's action on
 F_i (x) N.
+
+`FreeMap.compose` is the one composite of maps: it returns the composite
+degree by degree, as the matrices of images of the inner map's columns,
+not as a map.  The checks (d o d = 0, the chain condition, commutation,
+exactness) read those matrices and build no map; only
+`complexes.minimize_complex` makes a map of them, because it keeps it.
 """
 
 from itertools import accumulate
@@ -152,10 +158,6 @@ class FreeMap:
                              [None] * len(source_degrees), twist)
 
     @classmethod
-    def identity(cls, ring, gen_degrees):
-        return cls.selection(ring, gen_degrees, gen_degrees, range(len(gen_degrees)))
-
-    @classmethod
     def from_poly_matrix(cls, ring, target_degrees, source_degrees, entries, twist=0):
         """Build from a matrix of polynomial dicts (rows: target gens)."""
         tdegs, sdegs = tuple(target_degrees), tuple(source_degrees)
@@ -271,14 +273,14 @@ class FreeMap:
                     mat[toffs[c]:toffs[c + 1], soffs[b]:soffs[b] + de] = prod[:, :, k].T
         return mat
 
-    def apply(self, d, vec):
-        return matmul(self.induced(d), np.asarray(vec).reshape(-1, 1), self.ring.char)[:, 0]
-
     def compose(self, other):
-        """self after other (source of self = target of other).
-
-        other's columns of one degree d all go through self's degree-d
-        matrix, so each degree takes one induced matrix and one product.
+        """self after other (source of self = target of other), degree by
+        degree: a list of (bs, images), one per degree d that other's
+        columns lie in, with bs the tuple of other's source generators whose
+        columns lie in degree d and images the matrix whose column k is self
+        applied to column bs[k], over self's target component in degree
+        d + self.twist.  Each degree takes one induced matrix and one
+        product; the composite is not made into a map.
         """
         if self.source_degrees != other.target_degrees:
             raise SyzkitError(
@@ -288,32 +290,11 @@ class FreeMap:
         by_degree = {}
         for b, g in enumerate(other.source_degrees):
             by_degree.setdefault(g + other.twist, []).append(b)
-        cols = [None] * len(other.source_degrees)
+        out = []
         for d, bs in by_degree.items():
-            images = matmul(self.induced(d), np.stack([other.columns[b] for b in bs], axis=1),
-                            self.ring.char)
-            for k, b in enumerate(bs):
-                cols[b] = images[:, k]
-        return FreeMap(
-            self.ring, other.source_degrees, self.target_degrees, cols,
-            other.twist + self.twist,
-        )
-
-    def scale(self, c):
-        p = self.ring.char
-        cols = [(a * c) % p for a in self.columns]
-        return FreeMap(self.ring, self.source_degrees, self.target_degrees, cols, self.twist)
-
-    def is_zero(self):
-        return all(not c.any() for c in self.columns)
-
-    def equals(self, other):
-        return (
-            self.source_degrees == other.source_degrees
-            and self.target_degrees == other.target_degrees
-            and self.twist == other.twist
-            and all(np.array_equal(a, b) for a, b in zip(self.columns, other.columns))
-        )
+            stacked = np.stack([other.columns[b] for b in bs], axis=1)
+            out.append((tuple(bs), matmul(self.induced(d), stacked, self.ring.char)))
+        return out
 
     def scalar_block(self):
         """Constant parts: matrix over (target gen, source gen) pairs of equal

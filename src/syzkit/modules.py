@@ -93,9 +93,6 @@ class GradedModule:
             return 0
         return len(self._space(d)[0])
 
-    def dims(self, dmax):
-        return [self.dim(d) for d in range(dmax + 1)]
-
     def min_degree(self):
         return min(self.gen_degrees) if self.gen_degrees else 0
 
@@ -355,11 +352,13 @@ class ModuleMap:
         return matmul(t.proj(d + self.twist), reps, t.ring.char)
 
     def verify(self):
-        """Check the map kills every relation of the source (well-defined)."""
-        t = self.target
-        for d, v in self.source.relations:
-            img = self._free.apply(d, v)
-            if matmul(t.proj(d + self.twist), img.reshape(-1, 1), t.ring.char).any():
+        """Check the map kills every relation of the source (well-defined):
+        the relations' images, one matrix per relation degree d, project to
+        zero in N_{d+twist}."""
+        t, rels = self.target, self.source._relation_map
+        for bs, images in self._free.compose(rels):
+            d = rels.source_degrees[bs[0]] + self.twist
+            if matmul(t.proj(d), images, t.ring.char).any():
                 return False
         return True
 

@@ -78,7 +78,7 @@ from . import freemod
 from .chainsolve import certify_periodicity
 from .complexes import FreeComplex, coker_module
 from .errors import SyzkitError, WindowError
-from .linalg import _null_space, extend_basis, free_columns, identity, matvec, pack, unpack, zeros
+from .linalg import _null_space, extend_basis, free_columns, identity, matmul, pack, unpack, zeros
 from .modules import Homology, generator_matrix
 
 
@@ -105,12 +105,16 @@ class FreeResolution(FreeComplex):
         return FreeComplex.is_minimal(self)
 
     def verify_complex(self):
-        """cover o d_1 = 0 and d_i o d_{i+1} = 0, exactly."""
+        """cover o d_1 = 0 and d_i o d_{i+1} = 0, exactly: the cover's matrix
+        is built once per degree of d_1's columns."""
         d1 = self.diff(1)
         if d1 is not None:
+            by_degree = {}
             for g, col in zip(d1.source_degrees, d1.columns):
+                by_degree.setdefault(g, []).append(col)
+            for g, cols in by_degree.items():
                 cover_at_g = generator_matrix(self.module, self.cover, g)
-                if matvec(cover_at_g, col, self.ring.char).any():
+                if matmul(cover_at_g, np.stack(cols, axis=1), self.ring.char).any():
                     return False
         return self.verify()
 

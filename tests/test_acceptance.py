@@ -30,6 +30,7 @@ from syzkit.resolutions import depth, resolve
 from syzkit.rings import polynomial_extension, ring_from_strings
 from test_complexes import periodic_variable_complex
 from test_depth import proj_dim
+from test_modules import dims
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -185,7 +186,7 @@ def test_criterion_07_flagship_construction():
     assert [e.value for e in result.complexity_chain] == [2, 1, 0]
     assert all(r.ok for r in result.ses_reports)
     cor = corollary_module(result)
-    assert cor.module.dims(4) == [1, 0, 0, 0, 0]  # the residue field
+    assert dims(cor.module, 4) == [1, 0, 0, 0, 0]  # the residue field
     assert cor.betti_matches_product and cor.transport_complete
     passed(7, "two period-1 factors: product Betti j+1, cone Betti constant then "
               "vanishing, both linking sequences exact, cokernel is k")

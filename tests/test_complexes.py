@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from syzkit import construction
 from syzkit.complexes import (
     ChainMap,
     FreeComplex,
@@ -16,16 +17,20 @@ from syzkit.complexes import (
     tensor_pair,
 )
 from syzkit.construction import (
+    _commute,
     build_e_sequence,
     corollary_module,
     detect_complex_periodicity,
     run_construction,
 )
-from syzkit.errors import SyzkitError, WindowError
-from syzkit.freemod import FreeMap, pieces
+from syzkit.errors import ParseError, SyzkitError, WindowError
+from syzkit.freemod import FreeMap, pieces, vector
+from syzkit.io import read_complex_file
 from syzkit.modules import module_from_strings, residue_field
 from syzkit.resolutions import resolve
 from syzkit.rings import PolyRing, build_quotient, ring_from_strings
+from test_freemod import composite, equals, identity, scale
+from test_modules import dims
 from test_rings import poly_mul
 
 
@@ -67,15 +72,40 @@ def periodic_variable_complex(char, period, window, degree_bound=None, prefix="x
         tgt = cx.gen_degrees(j - period)
         comp = FreeMap.selection(ring, src, tgt, [0 if tgt else None], -period)
         # c_{j-1} = (-1)^period c_j forces the alternating scalar
-        comps.append(comp.scale((-1) ** (period * j)))
+        comps.append(scale(comp, (-1) ** (period * j)))
     eta = ChainMap(cx, cx, period, -period, comps)
     assert eta.verify()
     return cx, eta
 
 
 def identity_chain_map(cx):
-    comps = [FreeMap.identity(cx.ring, cx.gen_degrees(j)) for j in range(cx.window + 1)]
+    comps = [identity(cx.ring, cx.gen_degrees(j)) for j in range(cx.window + 1)]
     return ChainMap(cx, cx, 0, 0, comps)
+
+
+def chain_compose(outer, inner):
+    """outer after inner (shifts and twists add); where outer has no
+    component, the composite is zero."""
+    shift, twist = outer.shift + inner.shift, outer.twist + inner.twist
+    comps = []
+    for j in range(inner.source.window + 1):
+        first = outer.component(j - inner.shift)
+        if first is None:
+            comps.append(FreeMap.zero(inner.source.ring, inner.source.gen_degrees(j),
+                                      outer.target.gen_degrees(j - shift), twist))
+        else:
+            comps.append(composite(first, inner.component(j)))
+    return ChainMap(inner.source, outer.target, shift, twist, comps)
+
+
+def chain_scale(phi, c):
+    return ChainMap(phi.source, phi.target, phi.shift, phi.twist,
+                    [scale(f, c) for f in phi.components])
+
+
+def chain_equals(a, b):
+    return ((a.shift, a.twist) == (b.shift, b.twist)
+            and all(equals(x, y) for x, y in zip(a.components, b.components)))
 
 
 def period_one_factor(char=2, window=W):
@@ -141,7 +171,7 @@ def test_induced_maps_commute_flagship():
     m2 = induced_chain_map(prod, 1, eg)
     assert m1.verify() and m2.verify()
     assert m1.is_surjective() and m2.is_surjective()
-    assert m1.compose(m2).equals(m2.compose(m1))
+    assert _commute(m1, m2)
 
 
 def test_induced_identity_is_identity():
@@ -150,7 +180,7 @@ def test_induced_identity_is_identity():
     prod = tensor_many([f, g])
     ident = identity_chain_map(g)
     ind = induced_chain_map(prod, 1, ident)
-    assert ind.equals(identity_chain_map(prod))
+    assert chain_equals(ind, identity_chain_map(prod))
 
 
 def test_cone_of_identity_is_acyclic():
@@ -163,7 +193,7 @@ def test_cone_of_identity_is_acyclic():
 
 def test_cone_of_zero_is_direct_sum():
     cx, eta = period_one_factor()
-    zero = eta.scale(0)
+    zero = chain_scale(eta, 0)
     c = cone(zero)
     for j in range(c.window + 1):
         assert c.rank(j) == cx.rank(j - 1) + cx.rank(j - 1)
@@ -297,6 +327,95 @@ def test_e_sequence_exactness_flagship():
             assert lhs == rhs
 
 
+PLANTED_PRIMES = [2, 3, 32003, 2**31 - 1]
+
+
+def _plus(fmap, other):
+    """fmap + other, two maps with the same degrees and twist."""
+    cols = [(a + b) % fmap.ring.char for a, b in zip(fmap.columns, other.columns)]
+    return FreeMap(fmap.ring, fmap.source_degrees, fmap.target_degrees, cols, fmap.twist)
+
+
+@pytest.mark.parametrize("p", PLANTED_PRIMES)
+def test_a_complex_whose_square_is_not_zero_is_refused(p, tmp_path):
+    # over F_p[x, y, z], d_1 = (x, y) and d_2 has columns (y, -x) in degree
+    # 2 and (yz, -xz) in degree 3; planting yz in the second column leaves
+    # the degree-2 composite zero and makes the degree-3 one y^2 z
+    r = ring_from_strings(p, ["x", "y", "z"], [], degree_bound=6)
+    (tmp_path / "r.ring").write_text(f"ring {{ char = {p}; vars = [x, y, z]; "
+                                     "relations = []; degree_bound = 6 }")
+    gens = [(0,), (1, 1), (2, 3)]
+    for last, ok in [("-x*z", True), ("-x*z + y*z", False)]:
+        rows = [[["x", "y"]], [["y", "y*z"], ["-x", last]]]
+        diffs = [None] + [FreeMap.from_poly_matrix(r, gens[j - 1], gens[j],
+                                                   [[r.base.parse(f) for f in row]
+                                                    for row in rows[j - 1]])
+                          for j in (1, 2)]
+        groups = diffs[1].compose(diffs[2])
+        assert [bs for bs, _ in groups] == [(0,), (1,)] and not groups[0][1].any()
+        assert FreeComplex(r, gens, diffs).verify() == ok
+        text = str(rows).replace("'", '"')
+        (tmp_path / "c.complex").write_text(
+            f'complex {{ ring = "r.ring"; modules = [[0], [1, 1], [2, 3]]; '
+            f"differentials = {text} }}")
+        if ok:
+            assert read_complex_file(tmp_path / "c.complex")[0].ranks() == [1, 2, 2]
+        else:
+            with pytest.raises(ParseError, match="differentials do not compose to zero"):
+                read_complex_file(tmp_path / "c.complex")
+
+
+@pytest.mark.parametrize("p", PLANTED_PRIMES)
+def test_induced_maps_that_do_not_commute_are_refused(p, monkeypatch):
+    # the maps that periods 1 and 2 induce on a product commute; adding
+    # m0 m0 to the second one on F_5 keeps it surjective and keeps the
+    # truncated products, but m0 m1 and m1 m0 then differ on F_5
+    f, ef = periodic_variable_complex(p, 1, 8, prefix="x")
+    g, eg = periodic_variable_complex(p, 2, 8, prefix="y")
+    induced = construction.induced_chain_map
+
+    def planted(product, i, eta):
+        m = induced(product, i, eta)
+        if i == 0:
+            return m
+        m0 = induced(product, 0, ef)
+        comps = list(m.components)
+        comps[5] = _plus(comps[5], composite(m0.component(4), m0.component(5)))
+        return ChainMap(product, product, m.shift, m.twist, comps)
+
+    product = tensor_many([f, g])
+    m0, m1, bad = induced(product, 0, ef), induced(product, 1, eg), planted(product, 1, eg)
+    assert _commute(m0, m1) and _commute(m1, m0)
+    assert not _commute(m0, bad) and not _commute(bad, m0)
+    assert bad.is_surjective()
+    monkeypatch.setattr(construction, "induced_chain_map", planted)
+    with pytest.raises(SyzkitError, match="induced maps 0 and 1 do not commute"):
+        run_construction([f, g], [ef, eg])
+
+
+@pytest.mark.parametrize("p", PLANTED_PRIMES)
+def test_a_projection_that_does_not_kill_the_inclusion_is_refused(p):
+    # E^1 is the product's subcomplex on the labels with a_1 = 0, which the
+    # first induced map kills; planting a 1 in its column of such a label
+    # on F_4 makes the composite nonzero there
+    f, ef = periodic_variable_complex(p, 1, 6, prefix="x")
+    g, eg = periodic_variable_complex(p, 2, 6, prefix="y")
+    product = tensor_many([f, g])
+    m0, m1 = induced_chain_map(product, 0, ef), induced_chain_map(product, 1, eg)
+    comp = m0.component(4)
+    b = product.labels[4].index(((0, 0), (4, 0)))
+    cols = [vector(product.ring, comp.target_degrees, g + m0.twist, {0: 1} if k == b else {})
+            for k, g in enumerate(comp.source_degrees)]
+    comps = list(m0.components)
+    comps[4] = _plus(comp, FreeMap(product.ring, comp.source_degrees, comp.target_degrees,
+                                   cols, comp.twist))
+    bad = ChainMap(product, product, m0.shift, m0.twist, comps)
+    assert [r.ok for r in build_e_sequence(product, [m0, m1])[1]] == [True, True]
+    reports = build_e_sequence(product, [bad, m1])[1]
+    assert not reports[0].ok
+    assert reports[0].detail == "composite nonzero at homological degree 4"
+
+
 def test_e_sequence_shifted_factor():
     f, ef = period_one_factor(window=12)
     g, eg = periodic_variable_complex(2, 2, 12, prefix="y")
@@ -343,7 +462,7 @@ def test_corollary_module_flagship_is_residue_field():
     g, eg = periodic_variable_complex(2, 1, 13, prefix="y")
     result = run_construction([f, g], [ef, eg])
     cor = corollary_module(result)
-    assert cor.module.dims(4) == [1, 0, 0, 0, 0]
+    assert dims(cor.module, 4) == [1, 0, 0, 0, 0]
     assert cor.betti_matches_product
     assert cor.sup_product == 0
     assert cor.transport_complete
@@ -356,7 +475,7 @@ def test_corollary_module_single_factor_coker():
     cert = detect_complex_periodicity(g)
     result = run_construction([g], [cert.witness])
     cor = corollary_module(result)
-    assert cor.module.dims(5) == [1, 1, 1, 1, 1, 1]  # A/(x) again
+    assert dims(cor.module, 5) == [1, 1, 1, 1, 1, 1]  # A/(x) again
 
 
 def test_minimize_cone_recovers_kernel_ranks():
@@ -452,7 +571,7 @@ def _nonminimal_complex(kind, p):
         return cone(identity_chain_map(resolve(residue_field(r), 4)))
     c = rng.randrange(1, p)
     m = module_from_strings(r, [0, 1], [["x", "0"], ["y", "0"], ["0", "x"], ["z^2", f"{c}*y"]])
-    return cone(identity_chain_map(resolve(m, 4)).scale(rng.randrange(1, p)))
+    return cone(chain_scale(identity_chain_map(resolve(m, 4)), rng.randrange(1, p)))
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
@@ -462,7 +581,7 @@ def test_minimize_matches_the_polynomial_reference(kind, p):
     got, want = minimize_complex(cx), _minimize_by_polynomials(cx)
     assert sum(got.ranks()) < sum(cx.ranks())
     assert got.gens == want.gens
-    assert all(a.equals(b) for a, b in zip(got.diffs[1:], want.diffs[1:]))
+    assert all(equals(a, b) for a, b in zip(got.diffs[1:], want.diffs[1:]))
     assert got.is_minimal()
 
 
@@ -470,7 +589,7 @@ def test_coker_module_of_resolution_complex():
     r = ring_from_strings(2, ["x", "y"], ["x^2", "y^2"], degree_bound=10)
     res = resolve(residue_field(r), 6)
     m = coker_module(res, 0)
-    assert m.dims(3) == [1, 0, 0, 0]
+    assert dims(m, 3) == [1, 0, 0, 0]
 
 
 def test_cone_triangle_rank_consistency():
@@ -547,7 +666,7 @@ def test_run_construction_rejects_wrong_period_claim():
     import pytest as _pytest
 
     f, ef = period_one_factor()
-    doubled = ef.compose(ef)  # a fine chain map, but the period is 1, not 2
+    doubled = chain_compose(ef, ef)  # a fine chain map, but the period is 1, not 2
     assert doubled.verify() and doubled.is_surjective()
     with _pytest.raises(SyzkitError):
         run_construction([f], [doubled])

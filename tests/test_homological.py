@@ -26,7 +26,7 @@ from syzkit.modules import (
 from syzkit.resolutions import depth, resolve
 from syzkit.rings import ring_from_strings
 from test_depth import proj_dim
-from test_modules import annihilated_by
+from test_modules import annihilated_by, dims
 
 
 @dataclass
@@ -164,17 +164,17 @@ def test_tor_as_module_examples():
     m = module_from_strings(r, [0], [["x + y"]])
     n = module_from_strings(r, [0], [["x^2"]])
     t1 = tor_as_module(m, n, 1)
-    assert t1.dims(5) == [0, 0, 1, 0, 0, 0]
+    assert dims(t1, 5) == [0, 0, 1, 0, 0, 0]
     assert annihilated_by(t1, r.base.parse("x"), 2)
     assert annihilated_by(t1, r.base.parse("y"), 2)
 
     k = residue_field(r)
     t0 = tor_as_module(k, k, 0)
-    assert t0.dims(3) == [1, 0, 0, 0]
+    assert dims(t0, 3) == [1, 0, 0, 0]
 
     mm = module_from_strings(r, [0], [["x"]])
     t0m = tor_as_module(mm, free_module(r), 0)
-    assert t0m.dims(6) == mm.dims(6)
+    assert dims(t0m, 6) == dims(mm, 6)
 
 
 def test_tor_zero_agreement_invariant():

@@ -19,6 +19,11 @@ from syzkit.rings import ring_from_strings
 from test_depth import lift_presentation
 
 
+def dims(m, dmax):
+    """dim M_d for d = 0..dmax."""
+    return [m.dim(d) for d in range(dmax + 1)]
+
+
 def socle_dim(m, d):
     """Dimension of M_d's part killed by every variable."""
     n = m.dim(d)
@@ -46,20 +51,20 @@ def xy_ring():
 
 def test_residue_field_dims():
     k = residue_field(ci_ring())
-    assert k.dims(4) == [1, 0, 0, 0, 0]
+    assert dims(k, 4) == [1, 0, 0, 0, 0]
     assert not k.is_zero()
 
 
 def test_free_module_dims_match_ring():
     r = ci_ring()
     f = free_module(r)
-    assert f.dims(4) == r.hilbert_function(4)
+    assert dims(f, 4) == r.hilbert_function(4)
 
 
 def test_quotient_by_x_over_hypersurface():
     r = xy_ring()
     m = module_from_strings(r, [0], [["x"]])
-    assert m.dims(5) == [1, 1, 1, 1, 1, 1]  # basis y^d
+    assert dims(m, 5) == [1, 1, 1, 1, 1, 1]  # basis y^d
 
 
 def test_inhomogeneous_relation_rejected():
@@ -88,6 +93,18 @@ def test_a_module_map_needs_a_free_map_between_its_generators():
         ModuleMap(free_module(r, (1,)), free_module(r), FreeMap.zero(r, (0,), (0,)))
 
 
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_a_module_map_that_does_not_kill_a_relation_is_refused(p):
+    # the generator of M = R/(x, y^2) goes to the generator of N, one degree
+    # up: N = R(-1)/(x, y^2) kills both relations, and N = R(-1)/(x) kills
+    # x, in degree 1, but not y^2, in degree 2
+    r = ring_from_strings(p, ["x", "y"], [], degree_bound=6)
+    m = module_from_strings(r, [0], [["x"], ["y^2"]])
+    for rels, ok in [([["x"], ["y^2"]], True), ([["x"]], False)]:
+        n = module_from_strings(r, [1], rels)
+        assert ModuleMap(m, n, FreeMap.selection(r, (0,), (1,), [0], 1)).verify() == ok
+
+
 def test_minimal_generators_of_socle_heavy_module():
     r = ci_ring()
     k = residue_field(r)
@@ -101,15 +118,15 @@ def test_lift_presentation_examples():
     r = xy_ring()
     k = residue_field(r)
     lk = lift_presentation(k)
-    assert lk.dims(3) == k.dims(3)
+    assert dims(lk, 3) == dims(k, 3)
 
     free = free_module(r)
     lifted = lift_presentation(free)  # S/(xy)
-    assert lifted.dims(4) == r.hilbert_function(4)
+    assert dims(lifted, 4) == r.hilbert_function(4)
 
     m = module_from_strings(r, [0], [["x"]])
     lm = lift_presentation(m)  # S/(x, xy) = S/(x)
-    assert lm.dims(4) == [1, 1, 1, 1, 1]
+    assert dims(lm, 4) == [1, 1, 1, 1, 1]
 
 
 def test_tensor_presentation_toy():
@@ -117,14 +134,14 @@ def test_tensor_presentation_toy():
     m = module_from_strings(r, [0], [["x"]])
     n = module_from_strings(r, [0], [["x + y"]])
     t = tensor_presentation(m, n)  # A/(x, x+y) = A/(x,y) = k
-    assert t.dims(3) == [1, 0, 0, 0]
+    assert dims(t, 3) == [1, 0, 0, 0]
 
 
 def test_tensor_with_free_is_identity_on_dims():
     r = ci_ring()
     m = module_from_strings(r, [0], [["x*y"]])
     t = tensor_presentation(m, free_module(r))
-    assert t.dims(4) == m.dims(4)
+    assert dims(t, 4) == dims(m, 4)
 
 
 def test_socle_dims():

@@ -17,6 +17,7 @@ from syzkit.resolutions import (
 )
 from syzkit.rings import ring_from_strings
 from test_depth import proj_dim
+from test_freemod import equals, scale
 from test_modules import socle_dim
 
 
@@ -79,6 +80,21 @@ def test_verify_complex_rejects_a_broken_cover():
     (deg, vec), _ = res.cover
     assert list(vec) == [1, 0]
     res.cover[0] = (deg, (vec + res.cover[1][1]) % r.char)
+    assert not res.verify_complex()
+
+
+def test_verify_complex_reads_the_cover_in_every_degree_of_d1():
+    # M = R/(x, y^2) over F_5[x, y, z], resolved to step 1, so that no d o d
+    # is checked: d_1's columns lie in degrees 1 and 2, and adding z^2 to
+    # the second leaves the degree-1 composite zero and makes the degree-2
+    # one z^2, which is nonzero in M
+    r = ring_from_strings(5, ["x", "y", "z"], [], degree_bound=6)
+    res = resolve(module_from_strings(r, [0], [["x"], ["y^2"]]), 1)
+    d1 = res.diffs[1]
+    assert d1.source_degrees == (1, 2) and res.verify_complex()
+    z2 = FreeMap.from_poly_matrix(r, (0,), (1, 2), [[{}, r.base.parse("z^2")]])
+    cols = [(a + b) % r.char for a, b in zip(d1.columns, z2.columns)]
+    res.diffs[1] = FreeMap(r, d1.source_degrees, d1.target_degrees, cols)
     assert not res.verify_complex()
 
 
@@ -169,7 +185,7 @@ def test_determinism_bitwise():
     res2 = resolve(residue_field(r2), 6)
     assert res1.betti() == res2.betti()
     for a, b in zip(res1.diffs[1:], res2.diffs[1:]):
-        assert a.equals(b) or (not a.source_degrees and not b.source_degrees)
+        assert equals(a, b) or (not a.source_degrees and not b.source_degrees)
 
 
 def test_periodicity_period_one():
@@ -752,8 +768,9 @@ def test_induced_matrix_exact_at_largest_prime():
 @pytest.mark.parametrize("p", [2, 32003, P31])
 def test_compose_matches_per_column_apply(p):
     # compose makes one induced matrix and one product per degree of the
-    # inner map's columns; the reference applies the outer map to each
-    # column on its own, in Python integers
+    # inner map's columns and returns the images degree by degree; the
+    # reference applies the outer map to each column on its own, in Python
+    # integers
     from syzkit.freemod import FreeMap, component_dim
 
     names = ["x", "y", "z"]
@@ -771,17 +788,16 @@ def test_compose_matches_per_column_apply(p):
     # blocks are empty in every degree; a zero column
     inner = random_map((1, 1, 1, 2, -3, 1, 4), (0, 0, 1, 5), 1, zero_columns=(5,))
     outer = random_map((0, 0, 1, 5), (0, 0, 2, 9), 2)
-    got = outer.compose(inner)
-    assert got.source_degrees == inner.source_degrees
-    assert got.target_degrees == outer.target_degrees
-    assert got.twist == 3
+    groups = outer.compose(inner)
+    assert [bs for bs, _ in groups] == [(0, 1, 2, 5), (3,), (4,), (6,)]
+    images = {b: mat[:, k] for bs, mat in groups for k, b in enumerate(bs)}
     assert inner.columns[4].shape == (0,)
-    assert got.columns[4].tolist() == [0, 0]
+    assert images[4].tolist() == [0, 0]
     for b, g in enumerate(inner.source_degrees):
         mat = outer.induced(g + inner.twist).tolist()
         col = [int(v) for v in inner.columns[b]]
         want = [sum(x * y for x, y in zip(row, col)) % p for row in mat]
-        assert got.columns[b].tolist() == want
+        assert images[b].tolist() == want
 
 
 # -- the periodicity certificate of a resolution tail ---------------------------
@@ -854,10 +870,46 @@ def test_certificate_witness_passes_the_tail_check_and_an_altered_one_fails():
     # chain condition at the tail's first term, which the tail check skips
     assert not w.verify()
     comps = list(w.components)
-    comps[lo + 1] = comps[lo + 1].scale(2)
+    comps[lo + 1] = scale(comps[lo + 1], 2)
     altered = ChainMap(w.source, w.target, w.shift, w.twist, comps)
     assert altered.iso_range_ok(lo)
     assert not altered.verify(lo)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, P31])
+def test_chain_condition_is_compared_group_by_group(p):
+    # F_j = R(-j) (+) R(-j-1) over F_p[x]/(x^2), with d = x on each summand
+    # and eta = (-1)^j, shift 1: d_j's columns lie in two degrees, whose
+    # images under eta_{j-1} have 2 and 1 rows.  Flipping the sign of eta_4
+    # (zeroing it at p = 2) on the summand of one degree breaks the chain
+    # condition in that degree's group only
+    from syzkit.complexes import ChainMap, FreeComplex
+
+    w = 6
+    r = ring_from_strings(p, ["x"], ["x^2"], degree_bound=w + 3)
+    x = r.base.parse("x")
+    gens = [(j, j + 1) for j in range(w + 1)]
+    cx = FreeComplex(r, gens, [None] + [
+        FreeMap.from_poly_matrix(r, gens[j - 1], gens[j], [[x, {}], [{}, x]])
+        for j in range(1, w + 1)])
+    assert cx.verify()
+    eta = [FreeMap.zero(r, gens[0], (), -1)] + [
+        scale(FreeMap.selection(r, gens[j], gens[j - 1], [0, 1], -1), (-1) ** j)
+        for j in range(1, w + 1)]
+    groups = eta[3].compose(cx.diff(4))
+    assert [(bs, mat.shape[0]) for bs, mat in groups] == [((0,), 2), ((1,), 1)]
+    assert ChainMap(cx, cx, 1, -1, eta).verify()
+    for summand in (0, 1):
+        col = eta[4].columns[summand]
+        cols = list(eta[4].columns)
+        cols[summand] = (-col if p > 2 else 0 * col) % p
+        altered = list(eta)
+        altered[4] = FreeMap(r, gens[4], gens[3], cols, -1)
+        phi = ChainMap(cx, cx, 1, -1, altered)
+        assert not phi.verify() and not phi.verify(3) and phi.verify(5)
+        lhs = dict(altered[3].compose(cx.diff(4)))
+        rhs = dict(cx.diff(3).compose(altered[4]))
+        assert [np.array_equal(lhs[bs], -rhs[bs] % p) for bs in lhs] == [summand == 1, summand == 0]
 
 
 def test_certificate_search_builds_each_degree_matrix_once(monkeypatch):

@@ -242,3 +242,29 @@ def test_resolutions_takes_no_span_and_no_rank():
     assert len(sites) == 1, sites
     assert not [node for node in ast.walk(tree)
                 if getattr(node, "name", getattr(node, "id", None)) == "_same"]
+
+
+def test_no_check_builds_a_map():
+    # the checks read the image matrices that FreeMap.compose gives, degree
+    # by degree; a map built only to be compared and dropped (a composite
+    # made into a map, a scaled copy, a zero map) is work the check wastes
+    checks = {("complexes", "FreeComplex", "verify"), ("complexes", "ChainMap", "verify"),
+              ("complexes", None, "_agree"), ("construction", None, "_commute"),
+              ("construction", None, "_check_e_sequence"), ("modules", "ModuleMap", "verify"),
+              ("resolutions", "FreeResolution", "verify_complex")}
+    builders = {"FreeMap", "zero", "selection", "from_poly_matrix", "restrict", "scale",
+                "equals"}
+    seen, found = set(), []
+    for path, tree in _package_trees():
+        for top in tree.body:
+            owner = top.name if isinstance(top, ast.ClassDef) else None
+            for fn in top.body if owner else [top]:
+                if (path.stem, owner, getattr(fn, "name", None)) not in checks:
+                    continue
+                seen.add((path.stem, owner, fn.name))
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "attr", getattr(node.func, "id", None))
+                          in builders]
+    assert seen == checks
+    assert found == []
