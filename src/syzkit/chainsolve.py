@@ -96,11 +96,15 @@ class Unknowns:
     def chain_map(self, x):
         """Solution vector -> ChainMap of the complex, zero below j_lo."""
         blocks = np.split(x, self.starts[1:-1])
-        column_lists = [None] * self.j_lo
-        for j in range(self.j_lo, self.cx.window + 1):
-            column_lists.append([blocks[self.index[(j, b)]].copy()
-                                 for b in range(self.cx.rank(j))])
-        return ChainMap.from_columns(self.cx, self.cx, self.q, self.tau, column_lists)
+        comps = []
+        for j in range(self.cx.window + 1):
+            src, tgt = self.cx.gen_degrees(j), self.cx.gen_degrees(j - self.q)
+            if j < self.j_lo:
+                comps.append(freemod.FreeMap.zero(self.cx.ring, src, tgt, self.tau))
+            else:
+                cols = [blocks[self.index[(j, b)]] for b in range(len(src))]
+                comps.append(freemod.FreeMap.from_dense(self.cx.ring, src, tgt, cols, self.tau))
+        return ChainMap(self.cx, self.cx, self.q, self.tau, comps)
 
 
 def solve_chain_self_maps(cx, q, tau, j_lo, induced=None):

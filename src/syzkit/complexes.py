@@ -14,8 +14,8 @@ Sign conventions, fixed once and asserted by the verification checks:
 The checks read each composite as `freemod.FreeMap.compose` gives it, one
 matrix of images per degree, and build no map: d o d = 0 asks every matrix
 to vanish, and the two sides of the chain condition, or the two orders of
-a pair of commuting maps, are compared matrix by matrix, paired by their
-source generators.
+a pair of graded-commuting maps, are compared matrix by matrix, paired by
+their source generators.
 
 Internal twists track the grading: a shift-n periodicity map sends the
 degree-d part of F_j isomorphically onto the degree-(d+tau) part of
@@ -169,19 +169,6 @@ class ChainMap:
         self.twist = twist
         self.components = components  # components[j]: FreeMap F_j -> T_{j-shift}
 
-    @classmethod
-    def from_columns(cls, source, target, shift, twist, column_lists):
-        comps = []
-        for j in range(source.window + 1):
-            src = source.gen_degrees(j)
-            tgt = target.gen_degrees(j - shift)
-            cols = column_lists[j] if j < len(column_lists) else None
-            if cols is None:
-                comps.append(freemod.FreeMap.zero(source.ring, src, tgt, twist))
-            else:
-                comps.append(freemod.FreeMap(source.ring, src, tgt, cols, twist))
-        return cls(source, target, shift, twist, comps)
-
     def component(self, j):
         if 0 <= j < len(self.components):
             return self.components[j]
@@ -316,7 +303,7 @@ def tensor_many(factors):
     diffs = [None]
     for j in range(1, w + 1):
         cols = []
-        for lab, total_deg in zip(labels[j], gens[j]):
+        for lab in labels[j]:
             blocks = {}
             left_degree = 0
             for k, (f, emb, (a, u)) in enumerate(zip(factors, embeddings, lab)):
@@ -328,7 +315,7 @@ def tensor_many(factors):
                         embedded = emb.embed(piece, f.gen_degrees(a)[u] - fd.target_degrees[c])
                         blocks[target] = (sign * embedded) % ring.char
                 left_degree += a
-            cols.append(freemod.vector(ring, gens[j - 1], total_deg, blocks))
+            cols.append(blocks)
         diffs.append(freemod.FreeMap(ring, gens[j], gens[j - 1], cols))
     out = FreeComplex(ring, gens, diffs, labels)
     if not out.verify():
@@ -350,10 +337,10 @@ def induced_chain_map(product, factor_index, eta):
     n, tau = eta.shift, eta.twist
     p = ring.char
     pos = [{lab: i for i, lab in enumerate(row)} for row in product.labels]
-    column_lists = []
+    comps = []
     for j in range(product.window + 1):
         cols = []
-        for lab, total_deg in zip(product.labels[j], product.gens[j]):
+        for lab in product.labels[j]:
             aa, ui = lab[factor_index]
             left_degree = sum(h for h, _ in lab[:factor_index])
             sign = (-1) ** (n * left_degree)
@@ -366,9 +353,10 @@ def induced_chain_map(product, factor_index, eta):
                 t = pos[j - n][new_lab]
                 embedded = emb.embed(piece, comp.source_degrees[ui] + tau - comp.target_degrees[c])
                 blocks[t] = (sign * embedded) % p
-            cols.append(freemod.vector(ring, product.gen_degrees(j - n), total_deg + tau, blocks))
-        column_lists.append(cols)
-    out = ChainMap.from_columns(product, product, n, tau, column_lists)
+            cols.append(blocks)
+        comps.append(freemod.FreeMap(ring, product.gen_degrees(j), product.gen_degrees(j - n),
+                                     cols, tau))
+    out = ChainMap(product, product, n, tau, comps)
     if not out.verify():
         raise SyzkitError("induced chain map fails the chain condition (sign bug)")
     return out
@@ -395,16 +383,16 @@ def cone(phi):
         nx = x.rank(j - 2)  # C_{j-1} = X_{j-2}(tau) (+) Z_{j-1-n}
         dx, comp, dz = x.diff(j - 1), phi.component(j - 1), z.diff(j - n)
         cols = []
-        for b, g in enumerate(x.gen_degrees(j - 1)):
+        for b in range(x.rank(j - 1)):
             blocks = {nx + c: piece for c, piece in comp.blocks(b)}
             if dx is not None:
                 blocks.update((c, (-piece) % p) for c, piece in dx.blocks(b))
-            cols.append(freemod.vector(ring, gens[j - 1], g + tau, blocks))
-        for b, h in enumerate(z.gen_degrees(j - n)):
+            cols.append(blocks)
+        for b in range(z.rank(j - n)):
             blocks = {}
             if dz is not None:
                 blocks = {nx + c: (sign * piece) % p for c, piece in dz.blocks(b)}
-            cols.append(freemod.vector(ring, gens[j - 1], h, blocks))
+            cols.append(blocks)
         diffs.append(freemod.FreeMap(ring, gens[j], gens[j - 1], cols))
     out = FreeComplex(ring, gens, diffs)
     out._cone_of = phi
@@ -416,32 +404,29 @@ def cone(phi):
 def induced_on_cone(cone_cx, psi):
     """Self-map of the cone induced by psi commuting with the cone's map.
 
-    Components are (psi_{j-1}, (-1)^m psi_{j-n}) on the two blocks, m the
-    shift of psi.  With d(x, z) = (-dx, phi x + (-1)^n dz), signs (s1, s2)
-    give a chain map iff s2 psi phi = (-1)^m s1 phi psi, so psi phi = phi psi
-    makes them (1, (-1)^m).  The map is verified once; a failure means that
-    psi does not commute with phi.
+    Components are (psi_{j-1}, (-1)^(m(n+1)) psi_{j-n}) on the two blocks,
+    m the shift of psi.  With d(x, z) = (-dx, phi x + (-1)^n dz), signs
+    (s1, s2) give a chain map iff s2 psi phi = (-1)^m s1 phi psi; maps
+    induced on a tensor product graded-commute, psi phi = (-1)^(mn) phi psi,
+    which makes them (1, (-1)^(m(n+1))).  The map is verified once; a
+    failure means that psi does not graded-commute with phi.
     """
     phi = cone_cx._cone_of
     x = phi.source
     ring = x.ring
-    n, tau = phi.shift, phi.twist
+    n = phi.shift
     m, upsilon = psi.shift, psi.twist
     p = ring.char
-    s2 = (-1) ** m
-    column_lists = []
+    s2 = (-1) ** (m * (n + 1))
+    comps = []
     for j in range(cone_cx.window + 1):
-        tgt = cone_cx.gen_degrees(j - m)
         nx = x.rank(j - m - 1)  # C_{j-m} = X_{j-m-1}(tau) (+) Z_{j-m-n}
-        cols = []
-        for b, g in enumerate(x.gen_degrees(j - 1)):
-            blocks = dict(psi.component(j - 1).blocks(b))
-            cols.append(freemod.vector(ring, tgt, g + tau + upsilon, blocks))
-        for b, h in enumerate(phi.target.gen_degrees(j - n)):
-            blocks = {nx + c: (s2 * piece) % p for c, piece in psi.component(j - n).blocks(b)}
-            cols.append(freemod.vector(ring, tgt, h + upsilon, blocks))
-        column_lists.append(cols)
-    out = ChainMap.from_columns(cone_cx, cone_cx, m, upsilon, column_lists)
+        cols = [dict(psi.component(j - 1).blocks(b)) for b in range(x.rank(j - 1))]
+        for b in range(phi.target.rank(j - n)):
+            cols.append({nx + c: (s2 * piece) % p for c, piece in psi.component(j - n).blocks(b)})
+        comps.append(freemod.FreeMap(ring, cone_cx.gen_degrees(j), cone_cx.gen_degrees(j - m),
+                                     cols, upsilon))
+    out = ChainMap(cone_cx, cone_cx, m, upsilon, comps)
     if not out.verify():
         raise SyzkitError(
             "the map does not commute with the cone's map, so it induces no "
@@ -464,16 +449,12 @@ def minimize_complex(cx):
         while scalars.any():
             r, c = map(int, np.argwhere(scalars)[0])
             diffs[j] = _split_unit(diffs[j], r, c, scalars[r, c])
-            if j < cx.window:
-                drop_c = [None if b == c else b - (b > c) for b in range(len(gens[j]))]
-                gens_c = gens[j][:c] + gens[j][c + 1:]
+            if j < cx.window:  # d_{j+1} loses its pieces on row c
                 nxt = diffs[j + 1]
-                drop = freemod.FreeMap.selection(ring, gens[j], gens_c, drop_c)
-                cols = [None] * len(nxt.source_degrees)
-                for bs, images in drop.compose(nxt):
-                    for k, b in enumerate(bs):
-                        cols[b] = images[:, k]
-                diffs[j + 1] = freemod.FreeMap(ring, nxt.source_degrees, gens_c, cols, nxt.twist)
+                cols = [{t - (t > c): piece for t, piece in nxt.blocks(b) if t != c}
+                        for b in range(len(nxt.source_degrees))]
+                diffs[j + 1] = freemod.FreeMap(ring, nxt.source_degrees,
+                                               gens[j][:c] + gens[j][c + 1:], cols, nxt.twist)
             if j > 1:
                 diffs[j - 1] = diffs[j - 1].restrict(
                     [b for b in range(len(gens[j - 1])) if b != r], range(len(gens[j - 2])))
@@ -491,14 +472,13 @@ def _split_unit(d, r, c, u):
     column left nonzero on target r."""
     p = d.ring.char
     uinv = pow(int(u), -1, p)
-    times_col_c = freemod.FreeMap(d.ring, d.source_degrees[c:c + 1], d.target_degrees,
-                                  d.columns[c:c + 1])
-    cols = list(d.columns)
+    times_col_c = d.restrict([c], range(len(d.target_degrees)))
+    cols = [d.column(b) for b in range(len(d.source_degrees))]
     for b, g in enumerate(d.source_degrees):
         piece = dict(d.blocks(b)).get(r)
         if piece is not None:
             cols[b] = (cols[b] - uinv * matvec(times_col_c.induced(g), piece, p)) % p
-    return freemod.FreeMap(d.ring, d.source_degrees, d.target_degrees, cols).restrict(
+    return freemod.FreeMap.from_dense(d.ring, d.source_degrees, d.target_degrees, cols).restrict(
         [b for b in range(len(cols)) if b != c],
         [a for a in range(len(d.target_degrees)) if a != r])
 
@@ -509,5 +489,5 @@ def coker_module(cx, level=0):
     rels = []
     d = cx.diff(level + 1)
     if d is not None and d.source_degrees:
-        rels = [(g, col.copy()) for g, col in zip(d.source_degrees, d.columns)]
+        rels = [(g, d.column(b)) for b, g in enumerate(d.source_degrees)]
     return GradedModule(cx.ring, gens, rels)

@@ -142,15 +142,17 @@ class ConstructionResult:
 
 
 def _commute(a, b):
-    """Whether the chain self-maps a and b commute: a_{j-n} b_j = b_{j-m} a_j
-    for every j, with n and m the shifts of b and a.  A composite whose
-    outer component index is negative, or past the window, is zero."""
+    """Whether the chain self-maps a and b graded-commute:
+    a_{j-n} b_j = (-1)^(mn) b_{j-m} a_j for every j, with n and m the shifts
+    of b and a, the sign that the Koszul signs of `induced_chain_map` give.
+    A composite whose outer component index is negative, or past the
+    window, is zero."""
     for j in range(b.source.window + 1):
         sides = []
         for outer, inner in ((a, b), (b, a)):
             first = outer.component(j - inner.shift)
             sides.append([] if first is None else first.compose(inner.component(j)))
-        if not _agree(*sides, 1, a.source.ring.char):
+        if not _agree(*sides, (-1) ** (a.shift * b.shift), a.source.ring.char):
             return False
     return True
 

@@ -3,33 +3,36 @@
 A free module is just a tuple of generator degrees; its degree-d component
 has the basis {(generator b, basis monomial of R_{d - g_b})}, laid out
 block-by-generator.  A ``FreeMap`` of twist t sends the generator b to a
-homogeneous element of the target component in degree g_b + t, stored as a
-coordinate vector.  Columns determine the map; induced matrices on degree
-components are assembled from the ring's multiplication tables on demand.
+homogeneous element of the target component in degree g_b + t.  Columns
+determine the map; induced matrices on degree components are assembled
+from the ring's multiplication tables on demand.
 
 Most columns are zero on most target generators (the maps of the tensor
-and cone construction are sparse in blocks), so each map keeps a block
-index: per column, the target generators on which it is nonzero, with the
-offsets of their pieces.  It is built once, on first use, with one
-vectorised pass over the columns of each source degree, and `induced`,
-`blocks` and their callers read only the nonzero pieces from it.  The
-columns are read-only, so the index cannot go stale.
+and cone construction are sparse in blocks), so a map keeps only its
+columns' nonzero blocks: per pair (g, h) of a source and a target
+generator degree, the read-only pieces of the columns of degree g on the
+target generators of degree h, stacked as the rows of one matrix, with
+their generators.  Callers that build a column block by block pass the
+blocks in; `FreeMap.from_dense` splits coordinate vectors, one gather per
+pair of degrees.  `induced` multiplies each stack once, `compose`
+scatters the inner map's stacks into each degree's columns with one
+vectorised assignment each, and dense columns leave a map only through
+`FreeMap.column`.
 
 This module owns the block layout of a component: `vector` writes a
-component vector, `pieces` splits one, `block_matrix` writes a component
-matrix block by block, over R, F (x) N or Hom(F, N), and
-`FreeMap.selection` builds the maps that send generators to generators,
-so no other module writes at `component_offsets` or into a block.  It
-also owns the ring action on free sums: `act` multiplies chains of a free
-sum of copies of R or of a module N by all of R_e, and serves a module's
-action matrices, the free cover of a module or of Tor_i and R's action on
-F_i (x) N.
+component vector (a module relation, or `FreeMap.column`), `pieces`
+splits one, `block_matrix` writes a component matrix block by block, over
+R, F (x) N or Hom(F, N), and `FreeMap.selection` builds the maps that send
+generators to generators, so no other module writes at
+`component_offsets` or into a block.  It also owns the ring action on free
+sums: `act` multiplies chains of a free sum of copies of R or of a module
+N by all of R_e, and serves a module's action matrices, the free cover of
+a module or of Tor_i and R's action on F_i (x) N.
 
 `FreeMap.compose` is the one composite of maps: it returns the composite
 degree by degree, as the matrices of images of the inner map's columns,
 not as a map.  The checks (d o d = 0, the chain condition, commutation,
-exactness) read those matrices and build no map; only
-`complexes.minimize_complex` makes a map of them, because it keeps it.
+exactness) read those matrices and build no map.
 """
 
 from itertools import accumulate
@@ -117,26 +120,70 @@ def free_mult_matrix(ring, gen_degrees, e, j, d):
 
 
 class FreeMap:
-    """Homogeneous map between graded free modules, given on generators."""
+    """Homogeneous map between graded free modules, given on generators:
+    columns[b] is {target generator c: the piece of column b on c, a
+    coordinate vector over R_{g_b + twist - h_c}}, and the column is zero
+    on every generator it does not name.  Zero pieces are dropped."""
 
     def __init__(self, ring, source_degrees, target_degrees, columns, twist=0):
         self.ring = ring
         self.source_degrees = tuple(source_degrees)
         self.target_degrees = tuple(target_degrees)
         self.twist = twist
-        # columns[b]: read-only vector over the target component at g_b + twist
-        self.columns = list(columns)
-        self._blocks = None
-        want_by_degree = {}
-        for b, g in enumerate(self.source_degrees):
-            if g not in want_by_degree:
-                want_by_degree[g] = component_dim(ring, self.target_degrees, g + twist)
-            want = want_by_degree[g]
-            if columns[b].shape[0] != want:
-                raise SyzkitError(
-                    f"column {b} has length {columns[b].shape[0]}, expected {want}"
-                )
-            columns[b].flags.writeable = False
+        if len(columns) != len(self.source_degrees):
+            raise SyzkitError(f"{len(columns)} columns for {len(self.source_degrees)} "
+                              f"source generators")
+        self._groups, self._columns = {}, None
+        found = {}
+        for b, (g, col) in enumerate(zip(self.source_degrees, columns)):
+            for c, piece in col.items():
+                found.setdefault((g, self.target_degrees[c]), []).append((b, c, piece))
+        for (g, h), recs in found.items():
+            want = ring.dim(g + twist - h)
+            for b, c, piece in recs:
+                if np.shape(piece) != (want,):
+                    raise SyzkitError(f"column {b} has a block on generator {c} of "
+                                      f"length {np.size(piece)}, expected {want}")
+            bs, cs, pieces = zip(*recs)
+            self._add(g, h, bs, cs, np.array(pieces, dtype=np.int64).reshape(len(recs), want))
+
+    def _add(self, g, h, bs, cs, stack):
+        """Keep the nonzero rows of stack: row k is the piece of column bs[k]
+        on target generator cs[k], of degrees g and h."""
+        nonzero = stack.any(axis=1)
+        if not nonzero.all():
+            bs, cs, stack = np.asarray(bs)[nonzero], np.asarray(cs)[nonzero], stack[nonzero]
+        if len(stack):
+            stack.flags.writeable = False
+            self._groups.setdefault(g, []).append((h, np.asarray(bs), np.asarray(cs), stack))
+
+    @classmethod
+    def from_dense(cls, ring, source_degrees, target_degrees, columns, twist=0):
+        """The map whose column b is the vector columns[b] over the target
+        component in degree g_b + twist.  One vectorised pass over the
+        stacked columns of each source degree finds their nonzero blocks,
+        and one gather per target degree takes them."""
+        out = cls(ring, source_degrees, target_degrees, [{}] * len(columns), twist)
+        tdegs = np.array(out.target_degrees, dtype=np.int64)
+        by_degree = {}
+        for b, g in enumerate(out.source_degrees):
+            by_degree.setdefault(g, []).append(b)
+        for g, bs in by_degree.items():
+            offs = np.array(component_offsets(ring, out.target_degrees, g + twist))
+            for b in bs:
+                if columns[b].shape[0] != offs[-1]:
+                    raise SyzkitError(f"column {b} has length {columns[b].shape[0]}, "
+                                      f"expected {offs[-1]}")
+            cs = np.flatnonzero(offs[:-1] < offs[1:])  # blocks of positive length
+            if not cs.size:
+                continue
+            stacked = np.stack([columns[b] for b in bs], dtype=np.int64)
+            hit = np.logical_or.reduceat(stacked != 0, offs[cs], axis=1)
+            for h in np.unique(tdegs[cs]).tolist():
+                ks, i = np.nonzero(hit & (tdegs[cs] == h))
+                at = offs[cs[i]][:, None] + np.arange(ring.dim(g + twist - h))
+                out._add(g, h, np.array(bs)[ks], cs[i], stacked[ks[:, None], at])
+        return out
 
     @classmethod
     def selection(cls, ring, source_degrees, target_degrees, targets, twist=0):
@@ -149,7 +196,7 @@ class FreeMap:
             if c is not None and target_degrees[c] != g + twist:
                 raise SyzkitError(f"generator {b} in degree {g + twist} cannot go to "
                                   f"generator {c} in degree {target_degrees[c]}")
-            cols.append(vector(ring, target_degrees, g + twist, {} if c is None else {c: 1}))
+            cols.append({} if c is None else {c: np.ones(1, dtype=np.int64)})
         return cls(ring, source_degrees, target_degrees, cols, twist)
 
     @classmethod
@@ -175,55 +222,40 @@ class FreeMap:
                         f"entry ({c},{b}) has degree {fd}, expected {d - h}"
                     )
                 blocks[c] = ring.normal_form(f, degree=fd)
-            cols.append(vector(ring, tdegs, d, blocks))
+            cols.append(blocks)
         return cls(ring, sdegs, tdegs, cols, twist)
 
     def to_poly_matrix(self):
-        out = [[] for _ in self.target_degrees]
-        for g, col in zip(self.source_degrees, self.columns):
-            d = g + self.twist
-            for c, piece in enumerate(pieces(self.ring, self.target_degrees, d, col)):
-                out[c].append(self.ring.vector_to_poly(piece, d - self.target_degrees[c]))
+        out = [[{} for _ in self.source_degrees] for _ in self.target_degrees]
+        for b, g in enumerate(self.source_degrees):
+            for c, piece in self.blocks(b):
+                out[c][b] = self.ring.vector_to_poly(
+                    piece, g + self.twist - self.target_degrees[c])
         return out
-
-    def _block_index(self):
-        """(groups, per_column).  groups maps each source degree g to its
-        generators and, per target degree h, the (b, c, lo, hi) with
-        columns[b][lo:hi] the nonzero piece of column b on target generator
-        c; per_column[b] lists column b's (c, lo, hi).  One pass over the
-        stacked columns of each source degree finds all its nonzero blocks."""
-        if self._blocks is None:
-            groups, per_column = {}, [[] for _ in self.source_degrees]
-            for b, g in enumerate(self.source_degrees):
-                groups.setdefault(g, ([], {}))[0].append(b)
-            for g, (bs, by_target_degree) in groups.items():
-                offs = component_offsets(self.ring, self.target_degrees, g + self.twist)
-                starts = np.array(offs[:-1])
-                cs = np.flatnonzero(starts < offs[1:])  # blocks of positive length
-                if not cs.size:
-                    continue
-                nonzero = np.stack([self.columns[b] for b in bs]) != 0
-                hit = np.logical_or.reduceat(nonzero, starts[cs], axis=1)
-                for k, i in zip(*np.nonzero(hit)):
-                    b, c = bs[k], int(cs[i])
-                    per_column[b].append((c, offs[c], offs[c + 1]))
-                    by_target_degree.setdefault(self.target_degrees[c], []).append(
-                        (b, c, offs[c], offs[c + 1])
-                    )
-            self._blocks = groups, per_column
-        return self._blocks
 
     def blocks(self, b):
         """(c, piece) for each target generator c on which column b is
-        nonzero, in order of c; piece is the column's block on c."""
-        col = self.columns[b]
-        return [(c, col[lo:hi]) for c, lo, hi in self._block_index()[1][b]]
+        nonzero, in order of c; piece is the column's read-only block on c."""
+        if self._columns is None:
+            self._columns = [[] for _ in self.source_degrees]
+            for groups in self._groups.values():
+                for _, bs, cs, stack in groups:
+                    for k, (bk, ck) in enumerate(zip(bs.tolist(), cs.tolist())):
+                        self._columns[bk].append((ck, stack[k]))
+            for col in self._columns:
+                col.sort(key=lambda rec: rec[0])
+        return list(self._columns[b])
+
+    def column(self, b):
+        """Column b as a vector over the target component in degree
+        g_b + twist: the one reader of dense columns."""
+        return vector(self.ring, self.target_degrees, self.source_degrees[b] + self.twist,
+                      dict(self.blocks(b)))
 
     def restrict(self, sources, targets):
         """The map from source generators `sources` to target generators
         `targets`, both lists of indices; every kept column must vanish on
         the target generators that are dropped."""
-        tdegs = [self.target_degrees[c] for c in targets]
         new_index = {c: k for k, c in enumerate(targets)}
         cols = []
         for b in sources:
@@ -232,9 +264,9 @@ class FreeMap:
                 if c not in new_index:
                     raise SyzkitError(f"generator {b} maps onto dropped generator {c}")
                 blocks[new_index[c]] = piece
-            cols.append(vector(self.ring, tdegs, self.source_degrees[b] + self.twist, blocks))
-        return FreeMap(self.ring, [self.source_degrees[b] for b in sources], tdegs, cols,
-                       self.twist)
+            cols.append(blocks)
+        return FreeMap(self.ring, [self.source_degrees[b] for b in sources],
+                       [self.target_degrees[c] for c in targets], cols, self.twist)
 
     def induced(self, d):
         """Numeric matrix of the degree-d component map.
@@ -242,35 +274,30 @@ class FreeMap:
         Column (b, j) is the j-th basis monomial of R_{d - g_b} times column
         b.  Generators of one source degree share these multiplications, so
         for each pair of source and target generator degrees one exact
-        product of the stacked multiplication maps with the matching column
-        pieces gives all their entries.
+        product of the stacked multiplication maps with the stacked pieces
+        gives all their entries.
         """
-        ring, p, tw = self.ring, self.ring.char, self.twist
+        ring, tw = self.ring, self.twist
         soffs = component_offsets(ring, self.source_degrees, d)
         toffs = component_offsets(ring, self.target_degrees, d + tw)
         mat = zeros(toffs[-1], soffs[-1])
-        if not mat.shape[0]:
+        if not mat.size:
             return mat
-        for g, (bs, by_target_degree) in self._block_index()[0].items():
-            e = d - g
-            de = soffs[bs[0] + 1] - soffs[bs[0]]
-            if de == 0:
-                continue
-            if e == 0:
-                for b in bs:
-                    mat[:, soffs[b]] = self.columns[b]
-                continue
-            for h, pairs in by_target_degree.items():
-                c0 = pairs[0][1]
-                rows = toffs[c0 + 1] - toffs[c0]
-                if not rows:
+        for g, groups in self._groups.items():
+            de = ring.dim(d - g)
+            for h, bs, cs, stack in groups:
+                rows = ring.dim(d + tw - h)
+                if not (de and rows):
                     continue
-                pieces = np.stack([self.columns[b][lo:hi] for b, _, lo, hi in pairs], axis=1)
-                mults = ring.mult_maps(e, g + tw - h)
-                prod = matmul(mults.reshape(de * rows, mults.shape[2]), pieces, p)
-                prod = prod.reshape(de, rows, len(pairs))
-                for k, (b, c, _, _) in enumerate(pairs):
-                    mat[toffs[c]:toffs[c + 1], soffs[b]:soffs[b] + de] = prod[:, :, k].T
+                if d == g:  # R_0 = k acts as the identity
+                    prod = stack.T[None]
+                else:
+                    mults = ring.mult_maps(d - g, g + tw - h)
+                    prod = matmul(mults.reshape(de * rows, stack.shape[1]), stack.T, ring.char)
+                # entry (j, r, k): row r of target c_k, monomial j of source b_k
+                prod = prod.reshape(de, rows, len(bs))
+                for k, (b, c) in enumerate(zip(bs.tolist(), cs.tolist())):
+                    mat[toffs[c]:toffs[c] + rows, soffs[b]:soffs[b] + de] = prod[:, :, k].T
         return mat
 
     def compose(self, other):
@@ -279,8 +306,9 @@ class FreeMap:
         columns lie in, with bs the tuple of other's source generators whose
         columns lie in degree d and images the matrix whose column k is self
         applied to column bs[k], over self's target component in degree
-        d + self.twist.  Each degree takes one induced matrix and one
-        product; the composite is not made into a map.
+        d + self.twist.  Each degree takes one scatter of other's pieces,
+        one induced matrix and one product; the composite is not made into
+        a map.
         """
         if self.source_degrees != other.target_degrees:
             raise SyzkitError(
@@ -289,10 +317,16 @@ class FreeMap:
             )
         by_degree = {}
         for b, g in enumerate(other.source_degrees):
-            by_degree.setdefault(g + other.twist, []).append(b)
+            by_degree.setdefault(g, []).append(b)
+        at = np.zeros(len(other.source_degrees), dtype=np.intp)  # b's place in its degree
         out = []
-        for d, bs in by_degree.items():
-            stacked = np.stack([other.columns[b] for b in bs], axis=1)
+        for g, bs in by_degree.items():
+            d = g + other.twist
+            at[bs] = np.arange(len(bs))
+            offs = np.array(component_offsets(self.ring, self.source_degrees, d))
+            stacked = zeros(offs[-1], len(bs))
+            for _, obs, cs, stack in other._groups.get(g, ()):
+                stacked[offs[cs] + np.arange(stack.shape[1])[:, None], at[obs]] = stack.T
             out.append((tuple(bs), matmul(self.induced(d), stacked, self.ring.char)))
         return out
 
@@ -300,10 +334,10 @@ class FreeMap:
         """Constant parts: matrix over (target gen, source gen) pairs of equal
         twisted degree.  Entries elsewhere are forced to higher degree."""
         out = zeros(len(self.target_degrees), len(self.source_degrees))
-        for b, g in enumerate(self.source_degrees):
-            for c, piece in self.blocks(b):
-                if self.target_degrees[c] == g + self.twist:
-                    out[c, b] = piece[0]
+        for g, groups in self._groups.items():
+            for h, bs, cs, stack in groups:
+                if h == g + self.twist:
+                    out[cs, bs] = stack[:, 0]
         return out
 
     def has_positive_degree_entries_only(self):

@@ -170,7 +170,7 @@ def _tor_module(res, homology, n, i):
     if not mingens:
         return GradedModule(ring, (), [])
     gens = tuple(d for d, _ in mingens)
-    rel_gens, hi, _ = kernel_generators(
+    rel_gens, hi, _, _ = kernel_generators(
         ring, gens, partial(generator_matrix, spaces, mingens), degrees.low
     )
     module = GradedModule(ring, gens, rel_gens)
@@ -280,9 +280,10 @@ def pushout_extension(eta, verify_depth=True):
 
     omega = syzygy(res, t - 1)
     if t == 1:  # F_0 goes onto M = Omega^0 through the resolution's cover
-        cols = freemod.FreeMap.zero(ring, m_gens, omega.gen_degrees).columns
+        zero = freemod.FreeMap.zero(ring, m_gens, omega.gen_degrees)
+        cols = [zero.column(b) for b in range(nm)]
         cols += [omega.lift_element(deg, vec) for deg, vec in res.cover]
-        free = freemod.FreeMap(ring, gens, omega.gen_degrees, cols)
+        free = freemod.FreeMap.from_dense(ring, gens, omega.gen_degrees, cols)
     else:
         free = freemod.FreeMap.selection(
             ring, gens, omega.gen_degrees, [None] * nm + list(range(len(f_gens)))

@@ -17,8 +17,8 @@ M_d = R_1 M_{d-1}, and M_{d-1} = 0 gives M_d = 0 (the rule the ring uses
 for its own first zero component).
 
 Relation vectors are built with `freemod.vector`, and the relations form
-one `freemod.FreeMap`, which checks their lengths once and serves every
-degree's span of ring multiples.
+one `freemod.FreeMap` (`FreeMap.from_dense`), which checks their lengths
+once and serves every degree's span of ring multiples.
 
 `Homology` is the one homology computation of the package: Tor, Ext,
 Koszul homology (depth) and the homology of a `FreeComplex` all read
@@ -58,7 +58,7 @@ class GradedModule:
         self.ring = ring
         self.gen_degrees = tuple(gen_degrees)
         self.relations = list(relations)
-        self._relation_map = freemod.FreeMap(
+        self._relation_map = freemod.FreeMap.from_dense(
             ring, [e for e, _ in self.relations], self.gen_degrees,
             [v for _, v in self.relations],
         )

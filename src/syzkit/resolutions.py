@@ -110,8 +110,8 @@ class FreeResolution(FreeComplex):
         d1 = self.diff(1)
         if d1 is not None:
             by_degree = {}
-            for g, col in zip(d1.source_degrees, d1.columns):
-                by_degree.setdefault(g, []).append(col)
+            for b, g in enumerate(d1.source_degrees):
+                by_degree.setdefault(g, []).append(d1.column(b))
             for g, cols in by_degree.items():
                 cover_at_g = generator_matrix(self.module, self.cover, g)
                 if matmul(cover_at_g, np.stack(cols, axis=1), self.ring.char).any():
@@ -176,7 +176,8 @@ def kernel_generators(ring, src_degs, matrix_at, low, rows=None, eliminated=None
     the content of a block A (shape and the bytes of its `linalg.pack`
     indices and values, so a hit is exact) to A's free columns, and is
     shared by the steps of one resolution.  Returns (list of (degree,
-    vector), top degree scanned, this step's `Handover` by degree).
+    vector), top degree scanned, this step's `Handover` by degree, the next
+    map on the generators, or None when there are none).
     """
     p = ring.char
     window = ring.degree_window(low, max(src_degs))
@@ -207,10 +208,11 @@ def kernel_generators(ring, src_degs, matrix_at, low, rows=None, eliminated=None
             window.certify(d)
             kd = kernel()
             gens += [(d, kd[:, idx].copy()) for idx in chosen]
-            nxt = freemod.FreeMap(ring, [g for g, _ in gens], src_degs, [v for _, v in gens])
+            nxt = freemod.FreeMap.from_dense(ring, [g for g, _ in gens], src_degs,
+                                             [v for _, v in gens])
         handover[d] = Handover(free, block, chosen, a_free)
         kd = kernel = a = None  # before the next degree's matrices are built
-    return gens, window.top, handover
+    return gens, window.top, handover, nxt
 
 
 def resolve(module, n_max):
@@ -230,21 +232,19 @@ def resolve(module, n_max):
     rows = None  # the previous step's Handover, by degree
     eliminated = {}  # A's free columns by A's content, over the whole resolution
     for i in range(1, n_max + 1):
-        newgens = []
+        dmap = None
         if terminated_at is None:
-            newgens, _, rows = kernel_generators(ring, src_degs, matrix_at, low, rows,
+            _, _, rows, dmap = kernel_generators(ring, src_degs, matrix_at, low, rows,
                                                  eliminated)
-            if not newgens:
+            if dmap is None:
                 terminated_at = i
-        if not newgens:
+        if dmap is None:
             gens.append(())
             diffs.append(freemod.FreeMap.zero(ring, (), gens[i - 1]))
             continue
-        degs = tuple(d for d, _ in newgens)
-        dmap = freemod.FreeMap(ring, degs, src_degs, [v for _, v in newgens])
-        gens.append(degs)
+        src_degs = dmap.source_degrees
+        gens.append(src_degs)
         diffs.append(dmap)
-        src_degs = degs
         matrix_at = dmap.induced
 
     res = FreeResolution(ring, module, gens, diffs, list(cover), terminated_at, low)

@@ -141,6 +141,26 @@ def test_construct_period_four_witness():
     assert "infinite_ci_witness = true" in out.stdout
 
 
+@pytest.mark.parametrize("p", [3, 32003])
+def test_construct_at_odd_characteristic_matches_characteristic_two(p, tmp_path):
+    # period1_x and period1_y over F_p: the chain condition
+    # eta_{j-1} x = -x eta_j makes eta's components alternate 1, -1, and the
+    # maps induced on the product graded-commute with the sign -1
+    for var in "xy":
+        (tmp_path / f"{var}1.ring").write_text(
+            f'ring {{ char = {p}; vars = [{var}]; relations = ["{var}^2"]; degree_bound = 16 }}\n')
+        text = open(fx(f"period1_{var}.complex")).read()
+        comps = ", ".join(["[]"] + [f'[["{(-1) ** (j + 1) % p}"]]' for j in range(1, 14)])
+        text = text.replace(", ".join(["[]"] + ['[["1"]]'] * 13), comps)
+        assert comps in text
+        (tmp_path / f"period1_{var}.complex").write_text(text)
+    odd = run_cli("construct", str(tmp_path / "period1_x.complex"),
+                  str(tmp_path / "period1_y.complex"), "--machine")
+    two = run_cli("construct", fx("period1_x.complex"), fx("period1_y.complex"), "--machine")
+    assert odd.returncode == 0, odd.stderr
+    assert odd.stdout == two.stdout.replace("char = 2\n", f"char = {p}\n")
+
+
 def test_period_commands():
     one = run_cli("period", fx("period1_x.complex"), "--machine")
     assert "period = 1" in one.stdout

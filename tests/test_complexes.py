@@ -24,12 +24,12 @@ from syzkit.construction import (
     run_construction,
 )
 from syzkit.errors import ParseError, SyzkitError, WindowError
-from syzkit.freemod import FreeMap, pieces, vector
+from syzkit.freemod import FreeMap, vector
 from syzkit.io import read_complex_file
 from syzkit.modules import module_from_strings, residue_field
 from syzkit.resolutions import resolve
 from syzkit.rings import PolyRing, build_quotient, ring_from_strings
-from test_freemod import composite, equals, identity, scale
+from test_freemod import columns, composite, equals, identity, scale
 from test_modules import dims
 from test_rings import poly_mul
 
@@ -250,7 +250,7 @@ def test_truncated_products_are_the_tensor_products_of_hard_truncations():
         assert cx.gens == want.gens and cx.labels == want.labels
         for j in range(1, W + 1):
             assert all(np.array_equal(a, b) for a, b in
-                       zip(cx.diff(j).columns, want.diff(j).columns, strict=True)), (i, j)
+                       zip(columns(cx.diff(j)), columns(want.diff(j)), strict=True)), (i, j)
 
 
 def test_subcomplex_refuses_generators_whose_boundary_it_drops():
@@ -332,8 +332,9 @@ PLANTED_PRIMES = [2, 3, 32003, 2**31 - 1]
 
 def _plus(fmap, other):
     """fmap + other, two maps with the same degrees and twist."""
-    cols = [(a + b) % fmap.ring.char for a, b in zip(fmap.columns, other.columns)]
-    return FreeMap(fmap.ring, fmap.source_degrees, fmap.target_degrees, cols, fmap.twist)
+    cols = [(a + b) % fmap.ring.char for a, b in zip(columns(fmap), columns(other))]
+    return FreeMap.from_dense(fmap.ring, fmap.source_degrees, fmap.target_degrees, cols,
+                              fmap.twist)
 
 
 @pytest.mark.parametrize("p", PLANTED_PRIMES)
@@ -394,6 +395,27 @@ def test_induced_maps_that_do_not_commute_are_refused(p, monkeypatch):
 
 
 @pytest.mark.parametrize("p", PLANTED_PRIMES)
+def test_induced_maps_of_odd_shift_graded_commute(p, monkeypatch):
+    # the maps that two periods 1 induce on a product anticommute,
+    # m0 m1 = -m1 m0; m0 commutes with itself, so at odd p, where -1 != 1,
+    # a second factor that induces m0 again is planted not to graded-commute
+    f, ef = periodic_variable_complex(p, 1, 8, prefix="x")
+    g, eg = periodic_variable_complex(p, 1, 8, prefix="y")
+    induced = construction.induced_chain_map
+    product = tensor_many([f, g])
+    m0, m1 = induced(product, 0, ef), induced(product, 1, eg)
+    assert _commute(m0, m1) and _commute(m1, m0)
+    assert _commute(m0, m0) == (p == 2)
+    monkeypatch.setattr(construction, "induced_chain_map",
+                        lambda product, i, eta: induced(product, 0, ef))
+    if p == 2:
+        assert run_construction([f, g], [ef, eg]) is not None
+    else:
+        with pytest.raises(SyzkitError, match="induced maps 0 and 1 do not commute"):
+            run_construction([f, g], [ef, eg])
+
+
+@pytest.mark.parametrize("p", PLANTED_PRIMES)
 def test_a_projection_that_does_not_kill_the_inclusion_is_refused(p):
     # E^1 is the product's subcomplex on the labels with a_1 = 0, which the
     # first induced map kills; planting a 1 in its column of such a label
@@ -407,8 +429,8 @@ def test_a_projection_that_does_not_kill_the_inclusion_is_refused(p):
     cols = [vector(product.ring, comp.target_degrees, g + m0.twist, {0: 1} if k == b else {})
             for k, g in enumerate(comp.source_degrees)]
     comps = list(m0.components)
-    comps[4] = _plus(comp, FreeMap(product.ring, comp.source_degrees, comp.target_degrees,
-                                   cols, comp.twist))
+    comps[4] = _plus(comp, FreeMap.from_dense(product.ring, comp.source_degrees,
+                                              comp.target_degrees, cols, comp.twist))
     bad = ChainMap(product, product, m0.shift, m0.twist, comps)
     assert [r.ok for r in build_e_sequence(product, [m0, m1])[1]] == [True, True]
     reports = build_e_sequence(product, [bad, m1])[1]
@@ -613,8 +635,8 @@ def test_induced_map_on_single_factor_is_the_map_itself():
     assert ind.shift == eg.shift and ind.twist == eg.twist
     for j in range(prod.window + 1):
         assert np.array_equal(
-            np.concatenate([c for c in ind.component(j).columns] or [np.zeros(0)]),
-            np.concatenate([c for c in eg.component(j).columns] or [np.zeros(0)]),
+            np.concatenate(columns(ind.component(j)) or [np.zeros(0)]),
+            np.concatenate(columns(eg.component(j)) or [np.zeros(0)]),
         )
 
 
@@ -685,18 +707,28 @@ def test_homology_reads_generators_below_degree_zero():
 
 
 def test_induced_on_cone_takes_its_signs_from_the_shift():
-    # at p = 3, where -1 != 1: the z-block of the map induced by psi is
-    # (-1)^m psi, and a psi that does not commute with the coned map is refused
+    # at p = 3, where -1 != 1: on the cone of the map phi that the first
+    # factor's period n induces on a product, the map psi that the second
+    # factor's period m induces graded-commutes with phi, and the z-block of
+    # the map it induces on the cone is (-1)^(m(n+1)) psi
+    for n, m in [(1, 1), (2, 1), (1, 2)]:
+        f, ef = periodic_variable_complex(3, n, 6, prefix="x")
+        g, eg = periodic_variable_complex(3, m, 6, prefix="y")
+        product = tensor_many([f, g])
+        phi, psi = induced_chain_map(product, 0, ef), induced_chain_map(product, 1, eg)
+        cn = cone(phi)
+        ind = induced_on_cone(cn, psi)
+        sign = (-1) ** (m * (n + 1))
+        for j in range(n, cn.window + 1):
+            nx, low = product.rank(j - 1), product.rank(j - 1 - m)
+            z_block = ind.component(j).restrict(range(nx, cn.rank(j)),
+                                                range(low, cn.rank(j - m)))
+            assert equals(z_block, scale(psi.component(j - n), sign % 3)), (n, m, j)
+    # psi_j = a_j x (shift 0, twist 1) is a chain map for any a_j, as x^2 = 0;
+    # with a_j alternating it does not commute with eta
     cx, eta = periodic_variable_complex(3, 1, 6, prefix="x")
     r = cx.ring
     cn = cone(eta)
-    ind = induced_on_cone(cn, eta)
-    for j in range(2, cn.window + 1):
-        col = ind.component(j).columns[-1]  # the generator of Z_{j-1}
-        z_block = pieces(r, cn.gen_degrees(j - 1), cn.gen_degrees(j)[-1] - 1, col)[-1]
-        assert z_block.tolist() == ((-eta.component(j - 1).columns[0]) % 3).tolist()
-    # psi_j = a_j x (shift 0, twist 1) is a chain map for any a_j, as x^2 = 0;
-    # with a_j alternating it does not commute with eta
     comps = [FreeMap.from_poly_matrix(r, (j,), (j,), [[{(1,): 1} if j % 2 else {}]], 1)
              for j in range(cx.window + 1)]
     psi = ChainMap(cx, cx, 0, 1, comps)

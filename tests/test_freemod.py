@@ -33,9 +33,15 @@ def identity(ring, gen_degrees):
     return FreeMap.selection(ring, gen_degrees, gen_degrees, range(len(gen_degrees)))
 
 
+def columns(fmap):
+    """The map's columns as coordinate vectors."""
+    return [fmap.column(b) for b in range(len(fmap.source_degrees))]
+
+
 def scale(fmap, c):
     """c times fmap."""
-    cols = [(c * col) % fmap.ring.char for col in fmap.columns]
+    cols = [{t: (c * piece) % fmap.ring.char for t, piece in fmap.blocks(b)}
+            for b in range(len(fmap.source_degrees))]
     return FreeMap(fmap.ring, fmap.source_degrees, fmap.target_degrees, cols, fmap.twist)
 
 
@@ -43,7 +49,7 @@ def equals(a, b):
     """Whether two maps have the same generator degrees, twist and columns."""
     return ((a.source_degrees, a.target_degrees, a.twist)
             == (b.source_degrees, b.target_degrees, b.twist)
-            and all(np.array_equal(x, y) for x, y in zip(a.columns, b.columns)))
+            and all(np.array_equal(x, y) for x, y in zip(columns(a), columns(b))))
 
 
 def composite(outer, inner):
@@ -52,8 +58,8 @@ def composite(outer, inner):
     for bs, images in outer.compose(inner):
         for k, b in enumerate(bs):
             cols[b] = images[:, k]
-    return FreeMap(outer.ring, inner.source_degrees, outer.target_degrees, cols,
-                   inner.twist + outer.twist)
+    return FreeMap.from_dense(outer.ring, inner.source_degrees, outer.target_degrees, cols,
+                              inner.twist + outer.twist)
 
 
 def offsets(ring, degrees, d):
@@ -75,7 +81,7 @@ def sample_map(ring, twist, seed):
                 col[offs[c]:offs[c + 1]] = gen.integers(0, p, size=offs[c + 1] - offs[c])
                 col[offs[c]] = 1 + gen.integers(0, p - 1)
         cols.append(col)
-    return FreeMap(ring, SOURCE, TARGET, cols, twist)
+    return FreeMap.from_dense(ring, SOURCE, TARGET, cols, twist)
 
 
 def reference_induced(fmap, d):
@@ -89,7 +95,7 @@ def reference_induced(fmap, d):
     for b, g in enumerate(SOURCE):
         coffs = offsets(ring, TARGET, g + t)
         for c, h in enumerate(TARGET):
-            piece = [int(x) for x in fmap.columns[b][coffs[c]:coffs[c + 1]]]
+            piece = [int(x) for x in fmap.column(b)[coffs[c]:coffs[c + 1]]]
             for j in range(ring.dim(d - g)):
                 mult = ring.mult_map(d - g, j, g + t - h).tolist()
                 for r, row in enumerate(mult):
@@ -112,16 +118,148 @@ def test_induced_matches_a_python_integer_reference(spec, twist):
         assert fmap.induced(d).tolist() == reference_induced(fmap, d)
 
 
+class DenseMap:
+    """The dense reference: one coordinate vector per column, as maps were
+    stored before they kept their nonzero blocks, with every reader written
+    out in Python integers on the slices at the component offsets."""
+
+    def __init__(self, ring, source_degrees, target_degrees, columns, twist):
+        self.ring, self.twist = ring, twist
+        self.src, self.tgt, self.cols = source_degrees, target_degrees, columns
+
+    def piece(self, b, c):
+        offs = offsets(self.ring, self.tgt, self.src[b] + self.twist)
+        return [int(x) for x in self.cols[b][offs[c]:offs[c + 1]]]
+
+    def blocks(self, b):
+        return [(c, self.piece(b, c)) for c in range(len(self.tgt)) if any(self.piece(b, c))]
+
+    def induced(self, d):
+        ring, p, t = self.ring, self.ring.char, self.twist
+        soffs, toffs = offsets(ring, self.src, d), offsets(ring, self.tgt, d + t)
+        mat = [[0] * soffs[-1] for _ in range(toffs[-1])]
+        for b, g in enumerate(self.src):
+            for c, h in enumerate(self.tgt):
+                piece = self.piece(b, c)
+                for j in range(ring.dim(d - g)):
+                    for r, row in enumerate(ring.mult_map(d - g, j, g + t - h).tolist()):
+                        mat[toffs[c] + r][soffs[b] + j] = sum(
+                            int(m) * x for m, x in zip(row, piece)) % p
+        return mat
+
+    def compose(self, inner):
+        by_degree = {}
+        for b, g in enumerate(inner.src):
+            by_degree.setdefault(g, []).append(b)
+        out = []
+        for g, bs in by_degree.items():
+            mat = self.induced(g + inner.twist)
+            images = [[sum(m * int(x) for m, x in zip(row, inner.cols[b])) % self.ring.char
+                       for b in bs] for row in mat]
+            out.append((tuple(bs), images))
+        return out
+
+    def scalar_block(self):
+        return [[self.piece(b, c)[0] if h == g + self.twist else 0
+                 for b, g in enumerate(self.src)] for c, h in enumerate(self.tgt)]
+
+    def restrict(self, sources, targets):
+        tgt = [self.tgt[c] for c in targets]
+        cols = []
+        for b in sources:
+            if any(any(self.piece(b, c)) for c in range(len(self.tgt)) if c not in targets):
+                raise SyzkitError("dropped a nonzero block")
+            cols.append(vector(self.ring, tgt, self.src[b] + self.twist,
+                               {k: self.piece(b, c) for k, c in enumerate(targets)}))
+        return DenseMap(self.ring, [self.src[b] for b in sources], tgt, cols, self.twist)
+
+    def to_poly_matrix(self):
+        return [[self.ring.vector_to_poly(self.piece(b, c), g + self.twist - h)
+                 for b, g in enumerate(self.src)] for c, h in enumerate(self.tgt)]
+
+
+def block_columns(ring, source, target, twist, gen):
+    """Random columns given block by block: per (b, c), a random piece, a
+    zero piece passed in, a length-0 piece passed in, or nothing."""
+    p, cols = ring.char, []
+    for g in source:
+        col = {}
+        for c, h in enumerate(target):
+            size, kind = ring.dim(g + twist - h), gen.integers(0, 4)
+            if kind == 0 and size:
+                col[c] = gen.integers(0, p, size=size)
+                col[c][0] = 1 + gen.integers(0, p - 1)
+            elif kind == 1 or (kind == 2 and not size):
+                col[c] = np.zeros(size, dtype=np.int64)
+        cols.append(col)
+    return cols
+
+
+def assert_same(fmap, ref):
+    assert (fmap.source_degrees, fmap.target_degrees) == (tuple(ref.src), tuple(ref.tgt))
+    for b in range(len(ref.src)):
+        assert [(c, x.tolist()) for c, x in fmap.blocks(b)] == ref.blocks(b)
+        assert fmap.column(b).tolist() == ref.cols[b].tolist()
+    assert fmap.scalar_block().tolist() == ref.scalar_block()
+    assert fmap.to_poly_matrix() == ref.to_poly_matrix()
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_records_match_a_dense_reference(p):
+    # source generators: three of degree 1 and one each of 2 and 0; target
+    # generators of degrees 1, 0, 2, 1, 3 and 9, above the degree bound, so
+    # blocks on 3 are empty in low degrees and on 9 in every degree, and
+    # the order of the generators is not that of their degrees
+    ring = ring_from_strings(p, ["x", "y", "z"], ["x*y + 3*z^2", "y^2 - x*z"], degree_bound=7)
+    gen = np.random.default_rng(p % 1009)
+    src, tgt, twist = (1, 1, 1, 2, 0), (1, 0, 2, 1, 3, 9), 1
+    blocks = block_columns(ring, src, tgt, twist, gen)
+    blocks[1] = {c: np.zeros(ring.dim(2 - h), dtype=np.int64) for c, h in enumerate(tgt)}
+    assert any(not x.any() and x.size for col in blocks for x in col.values())
+    dense = [vector(ring, tgt, g + twist, col) for g, col in zip(src, blocks)]
+    ref = DenseMap(ring, src, tgt, dense, twist)
+    maps = [FreeMap(ring, src, tgt, blocks, twist),
+            FreeMap.from_dense(ring, src, tgt, dense, twist)]
+    # the inner map: two source generators of one degree, and one at -3
+    # whose columns are empty
+    inner_src, inner_twist = (0, 2, 0, -3, 1), 1
+    inner_blocks = block_columns(ring, inner_src, src, inner_twist, gen)
+    inner_dense = [vector(ring, src, g + inner_twist, col)
+                   for g, col in zip(inner_src, inner_blocks)]
+    inner_ref = DenseMap(ring, inner_src, src, inner_dense, inner_twist)
+    inners = [FreeMap(ring, inner_src, src, inner_blocks, inner_twist),
+              FreeMap.from_dense(ring, inner_src, src, inner_dense, inner_twist)]
+    kept = sorted({c for col in blocks for c, x in col.items() if x.any()})
+    for fmap in maps:
+        assert_same(fmap, ref)
+        for d in range(6):
+            assert fmap.induced(d).tolist() == ref.induced(d), d
+        for inner in inners:
+            assert_same(inner, inner_ref)
+            got = [(bs, images.tolist()) for bs, images in fmap.compose(inner)]
+            assert got == ref.compose(inner_ref)
+        assert_same(fmap.restrict([4, 0, 2], kept), ref.restrict([4, 0, 2], kept))
+        dropped = kept[1:]
+        with pytest.raises(SyzkitError):
+            ref.restrict(range(len(src)), dropped)
+        with pytest.raises(SyzkitError, match="onto dropped generator"):
+            fmap.restrict(range(len(src)), dropped)
+
+
 def test_columns_are_read_only():
+    # the map keeps its own read-only copy of the pieces it is given
     ring = ring_from_strings(32003, ["x", "y"], [], degree_bound=6)
-    col = np.array([1, 2], dtype=np.int64)  # x + 2y
-    fmap = FreeMap(ring, (1,), (0,), [col])
+    piece = np.array([1, 2], dtype=np.int64)  # x + 2y
+    fmap = FreeMap(ring, (1,), (0,), [{0: piece}])
+    col = np.array([1, 2], dtype=np.int64)
+    dense = FreeMap.from_dense(ring, (1,), (0,), [col])
     before = fmap.induced(2).copy()
-    with pytest.raises(ValueError):
-        col[1] = 5
-    with pytest.raises(ValueError):
-        fmap.columns[0][0] = 0
-    assert np.array_equal(fmap.induced(2), before)
+    piece[1] = 5
+    col[1] = 5
+    for m in (fmap, dense):
+        with pytest.raises(ValueError):
+            m.blocks(0)[0][1][0] = 0
+        assert np.array_equal(m.induced(2), before)
 
 
 def test_compose_refuses_mismatched_degrees():
@@ -161,7 +299,7 @@ def digest(*arrays):
 
 
 def columns_of(fmaps):
-    return [c for f in fmaps if f is not None for c in f.columns]
+    return [c for f in fmaps if f is not None for c in columns(f)]
 
 
 # Digests of the columns that tensor_pair, induced_chain_map and
@@ -242,7 +380,7 @@ def _reference_chain_system(cx, q, tau, j_lo):
         low, dj = cx.gen_degrees(j - 1 - q), cx.diff(j)
         for b, g in enumerate(cx.gen_degrees(j)):
             block = np.zeros((component_dim(ring, low, g + tau), total), dtype=np.int64)
-            for c, piece in enumerate(pieces(ring, dj.target_degrees, g, dj.columns[b])):
+            for c, piece in enumerate(pieces(ring, dj.target_degrees, g, dj.column(b))):
                 h = dj.target_degrees[c]
                 for i in np.flatnonzero(piece):
                     mult = free_mult_matrix(ring, low, g - h, int(i), h + tau)
@@ -287,7 +425,7 @@ def test_chain_system_matches_the_term_by_term_reference(p, monkeypatch):
     maps = [None]
     for j in range(1, 5):
         cols = [rng.integers(p - 1000, p, size=component_dim(r, gens[j - 1], g)) for g in gens[j]]
-        maps.append(FreeMap(r, gens[j], gens[j - 1], cols))
+        maps.append(FreeMap.from_dense(r, gens[j], gens[j - 1], cols))
     cubic = FreeComplex(r, gens, maps)
     solved = 0
     for cx in (res, cubic):

@@ -328,10 +328,10 @@ def test_depth_lemma_on_ideal_sequence():
 
     inc_col = zeros(fm.component_dim(r, b.gen_degrees, 1), 1)[:, 0]
     inc_col[:] = r.normal_form(r.base.parse("y"))
-    inc = ModuleMap(a, b, fm.FreeMap(r, a.gen_degrees, b.gen_degrees, [inc_col]))
+    inc = ModuleMap(a, b, fm.FreeMap.from_dense(r, a.gen_degrees, b.gen_degrees, [inc_col]))
     proj_col = zeros(fm.component_dim(r, c.gen_degrees, 0), 1)[:, 0]
     proj_col[0] = 1
-    proj = ModuleMap(b, c, fm.FreeMap(r, b.gen_degrees, c.gen_degrees, [proj_col]))
+    proj = ModuleMap(b, c, fm.FreeMap.from_dense(r, b.gen_degrees, c.gen_degrees, [proj_col]))
     assert inc.verify() and proj.verify()
     report = depth_lemma_check(inc, proj)
     assert report.all_ok
@@ -404,14 +404,14 @@ def test_depth_lemma_on_split_sequence():
 
     inc_col = zeros(fm.component_dim(r, middle.gen_degrees, 0), 1)[:, 0]
     inc_col[0] = 1
-    inc = ModuleMap(k, middle, fm.FreeMap(r, k.gen_degrees, middle.gen_degrees, [inc_col]))
+    inc = ModuleMap(k, middle, fm.FreeMap.from_dense(r, k.gen_degrees, middle.gen_degrees, [inc_col]))
     proj_cols = []
     for b, g in enumerate(middle.gen_degrees):
         v = zeros(fm.component_dim(r, f.gen_degrees, g), 1)[:, 0]
         if b == 1:
             v[0] = 1
         proj_cols.append(v)
-    proj = ModuleMap(middle, f, fm.FreeMap(r, middle.gen_degrees, f.gen_degrees, proj_cols))
+    proj = ModuleMap(middle, f, fm.FreeMap.from_dense(r, middle.gen_degrees, f.gen_degrees, proj_cols))
     report = depth_lemma_check(inc, proj)
     assert report.all_ok
     # split case: middle depth equals the minimum exactly
@@ -630,7 +630,7 @@ def _with_d2_replaced(p):
     d1 = res.diff(1)
     assert res.gens[:4] == [(0,), (1,), (2,), (3,)]
     diffs = list(res.diffs)
-    diffs[2] = FreeMap(r, (2,), (1,), d1.columns)  # x times the generator of F_1
+    diffs[2] = FreeMap(r, (2,), (1,), [dict(d1.blocks(0))])  # x times the generator of F_1
     bad = FreeResolution(r, m, res.gens, diffs, res.cover, res.terminated_at, res.low)
     return r, m, bad
 

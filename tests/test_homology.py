@@ -161,7 +161,7 @@ def _reference_tor_module(n, i, res):
     if not mingens:
         return GradedModule(ring, (), [])
     gens = tuple(d for d, _ in mingens)
-    rel_gens, _, _ = kernel_generators(
+    rel_gens, _, _, _ = kernel_generators(
         ring, gens, partial(generator_matrix, spaces, mingens), degrees.low)
     return GradedModule(ring, gens, rel_gens)
 

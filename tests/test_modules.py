@@ -82,9 +82,10 @@ def test_a_vector_of_the_wrong_length_is_refused():
     with pytest.raises(SyzkitError, match="length 3, expected 2"):
         GradedModule(r, (0,), [(1, three)])
     with pytest.raises(SyzkitError, match="length 3, expected 2"):
-        ModuleMap(free_module(r, (1,)), free_module(r), FreeMap(r, (1,), (0,), [three]))
+        ModuleMap(free_module(r, (1,)), free_module(r),
+                  FreeMap.from_dense(r, (1,), (0,), [three]))
     with pytest.raises(SyzkitError, match="length 3, expected 2"):
-        FreeMap(r, (1,), (0,), [three])
+        FreeMap(r, (1,), (0,), [{0: three}])
 
 
 def test_a_module_map_needs_a_free_map_between_its_generators():
@@ -163,14 +164,14 @@ def test_module_map_and_split_ses():
 
     inc_cols = [zeros(fm.component_dim(r, middle.gen_degrees, 0), 1)[:, 0]]
     inc_cols[0][0] = 1
-    inc = ModuleMap(k, middle, fm.FreeMap(r, k.gen_degrees, middle.gen_degrees, inc_cols))
+    inc = ModuleMap(k, middle, fm.FreeMap.from_dense(r, k.gen_degrees, middle.gen_degrees, inc_cols))
     proj_cols = []
     for b, g in enumerate(middle.gen_degrees):
         v = zeros(fm.component_dim(r, f.gen_degrees, g), 1)[:, 0]
         if b == 1:
             v[0] = 1
         proj_cols.append(v)
-    proj = ModuleMap(middle, f, fm.FreeMap(r, middle.gen_degrees, f.gen_degrees, proj_cols))
+    proj = ModuleMap(middle, f, fm.FreeMap.from_dense(r, middle.gen_degrees, f.gen_degrees, proj_cols))
     assert inc.verify() and proj.verify()
     ok, why = verify_ses(inc, proj)
     assert ok, why

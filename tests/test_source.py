@@ -268,3 +268,36 @@ def test_no_check_builds_a_map():
                           in builders]
     assert seen == checks
     assert found == []
+
+
+def test_dense_columns_come_only_from_the_accessor():
+    # a map keeps only its nonzero blocks; a dense column outside freemod
+    # comes from FreeMap.column, whose readers are listed here, and no map
+    # column is written with freemod.vector: outside freemod it writes only
+    # module relations, the vector of a (degree, vector) pair
+    readers = {("complexes", "coker_module"), ("resolutions", "verify_complex"),
+               ("complexes", "_split_unit"), ("homological", "pushout_extension")}
+    seen, found = set(), []
+    for path, tree in _package_trees():
+        if path.stem == "freemod":
+            continue
+        relations = {id(node.elts[1]) for node in ast.walk(tree)
+                     if isinstance(node, ast.Tuple) and len(node.elts) == 2}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and node.attr == "columns":
+                    found.append(f"{path.name}:{node.lineno}")
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name == "column":
+                    if (path.stem, fn.name) in readers:
+                        seen.add((path.stem, fn.name))
+                    else:
+                        found.append(f"{path.name}:{node.lineno}")
+                if name == "vector" and id(node) not in relations:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert seen == readers
+    assert found == []
