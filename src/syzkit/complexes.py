@@ -12,10 +12,11 @@ Sign conventions, fixed once and asserted by the verification checks:
   C_j = X_{j-1}(tau) (+) Z_{j-n} with d(x, z) = (-dx, phi x + (-1)^n dz).
 
 The checks read each composite as `freemod.FreeMap.compose` gives it, one
-matrix of images per degree, and build no map: d o d = 0 asks every matrix
-to vanish, and the two sides of the chain condition, or the two orders of
-a pair of graded-commuting maps, are compared matrix by matrix, paired by
-their source generators.
+matrix of images per degree, worked out from the two maps' stored blocks,
+and build no map and no dense degree matrix of one: d o d = 0 asks every
+matrix to vanish, and the two sides of the chain condition, or the two
+orders of a pair of graded-commuting maps, are compared matrix by matrix,
+paired by their source generators.
 
 Internal twists track the grading: a shift-n periodicity map sends the
 degree-d part of F_j isomorphically onto the degree-(d+tau) part of

@@ -12,12 +12,11 @@ and cone construction are sparse in blocks), so a map keeps only its
 columns' nonzero blocks: per pair (g, h) of a source and a target
 generator degree, the read-only pieces of the columns of degree g on the
 target generators of degree h, stacked as the rows of one matrix, with
-their generators.  Callers that build a column block by block pass the
-blocks in; `FreeMap.from_dense` splits coordinate vectors, one gather per
-pair of degrees.  `induced` multiplies each stack once, `compose`
-scatters the inner map's stacks into each degree's columns with one
-vectorised assignment each, and dense columns leave a map only through
-`FreeMap.column`.
+their generators, in order of the source generator.  Callers that build a
+column block by block pass the blocks in; `FreeMap.from_dense` splits
+coordinate vectors, one gather per pair of degrees.  `induced` multiplies
+each stack once, `compose` works from both maps' stacks, and dense columns
+leave a map only through `FreeMap.column`.
 
 This module owns the block layout of a component: `vector` writes a
 component vector (a module relation, or `FreeMap.column`), `pieces`
@@ -31,7 +30,9 @@ a module or of Tor_i and R's action on F_i (x) N.
 
 `FreeMap.compose` is the one composite of maps: it returns the composite
 degree by degree, as the matrices of images of the inner map's columns,
-not as a map.  The checks (d o d = 0, the chain condition, commutation,
+not as a map.  It joins the two maps' pieces on the middle generators and
+multiplies each joined pair of stacks once, so no dense matrix of either
+map is built.  The checks (d o d = 0, the chain condition, commutation,
 exactness) read those matrices and build no map.
 """
 
@@ -140,16 +141,23 @@ class FreeMap:
                 found.setdefault((g, self.target_degrees[c]), []).append((b, c, piece))
         for (g, h), recs in found.items():
             want = ring.dim(g + twist - h)
-            for b, c, piece in recs:
-                if np.shape(piece) != (want,):
-                    raise SyzkitError(f"column {b} has a block on generator {c} of "
-                                      f"length {np.size(piece)}, expected {want}")
             bs, cs, pieces = zip(*recs)
-            self._add(g, h, bs, cs, np.array(pieces, dtype=np.int64).reshape(len(recs), want))
+            try:
+                stack = np.array(pieces, dtype=np.int64)
+            except ValueError:  # ragged pieces
+                stack = None
+            if stack is None or stack.shape != (len(recs), want):
+                for b, c, piece in recs:
+                    if np.shape(piece) != (want,):
+                        raise SyzkitError(f"column {b} has a block on generator {c} of "
+                                          f"length {np.size(piece)}, expected {want}")
+                stack = np.array(pieces, dtype=np.int64)  # raises on entries that are not integers
+            self._add(g, h, bs, cs, stack)
 
     def _add(self, g, h, bs, cs, stack):
         """Keep the nonzero rows of stack: row k is the piece of column bs[k]
-        on target generator cs[k], of degrees g and h."""
+        on target generator cs[k], of degrees g and h.  Both constructors
+        pass bs in non-decreasing order, which `compose` searches."""
         nonzero = stack.any(axis=1)
         if not nonzero.all():
             bs, cs, stack = np.asarray(bs)[nonzero], np.asarray(cs)[nonzero], stack[nonzero]
@@ -306,15 +314,22 @@ class FreeMap:
         columns lie in, with bs the tuple of other's source generators whose
         columns lie in degree d and images the matrix whose column k is self
         applied to column bs[k], over self's target component in degree
-        d + self.twist.  Each degree takes one scatter of other's pieces,
-        one induced matrix and one product; the composite is not made into
-        a map.
+        d + self.twist.  The composite is not made into a map.
+
+        Each piece of other's column b on a middle generator c, over R_a,
+        meets the pieces of self's column c, found by a search in self's
+        stack (in order of c).  One exact product of ring.mult_maps(a, e)
+        with that stack gives every monomial of R_a times its pieces; the
+        entries of other's piece scale these, each product reduced mod p
+        before the sum over the monomials (so no sum overflows int64 below
+        p = 2^31), and the sums are added at the target offsets.
         """
         if self.source_degrees != other.target_degrees:
             raise SyzkitError(
                 f"cannot compose: source {self.source_degrees} is not the target "
                 f"{other.target_degrees}"
             )
+        ring, p = self.ring, self.ring.char
         by_degree = {}
         for b, g in enumerate(other.source_degrees):
             by_degree.setdefault(g, []).append(b)
@@ -323,11 +338,30 @@ class FreeMap:
         for g, bs in by_degree.items():
             d = g + other.twist
             at[bs] = np.arange(len(bs))
-            offs = np.array(component_offsets(self.ring, self.source_degrees, d))
-            stacked = zeros(offs[-1], len(bs))
-            for _, obs, cs, stack in other._groups.get(g, ()):
-                stacked[offs[cs] + np.arange(stack.shape[1])[:, None], at[obs]] = stack.T
-            out.append((tuple(bs), matmul(self.induced(d), stacked, self.ring.char)))
+            offs = np.array(component_offsets(ring, self.target_degrees, d + self.twist))
+            images = zeros(offs[-1], len(bs))
+            for h, ibs, ics, inner in other._groups.get(g, ()):
+                a = d - h
+                for k, sbs, scs, stack in self._groups.get(h, ()):
+                    # pair row ii of inner with row si of stack where ics[ii] == sbs[si]
+                    lo = sbs.searchsorted(ics)
+                    n = sbs.searchsorted(ics, "right") - lo
+                    ii = np.arange(len(ics)).repeat(n)
+                    rows = ring.dim(d + self.twist - k)
+                    if not (rows and ii.size):
+                        continue
+                    si = np.arange(ii.size) + (lo + n - n.cumsum()).repeat(n)
+                    if a == 0:  # R_0 = k: a scalar times the piece
+                        terms = stack.T[:, si] * inner[ii, 0] % p
+                    else:
+                        mults = ring.mult_maps(a, h + self.twist - k)
+                        prods = matmul(mults.reshape(-1, stack.shape[1]), stack.T, p)
+                        # entry (j, r, m): row r of monomial j of R_a times piece si[m]
+                        prods = prods.reshape(-1, rows, len(sbs))[:, :, si]
+                        terms = (prods * inner[ii].T[:, None] % p).sum(axis=0)
+                    np.add.at(images, (offs[scs[si]] + np.arange(rows)[:, None], at[ibs[ii]]),
+                              terms)
+            out.append((tuple(bs), images % p))
         return out
 
     def scalar_block(self):

@@ -246,6 +246,48 @@ def test_records_match_a_dense_reference(p):
             fmap.restrict(range(len(src)), dropped)
 
 
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_compose_block_by_block_matches_the_dense_reference(p):
+    # outer: middle generators of degrees (0, 1, 1, 2) to targets of degrees
+    # (1, 0, 2, 3), twist 2; inner: sources of degrees (1, 0, 2, 1), twist 1.
+    # Every entry is p - 1, so at 2^31 - 1 three products over R_1 (x, y, z)
+    # overflow int64 when they are summed before they are reduced
+    ring = ring_from_strings(p, ["x", "y", "z"], ["x*y + 3*z^2"], degree_bound=6)
+
+    def full(deg):
+        return np.full(ring.dim(deg), p - 1, dtype=np.int64)
+
+    v = full(2)
+    mid, tgt, outer_twist = (0, 1, 1, 2), (1, 0, 2, 3), 2
+    outer_blocks = [
+        {0: full(1), 2: full(0)},
+        {0: v, 3: full(0)},
+        {0: v.copy(), 1: full(3)},  # the same piece on target 0 as column 1
+        {1: full(4), 3: full(1)},
+    ]
+    src, inner_twist = (1, 0, 2, 1), 1
+    inner_blocks = [
+        {0: full(2), 1: full(1), 3: full(0)},  # a = 0 on middle generator 3
+        {1: np.ones(1, dtype=np.int64), 2: full(0)},  # columns 1 - 2: cancels on target 0
+        {2: full(2), 3: full(1)},
+        {1: full(1)},  # meets no piece of middle generator 2, the one on target 1
+    ]
+    outer = FreeMap(ring, mid, tgt, outer_blocks, outer_twist)
+    inner = FreeMap(ring, src, mid, inner_blocks, inner_twist)
+    ref = DenseMap(ring, mid, tgt, [vector(ring, tgt, g + outer_twist, col)
+                                    for g, col in zip(mid, outer_blocks)], outer_twist)
+    inner_ref = DenseMap(ring, src, mid, [vector(ring, mid, g + inner_twist, col)
+                                          for g, col in zip(src, inner_blocks)], inner_twist)
+    want = ref.compose(inner_ref)
+    got = [(bs, images.tolist()) for bs, images in outer.compose(inner)]
+    assert got == want
+    # the planted cancellation: column 1's image vanishes on target 0
+    (bs, images), = [x for x in want if 1 in x[0]]
+    offs = offsets(ring, tgt, src[1] + inner_twist + outer_twist)
+    assert not any(x for row in images[offs[0]:offs[1]] for x in row)
+    assert all(any(x for row in images for x in row) for _, images in want)
+
+
 def test_columns_are_read_only():
     # the map keeps its own read-only copy of the pieces it is given
     ring = ring_from_strings(32003, ["x", "y"], [], degree_bound=6)

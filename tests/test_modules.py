@@ -86,6 +86,12 @@ def test_a_vector_of_the_wrong_length_is_refused():
                   FreeMap.from_dense(r, (1,), (0,), [three]))
     with pytest.raises(SyzkitError, match="length 3, expected 2"):
         FreeMap(r, (1,), (0,), [{0: three}])
+    # a 2-D piece of the right size, and a ragged group: the second of two
+    # degree-1 columns has the wrong length
+    with pytest.raises(SyzkitError, match="column 0 has a block on generator 0 of length 2"):
+        FreeMap(r, (1,), (0,), [{0: np.array([[1, 0]])}])
+    with pytest.raises(SyzkitError, match="column 1 has a block on generator 0 of length 3"):
+        FreeMap(r, (1, 1), (0,), [{0: np.array([1, 0])}, {0: three}])
 
 
 def test_a_module_map_needs_a_free_map_between_its_generators():

@@ -270,6 +270,22 @@ def test_no_check_builds_a_map():
     assert found == []
 
 
+def test_compose_reads_both_maps_by_their_blocks():
+    # FreeMap.compose works from both maps' stacks; a dense matrix of the
+    # outer map or a dense column of the inner one would bring back the
+    # product of a whole degree component
+    dense = {"induced", "column", "vector", "block_matrix"}
+    path = Path(syzkit.__file__).parent / "freemod.py"
+    compose = [fn for top in ast.parse(path.read_text()).body
+               if isinstance(top, ast.ClassDef) and top.name == "FreeMap"
+               for fn in top.body if getattr(fn, "name", None) == "compose"]
+    assert len(compose) == 1
+    found = [f"{path.name}:{node.lineno}" for node in ast.walk(compose[0])
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) in dense]
+    assert found == []
+
+
 def test_dense_columns_come_only_from_the_accessor():
     # a map keeps only its nonzero blocks; a dense column outside freemod
     # comes from FreeMap.column, whose readers are listed here, and no map
