@@ -30,6 +30,15 @@ labels.  A truncation of some factors below their periods is the label
 subcomplex (`FreeComplex.subcomplex`) of the one product, so every
 truncated product lives over the product's one ring.
 
+The builders move their maps' pieces in whole groups.  `tensor_many` and
+`induced_chain_map` carry each factor differential and each component of
+eta into the product ring once, by one exact product per group of its
+pieces (`_Embedding.embedded`), and then place the embedded pieces by label.
+`cone` puts d_j together from the records of -dx, phi and (-1)^n dz, and
+`induced_on_cone` its maps from those of psi, moved onto the cone's
+generators and signed by `freemod.FreeMap.records`; `minimize_complex`
+drops a row of d_{j+1} from its records.
+
 `minimize_complex` splits off the first unit u of a scalar block: smallest
 j, then row r, then column c of d_j.  Each column b of d_j becomes
 col_b - u^-1 (entry (r, b)) col_c, which vanishes on row r, and source c
@@ -240,12 +249,14 @@ def _agree(lhs, rhs, sign, p):
 
 
 class _Embedding:
-    """Coordinates of a factor ring's components inside the product ring."""
+    """Coordinates of a factor ring's components inside the product ring,
+    and the factor maps carried into it, each kept for one call."""
 
     def __init__(self, factor_ring, product_ring):
         self.factor = factor_ring
         self.product = product_ring
         self._cache = {}
+        self._maps = {}
 
     def matrix(self, e):
         if e not in self._cache:
@@ -259,8 +270,19 @@ class _Embedding:
                 self._cache[e] = zeros(self.product.dim(e), 0)
         return self._cache[e]
 
-    def embed(self, vec, e):
-        return matmul(self.matrix(e), np.asarray(vec).reshape(-1, 1), self.product.char)[:, 0]
+    def embedded(self, fmap):
+        """fmap's columns over the product ring, each a list of (target
+        generator, piece): each group of its pieces, over R_e of the
+        factor, is embedded by one exact product."""
+        if fmap not in self._maps:
+            src, tgt, tw = fmap.source_degrees, fmap.target_degrees, fmap.twist
+            cols = self._maps[fmap] = [[] for _ in src]
+            for bs, cs, stack in fmap.records():
+                embedded = matmul(stack, self.matrix(src[bs[0]] + tw - tgt[cs[0]]).T,
+                                  self.product.char)
+                for b, c, piece in zip(bs.tolist(), cs.tolist(), embedded):
+                    cols[b].append((c, piece))
+        return self._maps[fmap]
 
 
 def tensor_pair(f, g):
@@ -310,11 +332,10 @@ def tensor_many(factors):
             for k, (f, emb, (a, u)) in enumerate(zip(factors, embeddings, lab)):
                 fd = f.diff(a)
                 if fd is not None:
-                    sign = (-1) ** left_degree
-                    for c, piece in fd.blocks(u):
+                    sign = (-1) ** left_degree % ring.char
+                    for c, piece in emb.embedded(fd)[u]:
                         target = pos[j - 1][lab[:k] + ((a - 1, c),) + lab[k + 1:]]
-                        embedded = emb.embed(piece, f.gen_degrees(a)[u] - fd.target_degrees[c])
-                        blocks[target] = (sign * embedded) % ring.char
+                        blocks[target] = piece if sign == 1 else sign * piece % ring.char
                 left_degree += a
             cols.append(blocks)
         diffs.append(freemod.FreeMap(ring, gens[j], gens[j - 1], cols))
@@ -344,16 +365,13 @@ def induced_chain_map(product, factor_index, eta):
         for lab in product.labels[j]:
             aa, ui = lab[factor_index]
             left_degree = sum(h for h, _ in lab[:factor_index])
-            sign = (-1) ** (n * left_degree)
+            sign = (-1) ** (n * left_degree) % p
             blocks = {}
-            comp = eta.component(aa)
-            for c, piece in comp.blocks(ui):
+            for c, piece in emb.embedded(eta.component(aa))[ui]:
                 new_lab = lab[:factor_index] + ((aa - n, c),) + lab[factor_index + 1:]
                 if j - n < 0 or new_lab not in pos[j - n]:
                     raise SyzkitError("induced map hit a missing product generator")
-                t = pos[j - n][new_lab]
-                embedded = emb.embed(piece, comp.source_degrees[ui] + tau - comp.target_degrees[c])
-                blocks[t] = (sign * embedded) % p
+                blocks[pos[j - n][new_lab]] = piece if sign == 1 else sign * piece % p
             cols.append(blocks)
         comps.append(freemod.FreeMap(ring, product.gen_degrees(j), product.gen_degrees(j - n),
                                      cols, tau))
@@ -371,7 +389,6 @@ def cone(phi):
     x, z = phi.source, phi.target
     ring = x.ring
     n, tau = phi.shift, phi.twist
-    p = ring.char
     sign = (-1) ** n
     w = x.window
     gens = []
@@ -381,20 +398,15 @@ def cone(phi):
         gens.append(xs + zs)
     diffs = [None]
     for j in range(1, w + 1):
-        nx = x.rank(j - 2)  # C_{j-1} = X_{j-2}(tau) (+) Z_{j-1-n}
-        dx, comp, dz = x.diff(j - 1), phi.component(j - 1), z.diff(j - n)
-        cols = []
-        for b in range(x.rank(j - 1)):
-            blocks = {nx + c: piece for c, piece in comp.blocks(b)}
-            if dx is not None:
-                blocks.update((c, (-piece) % p) for c, piece in dx.blocks(b))
-            cols.append(blocks)
-        for b in range(z.rank(j - n)):
-            blocks = {}
-            if dz is not None:
-                blocks = {nx + c: (sign * piece) % p for c, piece in dz.blocks(b)}
-            cols.append(blocks)
-        diffs.append(freemod.FreeMap(ring, gens[j], gens[j - 1], cols))
+        # C_j = X_{j-1}(tau) (+) Z_{j-n} onto C_{j-1} = X_{j-2}(tau) (+) Z_{j-1-n}
+        rx, nx = x.rank(j - 1), x.rank(j - 2)
+        dx, dz = x.diff(j - 1), z.diff(j - n)
+        recs = phi.component(j - 1).records(targets=nx)
+        if dx is not None:
+            recs += dx.records(scale=-1)
+        if dz is not None:
+            recs += dz.records(rx, nx, sign)
+        diffs.append(freemod.FreeMap.from_records(ring, gens[j], gens[j - 1], recs))
     out = FreeComplex(ring, gens, diffs)
     out._cone_of = phi
     if not out.verify():
@@ -417,16 +429,17 @@ def induced_on_cone(cone_cx, psi):
     ring = x.ring
     n = phi.shift
     m, upsilon = psi.shift, psi.twist
-    p = ring.char
     s2 = (-1) ** (m * (n + 1))
     comps = []
     for j in range(cone_cx.window + 1):
-        nx = x.rank(j - m - 1)  # C_{j-m} = X_{j-m-1}(tau) (+) Z_{j-m-n}
-        cols = [dict(psi.component(j - 1).blocks(b)) for b in range(x.rank(j - 1))]
-        for b in range(phi.target.rank(j - n)):
-            cols.append({nx + c: (s2 * piece) % p for c, piece in psi.component(j - n).blocks(b)})
-        comps.append(freemod.FreeMap(ring, cone_cx.gen_degrees(j), cone_cx.gen_degrees(j - m),
-                                     cols, upsilon))
+        # C_j = X_{j-1}(tau) (+) Z_{j-n} onto C_{j-m} = X_{j-m-1}(tau) (+) Z_{j-m-n}
+        rx, nx = x.rank(j - 1), x.rank(j - m - 1)
+        on_x, on_z = psi.component(j - 1), psi.component(j - n)
+        recs = on_x.records() if on_x is not None else []
+        if on_z is not None:
+            recs += on_z.records(rx, nx, s2)
+        comps.append(freemod.FreeMap.from_records(ring, cone_cx.gen_degrees(j),
+                                                  cone_cx.gen_degrees(j - m), recs, upsilon))
     out = ChainMap(cone_cx, cone_cx, m, upsilon, comps)
     if not out.verify():
         raise SyzkitError(
@@ -452,10 +465,10 @@ def minimize_complex(cx):
             diffs[j] = _split_unit(diffs[j], r, c, scalars[r, c])
             if j < cx.window:  # d_{j+1} loses its pieces on row c
                 nxt = diffs[j + 1]
-                cols = [{t - (t > c): piece for t, piece in nxt.blocks(b) if t != c}
-                        for b in range(len(nxt.source_degrees))]
-                diffs[j + 1] = freemod.FreeMap(ring, nxt.source_degrees,
-                                               gens[j][:c] + gens[j][c + 1:], cols, nxt.twist)
+                recs = [(bs[keep], cs[keep] - (cs[keep] > c), stack[keep])
+                        for bs, cs, stack in nxt.records() for keep in [cs != c]]
+                diffs[j + 1] = freemod.FreeMap.from_records(
+                    ring, nxt.source_degrees, gens[j][:c] + gens[j][c + 1:], recs, nxt.twist)
             if j > 1:
                 diffs[j - 1] = diffs[j - 1].restrict(
                     [b for b in range(len(gens[j - 1])) if b != r], range(len(gens[j - 2])))

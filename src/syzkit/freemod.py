@@ -13,7 +13,14 @@ columns' nonzero blocks: per pair (g, h) of a source and a target
 generator degree, the read-only pieces of the columns of degree g on the
 target generators of degree h, stacked as the rows of one matrix, with
 their generators, in order of the source generator.  Callers that build a
-column block by block pass the blocks in; `FreeMap.from_dense` splits
+column block by block pass its blocks in, as {target generator: piece}
+(the selection and polynomial constructors, `restrict`, and the tensor
+product and its induced maps, which place each piece by its label).
+Callers that move whole groups pass records (bs, cs, stack) to
+`FreeMap.from_records`, as `FreeMap.records` hands them out, moved to other
+generators and signed (the cone and the maps induced on it, minimisation,
+and a factor map carried into a product ring); both constructors keep the
+pieces through one grouping routine.  `FreeMap.from_dense` splits
 coordinate vectors, one gather per pair of degrees.  `induced` multiplies
 each stack once, `compose` works from both maps' stacks, and dense columns
 leave a map only through `FreeMap.column`.
@@ -135,35 +142,87 @@ class FreeMap:
             raise SyzkitError(f"{len(columns)} columns for {len(self.source_degrees)} "
                               f"source generators")
         self._groups, self._columns = {}, None
-        found = {}
+        found, nt = {}, len(self.target_degrees)
         for b, (g, col) in enumerate(zip(self.source_degrees, columns)):
             for c, piece in col.items():
+                if not 0 <= c < nt:
+                    raise SyzkitError(f"column {b} has a block on generator {c}, out of "
+                                      f"range for {nt} target generators")
                 found.setdefault((g, self.target_degrees[c]), []).append((b, c, piece))
+        self._store({key: [tuple(zip(*recs))] for key, recs in found.items()})
+
+    def _store(self, found):
+        """Keep the records that found lists per pair (g, h) of source and
+        target generator degrees: in a record (bs, cs, stack), each in order
+        of bs, row k of stack (an array, or a sequence of pieces) is the
+        piece of column bs[k] on target generator cs[k].  The records of a
+        pair are joined and put in order of bs (which `compose` searches),
+        checked for their length once, and kept by `_add`."""
         for (g, h), recs in found.items():
-            want = ring.dim(g + twist - h)
-            bs, cs, pieces = zip(*recs)
+            want = self.ring.dim(g + self.twist - h)
+            bs, cs, stacks = zip(*recs)
+            bs, cs = (np.concatenate(x) if len(recs) > 1 else np.asarray(x[0]) for x in (bs, cs))
             try:
-                stack = np.array(pieces, dtype=np.int64)
+                stack = (np.concatenate([np.asarray(s, dtype=np.int64) for s in stacks])
+                         if len(recs) > 1 else np.asarray(stacks[0], dtype=np.int64))
             except ValueError:  # ragged pieces
                 stack = None
-            if stack is None or stack.shape != (len(recs), want):
-                for b, c, piece in recs:
-                    if np.shape(piece) != (want,):
+            if stack is None or stack.shape != (len(bs), want):
+                rows = [row for s in stacks for row in s]
+                for b, c, row in zip(bs.tolist(), cs.tolist(), rows):
+                    if np.shape(row) != (want,):
                         raise SyzkitError(f"column {b} has a block on generator {c} of "
-                                          f"length {np.size(piece)}, expected {want}")
-                stack = np.array(pieces, dtype=np.int64)  # raises on entries that are not integers
+                                          f"length {np.size(row)}, expected {want}")
+                stack = np.array(rows, dtype=np.int64)  # raises on entries that are not integers
+            if len(recs) > 1:
+                order = bs.argsort(kind="stable")
+                bs, cs, stack = bs[order], cs[order], stack[order]
             self._add(g, h, bs, cs, stack)
 
     def _add(self, g, h, bs, cs, stack):
         """Keep the nonzero rows of stack: row k is the piece of column bs[k]
-        on target generator cs[k], of degrees g and h.  Both constructors
-        pass bs in non-decreasing order, which `compose` searches."""
+        on target generator cs[k], of degrees g and h, with bs (an array) in
+        non-decreasing order."""
         nonzero = stack.any(axis=1)
         if not nonzero.all():
-            bs, cs, stack = np.asarray(bs)[nonzero], np.asarray(cs)[nonzero], stack[nonzero]
+            bs, cs, stack = bs[nonzero], cs[nonzero], stack[nonzero]
         if len(stack):
-            stack.flags.writeable = False
-            self._groups.setdefault(g, []).append((h, np.asarray(bs), np.asarray(cs), stack))
+            for x in (bs, cs, stack):
+                x.flags.writeable = False
+            self._groups.setdefault(g, []).append((h, bs, cs, stack))
+
+    @classmethod
+    def from_records(cls, ring, source_degrees, target_degrees, records, twist=0):
+        """The map whose pieces are the rows of the records (bs, cs, stack),
+        as `records` gives them: row k of stack is the piece of column bs[k]
+        on target generator cs[k].  A record lies in one pair of generator
+        degrees; a pair may have several records, in any order.  The map
+        keeps the arrays it is given, read-only."""
+        out = cls(ring, source_degrees, target_degrees, [{}] * len(source_degrees), twist)
+        found = {}
+        for bs, cs, stack in records:
+            bs, cs = np.asarray(bs, dtype=np.intp), np.asarray(cs, dtype=np.intp)
+            if not len(bs) == len(cs) == len(stack):
+                raise SyzkitError(f"a record names {len(bs)} source generators and "
+                                  f"{len(cs)} target generators for {len(stack)} pieces")
+            if not bs.size:
+                continue
+            ids, degs = bs.tolist(), []
+            for what, idx, gens in (("source", ids, out.source_degrees),
+                                    ("target", cs.tolist(), out.target_degrees)):
+                bad = [i for i in (min(idx), max(idx)) if not 0 <= i < len(gens)]
+                if bad:
+                    raise SyzkitError(f"a record names {what} generator {bad[0]}, out of "
+                                      f"range for {len(gens)} {what} generators")
+                degs.append({gens[i] for i in idx})
+            if len(degs[0]) > 1 or len(degs[1]) > 1:
+                raise SyzkitError("a record mixes generators of different degrees")
+            if ids != sorted(ids):
+                order = bs.argsort(kind="stable")
+                bs, cs, stack = bs[order], cs[order], np.asarray(stack)[order]
+            found.setdefault((*degs[0], *degs[1]), []).append((bs, cs, stack))
+        out._store(found)
+        return out
 
     @classmethod
     def from_dense(cls, ring, source_degrees, target_degrees, columns, twist=0):
@@ -240,6 +299,15 @@ class FreeMap:
                 out[c][b] = self.ring.vector_to_poly(
                     piece, g + self.twist - self.target_degrees[c])
         return out
+
+    def records(self, sources=0, targets=0, scale=1):
+        """The map's stored groups (bs, cs, stack), as `from_records` takes
+        them, with every source generator moved by sources, every target
+        generator by targets and every piece times scale (mod p)."""
+        p, scale = self.ring.char, scale % self.ring.char
+        return [(bs + sources if sources else bs, cs + targets if targets else cs,
+                 stack if scale == 1 else stack * scale % p)
+                for groups in self._groups.values() for _, bs, cs, stack in groups]
 
     def blocks(self, b):
         """(c, piece) for each target generator c on which column b is

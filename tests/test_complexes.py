@@ -4,10 +4,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from syzkit import construction
+from syzkit import complexes, construction
 from syzkit.complexes import (
     ChainMap,
     FreeComplex,
+    _Embedding,
     coker_module,
     cone,
     induced_chain_map,
@@ -26,6 +27,7 @@ from syzkit.construction import (
 from syzkit.errors import ParseError, SyzkitError, WindowError
 from syzkit.freemod import FreeMap, vector
 from syzkit.io import read_complex_file
+from syzkit.linalg import matmul
 from syzkit.modules import module_from_strings, residue_field
 from syzkit.resolutions import resolve
 from syzkit.rings import PolyRing, build_quotient, ring_from_strings
@@ -735,3 +737,204 @@ def test_induced_on_cone_takes_its_signs_from_the_shift():
     assert psi.verify()
     with pytest.raises(SyzkitError, match="does not commute"):
         induced_on_cone(cn, psi)
+
+
+# -- the record builders against per-piece references -------------------------
+#
+# The references build every piece one at a time, as the builders did before
+# they worked from whole records: each factor piece is embedded by its own
+# product, signed and placed at its target, and each column is written out
+# with freemod.vector, so no reference goes through a FreeMap constructor.
+
+
+def _embedded(ring, factor_ring, piece, e):
+    return matmul(_Embedding(factor_ring, ring).matrix(e), np.reshape(piece, (-1, 1)),
+                  ring.char)[:, 0]
+
+
+def _dense(ring, sources, targets, twist, cols):
+    return [vector(ring, targets, g + twist, col) for g, col in zip(sources, cols)]
+
+
+def reference_tensor(factors, ring):
+    """gens, labels and per degree the dense columns of d_j of the product."""
+    w = min(f.window for f in factors)
+    labels = [[()]] + [[] for _ in range(w)]
+    for f in factors:
+        labels = [[lab + ((j - a, u),) for a in range(j + 1) for lab in labels[a]
+                   for u in range(f.rank(j - a))] for j in range(w + 1)]
+    gens = [tuple(sum(f.gen_degrees(a)[u] for f, (a, u) in zip(factors, lab)) for lab in row)
+            for row in labels]
+    pos = [{lab: i for i, lab in enumerate(row)} for row in labels]
+    diffs = [None]
+    for j in range(1, w + 1):
+        cols = []
+        for lab in labels[j]:
+            blocks, left_degree = {}, 0
+            for k, (f, (a, u)) in enumerate(zip(factors, lab)):
+                fd = f.diff(a)
+                if fd is not None:
+                    for c, piece in fd.blocks(u):
+                        target = pos[j - 1][lab[:k] + ((a - 1, c),) + lab[k + 1:]]
+                        e = f.gen_degrees(a)[u] - fd.target_degrees[c]
+                        blocks[target] = ((-1) ** left_degree
+                                          * _embedded(ring, f.ring, piece, e)) % ring.char
+                left_degree += a
+            cols.append(blocks)
+        diffs.append(_dense(ring, gens[j], gens[j - 1], 0, cols))
+    return gens, labels, diffs
+
+
+def reference_induced(product, factor_index, eta):
+    """Per degree the dense columns of id (x) .. (x) eta (x) .. (x) id."""
+    ring, n, tau = product.ring, eta.shift, eta.twist
+    pos = [{lab: i for i, lab in enumerate(row)} for row in product.labels]
+    comps = []
+    for j in range(product.window + 1):
+        cols = []
+        for lab in product.labels[j]:
+            aa, ui = lab[factor_index]
+            sign = (-1) ** (n * sum(h for h, _ in lab[:factor_index]))
+            comp, blocks = eta.component(aa), {}
+            for c, piece in comp.blocks(ui):
+                t = pos[j - n][lab[:factor_index] + ((aa - n, c),) + lab[factor_index + 1:]]
+                e = comp.source_degrees[ui] + tau - comp.target_degrees[c]
+                blocks[t] = (sign * _embedded(ring, eta.source.ring, piece, e)) % ring.char
+            cols.append(blocks)
+        comps.append(_dense(ring, product.gen_degrees(j), product.gen_degrees(j - n), tau,
+                            cols))
+    return comps
+
+
+def reference_cone(phi):
+    """gens and per degree the dense columns of the cone's d_j."""
+    x, z, ring = phi.source, phi.target, phi.source.ring
+    n, tau, p = phi.shift, phi.twist, phi.source.ring.char
+    gens = [tuple(g + tau for g in x.gen_degrees(j - 1)) + z.gen_degrees(j - n)
+            for j in range(x.window + 1)]
+    diffs = [None]
+    for j in range(1, x.window + 1):
+        nx = x.rank(j - 2)
+        dx, comp, dz = x.diff(j - 1), phi.component(j - 1), z.diff(j - n)
+        cols = []
+        for b in range(x.rank(j - 1)):
+            blocks = {nx + c: piece for c, piece in comp.blocks(b)}
+            if dx is not None:
+                blocks.update((c, (-piece) % p) for c, piece in dx.blocks(b))
+            cols.append(blocks)
+        for b in range(z.rank(j - n)):
+            cols.append({} if dz is None else
+                        {nx + c: ((-1) ** n * piece) % p for c, piece in dz.blocks(b)})
+        diffs.append(_dense(ring, gens[j], gens[j - 1], 0, cols))
+    return gens, diffs
+
+
+def reference_induced_on_cone(cone_cx, psi):
+    """Per degree the dense columns of the map psi induces on the cone."""
+    x, n = cone_cx._cone_of.source, cone_cx._cone_of.shift
+    m, p = psi.shift, cone_cx.ring.char
+    comps = []
+    for j in range(cone_cx.window + 1):
+        nx = x.rank(j - m - 1)
+        cols = [dict(psi.component(j - 1).blocks(b)) for b in range(x.rank(j - 1))]
+        cols += [{nx + c: ((-1) ** (m * (n + 1)) * piece) % p
+                  for c, piece in psi.component(j - n).blocks(b)}
+                 for b in range(cone_cx._cone_of.target.rank(j - n))]
+        comps.append(_dense(cone_cx.ring, cone_cx.gen_degrees(j),
+                            cone_cx.gen_degrees(j - m), psi.twist, cols))
+    return comps
+
+
+def assert_columns(fmaps, want):
+    """Each map has the reference's dense columns, and its records are in
+    order of their source generators, as `FreeMap.compose` searches them."""
+    assert len(fmaps) == len(want)
+    for j, (fmap, cols) in enumerate(zip(fmaps, want)):
+        if fmap is None:
+            assert cols is None, j
+            continue
+        got = columns(fmap)
+        assert len(got) == len(cols), j
+        assert all(np.array_equal(a, b) for a, b in zip(got, cols)), j
+        assert all((bs[1:] >= bs[:-1]).all() for bs, _, _ in fmap.records()), j
+
+
+def _scaled_factor(p, period, window, prefix, c, k):
+    """A periodic factor with its differentials times c and its period map
+    times k, both units mod p."""
+    cx, eta = periodic_variable_complex(p, period, window, prefix=prefix)
+    cx = FreeComplex(cx.ring, cx.gens, [None] + [scale(d, c) for d in cx.diffs[1:]])
+    return cx, ChainMap(cx, cx, eta.shift, eta.twist, [scale(f, k) for f in eta.components])
+
+
+def _gapped_factor(p):
+    """R <- R(-1)^2 <- 0 <- R(-3) over F_p[w]/(w^2), d_1 = (w, 0) given with
+    its zero piece, so term 2 is empty, with the zero period-2 map."""
+    r = ring_from_strings(p, ["w"], ["w^2"], degree_bound=8)
+    gens = [(0,), (1, 1), (), (3,)]
+    d1 = FreeMap(r, gens[1], gens[0], [{0: np.ones(1, dtype=np.int64)},
+                                       {0: np.zeros(1, dtype=np.int64)}])
+    diffs = [None, d1, FreeMap.zero(r, gens[2], gens[1]), FreeMap.zero(r, gens[3], gens[2])]
+    cx = FreeComplex(r, gens, diffs)
+    comps = [FreeMap.zero(r, gens[j], gens[j - 2] if j >= 2 else (), -2) for j in range(4)]
+    return cx, ChainMap(cx, cx, 2, -2, comps)
+
+
+@pytest.mark.parametrize("p", PLANTED_PRIMES)
+def test_record_builders_match_the_per_piece_references(p):
+    # three periodic factors of shifts 1, 1 and 2 with scaled differentials
+    # and period maps (nonzero twists), and a factor with an empty term and
+    # a zero piece.  The induced maps of odd shift on factors 1 and 2 carry
+    # the Koszul sign.  As the construction does, the last map is coned off
+    # and the others induce maps on the cone, repeatedly: the shift-1 maps
+    # on the cone of the shift-2 one carry (-1)^(m(n+1)) = -1, the second
+    # cone has scalar blocks from both -dx and phi in one pair of degrees,
+    # so its records are joined and sorted, and every cone starts with an
+    # empty term
+    c, k = (1, 1) if p == 2 else (p - 2, (p + 1) // 2)
+    factors = [_scaled_factor(p, 1, 5, "x", c, k), _scaled_factor(p, 1, 5, "y", k, c),
+               _scaled_factor(p, 2, 5, "z", c, c)]
+    joined = 0
+    for cxs, etas in [tuple(zip(*factors)), tuple(zip(factors[0], _gapped_factor(p)))]:
+        product = tensor_many(list(cxs))
+        gens, labels, diffs = reference_tensor(list(cxs), product.ring)
+        assert (product.gens, product.labels) == (gens, labels)
+        assert_columns(product.diffs, diffs)
+        maps = [induced_chain_map(product, i, eta) for i, eta in enumerate(etas)]
+        for i, eta in enumerate(etas):
+            assert_columns(maps[i].components, reference_induced(product, i, eta))
+        while len(maps) > 1:
+            cn = cone(maps[-1])
+            gens, diffs = reference_cone(maps[-1])
+            assert cn.gens == gens
+            assert_columns(cn.diffs, diffs)
+            # a group holding pieces of both -dx and phi
+            joined += sum(((cs < cn._cone_of.source.rank(j - 2)).any()
+                           and (cs >= cn._cone_of.source.rank(j - 2)).any())
+                          for j in range(1, cn.window + 1) for _, cs, _ in cn.diff(j).records())
+            psis, maps = maps[:-1], [induced_on_cone(cn, psi) for psi in maps[:-1]]
+            for psi, ind in zip(psis, maps):
+                assert_columns(ind.components, reference_induced_on_cone(cn, psi))
+    assert joined
+    # the gapped factor's term 2 is empty and its zero piece is dropped
+    gapped = _gapped_factor(p)[0]
+    assert gapped.rank(2) == 0 and len(gapped.diff(1).records()[0][0]) == 1
+
+
+def test_each_factor_map_is_embedded_once(monkeypatch):
+    # tensor_many and induced_chain_map carry each factor differential and
+    # each component of eta into the product ring by one product per group
+    # of its pieces, however many product generators the pieces reach
+    factors = [_scaled_factor(3, 1, 5, "x", 2, 1), _scaled_factor(3, 2, 5, "y", 1, 2),
+               _gapped_factor(3)]
+    calls = []
+    monkeypatch.setattr(complexes, "matmul",
+                        lambda a, b, p: calls.append(a.shape) or matmul(a, b, p))
+    product = tensor_many([f for f, _ in factors])
+    w = product.window
+    assert len(calls) == sum(len(f.diff(a).records()) for f, _ in factors
+                             for a in range(1, w + 1)) > 0
+    for i, (_, eta) in enumerate(factors):
+        calls.clear()
+        induced_chain_map(product, i, eta)
+        assert len(calls) == sum(len(eta.component(a).records()) for a in range(w + 1))

@@ -220,6 +220,22 @@ def test_records_match_a_dense_reference(p):
     ref = DenseMap(ring, src, tgt, dense, twist)
     maps = [FreeMap(ring, src, tgt, blocks, twist),
             FreeMap.from_dense(ring, src, tgt, dense, twist)]
+    # the same pieces as one-row records in reverse order, with a zero row
+    rows = [(bs[i:i + 1], cs[i:i + 1], stack[i:i + 1])
+            for bs, cs, stack in maps[0].records() for i in range(len(bs))]
+    rows.append(([1], [0], np.zeros((1, ring.dim(src[1] + twist - tgt[0])), dtype=np.int64)))
+    maps.append(FreeMap.from_records(ring, src, tgt, rows[::-1], twist))
+    # each group as one record in reverse order
+    maps.append(FreeMap.from_records(ring, src, tgt, [(bs[::-1], cs[::-1], stack[::-1])
+                                                      for bs, cs, stack in maps[0].records()],
+                                     twist))
+    # moved onto a generator more on each side, and negated twice
+    moved = FreeMap.from_records(ring, (0, *src), (5, *tgt), maps[0].records(1, 1, -1), twist)
+    maps.append(FreeMap.from_records(ring, src, tgt, moved.records(-1, -1, -1), twist))
+    # target 0 is in degree 5, where no column has a block
+    assert not columns(moved)[0].any()
+    assert [x.tolist() for x in columns(moved)[1:]] == [(-x % p).tolist()
+                                                        for x in columns(maps[0])]
     # the inner map: two source generators of one degree, and one at -3
     # whose columns are empty
     inner_src, inner_twist = (0, 2, 0, -3, 1), 1

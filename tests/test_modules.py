@@ -92,6 +92,21 @@ def test_a_vector_of_the_wrong_length_is_refused():
         FreeMap(r, (1,), (0,), [{0: np.array([[1, 0]])}])
     with pytest.raises(SyzkitError, match="column 1 has a block on generator 0 of length 3"):
         FreeMap(r, (1, 1), (0,), [{0: np.array([1, 0])}, {0: three}])
+    # a record of pieces of the wrong length, and records or columns that name
+    # a generator the map does not have
+    with pytest.raises(SyzkitError, match="column 0 has a block on generator 0 of length 3, "
+                                          "expected 2"):
+        FreeMap.from_records(r, (1,), (0,), [([0], [0], three[None])])
+    for bs, cs, which in [([0], [1], "target generator 1"), ([-1], [0], "source generator -1"),
+                          ([0, 2], [0, 0], "source generator 2")]:
+        with pytest.raises(SyzkitError, match=f"names {which}, out of range"):
+            FreeMap.from_records(r, (1, 1), (0,), [(bs, cs, np.ones((len(bs), 2)))])
+    with pytest.raises(SyzkitError, match="generator 1, out of range for 1 target"):
+        FreeMap(r, (1,), (0,), [{1: np.array([1, 0])}])
+    with pytest.raises(SyzkitError, match="2 target generators for 1 pieces"):
+        FreeMap.from_records(r, (1, 1), (0,), [([0, 1], [0, 0], np.ones((1, 2)))])
+    with pytest.raises(SyzkitError, match="mixes generators of different degrees"):
+        FreeMap.from_records(r, (1, 2), (0,), [([0, 1], [0, 0], np.ones((2, 2)))])
 
 
 def test_a_module_map_needs_a_free_map_between_its_generators():

@@ -317,3 +317,21 @@ def test_dense_columns_come_only_from_the_accessor():
                     found.append(f"{path.name}:{node.lineno}")
     assert seen == readers
     assert found == []
+
+
+def test_cone_builders_take_whole_records():
+    # cone and induced_on_cone take their maps' pieces as whole records,
+    # re-indexed and signed by FreeMap.records; a call to blocks there would
+    # bring back the piece-by-piece build.  A factor map is embedded in the
+    # product ring group by group (complexes._Embedding.embedded), so nothing
+    # embeds a single piece
+    path = Path(syzkit.__file__).parent / "complexes.py"
+    builders = [fn for fn in ast.parse(path.read_text()).body
+                if isinstance(fn, ast.FunctionDef) and fn.name in ("cone", "induced_on_cone")]
+    assert len(builders) == 2
+    found = [f"{path.name}:{node.lineno}" for fn in builders for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "blocks"]
+    found += [f"{p.name}:{node.lineno}" for p, tree in _package_trees()
+              for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and getattr(node.func, "attr", getattr(node.func, "id", None)) == "embed"]
+    assert found == []
