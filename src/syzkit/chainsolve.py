@@ -122,24 +122,26 @@ def solve_chain_self_maps(cx, q, tau, j_lo, induced=None):
         dj = cx.diff(j)
         dlow = cx.diff(j - q)
         dlow_by_degree = {}  # generators of one degree share d_{j-q}'s matrix
+        row0 = len(row_sizes)  # generator b of F_j has the row block row0 + b
+        row_sizes += [freemod.component_dim(ring, tgt_low, g + tau) for g in cx.gen_degrees(j)]
+        # phi_{j-1} applied to d_j(e_b): entry (c, b) of d_j times phi_{j-1}(e_c)
+        for bs, cs, stack in dj.records():
+            g, h = dj.source_degrees[bs[0]], dj.target_degrees[cs[0]]
+            for b, c, piece in zip(bs.tolist(), cs.tolist(), stack):
+                if row_sizes[row0 + b]:
+                    # reduce every term: three products of size (p-1)^2 overflow int64
+                    terms = [int(piece[i]) * freemod.free_mult_matrix(
+                        ring, tgt_low, g - h, int(i), h + tau) % p for i in np.flatnonzero(piece)]
+                    blocks[row0 + b, unknowns.index[(j - 1, c)]] = sum(terms) % p
         for b, g in enumerate(cx.gen_degrees(j)):
-            row = len(row_sizes)
-            row_sizes.append(freemod.component_dim(ring, tgt_low, g + tau))
-            if row_sizes[row] == 0:
+            if row_sizes[row0 + b] == 0:
                 continue
-            # phi_{j-1} applied to d_j(e_b): entry (c, b) of d_j times phi_{j-1}(e_c)
-            for c, piece in dj.blocks(b):
-                h = dj.target_degrees[c]
-                # reduce every term: three products of size (p-1)^2 overflow int64
-                terms = [int(piece[i]) * freemod.free_mult_matrix(
-                    ring, tgt_low, g - h, int(i), h + tau) % p for i in np.flatnonzero(piece)]
-                blocks[row, unknowns.index[(j - 1, c)]] = sum(terms) % p
             # minus (-1)^q d_{j-q} applied to phi_j(e_b)
             if g not in dlow_by_degree:
                 if (j - q, g + tau) not in induced:
                     induced[j - q, g + tau] = dlow.induced(g + tau)
                 dlow_by_degree[g] = -sign * induced[j - q, g + tau] % p
-            blocks[row, unknowns.index[(j, b)]] = dlow_by_degree[g]
+            blocks[row0 + b, unknowns.index[(j, b)]] = dlow_by_degree[g]
     system = freemod.block_matrix(row_sizes, unknowns.sizes, blocks)
     return unknowns, kernel_basis(system, p)
 

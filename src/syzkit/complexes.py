@@ -33,7 +33,8 @@ truncated product lives over the product's one ring.
 The builders move their maps' pieces in whole groups.  `tensor_many` and
 `induced_chain_map` carry each factor differential and each component of
 eta into the product ring once, by one exact product per group of its
-pieces (`_Embedding.embedded`), and then place the embedded pieces by label.
+pieces (`_Embedding.embedded`), and then place the embedded pieces by
+label, one record per pair of degrees (`freemod.records_of`).
 `cone` puts d_j together from the records of -dx, phi and (-1)^n dz, and
 `induced_on_cone` its maps from those of psi, moved onto the cone's
 generators and signed by `freemod.FreeMap.records`; `minimize_complex`
@@ -325,9 +326,8 @@ def tensor_many(factors):
     pos = [{lab: i for i, lab in enumerate(row)} for row in labels]
     diffs = [None]
     for j in range(1, w + 1):
-        cols = []
-        for lab in labels[j]:
-            blocks = {}
+        placed = []
+        for b, lab in enumerate(labels[j]):
             left_degree = 0
             for k, (f, emb, (a, u)) in enumerate(zip(factors, embeddings, lab)):
                 fd = f.diff(a)
@@ -335,10 +335,11 @@ def tensor_many(factors):
                     sign = (-1) ** left_degree % ring.char
                     for c, piece in emb.embedded(fd)[u]:
                         target = pos[j - 1][lab[:k] + ((a - 1, c),) + lab[k + 1:]]
-                        blocks[target] = piece if sign == 1 else sign * piece % ring.char
+                        placed.append((b, target,
+                                       piece if sign == 1 else sign * piece % ring.char))
                 left_degree += a
-            cols.append(blocks)
-        diffs.append(freemod.FreeMap(ring, gens[j], gens[j - 1], cols))
+        diffs.append(freemod.FreeMap(ring, gens[j], gens[j - 1],
+                                     freemod.records_of(gens[j], gens[j - 1], placed)))
     out = FreeComplex(ring, gens, diffs, labels)
     if not out.verify():
         raise SyzkitError("tensor complex differential does not square to zero")
@@ -361,20 +362,18 @@ def induced_chain_map(product, factor_index, eta):
     pos = [{lab: i for i, lab in enumerate(row)} for row in product.labels]
     comps = []
     for j in range(product.window + 1):
-        cols = []
-        for lab in product.labels[j]:
+        placed = []
+        for b, lab in enumerate(product.labels[j]):
             aa, ui = lab[factor_index]
             left_degree = sum(h for h, _ in lab[:factor_index])
             sign = (-1) ** (n * left_degree) % p
-            blocks = {}
             for c, piece in emb.embedded(eta.component(aa))[ui]:
                 new_lab = lab[:factor_index] + ((aa - n, c),) + lab[factor_index + 1:]
                 if j - n < 0 or new_lab not in pos[j - n]:
                     raise SyzkitError("induced map hit a missing product generator")
-                blocks[pos[j - n][new_lab]] = piece if sign == 1 else sign * piece % p
-            cols.append(blocks)
-        comps.append(freemod.FreeMap(ring, product.gen_degrees(j), product.gen_degrees(j - n),
-                                     cols, tau))
+                placed.append((b, pos[j - n][new_lab], piece if sign == 1 else sign * piece % p))
+        src, tgt = product.gen_degrees(j), product.gen_degrees(j - n)
+        comps.append(freemod.FreeMap(ring, src, tgt, freemod.records_of(src, tgt, placed), tau))
     out = ChainMap(product, product, n, tau, comps)
     if not out.verify():
         raise SyzkitError("induced chain map fails the chain condition (sign bug)")
@@ -406,7 +405,7 @@ def cone(phi):
             recs += dx.records(scale=-1)
         if dz is not None:
             recs += dz.records(rx, nx, sign)
-        diffs.append(freemod.FreeMap.from_records(ring, gens[j], gens[j - 1], recs))
+        diffs.append(freemod.FreeMap(ring, gens[j], gens[j - 1], recs))
     out = FreeComplex(ring, gens, diffs)
     out._cone_of = phi
     if not out.verify():
@@ -438,8 +437,8 @@ def induced_on_cone(cone_cx, psi):
         recs = on_x.records() if on_x is not None else []
         if on_z is not None:
             recs += on_z.records(rx, nx, s2)
-        comps.append(freemod.FreeMap.from_records(ring, cone_cx.gen_degrees(j),
-                                                  cone_cx.gen_degrees(j - m), recs, upsilon))
+        comps.append(freemod.FreeMap(ring, cone_cx.gen_degrees(j), cone_cx.gen_degrees(j - m),
+                                     recs, upsilon))
     out = ChainMap(cone_cx, cone_cx, m, upsilon, comps)
     if not out.verify():
         raise SyzkitError(
@@ -467,7 +466,7 @@ def minimize_complex(cx):
                 nxt = diffs[j + 1]
                 recs = [(bs[keep], cs[keep] - (cs[keep] > c), stack[keep])
                         for bs, cs, stack in nxt.records() for keep in [cs != c]]
-                diffs[j + 1] = freemod.FreeMap.from_records(
+                diffs[j + 1] = freemod.FreeMap(
                     ring, nxt.source_degrees, gens[j][:c] + gens[j][c + 1:], recs, nxt.twist)
             if j > 1:
                 diffs[j - 1] = diffs[j - 1].restrict(
@@ -482,26 +481,29 @@ def minimize_complex(cx):
 
 
 def _split_unit(d, r, c, u):
-    """d with its unit entry u at (r, c) split off; `restrict` refuses a
-    column left nonzero on target r."""
-    p = d.ring.char
-    uinv = pow(int(u), -1, p)
-    times_col_c = d.restrict([c], range(len(d.target_degrees)))
-    cols = [d.column(b) for b in range(len(d.source_degrees))]
-    for b, g in enumerate(d.source_degrees):
-        piece = dict(d.blocks(b)).get(r)
-        if piece is not None:
-            cols[b] = (cols[b] - uinv * matvec(times_col_c.induced(g), piece, p)) % p
-    return freemod.FreeMap.from_dense(d.ring, d.source_degrees, d.target_degrees, cols).restrict(
-        [b for b in range(len(cols)) if b != c],
-        [a for a in range(len(d.target_degrees)) if a != r])
+    """d with its unit entry u at (r, c) split off.  A column b != c with a
+    piece x_b on row r becomes d(e_b - u^-1 x_b e_c): the degree-g_b matrix
+    of d on columns b and c times (1, -u^-1 x_b).  The other columns keep
+    their records, and `restrict` drops column c and row r, refusing a
+    column left nonzero on row r."""
+    ring, p, src, tgt = d.ring, d.ring.char, d.source_degrees, d.target_degrees
+    neg = -pow(int(u), -1, p) % p
+    hit = {b: x for bs, cs, stack in d.records() for on_r in [cs == r]
+           for b, x in zip(bs[on_r].tolist(), stack[on_r]) if b != c}
+    new = freemod.FreeMap.from_dense(ring, [src[b] for b in hit], tgt, [
+        matvec(d.restrict([b, c], range(len(tgt))).induced(src[b]),
+               np.concatenate([[1], neg * x % p]), p) for b, x in hit.items()])
+    at = np.array(list(hit), dtype=np.intp)
+    recs = [(bs[keep], cs[keep], stack[keep]) for bs, cs, stack in d.records()
+            for keep in [~np.isin(bs, at)]]
+    recs += [(at[bs], cs, stack) for bs, cs, stack in new.records()]
+    return freemod.FreeMap(ring, src, tgt, recs).restrict(
+        [b for b in range(len(src)) if b != c], [a for a in range(len(tgt)) if a != r])
 
 
 def coker_module(cx, level=0):
-    """The cokernel of d_{level+1} as a presented module."""
+    """The cokernel of d_{level+1} as a presented module: d_{level+1} is its
+    relation map."""
     gens = cx.gen_degrees(level)
-    rels = []
     d = cx.diff(level + 1)
-    if d is not None and d.source_degrees:
-        rels = [(g, d.column(b)) for b, g in enumerate(d.source_degrees)]
-    return GradedModule(cx.ring, gens, rels)
+    return GradedModule(cx.ring, gens, freemod.FreeMap.zero(cx.ring, (), gens) if d is None else d)

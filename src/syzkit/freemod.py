@@ -12,28 +12,27 @@ and cone construction are sparse in blocks), so a map keeps only its
 columns' nonzero blocks: per pair (g, h) of a source and a target
 generator degree, the read-only pieces of the columns of degree g on the
 target generators of degree h, stacked as the rows of one matrix, with
-their generators, in order of the source generator.  Callers that build a
-column block by block pass its blocks in, as {target generator: piece}
-(the selection and polynomial constructors, `restrict`, and the tensor
-product and its induced maps, which place each piece by its label).
-Callers that move whole groups pass records (bs, cs, stack) to
-`FreeMap.from_records`, as `FreeMap.records` hands them out, moved to other
-generators and signed (the cone and the maps induced on it, minimisation,
-and a factor map carried into a product ring); both constructors keep the
-pieces through one grouping routine.  `FreeMap.from_dense` splits
-coordinate vectors, one gather per pair of degrees.  `induced` multiplies
-each stack once, `compose` works from both maps' stacks, and dense columns
-leave a map only through `FreeMap.column`.
+their generators, in order of the source generator.  Records
+(bs, cs, stack) are the one form in which a map is built and read: the
+constructor takes them, and `FreeMap.records` hands the stored groups out,
+moved to other generators and signed.  The cone and the maps induced on
+it, minimisation, `restrict`, module relations and a factor map carried
+into a product ring move whole records; the tensor product and its
+induced maps place their embedded pieces by label, one record per pair of
+degrees.  `from_dense`, `selection`, `zero` and `from_poly_matrix` are
+thin producers of records.  `induced` multiplies each stack once,
+`compose` works from both maps' stacks, and dense columns leave a map only
+through `FreeMap.column`.
 
 This module owns the block layout of a component: `vector` writes a
-component vector (a module relation, or `FreeMap.column`), `pieces`
-splits one, `block_matrix` writes a component matrix block by block, over
-R, F (x) N or Hom(F, N), and `FreeMap.selection` builds the maps that send
-generators to generators, so no other module writes at
-`component_offsets` or into a block.  It also owns the ring action on free
-sums: `act` multiplies chains of a free sum of copies of R or of a module
-N by all of R_e, and serves a module's action matrices, the free cover of
-a module or of Tor_i and R's action on F_i (x) N.
+component vector (`FreeMap.column`), `block_matrix` writes a component
+matrix block by block, over R, F (x) N or Hom(F, N), and
+`FreeMap.selection` builds the maps that send generators to generators,
+so no other module writes at `component_offsets` or into a block.  It
+also owns the ring action on free sums: `act` multiplies chains of a free
+sum of copies of R or of a module N by all of R_e, and serves a module's
+action matrices, the free cover of a module or of Tor_i and R's action on
+F_i (x) N.
 
 `FreeMap.compose` is the one composite of maps: it returns the composite
 degree by degree, as the matrices of images of the inner map's columns,
@@ -80,12 +79,6 @@ def vector(ring, gen_degrees, d, blocks):
     return vec
 
 
-def pieces(ring, gen_degrees, d, vec):
-    """The blocks of a degree-d component vector, one per generator."""
-    offs = component_offsets(ring, gen_degrees, d)
-    return [vec[lo:hi] for lo, hi in zip(offs, offs[1:])]
-
-
 def block_matrix(row_sizes, col_sizes, blocks):
     """The matrix with row blocks of sizes row_sizes and column blocks of
     sizes col_sizes whose block (r, c) is blocks[(r, c)], and zero on every
@@ -127,41 +120,61 @@ def free_mult_matrix(ring, gen_degrees, e, j, d):
                         [ring.dim(d - g) for g in gen_degrees], blocks)
 
 
-class FreeMap:
-    """Homogeneous map between graded free modules, given on generators:
-    columns[b] is {target generator c: the piece of column b on c, a
-    coordinate vector over R_{g_b + twist - h_c}}, and the column is zero
-    on every generator it does not name.  Zero pieces are dropped."""
+def records_of(source_degrees, target_degrees, placed):
+    """The records of pieces placed one at a time: (b, c, piece) triples, in
+    order of b, as one record per pair of generator degrees, whose stack is
+    the list of its pieces."""
+    found = {}
+    for b, c, piece in placed:
+        found.setdefault((source_degrees[b], target_degrees[c]), []).append((b, c, piece))
+    return [tuple(zip(*recs)) for recs in found.values()]
 
-    def __init__(self, ring, source_degrees, target_degrees, columns, twist=0):
+
+class FreeMap:
+    """Homogeneous map between graded free modules, given on generators by
+    records (bs, cs, stack): row k of stack is the piece of column bs[k] on
+    target generator cs[k], a coordinate vector over R_{g_b + twist - h_c},
+    and a column is zero on every generator that no record names.  A record
+    lies in one pair of generator degrees and names each (b, c) at most
+    once; a pair may have several records, in any order, and a stack may
+    be an array or a sequence of pieces.  The map keeps the arrays it is
+    given, read-only, and drops zero pieces."""
+
+    def __init__(self, ring, source_degrees, target_degrees, records, twist=0):
         self.ring = ring
         self.source_degrees = tuple(source_degrees)
         self.target_degrees = tuple(target_degrees)
         self.twist = twist
-        if len(columns) != len(self.source_degrees):
-            raise SyzkitError(f"{len(columns)} columns for {len(self.source_degrees)} "
-                              f"source generators")
-        self._groups, self._columns = {}, None
-        found, nt = {}, len(self.target_degrees)
-        for b, (g, col) in enumerate(zip(self.source_degrees, columns)):
-            for c, piece in col.items():
-                if not 0 <= c < nt:
-                    raise SyzkitError(f"column {b} has a block on generator {c}, out of "
-                                      f"range for {nt} target generators")
-                found.setdefault((g, self.target_degrees[c]), []).append((b, c, piece))
-        self._store({key: [tuple(zip(*recs))] for key, recs in found.items()})
-
-    def _store(self, found):
-        """Keep the records that found lists per pair (g, h) of source and
-        target generator degrees: in a record (bs, cs, stack), each in order
-        of bs, row k of stack (an array, or a sequence of pieces) is the
-        piece of column bs[k] on target generator cs[k].  The records of a
-        pair are joined and put in order of bs (which `compose` searches),
-        checked for their length once, and kept by `_add`."""
+        self._groups = {}
+        found = {}
+        for bs, cs, stack in records:
+            bs, cs = np.asarray(bs, dtype=np.intp), np.asarray(cs, dtype=np.intp)
+            if not len(bs) == len(cs) == len(stack):
+                raise SyzkitError(f"a record names {len(bs)} source generators and "
+                                  f"{len(cs)} target generators for {len(stack)} pieces")
+            if not len(bs):
+                continue
+            ids, tids = bs.tolist(), cs.tolist()
+            for what, idx, gens in (("source", ids, self.source_degrees),
+                                    ("target", tids, self.target_degrees)):
+                lo, hi = min(idx), max(idx)
+                if lo < 0 or hi >= len(gens):
+                    raise SyzkitError(f"a record names {what} generator {lo if lo < 0 else hi}, "
+                                      f"out of range for {len(gens)} {what} generators")
+            degs = {self.source_degrees[i] for i in ids}, {self.target_degrees[c] for c in tids}
+            if len(degs[0]) > 1 or len(degs[1]) > 1:
+                raise SyzkitError("a record mixes generators of different degrees")
+            if ids != sorted(ids):
+                order = bs.argsort(kind="stable")
+                bs, cs = bs[order], cs[order]
+                stack = [stack[k] for k in order.tolist()]
+            found.setdefault((*degs[0], *degs[1]), []).append((bs, cs, stack))
+        # per pair (g, h): join the records in order of bs (which `compose`
+        # searches), check the length of the pieces once, drop zero rows
         for (g, h), recs in found.items():
-            want = self.ring.dim(g + self.twist - h)
+            want = ring.dim(g + twist - h)
             bs, cs, stacks = zip(*recs)
-            bs, cs = (np.concatenate(x) if len(recs) > 1 else np.asarray(x[0]) for x in (bs, cs))
+            bs, cs = (np.concatenate(x) if len(recs) > 1 else x[0] for x in (bs, cs))
             try:
                 stack = (np.concatenate([np.asarray(s, dtype=np.int64) for s in stacks])
                          if len(recs) > 1 else np.asarray(stacks[0], dtype=np.int64))
@@ -177,66 +190,29 @@ class FreeMap:
             if len(recs) > 1:
                 order = bs.argsort(kind="stable")
                 bs, cs, stack = bs[order], cs[order], stack[order]
-            self._add(g, h, bs, cs, stack)
-
-    def _add(self, g, h, bs, cs, stack):
-        """Keep the nonzero rows of stack: row k is the piece of column bs[k]
-        on target generator cs[k], of degrees g and h, with bs (an array) in
-        non-decreasing order."""
-        nonzero = stack.any(axis=1)
-        if not nonzero.all():
-            bs, cs, stack = bs[nonzero], cs[nonzero], stack[nonzero]
-        if len(stack):
-            for x in (bs, cs, stack):
-                x.flags.writeable = False
-            self._groups.setdefault(g, []).append((h, bs, cs, stack))
-
-    @classmethod
-    def from_records(cls, ring, source_degrees, target_degrees, records, twist=0):
-        """The map whose pieces are the rows of the records (bs, cs, stack),
-        as `records` gives them: row k of stack is the piece of column bs[k]
-        on target generator cs[k].  A record lies in one pair of generator
-        degrees; a pair may have several records, in any order.  The map
-        keeps the arrays it is given, read-only."""
-        out = cls(ring, source_degrees, target_degrees, [{}] * len(source_degrees), twist)
-        found = {}
-        for bs, cs, stack in records:
-            bs, cs = np.asarray(bs, dtype=np.intp), np.asarray(cs, dtype=np.intp)
-            if not len(bs) == len(cs) == len(stack):
-                raise SyzkitError(f"a record names {len(bs)} source generators and "
-                                  f"{len(cs)} target generators for {len(stack)} pieces")
-            if not bs.size:
-                continue
-            ids, degs = bs.tolist(), []
-            for what, idx, gens in (("source", ids, out.source_degrees),
-                                    ("target", cs.tolist(), out.target_degrees)):
-                bad = [i for i in (min(idx), max(idx)) if not 0 <= i < len(gens)]
-                if bad:
-                    raise SyzkitError(f"a record names {what} generator {bad[0]}, out of "
-                                      f"range for {len(gens)} {what} generators")
-                degs.append({gens[i] for i in idx})
-            if len(degs[0]) > 1 or len(degs[1]) > 1:
-                raise SyzkitError("a record mixes generators of different degrees")
-            if ids != sorted(ids):
-                order = bs.argsort(kind="stable")
-                bs, cs, stack = bs[order], cs[order], np.asarray(stack)[order]
-            found.setdefault((*degs[0], *degs[1]), []).append((bs, cs, stack))
-        out._store(found)
-        return out
+            nonzero = stack.any(axis=1)
+            if not nonzero.all():
+                bs, cs, stack = bs[nonzero], cs[nonzero], stack[nonzero]
+            if len(stack):
+                for x in (bs, cs, stack):
+                    x.flags.writeable = False
+                self._groups.setdefault(g, []).append((h, bs, cs, stack))
 
     @classmethod
     def from_dense(cls, ring, source_degrees, target_degrees, columns, twist=0):
         """The map whose column b is the vector columns[b] over the target
         component in degree g_b + twist.  One vectorised pass over the
         stacked columns of each source degree finds their nonzero blocks,
-        and one gather per target degree takes them."""
-        out = cls(ring, source_degrees, target_degrees, [{}] * len(columns), twist)
-        tdegs = np.array(out.target_degrees, dtype=np.int64)
-        by_degree = {}
-        for b, g in enumerate(out.source_degrees):
+        and one gather per target degree makes their record."""
+        if len(columns) != len(source_degrees):
+            raise SyzkitError(f"{len(columns)} columns for {len(source_degrees)} "
+                              f"source generators")
+        tdegs = np.array(target_degrees, dtype=np.int64)
+        by_degree, records = {}, []
+        for b, g in enumerate(source_degrees):
             by_degree.setdefault(g, []).append(b)
         for g, bs in by_degree.items():
-            offs = np.array(component_offsets(ring, out.target_degrees, g + twist))
+            offs = np.array(component_offsets(ring, target_degrees, g + twist))
             for b in bs:
                 if columns[b].shape[0] != offs[-1]:
                     raise SyzkitError(f"column {b} has length {columns[b].shape[0]}, "
@@ -249,59 +225,54 @@ class FreeMap:
             for h in np.unique(tdegs[cs]).tolist():
                 ks, i = np.nonzero(hit & (tdegs[cs] == h))
                 at = offs[cs[i]][:, None] + np.arange(ring.dim(g + twist - h))
-                out._add(g, h, np.array(bs)[ks], cs[i], stacked[ks[:, None], at])
-        return out
+                records.append((np.array(bs)[ks], cs[i], stacked[ks[:, None], at]))
+        return cls(ring, source_degrees, target_degrees, records, twist)
 
     @classmethod
     def selection(cls, ring, source_degrees, target_degrees, targets, twist=0):
         """The map sending generator b to generator targets[b], or to 0 when
         targets[b] is None; the two must sit in degrees g_b + twist and
         g_{targets[b]}."""
-        cols = []
-        for b, g in enumerate(source_degrees):
-            c = targets[b]
-            if c is not None and target_degrees[c] != g + twist:
-                raise SyzkitError(f"generator {b} in degree {g + twist} cannot go to "
-                                  f"generator {c} in degree {target_degrees[c]}")
-            cols.append({} if c is None else {c: np.ones(1, dtype=np.int64)})
-        return cls(ring, source_degrees, target_degrees, cols, twist)
+        placed = [(b, c, (1,)) for b, c in enumerate(targets) if c is not None]
+        for b, c, _ in placed:
+            if target_degrees[c] != source_degrees[b] + twist:
+                raise SyzkitError(f"generator {b} in degree {source_degrees[b] + twist} cannot "
+                                  f"go to generator {c} in degree {target_degrees[c]}")
+        return cls(ring, source_degrees, target_degrees,
+                   records_of(source_degrees, target_degrees, placed), twist)
 
     @classmethod
     def zero(cls, ring, source_degrees, target_degrees, twist=0):
-        return cls.selection(ring, source_degrees, target_degrees,
-                             [None] * len(source_degrees), twist)
+        return cls(ring, source_degrees, target_degrees, (), twist)
 
     @classmethod
     def from_poly_matrix(cls, ring, target_degrees, source_degrees, entries, twist=0):
         """Build from a matrix of polynomial dicts (rows: target gens)."""
-        tdegs, sdegs = tuple(target_degrees), tuple(source_degrees)
-        cols = []
-        for b, g in enumerate(sdegs):
-            d = g + twist
-            blocks = {}
-            for c, h in enumerate(tdegs):
+        placed = []
+        for b, g in enumerate(source_degrees):
+            for c, h in enumerate(target_degrees):
                 f = entries[c][b]
                 if not f:
                     continue
                 fd = poly_degree(f)
-                if fd != d - h:
+                if fd != g + twist - h:
                     raise HomogeneityError(
-                        f"entry ({c},{b}) has degree {fd}, expected {d - h}"
+                        f"entry ({c},{b}) has degree {fd}, expected {g + twist - h}"
                     )
-                blocks[c] = ring.normal_form(f, degree=fd)
-            cols.append(blocks)
-        return cls(ring, sdegs, tdegs, cols, twist)
+                placed.append((b, c, ring.normal_form(f, degree=fd)))
+        return cls(ring, source_degrees, target_degrees,
+                   records_of(source_degrees, target_degrees, placed), twist)
 
     def to_poly_matrix(self):
         out = [[{} for _ in self.source_degrees] for _ in self.target_degrees]
-        for b, g in enumerate(self.source_degrees):
-            for c, piece in self.blocks(b):
-                out[c][b] = self.ring.vector_to_poly(
-                    piece, g + self.twist - self.target_degrees[c])
+        for g, groups in self._groups.items():
+            for h, bs, cs, stack in groups:
+                for b, c, piece in zip(bs.tolist(), cs.tolist(), stack):
+                    out[c][b] = self.ring.vector_to_poly(piece, g + self.twist - h)
         return out
 
     def records(self, sources=0, targets=0, scale=1):
-        """The map's stored groups (bs, cs, stack), as `from_records` takes
+        """The map's stored groups (bs, cs, stack), as the constructor takes
         them, with every source generator moved by sources, every target
         generator by targets and every piece times scale (mod p)."""
         p, scale = self.ring.char, scale % self.ring.char
@@ -309,40 +280,40 @@ class FreeMap:
                  stack if scale == 1 else stack * scale % p)
                 for groups in self._groups.values() for _, bs, cs, stack in groups]
 
-    def blocks(self, b):
-        """(c, piece) for each target generator c on which column b is
-        nonzero, in order of c; piece is the column's read-only block on c."""
-        if self._columns is None:
-            self._columns = [[] for _ in self.source_degrees]
-            for groups in self._groups.values():
-                for _, bs, cs, stack in groups:
-                    for k, (bk, ck) in enumerate(zip(bs.tolist(), cs.tolist())):
-                        self._columns[bk].append((ck, stack[k]))
-            for col in self._columns:
-                col.sort(key=lambda rec: rec[0])
-        return list(self._columns[b])
-
     def column(self, b):
         """Column b as a vector over the target component in degree
         g_b + twist: the one reader of dense columns."""
-        return vector(self.ring, self.target_degrees, self.source_degrees[b] + self.twist,
-                      dict(self.blocks(b)))
+        g = self.source_degrees[b]
+        blocks = {}
+        for _, bs, cs, stack in self._groups.get(g, ()):
+            lo, hi = bs.searchsorted(b), bs.searchsorted(b, "right")
+            blocks.update(zip(cs[lo:hi].tolist(), stack[lo:hi]))
+        return vector(self.ring, self.target_degrees, g + self.twist, blocks)
 
     def restrict(self, sources, targets):
         """The map from source generators `sources` to target generators
-        `targets`, both lists of indices; every kept column must vanish on
-        the target generators that are dropped."""
-        new_index = {c: k for k, c in enumerate(targets)}
-        cols = []
-        for b in sources:
-            blocks = {}
-            for c, piece in self.blocks(b):
-                if c not in new_index:
-                    raise SyzkitError(f"generator {b} maps onto dropped generator {c}")
-                blocks[new_index[c]] = piece
-            cols.append(blocks)
+        `targets`, both lists of distinct indices: the records of the kept
+        columns, renumbered.  Every kept column must vanish on the target
+        generators that are dropped."""
+        sources, targets = list(sources), list(targets)
+        new_b = np.full(len(self.source_degrees), -1, dtype=np.intp)
+        new_b[sources] = np.arange(len(sources))
+        new_c = np.full(len(self.target_degrees), -1, dtype=np.intp)
+        new_c[targets] = np.arange(len(targets))
+        records = []
+        for bs, cs, stack in self.records():
+            nb = new_b[bs]
+            kept = nb >= 0
+            if not kept.all():
+                bs, nb, cs, stack = bs[kept], nb[kept], cs[kept], stack[kept]
+            nc = new_c[cs]
+            lost = nc < 0
+            if lost.any():
+                raise SyzkitError(f"generator {bs[lost][0]} maps onto dropped generator "
+                                  f"{cs[lost][0]}")
+            records.append((nb, nc, stack))
         return FreeMap(self.ring, [self.source_degrees[b] for b in sources],
-                       [self.target_degrees[c] for c in targets], cols, self.twist)
+                       [self.target_degrees[c] for c in targets], records, self.twist)
 
     def induced(self, d):
         """Numeric matrix of the degree-d component map.

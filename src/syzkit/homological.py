@@ -35,6 +35,7 @@ from .modules import (
     GradedModule,
     Homology,
     ModuleMap,
+    free_module,
     generator_matrix,
     minimal_generators_in,
     tensor_presentation,
@@ -84,12 +85,12 @@ def _with_n(res, i, n_mod, d, hom):
     src = [n_mod.dim(d + sign * g) for g in sources]
     tgt = [n_mod.dim(d + sign * h) for h in targets]
     blocks = {}
-    for b, g in enumerate(sources):
-        for c, piece in dmap.blocks(b) if src[b] and dmap is not None else ():
-            if tgt[c]:
-                low = d + targets[c] if hom else d - g
+    for bs, cs, stack in dmap.records() if dmap is not None else ():
+        for b, c, piece in zip(bs.tolist(), cs.tolist(), stack):
+            if src[b] and tgt[c]:
+                low = d + targets[c] if hom else d - sources[b]
                 blocks[(b, c) if hom else (c, b)] = n_mod.action_by_ring_vector(
-                    piece, g - targets[c], low)
+                    piece, sources[b] - targets[c], low)
     rows, cols = (src, tgt) if hom else (tgt, src)
     return freemod.block_matrix(rows, cols, blocks)
 
@@ -168,12 +169,12 @@ def _tor_module(res, homology, n, i):
     degrees = _tensor_window(res, n, i)
     mingens = minimal_generators_in(spaces, degrees.low, degrees.top)
     if not mingens:
-        return GradedModule(ring, (), [])
+        return free_module(ring, ())
     gens = tuple(d for d, _ in mingens)
-    rel_gens, hi, _, _ = kernel_generators(
+    rels, hi, _ = kernel_generators(
         ring, gens, partial(generator_matrix, spaces, mingens), degrees.low
     )
-    module = GradedModule(ring, gens, rel_gens)
+    module = GradedModule(ring, gens, rels or freemod.FreeMap.zero(ring, (), gens))
     for d in range(degrees.low, hi + 1):
         if module.dim(d) != spaces.dim(d):
             raise SyzkitError(
@@ -261,18 +262,18 @@ def pushout_extension(eta, verify_depth=True):
     f_gens = res.gen_degrees(t - 1)
     gens = m_gens + f_gens
     nm = len(m_gens)
-    rels = []
-    for e, v in m.relations:
-        blocks = dict(enumerate(freemod.pieces(ring, m.gen_degrees, e, v)))
-        rels.append((e - w, freemod.vector(ring, gens, e - w, blocks)))
-    dmap = res.diff(t)
-    for b, g in enumerate(res.gen_degrees(t)):
-        blocks = {nm + c: (-piece) % ring.char for c, piece in dmap.blocks(b)}
-        if m.dim(g + w) > 0 and eta.values[b].any():
-            lift = m.lift_element(g + w, eta.values[b])
-            blocks.update(enumerate(freemod.pieces(ring, m.gen_degrees, g + w, lift)))
-        rels.append((g, freemod.vector(ring, gens, g, blocks)))
-    k_mod = GradedModule(ring, gens, rels)
+    # relations: M's, then per generator b of F_t, lift(eta(e_b)) - d_t(e_b)
+    mr, t_gens = m.relations, res.gen_degrees(t)
+    lifted = [b for b, g in enumerate(t_gens) if m.dim(g + w) > 0 and eta.values[b].any()]
+    lifts = freemod.FreeMap.from_dense(
+        ring, [t_gens[b] + w for b in lifted], m.gen_degrees,
+        [m.lift_element(t_gens[b] + w, eta.values[b]) for b in lifted])
+    nr = len(mr.source_degrees)
+    records = mr.records() + res.diff(t).records(nr, nm, -1)
+    records += [(np.array(lifted, dtype=np.intp)[bs] + nr, cs, stack)
+                for bs, cs, stack in lifts.records()]
+    k_mod = GradedModule(ring, gens, freemod.FreeMap(
+        ring, [e - w for e in mr.source_degrees] + list(t_gens), gens, records))
 
     # the two maps of the extension
     m_shift = m.shifted(-w)
@@ -280,10 +281,9 @@ def pushout_extension(eta, verify_depth=True):
 
     omega = syzygy(res, t - 1)
     if t == 1:  # F_0 goes onto M = Omega^0 through the resolution's cover
-        zero = freemod.FreeMap.zero(ring, m_gens, omega.gen_degrees)
-        cols = [zero.column(b) for b in range(nm)]
-        cols += [omega.lift_element(deg, vec) for deg, vec in res.cover]
-        free = freemod.FreeMap.from_dense(ring, gens, omega.gen_degrees, cols)
+        cover = freemod.FreeMap.from_dense(ring, f_gens, omega.gen_degrees,
+                                           [omega.lift_element(g, v) for g, v in res.cover])
+        free = freemod.FreeMap(ring, gens, omega.gen_degrees, cover.records(nm))
     else:
         free = freemod.FreeMap.selection(
             ring, gens, omega.gen_degrees, [None] * nm + list(range(len(f_gens)))

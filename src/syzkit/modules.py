@@ -1,24 +1,27 @@
 """Finitely presented graded modules with degreewise bases.
 
 A module is a cokernel of a map into a graded free module: generator
-degrees plus homogeneous relation columns.  Every degree component M_d is
-realized as a quotient of the free component by the span of all ring
-multiples of the relations, with a deterministic coordinate basis
-(non-pivot coordinates) and a projection matrix.  The ring action is
-recovered degreewise through representatives, for all of R_e at once:
-`action_matrix(e, a)` is the (dim R_e, dim M_{a+e}, dim M_a) stack whose
-j-th slice is the j-th basis monomial of R_e, `freemod.act` on the
-representatives projected onto M_{a+e}, and an element of R_e acts by one
-product of its coordinate row with the flattened stack.
+degrees plus the relations, held once, as one `freemod.FreeMap` of twist
+0 into the generators whose column r is relation r.  Every degree
+component M_d is realized as a quotient of the free component by the
+span of all ring multiples of the relations, with a deterministic
+coordinate basis (non-pivot coordinates) and a projection matrix.  The
+ring action is recovered degreewise through representatives, for all of
+R_e at once: `action_matrix(e, a)` is the (dim R_e, dim M_{a+e}, dim M_a)
+stack whose j-th slice is the j-th basis monomial of R_e, `freemod.act`
+on the representatives projected onto M_{a+e}, and an element of R_e
+acts by one product of its coordinate row with the flattened stack.
 
 Components that must vanish are not eliminated: M is generated in
 degrees <= max(gen_degrees) and R in degree 1, so above the top generator
 M_d = R_1 M_{d-1}, and M_{d-1} = 0 gives M_d = 0 (the rule the ring uses
 for its own first zero component).
 
-Relation vectors are built with `freemod.vector`, and the relations form
-one `freemod.FreeMap` (`FreeMap.from_dense`), which checks their lengths
-once and serves every degree's span of ring multiples.
+The relation map serves every degree's span of ring multiples.  Its
+producers move records, not vectors: a presentation's polynomials go in
+through `FreeMap.from_poly_matrix`, and `shifted` and
+`tensor_presentation` move the records of the relations they start from
+onto renumbered generators in shifted degrees, in the same order.
 
 `Homology` is the one homology computation of the package: Tor, Ext,
 Koszul homology (depth) and the homology of a `FreeComplex` all read
@@ -53,23 +56,23 @@ from .polynomials import poly_degree
 
 class GradedModule:
     def __init__(self, ring, gen_degrees, relations):
-        """relations: list of (degree, coordinate vector over the free
-        component of gen_degrees at that degree)."""
+        """relations: the `freemod.FreeMap` of twist 0 into the free module
+        on gen_degrees whose column r, from a source generator in the
+        relation's degree, is relation r."""
         self.ring = ring
         self.gen_degrees = tuple(gen_degrees)
-        self.relations = list(relations)
-        self._relation_map = freemod.FreeMap.from_dense(
-            ring, [e for e, _ in self.relations], self.gen_degrees,
-            [v for _, v in self.relations],
-        )
+        if relations.target_degrees != self.gen_degrees or relations.twist:
+            raise SyzkitError("the relations must be a map of twist 0 into the module's "
+                              "generators")
+        self.relations = relations
         self._spaces = {}
         self._action = {}
         self._mingens = None
 
     def relation_polys(self):
         """Each relation as one polynomial per generator."""
-        rows = self._relation_map.to_poly_matrix()
-        return [[row[r] for row in rows] for r in range(len(self.relations))]
+        rows = self.relations.to_poly_matrix()
+        return [[row[r] for row in rows] for r in range(len(self.relations.source_degrees))]
 
     # -- degreewise structure --------------------------------------------
 
@@ -83,7 +86,7 @@ class GradedModule:
                 self._spaces[d] = ([], zeros(0, amb))
             else:
                 # columns: every ring multiple of every relation in degree d
-                span = self._relation_map.induced(d)
+                span = self.relations.induced(d)
                 self._spaces[d] = quotient_projection(span, amb, self.ring.char)
         return self._spaces[d]
 
@@ -151,7 +154,8 @@ class GradedModule:
     def shifted(self, delta):
         """Same module with all generator degrees moved up by delta."""
         gens = tuple(g + delta for g in self.gen_degrees)
-        rels = [(d + delta, v.copy()) for d, v in self.relations]
+        rels = freemod.FreeMap(self.ring, [e + delta for e in self.relations.source_degrees],
+                               gens, self.relations.records())
         return GradedModule(self.ring, gens, rels)
 
 
@@ -269,7 +273,7 @@ def module_from_presentation(ring, gen_degrees, relation_columns):
     entry degrees + generator degrees must agree across the column.
     """
     gens = tuple(gen_degrees)
-    rels = []
+    kept, degs = [], []
     for col in relation_columns:
         if len(col) != len(gens):
             raise SyzkitError(
@@ -290,9 +294,10 @@ def module_from_presentation(ring, gen_degrees, relation_columns):
             continue  # zero column
         if rdeg > ring.degree_bound:
             raise DegreeBoundError(rdeg, ring.degree_bound, "relation degree")
-        blocks = {s: ring.normal_form(f, degree=rdeg - gens[s]) for s, f in enumerate(col) if f}
-        rels.append((rdeg, freemod.vector(ring, gens, rdeg, blocks)))
-    return GradedModule(ring, gens, rels)
+        kept.append(col)
+        degs.append(rdeg)
+    entries = [[col[s] for col in kept] for s in range(len(gens))]
+    return GradedModule(ring, gens, freemod.FreeMap.from_poly_matrix(ring, gens, degs, entries))
 
 
 def module_from_strings(ring, gen_degrees, relation_columns):
@@ -301,7 +306,7 @@ def module_from_strings(ring, gen_degrees, relation_columns):
 
 
 def free_module(ring, gen_degrees=(0,)):
-    return GradedModule(ring, tuple(gen_degrees), [])
+    return GradedModule(ring, tuple(gen_degrees), freemod.FreeMap.zero(ring, (), gen_degrees))
 
 
 def residue_field(ring):
@@ -312,25 +317,23 @@ def residue_field(ring):
 
 
 def tensor_presentation(m, n):
-    """Presentation of M tensor N over their common ring."""
+    """Presentation of M tensor N over their common ring.  The pair (s, t)
+    of generators of M and N is generator s * nn + t; each relation of M
+    times each generator of N, then each relation of N times each generator
+    of M, is a relation, whose records are M's or N's moved there."""
     if not m.ring.same_ring(n.ring):
         raise SyzkitError("tensor product needs a common ring")
     ring = m.ring
     gens = tuple(g + h for g in m.gen_degrees for h in n.gen_degrees)
-    nn = len(n.gen_degrees)
-    rels = []
-    # the pair (s, t) of generators of M and N is generator s * nn + t
-    for e, v in m.relations:
-        m_pieces = freemod.pieces(ring, m.gen_degrees, e, v)
-        for t, h in enumerate(n.gen_degrees):
-            blocks = {s * nn + t: piece for s, piece in enumerate(m_pieces)}
-            rels.append((e + h, freemod.vector(ring, gens, e + h, blocks)))
-    for e, v in n.relations:
-        n_pieces = freemod.pieces(ring, n.gen_degrees, e, v)
-        for s, g in enumerate(m.gen_degrees):
-            blocks = {s * nn + t: piece for t, piece in enumerate(n_pieces)}
-            rels.append((e + g, freemod.vector(ring, gens, e + g, blocks)))
-    return GradedModule(ring, gens, rels)
+    nm, nn = len(m.gen_degrees), len(n.gen_degrees)
+    mr, nr = m.relations, n.relations
+    degs = [e + h for e in mr.source_degrees for h in n.gen_degrees]
+    records = [(bs * nn + t, cs * nn + t, stack)
+               for t in range(nn) for bs, cs, stack in mr.records()]
+    records += [(len(degs) + bs * nm + s, s * nn + cs, stack)
+                for s in range(nm) for bs, cs, stack in nr.records()]
+    degs += [e + g for e in nr.source_degrees for g in m.gen_degrees]
+    return GradedModule(ring, gens, freemod.FreeMap(ring, degs, gens, records))
 
 
 class ModuleMap:
@@ -355,7 +358,7 @@ class ModuleMap:
         """Check the map kills every relation of the source (well-defined):
         the relations' images, one matrix per relation degree d, project to
         zero in N_{d+twist}."""
-        t, rels = self.target, self.source._relation_map
+        t, rels = self.target, self.source.relations
         for bs, images in self._free.compose(rels):
             d = rels.source_degrees[bs[0]] + self.twist
             if matmul(t.proj(d), images, t.ring.char).any():

@@ -175,15 +175,16 @@ def kernel_generators(ring, src_degs, matrix_at, low, rows=None, eliminated=None
     maps d to the previous step's `Handover`; eliminated, when given, maps
     the content of a block A (shape and the bytes of its `linalg.pack`
     indices and values, so a hit is exact) to A's free columns, and is
-    shared by the steps of one resolution.  Returns (list of (degree,
-    vector), top degree scanned, this step's `Handover` by degree, the next
-    map on the generators, or None when there are none).
+    shared by the steps of one resolution.  Returns (the next map, from
+    the generators into src_degs, or None when there are none; the top
+    degree scanned; this step's `Handover` by degree).  Each degree's new
+    generators join the map as the records of their kernel vectors.
     """
     p = ring.char
     window = ring.degree_window(low, max(src_degs))
     rows = rows or {}
     eliminated = {} if eliminated is None else eliminated
-    gens, handover = [], {}
+    handover, recs, degs = {}, [], []
     nxt = None  # the next map, on the generators found so far
     for d in range(min(src_degs), window.top + 1):
         src_dim = freemod.component_dim(ring, src_degs, d)
@@ -206,13 +207,14 @@ def kernel_generators(ring, src_degs, matrix_at, low, rows=None, eliminated=None
             chosen = extend_basis(a, identity(len(free)), p) if rk else list(range(len(free)))
         if chosen:
             window.certify(d)
-            kd = kernel()
-            gens += [(d, kd[:, idx].copy()) for idx in chosen]
-            nxt = freemod.FreeMap.from_dense(ring, [g for g, _ in gens], src_degs,
-                                             [v for _, v in gens])
+            new = freemod.FreeMap.from_dense(ring, [d] * len(chosen), src_degs,
+                                             kernel()[:, chosen].T)
+            recs += new.records(len(degs))
+            degs += new.source_degrees
+            nxt = freemod.FreeMap(ring, degs, src_degs, recs)
         handover[d] = Handover(free, block, chosen, a_free)
-        kd = kernel = a = None  # before the next degree's matrices are built
-    return gens, window.top, handover, nxt
+        kernel = a = None  # before the next degree's matrices are built
+    return nxt, window.top, handover
 
 
 def resolve(module, n_max):
@@ -234,8 +236,7 @@ def resolve(module, n_max):
     for i in range(1, n_max + 1):
         dmap = None
         if terminated_at is None:
-            _, _, rows, dmap = kernel_generators(ring, src_degs, matrix_at, low, rows,
-                                                 eliminated)
+            dmap, _, rows = kernel_generators(ring, src_degs, matrix_at, low, rows, eliminated)
             if dmap is None:
                 terminated_at = i
         if dmap is None:

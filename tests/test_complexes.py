@@ -31,7 +31,7 @@ from syzkit.linalg import matmul
 from syzkit.modules import module_from_strings, residue_field
 from syzkit.resolutions import resolve
 from syzkit.rings import PolyRing, build_quotient, ring_from_strings
-from test_freemod import columns, composite, equals, identity, scale
+from test_freemod import blocks, columns, composite, equals, from_columns, identity, scale
 from test_modules import dims
 from test_rings import poly_mul
 
@@ -770,17 +770,17 @@ def reference_tensor(factors, ring):
     for j in range(1, w + 1):
         cols = []
         for lab in labels[j]:
-            blocks, left_degree = {}, 0
+            col, left_degree = {}, 0
             for k, (f, (a, u)) in enumerate(zip(factors, lab)):
                 fd = f.diff(a)
                 if fd is not None:
-                    for c, piece in fd.blocks(u):
+                    for c, piece in blocks(fd, u):
                         target = pos[j - 1][lab[:k] + ((a - 1, c),) + lab[k + 1:]]
                         e = f.gen_degrees(a)[u] - fd.target_degrees[c]
-                        blocks[target] = ((-1) ** left_degree
-                                          * _embedded(ring, f.ring, piece, e)) % ring.char
+                        col[target] = ((-1) ** left_degree
+                                       * _embedded(ring, f.ring, piece, e)) % ring.char
                 left_degree += a
-            cols.append(blocks)
+            cols.append(col)
         diffs.append(_dense(ring, gens[j], gens[j - 1], 0, cols))
     return gens, labels, diffs
 
@@ -795,12 +795,12 @@ def reference_induced(product, factor_index, eta):
         for lab in product.labels[j]:
             aa, ui = lab[factor_index]
             sign = (-1) ** (n * sum(h for h, _ in lab[:factor_index]))
-            comp, blocks = eta.component(aa), {}
-            for c, piece in comp.blocks(ui):
+            comp, col = eta.component(aa), {}
+            for c, piece in blocks(comp, ui):
                 t = pos[j - n][lab[:factor_index] + ((aa - n, c),) + lab[factor_index + 1:]]
                 e = comp.source_degrees[ui] + tau - comp.target_degrees[c]
-                blocks[t] = (sign * _embedded(ring, eta.source.ring, piece, e)) % ring.char
-            cols.append(blocks)
+                col[t] = (sign * _embedded(ring, eta.source.ring, piece, e)) % ring.char
+            cols.append(col)
         comps.append(_dense(ring, product.gen_degrees(j), product.gen_degrees(j - n), tau,
                             cols))
     return comps
@@ -818,13 +818,13 @@ def reference_cone(phi):
         dx, comp, dz = x.diff(j - 1), phi.component(j - 1), z.diff(j - n)
         cols = []
         for b in range(x.rank(j - 1)):
-            blocks = {nx + c: piece for c, piece in comp.blocks(b)}
+            col = {nx + c: piece for c, piece in blocks(comp, b)}
             if dx is not None:
-                blocks.update((c, (-piece) % p) for c, piece in dx.blocks(b))
-            cols.append(blocks)
+                col.update((c, (-piece) % p) for c, piece in blocks(dx, b))
+            cols.append(col)
         for b in range(z.rank(j - n)):
             cols.append({} if dz is None else
-                        {nx + c: ((-1) ** n * piece) % p for c, piece in dz.blocks(b)})
+                        {nx + c: ((-1) ** n * piece) % p for c, piece in blocks(dz, b)})
         diffs.append(_dense(ring, gens[j], gens[j - 1], 0, cols))
     return gens, diffs
 
@@ -836,9 +836,9 @@ def reference_induced_on_cone(cone_cx, psi):
     comps = []
     for j in range(cone_cx.window + 1):
         nx = x.rank(j - m - 1)
-        cols = [dict(psi.component(j - 1).blocks(b)) for b in range(x.rank(j - 1))]
+        cols = [dict(blocks(psi.component(j - 1), b)) for b in range(x.rank(j - 1))]
         cols += [{nx + c: ((-1) ** (m * (n + 1)) * piece) % p
-                  for c, piece in psi.component(j - n).blocks(b)}
+                  for c, piece in blocks(psi.component(j - n), b)}
                  for b in range(cone_cx._cone_of.target.rank(j - n))]
         comps.append(_dense(cone_cx.ring, cone_cx.gen_degrees(j),
                             cone_cx.gen_degrees(j - m), psi.twist, cols))
@@ -872,8 +872,8 @@ def _gapped_factor(p):
     its zero piece, so term 2 is empty, with the zero period-2 map."""
     r = ring_from_strings(p, ["w"], ["w^2"], degree_bound=8)
     gens = [(0,), (1, 1), (), (3,)]
-    d1 = FreeMap(r, gens[1], gens[0], [{0: np.ones(1, dtype=np.int64)},
-                                       {0: np.zeros(1, dtype=np.int64)}])
+    d1 = from_columns(r, gens[1], gens[0], [{0: np.ones(1, dtype=np.int64)},
+                                            {0: np.zeros(1, dtype=np.int64)}])
     diffs = [None, d1, FreeMap.zero(r, gens[2], gens[1]), FreeMap.zero(r, gens[3], gens[2])]
     cx = FreeComplex(r, gens, diffs)
     comps = [FreeMap.zero(r, gens[j], gens[j - 2] if j >= 2 else (), -2) for j in range(4)]

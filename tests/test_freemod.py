@@ -7,7 +7,7 @@ import pytest
 from syzkit.chainsolve import consistent_twist, solve_chain_self_maps
 from syzkit.complexes import induced_chain_map, tensor_many
 from syzkit.errors import SyzkitError
-from syzkit.freemod import FreeMap, block_matrix, component_dim, pieces, vector
+from syzkit.freemod import FreeMap, block_matrix, component_dim, component_offsets, vector
 from syzkit.io import read_complex_file
 from syzkit.rings import ring_from_strings
 
@@ -28,6 +28,32 @@ TARGET = (0, 1, 3, 1)
 PATTERNS = [(0, 1, 2, 3), (), (0, 3), (3,), (0, 1, 2, 3)]
 
 
+def from_columns(ring, source_degrees, target_degrees, cols, twist=0):
+    """The map whose column b is cols[b] = {target generator c: its piece},
+    and zero on every generator it does not name: one record per source
+    degree and target generator, whose stack is the list of its pieces."""
+    found = {}
+    for b, col in enumerate(cols):
+        for c, piece in col.items():
+            found.setdefault((source_degrees[b], c), []).append((b, c, piece))
+    return FreeMap(ring, source_degrees, target_degrees,
+                   [tuple(zip(*recs)) for recs in found.values()], twist)
+
+
+def blocks(fmap, b):
+    """(c, piece) for each target generator c on which column b of fmap is
+    nonzero, in order of c, read off its records."""
+    return sorted(((c, piece) for bs, cs, stack in fmap.records()
+                   for bk, c, piece in zip(bs.tolist(), cs.tolist(), stack) if bk == b),
+                  key=lambda rec: rec[0])
+
+
+def pieces(ring, gen_degrees, d, vec):
+    """The blocks of a degree-d component vector, one per generator."""
+    offs = component_offsets(ring, gen_degrees, d)
+    return [vec[lo:hi] for lo, hi in zip(offs, offs[1:])]
+
+
 def identity(ring, gen_degrees):
     """The identity map of the free module on gen_degrees."""
     return FreeMap.selection(ring, gen_degrees, gen_degrees, range(len(gen_degrees)))
@@ -40,9 +66,8 @@ def columns(fmap):
 
 def scale(fmap, c):
     """c times fmap."""
-    cols = [{t: (c * piece) % fmap.ring.char for t, piece in fmap.blocks(b)}
-            for b in range(len(fmap.source_degrees))]
-    return FreeMap(fmap.ring, fmap.source_degrees, fmap.target_degrees, cols, fmap.twist)
+    return FreeMap(fmap.ring, fmap.source_degrees, fmap.target_degrees,
+                   fmap.records(scale=c), fmap.twist)
 
 
 def equals(a, b):
@@ -112,8 +137,8 @@ def test_induced_matches_a_python_integer_reference(spec, twist):
     for b, pattern in enumerate(PATTERNS):
         offs = offsets(ring, TARGET, SOURCE[b] + twist)
         nonzero = [c for c in pattern if offs[c + 1] > offs[c]]
-        assert [c for c, _ in fmap.blocks(b)] == nonzero
-    assert fmap.blocks(1) == []
+        assert [c for c, _ in blocks(fmap, b)] == nonzero
+    assert blocks(fmap, 1) == []
     for d in range(7):
         assert fmap.induced(d).tolist() == reference_induced(fmap, d)
 
@@ -198,7 +223,7 @@ def block_columns(ring, source, target, twist, gen):
 def assert_same(fmap, ref):
     assert (fmap.source_degrees, fmap.target_degrees) == (tuple(ref.src), tuple(ref.tgt))
     for b in range(len(ref.src)):
-        assert [(c, x.tolist()) for c, x in fmap.blocks(b)] == ref.blocks(b)
+        assert [(c, x.tolist()) for c, x in blocks(fmap, b)] == ref.blocks(b)
         assert fmap.column(b).tolist() == ref.cols[b].tolist()
     assert fmap.scalar_block().tolist() == ref.scalar_block()
     assert fmap.to_poly_matrix() == ref.to_poly_matrix()
@@ -206,60 +231,73 @@ def assert_same(fmap, ref):
 
 @pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
 def test_records_match_a_dense_reference(p):
-    # source generators: three of degree 1 and one each of 2 and 0; target
+    # every producer of records against the dense reference: the
+    # constructor (whole records, one-row records in reverse order with a
+    # zero row, groups reversed, records moved and negated twice),
+    # from_dense, from_poly_matrix, selection, zero and restrict.  Source
+    # generators: three of degree 1 and one each of 2 and 0; target
     # generators of degrees 1, 0, 2, 1, 3 and 9, above the degree bound, so
     # blocks on 3 are empty in low degrees and on 9 in every degree, and
     # the order of the generators is not that of their degrees
     ring = ring_from_strings(p, ["x", "y", "z"], ["x*y + 3*z^2", "y^2 - x*z"], degree_bound=7)
     gen = np.random.default_rng(p % 1009)
     src, tgt, twist = (1, 1, 1, 2, 0), (1, 0, 2, 1, 3, 9), 1
-    blocks = block_columns(ring, src, tgt, twist, gen)
-    blocks[1] = {c: np.zeros(ring.dim(2 - h), dtype=np.int64) for c, h in enumerate(tgt)}
-    assert any(not x.any() and x.size for col in blocks for x in col.values())
-    dense = [vector(ring, tgt, g + twist, col) for g, col in zip(src, blocks)]
+    cols = block_columns(ring, src, tgt, twist, gen)
+    cols[1] = {c: np.zeros(ring.dim(2 - h), dtype=np.int64) for c, h in enumerate(tgt)}
+    assert any(not x.any() and x.size for col in cols for x in col.values())
+    dense = [vector(ring, tgt, g + twist, col) for g, col in zip(src, cols)]
     ref = DenseMap(ring, src, tgt, dense, twist)
-    maps = [FreeMap(ring, src, tgt, blocks, twist),
-            FreeMap.from_dense(ring, src, tgt, dense, twist)]
+    maps = [from_columns(ring, src, tgt, cols, twist),
+            FreeMap.from_dense(ring, src, tgt, dense, twist),
+            FreeMap.from_poly_matrix(ring, tgt, src, ref.to_poly_matrix(), twist)]
     # the same pieces as one-row records in reverse order, with a zero row
     rows = [(bs[i:i + 1], cs[i:i + 1], stack[i:i + 1])
             for bs, cs, stack in maps[0].records() for i in range(len(bs))]
     rows.append(([1], [0], np.zeros((1, ring.dim(src[1] + twist - tgt[0])), dtype=np.int64)))
-    maps.append(FreeMap.from_records(ring, src, tgt, rows[::-1], twist))
+    maps.append(FreeMap(ring, src, tgt, rows[::-1], twist))
     # each group as one record in reverse order
-    maps.append(FreeMap.from_records(ring, src, tgt, [(bs[::-1], cs[::-1], stack[::-1])
-                                                      for bs, cs, stack in maps[0].records()],
-                                     twist))
+    maps.append(FreeMap(ring, src, tgt, [(bs[::-1], cs[::-1], stack[::-1])
+                                         for bs, cs, stack in maps[0].records()], twist))
     # moved onto a generator more on each side, and negated twice
-    moved = FreeMap.from_records(ring, (0, *src), (5, *tgt), maps[0].records(1, 1, -1), twist)
-    maps.append(FreeMap.from_records(ring, src, tgt, moved.records(-1, -1, -1), twist))
+    moved = FreeMap(ring, (0, *src), (5, *tgt), maps[0].records(1, 1, -1), twist)
+    maps.append(FreeMap(ring, src, tgt, moved.records(-1, -1, -1), twist))
     # target 0 is in degree 5, where no column has a block
     assert not columns(moved)[0].any()
     assert [x.tolist() for x in columns(moved)[1:]] == [(-x % p).tolist()
                                                         for x in columns(maps[0])]
+    cases = [(fmap, ref) for fmap in maps]
+    # two generators onto one, a zero column, and the zero map
+    targets = [2, None, 2, 4, 3]
+    cases.append((FreeMap.selection(ring, src, tgt, targets, twist), DenseMap(
+        ring, src, tgt, [vector(ring, tgt, g + twist, {} if c is None else {c: 1})
+                         for g, c in zip(src, targets)], twist)))
+    cases.append((FreeMap.zero(ring, src, tgt, twist), DenseMap(
+        ring, src, tgt, [vector(ring, tgt, g + twist, {}) for g in src], twist)))
     # the inner map: two source generators of one degree, and one at -3
     # whose columns are empty
     inner_src, inner_twist = (0, 2, 0, -3, 1), 1
-    inner_blocks = block_columns(ring, inner_src, src, inner_twist, gen)
+    inner_cols = block_columns(ring, inner_src, src, inner_twist, gen)
     inner_dense = [vector(ring, src, g + inner_twist, col)
-                   for g, col in zip(inner_src, inner_blocks)]
+                   for g, col in zip(inner_src, inner_cols)]
     inner_ref = DenseMap(ring, inner_src, src, inner_dense, inner_twist)
-    inners = [FreeMap(ring, inner_src, src, inner_blocks, inner_twist),
+    inners = [from_columns(ring, inner_src, src, inner_cols, inner_twist),
               FreeMap.from_dense(ring, inner_src, src, inner_dense, inner_twist)]
-    kept = sorted({c for col in blocks for c, x in col.items() if x.any()})
-    for fmap in maps:
-        assert_same(fmap, ref)
+    for fmap, want in cases:
+        assert_same(fmap, want)
         for d in range(6):
-            assert fmap.induced(d).tolist() == ref.induced(d), d
+            assert fmap.induced(d).tolist() == want.induced(d), d
         for inner in inners:
             assert_same(inner, inner_ref)
             got = [(bs, images.tolist()) for bs, images in fmap.compose(inner)]
-            assert got == ref.compose(inner_ref)
-        assert_same(fmap.restrict([4, 0, 2], kept), ref.restrict([4, 0, 2], kept))
-        dropped = kept[1:]
-        with pytest.raises(SyzkitError):
-            ref.restrict(range(len(src)), dropped)
-        with pytest.raises(SyzkitError, match="onto dropped generator"):
-            fmap.restrict(range(len(src)), dropped)
+            assert got == want.compose(inner_ref)
+        kept = sorted({c for b in range(len(src)) for c, _ in want.blocks(b)})
+        assert_same(fmap.restrict([4, 0, 2], kept), want.restrict([4, 0, 2], kept))
+        if kept:
+            dropped = kept[1:]
+            with pytest.raises(SyzkitError):
+                want.restrict(range(len(src)), dropped)
+            with pytest.raises(SyzkitError, match="onto dropped generator"):
+                fmap.restrict(range(len(src)), dropped)
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
@@ -288,8 +326,8 @@ def test_compose_block_by_block_matches_the_dense_reference(p):
         {2: full(2), 3: full(1)},
         {1: full(1)},  # meets no piece of middle generator 2, the one on target 1
     ]
-    outer = FreeMap(ring, mid, tgt, outer_blocks, outer_twist)
-    inner = FreeMap(ring, src, mid, inner_blocks, inner_twist)
+    outer = from_columns(ring, mid, tgt, outer_blocks, outer_twist)
+    inner = from_columns(ring, src, mid, inner_blocks, inner_twist)
     ref = DenseMap(ring, mid, tgt, [vector(ring, tgt, g + outer_twist, col)
                                     for g, col in zip(mid, outer_blocks)], outer_twist)
     inner_ref = DenseMap(ring, src, mid, [vector(ring, mid, g + inner_twist, col)
@@ -308,7 +346,7 @@ def test_columns_are_read_only():
     # the map keeps its own read-only copy of the pieces it is given
     ring = ring_from_strings(32003, ["x", "y"], [], degree_bound=6)
     piece = np.array([1, 2], dtype=np.int64)  # x + 2y
-    fmap = FreeMap(ring, (1,), (0,), [{0: piece}])
+    fmap = from_columns(ring, (1,), (0,), [{0: piece}])
     col = np.array([1, 2], dtype=np.int64)
     dense = FreeMap.from_dense(ring, (1,), (0,), [col])
     before = fmap.induced(2).copy()
@@ -316,7 +354,7 @@ def test_columns_are_read_only():
     col[1] = 5
     for m in (fmap, dense):
         with pytest.raises(ValueError):
-            m.blocks(0)[0][1][0] = 0
+            blocks(m, 0)[0][1][0] = 0
         assert np.array_equal(m.induced(2), before)
 
 
@@ -476,7 +514,7 @@ def test_chain_system_matches_the_term_by_term_reference(p, monkeypatch):
     r = ring_from_strings(p, ["x", "y", "z"], [quadric], degree_bound=16)
     res = resolve(residue_field(r), 8)  # Betti numbers 1, 3, 4, 4, ...
     assert any(np.count_nonzero(piece) > 1 for f in res.diffs[1:]
-               for b in range(len(f.source_degrees)) for _, piece in f.blocks(b))
+               for _, _, stack in f.records() for piece in stack)
     # not a complex: the chain system is linear in any maps F_j -> F_{j-1}
     gens = [(3 * j, 3 * j + 3) for j in range(5)]
     rng = np.random.default_rng(0)

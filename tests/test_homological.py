@@ -630,7 +630,7 @@ def _with_d2_replaced(p):
     d1 = res.diff(1)
     assert res.gens[:4] == [(0,), (1,), (2,), (3,)]
     diffs = list(res.diffs)
-    diffs[2] = FreeMap(r, (2,), (1,), [dict(d1.blocks(0))])  # x times the generator of F_1
+    diffs[2] = FreeMap(r, (2,), (1,), d1.records())  # x times the generator of F_1
     bad = FreeResolution(r, m, res.gens, diffs, res.cover, res.terminated_at, res.low)
     return r, m, bad
 

@@ -31,6 +31,7 @@ from syzkit.linalg import (
 )
 from syzkit.modules import (
     GradedModule,
+    free_module,
     generator_matrix,
     minimal_generators_in,
     module_from_presentation,
@@ -45,6 +46,7 @@ from syzkit.resolutions import (
 )
 from syzkit.rings import PolyRing, build_quotient
 from test_depth import _form
+from test_freemod import blocks
 from test_rings import poly_mul
 
 PRIMES = (2, 3, 32003, 2**31 - 1)
@@ -64,14 +66,14 @@ def _tensor_differential(res, n_mod, i, d):
     dmap = res.diff(i)
     tgt_gens = dmap.target_degrees
     tdims = _tensor_component_dims(tgt_gens, n_mod, d)
-    blocks = {}
+    placed = {}
     for b, g in enumerate(src_gens):
         if sdims[b] == 0:
             continue
-        for c, piece in dmap.blocks(b):
+        for c, piece in blocks(dmap, b):
             if tdims[c]:
-                blocks[(c, b)] = n_mod.action_by_ring_vector(piece, g - tgt_gens[c], d - g)
-    return freemod.block_matrix(tdims, sdims, blocks)
+                placed[(c, b)] = n_mod.action_by_ring_vector(piece, g - tgt_gens[c], d - g)
+    return freemod.block_matrix(tdims, sdims, placed)
 
 
 def _reference_tor(res, n, window):
@@ -159,25 +161,25 @@ def _reference_tor_module(n, i, res):
     degrees = _tensor_window(res, n, i)
     mingens = minimal_generators_in(spaces, degrees.low, degrees.top)
     if not mingens:
-        return GradedModule(ring, (), [])
+        return free_module(ring, ())
     gens = tuple(d for d, _ in mingens)
-    rel_gens, _, _, _ = kernel_generators(
+    rels, _, _ = kernel_generators(
         ring, gens, partial(generator_matrix, spaces, mingens), degrees.low)
-    return GradedModule(ring, gens, rel_gens)
+    return GradedModule(ring, gens, rels or freemod.FreeMap.zero(ring, (), gens))
 
 
 def _hom_matrix(dmap, n_mod, w):
     src, tgt = dmap.source_degrees, dmap.target_degrees
     rdims = [n_mod.dim(g + w) for g in src]
     cdims = [n_mod.dim(h + w) for h in tgt]
-    blocks = {}
+    placed = {}
     for b, g in enumerate(src):
         if rdims[b] == 0:
             continue
-        for c, piece in dmap.blocks(b):
+        for c, piece in blocks(dmap, b):
             if cdims[c]:
-                blocks[(b, c)] = n_mod.action_by_ring_vector(piece, g - tgt[c], tgt[c] + w)
-    return freemod.block_matrix(rdims, cdims, blocks)
+                placed[(b, c)] = n_mod.action_by_ring_vector(piece, g - tgt[c], tgt[c] + w)
+    return freemod.block_matrix(rdims, cdims, placed)
 
 
 def _reference_ext(n, t, res):

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from syzkit.complexes import coker_module
 from syzkit.errors import HomogeneityError, SyzkitError
 from syzkit.freemod import FreeMap
 from syzkit.linalg import rank
@@ -9,14 +12,19 @@ from syzkit.modules import (
     Homology,
     ModuleMap,
     free_module,
+    module_from_presentation,
     module_from_strings,
     residue_field,
     tensor_presentation,
     verify_ses,
 )
+from syzkit.homological import ext_basis, pushout_extension
+from syzkit.io import read_module_file
 from syzkit.polynomials import poly_degree
+from syzkit.resolutions import resolve
 from syzkit.rings import ring_from_strings
 from test_depth import lift_presentation
+from test_freemod import from_columns
 
 
 def dims(m, dmax):
@@ -80,33 +88,85 @@ def test_a_vector_of_the_wrong_length_is_refused():
     r = xy_ring()
     three = np.array([1, 0, 0], dtype=np.int64)
     with pytest.raises(SyzkitError, match="length 3, expected 2"):
-        GradedModule(r, (0,), [(1, three)])
+        GradedModule(r, (0,), FreeMap.from_dense(r, (1,), (0,), [three]))
     with pytest.raises(SyzkitError, match="length 3, expected 2"):
         ModuleMap(free_module(r, (1,)), free_module(r),
                   FreeMap.from_dense(r, (1,), (0,), [three]))
     with pytest.raises(SyzkitError, match="length 3, expected 2"):
-        FreeMap(r, (1,), (0,), [{0: three}])
+        from_columns(r, (1,), (0,), [{0: three}])
     # a 2-D piece of the right size, and a ragged group: the second of two
     # degree-1 columns has the wrong length
     with pytest.raises(SyzkitError, match="column 0 has a block on generator 0 of length 2"):
-        FreeMap(r, (1,), (0,), [{0: np.array([[1, 0]])}])
+        from_columns(r, (1,), (0,), [{0: np.array([[1, 0]])}])
     with pytest.raises(SyzkitError, match="column 1 has a block on generator 0 of length 3"):
-        FreeMap(r, (1, 1), (0,), [{0: np.array([1, 0])}, {0: three}])
+        from_columns(r, (1, 1), (0,), [{0: np.array([1, 0])}, {0: three}])
     # a record of pieces of the wrong length, and records or columns that name
     # a generator the map does not have
     with pytest.raises(SyzkitError, match="column 0 has a block on generator 0 of length 3, "
                                           "expected 2"):
-        FreeMap.from_records(r, (1,), (0,), [([0], [0], three[None])])
+        FreeMap(r, (1,), (0,), [([0], [0], three[None])])
     for bs, cs, which in [([0], [1], "target generator 1"), ([-1], [0], "source generator -1"),
                           ([0, 2], [0, 0], "source generator 2")]:
         with pytest.raises(SyzkitError, match=f"names {which}, out of range"):
-            FreeMap.from_records(r, (1, 1), (0,), [(bs, cs, np.ones((len(bs), 2)))])
+            FreeMap(r, (1, 1), (0,), [(bs, cs, np.ones((len(bs), 2)))])
     with pytest.raises(SyzkitError, match="generator 1, out of range for 1 target"):
-        FreeMap(r, (1,), (0,), [{1: np.array([1, 0])}])
+        from_columns(r, (1,), (0,), [{1: np.array([1, 0])}])
     with pytest.raises(SyzkitError, match="2 target generators for 1 pieces"):
-        FreeMap.from_records(r, (1, 1), (0,), [([0, 1], [0, 0], np.ones((1, 2)))])
+        FreeMap(r, (1, 1), (0,), [([0, 1], [0, 0], np.ones((1, 2)))])
     with pytest.raises(SyzkitError, match="mixes generators of different degrees"):
-        FreeMap.from_records(r, (1, 2), (0,), [([0, 1], [0, 0], np.ones((2, 2)))])
+        FreeMap(r, (1, 2), (0,), [([0, 1], [0, 0], np.ones((2, 2)))])
+
+
+def test_a_module_refuses_relations_that_are_not_on_its_generators():
+    # the relation map must run into the module's generators, with twist 0
+    r = xy_ring()
+    x = FreeMap.from_dense(r, (1,), (0,), [np.array([1, 0], dtype=np.int64)])
+    assert GradedModule(r, (0,), x).dim(1) == 1
+    for gens, rels in [((1,), x), ((0, 0), x), ((), x), ((0,), FreeMap.zero(r, (), ())),
+                       ((0,), FreeMap.from_dense(r, (0,), (0,), [np.array([1, 0])], 1))]:
+        with pytest.raises(SyzkitError, match="relations must be a map of twist 0 into the "
+                                              "module's generators"):
+            GradedModule(r, gens, rels)
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def assert_same_module(m, n, degrees):
+    """m and n have the same generators, and the same dim and proj in every
+    degree of the range."""
+    assert m.gen_degrees == n.gen_degrees
+    for d in degrees:
+        assert m.dim(d) == n.dim(d), d
+        assert np.array_equal(m.proj(d), n.proj(d)), d
+
+
+def test_modules_from_records_match_their_polynomial_presentations():
+    # a module whose relation map comes from records (the constructor, a
+    # cokernel's differential, a tensor presentation, a pushout) against
+    # the same presentation read from the polynomials of its relations
+    names = ["ci2_free", "ci2_k", "golod_k", "hyp_ax", "hyp_ax2", "hyp_axy", "s2_free", "x1_k"]
+    fixtures = {n: read_module_file(os.path.join(FIXTURES, n + ".module")) for n in names}
+    built = {}
+    for name, m in fixtures.items():
+        rels = FreeMap(m.ring, m.relations.source_degrees, m.gen_degrees, m.relations.records())
+        built[name] = (GradedModule(m.ring, m.gen_degrees, rels), m)
+    k = fixtures["ci2_k"]
+    built["coker"] = (coker_module(resolve(k, 3), 1), None)
+    built["tensor"] = (tensor_presentation(fixtures["hyp_ax2"], fixtures["hyp_axy"]), None)
+    built["shifted tensor"] = (tensor_presentation(fixtures["hyp_axy"].shifted(2),
+                                                   fixtures["hyp_ax"]), None)
+    built["pushout"] = (pushout_extension(ext_basis(k, k, 1)[0], verify_depth=False).module, None)
+    built["pushout t=2"] = (pushout_extension(ext_basis(k, k, 2)[0], verify_depth=False).module,
+                            None)
+    for name, (m, read) in built.items():
+        polys = module_from_presentation(m.ring, m.gen_degrees, m.relation_polys())
+        degrees = range(m.min_degree() - 1, m.min_degree() + 8)
+        assert_same_module(m, polys, degrees)
+        if read is not None:
+            assert_same_module(m, read, degrees)
+        assert any(m.dim(d) for d in degrees), name
+        assert name.endswith("free") or m.relations.records(), name
 
 
 def test_a_module_map_needs_a_free_map_between_its_generators():
@@ -373,7 +433,7 @@ def test_vanishing_components_match_the_relation_span(case):
         if amb == 0:
             assert (idx, proj.shape) == ([], (0, 0))
             continue
-        want_idx, want_proj = quotient_projection(m._relation_map.induced(d), amb, r.char)
+        want_idx, want_proj = quotient_projection(m.relations.induced(d), amb, r.char)
         assert idx == want_idx, d
         assert proj.dtype == want_proj.dtype
         assert np.array_equal(proj, want_proj), d

@@ -398,6 +398,14 @@ def test_graded_betti_numbers_recover_the_hilbert_function(p, nvars, quadrics, b
         assert graded == m.dim(d), (p, nvars, quadrics, d)
 
 
+def generators(fmap):
+    """The (degree, vector) of each kernel generator that `kernel_generators`
+    found, read off the columns of the map it returns (None: none)."""
+    if fmap is None:
+        return []
+    return [(g, fmap.column(b)) for b, g in enumerate(fmap.source_degrees)]
+
+
 def _dense_kernel_generators(ring, src_degs, matrix_at, hi):
     """The syzygy step on the whole source component: minimal generators
     are the columns of ker_d extending the span of R_1 * ker_{d-1}, picked
@@ -454,11 +462,12 @@ def test_kernel_generators_match_the_dense_step(case):
             matrix_at = partial(generator_matrix, m, res.cover)
         else:
             matrix_at = res.diffs[i - 1].induced
-        got, hi, free_rows, _ = kernel_generators(r, res.gens[i - 1], matrix_at, m.min_degree())
+        got, hi, free_rows = kernel_generators(r, res.gens[i - 1], matrix_at, m.min_degree())
         want = _dense_kernel_generators(r, res.gens[i - 1], matrix_at, hi)
-        runs = [got]
+        runs = [generators(got)]
         if rows is not None:
-            runs.append(kernel_generators(r, res.gens[i - 1], matrix_at, m.min_degree(), rows)[0])
+            runs.append(generators(
+                kernel_generators(r, res.gens[i - 1], matrix_at, m.min_degree(), rows)[0]))
         for run in runs:
             assert [d for d, _ in run] == [d for d, _ in want]
             assert all(np.array_equal(u, v) for (_, u), (_, v) in zip(run, want))
@@ -506,12 +515,11 @@ def _steps(r, m, steps):
     matrix_at = partial(generator_matrix, m, m.minimal_generators())
     out, rows = [], None
     for _ in range(steps):
-        gens, _, rows, _ = kernel_generators(r, src, matrix_at, m.min_degree(), rows)
-        out.append((src, matrix_at, gens, rows))
-        if not gens:
+        nxt, _, rows = kernel_generators(r, src, matrix_at, m.min_degree(), rows)
+        out.append((src, matrix_at, generators(nxt), rows))
+        if nxt is None:
             break
-        src = tuple(d for d, _ in gens)
-        matrix_at = FreeMap.from_dense(r, src, out[-1][0], [v for _, v in gens]).induced
+        src, matrix_at = nxt.source_degrees, nxt.induced
     return out
 
 
@@ -591,7 +599,7 @@ def test_kernel_generators_refuse_a_changed_block(where):
     p = 32003
     r = ring_from_strings(p, ["x", "y", "z"], ["x^2", "y^2", "z^2"], degree_bound=10)
     res = resolve(residue_field(r), 3)
-    _, _, rows, _ = kernel_generators(r, res.gens[2], res.diffs[2].induced, 0)
+    _, _, rows = kernel_generators(r, res.gens[2], res.diffs[2].induced, 0)
     d = min(d for d, h in rows.items() if h.block[1].size)  # a block with a nonzero entry
     shape, at, values = rows[d].block
     if where == "nonzero":
@@ -704,8 +712,8 @@ def test_kernel_generators_check_that_the_previous_rows_are_filled():
 
     r = ring_from_strings(32003, ["x", "y", "z"], ["x^2", "y^2", "z^2"], degree_bound=10)
     res = resolve(residue_field(r), 3)
-    gens, _, rows, _ = kernel_generators(r, res.gens[2], res.diffs[2].induced, 0)
-    assert len(gens) == res.betti()[3] == 10
+    nxt, _, rows = kernel_generators(r, res.gens[2], res.diffs[2].induced, 0)
+    assert len(nxt.source_degrees) == res.betti()[3] == 10
     # F_3 sits in degree 3, so degree 4 is the first that step 4 scans
     d = 4
     extra = min(set(range(component_dim(r, res.gens[2], d))) - set(rows[d].rows))

@@ -288,17 +288,14 @@ def test_compose_reads_both_maps_by_their_blocks():
 
 def test_dense_columns_come_only_from_the_accessor():
     # a map keeps only its nonzero blocks; a dense column outside freemod
-    # comes from FreeMap.column, whose readers are listed here, and no map
-    # column is written with freemod.vector: outside freemod it writes only
-    # module relations, the vector of a (degree, vector) pair
-    readers = {("complexes", "coker_module"), ("resolutions", "verify_complex"),
-               ("complexes", "_split_unit"), ("homological", "pushout_extension")}
+    # comes from FreeMap.column, whose readers are listed here, and nothing
+    # outside freemod writes a component vector with freemod.vector: a map
+    # is built from records, and module relations are a map
+    readers = {("resolutions", "verify_complex")}
     seen, found = set(), []
     for path, tree in _package_trees():
         if path.stem == "freemod":
             continue
-        relations = {id(node.elts[1]) for node in ast.walk(tree)
-                     if isinstance(node, ast.Tuple) and len(node.elts) == 2}
         for fn in ast.walk(tree):
             if not isinstance(fn, ast.FunctionDef):
                 continue
@@ -313,25 +310,51 @@ def test_dense_columns_come_only_from_the_accessor():
                         seen.add((path.stem, fn.name))
                     else:
                         found.append(f"{path.name}:{node.lineno}")
-                if name == "vector" and id(node) not in relations:
+                if name == "vector":
                     found.append(f"{path.name}:{node.lineno}")
     assert seen == readers
     assert found == []
 
 
 def test_cone_builders_take_whole_records():
-    # cone and induced_on_cone take their maps' pieces as whole records,
-    # re-indexed and signed by FreeMap.records; a call to blocks there would
-    # bring back the piece-by-piece build.  A factor map is embedded in the
-    # product ring group by group (complexes._Embedding.embedded), so nothing
-    # embeds a single piece
+    # nothing calls a per-column view of a map (blocks), and cone and
+    # induced_on_cone take their maps' pieces as whole records, re-indexed
+    # and signed by FreeMap.records.  A factor map is embedded in the
+    # product ring group by group (complexes._Embedding.embedded), so
+    # nothing embeds a single piece
     path = Path(syzkit.__file__).parent / "complexes.py"
     builders = [fn for fn in ast.parse(path.read_text()).body
                 if isinstance(fn, ast.FunctionDef) and fn.name in ("cone", "induced_on_cone")]
     assert len(builders) == 2
-    found = [f"{path.name}:{node.lineno}" for fn in builders for node in ast.walk(fn)
-             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "blocks"]
-    found += [f"{p.name}:{node.lineno}" for p, tree in _package_trees()
-              for node in ast.walk(tree) if isinstance(node, ast.Call)
-              and getattr(node.func, "attr", getattr(node.func, "id", None)) == "embed"]
+    assert all(any(getattr(node.func, "attr", None) == "records" for node in ast.walk(fn)
+                   if isinstance(node, ast.Call)) for fn in builders)
+    found = [f"{p.name}:{node.lineno}" for p, tree in _package_trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             in ("blocks", "embed")]
+    assert found == []
+
+
+def test_a_map_has_one_constructor_body():
+    # a FreeMap holds its ring, its two degree tuples, its twist and its
+    # groups of records, and only __init__ sets them: from_dense, selection,
+    # zero, from_poly_matrix and restrict produce records and call the
+    # constructor, so no second body fills a map, and no cache or
+    # per-column view sits beside the records
+    path = Path(syzkit.__file__).parent / "freemod.py"
+    cls, = [top for top in ast.parse(path.read_text()).body
+            if isinstance(top, ast.ClassDef) and top.name == "FreeMap"]
+    stores = [(fn.name, node.attr) for fn in cls.body if isinstance(fn, ast.FunctionDef)
+              for node in ast.walk(fn)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name)]  # not x.flags.writeable
+    assert sorted(stores) == [("__init__", name) for name in
+                              ("_groups", "ring", "source_degrees", "target_degrees", "twist")]
+    assert not [fn.name for fn in cls.body if getattr(fn, "name", None) in
+                ("blocks", "from_records", "_store", "_add", "_columns")]
+    # outside freemod, nothing sets an attribute of a map
+    found = [f"{p.name}:{node.lineno}" for p, tree in _package_trees() if p.stem != "freemod"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+             and node.attr in ("_groups", "source_degrees", "target_degrees")]
     assert found == []
