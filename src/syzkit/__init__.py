@@ -17,8 +17,6 @@ from .rings import (
     PolyRing,
     TruncatedQuotientRing,
     algebra_tensor,
-    build_quotient,
-    polynomial_extension,
     ring_from_strings,
 )
 from .modules import (

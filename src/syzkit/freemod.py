@@ -20,19 +20,17 @@ it, minimisation, `restrict`, module relations and a factor map carried
 into a product ring move whole records; the tensor product and its
 induced maps place their embedded pieces by label, one record per pair of
 degrees.  `from_dense`, `selection`, `zero` and `from_poly_matrix` are
-thin producers of records.  `induced` multiplies each stack once,
-`compose` works from both maps' stacks, and dense columns leave a map only
-through `FreeMap.column`.
+thin producers of records.  `induced` multiplies each stack once and
+`compose` works from both maps' stacks; no dense column leaves a map.  A
+module's augmentation, the free cover of a resolution, is such a map too.
 
-This module owns the block layout of a component: `vector` writes a
-component vector (`FreeMap.column`), `block_matrix` writes a component
-matrix block by block, over R, F (x) N or Hom(F, N), and
+This module owns the block layout of a component: `block_matrix` writes a
+component matrix block by block, over R, F (x) N or Hom(F, N), and
 `FreeMap.selection` builds the maps that send generators to generators,
 so no other module writes at `component_offsets` or into a block.  It
 also owns the ring action on free sums: `act` multiplies chains of a free
 sum of copies of R or of a module N by all of R_e, and serves a module's
-action matrices, the free cover of a module or of Tor_i and R's action on
-F_i (x) N.
+action matrices, the free cover of Tor_i and R's action on F_i (x) N.
 
 `FreeMap.compose` is the one composite of maps: it returns the composite
 degree by degree, as the matrices of images of the inner map's columns,
@@ -68,21 +66,10 @@ def component_dim(ring, gen_degrees, d):
     return component_offsets(ring, gen_degrees, d)[-1]
 
 
-def vector(ring, gen_degrees, d, blocks):
-    """The degree-d component vector whose block on generator c is
-    blocks[c], a coordinate vector over R_{d - g_c} (a scalar when
-    g_c = d), and zero on every generator that blocks does not name."""
-    offs = component_offsets(ring, gen_degrees, d)
-    vec = zeros(offs[-1], 1)[:, 0]
-    for c, block in blocks.items():
-        vec[offs[c]:offs[c + 1]] = block
-    return vec
-
-
 def block_matrix(row_sizes, col_sizes, blocks):
     """The matrix with row blocks of sizes row_sizes and column blocks of
     sizes col_sizes whose block (r, c) is blocks[(r, c)], and zero on every
-    block that blocks does not name: the matrix twin of `vector`."""
+    block that blocks does not name."""
     ro, co = [0, *accumulate(row_sizes)], [0, *accumulate(col_sizes)]
     out = zeros(ro[-1], co[-1])
     for (r, c), block in blocks.items():
@@ -279,16 +266,6 @@ class FreeMap:
         return [(bs + sources if sources else bs, cs + targets if targets else cs,
                  stack if scale == 1 else stack * scale % p)
                 for groups in self._groups.values() for _, bs, cs, stack in groups]
-
-    def column(self, b):
-        """Column b as a vector over the target component in degree
-        g_b + twist: the one reader of dense columns."""
-        g = self.source_degrees[b]
-        blocks = {}
-        for _, bs, cs, stack in self._groups.get(g, ()):
-            lo, hi = bs.searchsorted(b), bs.searchsorted(b, "right")
-            blocks.update(zip(cs[lo:hi].tolist(), stack[lo:hi]))
-        return vector(self.ring, self.target_degrees, g + self.twist, blocks)
 
     def restrict(self, sources, targets):
         """The map from source generators `sources` to target generators

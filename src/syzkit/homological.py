@@ -233,12 +233,11 @@ class PushoutResult:
     eta: ExtClass
     ses_ok: bool
     ses_detail: str
-    depth_preserved: bool | None
     inclusion: ModuleMap = field(default=None, repr=False)
     projection: ModuleMap = field(default=None, repr=False)
 
 
-def pushout_extension(eta, verify_depth=True):
+def pushout_extension(eta):
     """The middle module of the extension 0 -> N -> K -> Omega^{t-1}(M) -> 0
     built from a self-extension class (N = M), with the sequence verified
     degreewise.
@@ -281,9 +280,7 @@ def pushout_extension(eta, verify_depth=True):
 
     omega = syzygy(res, t - 1)
     if t == 1:  # F_0 goes onto M = Omega^0 through the resolution's cover
-        cover = freemod.FreeMap.from_dense(ring, f_gens, omega.gen_degrees,
-                                           [omega.lift_element(g, v) for g, v in res.cover])
-        free = freemod.FreeMap(ring, gens, omega.gen_degrees, cover.records(nm))
+        free = freemod.FreeMap(ring, gens, omega.gen_degrees, res.cover.records(nm))
     else:
         free = freemod.FreeMap.selection(
             ring, gens, omega.gen_degrees, [None] * nm + list(range(len(f_gens)))
@@ -292,10 +289,7 @@ def pushout_extension(eta, verify_depth=True):
     if not (inc.verify() and proj.verify()):
         raise SyzkitError("pushout maps are not well defined; internal error")
     ok, detail = verify_ses(inc, proj)
-    depth_match = None
-    if verify_depth:
-        depth_match = depth(k_mod).depth == depth(m).depth
-    return PushoutResult(k_mod, eta, ok, detail, depth_match, inc, proj)
+    return PushoutResult(k_mod, eta, ok, detail, inc, proj)
 
 
 @dataclass
@@ -370,7 +364,7 @@ def reduction_search(m, max_degree=3, window=10, seed=0):
                     )
             for cand in candidates:
                 try:
-                    push = pushout_extension(cand, verify_depth=False)
+                    push = pushout_extension(cand)
                 except SyzkitError:
                     continue
                 if not push.ses_ok or push.module.is_zero():
@@ -384,8 +378,7 @@ def reduction_search(m, max_degree=3, window=10, seed=0):
         if not found:
             return None
         push, est_k, t = found
-        # candidates are screened without the depth check; the accepted step
-        # gets the full verification
+        # only the accepted step's depth is computed, against the current one
         if current_depth is None:
             current_depth = depth(current).depth
         k_depth = depth(push.module).depth

@@ -26,7 +26,7 @@ import re
 
 from . import freemod
 from .complexes import ChainMap, FreeComplex
-from .errors import ParseError, SyzkitError
+from .errors import DegreeBoundError, ParseError, SyzkitError
 from .modules import module_from_strings
 from .rings import ring_from_strings
 
@@ -193,6 +193,8 @@ def _poly_map(ring, rows, src, tgt, twist, path, field):
     try:
         entries = [[ring.base.parse(str(e)) for e in row] for row in rows]
         return freemod.FreeMap.from_poly_matrix(ring, tgt, src, entries, twist)
+    except DegreeBoundError as exc:
+        raise DegreeBoundError(exc.needed, exc.bound, f"{path}: {field}") from exc
     except SyzkitError as exc:
         raise ParseError(f"{path}: {field}: {exc}") from exc
 
@@ -239,6 +241,8 @@ def read_module_file(path, degree_bound_override=None, ring_cache=None):
         raise ParseError(f"{path}: malformed module block ({exc})") from exc
     try:
         return module_from_strings(ring, gens, rel_cols)
+    except DegreeBoundError as exc:
+        raise DegreeBoundError(exc.needed, exc.bound, f"{path}: relations") from exc
     except SyzkitError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -28,8 +28,9 @@ Koszul homology (depth) and the homology of a `FreeComplex` all read
 H_k = ker d_k / im d_{k+1} from it, degree by degree, and it checks
 d_k d_{k+1} = 0 on every adjacent pair of matrices it builds.  Its
 `module(k, act)` view serves the same `ring`/`dim`/`action_matrix`
-protocol as `GradedModule`, so `minimal_generators_in` and
-`generator_matrix` read a homology module (Tor_i) as they read M.
+protocol as `GradedModule`, so `minimal_generators_in` reads a homology
+module (Tor_i) as it reads M, and `generator_matrix` gives the matrices
+of Tor_i's free cover.
 """
 
 from functools import partial

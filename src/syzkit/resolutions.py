@@ -1,8 +1,12 @@
 """Minimal free resolutions, Betti numbers, complexity, and depth.
 
 A `FreeResolution` is a `complexes.FreeComplex` plus its augmentation onto
-the module (`cover`) and the step where it terminated, so d o d,
-minimality and the periodicity certificate run on the resolution itself.
+the module and the step where it terminated, so d o d, minimality and the
+periodicity certificate run on the resolution itself.  The augmentation
+`cover` is a `freemod.FreeMap` from F_0 onto the module's presented
+generators, whose column b lifts M's b-th minimal generator: step 1 reads
+its matrices through M's projection, `verify_complex` checks that it kills
+d_1 as a `modules.ModuleMap`, and the t = 1 pushout moves its records.
 F_i is known when i is within the window or the resolution terminated;
 readers that need F_i call `require`, which raises WindowError otherwise.
 
@@ -79,7 +83,7 @@ from .chainsolve import certify_periodicity
 from .complexes import FreeComplex, coker_module
 from .errors import SyzkitError, WindowError
 from .linalg import _null_space, extend_basis, free_columns, identity, matmul, pack, unpack, zeros
-from .modules import Homology, generator_matrix
+from .modules import Homology, ModuleMap
 
 
 class FreeResolution(FreeComplex):
@@ -89,7 +93,7 @@ class FreeResolution(FreeComplex):
         super().__init__(ring, gens, diffs)
         self.module = module
         self.low = low            # the degree window counts ring degrees from here
-        self.cover = cover        # list of (degree, vector in M coords) for F_0
+        self.cover = cover        # the FreeMap F_0 -> M's presented generators
         self.terminated_at = terminated_at  # first i with F_i = 0, or None
 
     def betti(self):
@@ -105,18 +109,9 @@ class FreeResolution(FreeComplex):
         return FreeComplex.is_minimal(self)
 
     def verify_complex(self):
-        """cover o d_1 = 0 and d_i o d_{i+1} = 0, exactly: the cover's matrix
-        is built once per degree of d_1's columns."""
-        d1 = self.diff(1)
-        if d1 is not None:
-            by_degree = {}
-            for b, g in enumerate(d1.source_degrees):
-                by_degree.setdefault(g, []).append(d1.column(b))
-            for g, cols in by_degree.items():
-                cover_at_g = generator_matrix(self.module, self.cover, g)
-                if matmul(cover_at_g, np.stack(cols, axis=1), self.ring.char).any():
-                    return False
-        return self.verify()
+        """cover o d_1 = 0, as the cover's map onto M from the cokernel of
+        d_1, and d_i o d_{i+1} = 0, exactly."""
+        return ModuleMap(coker_module(self, 0), self.module, self.cover).verify() and self.verify()
 
 
 @dataclass
@@ -222,14 +217,16 @@ def resolve(module, n_max):
     if n_max < 0:
         raise WindowError("resolution window must be >= 0")
     ring = module.ring
-    cover = module.minimal_generators()
-    if not cover:
+    mingens = module.minimal_generators()
+    if not mingens:
         raise SyzkitError("cannot resolve the zero module")
-    src_degs = tuple(d for d, _ in cover)
+    src_degs = tuple(d for d, _ in mingens)
+    cover = freemod.FreeMap.from_dense(ring, src_degs, module.gen_degrees,
+                                       [module.lift_element(d, v) for d, v in mingens])
     gens = [src_degs]
     diffs = [None]
     terminated_at = None
-    matrix_at = partial(generator_matrix, module, cover)
+    matrix_at = lambda d: matmul(module.proj(d), cover.induced(d), ring.char)
     low = module.min_degree()  # M_d is read through every presented generator
     rows = None  # the previous step's Handover, by degree
     eliminated = {}  # A's free columns by A's content, over the whole resolution
@@ -248,7 +245,7 @@ def resolve(module, n_max):
         diffs.append(dmap)
         matrix_at = dmap.induced
 
-    res = FreeResolution(ring, module, gens, diffs, list(cover), terminated_at, low)
+    res = FreeResolution(ring, module, gens, diffs, cover, terminated_at, low)
     if not res.verify_complex():
         raise SyzkitError("internal error: resolution differentials do not compose to zero")
     if not res.is_minimal():

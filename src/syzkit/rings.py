@@ -345,18 +345,13 @@ class TruncatedQuotientRing:
         return self.signature() == other.signature()
 
 
-def build_quotient(base, ideal_gens):
-    """Quotient of a polynomial ring by homogeneous positive-degree generators."""
-    return TruncatedQuotientRing(base, ideal_gens)
-
-
 def ring_from_strings(char, var_names, relation_strings, degree_bound=DEFAULT_DEGREE_BOUND):
     base = PolyRing(char, var_names, degree_bound)
     gens = [base.parse(s) for s in relation_strings]
     for s, g in zip(relation_strings, gens):
         if not poly.poly_is_homogeneous(g):
             raise HomogeneityError(f"relation {s!r} is not homogeneous")
-    return build_quotient(base, gens)
+    return TruncatedQuotientRing(base, gens)
 
 
 def algebra_tensor(r1, r2):
@@ -371,27 +366,7 @@ def algebra_tensor(r1, r2):
     n1, n2 = len(r1.vars), len(r2.vars)
     gens = [{m + (0,) * n2: c for m, c in g.items()} for g in r1.ideal_gens]
     gens += [{(0,) * n1 + m: c for m, c in g.items()} for g in r2.ideal_gens]
-    return build_quotient(base, gens)
-
-
-def polynomial_extension(r, extra, degree_bound=None):
-    """Adjoin `extra` fresh degree-1 variables with no new relations."""
-    if extra < 1:
-        raise SyzkitError("polynomial_extension needs at least one new variable")
-    names = list(r.vars)
-    fresh = []
-    i = 1
-    while len(fresh) < extra:
-        cand = f"t{i}"
-        if cand not in names:
-            fresh.append(cand)
-            names.append(cand)
-        i += 1
-    bound = degree_bound if degree_bound is not None else r.degree_bound
-    base = PolyRing(r.char, names, bound)
-    pad = len(fresh)
-    gens = [{m + (0,) * pad: c for m, c in g.items()} for g in r.ideal_gens]
-    return build_quotient(base, gens)
+    return TruncatedQuotientRing(base, gens)
 
 
 def embed_monomial(exps, src_vars, dst_vars):

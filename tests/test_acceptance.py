@@ -27,10 +27,11 @@ from syzkit.modules import (
     residue_field,
 )
 from syzkit.resolutions import depth, resolve
-from syzkit.rings import polynomial_extension, ring_from_strings
+from syzkit.rings import ring_from_strings
 from test_complexes import periodic_variable_complex
 from test_depth import proj_dim
 from test_modules import dims
+from test_rings import polynomial_extension
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 

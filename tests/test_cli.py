@@ -284,6 +284,24 @@ def test_exit_code_degree_bound():
     assert out.returncode == 3
 
 
+def test_exit_code_input_above_the_degree_bound(tmp_path, capsys):
+    # a module relation or a differential entry of degree 5 under bound 4 is
+    # not a parse error: it exits 3, naming the file and what was read
+    (tmp_path / "r.ring").write_text(
+        'ring { char = 3; vars = [x, y]; relations = ["x^2"]; degree_bound = 4 }')
+    (tmp_path / "m.module").write_text(
+        'module { ring = "r.ring"; generators = [0, 1]; relations = [["y^5", "y^4"]] }')
+    (tmp_path / "c.complex").write_text(
+        'complex { ring = "r.ring"; modules = [[0], [5]]; differentials = [[["y^5"]]] }')
+    for argv, where in [(["resolve", str(tmp_path / "m.module")], "m.module: relations"),
+                        (["period", str(tmp_path / "c.complex")], "c.complex: differential 1")]:
+        assert cli.main(argv + ["--machine"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("degree bound exceeded: internal degree 5 exceeds degree bound 4 "
+                           f"({tmp_path}{os.sep}{where})\n")
+
+
 def test_exit_code_window():
     out = run_cli("resolve", fx("ci2_k.module"), "--window", "4")
     assert out.returncode == 4
@@ -385,6 +403,31 @@ def test_readme_examples_match_goldens_byte_for_byte(tmp_path, monkeypatch, caps
                 for line in want.splitlines(keepends=True)
             )
         assert capsys.readouterr().out == want, example
+
+
+@pytest.mark.parametrize("workload", ["cli-mix", "construct", "syzygy-large"])
+def test_seed_zero_commands_match_goldens_byte_for_byte(workload, tmp_path, monkeypatch, capsys):
+    # cycle 0 of the benchmark's seed-0 list, in-process: every command with
+    # a golden exits 0 and prints it; the goldens name the work directory
+    # the benchmark writes its inputs to
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import workloads
+
+    with open(os.path.join(ROOT, "bench", "goldens", f"{workload}.json"), encoding="utf-8") as fh:
+        goldens = json.load(fh)
+    monkeypatch.chdir(ROOT)
+    work = str(tmp_path)
+    checked = 0
+    for cmd in workloads.build(workload, 0, 1, work):
+        want = goldens.get(cmd["golden_key"])
+        rc = cli.main(cmd["argv"] + ["--machine"])
+        out = capsys.readouterr().out
+        if want is None:
+            continue
+        assert (rc, out) == (0, want.replace(os.path.join(".bench", "work", workload), work)), \
+            cmd["id"]
+        checked += 1
+    assert checked, workload
 
 
 def test_reduce_example_computes_each_depth_once(monkeypatch, capsys):

@@ -25,15 +25,24 @@ from syzkit.construction import (
     run_construction,
 )
 from syzkit.errors import ParseError, SyzkitError, WindowError
-from syzkit.freemod import FreeMap, vector
+from syzkit.freemod import FreeMap
 from syzkit.io import read_complex_file
 from syzkit.linalg import matmul
 from syzkit.modules import module_from_strings, residue_field
 from syzkit.resolutions import resolve
-from syzkit.rings import PolyRing, build_quotient, ring_from_strings
-from test_freemod import blocks, columns, composite, equals, from_columns, identity, scale
+from syzkit.rings import PolyRing, TruncatedQuotientRing, ring_from_strings
+from test_freemod import (
+    blocks,
+    columns,
+    composite,
+    equals,
+    from_columns,
+    identity,
+    scale,
+    vector,
+)
 from test_modules import dims
-from test_rings import poly_mul
+from test_rings import poly_mul, polynomial_extension
 
 
 W = 10
@@ -56,7 +65,7 @@ def periodic_variable_complex(char, period, window, degree_bound=None, prefix="x
             exps[i] += 1
             exps[j] += 1
             quadrics.append({tuple(exps): 1})
-    ring = build_quotient(base, quadrics)
+    ring = TruncatedQuotientRing(base, quadrics)
     gens = [(j,) for j in range(window + 1)]
     diffs = [None]
     for j in range(1, window + 1):
@@ -657,7 +666,6 @@ def test_corollary_deformation_keeps_witness():
     from syzkit.homological import reduction_search
     from syzkit.modules import module_from_strings as mfs
     from syzkit.resolutions import depth
-    from syzkit.rings import polynomial_extension
 
     f, ef = period_one_factor(window=13)
     g, eg = periodic_variable_complex(2, 1, 13, prefix="y")
@@ -744,7 +752,7 @@ def test_induced_on_cone_takes_its_signs_from_the_shift():
 # The references build every piece one at a time, as the builders did before
 # they worked from whole records: each factor piece is embedded by its own
 # product, signed and placed at its target, and each column is written out
-# with freemod.vector, so no reference goes through a FreeMap constructor.
+# with test_freemod.vector, so no reference goes through a FreeMap constructor.
 
 
 def _embedded(ring, factor_ring, piece, e):

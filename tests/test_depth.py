@@ -28,7 +28,7 @@ from syzkit.modules import (
     tensor_presentation,
 )
 from syzkit.resolutions import DepthReport, depth, depth_of_ring, resolve
-from syzkit.rings import TOO_CLOSE, PolyRing, build_quotient, ring_from_strings
+from syzkit.rings import TOO_CLOSE, PolyRing, TruncatedQuotientRing, ring_from_strings
 
 PRIMES = (2, 3, 5, 32003, 2**31 - 1)
 
@@ -56,7 +56,7 @@ def _random_case(rng):
                  for _ in range(1 + (kind == "tensor"))]
 
     def build(b):
-        ring = build_quotient(PolyRing(p, "xyzw"[:n], b), ideal)
+        ring = TruncatedQuotientRing(PolyRing(p, "xyzw"[:n], b), ideal)
         mods = [module_from_presentation(ring, gens, cols) for gens, cols in parts]
         return tensor_presentation(*mods) if kind == "tensor" else mods[0]
 
@@ -66,7 +66,7 @@ def _random_case(rng):
 def ambient_ring(r):
     """The quotient's polynomial ring viewed as a trivial quotient (cached)."""
     if getattr(r, "_ambient", None) is None:
-        r._ambient = build_quotient(r.base, [])
+        r._ambient = TruncatedQuotientRing(r.base, [])
     return r._ambient
 
 
@@ -162,7 +162,7 @@ def _complete_intersection(rng, p, n, c, bound=8):
         f = _form(rng, base, 2, lower) if lower else {}
         f[lead] = 1
         gens.append(f)
-    return build_quotient(base, gens)
+    return TruncatedQuotientRing(base, gens)
 
 
 @pytest.mark.parametrize("p", [2, 32003])

@@ -27,6 +27,7 @@ from syzkit.resolutions import depth, resolve
 from syzkit.rings import ring_from_strings
 from test_depth import proj_dim
 from test_modules import annihilated_by, dims
+from test_rings import polynomial_extension
 
 
 @dataclass
@@ -233,7 +234,7 @@ def test_pushout_gives_free_cover_over_one_variable():
     basis = ext_basis(k, k, 1)
     assert len(basis) == 1
     out = pushout_extension(basis[0])
-    assert out.ses_ok and out.depth_preserved
+    assert out.ses_ok and depth(out.module).depth == depth(k).depth
     res = resolve(out.module, 3)
     assert res.betti()[0] == 1 and proj_dim(res) == 0
 
@@ -349,7 +350,6 @@ def test_positive_depth_propagates_to_factors():
     # of each factor meeting the module-theoretic hypotheses
     from syzkit.modules import tensor_presentation
     from syzkit.resolutions import depth as depth_of
-    from syzkit.rings import polynomial_extension
 
     base = ring_from_strings(3, ["x", "y"], ["x*y"], degree_bound=14)
     ext = polynomial_extension(base, 1)
@@ -373,7 +373,7 @@ def test_second_degree_class_drops_complexity_over_ci():
     res = resolve(k, 3)
     found = None
     for cls in ext_basis(k, k, 2, res=res):
-        out = pushout_extension(cls, verify_depth=False)
+        out = pushout_extension(cls)
         if not out.ses_ok:
             continue
         est, _ = complexity_of_module(out.module, window=9)
@@ -585,11 +585,11 @@ def test_pushout_refuses_a_class_that_is_no_cocycle():
     unit[0] = 1
     eta = ExtClass(1, -2, [unit], m, m, res)
     with pytest.raises(SyzkitError, match="cocycle check failed"):
-        pushout_extension(eta, verify_depth=False)
+        pushout_extension(eta)
     # without F_2 the check cannot run, and the pushout is refused
     short = ExtClass(1, -2, [unit], m, m, resolve(m, 1))
     with pytest.raises(WindowError):
-        pushout_extension(short, verify_depth=False)
+        pushout_extension(short)
 
 
 def test_tor_and_ext_refuse_modules_over_different_rings():

@@ -44,7 +44,7 @@ from syzkit.resolutions import (
     kernel_generators,
     resolve,
 )
-from syzkit.rings import PolyRing, build_quotient
+from syzkit.rings import PolyRing, TruncatedQuotientRing
 from test_depth import _form
 from test_freemod import blocks
 from test_rings import poly_mul
@@ -254,7 +254,7 @@ def _seeded_modules(p):
     lin = _form(rng, base, 1)
     quadrics = [poly_mul(lin, _form(rng, base, 1), p)]
     quadrics += [_form(rng, base, 2) for _ in range(rng.randint(0, 1))]
-    ring = build_quotient(base, quadrics)
+    ring = TruncatedQuotientRing(base, quadrics)
     k = residue_field(ring)
     two = module_from_presentation(ring, [0, 1], [[_form(rng, base, 2), _form(rng, base, 1)],
                                                   [{}, _form(rng, base, 1)]])

@@ -156,8 +156,8 @@ def test_modules_from_records_match_their_polynomial_presentations():
     built["tensor"] = (tensor_presentation(fixtures["hyp_ax2"], fixtures["hyp_axy"]), None)
     built["shifted tensor"] = (tensor_presentation(fixtures["hyp_axy"].shifted(2),
                                                    fixtures["hyp_ax"]), None)
-    built["pushout"] = (pushout_extension(ext_basis(k, k, 1)[0], verify_depth=False).module, None)
-    built["pushout t=2"] = (pushout_extension(ext_basis(k, k, 2)[0], verify_depth=False).module,
+    built["pushout"] = (pushout_extension(ext_basis(k, k, 1)[0]).module, None)
+    built["pushout t=2"] = (pushout_extension(ext_basis(k, k, 2)[0]).module,
                             None)
     for name, (m, read) in built.items():
         polys = module_from_presentation(m.ring, m.gen_degrees, m.relation_polys())
@@ -303,12 +303,12 @@ def _dense_ring(p, n, quadrics, seed):
     import random
 
     from syzkit import polynomials as poly
-    from syzkit.rings import PolyRing, build_quotient
+    from syzkit.rings import PolyRing, TruncatedQuotientRing
 
     rng = random.Random(seed)
     mons = poly.monomials_of_degree(n, 2)
     gens = [{m: rng.randrange(1, p) for m in mons} for _ in range(quadrics)]
-    return build_quotient(PolyRing(p, [f"x{i}" for i in range(n)], 6), gens)
+    return TruncatedQuotientRing(PolyRing(p, [f"x{i}" for i in range(n)], 6), gens)
 
 
 def _monomial_action(m, e, j, a):

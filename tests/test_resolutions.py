@@ -17,7 +17,7 @@ from syzkit.resolutions import (
 )
 from syzkit.rings import ring_from_strings
 from test_depth import proj_dim
-from test_freemod import columns, equals, scale
+from test_freemod import column, columns, equals, scale
 from test_modules import socle_dim
 
 
@@ -72,15 +72,48 @@ def test_residue_field_betti_numbers_follow_tate(p, variables, quadrics):
 
 def test_verify_complex_rejects_a_broken_cover():
     # M = R/(x) (+) R/(y): the first relation column x*e_1 dies under the
-    # cover, but not once the first cover vector is replaced by e_1 + e_2
+    # cover, but not once the cover's column 0 is replaced by e_1 + e_2
     r = ring_from_strings(5, ["x", "y"], [], degree_bound=8)
     m = module_from_strings(r, [0, 0], [["x", "0"], ["0", "y"]])
     res = resolve(m, 3)
     assert res.verify_complex()
-    (deg, vec), _ = res.cover
-    assert list(vec) == [1, 0]
-    res.cover[0] = (deg, (vec + res.cover[1][1]) % r.char)
+    assert [list(c) for c in columns(res.cover)] == [[1, 0], [0, 1]]
+    res.cover = FreeMap.from_dense(r, (0, 0), m.gen_degrees, [np.array([1, 1]), np.array([0, 1])])
     assert not res.verify_complex()
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_step_one_reads_the_cover_as_the_generator_matrix(p, monkeypatch):
+    # step 1's matrices are M's projection of the cover's: the matrices of
+    # the free cover on M's minimal generators, entry for entry, in every
+    # degree of the window; also where a presented generator is not minimal
+    import syzkit.resolutions as resolutions
+    from syzkit.modules import generator_matrix
+
+    r = ring_from_strings(p, ["x", "y", "z"], ["x^2 - y*z"], degree_bound=8)
+    two = module_from_strings(r, [0, 1], [["x", "0"], ["y^2", "z"], ["0", "x*y"]])
+    modules = [two, two.shifted(3), two.shifted(-2),
+               module_from_strings(r, [0, 1], [["x", "-1"], ["y*z", "0"]])]
+    for m in modules:
+        seen = []
+
+        def recorded(ring, src_degs, matrix_at, *args, _real=resolutions.kernel_generators):
+            seen.append((src_degs, matrix_at))
+            return _real(ring, src_degs, matrix_at, *args)
+
+        monkeypatch.setattr(resolutions, "kernel_generators", recorded)
+        res = resolve(m, 2)
+        monkeypatch.undo()
+        mingens = m.minimal_generators()
+        src, step_one = seen[0]
+        assert src == res.gens[0] == tuple(g for g, _ in mingens)
+        assert res.cover.target_degrees == m.gen_degrees
+        window = r.degree_window(m.min_degree(), max(src))
+        for d in range(min(src) - 1, window.top + 1):
+            want = generator_matrix(m, mingens, d)
+            got = step_one(d)
+            assert got.shape == want.shape and np.array_equal(got, want), (p, d)
+    assert len(modules[-1].minimal_generators()) == 1
 
 
 def test_verify_complex_reads_the_cover_in_every_degree_of_d1():
@@ -107,7 +140,7 @@ def test_verify_complex_rejects_a_broken_second_differential():
     assert res.verify_complex()
     # columns are read-only, so the broken differential is a new map
     d2 = res.diffs[2]
-    col = d2.column(0)
+    col = column(d2, 0)
     col[0] = (col[0] + 1) % r.char
     res.diffs[2] = FreeMap.from_dense(r, d2.source_degrees, d2.target_degrees, [col], d2.twist)
     assert not res.verify_complex()
@@ -403,7 +436,7 @@ def generators(fmap):
     found, read off the columns of the map it returns (None: none)."""
     if fmap is None:
         return []
-    return [(g, fmap.column(b)) for b, g in enumerate(fmap.source_degrees)]
+    return [(g, column(fmap, b)) for b, g in enumerate(fmap.source_degrees)]
 
 
 def _dense_kernel_generators(ring, src_degs, matrix_at, hi):
@@ -459,7 +492,7 @@ def test_kernel_generators_match_the_dense_step(case):
         if not res.gens[i - 1]:
             break
         if i == 1:
-            matrix_at = partial(generator_matrix, m, res.cover)
+            matrix_at = partial(generator_matrix, m, m.minimal_generators())
         else:
             matrix_at = res.diffs[i - 1].induced
         got, hi, free_rows = kernel_generators(r, res.gens[i - 1], matrix_at, m.min_degree())
@@ -645,7 +678,7 @@ def _assert_dense_steps(m, res):
     r = m.ring
     for i in range(1, len(res.gens)):
         src = res.gens[i - 1]
-        matrix_at = (partial(generator_matrix, m, res.cover) if i == 1
+        matrix_at = (partial(generator_matrix, m, m.minimal_generators()) if i == 1
                      else res.diffs[i - 1].induced)
         hi = r.degree_window(m.min_degree(), max(src)).top
         want = _dense_kernel_generators(r, src, matrix_at, hi)
@@ -799,11 +832,11 @@ def test_compose_matches_per_column_apply(p):
     groups = outer.compose(inner)
     assert [bs for bs, _ in groups] == [(0, 1, 2, 5), (3,), (4,), (6,)]
     images = {b: mat[:, k] for bs, mat in groups for k, b in enumerate(bs)}
-    assert inner.column(4).shape == (0,)
+    assert column(inner, 4).shape == (0,)
     assert images[4].tolist() == [0, 0]
     for b, g in enumerate(inner.source_degrees):
         mat = outer.induced(g + inner.twist).tolist()
-        col = [int(v) for v in inner.column(b)]
+        col = [int(v) for v in column(inner, b)]
         want = [sum(x * y for x, y in zip(row, col)) % p for row in mat]
         assert images[b].tolist() == want
 
@@ -908,7 +941,7 @@ def test_chain_condition_is_compared_group_by_group(p):
     assert [(bs, mat.shape[0]) for bs, mat in groups] == [((0,), 2), ((1,), 1)]
     assert ChainMap(cx, cx, 1, -1, eta).verify()
     for summand in (0, 1):
-        col = eta[4].column(summand)
+        col = column(eta[4], summand)
         cols = columns(eta[4])
         cols[summand] = (-col if p > 2 else 0 * col) % p
         altered = list(eta)

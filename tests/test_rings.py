@@ -10,9 +10,8 @@ from syzkit.linalg import matvec
 from syzkit.rings import (
     DegreeWindow,
     PolyRing,
+    TruncatedQuotientRing,
     algebra_tensor,
-    build_quotient,
-    polynomial_extension,
     ring_from_strings,
 )
 from test_linalg import ORACLE_PRIMES
@@ -20,6 +19,17 @@ from test_linalg import ORACLE_PRIMES
 
 def monomial_mul(e1, e2):
     return tuple(a + b for a, b in zip(e1, e2))
+
+
+def polynomial_extension(r, extra, degree_bound=None):
+    """r with `extra` fresh degree-1 variables t1, t2, ... (skipping names r
+    uses) and no new relations, at r's degree bound unless one is given."""
+    fresh = [v for v in (f"t{i}" for i in range(1, len(r.vars) + extra + 1))
+             if v not in r.vars][:extra]
+    base = PolyRing(r.char, list(r.vars) + fresh,
+                    r.degree_bound if degree_bound is None else degree_bound)
+    return TruncatedQuotientRing(base, [{m + (0,) * extra: c for m, c in g.items()}
+                                        for g in r.ideal_gens])
 
 
 def poly_mul(f, g, p):
@@ -126,7 +136,7 @@ def test_ideal_component_matches_poly_mul(p, seed):
             {rng.choice(mons[rng.randint(1, 3)]): 1}]
     e = rng.randint(2, 3)
     gens.append({m: rng.randrange(1, p) for m in rng.sample(mons[e], min(4, len(mons[e])))})
-    r = build_quotient(PolyRing(p, [f"x{i}" for i in range(n)], bound), gens)
+    r = TruncatedQuotientRing(PolyRing(p, [f"x{i}" for i in range(n)], bound), gens)
     for d in range(bound + 1):
         got = r.ideal_component(d)
         assert got.dtype == np.int64
@@ -178,11 +188,11 @@ def test_build_quotient_rejects_bad_generators():
     with pytest.raises(HomogeneityError):
         ring_from_strings(2, ["x", "y"], ["x^2 + y"])
     with pytest.raises(SyzkitError, match="relation 1 is a nonzero constant: a unit"):
-        build_quotient(s, [{(0, 0): 1}])
+        TruncatedQuotientRing(s, [{(0, 0): 1}])
     # a zero relation, also one whose coefficients vanish mod p
     for zero in ({}, {(1, 1): 2}):
         with pytest.raises(SyzkitError, match="relation 2 is zero mod 2"):
-            build_quotient(s, [{(2, 0): 1}, zero])
+            TruncatedQuotientRing(s, [{(2, 0): 1}, zero])
 
 
 def test_algebra_tensor_hilbert_convolutions():
@@ -314,7 +324,7 @@ def test_mult_maps_match_the_per_monomial_gather(p, kind):
                 {m: rng.randrange(1, p) for m in rng.sample(mons[3], 2)}]
     else:  # squares of the variables: R_4 = 0, so R_e is known for every e
         gens = [{m: 1} for m in mons[2] if max(m) == 2]
-    r = build_quotient(PolyRing(p, [f"x{i}" for i in range(n)], bound), gens)
+    r = TruncatedQuotientRing(PolyRing(p, [f"x{i}" for i in range(n)], bound), gens)
     top = bound
     if kind == "artinian":
         assert r.is_artinian_within_bound()
@@ -436,7 +446,7 @@ def test_ring_tables_match_the_from_scratch_rref(p):
 
     rings = _table_rings(p, np.random.default_rng(p % 1009))
     for name, (n, gens, bound) in rings.items():
-        r = build_quotient(PolyRing(p, [f"x{i}" for i in range(n)], bound), gens)
+        r = TruncatedQuotientRing(PolyRing(p, [f"x{i}" for i in range(n)], bound), gens)
         for d in range(bound + 1):
             want_idx, want_nf = quotient_projection(r.ideal_component(d), r.base.dim(d), p)
             mons = r.base.monomial_basis(d)
@@ -455,8 +465,8 @@ def test_ring_tables_above_degree_four_eliminate_no_full_degree(monkeypatch):
     from syzkit import linalg
 
     gen = np.random.default_rng(5)
-    r = build_quotient(PolyRing(32003, ["x", "y", "z", "w"], 10),
-                       [_form(gen, 32003, 4, 2), _form(gen, 32003, 4, 2)])
+    r = TruncatedQuotientRing(PolyRing(32003, ["x", "y", "z", "w"], 10),
+                              [_form(gen, 32003, 4, 2), _form(gen, 32003, 4, 2)])
     widths = []
     eliminate = linalg._eliminate
 

@@ -287,32 +287,26 @@ def test_compose_reads_both_maps_by_their_blocks():
 
 
 def test_dense_columns_come_only_from_the_accessor():
-    # a map keeps only its nonzero blocks; a dense column outside freemod
-    # comes from FreeMap.column, whose readers are listed here, and nothing
-    # outside freemod writes a component vector with freemod.vector: a map
-    # is built from records, and module relations are a map
-    readers = {("resolutions", "verify_complex")}
-    seen, found = set(), []
+    # a map keeps only its nonzero blocks and is built and read as records:
+    # no dense column leaves it.  FreeMap has no column accessor and
+    # freemod no component-vector writer, and nothing in the package calls
+    # either name.  The augmentation of a resolution is a map too, so
+    # resolutions builds no free cover from generator vectors
+    # (generator_matrix)
+    from syzkit import freemod
+
+    assert not hasattr(freemod.FreeMap, "column") and not hasattr(freemod, "vector")
+    found = []
     for path, tree in _package_trees():
-        if path.stem == "freemod":
-            continue
-        for fn in ast.walk(tree):
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Attribute) and node.attr == "columns":
-                    found.append(f"{path.name}:{node.lineno}")
-                if not isinstance(node, ast.Call):
-                    continue
-                name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if name == "column":
-                    if (path.stem, fn.name) in readers:
-                        seen.add((path.stem, fn.name))
-                    else:
-                        found.append(f"{path.name}:{node.lineno}")
-                if name == "vector":
-                    found.append(f"{path.name}:{node.lineno}")
-    assert seen == readers
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "columns":
+                found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", getattr(node.func, "id", None)) in ("column", "vector"):
+                found.append(f"{path.name}:{node.lineno}")
+            if path.stem == "resolutions" and "generator_matrix" in (
+                    getattr(node, "id", None), getattr(node, "name", None)):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 
