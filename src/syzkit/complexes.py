@@ -115,11 +115,17 @@ class FreeComplex:
         """dim_k H_j(C)_d; needs j+1 within the window."""
         if j < 0 or j > self.window - 1:
             raise WindowError("homology needs one more differential than the window")
-        return Homology(self.ring, self._induced).dim(j, d)
+        return self.homology().dim(j, d)
 
-    def _induced(self, j, d):
-        dj = self.diff(j)
-        return zeros(0, self.component_dim(j, d)) if dj is None else dj.induced(d)
+    def homology(self, over=None):
+        """H(C (x) X), X = R or the module `over`, as a fresh `Homology`
+        whose d_j is `d_j.induced(d, over)`, the zero map where none is stored."""
+        return Homology(self.ring, lambda j, d: self.diff_or_zero(j).induced(d, over))
+
+    def diff_or_zero(self, j):
+        """d_j, or the zero map F_j -> F_{j-1} where no d_j is stored."""
+        return self.diff(j) or freemod.FreeMap.zero(self.ring, self.gen_degrees(j),
+                                                    self.gen_degrees(j - 1))
 
     def homology_total(self, j):
         """dim_k H_j(C), over the ring's degree window on every term's

@@ -20,14 +20,16 @@ it, minimisation, `restrict`, module relations and a factor map carried
 into a product ring move whole records; the tensor product and its
 induced maps place their embedded pieces by label, one record per pair of
 degrees.  `from_dense`, `selection`, `zero` and `from_poly_matrix` are
-thin producers of records.  `induced` multiplies each stack once and
-`compose` works from both maps' stacks; no dense column leaves a map.  A
-module's augmentation, the free cover of a resolution, is such a map too.
+thin producers of records.  `compose` works from both maps' stacks; no
+dense column leaves a map.  A module's augmentation, the free cover of a
+resolution, is such a map too.
 
-This module owns the block layout of a component: `block_matrix` writes a
-component matrix block by block, over R, F (x) N or Hom(F, N), and
-`FreeMap.selection` builds the maps that send generators to generators,
-so no other module writes at `component_offsets` or into a block.  It
+This module owns the block layout of a component.  `induced` is the one
+builder of a map's matrix, over R or tensored with a module: F over R,
+F (x) N, Hom(F, N) (through `FreeMap.dual`) and the Koszul complex over M
+come from it.  `block_matrix` writes the free sums of `act` and the chain
+system, and `FreeMap.selection` builds the maps that send generators to
+generators, so no other module writes at `component_offsets`.  It
 also owns the ring action on free sums: `act` multiplies chains of a free
 sum of copies of R or of a module N by all of R_e, and serves a module's
 action matrices, the free cover of Tor_i and R's action on F_i (x) N.
@@ -45,25 +47,26 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import HomogeneityError, SyzkitError
-from .linalg import matmul, rank, zeros
+from .linalg import identity, matmul, rank, zeros
 from .polynomials import poly_degree
 
 
-def component_offsets(ring, gen_degrees, d):
-    """Start of each generator's block in the degree-d component, then the
-    component's dimension; memoised in the ring."""
+def component_offsets(space, gen_degrees, d):
+    """Start of each generator's block in the degree-d component of the free
+    sum of X(-g), then the component's dimension, for X = `space`, the ring
+    or a graded module; memoised in X."""
     key = (tuple(gen_degrees), d)
-    offs = ring.offsets_memo.get(key)
+    offs = space.offsets_memo.get(key)
     if offs is None:
         offs = [0]
         for g in key[0]:
-            offs.append(offs[-1] + ring.dim(d - g))
-        offs = ring.offsets_memo[key] = tuple(offs)
+            offs.append(offs[-1] + space.dim(d - g))
+        offs = space.offsets_memo[key] = tuple(offs)
     return offs
 
 
-def component_dim(ring, gen_degrees, d):
-    return component_offsets(ring, gen_degrees, d)[-1]
+def component_dim(space, gen_degrees, d):
+    return component_offsets(space, gen_degrees, d)[-1]
 
 
 def block_matrix(row_sizes, col_sizes, blocks):
@@ -292,36 +295,41 @@ class FreeMap:
         return FreeMap(self.ring, [self.source_degrees[b] for b in sources],
                        [self.target_degrees[c] for c in targets], records, self.twist)
 
-    def induced(self, d):
-        """Numeric matrix of the degree-d component map.
+    def dual(self):
+        """Hom(self, R): each record's generators swapped and both degree
+        lists negated, so that Hom(self, N) in degree w is
+        `self.dual().induced(w, N)`."""
+        return FreeMap(self.ring, [-h for h in self.target_degrees],
+                       [-g for g in self.source_degrees],
+                       [(cs, bs, stack) for bs, cs, stack in self.records()], self.twist)
 
-        Column (b, j) is the j-th basis monomial of R_{d - g_b} times column
-        b.  Generators of one source degree share these multiplications, so
-        for each pair of source and target generator degrees one exact
-        product of the stacked multiplication maps with the stacked pieces
-        gives all their entries.
-        """
+    def induced(self, d, over=None):
+        """Numeric matrix of self (x) X in degree d, X = R or the graded
+        module `over`.  Generator g carries X_{d - g}; block (c, b) is the
+        piece of column b on c, in R_e, acting on X_{d - g_b}.  Each pair of
+        generator degrees takes one exact product of its stacked pieces with
+        X's stack (`ring.mult_maps` or `over.action_matrix`) at (e, d - g);
+        a scalar piece (e = 0) is the scalar times the identity."""
         ring, tw = self.ring, self.twist
-        soffs = component_offsets(ring, self.source_degrees, d)
-        toffs = component_offsets(ring, self.target_degrees, d + tw)
+        space, acts = (ring, ring.mult_maps) if over is None else (over, over.action_matrix)
+        soffs = component_offsets(space, self.source_degrees, d)
+        toffs = component_offsets(space, self.target_degrees, d + tw)
         mat = zeros(toffs[-1], soffs[-1])
         if not mat.size:
             return mat
         for g, groups in self._groups.items():
-            de = ring.dim(d - g)
+            cols = space.dim(d - g)
             for h, bs, cs, stack in groups:
-                rows = ring.dim(d + tw - h)
-                if not (de and rows):
+                e, rows = g + tw - h, space.dim(d + tw - h)
+                if not (cols and rows):
                     continue
-                if d == g:  # R_0 = k acts as the identity
-                    prod = stack.T[None]
+                if e == 0:  # R_0 = k acts as the scalar
+                    prod = stack[:, :, None] * identity(cols)
                 else:
-                    mults = ring.mult_maps(d - g, g + tw - h)
-                    prod = matmul(mults.reshape(de * rows, stack.shape[1]), stack.T, ring.char)
-                # entry (j, r, k): row r of target c_k, monomial j of source b_k
-                prod = prod.reshape(de, rows, len(bs))
+                    prod = matmul(stack, acts(e, d - g).reshape(stack.shape[1], rows * cols),
+                                  ring.char).reshape(len(bs), rows, cols)
                 for k, (b, c) in enumerate(zip(bs.tolist(), cs.tolist())):
-                    mat[toffs[c]:toffs[c] + rows, soffs[b]:soffs[b] + de] = prod[:, :, k].T
+                    mat[toffs[c]:toffs[c] + rows, soffs[b]:soffs[b] + cols] = prod[k]
         return mat
 
     def compose(self, other):

@@ -12,9 +12,10 @@ degree window over the least generator degree of F_0 (x) N
 every dimension by the shift; reports carry the top of that window.
 
 Tor and Ext are the homology (`modules.Homology`) of F (x) N and of
-C_k = Hom(F_{-k}, N), for F the minimal free resolution of M; both complexes
-take their differentials from one builder, `_with_n`, which also serves the
-pushout's cocycle check.  Tor_i as a module reads the same homology, R
+C_k = Hom(F_{-k}, N), for F the minimal free resolution of M, with the
+matrices of `freemod.FreeMap.induced` over N: Hom(d_i, N) is
+`d_i.dual().induced(w, N)`, which also serves the pushout's cocycle
+check.  Tor_i as a module reads the same homology, R
 acting on F_i (x) N, a free sum of copies of N, through `freemod.act`, so
 `check_depth_formula` builds one homology for Tor and for Tor_q.  They
 refuse modules over different rings, and a resolution that is not of M or
@@ -24,7 +25,7 @@ does not know F_{i+1}; the resolution is read only through `module`,
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -71,30 +72,6 @@ class TorProfile:
         return sum(self.dims[i].values())
 
 
-def _with_n(res, i, n_mod, d, hom):
-    """d_i of the resolution applied to N in internal degree d: the matrix
-    of d_i (x) N, or of precomposition Hom(d_i, N) when hom.
-
-    Generator g carries N in degree d - g on F (x) N and d + g on Hom(F, N);
-    entry (c, b) of d_i lies in R_{g_b - h_c} and multiplies N up from the
-    lower of its generators' two degrees, as block (c, b) of F (x) N or
-    block (b, c) of Hom(F, N).  Where the resolution stores no d_i (i <= 0,
-    or past a terminated window) it is the zero map."""
-    sources, targets, dmap = res.gen_degrees(i), res.gen_degrees(i - 1), res.diff(i)
-    sign = 1 if hom else -1
-    src = [n_mod.dim(d + sign * g) for g in sources]
-    tgt = [n_mod.dim(d + sign * h) for h in targets]
-    blocks = {}
-    for bs, cs, stack in dmap.records() if dmap is not None else ():
-        for b, c, piece in zip(bs.tolist(), cs.tolist(), stack):
-            if src[b] and tgt[c]:
-                low = d + targets[c] if hom else d - sources[b]
-                blocks[(b, c) if hom else (c, b)] = n_mod.action_by_ring_vector(
-                    piece, sources[b] - targets[c], low)
-    rows, cols = (src, tgt) if hom else (tgt, src)
-    return freemod.block_matrix(rows, cols, blocks)
-
-
 def _homology(m, n, res, steps, what, hom):
     """(res, the homology of F (x) N, or of C_k = Hom(F_{-k}, N) when hom),
     F the resolution res of M, made out to `steps` when res is None."""
@@ -105,9 +82,11 @@ def _homology(m, n, res, steps, what, hom):
     elif res.module is not m:
         raise SyzkitError(f"{what} needs a resolution of its first module")
     res.require(steps, what)
-    if hom:
-        return res, Homology(m.ring, lambda k, w: _with_n(res, 1 - k, n, w, True))
-    return res, Homology(m.ring, lambda k, d: _with_n(res, k, n, d, False))
+    if not hom:
+        return res, res.homology(n)
+    # d_k = Hom(d_{1-k}, N), with each d_i dualised once
+    dual = cache(lambda i: res.diff_or_zero(i).dual())
+    return res, Homology(m.ring, lambda k, w: dual(1 - k).induced(w, n))
 
 
 def _tensor_window(res, n, i_max):
@@ -252,7 +231,7 @@ def pushout_extension(eta):
     ring = m.ring
     res.require(t + 1, f"the pushout of a degree-{t} class")
     if res.gen_degrees(t + 1):  # eta must vanish on d_{t+1}
-        d_up = _with_n(res, t + 1, m, w, True)
+        d_up = res.diff(t + 1).dual().induced(w, m)
         if matvec(d_up, np.concatenate(eta.values), ring.char).any():
             raise SyzkitError("cocycle check failed; malformed extension class")
 

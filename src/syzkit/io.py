@@ -212,6 +212,8 @@ def read_ring_file(path, degree_bound_override=None):
         bound = degree_bound_override
     try:
         return ring_from_strings(char, var_names, relations, degree_bound=bound)
+    except DegreeBoundError as exc:
+        raise DegreeBoundError(exc.needed, exc.bound, f"{path}: relations") from exc
     except SyzkitError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -9,8 +9,8 @@ coordinate basis (non-pivot coordinates) and a projection matrix.  The
 ring action is recovered degreewise through representatives, for all of
 R_e at once: `action_matrix(e, a)` is the (dim R_e, dim M_{a+e}, dim M_a)
 stack whose j-th slice is the j-th basis monomial of R_e, `freemod.act`
-on the representatives projected onto M_{a+e}, and an element of R_e
-acts by one product of its coordinate row with the flattened stack.
+on the representatives projected onto M_{a+e}; `freemod.FreeMap.induced`
+over M multiplies a map's stacked pieces of R_e with it.
 
 Components that must vanish are not eliminated: M is generated in
 degrees <= max(gen_degrees) and R in degree 1, so above the top generator
@@ -69,6 +69,7 @@ class GradedModule:
         self._spaces = {}
         self._action = {}
         self._mingens = None
+        self.offsets_memo = {}  # freemod.component_offsets over M, on (gen_degrees, d)
 
     def relation_polys(self):
         """Each relation as one polynomial per generator."""
@@ -120,14 +121,6 @@ class GradedModule:
             self._action[key] = np.ascontiguousarray(
                 flat.reshape(self.dim(a + e), ring.dim(e), len(reps)).transpose(1, 0, 2))
         return self._action[key]
-
-    def action_by_ring_vector(self, rvec, e, a):
-        """Multiplication by an element of R_e given in coordinates: one
-        exact product of the coordinate row with the flattened stack."""
-        stack = self.action_matrix(e, a)
-        de, dt, da = stack.shape
-        row = np.asarray(rvec).reshape(1, de)
-        return matmul(row, stack.reshape(de, dt * da), self.ring.char).reshape(dt, da)
 
     # -- generators --------------------------------------------------------
 

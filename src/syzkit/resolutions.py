@@ -59,9 +59,9 @@ get the same Betti numbers, shifted, or the same refusal:
 
 Depth is n - pd_S(M) over S = F_p[x_1..x_n] (Auslander-Buchsbaum), and
 `depth` reads pd_S from the Koszul homology of M on the variables acting
-through R: beta^S_{i,d}(M) = dim H_i(x; M)_d, with
-K_{i,d} = wedge^i F_p^n (x) M_{d-i} (Bruns & Herzog 1.6), as
-`modules.Homology` computes it from the ranks of the Koszul differentials.
+through R: beta^S_{i,d}(M) = dim H_i(x; M)_d, the homology of K(x; R) (x) M
+with K_{i,d} = wedge^i F_p^n (x) M_{d-i} (Bruns & Herzog 1.6); K(x; R) is
+a `FreeComplex`, so `freemod.FreeMap.induced` over M builds its matrices.
 It needs only the M_d and their action matrices, no tables of S, and
 reads them in the same degree window as `resolve`.
 
@@ -73,7 +73,7 @@ certificate.
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -83,7 +83,7 @@ from .chainsolve import certify_periodicity
 from .complexes import FreeComplex, coker_module
 from .errors import SyzkitError, WindowError
 from .linalg import _null_space, extend_basis, free_columns, identity, matmul, pack, unpack, zeros
-from .modules import Homology, ModuleMap
+from .modules import ModuleMap
 
 
 class FreeResolution(FreeComplex):
@@ -226,7 +226,8 @@ def resolve(module, n_max):
     gens = [src_degs]
     diffs = [None]
     terminated_at = None
-    matrix_at = lambda d: matmul(module.proj(d), cover.induced(d), ring.char)
+    matrix_at = lambda d: (matmul(module.proj(d), cover.induced(d), ring.char) if module.dim(d)
+                           else zeros(0, freemod.component_dim(ring, cover.source_degrees, d)))
     low = module.min_degree()  # M_d is read through every presented generator
     rows = None  # the previous step's Handover, by degree
     eliminated = {}  # A's free columns by A's content, over the whole resolution
@@ -347,25 +348,6 @@ class DepthReport:
         return f"depth {self.depth} (pd_S = {self.pd_ambient}, n = {self.nvars})"
 
 
-def _koszul_diff(module, acts_at, n, i, d):
-    """d_{i,d}: the Koszul differential on the n variables,
-    from wedge^i F_p^n (x) M_{d-i} to wedge^(i-1) F_p^n (x) M_{d-i+1}:
-    m e_J -> sum_t (-1)^t x_{J_t} m e_{J - J_t}, J-major.  acts_at(a) lists
-    the matrices of the variables from M_a to M_{a+1}."""
-    p, a = module.ring.char, d - i
-    rows, cols = module.dim(a + 1), module.dim(a)
-    target = {J: r for r, J in enumerate(combinations(range(n), i - 1))}
-    source = list(combinations(range(n), i))
-    blocks = {}
-    if rows and cols:
-        acts = acts_at(a)
-        for c, J in enumerate(source):
-            for t, j in enumerate(J):
-                r = target[J[:t] + J[t + 1:]]
-                blocks[(r, c)] = acts[j] if t % 2 == 0 else -acts[j] % p
-    return freemod.block_matrix([rows] * len(target), [cols] * len(source), blocks)
-
-
 def depth(module):
     """Depth n - pd_S(M), with pd_S read from the Koszul homology of M.
 
@@ -374,8 +356,8 @@ def depth(module):
     DegreeBoundError on a syzygy above its certified part.  The window is
     counted in ring degrees above M's lowest generator, with a margin of 2
     unless the ring collapses within the bound, so M and its shifts get the
-    same answer or the same refusal.  The Koszul differentials are built
-    from action matrices built once per degree.
+    same answer or the same refusal.  K(x; R) has the generators e_J,
+    |J| = i, in degree i, and d e_J = sum_t (-1)^t x_{J_t} e_{J - J_t}.
     """
     if module.is_zero():
         raise SyzkitError("depth of the zero module is undefined")
@@ -383,10 +365,16 @@ def depth(module):
     n, bound = len(ring.vars), ring.degree_bound
     xs = [ring.normal_form({tuple(int(k == j) for k in range(n)): 1}, degree=1)
           for j in range(n)]
-    acts_at = cache(lambda a: [module.action_by_ring_vector(x, 1, a) for x in xs])
+    wedge = [list(combinations(range(n), i)) for i in range(n + 1)]
+    gens, diffs = [(i,) * len(js) for i, js in enumerate(wedge)], [None]
+    for i in range(1, n + 1):
+        placed = [(c, wedge[i - 1].index(J[:t] + J[t + 1:]), -xs[j] % ring.char if t % 2
+                   else xs[j]) for c, J in enumerate(wedge[i]) for t, j in enumerate(J)]
+        diffs.append(freemod.FreeMap(ring, gens[i], gens[i - 1],
+                                     freemod.records_of(gens[i], gens[i - 1], placed)))
     # K_{i,d} vanishes above max generator degree + top degree of R + i
     window = ring.degree_window(module.min_degree(), max(module.gen_degrees) + n)
-    koszul = Homology(ring, partial(_koszul_diff, module, acts_at, n))
+    koszul = FreeComplex(ring, gens, diffs).homology(module)
     pd, lo = 0, window.low
     for i in range(1, n + 1):
         found = []

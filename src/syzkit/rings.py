@@ -157,8 +157,11 @@ class TruncatedQuotientRing:
         for k, g in enumerate(self.ideal_gens, 1):
             if not any(c % self.char for c in g.values()):
                 raise SyzkitError(f"relation {k} is zero mod {self.char}")
-            if poly.poly_degree(g) == 0:
+            e = poly.poly_degree(g)
+            if e == 0:
                 raise SyzkitError(f"relation {k} is a nonzero constant: a unit")
+            if e > self.degree_bound:  # no I_d with d <= D would read it
+                raise DegreeBoundError(e, self.degree_bound, f"relation {k}")
         self._degree_data = {}
         self._max_computed = -1
         self._first_zero = None

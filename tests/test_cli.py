@@ -8,6 +8,8 @@ import pytest
 
 import syzkit
 from syzkit import cli
+from syzkit.io import read_module_file
+from syzkit.resolutions import resolve
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -300,6 +302,26 @@ def test_exit_code_input_above_the_degree_bound(tmp_path, capsys):
         assert out.out == ""
         assert out.err == ("degree bound exceeded: internal degree 5 exceeds degree bound 4 "
                            f"({tmp_path}{os.sep}{where})\n")
+
+
+def test_exit_code_ring_relation_above_the_degree_bound(tmp_path, capsys):
+    # k over F_3[x,y]/(x^5) has infinite projective dimension; under bound 4
+    # the relation x^5 was dropped, so k was resolved over F_3[x,y] and
+    # reported as exact-finite-pd (betti 1,2,1).  It exits 3, naming the
+    # ring file, also where the bound comes from --degree-bound
+    (tmp_path / "r.ring").write_text(
+        'ring { char = 3; vars = [x, y]; relations = ["x^5"]; degree_bound = 4 }')
+    (tmp_path / "k.module").write_text(
+        'module { ring = "r.ring"; generators = [0]; relations = [["x"], ["y"]] }')
+    m = str(tmp_path / "k.module")
+    for extra, bound in [([], 4), (["--degree-bound", "3"], 3)]:
+        assert cli.main(["resolve", m, "--window", "6", "--machine", *extra]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"degree bound exceeded: internal degree 5 exceeds degree bound "
+                           f"{bound} ({tmp_path}{os.sep}r.ring: relations)\n")
+    # read with room for x^5, k does not stop at step 2
+    assert resolve(read_module_file(m, 12), 3).betti() == [1, 2, 2, 2]
 
 
 def test_exit_code_window():

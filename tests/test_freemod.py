@@ -376,6 +376,31 @@ def test_columns_are_read_only():
         assert np.array_equal(m.induced(2), before)
 
 
+def pieces_by_pair(fmap):
+    """{(b, c): the piece of column b on target generator c}, off the records."""
+    return {(b, c): tuple(piece.tolist()) for bs, cs, stack in fmap.records()
+            for b, c, piece in zip(bs.tolist(), cs.tolist(), stack)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_the_dual_swaps_generators_and_negates_degrees(p):
+    ring = ring_from_strings(p, ["x", "y", "z"], ["x*y - z^2"], degree_bound=8)
+    for twist in (0, 1, -1):
+        fmap = sample_map(ring, twist, seed=p % 1000 + twist)
+        assert pieces_by_pair(fmap)
+        dual = fmap.dual()
+        assert (dual.source_degrees, dual.target_degrees, dual.twist) == (
+            tuple(-h for h in TARGET), tuple(-g for g in SOURCE), twist)
+        assert pieces_by_pair(dual) == {(c, b): piece
+                                        for (b, c), piece in pieces_by_pair(fmap).items()}
+        back = dual.dual()
+        assert (back.source_degrees, back.target_degrees, back.twist) == (SOURCE, TARGET, twist)
+        assert pieces_by_pair(back) == pieces_by_pair(fmap)
+    zero = FreeMap.zero(ring, SOURCE, TARGET, 1).dual()
+    assert (zero.source_degrees, zero.target_degrees, zero.records()) == (
+        (0, -1, -3, -1), (-1, -1, -1, -2, -2), [])
+
+
 def test_compose_refuses_mismatched_degrees():
     ring = ring_from_strings(5, ["x", "y"], [], degree_bound=6)
     inner = identity(ring, (0, 1))

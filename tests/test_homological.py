@@ -470,22 +470,34 @@ def test_depth_formula_builds_each_tor_matrix_once(monkeypatch):
     # Tor and the module structure of Tor_q read one homology of F (x) N,
     # so no matrix of it is built twice; over F_3[x,y]/(xy) with
     # M = R/(x+y), N = R/(x^2) and q = 1, a second homology for Tor_q
-    # built 25 of the 117 matrices again
+    # built 25 of the 117 matrices again.  The (k, d) counted are those
+    # the differential of the resolution's homology over N builds (the
+    # Koszul complexes of depth are plain FreeComplexes)
     from collections import Counter
 
-    from syzkit import homological
+    from syzkit.complexes import FreeComplex
+    from syzkit.resolutions import FreeResolution
 
     r = xy_ring()
     m = module_from_strings(r, [0], [["x + y"]])
     n = module_from_strings(r, [0], [["x^2"]])
     built = Counter()
-    real = homological._with_n
+    real = FreeComplex.homology
 
-    def counted(res, i, n_mod, d, hom):
-        built[(i, d, hom)] += 1
-        return real(res, i, n_mod, d, hom)
+    def counted(cx, over=None):
+        homology = real(cx, over)
+        if isinstance(cx, FreeResolution):
+            assert over is n
+            diff = homology._diff
 
-    monkeypatch.setattr(homological, "_with_n", counted)
+            def count(k, d):
+                built[(k, d)] += 1
+                return diff(k, d)
+
+            homology._diff = count
+        return homology
+
+    monkeypatch.setattr(FreeComplex, "homology", counted)
     report = check_depth_formula(m, n, window=8)
     assert len(built) == 117
     assert set(built.values()) == {1}

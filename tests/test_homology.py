@@ -12,6 +12,7 @@ separate computations they replaced, kept here as references:
 import math
 import random
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from syzkit.modules import (
     residue_field,
 )
 from syzkit.resolutions import (
-    _koszul_diff,
     depth,
     detect_resolution_periodicity,
     kernel_generators,
@@ -47,6 +47,7 @@ from syzkit.resolutions import (
 from syzkit.rings import PolyRing, TruncatedQuotientRing
 from test_depth import _form
 from test_freemod import blocks
+from test_modules import action_by_ring_vector
 from test_rings import poly_mul
 
 PRIMES = (2, 3, 32003, 2**31 - 1)
@@ -72,7 +73,7 @@ def _tensor_differential(res, n_mod, i, d):
             continue
         for c, piece in blocks(dmap, b):
             if tdims[c]:
-                placed[(c, b)] = n_mod.action_by_ring_vector(piece, g - tgt_gens[c], d - g)
+                placed[(c, b)] = action_by_ring_vector(n_mod, piece, g - tgt_gens[c], d - g)
     return freemod.block_matrix(tdims, sdims, placed)
 
 
@@ -178,7 +179,7 @@ def _hom_matrix(dmap, n_mod, w):
             continue
         for c, piece in blocks(dmap, b):
             if cdims[c]:
-                placed[(b, c)] = n_mod.action_by_ring_vector(piece, g - tgt[c], tgt[c] + w)
+                placed[(b, c)] = action_by_ring_vector(n_mod, piece, g - tgt[c], tgt[c] + w)
     return freemod.block_matrix(rdims, cdims, placed)
 
 
@@ -207,14 +208,35 @@ def _reference_ext(n, t, res):
     return out
 
 
+def _koszul_diff(module, acts_at, n, i, d):
+    """d_{i,d}: the Koszul differential on the n variables,
+    from wedge^i F_p^n (x) M_{d-i} to wedge^(i-1) F_p^n (x) M_{d-i+1}:
+    m e_J -> sum_t (-1)^t x_{J_t} m e_{J - J_t}, J-major.  acts_at(a) lists
+    the matrices of the variables from M_a to M_{a+1}."""
+    p, a = module.ring.char, d - i
+    rows, cols = module.dim(a + 1), module.dim(a)
+    target = {J: r for r, J in enumerate(combinations(range(n), i - 1))}
+    source = list(combinations(range(n), i))
+    placed = {}
+    if rows and cols:
+        acts = acts_at(a)
+        for c, J in enumerate(source):
+            for t, j in enumerate(J):
+                r = target[J[:t] + J[t + 1:]]
+                placed[(r, c)] = acts[j] if t % 2 == 0 else -acts[j] % p
+    return freemod.block_matrix([rows] * len(target), [cols] * len(source), placed)
+
+
 def _reference_depth(module):
+    """n - pd_S(M) from the ranks of the Koszul differentials, each block
+    one variable's action on M."""
     ring = module.ring
     n = len(ring.vars)
     xs = [ring.normal_form({tuple(int(k == j) for k in range(n)): 1}, degree=1)
           for j in range(n)]
 
     def acts_at(a):
-        return [module.action_by_ring_vector(x, 1, a) for x in xs]
+        return [action_by_ring_vector(module, x, 1, a) for x in xs]
 
     window = ring.degree_window(module.min_degree(), max(module.gen_degrees) + n)
     pd, lo = 0, window.low
@@ -292,3 +314,28 @@ def test_homology_readers_match_the_separate_computations(p):
             for j in range(3):
                 for d in range(window.low, window.top + 1):
                     assert cx.homology_dim(j, d) == _reference_homology_dim(cx, j, d)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_tensor_and_hom_matrices_match_the_per_piece_references(p):
+    # d_i (x) N is d_i.induced(d, N) and Hom(d_i, N) is
+    # d_i.dual().induced(w, N), against the block-by-block references, over
+    # each seeded module and its shift into negative degrees
+    modules = [m for m in _seeded_modules(p) if not m.is_zero()]
+    nonzero = set()
+    for m in modules:
+        res = resolve(m, 3)
+        top = max(g for gens in res.gens for g in gens)
+        for n in modules + [modules[-1].shifted(-2)]:
+            lo = n.min_degree()
+            for i in [i for i in range(1, 4) if res.gen_degrees(i)]:
+                dmap = res.diff(i)
+                for d in range(lo, lo + top + 2):
+                    got = dmap.induced(d, n)
+                    assert np.array_equal(got, _tensor_differential(res, n, i, d))
+                    nonzero |= {("tensor", lo < 0)} if got.any() else set()
+                for w in range(lo - top, lo + 3):
+                    got = dmap.dual().induced(w, n)
+                    assert np.array_equal(got, _hom_matrix(dmap, n, w))
+                    nonzero |= {("hom", lo < 0)} if got.any() else set()
+    assert nonzero == {("tensor", False), ("tensor", True), ("hom", False), ("hom", True)}

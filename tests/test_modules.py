@@ -24,7 +24,7 @@ from syzkit.polynomials import poly_degree
 from syzkit.resolutions import resolve
 from syzkit.rings import ring_from_strings
 from test_depth import lift_presentation
-from test_freemod import from_columns
+from test_freemod import SOURCE, TARGET, from_columns, sample_map
 
 
 def dims(m, dmax):
@@ -46,7 +46,16 @@ def annihilated_by(m, f, d):
     if e is None:
         return True
     rvec = m.ring.normal_form(f, degree=e)
-    return not m.action_by_ring_vector(rvec, e, d).any()
+    return not action_by_ring_vector(m, rvec, e, d).any()
+
+
+def action_by_ring_vector(m, rvec, e, a):
+    """Multiplication by the element rvec of R_e, from M_a to M_{a+e}: the
+    monomials' slices of M's action stack, scaled by rvec one at a time
+    and summed, each term reduced mod p."""
+    p = m.ring.char
+    terms = np.asarray(rvec, dtype=np.int64)[:, None, None] * m.action_matrix(e, a) % p
+    return terms.sum(axis=0) % p
 
 
 def ci_ring(p=2):
@@ -323,7 +332,9 @@ def _monomial_action(m, e, j, a):
 
 def test_action_by_ring_vector_matches_the_sequential_sum_near_p():
     # every coefficient p - 1 against entries near p: a product without
-    # reduction overflows int64 once four terms are summed
+    # reduction overflows int64 once four terms are summed.  The element
+    # acts on M as the one piece of the map R(-e) -> R, through
+    # FreeMap.induced over M
     r = _dense_ring(P31, 3, 1, 7)
     m = module_from_strings(r, [0, 1], [["x0*x1", "x1"], ["0", "x0 + x2"]])
     for e in (2, 3):
@@ -334,9 +345,48 @@ def test_action_by_ring_vector_matches_the_sequential_sum_near_p():
             want = np.zeros(stack.shape[1:], dtype=np.int64)
             for j in range(r.dim(e)):
                 want = (want + int(rvec[j]) * stack[j]) % P31
-            got = m.action_by_ring_vector(rvec, e, a)
+            got = FreeMap(r, [e], [0], [([0], [0], [rvec])]).induced(a + e, m)
+            assert np.array_equal(action_by_ring_vector(m, rvec, e, a), want), (e, a)
             assert got.dtype == np.int64
             assert np.array_equal(got, want), (e, a)
+
+
+def induced_over(fmap, d, x):
+    """The degree-d matrix of fmap (x) X, one piece at a time: block (c, b)
+    is the piece of column b on c, an element of R_e, acting on X_{d - g_b}
+    by `action_by_ring_vector`."""
+    from syzkit.freemod import block_matrix
+
+    src, tgt, tw = fmap.source_degrees, fmap.target_degrees, fmap.twist
+    placed = {(c, b): action_by_ring_vector(x, piece, src[b] + tw - tgt[c], d - src[b])
+              for bs, cs, stack in fmap.records()
+              for b, c, piece in zip(bs.tolist(), cs.tolist(), stack)}
+    return block_matrix([x.dim(d + tw - h) for h in tgt], [x.dim(d - g) for g in src], placed)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, P31])
+def test_induced_over_a_module_matches_the_per_piece_reference(p):
+    # maps with scalar pieces (twist 0, degree-1 generators onto degree-1
+    # generators), twists 1 and -1, and the zero map, over a module on
+    # generators in degrees 0 and 1, its shift into negative degrees and R
+    r = ring_from_strings(p, ["x", "y", "z"], ["x*y - z^2"], degree_bound=8)
+    m = module_from_strings(r, [0, 1], [["y*z", "z"], ["0", "x + y"]])
+    maps = [sample_map(r, twist, seed=p % 1000 + twist) for twist in (0, 1, -1)]
+    maps.append(FreeMap.zero(r, SOURCE, TARGET, 1))
+    assert any(SOURCE[b] == TARGET[c] for bs, cs, _ in maps[0].records()
+               for b, c in zip(bs, cs))  # a scalar piece, at twist 0
+    free = free_module(r)
+    for fmap in maps:
+        for x in (m, m.shifted(-3), free):
+            lo = min(x.gen_degrees) + min(SOURCE) - 1
+            for d in range(lo, lo + 6):
+                got = fmap.induced(d, x)
+                assert got.shape == (sum(x.dim(d + fmap.twist - h) for h in TARGET),
+                                     sum(x.dim(d - g) for g in SOURCE)), d
+                assert np.array_equal(got, induced_over(fmap, d, x)), d
+        for d in range(0, 7):
+            assert np.array_equal(fmap.induced(d, free), fmap.induced(d)), d
+    assert any(maps[0].induced(d, m.shifted(-3)).any() for d in range(-3, 2))
 
 
 def test_generator_matrix_of_a_module_matches_the_per_monomial_reference():
@@ -361,7 +411,7 @@ def test_homology_actions_match_the_per_monomial_reference():
     from functools import partial
 
     from syzkit.freemod import act, block_matrix
-    from syzkit.homological import _homology, _with_n
+    from syzkit.homological import _homology
     from syzkit.linalg import matmul, solve_many
     from syzkit.modules import generator_matrix, minimal_generators_in
     from syzkit.resolutions import resolve
@@ -385,7 +435,7 @@ def test_homology_actions_match_the_per_monomial_reference():
         acted = matmul(block_matrix(tdims, sdims, blocks), reps_a, p)
         # classes of the products: coordinates on the representatives,
         # modulo the boundaries
-        basis = np.concatenate([reps_t, _with_n(res, 2, n, a + e, False)], axis=1)
+        basis = np.concatenate([reps_t, res.diff(2).induced(a + e, n)], axis=1)
         return solve_many(basis, acted, p)[:reps_t.shape[1]]
 
     for a in range(0, 5):

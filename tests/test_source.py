@@ -352,3 +352,20 @@ def test_a_map_has_one_constructor_body():
              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
              and node.attr in ("_groups", "source_degrees", "target_degrees")]
     assert found == []
+
+
+def test_one_builder_of_a_differential_matrix():
+    # FreeMap.induced builds the matrix of a map tensored with R or with a
+    # module, so F (x) N, Hom(F, N) (through FreeMap.dual) and the Koszul
+    # complex over M come from it; only freemod (the free sums of `act`
+    # and `free_mult_matrix`) and chainsolve (the chain system) place
+    # blocks by hand, and no per-piece builder sits beside it
+    callers = {p.stem for p, tree in _package_trees() for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", getattr(node.func, "id", None)) == "block_matrix"}
+    assert callers == {"freemod", "chainsolve"}
+    gone = {"_with_n", "_koszul_diff", "action_by_ring_vector", "_induced"}
+    found = [f"{p.name}:{node.lineno}" for p, tree in _package_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in gone]
+    assert found == []
