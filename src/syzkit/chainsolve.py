@@ -30,6 +30,7 @@ import numpy as np
 
 from . import freemod
 from .complexes import ChainMap
+from .errors import SyzkitError
 from .linalg import kernel_basis, matvec
 
 COMBINATIONS = 64  # seeded combinations of a solution basis tried after its vectors
@@ -216,6 +217,8 @@ def certify_periodicity(cx, free_onset, seed=0):
     onsets are walked up from 0.  The tails share the differentials'
     degree matrices, kept for this search only.
     """
+    if seed < 0:
+        raise SyzkitError(f"periodicity search needs a seed >= 0, got {seed}")
     w = cx.window
     below, induced = {}, {}
     for q in range(1, w // 2 + 1):

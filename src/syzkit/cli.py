@@ -343,6 +343,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:  # numpy's generators take only a nonnegative seed
+        parser.error(f"argument --seed: must be a nonnegative integer, got {args.seed}")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -33,8 +33,10 @@ truncated product lives over the product's one ring.
 The builders move their maps' pieces in whole groups.  `tensor_many` and
 `induced_chain_map` carry each factor differential and each component of
 eta into the product ring once, by one exact product per group of its
-pieces (`_Embedding.embedded`), and then place the embedded pieces by
-label, one record per pair of degrees (`freemod.records_of`).
+pieces (`_Embedding.embedded`), and place the embedded pieces by label
+through `_Embedding.placed`, with the Koszul sign (-1)^(n * (degree left
+of the factor)) for a map of shift n (n = 1 for a differential), one
+record per pair of degrees (`freemod.records_of`).
 `cone` puts d_j together from the records of -dx, phi and (-1)^n dz, and
 `induced_on_cone` its maps from those of psi, moved onto the cone's
 generators and signed by `freemod.FreeMap.records`; `minimize_complex`
@@ -127,17 +129,15 @@ class FreeComplex:
         return self.diff(j) or freemod.FreeMap.zero(self.ring, self.gen_degrees(j),
                                                     self.gen_degrees(j - 1))
 
-    def homology_total(self, j):
-        """dim_k H_j(C), over the ring's degree window on every term's
-        generators, so a twist of the complex moves no total."""
+    def sup_within_window(self):
+        """Largest j (within the window) with nonzero homology; None if all
+        zero.  One `Homology` gives every H_{j,d}, over the degree window on
+        all the terms' generators, so a twist of the complex moves no j."""
         degs = [g for gens in self.gens for g in gens]
         window = self.ring.degree_window(min(degs, default=0), max(degs, default=0))
-        return sum(self.homology_dim(j, d) for d in range(window.low, window.top + 1))
-
-    def sup_within_window(self):
-        """Largest j (within the window) with nonzero homology; None if all zero."""
+        homology = self.homology()
         for j in range(self.window - 1, -1, -1):
-            if self.homology_total(j):
+            if any(homology.dim(j, d) for d in range(window.low, window.top + 1)):
                 return j
         return None
 
@@ -291,6 +291,24 @@ class _Embedding:
                     cols[b].append((c, piece))
         return self._maps[fmap]
 
+    def placed(self, pos, j, k, component, shift):
+        """Yield the pieces (b, c, piece) of id (x) .. f .. (x) id on the
+        degree-j generators b of the product, pos[j] mapping each label to b:
+        f has shift `shift` on factor k and component(a) on its term a (None
+        for zero), and each piece the sign (-1)^(shift * degree left of k)."""
+        p = self.product.char
+        for lab, b in pos[j].items():
+            a, u = lab[k]
+            fmap = component(a)
+            if fmap is None:
+                continue
+            sign = (-1) ** (shift * sum(h for h, _ in lab[:k])) % p
+            for c, piece in self.embedded(fmap)[u]:
+                target = lab[:k] + ((a - shift, c),) + lab[k + 1:]
+                if j - shift < 0 or target not in pos[j - shift]:
+                    raise SyzkitError("induced map hit a missing product generator")
+                yield b, pos[j - shift][target], piece if sign == 1 else sign * piece % p
+
 
 def tensor_pair(f, g):
     """Tensor product of two complexes over the tensor product of their rings."""
@@ -332,18 +350,8 @@ def tensor_many(factors):
     pos = [{lab: i for i, lab in enumerate(row)} for row in labels]
     diffs = [None]
     for j in range(1, w + 1):
-        placed = []
-        for b, lab in enumerate(labels[j]):
-            left_degree = 0
-            for k, (f, emb, (a, u)) in enumerate(zip(factors, embeddings, lab)):
-                fd = f.diff(a)
-                if fd is not None:
-                    sign = (-1) ** left_degree % ring.char
-                    for c, piece in emb.embedded(fd)[u]:
-                        target = pos[j - 1][lab[:k] + ((a - 1, c),) + lab[k + 1:]]
-                        placed.append((b, target,
-                                       piece if sign == 1 else sign * piece % ring.char))
-                left_degree += a
+        placed = sorted((x for k, (f, emb) in enumerate(zip(factors, embeddings))
+                         for x in emb.placed(pos, j, k, f.diff, 1)), key=lambda x: x[0])
         diffs.append(freemod.FreeMap(ring, gens[j], gens[j - 1],
                                      freemod.records_of(gens[j], gens[j - 1], placed)))
     out = FreeComplex(ring, gens, diffs, labels)
@@ -364,20 +372,10 @@ def induced_chain_map(product, factor_index, eta):
     ring = product.ring
     emb = _Embedding(eta.source.ring, ring)
     n, tau = eta.shift, eta.twist
-    p = ring.char
     pos = [{lab: i for i, lab in enumerate(row)} for row in product.labels]
     comps = []
     for j in range(product.window + 1):
-        placed = []
-        for b, lab in enumerate(product.labels[j]):
-            aa, ui = lab[factor_index]
-            left_degree = sum(h for h, _ in lab[:factor_index])
-            sign = (-1) ** (n * left_degree) % p
-            for c, piece in emb.embedded(eta.component(aa))[ui]:
-                new_lab = lab[:factor_index] + ((aa - n, c),) + lab[factor_index + 1:]
-                if j - n < 0 or new_lab not in pos[j - n]:
-                    raise SyzkitError("induced map hit a missing product generator")
-                placed.append((b, pos[j - n][new_lab], piece if sign == 1 else sign * piece % p))
+        placed = emb.placed(pos, j, factor_index, eta.component, n)
         src, tgt = product.gen_degrees(j), product.gen_degrees(j - n)
         comps.append(freemod.FreeMap(ring, src, tgt, freemod.records_of(src, tgt, placed), tau))
     out = ChainMap(product, product, n, tau, comps)

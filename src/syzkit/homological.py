@@ -306,6 +306,8 @@ def reduction_search(m, max_degree=3, window=10, seed=0):
     """
     if max_degree < 1:
         raise SyzkitError(f"reduction search needs max_degree >= 1, got {max_degree}")
+    if seed < 0:
+        raise SyzkitError(f"reduction search needs a seed >= 0, got {seed}")
     est0, _ = complexity_of_module(m, window)
     if est0.value == 0:
         return ReductionSequence(m, est0, [], math.inf)

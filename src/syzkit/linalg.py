@@ -47,7 +47,8 @@ so small matrices go straight to `_pivot_columns`.  The rows hit are deduped
 with a boolean mask, not `np.unique`, which costs more peak memory.
 
 All routines are deterministic: pivots are chosen leftmost-first, free
-variables are zeroed, complements use standard basis vectors.
+variables are zeroed (`solve_many` is the one linear solve), complements
+use standard basis vectors.
 """
 
 import numpy as np
@@ -350,27 +351,10 @@ def kernel_basis(mat, p):
     return _null_space(mat, p)[0]
 
 
-def solve(mat, b, p):
-    """Some v with mat @ v = b, or None if b is not in the column span.
-
-    Free coordinates are set to 0.
-    """
-    a = np.asarray(mat)
-    rows, cols = a.shape
-    b = np.asarray(b).reshape(-1)
-    if b.shape[0] != rows:
-        raise ValueError(f"dimension mismatch: {rows} rows, got b of length {b.shape[0]}")
-    r, pivots, rk = rref(np.concatenate([a, b.reshape(-1, 1)], axis=1), p)
-    if cols in pivots:
-        return None
-    v = zeros(cols, 1)[:, 0]
-    v[pivots] = r[:rk, cols]
-    return v
-
-
 def solve_many(mat, bs, p):
-    """Some X with mat @ X = bs, every column consistent, from one rref of
-    [mat | bs]: the RREF is unique, so column j is `solve(mat, bs[:, j], p)`."""
+    """The X with mat @ X = bs whose free coordinates are 0, from one rref of
+    [mat | bs], which is unique, so column j does not depend on the others;
+    ValueError if a column of bs is not in the column span."""
     cols = np.shape(mat)[1]
     x = zeros(cols, bs.shape[1])
     if not bs.shape[1]:

@@ -48,7 +48,6 @@ from .linalg import (
     matmul,
     quotient_projection,
     rank,
-    solve,
     solve_many,
     zeros,
 )
@@ -139,11 +138,11 @@ class GradedModule:
         return not self.minimal_generators()
 
     def lift_element(self, d, vec):
-        """Free-cover coordinates of an element of M_d (free coords set to 0)."""
-        x = solve(self.proj(d), vec, self.ring.char)
-        if x is None:
-            raise SyzkitError("element lift failed; projection not surjective?")
-        return x
+        """Free-cover coordinates of an element of M_d, by `solve_many`."""
+        try:
+            return solve_many(self.proj(d), np.reshape(vec, (-1, 1)), self.ring.char)[:, 0]
+        except ValueError:
+            raise SyzkitError("element lift failed; projection not surjective?") from None
 
     def shifted(self, delta):
         """Same module with all generator degrees moved up by delta."""
@@ -362,26 +361,30 @@ class ModuleMap:
 
 def verify_ses(f, g):
     """Degreewise exactness of 0 -> A -f-> B -g-> C -> 0 up to the certified
-    top of the ring's degree window over A, B and C.
+    top of the ring's degree window over A, B and C, for well-defined maps.
+    g o f is read on A's generators from `freemod.FreeMap.compose`, as
+    `ModuleMap.verify` reads relations: a module map, it is zero below the
+    least degree of a generator it does not kill, and nonzero there.
 
     Returns (ok, first_failure_description)."""
     a, b, c = f.source, f.target, g.target
     p = a.ring.char
     if g.source is not b:
         return False, "maps are not composable"
+    tw = f.twist + g.twist
+    first = min((a.gen_degrees[bs[0]] for bs, images in g._free.compose(f._free)
+                 if matmul(c.proj(a.gen_degrees[bs[0]] + tw), images, p).any()), default=None)
     degs = (a.gen_degrees + tuple(x - f.twist for x in b.gen_degrees)
-            + tuple(x - f.twist - g.twist for x in c.gen_degrees))
+            + tuple(x - tw for x in c.gen_degrees))
     window = a.ring.degree_window(min(degs, default=0), max(degs, default=0))
     for d in range(min((0,) + degs), window.certified + 1):
-        fd = f.induced(d)
-        gd = g.induced(d + f.twist)
-        if matmul(gd, fd, p).any():
+        if d == first:
             return False, f"composite nonzero in degree {d}"
-        da, db, dc = a.dim(d), b.dim(d + f.twist), c.dim(d + f.twist + g.twist)
+        da, db, dc = a.dim(d), b.dim(d + f.twist), c.dim(d + tw)
         if db != da + dc:
             return False, f"dimension mismatch in degree {d}: {db} != {da}+{dc}"
-        if rank(fd, p) != da:
+        if rank(f.induced(d), p) != da:
             return False, f"left map not injective in degree {d}"
-        if rank(gd, p) != dc:
+        if rank(g.induced(d + f.twist), p) != dc:
             return False, f"right map not surjective in degree {d}"
     return True, ""

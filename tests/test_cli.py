@@ -427,6 +427,19 @@ def test_readme_examples_match_goldens_byte_for_byte(tmp_path, monkeypatch, caps
         assert capsys.readouterr().out == want, example
 
 
+def test_negative_seed_is_refused_by_the_parser():
+    # numpy's generators take only a nonnegative seed: the parser refuses
+    # one below 0 with exit 2, before any work and without a traceback
+    for args in (["reduce", "fixtures/ci2_k.module", "--max-degree", "2", "--window", "9",
+                  "--seed", "-1"],
+                 ["depth-formula", "fixtures/hyp_ax.module", "fixtures/hyp_axy.module",
+                  "--window", "8", "--search-reduction", "--seed", "-2"]):
+        out = run_cli(*args)
+        assert out.returncode == 2, out.stderr
+        assert f"argument --seed: must be a nonnegative integer, got {args[-1]}" in out.stderr
+        assert "Traceback" not in out.stderr and out.stdout == ""
+
+
 @pytest.mark.parametrize("workload", ["cli-mix", "construct", "syzygy-large"])
 def test_seed_zero_commands_match_goldens_byte_for_byte(workload, tmp_path, monkeypatch, capsys):
     # cycle 0 of the benchmark's seed-0 list, in-process: every command with

@@ -260,6 +260,19 @@ def test_reduction_search_refuses_max_degree_below_one_before_resolving(monkeypa
             reduction_search(residue_field(r), max_degree=bad)
 
 
+def test_reduction_search_refuses_a_negative_seed_before_resolving(monkeypatch):
+    from syzkit import homological, resolutions
+
+    def fail(*_):
+        raise AssertionError("resolve ran before the seed was refused")
+
+    r = ring_from_strings(3, ["x", "y"], ["x^2", "y^2"], degree_bound=10)
+    monkeypatch.setattr(resolutions, "resolve", fail)
+    monkeypatch.setattr(homological, "resolve", fail)
+    with pytest.raises(SyzkitError, match="needs a seed >= 0, got -1$"):
+        reduction_search(residue_field(r), seed=-1)
+
+
 def test_reduction_search_one_variable():
     r = ring_from_strings(2, ["x"], ["x^2"], degree_bound=16)
     seq = reduction_search(residue_field(r), window=8)

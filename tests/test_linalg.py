@@ -53,24 +53,25 @@ def test_kernel_sum_f2():
 
 
 def test_solve_identity():
-    b = np.array([2, 3, 1])
-    v = linalg.solve(linalg.identity(3), b, 5)
+    b = np.array([[2], [3], [1]])
+    v = linalg.solve_many(linalg.identity(3), b, 5)
     assert np.array_equal(v, b)
 
 
 def test_solve_zero_matrix_inconsistent():
-    assert linalg.solve(linalg.zeros(2, 2), np.array([1, 0]), 3) is None
+    with pytest.raises(ValueError, match="inconsistent"):
+        linalg.solve_many(linalg.zeros(2, 2), np.array([[1], [0]]), 3)
 
 
 def test_solve_scalar_f5():
     # 2 * 4 = 8 = 3 mod 5
-    v = linalg.solve(_mat([[2]], 5), np.array([3]), 5)
-    assert v is not None and v[0] == 4
+    v = linalg.solve_many(_mat([[2]], 5), np.array([[3]]), 5)
+    assert v[0, 0] == 4
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        linalg.solve(linalg.identity(2), np.array([1, 2, 3]), 5)
+        linalg.solve_many(linalg.identity(2), np.array([[1], [2], [3]]), 5)
 
 
 def test_complement_full_space():
@@ -152,8 +153,7 @@ def test_solve_exact_when_consistent(mp, seed):
     rng = np.random.default_rng(seed)
     x = rng.integers(0, p, size=m.shape[1])
     b = (m.astype(np.int64) @ x) % p
-    v = linalg.solve(m, b, p)
-    assert v is not None
+    v = linalg.solve_many(m, b.reshape(-1, 1), p)[:, 0]
     assert np.array_equal((m.astype(np.int64) @ v) % p, b)
 
 
@@ -553,6 +553,18 @@ def test_is_prime_on_pseudoprimes_and_large_cases():
         assert not linalg.is_prime(q * q)
 
 
+def _solve_one(a, b, p):
+    """Reference: the v with a @ v = b whose free coordinates are 0, from
+    the RREF of [a | b], or None if b is not in the column span."""
+    cols = a.shape[1]
+    r, pivots, rk = linalg.rref(np.concatenate([a, b.reshape(-1, 1)], axis=1), p)
+    if cols in pivots:
+        return None
+    v = linalg.zeros(cols, 1)[:, 0]
+    v[pivots] = r[:rk, cols]
+    return v
+
+
 @pytest.mark.parametrize("p", [2, 3, 32003, P31])
 def test_solve_many_matches_column_by_column_solve(p):
     rng = np.random.default_rng(p % 1000)
@@ -562,13 +574,13 @@ def test_solve_many_matches_column_by_column_solve(p):
         a = linalg.matmul(rng.integers(0, p, size=(rows, rk)),
                           rng.integers(0, p, size=(rk, cols)), p)
         bs = linalg.matmul(a, rng.integers(0, p, size=(cols, k)), p)
-        want = np.stack([linalg.solve(a, bs[:, j], p) for j in range(k)], axis=1)
+        want = np.stack([_solve_one(a, bs[:, j], p) for j in range(k)], axis=1)
         got = linalg.solve_many(a, bs, p)
         assert got.dtype == np.int64 and got.tolist() == want.tolist()
         assert linalg.solve_many(a, bs[:, :0], p).shape == (cols, 0)
         # one column outside the span makes the whole system inconsistent
         outside = next((linalg.identity(rows)[:, [i]] for i in range(rows)
-                        if linalg.solve(a, linalg.identity(rows)[:, i], p) is None), None)
+                        if _solve_one(a, linalg.identity(rows)[:, i], p) is None), None)
         if outside is not None:
             with pytest.raises(ValueError, match="inconsistent"):
                 linalg.solve_many(a, np.concatenate([bs, outside], axis=1), p)

@@ -267,6 +267,38 @@ def test_module_map_and_split_ses():
     assert ok, why
 
 
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+@pytest.mark.parametrize("case", ["composite", "not injective", "not surjective", "dimensions"])
+def test_verify_ses_names_the_first_failure(case, p):
+    # well-defined maps between R, R/(y), k and k (+) k over F_p[x,y]/(x^2,y^2)
+    # that fail one check each, in the first degree where it fails
+    r = ci_ring(p)
+    k, kk = residue_field(r), module_from_strings(r, [0, 0], [["x", "0"], ["y", "0"],
+                                                               ["0", "x"], ["0", "y"]])
+
+    def to(source, target, targets):
+        return ModuleMap(source, target, FreeMap.selection(
+            r, source.gen_degrees, target.gen_degrees, targets))
+
+    if case == "composite":  # R(-1) -x-> R -> R/(y): x survives in degree 1
+        free = free_module(r)
+        f = ModuleMap(free_module(r, [1]), free, FreeMap.from_poly_matrix(
+            r, (0,), (1,), [[r.base.parse("x")]]))
+        g = to(free, module_from_strings(r, [0], [["y"]]), [0])
+        want = "composite nonzero in degree 1"
+    elif case == "not injective":  # k -0-> k (+) k -second-> k
+        f, g = to(k, kk, [None]), to(kk, k, [None, 0])
+        want = "left map not injective in degree 0"
+    elif case == "not surjective":  # k -first-> k (+) k -0-> k
+        f, g = to(k, kk, [0]), to(kk, k, [None, None])
+        want = "right map not surjective in degree 0"
+    else:  # k -1-> k -0-> k
+        f, g = to(k, k, [0]), to(k, k, [None])
+        want = "dimension mismatch in degree 0: 1 != 1+1"
+    assert f.verify() and g.verify()
+    assert verify_ses(f, g) == (False, want)
+
+
 def test_annihilated_by():
     r = xy_ring()
     m = module_from_strings(r, [0], [["x"]])

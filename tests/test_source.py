@@ -251,7 +251,7 @@ def test_no_check_builds_a_map():
     checks = {("complexes", "FreeComplex", "verify"), ("complexes", "ChainMap", "verify"),
               ("complexes", None, "_agree"), ("construction", None, "_commute"),
               ("construction", None, "_check_e_sequence"), ("modules", "ModuleMap", "verify"),
-              ("resolutions", "FreeResolution", "verify_complex")}
+              ("modules", None, "verify_ses"), ("resolutions", "FreeResolution", "verify_complex")}
     builders = {"FreeMap", "zero", "selection", "from_poly_matrix", "restrict", "scale",
                 "equals"}
     seen, found = set(), []
@@ -268,6 +268,57 @@ def test_no_check_builds_a_map():
                           in builders]
     assert seen == checks
     assert found == []
+    # the exact sequence's composite g o f comes from compose, and its
+    # dense degree matrices are only ranked, never multiplied together
+    path = Path(syzkit.__file__).parent / "modules.py"
+    ses, = [fn for fn in ast.parse(path.read_text()).body
+            if getattr(fn, "name", None) == "verify_ses"]
+    calls = [node for node in ast.walk(ses) if isinstance(node, ast.Call)]
+    assert "compose" in [_called(node) for node in calls]
+    ranked = {id(arg) for node in calls if _called(node) == "rank" for arg in node.args}
+    assert not [node.lineno for node in calls
+                if _called(node) == "induced" and id(node) not in ranked]
+
+
+def _called(node):
+    """The name a call node calls, `f` for f(..) and x.f(..)."""
+    return getattr(node.func, "attr", getattr(node.func, "id", None))
+
+
+def test_one_linear_solve_and_one_homology_per_complex():
+    # linalg.solve_many is the one linear solve, and a complex's homology
+    # question reads one modules.Homology: no per-degree total builds a
+    # fresh one for every degree
+    from syzkit import linalg
+    from syzkit.complexes import FreeComplex
+
+    assert not hasattr(linalg, "solve") and not hasattr(FreeComplex, "homology_total")
+    found = [f"{p.name}:{node.lineno}" for p, tree in _package_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name in ("solve", "homology_total")]
+    assert found == []
+    path = Path(syzkit.__file__).parent / "complexes.py"
+    cls, = [top for top in ast.parse(path.read_text()).body
+            if isinstance(top, ast.ClassDef) and top.name == "FreeComplex"]
+    sup, = [fn for fn in cls.body if getattr(fn, "name", None) == "sup_within_window"]
+    calls = [_called(node) for node in ast.walk(sup) if isinstance(node, ast.Call)]
+    assert calls.count("homology") == 1 and "homology_dim" not in calls
+
+
+def test_one_placement_of_a_factor_map_on_the_product():
+    # tensor_many's differential and induced_chain_map's components are
+    # factor maps placed on the product by one routine, _Embedding.placed,
+    # which alone computes the Koszul sign
+    path = Path(syzkit.__file__).parent / "complexes.py"
+    tree = ast.parse(path.read_text())
+    fns = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    for name in ("tensor_many", "induced_chain_map"):
+        assert "placed" in [_called(node) for node in ast.walk(fns[name])
+                            if isinstance(node, ast.Call)], name
+        assert not [node for node in ast.walk(fns[name])
+                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)], name
+    assert [p.stem for p, tree in _package_trees() for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "placed"] == ["complexes"]
 
 
 def test_compose_reads_both_maps_by_their_blocks():
