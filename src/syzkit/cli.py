@@ -345,6 +345,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.seed < 0:  # numpy's generators take only a nonnegative seed
         parser.error(f"argument --seed: must be a nonnegative integer, got {args.seed}")
+    if args.degree_bound is not None and args.degree_bound < 1:
+        parser.error(f"argument --degree-bound: must be >= 1, got {args.degree_bound}")
     try:
         return args.func(args)
     except ParseError as exc:

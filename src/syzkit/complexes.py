@@ -113,12 +113,6 @@ class FreeComplex:
     def component_dim(self, j, d):
         return freemod.component_dim(self.ring, self.gen_degrees(j), d)
 
-    def homology_dim(self, j, d):
-        """dim_k H_j(C)_d; needs j+1 within the window."""
-        if j < 0 or j > self.window - 1:
-            raise WindowError("homology needs one more differential than the window")
-        return self.homology().dim(j, d)
-
     def homology(self, over=None):
         """H(C (x) X), X = R or the module `over`, as a fresh `Homology`
         whose d_j is `d_j.induced(d, over)`, the zero map where none is stored."""

@@ -27,10 +27,15 @@ resolution, is such a map too.
 This module owns the block layout of a component.  `induced` is the one
 builder of a map's matrix, over R or tensored with a module: F over R,
 F (x) N, Hom(F, N) (through `FreeMap.dual`) and the Koszul complex over M
-come from it.  `block_matrix` writes the free sums of `act` and the chain
-system, and `FreeMap.selection` builds the maps that send generators to
-generators, so no other module writes at `component_offsets`.  It
-also owns the ring action on free sums: `act` multiplies chains of a free
+come from it.  It also builds given rows alone, as the syzygy step reads
+its matrices on a kernel's free rows: above `_GATHER_MIN_CELLS` cells they
+are gathered from the nonzeros of X's stacks (5% dense on 4-variable
+quadric rings), no product formed; below it, as in the step's many small
+selections (median 40 cells), the gather's index work costs more than the
+whole product, whose rows are taken.  `block_matrix` writes the free
+sums of `act` and the chain system, and `FreeMap.selection` builds the
+maps that send generators to generators, so no other module writes at
+`component_offsets`.  It also owns the ring action on free sums: `act` multiplies chains of a free
 sum of copies of R or of a module N by all of R_e, and serves a module's
 action matrices, the free cover of Tor_i and R's action on F_i (x) N.
 
@@ -118,6 +123,31 @@ def records_of(source_degrees, target_degrees, placed):
     for b, c, piece in placed:
         found.setdefault((source_degrees[b], target_degrees[c]), []).append((b, c, piece))
     return [tuple(zip(*recs)) for recs in found.values()]
+
+
+_GATHER_MIN_CELLS = 20000  # rows of a smaller component are taken from the whole product
+
+
+def _gather(out, picked, bs, cs, stack, mults, p):
+    """Write the pieces (bs, cs, stack), acting through X's stack mults, on
+    the rows `picked` of out, from the nonzeros of mults only (`induced`)."""
+    rows, by_gen, gens, toffs, soffs = picked
+    lo = gens.searchsorted(cs)
+    n = gens.searchsorted(cs, "right") - lo
+    k = np.arange(len(cs)).repeat(n)  # pair (i, k): row i of out lies on piece k's generator
+    i = by_gen[np.arange(k.size) + (lo + n - n.cumsum()).repeat(n)]
+    j = rows[i] - toffs[cs[k]]  # row i in the block of its generator
+    by_row = mults.transpose(1, 2, 0)
+    nz = np.nonzero(by_row)  # by (row, column, monomial): the terms of an entry are adjacent
+    start = nz[0].searchsorted(np.arange(by_row.shape[0] + 1))
+    n = start[j + 1] - start[j]
+    pair = np.arange(len(j)).repeat(n)  # term t: pair[t] meets nonzero t_nz[t] on its row
+    t_nz = np.arange(pair.size) + (start[j] + n - n.cumsum()).repeat(n)
+    kp = k[pair]
+    terms = stack.reshape(-1)[kp * stack.shape[1] + nz[2][t_nz]] * by_row[nz][t_nz] % p
+    at = i[pair] * out.shape[1] + soffs[bs[kp]] + nz[1][t_nz]
+    first = np.flatnonzero(np.diff(at, prepend=-1))
+    out.reshape(-1)[at[first]] = np.add.reduceat(terms, first) % p
 
 
 class FreeMap:
@@ -303,34 +333,42 @@ class FreeMap:
                        [-g for g in self.source_degrees],
                        [(cs, bs, stack) for bs, cs, stack in self.records()], self.twist)
 
-    def induced(self, d, over=None):
+    def induced(self, d, over=None, rows=None):
         """Numeric matrix of self (x) X in degree d, X = R or the graded
-        module `over`.  Generator g carries X_{d - g}; block (c, b) is the
-        piece of column b on c, in R_e, acting on X_{d - g_b}.  Each pair of
-        generator degrees takes one exact product of its stacked pieces with
-        X's stack (`ring.mult_maps` or `over.action_matrix`) at (e, d - g);
-        a scalar piece (e = 0) is the scalar times the identity."""
+        module `over`, or its rows `rows` only, in that order.  Generator g
+        carries X_{d - g}; block (c, b) is the piece of column b on c, in
+        R_e, acting on X_{d - g_b}.  Each pair of generator degrees takes
+        one exact product of its stacked pieces with X's stack
+        (`ring.mult_maps` or `over.action_matrix`) at (e, d - g); a scalar
+        piece (e = 0) is the scalar times the identity.  The rows of a
+        component of more than `_GATHER_MIN_CELLS` cells form no product:
+        `_gather` meets each row's pieces with X's nonzeros on that row."""
         ring, tw = self.ring, self.twist
         space, acts = (ring, ring.mult_maps) if over is None else (over, over.action_matrix)
         soffs = component_offsets(space, self.source_degrees, d)
         toffs = component_offsets(space, self.target_degrees, d + tw)
-        mat = zeros(toffs[-1], soffs[-1])
-        if not mat.size:
-            return mat
+        gather = rows is not None and toffs[-1] * soffs[-1] > _GATHER_MIN_CELLS
+        mat = zeros(len(rows) if gather else toffs[-1], soffs[-1])
+        if gather:
+            rows = np.asarray(rows, dtype=np.intp)
+            on = np.searchsorted(toffs, rows, "right") - 1  # each row's target generator
+            by_gen = on.argsort(kind="stable")
+            picked = (rows, by_gen, on[by_gen], np.array(toffs), np.array(soffs))
         for g, groups in self._groups.items():
             cols = space.dim(d - g)
             for h, bs, cs, stack in groups:
-                e, rows = g + tw - h, space.dim(d + tw - h)
-                if not (cols and rows):
+                e, size = g + tw - h, space.dim(d + tw - h)
+                if not (cols and size):
                     continue
-                if e == 0:  # R_0 = k acts as the scalar
-                    prod = stack[:, :, None] * identity(cols)
-                else:
-                    prod = matmul(stack, acts(e, d - g).reshape(stack.shape[1], rows * cols),
-                                  ring.char).reshape(len(bs), rows, cols)
+                mults = identity(cols)[None] if e == 0 else acts(e, d - g)  # R_0 = k
+                if gather:
+                    _gather(mat, picked, bs, cs, stack, mults, ring.char)
+                    continue
+                prod = (stack[:, :, None] * mults if e == 0 else matmul(
+                    stack, mults.reshape(-1, size * cols), ring.char).reshape(len(bs), size, cols))
                 for k, (b, c) in enumerate(zip(bs.tolist(), cs.tolist())):
-                    mat[toffs[c]:toffs[c] + rows, soffs[b]:soffs[b] + cols] = prod[k]
-        return mat
+                    mat[toffs[c]:toffs[c] + size, soffs[b]:soffs[b] + cols] = prod[k]
+        return mat if gather or rows is None else mat[rows]
 
     def compose(self, other):
         """self after other (source of self = target of other), degree by

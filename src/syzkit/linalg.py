@@ -9,7 +9,8 @@ while k (p-1)^2 < 2^53, so one `@` and one reduction mod p in int64
 suffice.  Otherwise the operand with fewer entries is split into 16-bit
 limbs x = hi * 2^16 + lo; a limb times a residue is below 2^47, so the
 inner dimension is summed in chunks of 64, and two products (not four)
-are recombined mod p in int64.  Operands must be reduced (0 <= entry < p).
+are recombined mod p in int64, in place, so that at most two arrays of
+the output's size are alive.  Operands must be reduced (0 <= entry < p).
 
 Elimination runs in two loops.  `_eliminate` gives the RREF: rows at and
 below the current pivot row are zero left of the pivot column, so each
@@ -123,7 +124,8 @@ def matmul(a, b, p):
     flip = a.size > b.size
     small, whole = (b.T, a.T) if flip else (a, b)
     whole, bound = whole.astype(np.float64), _LIMB_MASK * (p - 1)
-    out = _product_mod((small >> 16).astype(np.float64), whole, p, bound) << 16
+    out = _product_mod((small >> 16).astype(np.float64), whole, p, bound)
+    out <<= 16
     out += _product_mod((small & _LIMB_MASK).astype(np.float64), whole, p, bound)
     out %= p
     return out.T.copy() if flip else out

@@ -27,8 +27,10 @@ d o d = 0 the next differential maps into ker_d, and on the free rows its
 degree-d matrix is [A | E], as in La Scala & Stillman (J. Symb. Comp.
 1998): A holds the columns of the generators below d, which span
 (m * ker)_d = R_1 * ker_{d-1} because R is generated in degree 1, and E
-the identity columns of the new generators.  So one elimination of A per
-degree serves two steps, and it need only find A's pivots.  The same A
+the identity columns of the new generators.  A is built on the free rows
+alone (`FreeMap.induced(d, rows=free)`), never as a whole component of the
+map.  So one elimination of A per degree serves two steps, and it need
+only find A's pivots.  The same A
 comes back, in later degrees where the degree tables of R repeat and in
 later steps once a resolution over a hypersurface turns periodic
 (Eisenbud, Trans. AMS 1980), so `resolve` keeps A's free columns by A's
@@ -38,10 +40,10 @@ nothing is new; otherwise the generators are the columns of the identity
 that extend A, the same columns that extending inside the whole component
 would pick.  The next step receives A's free columns in a `Handover`: E
 is independent of A, so they are the free columns of [A | E], and its
-null space is A's with zero rows below.  It still builds its own matrix
-on those rows and checks that it is [A | E] exactly, and then that by
-exactness it has full rank there (degrees the previous step did not scan
-use the whole matrix).  It needs kernel vectors only for the generators
+null space is A's with zero rows below.  It still builds its own matrix,
+on those rows only, and checks that it is [A | E] exactly, its nonzeros
+A's packed entries and E's 1s, and then that by exactness it has full
+rank there (degrees the previous step did not scan use the whole matrix).  It needs kernel vectors only for the generators
 it picks, so only in those degrees is A reduced to its RREF, whose null
 space is unique: the vectors are the ones a whole elimination of [A | E]
 gives.
@@ -128,10 +130,12 @@ class Handover:
     free: list
 
     def check(self, mat, d):
-        """Raise unless mat is [A | E] exactly."""
-        e = zeros(self.block[0][0], len(self.new))
-        e[self.new, range(len(self.new))] = 1
-        if not np.array_equal(mat, np.concatenate([unpack(self.block), e], axis=1)):
+        """Raise unless mat, on `rows`, is [A | E]: A's packed entries, E's 1s and no other."""
+        (height, width), at, values = self.block
+        new = len(self.new)
+        if not (mat.shape == (height, width + new) and np.count_nonzero(mat) == len(at) + new
+                and (mat[np.divmod(at, width)] == values).all()
+                and (mat[self.new, range(width, width + new)] == 1).all()):
             raise SyzkitError(f"internal error: next matrix differs from the handed block "
                               f"in degree {d}")
 
@@ -143,18 +147,18 @@ class Handover:
         return np.concatenate([basis, zeros(len(self.new), basis.shape[1])])
 
 
-def _kernel(mat, handed, src_dim, d, p):
-    """(free rows of ker_d, a function that returns ker_d) for the
-    degree-d matrix mat, on the rows of the previous step's Handover when
-    there is one; a helper, so that mat is dropped before the next map's
-    block is built."""
+def _kernel(matrix_at, handed, src_dim, d, p):
+    """(free rows of ker_d, a function that returns ker_d) for the degree-d
+    matrix of matrix_at, on the rows of the previous step's Handover if any;
+    a helper, so that the matrix is dropped before A is built."""
+    mat = matrix_at(d) if handed is None else matrix_at(d, rows=handed.rows)
     if mat.shape[1] != src_dim:
         raise SyzkitError(f"internal error: {mat.shape[1]} columns in degree {d}, "
                           f"not {src_dim}")
     if handed is None:
         kd, free = _null_space(mat, p)
         return free, lambda: kd
-    handed.check(mat[handed.rows], d)
+    handed.check(mat, d)
     if src_dim - len(handed.free) != len(handed.rows):
         raise SyzkitError(f"internal error: syzygy step is not exact in degree {d}")
     return handed.free, partial(handed.null_space, p)
@@ -186,10 +190,10 @@ def kernel_generators(ring, src_degs, matrix_at, low, rows=None, eliminated=None
         # minimality: kernel sits inside m * F, so skip degrees where that is 0
         if not src_dim or not any(d - g >= 1 and ring.dim(d - g) > 0 for g in src_degs):
             continue
-        free, kernel = _kernel(matrix_at(d), rows.get(d), src_dim, d, p)
+        free, kernel = _kernel(matrix_at, rows.get(d), src_dim, d, p)
         # A spans (m * ker)_d = R_1 * ker_{d-1} on the free rows, where
         # v -> v[free] is injective on ker_d (the identity there)
-        a = zeros(len(free), 0) if nxt is None else nxt.induced(d)[free]
+        a = zeros(len(free), 0) if nxt is None else nxt.induced(d, rows=free)
         block = pack(a)
         # blocks repeat, in later degrees and in later steps: one elimination each
         key = (block[0], block[1].tobytes(), block[2].tobytes())

@@ -505,3 +505,16 @@ def test_construct_memory_peak(monkeypatch, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak < 2.0 * 2**20
+
+
+def test_a_degree_bound_below_one_is_refused_by_the_parser():
+    # the bound given on the command line is refused as the option's own
+    # error, not blamed on the ring file, which names a valid bound
+    for args in (["resolve", "fixtures/ci2_k.module", "--degree-bound", "0"],
+                 ["period", "fixtures/period2.complex", "--degree-bound", "0"],
+                 ["resolve", "fixtures/ci2_k.module", "--degree-bound", "-3"]):
+        out = run_cli(*args)
+        assert out.returncode == 2, out.stderr
+        assert f"argument --degree-bound: must be >= 1, got {args[-1]}" in out.stderr
+        assert "parse error" not in out.stderr and ".ring" not in out.stderr
+        assert "Traceback" not in out.stderr and out.stdout == ""

@@ -638,3 +638,45 @@ def test_act_matches_a_python_integer_reference(p):
                 assert got.tolist() == want, (name, a, e)
                 checked += bool(got.any())
     assert checked > 20
+
+
+def _row_selections(n, gen):
+    """Empty, every row, a sorted half and every row in a shuffled order."""
+    return [[], list(range(n)), sorted(gen.choice(n, n // 2, replace=False).tolist()),
+            gen.permutation(n).tolist()]
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_induced_on_rows_is_those_rows_of_the_whole_component(p, monkeypatch):
+    # induced(d, over, rows) is induced(d, over)[rows], over R and over a
+    # module (R itself, and R/(x, y)), for empty, full, sorted and unsorted
+    # selections; with maps with scalar pieces (sample_map, twist 0) and the
+    # differentials of a resolution, whose components lie on both sides of
+    # the size above which rows are gathered, and again with every
+    # selection gathered
+    from syzkit import freemod
+    from syzkit.modules import free_module, module_from_strings, residue_field
+    from syzkit.resolutions import resolve
+
+    gen = np.random.default_rng(p % 1000)
+    small = ring_from_strings(p, ["x", "y", "z"], ["x*y - z^2"], degree_bound=8)
+    names = ["x", "y", "z", "w"]
+    quadric = " + ".join(f"{c}*{u}*{v}" for c, (u, v) in zip(
+        [1, 2, 3, 5, 7, 11, 13, 17, 19, 23], [(u, v) for i, u in enumerate(names) for v in names[i:]]))
+    ring = ring_from_strings(p, names, [quadric], degree_bound=10)
+    res = resolve(residue_field(ring), 4)
+    maps = [(small, sample_map(small, t, seed=p % 97 + t)) for t in (0, 1, -1)]
+    maps += [(ring, res.diffs[i]) for i in range(1, 5)]
+    sides = set()
+    for limit in (freemod._GATHER_MIN_CELLS, 0):
+        monkeypatch.setattr(freemod, "_GATHER_MIN_CELLS", limit)
+        for r, fmap in maps:
+            for over in (None, free_module(r), module_from_strings(r, [0], [["x"], ["y"]])):
+                for d in range(-1, 7 if r is small else 9):
+                    whole = fmap.induced(d, over)
+                    sides.add((over is None, whole.size > freemod._GATHER_MIN_CELLS))
+                    for rows in _row_selections(whole.shape[0], gen):
+                        got = fmap.induced(d, over, rows=rows)
+                        assert got.shape == (len(rows), whole.shape[1])
+                        assert np.array_equal(got, whole[rows]), (limit, d, rows)
+    assert sides == {(True, True), (True, False), (False, True), (False, False)}

@@ -672,4 +672,4 @@ def test_tor_ext_and_complex_homology_check_d_squared(p):
     with pytest.raises(SyzkitError, match="not a complex"):
         ext_basis(m, free, 1, res=bad)
     with pytest.raises(SyzkitError, match="not a complex"):
-        FreeComplex(r, bad.gens, bad.diffs).homology_dim(1, 2)
+        FreeComplex(r, bad.gens, bad.diffs).homology().dim(1, 2)

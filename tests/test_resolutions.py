@@ -646,6 +646,84 @@ def test_kernel_generators_refuse_a_changed_block(where):
         kernel_generators(r, res.gens[3], res.diffs[3].induced, 0, rows)
 
 
+@pytest.mark.parametrize("p", [3, 32003, P31])
+@pytest.mark.parametrize("where", ["A changed", "A missing", "E extra", "E moved"])
+def test_handover_check_refuses_a_planted_mismatch(p, where):
+    # the check compares the packed entries of A and E's unit entries with
+    # the next matrix on the handed rows; one planted change in that matrix
+    # (a value of A, an entry of A set to 0, a nonzero added in a column of
+    # E, E's 1 moved to another row) is refused with the check's message
+    from syzkit.resolutions import kernel_generators
+
+    r = _handover_ring(p, "hypersurface", 7 + p % 97)
+    res = resolve(residue_field(r), 4)
+    _, _, rows = kernel_generators(r, res.gens[2], res.diffs[2].induced, 0)
+    # a degree where A has an entry, or where the step picked generators
+    d = min(d for d, h in rows.items() if (h.block[1].size if where[0] == "A" else h.new))
+    handed = rows[d]
+    mat = res.diffs[3].induced(d, rows=handed.rows)
+    handed.check(mat, d)  # the unchanged matrix passes
+    (height, width), at, values = handed.block
+    if where[0] == "A":
+        i, j = divmod(int(at[0]), width)
+        mat[i, j] = 0 if where == "A missing" else values[0] % (p - 1) + 1
+    else:  # E's first column, whose 1 sits on row new[0]
+        one = handed.new[0]
+        if where == "E moved":
+            mat[one, width] = 0
+        mat[min(set(range(height)) - {one}), width] = 1
+    with pytest.raises(SyzkitError, match=f"differs from the handed block in degree {d}$"):
+        handed.check(mat, d)
+
+
+def test_a_step_builds_its_matrices_on_the_handed_rows_only(monkeypatch):
+    # k over F_32003[x,y,z,w]/(xy - zw) at window 6, with FreeMap.induced
+    # wrapped inside each syzygy step: wherever step i handed over rows in
+    # degree d, step i's A and step i+1's matrix are built on exactly those
+    # rows, and a whole component only in degrees step i did not scan
+    from syzkit import resolutions
+
+    r = ring_from_strings(32003, ["x", "y", "z", "w"], ["x*y - z*w"], degree_bound=10)
+    calls, handovers = [], []
+    induced, kernel_generators = FreeMap.induced, resolutions.kernel_generators
+
+    def wrapped(self, d, over=None, rows=None):
+        mat = induced(self, d, over, rows)
+        calls[-1].append((self, d, None if rows is None else list(rows), mat.shape[0]))
+        return mat
+
+    def step(*args, **kwargs):
+        calls.append([])
+        out = kernel_generators(*args, **kwargs)
+        handovers.append(out[2])
+        return out
+
+    calls.append([])  # calls before the first step
+    monkeypatch.setattr(FreeMap, "induced", wrapped)
+    monkeypatch.setattr(resolutions, "kernel_generators", step)
+    m = residue_field(r)
+    res = resolve(m, 6)
+    monkeypatch.undo()
+    assert res.betti() == [1, 4, 7, 8, 8, 8, 8]
+    step_of = {res.gens[i - 1]: i for i in range(1, 7)}  # maps of step i go into F_{i-1}
+    assert len(step_of) == 6 and len(handovers) == 6
+    seen = {"A": 0, "next": 0}
+    for c, made in enumerate(calls[1:], 1):
+        for fmap, d, rows, height in made:
+            if fmap is res.cover or fmap is m.relations:  # step 1 reads M through them
+                assert c == 1 and rows is None
+                continue
+            i = step_of[fmap.target_degrees]
+            assert i in (c, c - 1)
+            handed = handovers[i - 1].get(d)
+            if handed is None:  # a degree step i did not scan
+                assert i == c - 1 and rows is None
+            else:
+                assert rows == list(handed.rows) and height == len(handed.rows)
+                seen["A" if i == c else "next"] += 1
+    assert min(seen.values()) > 0, seen
+
+
 def _resolve_counting_blocks(m, steps, monkeypatch):
     """resolve(m, steps), with the content of every block A that a syzygy
     step packs and of every block it eliminates to its pivots, in order."""

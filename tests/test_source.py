@@ -287,15 +287,16 @@ def _called(node):
 
 def test_one_linear_solve_and_one_homology_per_complex():
     # linalg.solve_many is the one linear solve, and a complex's homology
-    # question reads one modules.Homology: no per-degree total builds a
-    # fresh one for every degree
+    # question reads one modules.Homology: no per-degree total or dimension
+    # (homology_total, homology_dim) builds a fresh one for every degree
     from syzkit import linalg
     from syzkit.complexes import FreeComplex
 
-    assert not hasattr(linalg, "solve") and not hasattr(FreeComplex, "homology_total")
+    assert not hasattr(linalg, "solve")
+    assert not hasattr(FreeComplex, "homology_total") and not hasattr(FreeComplex, "homology_dim")
     found = [f"{p.name}:{node.lineno}" for p, tree in _package_trees()
-             for node in ast.walk(tree)
-             if isinstance(node, ast.FunctionDef) and node.name in ("solve", "homology_total")]
+             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+             and node.name in ("solve", "homology_total", "homology_dim")]
     assert found == []
     path = Path(syzkit.__file__).parent / "complexes.py"
     cls, = [top for top in ast.parse(path.read_text()).body
@@ -420,3 +421,19 @@ def test_one_builder_of_a_differential_matrix():
              for node in ast.walk(tree)
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in gone]
     assert found == []
+
+
+def test_the_syzygy_step_builds_only_the_rows_it_reads():
+    # A and the next step's matrix are built on the handed rows through
+    # FreeMap.induced(d, rows=...): no induced (or matrix_at) result is
+    # sliced by rows after a whole component was built
+    path = Path(syzkit.__file__).parent / "resolutions.py"
+    found = [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call)
+             and _called(node.value) in ("induced", "matrix_at")]
+    assert found == []
+    fn, = [top for top in ast.parse(path.read_text()).body
+           if getattr(top, "name", None) == "kernel_generators"]
+    rows = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and _called(node) == "induced" and [k.arg for k in node.keywords] == ["rows"]]
+    assert len(rows) == 1
