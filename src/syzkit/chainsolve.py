@@ -31,7 +31,7 @@ import numpy as np
 from . import freemod
 from .complexes import ChainMap
 from .errors import SyzkitError
-from .linalg import kernel_basis, matvec
+from .linalg import kernel_basis, seeded_combinations
 
 COMBINATIONS = 64  # seeded combinations of a solution basis tried after its vectors
 
@@ -153,12 +153,7 @@ def candidate_solutions(basis, p, seed=0):
     for i in range(n):
         yield basis[:, i]
     if n >= 2:
-        rng = np.random.default_rng(seed)
-        for _ in range(COMBINATIONS):
-            coeffs = rng.integers(0, p, size=n)
-            if not coeffs.any():
-                continue
-            yield matvec(basis, coeffs, p)
+        yield from seeded_combinations(basis, p, np.random.default_rng(seed), COMBINATIONS)
 
 
 def scalar_block_coordinates(unknowns, j):

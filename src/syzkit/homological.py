@@ -31,7 +31,7 @@ import numpy as np
 
 from . import freemod
 from .errors import SyzkitError, WindowError
-from .linalg import matvec
+from .linalg import matvec, seeded_combinations
 from .modules import (
     GradedModule,
     Homology,
@@ -331,18 +331,12 @@ def reduction_search(m, max_degree=3, window=10, seed=0):
             for w, group in sorted(by_degree.items()):
                 if len(group) < 2:
                     continue
-                for _ in range(REDUCTION_COMBINATIONS // max(1, len(by_degree))):
-                    coeffs = rng.integers(0, m.ring.char, size=len(group))
-                    if not coeffs.any():
-                        continue
-                    vals = [
-                        matvec(np.stack([cls.values[b] for cls in group], axis=1), coeffs,
-                               m.ring.char)
-                        for b in range(len(group[0].values))
-                    ]
-                    candidates.append(
-                        ExtClass(t, w, vals, current, current, res)
-                    )
+                # one combination of the classes' values, split at the generators of F_t
+                ends = np.cumsum([len(v) for v in group[0].values])[:-1]
+                basis = np.stack([np.concatenate(cls.values) for cls in group], axis=1)
+                for vals in seeded_combinations(basis, m.ring.char, rng,
+                                                REDUCTION_COMBINATIONS // max(1, len(by_degree))):
+                    candidates.append(ExtClass(t, w, np.split(vals, ends), current, current, res))
             for cand in candidates:
                 try:
                     push = pushout_extension(cand)

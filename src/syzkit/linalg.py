@@ -18,15 +18,19 @@ step scales and updates only the columns from the pivot onward; and when
 at most half of those are nonzero in the pivot row (resolution matrices
 are 1-4% dense), only those, since subtracting a multiple of zero changes
 nothing.  The touched rows are gathered and scattered there through flat
-indices, with the same result.  Matrices of at most `_SPARSE_MIN_CELLS`
-cells skip that pattern work.  `_pivot_columns` serves the callers that
-read only the pivots (`free_columns`, `extend_basis` and `rank`'s core),
-and neither swaps, scales nor clears above: one `nonzero()` of column c
-gives its nonzero rows, the first is the pivot row, the others are
-cleared with the multipliers a[t, c] / a[r, c], and the pivot row is then
-zeroed.  Every row is zero left of c at step c, so zeroing the pivot row
-only sets it aside, as a swap to the top would: the pivots are an
-echelon's, and the column rank profile, which is unique, is the RREF's.
+indices, with the same result (`_subtract`, which both loops call).
+Matrices of at most `_SPARSE_MIN_CELLS` cells skip that pattern work.
+`_pivot_columns` serves the callers that read only the pivots, and
+neither swaps, scales nor clears above: one `nonzero()` of column c gives
+its nonzero rows, the last is the pivot row, the others are cleared with
+the multipliers a[t, c] / a[r, c], and the pivot row is then zeroed.
+Every row is zero left of c at step c, so zeroing the pivot row only sets
+it aside, as a swap would: the pivots are an echelon's, and the column
+rank profile, which is unique, is the RREF's.  Clearing earlier rows with
+later ones keeps each vector's last nonzero, so the pivot rows are where
+the vectors of span(A) end, and the rows left, which it returns too, are
+the t with e_t outside span(A) + span(e_0..e_{t-1}): the identity columns
+that extend the span, as `extend_basis(A, I)` picks them.
 `rref_stack` gives the RREF of rows stacked under rows that already have
 unit leads in distinct columns, and eliminates only what those rows
 leave over.
@@ -135,6 +139,37 @@ def matvec(a, v, p):
     return matmul(a, v.reshape(-1, 1), p)[:, 0]
 
 
+def seeded_combinations(basis, p, rng, count):
+    """basis @ c mod p for each of count draws c = rng.integers(0, p), one
+    per column, in draw order, skipping the draws that are 0."""
+    for _ in range(count):
+        coeffs = rng.integers(0, p, size=basis.shape[1])
+        if coeffs.any():
+            yield matvec(basis, coeffs, p)
+
+
+def _pivot_row(a, r, c):
+    """Where pivot row r is worked on from column c: its nonzero columns,
+    when a has more than `_SPARSE_MIN_CELLS` cells and at most half of them
+    are nonzero, else the slice c:."""
+    if a.size > _SPARSE_MIN_CELLS:
+        live = a[r, c:].nonzero()[0] + c
+        if 2 * live.size <= a.shape[1] - c:
+            return live
+    return slice(c, None)
+
+
+def _subtract(a, r, touched, f, at, p):
+    """a[touched, at] -= f * a[r, at] mod p, f a column of multipliers;
+    columns `at` are gathered and scattered through flat indices."""
+    if isinstance(at, slice):
+        a[touched, at] = (a[touched, at] - f * a[r, at]) % p
+    else:
+        flat = a.reshape(-1)  # a view: a is C-contiguous
+        cells = (touched * a.shape[1])[:, None] + at
+        flat[cells] = (flat[cells] - f * a[r, at]) % p
+
+
 def _eliminate(mat, p):
     """Gauss-Jordan elimination mod p; returns (the RREF of mat, pivot_columns).
 
@@ -143,9 +178,7 @@ def _eliminate(mat, p):
     column, so every step touches only the columns from the pivot onward.
     """
     a = np.mod(mat, p, dtype=np.int64, order="C")
-    flat = a.reshape(-1)  # a view: a is C-contiguous
     rows, cols = a.shape
-    big = a.size > _SPARSE_MIN_CELLS
     pivots = []
     r = 0
     for c in range(cols):
@@ -157,38 +190,27 @@ def _eliminate(mat, p):
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr], c:] = a[[pr, r], c:]
-        row = a[r, c:]
-        # on a sparse pivot row, scale and update its nonzero columns only
-        live = row.nonzero()[0] if big else None
-        sparse = live is not None and 2 * live.size <= row.size
-        inv = pow(int(row[0]), -1, p)
+        at = _pivot_row(a, r, c)
+        inv = pow(int(a[r, c]), -1, p)
         if inv != 1:
-            if sparse:
-                row[live] = row[live] * inv % p
-            else:
-                row[:] = row * inv % p
+            a[r, at] = a[r, at] * inv % p
         col = a[:, c].copy()
         col[r] = 0
         touched = col.nonzero()[0]
         if touched.size:
-            f = col[touched, None]
-            if sparse:
-                at = (touched * cols)[:, None] + (live + c)
-                flat[at] = (flat[at] - f * row[live]) % p
-            else:
-                a[touched, c:] = (a[touched, c:] - f * row) % p
+            _subtract(a, r, touched, col[touched, None], at, p)
         pivots.append(c)
         r += 1
     return a, pivots
 
 
 def _pivot_columns(mat, p):
-    """The pivot columns of mat mod p, leftmost-first, by an echelon that
-    neither swaps, scales nor clears above (see the module docstring)."""
+    """(the pivot columns of mat mod p, leftmost-first; the rows that carry
+    no pivot, ascending), by an echelon that takes the last nonzero row of
+    each column as its pivot row (see the module docstring)."""
     a = np.mod(mat, p, dtype=np.int64, order="C")
-    flat = a.reshape(-1)  # a view: a is C-contiguous
     rows, cols = a.shape
-    big = a.size > _SPARSE_MIN_CELLS
+    left = [True] * rows
     pivots = []
     for c in range(cols):
         if len(pivots) == rows:  # every row has been a pivot row: a is zero
@@ -196,20 +218,14 @@ def _pivot_columns(mat, p):
         nz = a[:, c].nonzero()[0]
         if not nz.size:
             continue
-        r, touched = nz[0], nz[1:]
+        r, touched = nz[-1], nz[:-1]
         if touched.size:
-            row = a[r, c:]
-            f = a[touched, c] * pow(int(row[0]), -1, p) % p
-            # on a sparse pivot row, update its nonzero columns only
-            live = row.nonzero()[0] if big else None
-            if live is not None and 2 * live.size <= row.size:
-                at = (touched * cols)[:, None] + (live + c)
-                flat[at] = (flat[at] - f[:, None] * row[live]) % p
-            else:
-                a[touched, c:] = (a[touched, c:] - f[:, None] * row) % p
+            f = a[touched, c] * pow(int(a[r, c]), -1, p) % p
+            _subtract(a, r, touched, f[:, None], _pivot_row(a, r, c), p)
         a[r, c:] = 0
+        left[r] = False
         pivots.append(c)
-    return pivots
+    return pivots, [t for t in range(rows) if left[t]]
 
 
 def rref(mat, p):
@@ -291,7 +307,7 @@ def rank(mat, p):
     """Rank mod p: structural pivots peeled off the nonzero pattern, then
     `_pivot_columns` on the core that is left (see the module docstring)."""
     if np.size(mat) <= _PEEL_MIN_CELLS:
-        return len(_pivot_columns(mat, p))
+        return len(_pivot_columns(mat, p)[0])
     a = np.asarray(mat, dtype=np.int64) % p
     nz = a != 0
     row_count, col_count = nz.sum(axis=1), nz.sum(axis=0)
@@ -308,7 +324,7 @@ def rank(mat, p):
     core_rows, core_cols = np.flatnonzero(row_count), np.flatnonzero(col_count)
     if not core_rows.size:
         return rk
-    return rk + len(_pivot_columns(a[np.ix_(core_rows, core_cols)], p))
+    return rk + len(_pivot_columns(a[np.ix_(core_rows, core_cols)], p)[0])
 
 
 def _non_pivots(n, pivots):
@@ -321,35 +337,31 @@ def free_columns(mat, p):
     """The columns of mat that carry no pivot, ascending: the free columns
     of rref(mat), read off `_pivot_columns` (the column rank profile is
     the RREF's)."""
-    return _non_pivots(np.shape(mat)[1], _pivot_columns(mat, p))
+    return _non_pivots(np.shape(mat)[1], _pivot_columns(mat, p)[0])
 
 
 def _null_space(mat, p):
     """(basis, free): the columns of basis span the right null space of mat,
     and basis[free] is the identity (`rref_null_space` of rref(mat))."""
-    return rref_null_space(*rref(mat, p), p)
-
-
-def rref_null_space(r, pivots, rk, p):
-    """(basis, free) from an RREF (R, pivot_columns, rank): the columns of
-    basis span the right null space of R, and basis[free] is the identity.
-
-    free lists the non-pivot columns; the column for free column j has 1
-    at j and -R[i, j] at the i-th pivot column.
-    """
+    r, pivots, _ = rref(mat, p)
     free = _non_pivots(r.shape[1], pivots)
-    basis = zeros(r.shape[1], len(free))
+    return rref_null_space(r, pivots, free, r.shape[1], p), free
+
+
+def rref_null_space(r, pivots, free, width, p):
+    """The null vectors of an RREF R with pivot columns `pivots` for the
+    non-pivot columns `free`, as the columns of a width x len(free) matrix:
+    the one for free column j has 1 at j, -R[i, j] at the i-th pivot column
+    and 0 elsewhere.  Given every non-pivot column, a basis of R's kernel."""
+    basis = zeros(width, len(free))
     basis[free, range(len(free))] = 1
-    basis[pivots] = -r[:rk, free] % p
-    return basis, free
+    basis[pivots] = -r[:len(pivots), free] % p
+    return basis
 
 
 def kernel_basis(mat, p):
-    """Columns form a basis of the right null space.
-
-    Deterministic standard-basis completion: each non-pivot column j
-    yields the vector with 1 at j and -R[i, j] at pivot column i.
-    """
+    """Columns form a basis of the right null space: `rref_null_space` for
+    every non-pivot column of rref(mat)."""
     return _null_space(mat, p)[0]
 
 
@@ -411,5 +423,5 @@ def extend_basis(span, candidates, p):
         stacked = candidates
     else:
         stacked = np.concatenate([span, candidates], axis=1)
-    pivots = _pivot_columns(stacked, p)
+    pivots = _pivot_columns(stacked, p)[0]
     return [c - n0 for c in pivots if c >= n0]

@@ -30,23 +30,24 @@ degree-d matrix is [A | E], as in La Scala & Stillman (J. Symb. Comp.
 the identity columns of the new generators.  A is built on the free rows
 alone (`FreeMap.induced(d, rows=free)`), never as a whole component of the
 map.  So one elimination of A per degree serves two steps, and it need
-only find A's pivots.  The same A
-comes back, in later degrees where the degree tables of R repeat and in
-later steps once a resolution over a hypersurface turns periodic
-(Eisenbud, Trans. AMS 1980), so `resolve` keeps A's free columns by A's
-exact content and eliminates each distinct block once.  This step
-reads its generators off A's rank: when it is the number of free rows
-nothing is new; otherwise the generators are the columns of the identity
-that extend A, the same columns that extending inside the whole component
-would pick.  The next step receives A's free columns in a `Handover`: E
-is independent of A, so they are the free columns of [A | E], and its
-null space is A's with zero rows below.  It still builds its own matrix,
-on those rows only, and checks that it is [A | E] exactly, its nonzeros
-A's packed entries and E's 1s, and then that by exactness it has full
-rank there (degrees the previous step did not scan use the whole matrix).  It needs kernel vectors only for the generators
-it picks, so only in those degrees is A reduced to its RREF, whose null
-space is unique: the vectors are the ones a whole elimination of [A | E]
-gives.
+only find A's pivots, with the last nonzero row of each column as its
+pivot row (`linalg._pivot_columns`).  The same A comes back, in later
+degrees where the degree tables of R repeat and in later steps once a
+resolution over a hypersurface turns periodic (Eisenbud, Trans. AMS 1980),
+so `resolve` keeps A's free columns and the rows no pivot used by A's
+exact content, and eliminates each distinct block once.  Those rows are
+the new generators: the columns of the identity that extend A, the same
+columns that extending inside the whole component would pick.  The next
+step receives A's free columns in a `Handover`: E is independent of A, so
+they are the free columns of [A | E], and its null space is A's with zero
+rows for E.  It still builds its own matrix, on those rows only, and
+checks that it is [A | E] exactly, its nonzeros A's packed entries and
+E's 1s, and then that by exactness it has full rank there (degrees the
+previous step did not scan reduce the whole matrix).  It needs kernel
+vectors only for the generators it picks, so only in those degrees is a
+handed A reduced to its RREF, and each vector is built from its own column
+of the reduced rows (`linalg.rref_null_space`), as a whole elimination of
+[A | E] would give it.
 
 Completeness of a kernel is certified, not assumed, by the ring's degree
 window (`rings.TruncatedQuotientRing.degree_window`), counted in ring
@@ -75,7 +76,6 @@ certificate.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -84,7 +84,7 @@ from . import freemod
 from .chainsolve import certify_periodicity
 from .complexes import FreeComplex, coker_module
 from .errors import SyzkitError, WindowError
-from .linalg import _null_space, extend_basis, free_columns, identity, matmul, pack, unpack, zeros
+from .linalg import _non_pivots, _pivot_columns, matmul, pack, rref, rref_null_space, unpack, zeros
 from .modules import ModuleMap
 
 
@@ -139,29 +139,23 @@ class Handover:
             raise SyzkitError(f"internal error: next matrix differs from the handed block "
                               f"in degree {d}")
 
-    def null_space(self, p):
-        """The null space of [A | E], with the identity on `free`: E is
-        independent of A, so it is A's RREF null space with zero rows for
-        E.  Step i+1 takes it only where it picks generators."""
-        basis = _null_space(unpack(self.block), p)[0]
-        return np.concatenate([basis, zeros(len(self.new), basis.shape[1])])
-
 
 def _kernel(matrix_at, handed, src_dim, d, p):
-    """(free rows of ker_d, a function that returns ker_d) for the degree-d
-    matrix of matrix_at, on the rows of the previous step's Handover if any;
-    a helper, so that the matrix is dropped before A is built."""
+    """(free rows of ker_d, (RREF, pivot columns) of the degree-d matrix of
+    matrix_at), or (the handed free columns, None) on the rows of the
+    previous step's Handover; a helper, so that the matrix is dropped
+    before A is built."""
     mat = matrix_at(d) if handed is None else matrix_at(d, rows=handed.rows)
     if mat.shape[1] != src_dim:
         raise SyzkitError(f"internal error: {mat.shape[1]} columns in degree {d}, "
                           f"not {src_dim}")
     if handed is None:
-        kd, free = _null_space(mat, p)
-        return free, lambda: kd
+        r, pivots, _ = rref(mat, p)
+        return _non_pivots(src_dim, pivots), (r, pivots)
     handed.check(mat, d)
     if src_dim - len(handed.free) != len(handed.rows):
         raise SyzkitError(f"internal error: syzygy step is not exact in degree {d}")
-    return handed.free, partial(handed.null_space, p)
+    return handed.free, None
 
 
 def kernel_generators(ring, src_degs, matrix_at, low, rows=None, eliminated=None):
@@ -173,11 +167,12 @@ def kernel_generators(ring, src_degs, matrix_at, low, rows=None, eliminated=None
     for a resolution), which anchors the degree window.  rows, when given,
     maps d to the previous step's `Handover`; eliminated, when given, maps
     the content of a block A (shape and the bytes of its `linalg.pack`
-    indices and values, so a hit is exact) to A's free columns, and is
-    shared by the steps of one resolution.  Returns (the next map, from
-    the generators into src_degs, or None when there are none; the top
-    degree scanned; this step's `Handover` by degree).  Each degree's new
-    generators join the map as the records of their kernel vectors.
+    indices and values, so a hit is exact) to A's free columns and the rows
+    no pivot used, and is shared by the steps of one resolution.  Returns
+    (the next map, from the generators into src_degs, or None when there
+    are none; the top degree scanned; this step's `Handover` by degree).
+    Each degree's new generators join the map as the records of their
+    kernel vectors.
     """
     p = ring.char
     window = ring.degree_window(low, max(src_degs))
@@ -190,29 +185,30 @@ def kernel_generators(ring, src_degs, matrix_at, low, rows=None, eliminated=None
         # minimality: kernel sits inside m * F, so skip degrees where that is 0
         if not src_dim or not any(d - g >= 1 and ring.dim(d - g) > 0 for g in src_degs):
             continue
-        free, kernel = _kernel(matrix_at, rows.get(d), src_dim, d, p)
+        free, echelon = _kernel(matrix_at, rows.get(d), src_dim, d, p)
         # A spans (m * ker)_d = R_1 * ker_{d-1} on the free rows, where
         # v -> v[free] is injective on ker_d (the identity there)
         a = zeros(len(free), 0) if nxt is None else nxt.induced(d, rows=free)
         block = pack(a)
-        # blocks repeat, in later degrees and in later steps: one elimination each
+        # blocks repeat, in later degrees and in later steps: one elimination
+        # each gives A's free columns and the rows no pivot used, the new ones
         key = (block[0], block[1].tobytes(), block[2].tobytes())
         if key not in eliminated:
-            eliminated[key] = free_columns(a, p)
-        a_free = eliminated[key]
-        rk = a.shape[1] - len(a_free)
-        chosen = []
-        if rk < len(free):  # rk = 0: A is zero, so every kernel vector is new
-            chosen = extend_basis(a, identity(len(free)), p) if rk else list(range(len(free)))
+            pivots, left = _pivot_columns(a, p)
+            eliminated[key] = _non_pivots(a.shape[1], pivots), left
+        a_free, chosen = eliminated[key]
         if chosen:
             window.certify(d)
-            new = freemod.FreeMap.from_dense(ring, [d] * len(chosen), src_degs,
-                                             kernel()[:, chosen].T)
+            # a handed block is reduced only where generators are picked; its
+            # RREF and the vectors are temporaries, gone once from_dense is done
+            new = freemod.FreeMap.from_dense(ring, [d] * len(chosen), src_degs, rref_null_space(
+                *(echelon or rref(unpack(rows[d].block), p)[:2]), [free[k] for k in chosen],
+                src_dim, p).T)
             recs += new.records(len(degs))
             degs += new.source_degrees
             nxt = freemod.FreeMap(ring, degs, src_degs, recs)
         handover[d] = Handover(free, block, chosen, a_free)
-        kernel = a = None  # before the next degree's matrices are built
+        echelon = a = None  # before the next degree's matrices are built
     return nxt, window.top, handover
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import polynomials as poly
 from .errors import DegreeBoundError, HomogeneityError, SyzkitError
-from .linalg import matmul, rref_null_space, rref_stack, zeros
+from .linalg import _non_pivots, matmul, rref_null_space, rref_stack, zeros
 
 DEFAULT_DEGREE_BOUND = 12
 MARGIN = 2  # ring degrees below the bound in which nothing new may appear
@@ -172,8 +172,9 @@ class TruncatedQuotientRing:
     # -- per-degree structure ------------------------------------------------
 
     def _compute_degree(self, d):
-        echelon = rref_stack(self._shifted_rows(d), self.ideal_component(d).T, self.char)
-        basis, free = rref_null_space(*echelon, self.char)
+        r, pivots, _ = rref_stack(self._shifted_rows(d), self.ideal_component(d).T, self.char)
+        free = _non_pivots(r.shape[1], pivots)
+        basis = rref_null_space(r, pivots, free, r.shape[1], self.char)
         self._degree_data[d] = (free, np.ascontiguousarray(basis.T))
         if not free and self._first_zero is None:
             self._first_zero = d

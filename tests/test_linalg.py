@@ -303,6 +303,14 @@ def _oracle_rank(rows, cols, p):
     return len(_gauss_jordan(rows, cols, p)[1])
 
 
+def _rows_left(m, p):
+    """The rows t of m with rank(m[t:]) = rank(m[t+1:]), ranks by
+    `_gauss_jordan`: the rows that carry no last-nonzero pivot, and the
+    identity columns that extend m's column span."""
+    ranks = [_oracle_rank(m[t:].tolist(), m.shape[1], p) for t in range(m.shape[0] + 1)]
+    return [t for t in range(m.shape[0]) if ranks[t] == ranks[t + 1]]
+
+
 @st.composite
 def elimination_case(draw):
     """(matrix, p): 0-12 x 0-12, dense, sparse, or of forced low rank."""
@@ -462,8 +470,12 @@ def test_sparse_row_updates_match_gauss_jordan_oracle(p, rows, cols, seed, split
     r, got_pivots, rk = linalg.rref(m, p)
     assert r.tolist() == want and got_pivots == pivots and rk == len(pivots)
     assert linalg.rank(m, p) == rk
-    # the pivot-only kernel leaves no echelon form to compare: its pivots
-    assert linalg._pivot_columns(m, p) == pivots
+    # the pivot-only kernel leaves no echelon form to compare: its pivots,
+    # and the rows that no pivot used, which are the identity columns that
+    # extend the column span
+    left = _rows_left(m, p)
+    assert linalg._pivot_columns(m, p) == (pivots, left)
+    assert linalg.extend_basis(m, linalg.identity(rows), p) == left
     # the kernel vector of free column j: 1 at j, -R[i, j] at the i-th pivot
     free = [j for j in range(cols) if j not in pivots]
     assert linalg.free_columns(m, p) == free
@@ -485,14 +497,19 @@ def test_sparse_row_updates_match_gauss_jordan_oracle(p, rows, cols, seed, split
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003, P31])
-@pytest.mark.parametrize("kind", ["zero rows", "zero columns", "deficient"])
+@pytest.mark.parametrize("kind", ["zero rows", "zero columns", "deficient", "zero",
+                                  "full row rank"])
 def test_pivot_columns_match_gauss_jordan_oracle_on_the_dense_path(p, kind):
     # up to _SPARSE_MIN_CELLS cells the pivot-only kernel updates whole
-    # rows; shapes with no rows or no columns, lines of zeros and rows that
-    # combine others must all give the oracle's pivots
+    # rows; shapes with no rows or no columns, lines of zeros, rows that
+    # combine others, zero matrices and full row rank must all give the
+    # oracle's pivots and rows left, and so must their transposes, which
+    # are Fortran-ordered views
     rng = np.random.default_rng(p % 1009 + len(kind))
     for rows, cols in [(0, 6), (6, 0), (1, 1), (3, 8), (9, 4), (12, 12), (25, 40), (40, 50)]:
         assert rows * cols <= linalg._SPARSE_MIN_CELLS
+        if kind == "full row rank":
+            rows = min(rows, cols)
         for density in (0.1, 0.5, 1.0):
             m = np.where(rng.random((rows, cols)) < density,
                          rng.integers(0, p, size=(rows, cols)), 0)
@@ -500,15 +517,28 @@ def test_pivot_columns_match_gauss_jordan_oracle_on_the_dense_path(p, kind):
                 m[rng.random(rows) < 0.4] = 0
             elif kind == "zero columns":
                 m[:, rng.random(cols) < 0.4] = 0
+            elif kind == "zero":
+                m[:] = 0
+            elif kind == "full row rank":  # an echelon form, its rows shuffled
+                leads = np.sort(rng.choice(cols, rows, replace=False))
+                m[np.arange(cols) < leads[:, None]] = 0
+                m[range(rows), leads] = rng.integers(1, p, size=rows)
+                m = m[rng.permutation(rows)]
             elif min(rows, cols) > 1:  # rank below min(rows, cols)
                 k = rng.integers(0, min(rows, cols))
                 m = linalg.matmul(m[:, :k], rng.integers(0, p, size=(k, cols)), p)
-            pivots = _gauss_jordan(m.tolist(), cols, p)[1]
-            assert linalg._pivot_columns(m, p) == pivots, (rows, cols, density)
-            assert linalg.free_columns(m, p) == [j for j in range(cols) if j not in pivots]
-            assert linalg.rank(m, p) == len(pivots)
-            if kind == "deficient" and min(rows, cols) > 1:
-                assert len(pivots) < min(rows, cols)
+            for view in (m, m.T):
+                width = view.shape[1]
+                pivots = _gauss_jordan(view.tolist(), width, p)[1]
+                assert linalg._pivot_columns(view, p) == (pivots, _rows_left(view, p)), \
+                    (rows, cols, density)
+                assert linalg.free_columns(view, p) == [j for j in range(width)
+                                                        if j not in pivots]
+                assert linalg.rank(view, p) == len(pivots)
+                if kind == "deficient" and min(rows, cols) > 1:
+                    assert len(pivots) < min(rows, cols)
+                if kind in ("zero", "full row rank"):
+                    assert len(pivots) == (rows if kind == "full row rank" else 0)
 
 
 @pytest.mark.parametrize("k", [1, 63, 64, 65, 200, 600])

@@ -561,10 +561,10 @@ def _steps(r, m, steps):
 def test_handover_is_the_null_space_of_the_next_matrix(p, kind):
     # the oracle is the next map's own degree-d matrix on the handed rows,
     # eliminated from scratch, at every step and handed degree: the handed
-    # free columns are its free columns, and the vectors built for every
-    # free column, not only those of chosen generators, are its RREF null
-    # space
-    from syzkit.linalg import _null_space
+    # free columns are its free columns, and the vectors that the one
+    # formula builds from the handed block's RREF for every free column,
+    # not only those of chosen generators, are its RREF null space
+    from syzkit.linalg import _null_space, rref, rref_null_space, unpack
 
     r = _handover_ring(p, kind, sum(map(ord, kind)) + p % 97)
     m = residue_field(r)
@@ -579,7 +579,9 @@ def test_handover_is_the_null_space_of_the_next_matrix(p, kind):
             h.check(mat, d)
             want, want_free = _null_space(mat, p)
             assert h.free == want_free, (i, d)
-            assert np.array_equal(h.null_space(p), want), (i, d)
+            echelon, pivots, _ = rref(unpack(h.block), p)
+            vectors = rref_null_space(echelon, pivots, h.free, mat.shape[1], p)
+            assert np.array_equal(vectors, want), (i, d)
             blocks += bool(h.block[1].size)
     assert blocks >= 20
 
@@ -587,22 +589,22 @@ def test_handover_is_the_null_space_of_the_next_matrix(p, kind):
 @pytest.mark.parametrize("p", [2, 3, 32003, P31])
 @pytest.mark.parametrize("kind", ["hypersurface", "two quadrics", "golod", "two degrees"])
 def test_handed_blocks_are_reduced_only_where_the_next_step_picks(p, kind, monkeypatch):
-    # every null space a step takes, in order: from scratch where nothing
-    # was handed down, and a handed block's RREF exactly in the degrees
-    # where the next step picks generators, so never for the last step's
+    # every RREF a step takes, in order: from scratch where nothing was
+    # handed down, and a handed block's exactly in the degrees where the
+    # next step picks generators, so never for the last step's
     from syzkit import resolutions
     from syzkit.linalg import unpack
 
     calls = []
-    null_space = resolutions._null_space
+    rref = resolutions.rref
 
     def counted(mat, prime):
         calls.append(mat.copy())
-        return null_space(mat, prime)
+        return rref(mat, prime)
 
     r = _handover_ring(p, kind, sum(map(ord, kind)) + p % 97)
     m = residue_field(r)
-    monkeypatch.setattr(resolutions, "_null_space", counted)
+    monkeypatch.setattr(resolutions, "rref", counted)
     steps = _steps(r, m, 5)
     monkeypatch.undo()
     want, handed, reduced, skipped = [], {}, 0, 0
@@ -730,7 +732,7 @@ def _resolve_counting_blocks(m, steps, monkeypatch):
     from syzkit import resolutions
 
     packed, eliminated = [], []
-    pack, free_columns = resolutions.pack, resolutions.free_columns
+    pack, pivot_columns = resolutions.pack, resolutions._pivot_columns
 
     def packs(a):
         packed.append((a.shape, a.tobytes()))
@@ -738,10 +740,10 @@ def _resolve_counting_blocks(m, steps, monkeypatch):
 
     def eliminates(a, p):
         eliminated.append((a.shape, a.tobytes()))
-        return free_columns(a, p)
+        return pivot_columns(a, p)
 
     monkeypatch.setattr(resolutions, "pack", packs)
-    monkeypatch.setattr(resolutions, "free_columns", eliminates)
+    monkeypatch.setattr(resolutions, "_pivot_columns", eliminates)
     res = resolve(m, steps)
     monkeypatch.undo()
     return res, packed, eliminated
@@ -788,6 +790,38 @@ def test_kernel_generators_reuse_the_blocks_of_earlier_steps(monkeypatch):
     assert res.betti() == [1, 4, 7, 8, 8, 8, 8]
     assert len(packed) == 45 and len(set(packed)) == 33
     assert len(eliminated) == len(set(eliminated)) == 33
+    _assert_dense_steps(m, res)
+
+
+def test_a_step_picks_generators_over_a_nonzero_block_from_its_one_elimination(monkeypatch):
+    # relations of two degrees: steps find new generators in degrees where A
+    # is not zero, and they are the rows that A's one elimination leaves;
+    # each distinct block is eliminated once, no syzygy step extends A by
+    # the identity (extend_basis, wrapped in every syzkit module that binds
+    # it), and the generators are the dense step's
+    import sys
+
+    from syzkit import linalg
+
+    r = _handover_ring(32003, "two degrees", 5)
+    m = residue_field(r)
+    callers, extend_basis = [], linalg.extend_basis
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return extend_basis(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("syzkit") and getattr(mod, "extend_basis", None) is extend_basis:
+            monkeypatch.setattr(mod, "extend_basis", counted)
+    res, packed, eliminated = _resolve_counting_blocks(m, 5, monkeypatch)
+    assert "syzkit.resolutions" not in callers
+    assert len(eliminated) == len(set(eliminated)) == len(set(packed)) < len(packed)
+    picked_over_a = 0
+    for shape, content in set(eliminated):
+        a = np.frombuffer(content, dtype=np.int64).reshape(shape)
+        picked_over_a += bool(a.any() and linalg._pivot_columns(a, r.char)[1])
+    assert picked_over_a
     _assert_dense_steps(m, res)
 
 

@@ -220,28 +220,34 @@ def test_resolutions_takes_no_span_and_no_rank():
               and (getattr(node.value, "id", None), node.attr) in names):
             found.append(f"{path.name}:{node.lineno}")
     assert found == []
-    # A is eliminated to its pivots only; its RREF is taken where the next
-    # step builds the vectors of the generators it picks, and a kernel is
-    # reduced from scratch only where no block was handed down
+    # a kernel is reduced from scratch only where no block was handed down
+    # (`_kernel`), and a handed block only at the one site that builds the
+    # vectors of the generators a step picks, from the one formula
     reducers = {"rref", "_null_space", "rref_null_space", "kernel_basis", "solve", "solve_many"}
     owners = []
     for top in ast.parse(path.read_text()).body:
         for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
             if isinstance(fn, ast.FunctionDef):
-                owners += [fn.name for node in ast.walk(fn) if isinstance(node, ast.Call)
-                           and getattr(node.func, "id", getattr(node.func, "attr", None))
-                           in reducers]
-    assert sorted(owners) == ["_kernel", "null_space"]
-    # A's pivots are found at one call site, behind the record of blocks
-    # already eliminated in the resolution; no helper compares a block with
-    # the last one beside it
+                owners += [(fn.name, _called(node)) for node in ast.walk(fn)
+                           if isinstance(node, ast.Call) and _called(node) in reducers]
+    assert sorted(owners) == [("_kernel", "rref"), ("kernel_generators", "rref"),
+                              ("kernel_generators", "rref_null_space")]
+    # A is eliminated at one call site, behind the record of blocks already
+    # eliminated in the resolution, which gives both its free columns and
+    # the new generators; no second elimination of [A | I], no dense null
+    # space, no helper that compares a block with the last one beside it
     tree = ast.parse(path.read_text())
     sites = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-             if isinstance(node, ast.Call)
-             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "free_columns"]
+             if isinstance(node, ast.Call) and _called(node) == "_pivot_columns"]
     assert len(sites) == 1, sites
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    assert not imported & {"extend_basis", "identity", "free_columns", "_null_space"}
     assert not [node for node in ast.walk(tree)
                 if getattr(node, "name", getattr(node, "id", None)) == "_same"]
+    from syzkit.resolutions import Handover
+
+    assert not hasattr(Handover, "null_space")
 
 
 def test_no_check_builds_a_map():
