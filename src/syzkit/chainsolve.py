@@ -165,7 +165,7 @@ def scalar_block_coordinates(unknowns, j):
         start = unknowns.starts[unknowns.index[(j, b)]]
         offs = freemod.component_offsets(ring, tgt, g + tau)
         for c, h in enumerate(tgt):
-            if h == g + tau and ring.dim(0) > 0:
+            if h == g + tau:
                 coords.append(start + offs[c])
     return coords
 

@@ -55,9 +55,9 @@ import numpy as np
 
 from . import freemod
 from .errors import SyzkitError, WindowError
-from .linalg import matmul, matvec, rank, zeros
+from .linalg import matmul, matvec, rank
 from .modules import GradedModule, Homology
-from .rings import algebra_tensor, embed_monomial
+from .rings import algebra_tensor
 
 # -- complexes ----------------------------------------------------------------
 
@@ -260,15 +260,14 @@ class _Embedding:
         self._maps = {}
 
     def matrix(self, e):
+        """R_e of the factor inside R_e of the product, one column per basis
+        monomial of the factor: the product's normal forms, gathered at the
+        monomials with their exponents placed on the product's variables."""
         if e not in self._cache:
-            cols = []
-            for mono in self.factor.basis_monomials(e):
-                big = embed_monomial(mono, self.factor.vars, self.product.vars)
-                cols.append(self.product.normal_form({big: 1}, degree=e))
-            if cols:
-                self._cache[e] = np.stack(cols, axis=1)
-            else:
-                self._cache[e] = zeros(self.product.dim(e), 0)
+            mons = np.array(self.factor.basis_monomials(e), dtype=np.int64)
+            onto = np.array(self.factor.vars)[:, None] == np.array(self.product.vars)
+            at = self.product.base.monomial_positions(mons.reshape(-1, len(onto)) @ onto, e)
+            self._cache[e] = self.product.nf_matrix(e)[:, at]
         return self._cache[e]
 
     def embedded(self, fmap):

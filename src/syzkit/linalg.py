@@ -385,14 +385,11 @@ def coset_complement(sub, ambient_dim, p):
 
     Chosen as the non-pivot coordinates of rref(sub^T) for determinism.
     """
-    sub = np.asarray(sub)
-    if sub.size == 0 or sub.shape[1] == 0:
-        return identity(ambient_dim)
-    return identity(ambient_dim)[:, free_columns(sub.T, p)]
+    return identity(ambient_dim)[:, free_columns(np.transpose(sub), p)]
 
 
-def quotient_projection(span, ambient_dim, p):
-    """Quotient of F_p^ambient by the column span of `span`.
+def quotient_projection(span, p):
+    """Quotient of F_p^ambient by the column span of `span` (ambient x k).
 
     Returns (basis_indices, proj) where basis_indices are the standard
     coordinates (non-pivots of rref(span^T)) whose classes form a basis of
@@ -401,10 +398,7 @@ def quotient_projection(span, ambient_dim, p):
     chosen basis coordinates and vanishes exactly on the span: its rows
     are the null space of span^T.
     """
-    span = np.asarray(span)
-    if span.size == 0 or span.shape[1] == 0:
-        return list(range(ambient_dim)), identity(ambient_dim)
-    basis, free = _null_space(span.T, p)
+    basis, free = _null_space(np.transpose(span), p)
     return free, np.ascontiguousarray(basis.T)
 
 
@@ -414,14 +408,6 @@ def extend_basis(span, candidates, p):
     Computed as the pivots of rref([span | candidates]) that land in the
     candidate block; deterministic echelon order.
     """
-    span = np.asarray(span)
-    candidates = np.asarray(candidates)
-    n0 = span.shape[1] if span.size else 0
-    if candidates.shape[1] == 0:
-        return []
-    if n0 == 0:
-        stacked = candidates
-    else:
-        stacked = np.concatenate([span, candidates], axis=1)
-    pivots = _pivot_columns(stacked, p)[0]
+    n0 = np.shape(span)[1]
+    pivots = _pivot_columns(np.concatenate([span, candidates], axis=1), p)[0]
     return [c - n0 for c in pivots if c >= n0]

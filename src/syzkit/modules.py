@@ -88,7 +88,7 @@ class GradedModule:
             else:
                 # columns: every ring multiple of every relation in degree d
                 span = self.relations.induced(d)
-                self._spaces[d] = quotient_projection(span, amb, self.ring.char)
+                self._spaces[d] = quotient_projection(span, self.ring.char)
         return self._spaces[d]
 
     def dim(self, d):

@@ -64,16 +64,14 @@ def parse_polynomial(text, var_names, p):
     terms = []
     sign = 1
     buf = ""
-    depth = 0
     for ch in s:
-        if ch in "+-" and depth == 0 and buf.strip():
+        if ch in "+-" and buf.strip():
             terms.append((sign, buf))
             sign = 1 if ch == "+" else -1
             buf = ""
-        elif ch in "+-" and depth == 0 and not buf.strip():
-            if ch == "-":
-                sign = -sign
-        else:
+        elif ch == "-":
+            sign = -sign
+        elif ch != "+":
             buf += ch
     if buf.strip():
         terms.append((sign, buf))

@@ -363,8 +363,7 @@ def depth(module):
         raise SyzkitError("depth of the zero module is undefined")
     ring = module.ring
     n, bound = len(ring.vars), ring.degree_bound
-    xs = [ring.normal_form({tuple(int(k == j) for k in range(n)): 1}, degree=1)
-          for j in range(n)]
+    xs = ring.nf_matrix(1).T  # the variables, in the order of monomial_basis(1)
     wedge = [list(combinations(range(n), i)) for i in range(n + 1)]
     gens, diffs = [(i,) * len(js) for i, js in enumerate(wedge)], [None]
     for i in range(1, n + 1):

@@ -22,9 +22,11 @@ R_{a+e} in one step and cached per (e, a).  `mult_map(e, j, a)` is its
 j-th slice.  Callers that act by all of R_e reshape the stack into one
 product instead of stacking per-monomial matrices.
 
-Once some R_d is observed to vanish the ring is artinian from there on
-(R is generated in degree 1), and all higher components are known to be
-zero without further work; this also licenses degree queries above D.
+One method, `_degree`, fills the tables: R_0, R_1, ... in order, up to
+the first zero component or the bound D.  R is generated in degree 1, so
+every component above a zero one is zero too: a degree above D reads 0
+where the ring ends within D, and raises DegreeBoundError naming the
+degree asked for where it does not, whatever was asked before.
 """
 
 from math import comb
@@ -162,8 +164,7 @@ class TruncatedQuotientRing:
                 raise SyzkitError(f"relation {k} is a nonzero constant: a unit")
             if e > self.degree_bound:  # no I_d with d <= D would read it
                 raise DegreeBoundError(e, self.degree_bound, f"relation {k}")
-        self._degree_data = {}
-        self._max_computed = -1
+        self._degree_data = []  # (basis indices, normal forms) of R_0, R_1, ..., all nonzero
         self._first_zero = None
         self._mult_cache = {}
         self._dim_cache = {}
@@ -171,22 +172,37 @@ class TruncatedQuotientRing:
 
     # -- per-degree structure ------------------------------------------------
 
-    def _compute_degree(self, d):
-        r, pivots, _ = rref_stack(self._shifted_rows(d), self.ideal_component(d).T, self.char)
-        free = _non_pivots(r.shape[1], pivots)
-        basis = rref_null_space(r, pivots, free, r.shape[1], self.char)
-        self._degree_data[d] = (free, np.ascontiguousarray(basis.T))
-        if not free and self._first_zero is None:
-            self._first_zero = d
+    def _degree(self, d):
+        """(basis indices, normal-form matrix) of R_d, or None where R_d = 0.
+
+        The one filler of the tables: R_0, R_1, ... up to d, each from the
+        one below, stopping at the first zero component (`_first_zero`).
+        DegreeBoundError, naming d, only when the fill passes D before the
+        ring ends."""
+        data = self._degree_data
+        while len(data) <= d and self._first_zero is None:
+            e = len(data)
+            if e > self.degree_bound:
+                raise DegreeBoundError(d, self.degree_bound, "ring component")
+            r, pivots, _ = rref_stack(self._shifted_rows(e), self.ideal_component(e).T, self.char)
+            free = _non_pivots(r.shape[1], pivots)
+            if not free:
+                self._first_zero = e
+                break
+            basis = rref_null_space(r, pivots, free, r.shape[1], self.char)
+            data.append((free, np.ascontiguousarray(basis.T)))
+            del r, basis  # not held while the next degree is eliminated
+        return data[d] if 0 <= d < len(data) else None
 
     def _shifted_rows(self, d):
         """One row x_k * b of I_d for each distinct lead x_k * lead(b), b
         running over the rows of RREF(I_{d-1}): b is 1 at its lead, the
         negated normal form of that lead on the basis of R_{d-1}, and 0
         elsewhere.  Lex is multiplicative, so x_k * b leads at x_k * lead(b)."""
-        if d == 0 or self.dim(d - 1) == self.base.dim(d - 1):  # I_{d-1} = 0
+        below = self._degree(d - 1)
+        if below is None or len(below[0]) == self.base.dim(d - 1):  # d = 0 or I_{d-1} = 0
             return zeros(0, self.base.dim(d))
-        free, nf = self._degree_data[d - 1]
+        free, nf = below
         pivots = np.setdiff1d(np.arange(nf.shape[1]), free, assume_unique=True)
         shift = np.eye(self.base.nvars, dtype=np.int64)[:, None]
         at = self.base.monomial_positions(self.base.exponents(d - 1) + shift, d)  # x_k m
@@ -197,22 +213,6 @@ class TruncatedQuotientRing:
         rows[each[:, None], at[k[:, None], free]] = -nf[:, pivots[i]].T % self.char
         rows[each, leads] = 1
         return rows
-
-    def _ensure(self, d):
-        if d in self._degree_data:
-            return True
-        if self._first_zero is not None and d >= self._first_zero:
-            return False
-        if d > self.degree_bound:
-            raise DegreeBoundError(d, self.degree_bound, "ring component")
-        # fill ascending so an artinian collapse is noticed as early as possible
-        for e in range(self._max_computed + 1, d + 1):
-            if self._first_zero is not None and e >= self._first_zero:
-                break
-            if e not in self._degree_data:
-                self._compute_degree(e)
-            self._max_computed = max(self._max_computed, e)
-        return d in self._degree_data
 
     def ideal_component(self, d):
         """Matrix whose columns m * g span I_d inside the monomial basis of
@@ -234,36 +234,26 @@ class TruncatedQuotientRing:
         return np.concatenate(blocks, axis=1)
 
     def dim(self, d):
-        cached = self._dim_cache.get(d)
-        if cached is not None:
-            return cached
-        if d < 0:
-            out = 0
-        elif self._first_zero is not None and d >= self._first_zero:
-            out = 0
-        elif d > self.degree_bound:
-            # only answerable when the ring has already collapsed
-            raise DegreeBoundError(d, self.degree_bound, "ring component")
-        elif self._ensure(d):
-            out = len(self._degree_data[d][0])
-        else:
-            out = 0
-        self._dim_cache[d] = out
+        out = self._dim_cache.get(d)
+        if out is None:
+            data = self._degree(d)
+            out = self._dim_cache[d] = len(data[0]) if data else 0
         return out
 
     def basis_monomials(self, d):
         """Exponent tuples whose classes form the chosen basis of R_d."""
-        if self.dim(d) == 0:
+        data = self._degree(d)
+        if data is None:
             return []
-        basis_idx, _ = self._degree_data[d]
         mons = self.base.monomial_basis(d)
-        return [mons[i] for i in basis_idx]
+        return [mons[i] for i in data[0]]
 
     def nf_matrix(self, d):
         """Normal form S_d -> R_d in coordinates (dim R_d x dim S_d)."""
-        if self.dim(d) == 0:
+        data = self._degree(d)
+        if data is None:
             return zeros(0, self.base.dim(d) if d <= self.degree_bound else 0)
-        return self._degree_data[d][1]
+        return data[1]
 
     def normal_form(self, f, degree=None):
         """Coordinate vector of a homogeneous polynomial's class in R_deg(f).
@@ -287,10 +277,7 @@ class TruncatedQuotientRing:
 
     def is_artinian_within_bound(self):
         """True when some R_d with d <= degree_bound is zero (hence all above)."""
-        if self._first_zero is None:
-            for d in range(self._max_computed + 1, self.degree_bound + 1):
-                if self.dim(d) == 0:
-                    break
+        self._degree(self.degree_bound)
         return self._first_zero is not None
 
     def degree_window(self, low, high):
@@ -372,12 +359,3 @@ def algebra_tensor(r1, r2):
     gens += [{(0,) * n1 + m: c for m, c in g.items()} for g in r2.ideal_gens]
     return TruncatedQuotientRing(base, gens)
 
-
-def embed_monomial(exps, src_vars, dst_vars):
-    """Re-index an exponent tuple along an inclusion of variable lists."""
-    pos = {v: i for i, v in enumerate(dst_vars)}
-    out = [0] * len(dst_vars)
-    for e, v in zip(exps, src_vars):
-        if e:
-            out[pos[v]] += e
-    return tuple(out)

@@ -770,6 +770,41 @@ def _embedded(ring, factor_ring, piece, e):
                   ring.char)[:, 0]
 
 
+def _embedding_by_normal_forms(factor_ring, ring, e):
+    """The factor's R_e inside the product's, one monomial at a time: each
+    basis monomial re-indexed onto the product's variables and reduced by
+    `normal_form`."""
+    pos = {v: i for i, v in enumerate(ring.vars)}
+    cols = []
+    for mono in factor_ring.basis_monomials(e):
+        big = [0] * len(ring.vars)
+        for k, v in zip(mono, factor_ring.vars):
+            big[pos[v]] += k
+        cols.append(ring.normal_form({tuple(big): 1}, degree=e))
+    return np.stack(cols, axis=1) if cols else np.zeros((ring.dim(e), 0), dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_embedding_matches_the_per_monomial_normal_forms(p):
+    from functools import reduce
+
+    from syzkit.rings import algebra_tensor
+
+    bound = 6
+    factors = [ring_from_strings(p, ["x", "y"], ["x^2 + x*y + 3*y^2"], bound),
+               ring_from_strings(p, ["z"], ["z^3"], bound),
+               ring_from_strings(p, ["u", "v"], ["u^2", "u*v + v^2"], bound)]
+    # the last two end within D, so their product is known above D too
+    for group, top in ((factors, bound), (factors[1:], bound + 2)):
+        ring = reduce(algebra_tensor, group)
+        for factor in group:
+            for e in range(-1, top + 1):
+                got = _Embedding(factor, ring).matrix(e)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, _embedding_by_normal_forms(factor, ring, e)), e
+                assert got.shape == (ring.dim(e), factor.dim(e))
+
+
 def _dense(ring, sources, targets, twist, cols):
     return [vector(ring, targets, g + twist, col) for g, col in zip(sources, cols)]
 

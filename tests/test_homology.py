@@ -127,7 +127,7 @@ class _HomologySpaces:
                     b_in_z = solve_many(z, up, p)
                 else:
                     b_in_z = zeros(z.shape[1], 0)
-                idx, proj = quotient_projection(b_in_z, z.shape[1], p)
+                idx, proj = quotient_projection(b_in_z, p)
                 self._data[d] = (z, idx, proj)
         return self._data[d]
 

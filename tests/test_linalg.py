@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from syzkit import linalg
 
@@ -92,15 +92,36 @@ def test_complement_of_diagonal_line_f2():
     assert np.array_equal(c[:, 0], np.array([0, 1]))
 
 
+# spans of no columns, or in no coordinates, at the oracle primes
+EMPTY_SPANS = [(linalg.zeros(*shape), p) for shape in [(4, 0), (1, 0), (0, 3), (0, 0)]
+               for p in (2, 3, 32003, 2**31 - 1)]
+
+
+def with_empty_spans(candidates=()):
+    """hypothesis examples for an oracle test of (span, p), or of (matrix,
+    p) and a split when given candidate counts: every empty span, followed
+    by each count of candidate columns."""
+    def add(test):
+        for span, p in EMPTY_SPANS:
+            if not candidates:
+                test = example((span, p))(test)
+            for k in candidates:
+                cand = np.arange(1, span.shape[0] * k + 1, dtype=np.int64).reshape(span.shape[0], k) % p
+                test = example((np.concatenate([span, cand], axis=1), p), span.shape[1])(test)
+        return test
+    return add
+
+
 def test_quotient_projection_kills_span():
-    span = _mat([[1, 0], [1, 1], [0, 1]], 3)
-    idx, proj = linalg.quotient_projection(span, 3, 3)
-    assert len(idx) == 1
-    assert np.array_equal(linalg.matmul(proj, span, 3), linalg.zeros(1, 2))
-    # identity on the chosen basis coordinate
-    e = linalg.zeros(3, 1)
-    e[idx[0], 0] = 1
-    assert linalg.matvec(proj, e[:, 0], 3)[0] == 1
+    for span, p in [(_mat([[1, 0], [1, 1], [0, 1]], 3), 3)] + EMPTY_SPANS:
+        idx, proj = linalg.quotient_projection(span, p)
+        n = span.shape[0]
+        assert len(idx) == n - linalg.rank(span, p)
+        assert proj.shape == (len(idx), n)
+        assert np.array_equal(linalg.matmul(proj, span, p),
+                              linalg.zeros(len(idx), span.shape[1]))
+        # identity on the chosen basis coordinates
+        assert np.array_equal(proj[:, idx], linalg.identity(len(idx)))
 
 
 def test_extend_basis_picks_new_directions():
@@ -261,7 +282,7 @@ def test_vectorised_kernel_basis_matches_loop_reference(mp):
 def test_vectorised_quotient_projection_matches_loop_reference(mp):
     span, p = mp
     ambient = span.shape[0]
-    idx, proj = linalg.quotient_projection(span, ambient, p)
+    idx, proj = linalg.quotient_projection(span, p)
     if span.shape[1] == 0:
         assert idx == list(range(ambient))
         assert np.array_equal(proj, linalg.identity(ambient))
@@ -351,6 +372,7 @@ def test_rref_and_rank_match_gauss_jordan_oracle(case):
 
 @settings(deadline=None, max_examples=150)
 @given(elimination_case(), st.integers(0, 12))
+@with_empty_spans(candidates=(0, 2))
 def test_extend_basis_matches_independence_oracle(case, split):
     # candidate j is chosen iff it is independent of the span and of the
     # candidates before it
@@ -366,6 +388,7 @@ def test_extend_basis_matches_independence_oracle(case, split):
 
 @settings(deadline=None, max_examples=150)
 @given(elimination_case())
+@with_empty_spans()
 def test_coset_complement_matches_dependent_rows_oracle(case):
     # coordinate i is chosen iff row i of sub depends on the rows above it;
     # those unit vectors complete the column span of sub to the whole space

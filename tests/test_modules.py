@@ -515,7 +515,7 @@ def test_vanishing_components_match_the_relation_span(case):
         if amb == 0:
             assert (idx, proj.shape) == ([], (0, 0))
             continue
-        want_idx, want_proj = quotient_projection(m.relations.induced(d), amb, r.char)
+        want_idx, want_proj = quotient_projection(m.relations.induced(d), r.char)
         assert idx == want_idx, d
         assert proj.dtype == want_proj.dtype
         assert np.array_equal(proj, want_proj), d

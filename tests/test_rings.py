@@ -1,3 +1,4 @@
+import weakref
 from math import comb
 
 import numpy as np
@@ -14,6 +15,7 @@ from syzkit.rings import (
     algebra_tensor,
     ring_from_strings,
 )
+from syzkit.modules import module_from_strings
 from test_linalg import ORACLE_PRIMES
 
 
@@ -169,6 +171,91 @@ def test_degree_queries_above_bound_after_collapse():
     r = ring_from_strings(2, ["x", "y"], ["x^2", "y^2"], degree_bound=6)
     assert r.dim(3) == 0
     assert r.dim(100) == 0  # known zero once collapsed
+
+
+FIRST_QUERIES = {
+    "nothing": lambda r: None,
+    "dim below D": lambda r: r.dim(3),
+    "dim at D": lambda r: r.dim(r.degree_bound),
+    "artinian": lambda r: r.is_artinian_within_bound(),
+    "normal forms": lambda r: r.nf_matrix(2),
+    "basis": lambda r: r.basis_monomials(1),
+}
+ABOVE_D = {
+    "dim": (lambda r, d: r.dim(d), 0),
+    "nf_matrix": (lambda r, d: r.nf_matrix(d).shape, (0, 0)),
+    "basis_monomials": (lambda r, d: r.basis_monomials(d), []),
+    "module dim": (lambda r, d: module_from_strings(r, [0], [["x"]]).dim(d), 0),
+}
+
+
+@pytest.mark.parametrize("first", sorted(FIRST_QUERIES))
+@pytest.mark.parametrize("query", sorted(ABOVE_D))
+@pytest.mark.parametrize("ends", [True, False])
+def test_degree_queries_above_bound_do_not_depend_on_query_order(first, query, ends):
+    # F_2[x,y]/(x^2, y^2) ends in degree 3, within D = 4: every degree above
+    # D is 0.  F_2[x,y]/(x^2) does not end: a degree above D is refused,
+    # naming it, whatever was asked before
+    r = ring_from_strings(2, ["x", "y"], ["x^2", "y^2"] if ends else ["x^2"], degree_bound=4)
+    FIRST_QUERIES[first](r)
+    ask, zero = ABOVE_D[query]
+    for d in (7, 6):
+        if ends:
+            assert ask(r, d) == zero
+        else:
+            with pytest.raises(DegreeBoundError, match=rf"internal degree {d} exceeds "
+                                                       r"degree bound 4 \(ring component\)"):
+                ask(r, d)
+
+
+@pytest.mark.parametrize("ends", [True, False])
+def test_each_degree_is_eliminated_once_in_any_order(monkeypatch, ends):
+    # the tables are filled in ascending degree, one rref_stack per degree,
+    # up to the first zero component or to D, whatever order asks for them
+    from syzkit import rings
+
+    widths, eliminate = [], rings.rref_stack
+
+    def spy(top, mat, p):
+        widths.append(mat.shape[1])
+        return eliminate(top, mat, p)
+
+    monkeypatch.setattr(rings, "rref_stack", spy)
+    relations = ["x^2", "y^2", "z^2"] if ends else ["x^2 + y*z", "y^3"]
+    bound, top = 6, 4 if ends else 6  # R_3 = <xyz>, R_4 = 0 in the first
+    rng = np.random.default_rng(7)
+    orders = [list(range(-1, bound + 3)), list(range(bound + 2, -2, -1))]
+    orders += [list(rng.permutation(range(-1, bound + 3))) for _ in range(4)]
+    for order in orders:
+        r = ring_from_strings(3, ["x", "y", "z"], relations, degree_bound=bound)
+        widths.clear()
+        for d in order:
+            for ask in (r.dim, r.nf_matrix, r.basis_monomials, r.hilbert_function):
+                try:
+                    ask(int(d))
+                except DegreeBoundError:
+                    assert not ends and d > bound
+        assert r.is_artinian_within_bound() == ends
+        assert widths == [r.base.dim(d) for d in range(top + 1)], order
+
+
+def test_the_fill_holds_no_elimination_of_the_degree_below(monkeypatch):
+    # the RREF of I_{d-1} is dropped before I_d is eliminated, so the fill's
+    # peak memory is that of one degree's elimination
+    from syzkit import rings
+
+    held, eliminate = [], rings.rref_stack
+
+    def spy(top, mat, p):
+        assert [ref() for ref in held] == [None] * len(held)
+        out = eliminate(top, mat, p)
+        held.append(weakref.ref(out[0]))
+        return out
+
+    monkeypatch.setattr(rings, "rref_stack", spy)
+    r = ring_from_strings(3, ["x", "y", "z"], ["x^2 + y*z", "y^3"], degree_bound=6)
+    assert not r.is_artinian_within_bound()  # one call fills every degree
+    assert len(held) == 7 and r.hilbert_function(6) == [1, 3, 5, 6, 6, 6, 6]
 
 
 def test_normal_form_examples():
@@ -425,6 +512,35 @@ def _table_rings(p, gen):
     }
 
 
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+@pytest.mark.parametrize("name", ["quadric and cubic", "collapses within D"])
+def test_normal_forms_match_a_lex_groebner_basis(p, name):
+    # an oracle independent of the degreewise row reduction: sympy's
+    # remainder on division by a lex Groebner basis over F_p is the one
+    # representative of m on the standard monomials, which span R_d
+    import sympy
+
+    n, gens, bound = _table_rings(p, np.random.default_rng(p % 1009))[name]
+    r = TruncatedQuotientRing(PolyRing(p, [f"x{i}" for i in range(n)], bound), gens)
+    xs = sympy.symbols(r.vars)
+
+    def expr(m):
+        return sympy.Mul(*(x**k for x, k in zip(xs, m)))
+
+    basis = sympy.groebner([sum(c * expr(m) for m, c in g.items()) for g in gens], *xs,
+                           modulus=p, order="lex").exprs
+    for d in range(bound + 1):
+        index = {m: i for i, m in enumerate(r.basis_monomials(d))}
+        want = np.zeros((r.dim(d), r.base.dim(d)), dtype=np.int64)
+        for j, m in enumerate(r.base.monomial_basis(d)):
+            _, rem = sympy.reduced(expr(m), basis, *xs, modulus=p, order="lex")
+            for mono, c in sympy.Poly(rem, *xs, modulus=p).terms():
+                if c % p:  # sympy's residues are symmetric
+                    want[index[mono], j] = int(c) % p
+        assert np.array_equal(r.nf_matrix(d), want), (name, d)
+    assert r.is_artinian_within_bound() == (name == "collapses within D")
+
+
 def _new_pivot_degrees(r):
     """Degrees d in which RREF(I_d) has a pivot outside x_k * (pivots of
     I_{d-1})."""
@@ -456,7 +572,7 @@ def test_ring_tables_match_the_from_scratch_rref(p):
             gens = gens[:1]
         r = TruncatedQuotientRing(base, gens)
         for d in range(bound + 1):
-            want_idx, want_nf = quotient_projection(r.ideal_component(d), r.base.dim(d), p)
+            want_idx, want_nf = quotient_projection(r.ideal_component(d), p)
             mons = r.base.monomial_basis(d)
             assert r.basis_monomials(d) == [mons[i] for i in want_idx], (name, d)
             assert r.nf_matrix(d).tolist() == want_nf.tolist(), (name, d)

@@ -443,3 +443,28 @@ def test_the_syzygy_step_builds_only_the_rows_it_reads():
     rows = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
             and _called(node) == "induced" and [k.arg for k in node.keywords] == ["rows"]]
     assert len(rows) == 1
+
+
+def test_one_filler_of_the_ring_tables():
+    # TruncatedQuotientRing._degree fills R_0, R_1, ... in order, and is
+    # the one place that eliminates for the tables; no second fill path
+    # sits beside it, and outside rings and freemod (from_poly_matrix)
+    # nothing builds normal forms one polynomial at a time: the tables are
+    # read whole (nf_matrix)
+    sites = []
+    for path, tree in _package_trees():
+        for top in tree.body:
+            owner = top.name if isinstance(top, ast.ClassDef) else None
+            for fn in top.body if owner else [top]:
+                sites += [(path.stem, owner, fn.name) for node in ast.walk(fn)
+                          if isinstance(node, ast.Call) and _called(node) == "rref_stack"]
+    assert sites == [("rings", "TruncatedQuotientRing", "_degree")]
+    gone = {"_ensure", "_compute_degree", "_max_computed", "embed_monomial"}
+    path = Path(syzkit.__file__).parent / "rings.py"
+    assert not [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                if {getattr(node, "name", None), getattr(node, "attr", None),
+                    getattr(node, "id", None)} & gone]
+    found = [f"{p.name}:{node.lineno}" for p, tree in _package_trees()
+             if p.stem not in ("rings", "freemod") for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _called(node) == "normal_form"]
+    assert found == []
