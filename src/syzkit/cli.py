@@ -253,9 +253,7 @@ def cmd_period(args):
     cx, _ = read_complex_file(args.complex, args.degree_bound)
     report = Report("period", args.machine)
     _context(report, cx.ring, args)
-    cert = detect_complex_periodicity(
-        cx, window=min(args.window, cx.window), seed=args.seed
-    )
+    cert = detect_complex_periodicity(cx, window=args.window, seed=args.seed)
     if cert is None:
         report.add("period", "none")
         report.say("no periodicity within the window")

@@ -30,7 +30,7 @@ from .complexes import (
 from .errors import SyzkitError, WindowError
 from .linalg import rank
 from .modules import GradedModule, ModuleMap, verify_ses
-from .resolutions import estimate_complexity
+from .resolutions import complexity_of_module, estimate_complexity, resolve
 
 
 def detect_complex_periodicity(cx, window=None, seed=0):
@@ -286,8 +286,6 @@ def corollary_module(result, window=8):
     level presents the next module of the chain); otherwise the cokernel is
     still returned and the reduction data is reported as unavailable.
     """
-    from .resolutions import complexity_of_module, resolve
-
     product = result.product
     if not product.is_minimal():
         product = minimize_complex(product)

@@ -20,7 +20,9 @@ it, minimisation, `restrict`, module relations and a factor map carried
 into a product ring move whole records; the tensor product and its
 induced maps place their embedded pieces by label, one record per pair of
 degrees.  `from_dense`, `selection`, `zero` and `from_poly_matrix` are
-thin producers of records.  `compose` works from both maps' stacks; no
+thin producers of records; `from_poly_matrix` writes the polynomial
+entries of each degree at the ring's monomial positions and normal-forms
+them all with one product.  `compose` works from both maps' stacks; no
 dense column leaves a map.  A module's augmentation, the free cover of a
 resolution, is such a map too.
 
@@ -51,7 +53,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import HomogeneityError, SyzkitError
+from .errors import DegreeBoundError, HomogeneityError, SyzkitError
 from .linalg import identity, matmul, rank, zeros
 from .polynomials import poly_degree
 
@@ -267,8 +269,12 @@ class FreeMap:
 
     @classmethod
     def from_poly_matrix(cls, ring, target_degrees, source_degrees, entries, twist=0):
-        """Build from a matrix of polynomial dicts (rows: target gens)."""
-        placed = []
+        """Build from a matrix of polynomial dicts (rows: target gens).  The
+        entries of each degree e are written, reduced mod p, as the columns
+        of one matrix over the monomials of S_e and normal-formed by one
+        product with `ring.nf_matrix(e)`."""
+        base, bound, p = ring.base, ring.degree_bound, ring.char
+        found, by_degree = [], {}
         for b, g in enumerate(source_degrees):
             for c, h in enumerate(target_degrees):
                 f = entries[c][b]
@@ -279,7 +285,19 @@ class FreeMap:
                     raise HomogeneityError(
                         f"entry ({c},{b}) has degree {fd}, expected {g + twist - h}"
                     )
-                placed.append((b, c, ring.normal_form(f, degree=fd)))
+                if fd > bound:
+                    raise DegreeBoundError(fd, bound, "normal form")
+                polys = by_degree.setdefault(fd, [])
+                found.append((b, c, fd, len(polys)))
+                polys.append(f)
+        forms = {}
+        for e, polys in by_degree.items():
+            exps, cols, values = zip(*[(m, k, v % p) for k, f in enumerate(polys)
+                                       for m, v in f.items()])
+            x = zeros(base.dim(e), len(polys))
+            x[base.monomial_positions(np.array(exps, dtype=np.int64), e), cols] = values
+            forms[e] = matmul(ring.nf_matrix(e), x, p).T
+        placed = [(b, c, forms[e][k]) for b, c, e, k in found]
         return cls(ring, source_degrees, target_degrees,
                    records_of(source_degrees, target_degrees, placed), twist)
 

@@ -18,7 +18,9 @@ style).  A field written as a list must be one, and a key may appear once
 in a block.  Every block takes only the keys shown above (`maps` only
 `eta`, and `eta` only `shift`, `twist` and `components`): a misspelt key
 would otherwise fall back to its default and give a wrong answer, so it is
-refused.  Paths are resolved relative to the referencing file.
+refused; so is an `eta` with more components than the complex has terms,
+while a component left out is zero.  Paths are resolved relative to the
+referencing file.
 """
 
 import os
@@ -28,7 +30,7 @@ from . import freemod
 from .complexes import ChainMap, FreeComplex
 from .errors import DegreeBoundError, ParseError, SyzkitError
 from .modules import module_from_strings
-from .rings import ring_from_strings
+from .rings import DEFAULT_DEGREE_BOUND, ring_from_strings
 
 _TOKEN = re.compile(
     r"""\s*(?:(?P<comment>\#[^\n]*)
@@ -205,7 +207,7 @@ def read_ring_file(path, degree_bound_override=None):
         char = int(body["char"])
         var_names = [str(v) for v in _list(body.get("vars", []), path, "vars")]
         relations = [str(r) for r in _list(body.get("relations", []), path, "relations")]
-        bound = int(body.get("degree_bound", 12))
+        bound = int(body.get("degree_bound", DEFAULT_DEGREE_BOUND))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed ring block ({exc})") from exc
     if degree_bound_override is not None:
@@ -281,6 +283,9 @@ def read_complex_file(path, degree_bound_override=None, ring_cache=None):
             comp_blocks = _list(eta_block.get("components", []), path, "eta components")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: malformed eta map ({exc})") from exc
+        if len(comp_blocks) > cx.window + 1:
+            raise ParseError(f"{path}: eta has {len(comp_blocks)} components for "
+                             f"{cx.window + 1} terms")
         comps = []
         for j in range(cx.window + 1):
             src = cx.gen_degrees(j)
@@ -311,14 +316,10 @@ def write_ring_file(path, ring):
         fh.write(text)
 
 
-def module_relation_strings(module):
-    fmt = module.ring.base.format
-    return [[fmt(f) for f in col] for col in module.relation_polys()]
-
-
 def write_module_file(path, module, ring_ref):
     gens = ", ".join(str(g) for g in module.gen_degrees)
-    cols = module_relation_strings(module)
+    rows, fmt = module.relations.to_poly_matrix(), module.ring.base.format
+    cols = [[fmt(row[r]) for row in rows] for r in range(len(module.relations.source_degrees))]
     rel_lines = ",\n    ".join(
         "[" + ", ".join(f'"{e}"' for e in col) + "]" for col in cols
     )

@@ -70,11 +70,6 @@ class GradedModule:
         self._mingens = None
         self.offsets_memo = {}  # freemod.component_offsets over M, on (gen_degrees, d)
 
-    def relation_polys(self):
-        """Each relation as one polynomial per generator."""
-        rows = self.relations.to_poly_matrix()
-        return [[row[r] for row in rows] for r in range(len(self.relations.source_degrees))]
-
     # -- degreewise structure --------------------------------------------
 
     def _space(self, d):

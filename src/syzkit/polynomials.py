@@ -7,32 +7,12 @@ for exponent 1, e.g. ``x^2 + 2*x*y``.
 """
 
 import re
-from math import comb
 
-from .errors import HomogeneityError, ParseError, SyzkitError
+from .errors import HomogeneityError, ParseError
 
 
 def monomial_degree(exps):
     return sum(exps)
-
-
-def monomials_of_degree(nvars, d):
-    """All degree-d exponent tuples in lexicographic order (x1 highest)."""
-    if nvars == 0:
-        return [()] if d == 0 else []
-    out = []
-
-    def rec(prefix, remaining, pos):
-        if pos == nvars - 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, pos + 1)
-
-    rec((), d, 0)
-    if len(out) != comb(nvars + d - 1, d):
-        raise SyzkitError(f"{len(out)} monomials of degree {d} in {nvars} variables")
-    return out
 
 
 def poly_degree(f):

@@ -85,7 +85,7 @@ from .chainsolve import certify_periodicity
 from .complexes import FreeComplex, coker_module
 from .errors import SyzkitError, WindowError
 from .linalg import _non_pivots, _pivot_columns, matmul, pack, rref, rref_null_space, unpack, zeros
-from .modules import ModuleMap
+from .modules import ModuleMap, free_module
 
 
 class FreeResolution(FreeComplex):
@@ -297,6 +297,9 @@ def estimate_complexity(betti, periodicity_hint=None, window=None):
     if window is None:
         window = len(betti) - 1
     _require_complexity_window(window)
+    if len(betti) < window + 1:
+        raise WindowError(f"complexity estimation over window {window} needs {window + 1} "
+                          f"Betti numbers, got {len(betti)}")
     seq = list(betti[: window + 1])
     # trailing zeros mean the (minimal) tail has died; internal zeros alone do
     # not, since minimal models of complexes may start above degree 0
@@ -393,6 +396,4 @@ def depth_of_ring(ring):
     Reports stand in for dim A under the Cohen-Macaulay assumption, which
     is recorded by callers, never verified here.
     """
-    from .modules import free_module
-
     return depth(free_module(ring))

@@ -1,12 +1,17 @@
 """Standard-graded polynomial rings and degree-truncated quotients.
 
 A ``PolyRing`` is S = F_p[x_1..x_n] with every variable in degree 1 and an
-explicit degree bound D.  A ``TruncatedQuotientRing`` R = S/I carries, for
-each degree d <= D, a chosen monomial basis of R_d (the non-pivot
-coordinates of the ideal component inside S_d) and normal-form matrices;
-multiplication of basis elements reduces to normal forms of products of
-monomials.  Normal forms come from the RREF of I_d in each degree, not
-Groebner bases, so arbitrary homogeneous ideals are supported.
+explicit degree bound D.  Its monomials are enumerated once, as the
+exponent rows of `exponents(d)` in lex order, and `monomial_positions` is
+the one map back from exponents to coordinates, by the lex rank formula;
+a polynomial enters as values written at those positions.
+
+A ``TruncatedQuotientRing`` R = S/I carries, for each degree d <= D, a
+chosen monomial basis of R_d (the non-pivot coordinates of the ideal
+component inside S_d) and normal-form matrices; multiplication of basis
+elements reduces to normal forms of products of monomials.  Normal forms
+come from the RREF of I_d in each degree, not Groebner bases, so
+arbitrary homogeneous ideals are supported.
 
 Each degree starts from the one below, as in the symbolic preprocessing of
 Faugere's F4 (J. Pure Appl. Algebra 1999): lex is multiplicative, so x_k
@@ -29,6 +34,7 @@ where the ring ends within D, and raises DegreeBoundError naming the
 degree asked for where it does not, whatever was asked before.
 """
 
+from itertools import combinations_with_replacement
 from math import comb
 from typing import NamedTuple
 
@@ -36,7 +42,7 @@ import numpy as np
 
 from . import polynomials as poly
 from .errors import DegreeBoundError, HomogeneityError, SyzkitError
-from .linalg import _non_pivots, matmul, rref_null_space, rref_stack, zeros
+from .linalg import _non_pivots, is_prime, rref_null_space, rref_stack, zeros
 
 DEFAULT_DEGREE_BOUND = 12
 MARGIN = 2  # ring degrees below the bound in which nothing new may appear
@@ -66,8 +72,6 @@ class PolyRing:
     """S = F_p[x_1..x_n], standard graded, truncated at degree_bound."""
 
     def __init__(self, char, var_names, degree_bound=DEFAULT_DEGREE_BOUND):
-        from .linalg import is_prime
-
         if not (2 <= char < 2**31) or not is_prime(char):
             raise SyzkitError(f"characteristic must be a prime in [2, 2^31), got {char}")
         if degree_bound < 1:
@@ -83,28 +87,27 @@ class PolyRing:
         self.degree_bound = degree_bound
         self._bases = {}
 
-    def monomial_basis(self, d):
-        """All monomials of degree d in lexicographic order."""
+    def exponents(self, d):
+        """All monomials of degree d in lexicographic order (x_1 highest),
+        as an int64 array with one exponent row per monomial: the sorted
+        variable indices i_1 <= ... <= i_d of x_{i_1} ... x_{i_d}, taken in
+        increasing order, run through the monomials in lex order."""
         if d > self.degree_bound:
             raise DegreeBoundError(d, self.degree_bound, "monomial basis")
         if d < 0:
-            return []
+            return np.zeros((0, self.nvars), dtype=np.int64)
         if d not in self._bases:
-            self._bases[d] = poly.monomials_of_degree(self.nvars, d)
+            picks = list(combinations_with_replacement(range(self.nvars), d))
+            exps = np.zeros((len(picks), self.nvars), dtype=np.int64)
+            np.add.at(exps, (np.arange(len(picks))[:, None], np.array(picks, dtype=np.intp)), 1)
+            self._bases[d] = exps
         return self._bases[d]
 
-    def exponents(self, d):
-        """`monomial_basis(d)` as an int64 array, one row per monomial."""
-        key = ("exps", d)
+    def monomial_basis(self, d):
+        """`exponents(d)` as a list of exponent tuples."""
+        key = ("tuples", d)
         if key not in self._bases:
-            mons = self.monomial_basis(d)
-            self._bases[key] = np.array(mons, dtype=np.int64).reshape(-1, self.nvars)
-        return self._bases[key]
-
-    def monomial_index(self, d):
-        key = ("idx", d)
-        if key not in self._bases:
-            self._bases[key] = {m: i for i, m in enumerate(self.monomial_basis(d))}
+            self._bases[key] = list(map(tuple, self.exponents(d).tolist()))
         return self._bases[key]
 
     def dim(self, d):
@@ -113,7 +116,7 @@ class PolyRing:
         return comb(self.nvars + d - 1, d)
 
     def monomial_positions(self, exps, d):
-        """Indices in monomial_basis(d) of degree-d exponent vectors (last
+        """Rows in exponents(d) of degree-d exponent vectors (last
         axis of exps): lex order puts C(n-k-2+s, s-1) monomials before e that
         agree with it before x_k and exceed it at x_k, s = degree after x_k.
         The table of these counts is built once per degree asked for: one
@@ -126,16 +129,6 @@ class PolyRing:
                  for k in range(n - 1)], dtype=np.int64).reshape(n - 1, d + 1)
         left = d - np.cumsum(exps, axis=-1)[..., :-1]
         return self._bases[key][np.arange(n - 1), left].sum(axis=-1)
-
-    def poly_vector(self, f, d):
-        """Coordinate vector of a homogeneous polynomial in the degree-d basis."""
-        vec = zeros(self.dim(d), 1)[:, 0]
-        idx = self.monomial_index(d)
-        for m, c in f.items():
-            if poly.monomial_degree(m) != d:
-                raise HomogeneityError("polynomial has terms outside requested degree")
-            vec[idx[m]] = c % self.char
-        return vec
 
     def parse(self, text):
         return poly.parse_polynomial(text, self.vars, self.char)
@@ -255,23 +248,6 @@ class TruncatedQuotientRing:
             return zeros(0, self.base.dim(d) if d <= self.degree_bound else 0)
         return data[1]
 
-    def normal_form(self, f, degree=None):
-        """Coordinate vector of a homogeneous polynomial's class in R_deg(f).
-
-        The zero polynomial carries no degree; pass `degree` to land it in a
-        specific component.
-        """
-        d = poly.poly_degree(f)
-        if d is None:
-            d = degree
-        if d is None:
-            return zeros(0, 1)[:, 0]
-        if d > self.degree_bound:
-            raise DegreeBoundError(d, self.degree_bound, "normal form")
-        return matmul(
-            self.nf_matrix(d), self.base.poly_vector(f, d).reshape(-1, 1), self.char
-        )[:, 0]
-
     def hilbert_function(self, dmax):
         return [self.dim(d) for d in range(dmax + 1)]
 
@@ -308,8 +284,8 @@ class TruncatedQuotientRing:
             if not (de and dt and da):
                 stack = np.zeros((de, dt, da), dtype=np.int64)
             else:
-                mono_e = np.array(self.basis_monomials(e), dtype=np.int64)
-                mono_a = np.array(self.basis_monomials(a), dtype=np.int64)
+                mono_e = self.base.exponents(e)[self._degree(e)[0]]
+                mono_a = self.base.exponents(a)[self._degree(a)[0]]
                 at = self.base.monomial_positions(mono_e[:, None] + mono_a[None], a + e)
                 # entry (j, t, i) is nf[t, at[j, i]]: one gather, in stack order
                 stack = self.nf_matrix(a + e)[np.arange(dt)[:, None], at[:, None]]

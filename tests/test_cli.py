@@ -180,6 +180,23 @@ def test_exit_code_parse_error(tmp_path):
     assert out.returncode == 2
 
 
+def test_eta_with_more_components_than_terms_is_refused(tmp_path):
+    # period2.complex has 13 terms: a 14th eta component is refused, not
+    # dropped; a shorter list stays legal, since a component left out is zero
+    text = open(fx("period2.complex")).read()
+    (tmp_path / "hyp.ring").write_text(open(fx("hyp.ring")).read())
+    cases = {"long": text.replace('[["1"]] ] }', '[["1"]], [["1"]] ] }'),
+             "short": text.replace('[["1"]], [["1"]]', "[]").replace('[["1"]]', "[]")}
+    out = {}
+    for name, body in cases.items():
+        (tmp_path / f"{name}.complex").write_text(body)
+        out[name] = run_cli("period", str(tmp_path / f"{name}.complex"), "--machine")
+    assert out["long"].returncode == 2
+    assert "long.complex: eta has 14 components for 13 terms" in out["long"].stderr
+    assert out["short"].returncode == 0, out["short"].stderr
+    assert "period = 2" in out["short"].stdout
+
+
 GOOD_RING = 'ring { char = 2; vars = [x, y]; relations = ["x^2", "y^2"] }'
 GOOD_MODULE = 'module { ring = "r.ring"; generators = [0]; relations = [["x"], ["y"]] }'
 

@@ -31,6 +31,7 @@ from syzkit.linalg import matmul
 from syzkit.modules import module_from_strings, residue_field
 from syzkit.resolutions import resolve
 from syzkit.rings import PolyRing, TruncatedQuotientRing, ring_from_strings
+from poly_oracles import normal_form
 from test_freemod import (
     blocks,
     columns,
@@ -773,14 +774,14 @@ def _embedded(ring, factor_ring, piece, e):
 def _embedding_by_normal_forms(factor_ring, ring, e):
     """The factor's R_e inside the product's, one monomial at a time: each
     basis monomial re-indexed onto the product's variables and reduced by
-    `normal_form`."""
+    the reference `normal_form`."""
     pos = {v: i for i, v in enumerate(ring.vars)}
     cols = []
     for mono in factor_ring.basis_monomials(e):
         big = [0] * len(ring.vars)
         for k, v in zip(mono, factor_ring.vars):
             big[pos[v]] += k
-        cols.append(ring.normal_form({tuple(big): 1}, degree=e))
+        cols.append(normal_form(ring, {tuple(big): 1}, e))
     return np.stack(cols, axis=1) if cols else np.zeros((ring.dim(e), 0), dtype=np.int64)
 
 

@@ -80,7 +80,7 @@ def lift_presentation(m):
     r = m.ring
     s_ring = ambient_ring(r)
     gens = m.gen_degrees
-    rels = m.relation_polys()
+    rels = relation_columns(m)
     nz = len(gens)
     for ideal_gen in r.ideal_gens:
         for s in range(nz):
@@ -88,6 +88,12 @@ def lift_presentation(m):
             col[s] = ideal_gen
             rels.append(col)
     return module_from_presentation(s_ring, gens, rels)
+
+
+def relation_columns(m):
+    """Each relation of m as one polynomial per generator."""
+    rows = m.relations.to_poly_matrix()
+    return [[row[r] for row in rows] for r in range(len(m.relations.source_degrees))]
 
 
 def proj_dim(res):

@@ -4,12 +4,15 @@ import os
 import numpy as np
 import pytest
 
+from syzkit import freemod
 from syzkit.chainsolve import consistent_twist, solve_chain_self_maps
 from syzkit.complexes import induced_chain_map, tensor_many
-from syzkit.errors import SyzkitError
+from syzkit.errors import DegreeBoundError, HomogeneityError, SyzkitError
 from syzkit.freemod import FreeMap, block_matrix, component_dim, component_offsets
 from syzkit.io import read_complex_file
+from syzkit.modules import module_from_strings
 from syzkit.rings import ring_from_strings
+from poly_oracles import normal_form
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -358,6 +361,70 @@ def test_compose_block_by_block_matches_the_dense_reference(p):
     offs = offsets(ring, tgt, src[1] + inner_twist + outer_twist)
     assert not any(x for row in images[offs[0]:offs[1]] for x in row)
     assert all(any(x for row in images for x in row) for _, images in want)
+
+
+def _poly_entries(ring, source, target, twist, gen):
+    """Random polynomial entries of the right degree, empty or of one to
+    four monomials, with nonzero coefficients in -3p..3p (multiples of p
+    included)."""
+    base, p = ring.base, ring.char
+    entries = [[{} for _ in source] for _ in target]
+    for b, g in enumerate(source):
+        for c, h in enumerate(target):
+            e = g + twist - h
+            if not 0 <= e <= ring.degree_bound or gen.random() < 0.25:
+                continue
+            mons = base.monomial_basis(e)
+            picked = gen.choice(len(mons), min(len(mons), int(gen.integers(1, 5))),
+                                replace=False)
+            coeffs = [int(x) for x in gen.integers(-3 * p, 3 * p, size=len(picked))]
+            entries[c][b] = {mons[i]: x or 1 for i, x in zip(picked.tolist(), coeffs)}
+    return entries
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_from_poly_matrix_matches_the_per_entry_normal_forms(p, monkeypatch):
+    # every entry against nf_matrix(e) times its vector looked up monomial
+    # by monomial, with one product per entry degree, over a ring that
+    # ends within D and one that does not, on negative generator degrees
+    gen = np.random.default_rng(p % 997)
+    rings = [ring_from_strings(p, ["x", "y", "z"], ["x^2 + y*z", "y^3"], degree_bound=6),
+             ring_from_strings(p, ["x", "y"], ["x^2", "x*y + y^2", "y^3"], degree_bound=6)]
+    assert [r.is_artinian_within_bound() for r in rings] == [False, True]
+    source, target = (-1, 1, 2, 2), (-3, -1, 0, 1)
+    products, real = [], freemod.matmul
+
+    def spy(a, b, q):
+        products.append(b.shape)
+        return real(a, b, q)
+
+    monkeypatch.setattr(freemod, "matmul", spy)
+    for ring in rings:
+        for twist in (0, 1):
+            entries = _poly_entries(ring, source, target, twist, gen)
+            products.clear()
+            got = FreeMap.from_poly_matrix(ring, target, source, entries, twist)
+            degrees = {g + twist - h for b, g in enumerate(source)
+                       for c, h in enumerate(target) if entries[c][b]}
+            assert len(products) == len(degrees)
+            cols = [{c: normal_form(ring, entries[c][b], g + twist - h)
+                     for c, h in enumerate(target) if entries[c][b]}
+                    for b, g in enumerate(source)]
+            assert equals(got, from_columns(ring, source, target, cols, twist))
+    unit, zero = {(0, 0): 1}, {}
+    got = FreeMap.from_poly_matrix(rings[1], (0, 0), (0,), [[unit], [zero]])
+    assert [(c, x.tolist()) for c, x in blocks(got, 0)] == [(0, [1])]
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_from_poly_matrix_refuses_entries_above_the_bound_and_inhomogeneous_ones(p):
+    r = ring_from_strings(p, ["x", "y"], ["x*y"], degree_bound=4)
+    with pytest.raises(DegreeBoundError, match="normal form"):  # x^5 in degree 5 > D
+        module_from_strings(r, [-3], [["x^5"]])
+    with pytest.raises(HomogeneityError, match="not homogeneous"):
+        FreeMap.from_poly_matrix(r, (0,), (2,), [[r.base.parse("x^2 + y")]])
+    with pytest.raises(HomogeneityError, match=r"entry \(0,0\) has degree 1, expected 2"):
+        FreeMap.from_poly_matrix(r, (0,), (2,), [[r.base.parse("x + y")]])
 
 
 def test_columns_are_read_only():

@@ -25,6 +25,7 @@ from syzkit.modules import (
 )
 from syzkit.resolutions import depth, resolve
 from syzkit.rings import ring_from_strings
+from poly_oracles import normal_form
 from test_depth import proj_dim
 from test_modules import annihilated_by, dims
 from test_rings import polynomial_extension
@@ -341,7 +342,7 @@ def test_depth_lemma_on_ideal_sequence():
     from syzkit.linalg import rank, zeros
 
     inc_col = zeros(fm.component_dim(r, b.gen_degrees, 1), 1)[:, 0]
-    inc_col[:] = r.normal_form(r.base.parse("y"))
+    inc_col[:] = normal_form(r, r.base.parse("y"), 1)
     inc = ModuleMap(a, b, fm.FreeMap.from_dense(r, a.gen_degrees, b.gen_degrees, [inc_col]))
     proj_col = zeros(fm.component_dim(r, c.gen_degrees, 0), 1)[:, 0]
     proj_col[0] = 1

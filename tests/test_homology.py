@@ -45,6 +45,7 @@ from syzkit.resolutions import (
     resolve,
 )
 from syzkit.rings import PolyRing, TruncatedQuotientRing
+from poly_oracles import normal_form
 from test_depth import _form
 from test_freemod import blocks
 from test_modules import action_by_ring_vector
@@ -232,7 +233,7 @@ def _reference_depth(module):
     one variable's action on M."""
     ring = module.ring
     n = len(ring.vars)
-    xs = [ring.normal_form({tuple(int(k == j) for k in range(n)): 1}, degree=1)
+    xs = [normal_form(ring, {tuple(int(k == j) for k in range(n)): 1}, 1)
           for j in range(n)]
 
     def acts_at(a):

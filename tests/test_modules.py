@@ -23,7 +23,8 @@ from syzkit.io import read_module_file
 from syzkit.polynomials import poly_degree
 from syzkit.resolutions import resolve
 from syzkit.rings import ring_from_strings
-from test_depth import lift_presentation
+from poly_oracles import monomials_of_degree, normal_form
+from test_depth import lift_presentation, relation_columns
 from test_freemod import SOURCE, TARGET, from_columns, sample_map
 
 
@@ -45,7 +46,7 @@ def annihilated_by(m, f, d):
     e = poly_degree(f)
     if e is None:
         return True
-    rvec = m.ring.normal_form(f, degree=e)
+    rvec = normal_form(m.ring, f, e)
     return not action_by_ring_vector(m, rvec, e, d).any()
 
 
@@ -169,7 +170,7 @@ def test_modules_from_records_match_their_polynomial_presentations():
     built["pushout t=2"] = (pushout_extension(ext_basis(k, k, 2)[0]).module,
                             None)
     for name, (m, read) in built.items():
-        polys = module_from_presentation(m.ring, m.gen_degrees, m.relation_polys())
+        polys = module_from_presentation(m.ring, m.gen_degrees, relation_columns(m))
         degrees = range(m.min_degree() - 1, m.min_degree() + 8)
         assert_same_module(m, polys, degrees)
         if read is not None:
@@ -343,11 +344,10 @@ def _dense_ring(p, n, quadrics, seed):
     nonzero and drawn from a seeded generator, degree bound 6."""
     import random
 
-    from syzkit import polynomials as poly
     from syzkit.rings import PolyRing, TruncatedQuotientRing
 
     rng = random.Random(seed)
-    mons = poly.monomials_of_degree(n, 2)
+    mons = monomials_of_degree(n, 2)
     gens = [{m: rng.randrange(1, p) for m in mons} for _ in range(quadrics)]
     return TruncatedQuotientRing(PolyRing(p, [f"x{i}" for i in range(n)], 6), gens)
 

@@ -261,6 +261,14 @@ def test_estimate_complexity_window_too_small():
         estimate_complexity([1, 2, 3])
 
 
+def test_estimate_complexity_refuses_a_sequence_shorter_than_its_window():
+    with pytest.raises(WindowError, match="over window 7 needs 8 Betti numbers, got 4"):
+        estimate_complexity([1, 2, 3, 4], window=7)
+    with pytest.raises(WindowError, match="over window 6 needs 7 Betti numbers, got 6"):
+        estimate_complexity([1, 2, 3, 4, 5, 6], window=6)
+    assert estimate_complexity([1, 2, 3, 4, 5, 6, 7], window=6).value == 2
+
+
 def test_complexity_of_module_pipeline():
     r = ring_from_strings(2, ["x", "y"], ["x^2", "y^2"], degree_bound=14)
     est, _ = complexity_of_module(residue_field(r), window=10)

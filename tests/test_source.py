@@ -448,9 +448,8 @@ def test_the_syzygy_step_builds_only_the_rows_it_reads():
 def test_one_filler_of_the_ring_tables():
     # TruncatedQuotientRing._degree fills R_0, R_1, ... in order, and is
     # the one place that eliminates for the tables; no second fill path
-    # sits beside it, and outside rings and freemod (from_poly_matrix)
-    # nothing builds normal forms one polynomial at a time: the tables are
-    # read whole (nf_matrix)
+    # sits beside it, and nothing builds normal forms one polynomial at a
+    # time: the tables are read whole (nf_matrix)
     sites = []
     for path, tree in _package_trees():
         for top in tree.body:
@@ -465,6 +464,19 @@ def test_one_filler_of_the_ring_tables():
                 if {getattr(node, "name", None), getattr(node, "attr", None),
                     getattr(node, "id", None)} & gone]
     found = [f"{p.name}:{node.lineno}" for p, tree in _package_trees()
-             if p.stem not in ("rings", "freemod") for node in ast.walk(tree)
+             for node in ast.walk(tree)
              if isinstance(node, ast.Call) and _called(node) == "normal_form"]
+    assert found == []
+
+
+def test_one_monomial_enumeration_and_one_index_rule():
+    # PolyRing.exponents is the one enumeration of monomials and
+    # PolyRing.monomial_positions the one map back to coordinates: no
+    # module defines or calls a second enumeration, a dict index, a
+    # per-polynomial coordinate vector or a per-polynomial normal form
+    gone = {"normal_form", "poly_vector", "monomial_index", "monomials_of_degree"}
+    found = [f"{path.name}:{node.lineno}" for path, tree in _package_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name in gone
+             or isinstance(node, ast.Call) and _called(node) in gone]
     assert found == []
