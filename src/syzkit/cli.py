@@ -9,6 +9,7 @@ bound exceeded, 4 window exceeded.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -219,7 +220,7 @@ def cmd_construct(args):
     report.add("witness_configuration", result.witness_configuration)
     report.add("infinite_ci_witness", result.infinite_ci_witness)
     report.add("witness_reason", result.witness_reason)
-    cor = corollary_module(result, window=max(args.window, 8))
+    cor = corollary_module(result, window=args.window)
     report.add("module_generators", ",".join(str(g) for g in cor.module.gen_degrees))
     report.add("module_betti_matches_product", cor.betti_matches_product)
     report.add("transport_complete", cor.transport_complete)
@@ -338,8 +339,11 @@ def build_parser():
     return parser
 
 
+_parser = functools.cache(build_parser)  # one argparse tree per process
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.seed < 0:  # numpy's generators take only a nonnegative seed
         parser.error(f"argument --seed: must be a nonnegative integer, got {args.seed}")

@@ -104,14 +104,8 @@ class FreeComplex:
         return True
 
     def is_minimal(self):
-        return all(
-            d.has_positive_degree_entries_only()
-            for d in self.diffs[1:]
-            if d is not None and d.source_degrees
-        )
-
-    def component_dim(self, j, d):
-        return freemod.component_dim(self.ring, self.gen_degrees(j), d)
+        return not any(d.scalar_block().any() for d in self.diffs[1:]
+                       if d is not None and d.source_degrees)
 
     def homology(self, over=None):
         """H(C (x) X), X = R or the module `over`, as a fresh `Homology`
@@ -159,14 +153,20 @@ class FreeComplex:
         """The subcomplex of a labelled complex (a tensor product) on the
         generators keep[j] of each term F_j (lists of indices, in order),
         with their labels; the differential must map it into itself."""
+        labels = [[row[b] for b in kept] for row, kept in zip(_product_labels(self), keep)]
         gens = [[row[b] for b in kept] for row, kept in zip(self.gens, keep)]
         diffs = [None] + [self.diff(j).restrict(keep[j], keep[j - 1])
                           for j in range(1, self.window + 1)]
-        labels = [[row[b] for b in kept] for row, kept in zip(self.labels, keep)]
         out = FreeComplex(self.ring, gens, diffs, labels)
         if not out.verify():
             raise SyzkitError("subcomplex differential does not square to zero")
         return out
+
+
+def _product_labels(cx):
+    if cx.labels is None:
+        raise SyzkitError("needs a labelled tensor_many product; this complex has no labels")
+    return cx.labels
 
 
 # -- chain maps ---------------------------------------------------------------
@@ -359,7 +359,7 @@ def induced_chain_map(product, factor_index, eta):
 
     Koszul sign (-1)^{shift * (total homological degree left of the factor)}.
     """
-    nfactors = max((len(row[0]) for row in product.labels if row), default=0)
+    nfactors = max((len(row[0]) for row in _product_labels(product) if row), default=0)
     if not 0 <= factor_index < nfactors:
         raise SyzkitError("factor index out of range")
     ring = product.ring

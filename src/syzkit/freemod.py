@@ -454,9 +454,6 @@ class FreeMap:
                     out[cs, bs] = stack[:, 0]
         return out
 
-    def has_positive_degree_entries_only(self):
-        return not self.scalar_block().any()
-
     def degreewise_surjective(self):
         """Exact surjectivity test via graded Nakayama: a map of finitely
         generated graded free modules is onto iff it is onto mod the
@@ -465,7 +462,6 @@ class FreeMap:
         return rank(sb, self.ring.char) == len(self.target_degrees)
 
     def degreewise_isomorphism(self):
-        if sorted(g + self.twist for g in self.source_degrees) != sorted(self.target_degrees):
-            return False
-        sb = self.scalar_block()
-        return sb.shape[0] == sb.shape[1] and rank(sb, self.ring.char) == sb.shape[0]
+        """Onto, between free modules with the same generator degrees."""
+        return (sorted(g + self.twist for g in self.source_degrees)
+                == sorted(self.target_degrees) and self.degreewise_surjective())

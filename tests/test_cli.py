@@ -163,6 +163,31 @@ def test_construct_at_odd_characteristic_matches_characteristic_two(p, tmp_path)
     assert odd.stdout == two.stdout.replace("char = 2\n", f"char = {p}\n")
 
 
+@pytest.mark.parametrize("window", ["-3", "5"])
+def test_construct_refuses_a_window_too_short_to_estimate_complexity(window, capsys):
+    # the window given is the one used and printed: one below 6 cannot
+    # estimate the transported modules' complexity and is refused (exit 4),
+    # where it used to run at 8 and print the window it was given
+    argv = ["construct", fx("period1_x.complex"), fx("period4.complex"), "--window", window,
+            "--machine"]
+    assert cli.main(argv) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "window too small: complexity estimation needs a window of at least 6\n"
+    assert cli.main(argv[:-2] + ["6", "--machine"]) == 0
+    assert "\nwindow = 6\n" in capsys.readouterr().out
+
+
+def test_main_builds_one_parser_per_process(capsys):
+    # main reuses one argparse tree; build_parser still builds a fresh one
+    assert cli._parser() is cli._parser() is not cli.build_parser()
+    for seed in ("3", "0"):
+        assert cli.main(["period", fx("period2.complex"), "--window", "4", "--seed", seed,
+                         "--machine"]) == 0
+        assert f"\nseed = {seed}\n" in capsys.readouterr().out
+    assert cli._parser.cache_info().misses == 1
+
+
 def test_period_commands():
     one = run_cli("period", fx("period1_x.complex"), "--machine")
     assert "period = 1" in one.stdout

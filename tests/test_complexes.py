@@ -1,10 +1,11 @@
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from syzkit import complexes, construction
+from syzkit import complexes, construction, freemod
 from syzkit.complexes import (
     ChainMap,
     FreeComplex,
@@ -27,7 +28,7 @@ from syzkit.construction import (
 from syzkit.errors import ParseError, SyzkitError, WindowError
 from syzkit.freemod import FreeMap
 from syzkit.io import read_complex_file
-from syzkit.linalg import matmul
+from syzkit.linalg import matmul, rank
 from syzkit.modules import module_from_strings, residue_field
 from syzkit.resolutions import resolve
 from syzkit.rings import PolyRing, TruncatedQuotientRing, ring_from_strings
@@ -271,6 +272,18 @@ def test_subcomplex_refuses_generators_whose_boundary_it_drops():
         cx.subcomplex(keep)
 
 
+@pytest.mark.parametrize("entry", ["build_e_sequence", "induced_chain_map", "subcomplex"])
+def test_label_readers_refuse_a_complex_that_tensor_many_did_not_build(entry):
+    # a complex read from a file has no product labels: each reader of them
+    # refuses it with a SyzkitError, not a TypeError from the missing labels
+    cx, eta = read_complex_file(Path(__file__).parent.parent / "fixtures" / "period2.complex")
+    call = {"build_e_sequence": lambda: build_e_sequence(cx, [eta]),
+            "induced_chain_map": lambda: induced_chain_map(cx, 0, eta),
+            "subcomplex": lambda: cx.subcomplex([list(range(r)) for r in cx.ranks()])}[entry]
+    with pytest.raises(SyzkitError, match="needs a labelled tensor_many product"):
+        call()
+
+
 def test_a_construction_builds_one_product_ring(monkeypatch):
     import syzkit.construction as construction
 
@@ -457,6 +470,126 @@ def test_a_projection_that_does_not_kill_the_inclusion_is_refused(p):
     reports = build_e_sequence(product, [bad, m1])[1]
     assert not reports[0].ok
     assert reports[0].detail == "composite nonzero at homological degree 4"
+
+
+def reference_e_sequence_check(incl, proj):
+    """The per-degree reference for the E-sequence check: both maps' degree
+    matrices ranked in every degree of the ring's degree window on E^{i-1}
+    and on its shifted copy, so its verdict covers that window only."""
+    amb = incl.target
+    p = amb.ring.char
+    n, tau = proj.shift, proj.twist
+
+    def component_dim(cx, j, d):
+        return freemod.component_dim(cx.ring, cx.gen_degrees(j), d)
+
+    degs = [g for j in range(amb.window + 1) for g in amb.gen_degrees(j)]
+    degs += [g - tau for g in degs]  # the quotient is read in degree d + tau
+    window = amb.ring.degree_window(min(degs, default=0), max(degs, default=0))
+    for j in range(amb.window + 1):
+        inc_j = incl.component(j)
+        proj_j = proj.component(j)
+        if any(images.any() for _, images in proj_j.compose(inc_j)):
+            return False, f"composite nonzero at homological degree {j}"
+        for d in range(window.low, window.top + 1):
+            mid = component_dim(amb, j, d)
+            sub = component_dim(incl.source, j, d)
+            quot = component_dim(amb, j - n, d + tau)
+            if mid != sub + quot:
+                return False, (
+                    f"rank identity fails at (j={j}, d={d}): {mid} != {sub}+{quot}"
+                )
+            if sub and rank(inc_j.induced(d), p) != sub:
+                return False, f"inclusion not injective at (j={j}, d={d})"
+            if quot and rank(proj_j.induced(d), p) != quot:
+                return False, f"projection not surjective at (j={j}, d={d})"
+    return True, ""
+
+
+@pytest.fixture
+def e_verdicts(monkeypatch):
+    """(check, reference) verdicts of every E-sequence the test builds."""
+    found, check = [], construction._check_e_sequence
+
+    def both(incl, proj):
+        out = check(incl, proj)
+        found.append((out[0], reference_e_sequence_check(incl, proj)[0]))
+        return out
+
+    monkeypatch.setattr(construction, "_check_e_sequence", both)
+    return found
+
+
+@pytest.mark.parametrize("p", PLANTED_PRIMES)
+def test_e_sequence_verdicts_match_the_per_degree_reference(p, e_verdicts):
+    # the constructions of this module at p, with unit scalars in the
+    # differentials and period maps at odd p; the gapped factor is not
+    # periodic (terms 1 and 3 differ, its period map is zero), so the
+    # sequence that truncates it is not exact
+    c, k = (1, 1) if p == 2 else (p - 2, (p + 1) // 2)
+    x1, y1 = (_scaled_factor(p, 1, W, v, c, k) for v in "xy")
+    y2, z3 = _scaled_factor(p, 2, W, "y", k, c), _scaled_factor(p, 3, W, "z", c, c)
+    cases = [[x1], [x1, y1], [x1, y2], [y2, x1], [x1, y2, z3], [x1, _gapped_factor(p)]]
+    oks = [r.ok for factors in cases for r in e_sequence(*zip(*factors))[1]]
+    assert oks == [True] * 10 + [True, False]
+    result = run_construction(*zip(periodic_variable_complex(p, 1, 13, prefix="x"),
+                                   periodic_variable_complex(p, 4, 13, prefix="y")))
+    assert result.infinite_ci_witness
+    oks += [r.ok for r in result.ses_reports]
+    assert e_verdicts == [(ok, ok) for ok in oks]
+
+
+@pytest.mark.parametrize("p", PLANTED_PRIMES)
+def test_planted_e_sequence_faults_are_refused_by_both_checks(p):
+    # E^1 of x (x) y (x) R/(z) over F_p[z]/(z^3), whose generators of one
+    # homological degree have different internal degrees; the projection is
+    # the map induced by x's period map
+    w = 4
+    f, ef = periodic_variable_complex(p, 1, w, degree_bound=8, prefix="x")
+    g, _ = periodic_variable_complex(p, 1, w, degree_bound=8, prefix="y")
+    r = ring_from_strings(p, ["z"], ["z^3"], degree_bound=8)
+    product = tensor_many([f, g, resolve(module_from_strings(r, [0], [["z"]]), w)])
+    proj = induced_chain_map(product, 0, ef)
+
+    def inclusion(keep):
+        sub = product.subcomplex(keep)
+        return ChainMap(sub, product, 0, 0, [
+            FreeMap.selection(product.ring, sub.gen_degrees(j), product.gen_degrees(j), keep[j])
+            for j in range(w + 1)])
+
+    def changed(phi, j, fmap):
+        comps = list(phi.components)
+        comps[j] = fmap
+        return ChainMap(phi.source, phi.target, phi.shift, phi.twist, comps)
+
+    keep = [[b for b, lab in enumerate(row) if lab[0][0] < 1] for row in product.labels]
+    incl = inclusion(keep)
+    # a projection with one scalar unit zeroed is not onto
+    comp = proj.component(2)
+    cols, b = columns(comp), int(comp.scalar_block().any(axis=0).argmax())
+    assert comp.scalar_block()[:, b].any()
+    cols[b] = 0 * cols[b]
+    unit_zeroed = changed(proj, 2, FreeMap.from_dense(product.ring, comp.source_degrees,
+                                                       comp.target_degrees, cols, comp.twist))
+    # E^1 without its last generator: the degrees do not add up
+    short = inclusion(keep[:-1] + [keep[-1][:-1]])
+    # the generator of degree 3 in homological degree 2 goes to x e_c, e_c a
+    # generator of E^1 of degree 2 (which the projection kills), not to its
+    # own e_c: the inclusion is not split
+    labels, src = product.labels[2], incl.component(2).source_degrees
+    a = keep[2].index(labels.index(((0, 0), (0, 0), (2, 0))))
+    c = labels.index(((0, 0), (2, 0), (0, 0)))
+    assert (src[a], product.gen_degrees(2)[c]) == (3, 2)
+    x = np.eye(product.ring.dim(1), dtype=np.int64)[0]
+    cols = [{c: x} if b == a else {t: np.ones(1, dtype=np.int64)} for b, t in enumerate(keep[2])]
+    not_split = changed(incl, 2, from_columns(product.ring, src, product.gen_degrees(2), cols))
+    cases = [(incl, proj, ""),
+             (incl, unit_zeroed, "projection not surjective at homological degree 2"),
+             (short, proj, "generator degrees do not add up at homological degree 4"),
+             (not_split, proj, "inclusion not split injective at homological degree 2")]
+    for inc, prj, detail in cases:
+        assert construction._check_e_sequence(inc, prj) == (not detail, detail)
+        assert reference_e_sequence_check(inc, prj)[0] == (not detail)
 
 
 def test_e_sequence_shifted_factor():

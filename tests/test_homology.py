@@ -256,7 +256,7 @@ def _reference_depth(module):
 
 
 def _reference_homology_dim(cx, j, d):
-    sdim = cx.component_dim(j, d)
+    sdim = freemod.component_dim(cx.ring, cx.gen_degrees(j), d)
     if sdim == 0:
         return 0
     ranks = [rank(f.induced(d), cx.ring.char) if f is not None and f.source_degrees else 0

@@ -291,6 +291,20 @@ def _called(node):
     return getattr(node.func, "attr", getattr(node.func, "id", None))
 
 
+def test_the_e_sequence_check_builds_no_degree_matrix():
+    # its terms are free modules, so exactness is read off the generator
+    # degrees and the scalar blocks (graded Nakayama) in every degree at
+    # once: no degree window, and no degree matrix of a map to rank
+    path = Path(syzkit.__file__).parent / "construction.py"
+    check, = [fn for fn in ast.parse(path.read_text()).body
+              if getattr(fn, "name", None) == "_check_e_sequence"]
+    calls = [_called(node) for node in ast.walk(check) if isinstance(node, ast.Call)]
+    assert "degreewise_surjective" in calls and "scalar_block" in calls
+    assert not {"induced", "degree_window", "component_dim"} & set(calls)
+    assert not [node for node in ast.walk(check)
+                if isinstance(node, ast.Attribute) and node.attr == "degree_window"]
+
+
 def test_one_linear_solve_and_one_homology_per_complex():
     # linalg.solve_many is the one linear solve, and a complex's homology
     # question reads one modules.Homology: no per-degree total or dimension
